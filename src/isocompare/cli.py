@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,8 +21,7 @@ from .football import alpha_result, cylinder_growth, epsilon0
 from .gmt import (RadiusFamily, cone_over_circle, cutoff_budget,
                   monotonicity_profile, unit_circle, unit_sphere)
 from .phase_plane import extremal_path, phase_curve, ricci_mass, volume_from_path
-from .variation import (check_first_variation, check_mean_curvature_evolution,
-                        check_second_variation, variation_report)
+from .variation import observed_order, residual_sequence
 from .warped import candidate_profile
 
 
@@ -58,12 +55,6 @@ def _round_floats(obj):
     return obj
 
 
-def _worker_count(n_tasks: int) -> int:
-    env = os.environ.get("ISO_COMPARE_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(n_tasks, cap))
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (default_format, columns, rows, summary)
 
@@ -81,16 +72,11 @@ def _run_variation_check(opts):
     levels = opts.get("levels", 3)
     rows = []
     for t in opts["t"]:
-        rep = variation_report(metric, t, h0, levels=levels)
-        order = rep.order_estimate if rep.order_estimate is not None else math.nan
-        step = h0
-        for _ in range(levels):
-            rows.append((t, step,
-                         check_first_variation(metric, t, step).residual_first,
-                         check_mean_curvature_evolution(metric, t, step).residual_h_dot,
-                         check_second_variation(metric, t, step).residual_second,
-                         order))
-            step /= 2.0
+        sequences = [residual_sequence(metric, t, h0, kind, levels)
+                     for kind in ("first", "h_dot", "second")]
+        order = observed_order(*sequences)
+        for (step, first), (_, h_dot), (_, second) in zip(*sequences):
+            rows.append((t, step, first, h_dot, second, order))
     columns = ["t", "h", "residual_first", "residual_h_dot", "residual_second",
                "order"]
     return "csv", columns, rows, {}
@@ -119,13 +105,7 @@ def _run_football_alpha(opts):
     else:
         eps_values = [opts["epsilon"]]
     coarse = opts.get("coarse", 33)
-    workers = _worker_count(len(eps_values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda e: alpha_result(e, coarse=coarse),
-                                    eps_values))
-    else:
-        results = [alpha_result(e, coarse=coarse) for e in eps_values]
+    results = [alpha_result(e, coarse=coarse) for e in eps_values]
     rows = [(r.epsilon, r.alpha_oracle, r.alpha_as_written, r.z_argmax,
              r.discrepancy) for r in results]
     columns = ["epsilon", "alpha_oracle", "alpha_as_written", "z_argmax",

@@ -95,7 +95,7 @@ _OUTPUT_KEYS = {
 _SCHEMAS = {
     "profile": ({**_MODEL_KEYS, "grid_size": _parse_int}, {"model"}),
     "variation-check": ({**_MODEL_KEYS, "t": _parse_float_list,
-                         "h": _positive(_parse_float), "levels": _parse_int},
+                         "h": _positive(_parse_float), "levels": _positive(_parse_int)},
                         {"model", "t"}),
     "mass": ({**_MODEL_KEYS, "ric0": _positive(_parse_float),
               "grid_size": _parse_int}, {"model", "ric0"}),

@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ValidationError
-from .warped import WarpedMetric, eval_warp, sphere_area
+from .warped import WarpedMetric, eval_warp, sin_power_integral, sphere_area
 
 __all__ = [
     "MonotonicityCase", "MonotonicityProfile", "RadiusFamily", "CutoffBudget",
@@ -25,14 +24,6 @@ __all__ = [
     "monotonicity_profile", "check_monotone", "ambient_h_bound",
     "cutoff_budget", "area_ratio_constant",
 ]
-
-
-def _sin_power_integral(p: int, theta: float) -> float:
-    if p == 0:
-        return theta
-    val, _ = quad(lambda s: math.sin(s) ** p, 0.0, theta,
-                  epsabs=0.0, epsrel=1e-12, limit=200)
-    return val
 
 
 @dataclass(frozen=True)
@@ -57,9 +48,10 @@ class MonotonicityCase:
         """Surface measure inside the Euclidean rho-ball about the base point."""
         if self.kind == "cone":
             return math.pi * math.sin(self.angle) * rho * rho
-        # spherical cap cut by a chord-radius rho ball about a surface point
-        theta = math.acos(max(1.0 - rho * rho / 2.0, -1.0))
-        return sphere_area(self.m - 1) * _sin_power_integral(self.m - 1, theta)
+        # spherical cap cut by a chord-radius rho ball about a surface point;
+        # the chord 2 sin(theta/2) resolves small caps, unlike cos theta
+        theta = 2.0 * math.asin(min(rho / 2.0, 1.0))
+        return sphere_area(self.m - 1) * float(sin_power_integral(self.m - 1, theta))
 
 
 def _check_grid(rho_grid) -> np.ndarray:
@@ -247,9 +239,7 @@ def area_ratio_constant(metric: WarpedMetric, t: float, rho_grid) -> tuple[float
     if f <= 0:
         raise ValidationError("slice radius must be positive")
     n = metric.n
-    ratios = np.empty(rho.size)
-    for i, r in enumerate(rho):
-        phi = min(r / f, math.pi)
-        cap = sphere_area(n - 2) * f ** (n - 1) * _sin_power_integral(n - 2, phi)
-        ratios[i] = cap / r ** (n - 1)
+    # caps of geodesic radius rho / f, whole sphere once that passes pi
+    caps = sphere_area(n - 2) * f ** (n - 1) * sin_power_integral(n - 2, rho / f)
+    ratios = caps / rho ** (n - 1)
     return float(np.max(ratios)), ratios

@@ -15,17 +15,6 @@ from scipy.integrate import quad
 from .errors import QuadratureError
 
 
-def adaptive(f: Callable[[float], float], a: float, b: float,
-             rel_tol: float = 1e-11) -> float:
-    """Adaptive Gauss-Kronrod integral of a smooth integrand."""
-    val, err = quad(f, a, b, epsabs=0.0, epsrel=rel_tol, limit=200)
-    if err > 10 * rel_tol * max(abs(val), 1e-300) and err > 1e-12:
-        raise QuadratureError(
-            f"integral on [{a:g}, {b:g}] reached error {err:.2e}, "
-            f"requested relative {rel_tol:.1e}")
-    return val
-
-
 def sqrt_endpoint(g: Callable[[float], float], a: float, b: float,
                   rel_tol: float = 1e-11) -> float:
     """Integral of g(x) / sqrt(b - x) over [a, b] for smooth g.

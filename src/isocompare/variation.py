@@ -115,21 +115,29 @@ def residual_sequence(metric: WarpedMetric, t: float, h: float, kind: str,
         step /= 2.0
     return out
 
+
+def observed_order(*sequences: list[tuple[float, float]]) -> float:
+    """Worst observed order over (h, residual) sequences.
+
+    Each sequence's order is the least-squares slope of log residual vs log
+    step; a sequence with fewer than two steps or a vanishing residual (flat
+    cylinder checks) has none.  nan when no sequence has an order.
+    """
+    orders = []
+    for pairs in sequences:
+        hs = np.array([p[0] for p in pairs])
+        rs = np.array([p[1] for p in pairs])
+        if hs.size >= 2 and np.all(rs > 0):
+            orders.append(float(np.polyfit(np.log(hs), np.log(rs), 1)[0]))
+    return min(orders) if orders else math.nan
+
+
 def convergence_order(metric: WarpedMetric, t: float, h: float, kind: str,
                       levels: int = 3) -> float:
-    """Observed order: least-squares slope of log residual vs log step.
-
-    nan when a residual vanishes identically (flat cylinder checks).
-    """
+    """Observed order of one check under step halving (see observed_order)."""
     if levels < 2:
         return math.nan
-    pairs = residual_sequence(metric, t, h, kind, levels)
-    hs = np.array([p[0] for p in pairs])
-    rs = np.array([p[1] for p in pairs])
-    if np.any(rs <= 0):
-        return math.nan
-    slope = np.polyfit(np.log(hs), np.log(rs), 1)[0]
-    return float(slope)
+    return observed_order(residual_sequence(metric, t, h, kind, levels))
 
 
 def variation_report(metric: WarpedMetric, t: float, h: float | None = None,
@@ -137,15 +145,17 @@ def variation_report(metric: WarpedMetric, t: float, h: float | None = None,
     """All three residuals at (t, h) plus the worst observed order.
 
     Default step is 1e-3 t_max, balancing truncation against cancellation
-    at double precision.
+    at double precision.  Each check runs once per level; the residuals at h
+    are the first level's.
     """
     if h is None:
         h = 1e-3 * metric.t_max
     rep = VariationReport(t=t, h=h)
-    rep.residual_first = check_first_variation(metric, t, h).residual_first
-    rep.residual_h_dot = check_mean_curvature_evolution(metric, t, h).residual_h_dot
-    rep.residual_second = check_second_variation(metric, t, h).residual_second
-    orders = [convergence_order(metric, t, h, kind, levels) for kind in _CHECKS]
-    finite = [o for o in orders if not math.isnan(o)]
-    rep.order_estimate = min(finite) if finite else None
+    sequences = []
+    for kind, (_, attr) in _CHECKS.items():
+        pairs = residual_sequence(metric, t, h, kind, max(levels, 1))
+        setattr(rep, attr, pairs[0][1])
+        sequences.append(pairs)
+    order = observed_order(*sequences)
+    rep.order_estimate = None if math.isnan(order) else order
     return rep

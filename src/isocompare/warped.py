@@ -12,6 +12,10 @@ Closed-form warps:
     football       f(t) = r c sin(t/r), c <= 1  t in [0, pi r]   (cone points)
     cylinder       f(t) = a                     t in [0, L]
 plus tabulated warps interpolated monotonically on an interior window.
+
+Each warp integrates its own powers exactly (``power_integral``): the closed
+warps through the incomplete beta function, tabulated warps by Gauss-Legendre
+rules that are exact on the interpolant's cubic pieces.
 """
 
 from __future__ import annotations
@@ -21,16 +25,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.special import gamma
+from scipy.special import beta, betainc, gamma
 
 from .errors import (DomainError, SingularPointError, UnsupportedPointError,
                      ValidationError)
 
 __all__ = [
     "WarpedMetric", "CurvatureData", "CurvatureBounds", "Slice", "Profile",
-    "round_sphere", "football", "cylinder", "tabulated",
+    "round_sphere", "football", "cylinder", "tabulated", "sin_power_integral",
     "sphere_area", "eval_warp", "curvature_at", "curvature_bounds",
     "slice_at", "total_volume", "candidate_profile",
 ]
@@ -41,6 +44,24 @@ def sphere_area(dim: int) -> float:
     if dim < 0:
         raise ValidationError(f"sphere dimension must be >= 0, got {dim}")
     return 2.0 * math.pi ** ((dim + 1) / 2.0) / gamma((dim + 1) / 2.0)
+
+
+def sin_power_integral(m: int, theta):
+    """Integral of sin^m over [0, theta], theta clipped to [0, pi].
+
+    Closed form through the regularized incomplete beta function (DLMF 8.17):
+    (1/2) B((m+1)/2, 1/2) I_{sin^2}((m+1)/2, 1/2) within pi/3 of either pole,
+    and the complementary form in cos^2 on the middle third, where sin^2 no
+    longer resolves theta.
+    """
+    th = np.clip(np.asarray(theta, dtype=float), 0.0, math.pi)
+    a = 0.5 * (m + 1)
+    half = 0.5 * beta(a, 0.5)
+    s, c = np.sin(th), np.cos(th)
+    pole = half * betainc(a, 0.5, s * s)
+    middle = half * (1.0 - np.sign(c) * betainc(0.5, a, c * c))
+    return np.where(np.abs(c) > 0.5, np.where(c > 0, pole, 2.0 * half - pole),
+                    middle)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +92,10 @@ class _RoundSphereWarp:
     def pole_slopes(self):
         return 1.0, -1.0
 
+    def power_integral(self, t, m: int):
+        r = self.radius
+        return r ** (m + 1) * sin_power_integral(m, np.asarray(t, dtype=float) / r)
+
 
 @dataclass(frozen=True)
 class _FootballWarp:
@@ -99,6 +124,11 @@ class _FootballWarp:
     def pole_slopes(self):
         return self.cone_factor, -self.cone_factor
 
+    def power_integral(self, t, m: int):
+        r = self.radius
+        return (r ** (m + 1) * self.cone_factor ** m
+                * sin_power_integral(m, np.asarray(t, dtype=float) / r))
+
 
 @dataclass(frozen=True)
 class _CylinderWarp:
@@ -121,6 +151,9 @@ class _CylinderWarp:
 
     def pole_slopes(self):
         return 0.0, 0.0
+
+    def power_integral(self, t, m: int):
+        return self.radius ** m * np.asarray(t, dtype=float)
 
 
 class _TabulatedWarp:
@@ -171,6 +204,22 @@ class _TabulatedWarp:
 
     def pole_slopes(self):
         raise UnsupportedPointError("tabulated warp has no pole data")
+
+    def power_integral(self, t, m: int):
+        # f^m has degree 3m on each cubic piece, where the
+        # ceil((3m+1)/2)-node Gauss-Legendre rule is exact
+        nodes, weights = np.polynomial.legendre.leggauss((3 * m + 2) // 2)
+
+        def within_piece(lo, hi):
+            half = 0.5 * (hi - lo)
+            s = (lo + half)[..., None] + np.multiply.outer(half, nodes)
+            return half * (self._interp(s) ** m @ weights)
+
+        x = self.t_samples
+        cumulative = np.concatenate(([0.0], np.cumsum(within_piece(x[:-1], x[1:]))))
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+        return cumulative[k] + within_piece(x[k], t)
 
 
 @dataclass(frozen=True)
@@ -251,6 +300,14 @@ class CurvatureData:
         return min(self.ric_radial, self.ric_tangential)
 
 
+def _curvatures(n: int, f, f2, sc):
+    """(radial Ricci, tangential Ricci, scalar) from f, f'' and 1 - f'^2."""
+    bend = -f2 / f            # -f''/f
+    spread = sc / (f * f)     # (1 - f'^2) / f^2
+    return ((n - 1) * bend, bend + (n - 2) * spread,
+            2 * (n - 1) * bend + (n - 1) * (n - 2) * spread)
+
+
 def curvature_at(metric: WarpedMetric, t: float) -> CurvatureData:
     """Curvature quantities at a strictly interior radial coordinate."""
     if not metric.t_min < t < metric.t_max:
@@ -260,13 +317,8 @@ def curvature_at(metric: WarpedMetric, t: float) -> CurvatureData:
     f = float(f)
     if f <= 0.0:
         raise SingularPointError(f"warp vanishes at t={t:g}")
-    n = metric.n
     sc = float(metric.warp.slope_complement(t))  # 1 - f'^2, stably
-    bend = -float(f2) / f            # -f''/f
-    spread = sc / (f * f)            # (1 - f'^2) / f^2
-    radial = (n - 1) * bend
-    tangential = bend + (n - 2) * spread
-    scalar = 2 * (n - 1) * bend + (n - 1) * (n - 2) * spread
+    radial, tangential, scalar = _curvatures(metric.n, f, float(f2), sc)
     return CurvatureData(float(radial), float(tangential), float(scalar))
 
 
@@ -301,11 +353,7 @@ def curvature_bounds(metric: WarpedMetric, grid_size: int = 513,
         if np.any(f <= 0):
             raise SingularPointError("warp vanishes inside the sampling window")
         sc = np.asarray(metric.warp.slope_complement(ts), dtype=float)
-        bend = -np.asarray(f2, dtype=float) / f
-        spread = sc / (f * f)
-        radial = (n - 1) * bend
-        tangential = bend + (n - 2) * spread
-        scal = 2 * (n - 1) * bend + (n - 1) * (n - 2) * spread
+        radial, tangential, scal = _curvatures(n, f, np.asarray(f2, dtype=float), sc)
         return float(np.min(np.minimum(radial, tangential))), float(np.min(scal))
 
     num = grid_size
@@ -335,21 +383,11 @@ class Slice:
     second_fundamental_norm_sq: float
 
 
-def _volume_integrand(metric: WarpedMetric):
-    nm1 = metric.n - 1
-
-    def fn(s: float) -> float:
-        f, _, _ = metric.warp.evaluate(s)
-        return float(f) ** nm1
-
-    return fn
-
-
 def slice_at(metric: WarpedMetric, t: float) -> Slice:
     """Area, enclosed volume, H and |Pi|^2 of the slice at radius t.
 
-    Volume uses adaptive quadrature to relative error <= 1e-10 (measured from
-    the window start for tabulated warps).
+    The volume is the warp's exact power integral, measured from the window
+    start for tabulated warps.
     """
     if not metric.t_min < t < metric.t_max:
         raise SingularPointError(
@@ -361,17 +399,15 @@ def slice_at(metric: WarpedMetric, t: float) -> Slice:
     n = metric.n
     omega = sphere_area(n - 1)
     area = omega * f ** (n - 1)
-    vol, _ = quad(_volume_integrand(metric), metric.t_min, t,
-                  epsabs=0.0, epsrel=1e-12, limit=200)
+    vol = float(metric.warp.power_integral(t, n - 1))
     h = (n - 1) * float(f1) / f
     return Slice(t=t, area=area, volume=omega * vol, mean_curvature=h,
                  second_fundamental_norm_sq=(n - 1) * (float(f1) / f) ** 2)
 
 
 def total_volume(metric: WarpedMetric) -> float:
-    """Volume of the whole model, adaptive quadrature at relative 1e-12."""
-    vol, _ = quad(_volume_integrand(metric), metric.t_min, metric.t_max,
-                  epsabs=0.0, epsrel=1e-12, limit=200)
+    """Volume of the whole model: omega_(n-1) times the power integral of f."""
+    vol = float(metric.warp.power_integral(metric.t_max, metric.n - 1))
     return sphere_area(metric.n - 1) * vol
 
 
@@ -428,13 +464,7 @@ def candidate_profile(metric: WarpedMetric, grid_size: int = 257) -> Profile:
     f = np.asarray(f, dtype=float)
     areas = omega * f ** (n - 1)
 
-    integrand = _volume_integrand(metric)
-    vols = np.empty(grid_size)
-    vols[0] = 0.0
-    for k in range(1, grid_size):
-        piece, _ = quad(integrand, ts[k - 1], ts[k], epsabs=0.0, epsrel=1e-12,
-                        limit=200)
-        vols[k] = vols[k - 1] + omega * piece
+    vols = omega * metric.warp.power_integral(ts, n - 1)
     if not np.all(np.diff(vols) > 0):
         raise ValidationError("volume samples are not strictly increasing")
 

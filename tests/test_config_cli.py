@@ -216,6 +216,9 @@ def test_cli_validation_exit_code(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("command = bishop-bound\nn = 2\nric0 = 2\n")
     assert main(["bishop-bound", "--config", str(cfg)]) == 2
+    # no step level would leave the stencil unchecked and the table empty
+    cfg.write_text("command = variation-check\nmodel = sphere\nt = 1.0\nlevels = 0\n")
+    assert main(["variation-check", "--config", str(cfg)]) == 2
 
 
 def test_cli_rejects_profile_on_tabulated_model(tmp_path):
@@ -243,8 +246,7 @@ def test_cli_json_format_override(tmp_path):
     assert doc["rows"][0][1] == pytest.approx(40 * PI, rel=1e-9)
 
 
-def test_cli_thread_cap_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("ISO_COMPARE_THREADS", "1")
+def test_cli_football_alpha_small_grid(tmp_path):
     code, text = _invoke(tmp_path, "football-alpha",
                          "command = football-alpha\neps_grid = 0.3:0.5:3\n")
     assert code == 0

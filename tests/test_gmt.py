@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,20 @@ from isocompare.errors import ValidationError
 from isocompare.gmt import (RadiusFamily, ambient_h_bound, area_ratio_constant,
                             check_monotone, cone_over_circle, cutoff_budget,
                             monotonicity_profile, unit_circle, unit_sphere)
-from isocompare.warped import round_sphere
+from isocompare.warped import football, round_sphere
 
 PI = math.pi
 RHO = np.linspace(0.05, 2.0, 64)
+
+
+def _reference_cap(m, theta):
+    """25-digit area of the geodesic theta-cap on the unit m-sphere."""
+    omega = 2 * mp.pi ** (mp.mpf(m) / 2) / mp.gamma(mp.mpf(m) / 2)
+    return omega * mp.quad(lambda s: mp.sin(s) ** (m - 1), [0, theta])
+
+
+def _max_rel_error(values, references):
+    return max(abs(v - r) / abs(r) for v, r in zip(values, references))
 
 
 def test_sphere_profile_is_pi_exp():
@@ -20,6 +31,14 @@ def test_sphere_profile_is_pi_exp():
     prof = monotonicity_profile(unit_sphere(1.0, RHO))
     assert np.allclose(prof.values, PI * np.exp(RHO), rtol=1e-9)
     assert not check_monotone(prof)
+    # every dimension against 25-digit caps of angle 2 arcsin(rho/2)
+    rho = RHO[::4]
+    for dim in range(1, 8):
+        prof = monotonicity_profile(unit_sphere(0.5, rho, dim=dim))
+        with mp.workdps(25):
+            ref = [mp.exp(mp.mpf(r) / 2) * mp.mpf(r) ** -dim
+                   * _reference_cap(dim, 2 * mp.asin(mp.mpf(r) / 2)) for r in rho]
+            assert _max_rel_error(prof.values, ref) <= 1e-14
 
 
 def test_circle_profile_small_rho_limit():
@@ -159,6 +178,18 @@ def test_area_ratio_unit_slice():
     assert ratios[-1] == pytest.approx(4 * PI / PI ** 2, rel=1e-10)
     assert max_ratio == pytest.approx(PI, abs=1e-5)
     assert math.isfinite(max_ratio)
+    # slices of footballs in every dimension against 25-digit caps, up to
+    # and past the whole slice sphere
+    rho = np.linspace(0.05, 4.0, 12)
+    for n in range(3, 9):
+        metric = football(0.3, n=n, radius=2.0)
+        t = 0.3 * metric.t_max
+        _, ratios = area_ratio_constant(metric, t, rho)
+        with mp.workdps(25):
+            f = mp.mpf(0.6) * mp.sin(mp.mpf(t) / 2)
+            ref = [f ** (n - 1) * _reference_cap(n - 1, min(mp.mpf(r) / f, mp.pi))
+                   / mp.mpf(r) ** (n - 1) for r in rho]
+            assert _max_rel_error(ratios, ref) <= 1e-14
 
 
 def test_area_ratio_scale_invariance():

@@ -1,18 +1,39 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from isocompare.errors import (DomainError, SingularPointError,
                                UnsupportedPointError, ValidationError)
-from isocompare.warped import (candidate_profile, curvature_at,
+from isocompare.warped import (WarpedMetric, candidate_profile, curvature_at,
                                curvature_bounds, cylinder, eval_warp, football,
                                round_sphere, slice_at, sphere_area, tabulated,
                                total_volume)
 
 PI = math.pi
+REL_VOLUME = 1e-14
+
+
+def _reference_volume(f, n, lo, t, scale, breaks=()):
+    """omega_(n-1) times the 25-digit mpmath integral of f^(n-1) over [lo, t].
+
+    The integrand is divided by scale^(n-1), with scale of the order of f on
+    the interval, because mpmath.quad stops on an absolute error estimate.
+    """
+    with mp.workdps(25):
+        nodes = [mp.mpf(lo)] + [mp.mpf(b) for b in breaks if lo < b < t] + [mp.mpf(t)]
+        scale = mp.mpf(scale)
+        v = mp.quad(lambda s: (f(s) / scale) ** (n - 1), nodes)
+        omega = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        return omega * scale ** (n - 1) * v
+
+
+def _assert_volume(value, reference):
+    assert abs(value - reference) <= REL_VOLUME * abs(reference)
 
 
 def test_sphere_area_values():
@@ -127,11 +148,39 @@ def test_slice_cylinder():
     assert s.area == pytest.approx(4 * PI, rel=1e-14)
     assert s.volume == pytest.approx(4 * PI * 1.3, rel=1e-12)
     assert s.mean_curvature == 0.0
+    for n in (3, 5, 8):
+        for a in (0.1, 10.0):
+            metric = cylinder(a, 7.0, n=n)
+            for t in (1e-3, 1.3, 6.9):
+                _assert_volume(slice_at(metric, t).volume,
+                               _reference_volume(lambda s: mp.mpf(a), n, 0.0, t, a))
+            _assert_volume(total_volume(metric),
+                           _reference_volume(lambda s: mp.mpf(a), n, 0.0, 7.0, a))
 
 
 def test_slice_pole_error():
     with pytest.raises(SingularPointError):
         slice_at(round_sphere(3, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_closed_model_volumes_match_mpmath(n):
+    # sphere (c = 1) and footballs, r and c over two decades, slices near
+    # both poles, at and just short of the equator, and the whole model
+    for r in (0.1, 1.0, 10.0):
+        for c in (0.01, 0.1, 1.0):
+            metric = round_sphere(n, r) if c == 1.0 else football(c, n=n, radius=r)
+
+            def f(s, r=mp.mpf(r), c=mp.mpf(c)):
+                return r * c * mp.sin(s / r)
+
+            for frac in (1e-3, 0.5 - 3e-4, 0.5, 1.0 - 1e-3):
+                t = frac * metric.t_max
+                scale = f(min(mp.mpf(t), mp.pi * r / 2))
+                _assert_volume(slice_at(metric, t).volume,
+                               _reference_volume(f, n, 0.0, t, scale))
+            _assert_volume(total_volume(metric),
+                           _reference_volume(f, n, 0.0, metric.t_max, r * c))
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,12 +232,29 @@ def test_candidate_profile_symmetry():
         assert np.max(np.abs(prof.v_grid - v_mirror)) <= 1e-8 * prof.total_volume
 
 
+class _StalledWarp:
+    """A cylinder-like warp whose volume stops growing halfway."""
+
+    kind = "cylinder"
+    closed = False
+    t_max = 1.0
+
+    def evaluate(self, t):
+        z = np.zeros_like(np.asarray(t, dtype=float))
+        return z + 1.0, z, z
+
+    def power_integral(self, t, m):
+        return np.minimum(t, 0.5)
+
+
 def test_candidate_profile_validation():
     with pytest.raises(ValidationError):
         candidate_profile(round_sphere(3, 1.0), 8)
     tab = tabulated([0.5, 1.0, 1.5, 2.0], [1.0, 1.2, 1.2, 1.0])
     with pytest.raises(ValidationError):
         candidate_profile(tab, 64)
+    with pytest.raises(ValidationError, match="not strictly increasing"):
+        candidate_profile(WarpedMetric(3, _StalledWarp()), 32)
 
 
 def test_total_volume_football():
@@ -203,3 +269,24 @@ def test_tabulated_interpolation_matches_samples():
     f, f1, _ = eval_warp(tab, 1.1)
     assert f == pytest.approx(math.sin(1.1), abs=1e-4)
     assert f1 == pytest.approx(math.cos(1.1), abs=1e-2)
+
+    # volumes against the interpolant's own cubic pieces, integrated apart,
+    # on smooth samples and on rough ones whose pieces are far from linear
+    rough_ts = np.array([0.5, 0.9, 1.6, 2.0, 2.9, 3.1])
+    rough_fs = np.array([1.0, 3.0, 0.5, 2.5, 1.2, 2.0])
+    for n, xs, fs in ((6, ts, np.sin(ts)), (5, rough_ts, rough_fs),
+                      (8, rough_ts, rough_fs)):
+        tab = tabulated(xs, fs, n=n)
+        pieces = PchipInterpolator(xs, fs)
+
+        def f_ref(s, xs=xs, pieces=pieces):
+            j = min(max(int(np.searchsorted(xs, float(s), side="right")) - 1, 0),
+                    xs.size - 2)
+            return mp.polyval([mp.mpf(float(c)) for c in pieces.c[:, j]],
+                              s - mp.mpf(xs[j]))
+
+        for t in (xs[0] + 1e-3, 1.1, xs[2], PI / 2, xs[-1] - 1e-3):
+            _assert_volume(slice_at(tab, t).volume,
+                           _reference_volume(f_ref, n, xs[0], t, 1.0, xs))
+        _assert_volume(total_volume(tab),
+                       _reference_volume(f_ref, n, xs[0], xs[-1], 1.0, xs))
