@@ -104,8 +104,7 @@ def _run_football_alpha(opts):
         eps_values = [float(e) for e in np.linspace(lo, hi, num)]
     else:
         eps_values = [opts["epsilon"]]
-    coarse = opts.get("coarse", 33)
-    results = [alpha_result(e, coarse=coarse) for e in eps_values]
+    results = [alpha_result(e) for e in eps_values]
     rows = [(r.epsilon, r.alpha_oracle, r.alpha_as_written, r.z_argmax,
              r.discrepancy) for r in results]
     columns = ["epsilon", "alpha_oracle", "alpha_as_written", "z_argmax",
@@ -225,9 +224,9 @@ def render(config: RunConfig, columns, rows, summary) -> str:
         value = summary[key]
         if isinstance(value, dict):
             for sub in sorted(value):
-                lines.append(f"# {key}.{sub} = {value[sub]}")
+                lines.append(f"# {key}.{sub} = {format_number(value[sub])}")
         else:
-            lines.append(f"# {key} = {format_number(value) if isinstance(value, float) else value}")
+            lines.append(f"# {key} = {format_number(value)}")
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(

@@ -101,8 +101,8 @@ _SCHEMAS = {
               "grid_size": _parse_int}, {"model", "ric0"}),
     "bishop-bound": ({"n": _dimension, "ric0": _positive(_parse_float)},
                      {"n", "ric0"}),
-    "football-alpha": ({"eps_grid": _parse_grid, "epsilon": _parse_float,
-                        "coarse": _parse_int}, set()),
+    "football-alpha": ({"eps_grid": _parse_grid, "epsilon": _parse_float},
+                       set()),
     "epsilon0": ({"method": _enum("oracle", "as-written"),
                   "tol": _positive(_parse_float)}, set()),
     "monotonicity": ({"case": _enum("sphere", "circle", "cone"),

@@ -45,4 +45,5 @@ class NumericalError(IsoCompareError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive quadrature did not converge to the requested tolerance."""
+    """A quadrature rule returned a value that is not finite: the integrand
+    left its domain (a nonpositive height under a square root) at a node."""

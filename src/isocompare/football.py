@@ -60,7 +60,7 @@ from scipy.optimize import minimize_scalar
 from .errors import DomainError, ValidationError
 from .phase_plane import PhasePath, extremal_path, start_height
 from .quadrature import sqrt_endpoint
-from .warped import curvature_bounds, cylinder, total_volume
+from .warped import curvature_bounds, cylinder, sin_power_integral, total_volume
 
 __all__ = [
     "EULER_CHARACTERISTIC_SPHERE", "GAUSS_BONNET_TOTAL",
@@ -116,57 +116,54 @@ def ricci_odi_rhs(area: float, area_prime: float, epsilon: float,
 
 _Y0_SQ = start_height(3) ** 2          # 36 pi
 _Z_MAX = GAUSS_BONNET_TOTAL            # termination area of the round sphere
+_SCAN = 33                             # z values scanned before refinement
 
 
 def _z_bracket(eps: float) -> tuple[float, float]:
     return _Z_MAX / (3.0 - 2.0 * eps), _Z_MAX
 
 
-def _legs(z: float, eps: float) -> tuple[float, float, float]:
+def _legs(z, eps: float):
     """Switch abscissa and the two leg constants (x_sw, m0, K)."""
-    x_sw = math.sqrt(z) * (_Z_MAX - z) / (2.0 * (1.0 - eps))
+    x_sw = np.sqrt(z) * (_Z_MAX - z) / (2.0 * (1.0 - eps))
     m0 = 27.0 * (1.0 - eps) * x_sw ** (2.0 / 3.0)
     k = 18.0 * (1.0 - eps) * x_sw
     return x_sw, m0, k
 
 
-def _power_arc_integral(c: float, b: float, u_lo: float, u_hi: float) -> float:
-    """Closed form of int 3 u^2 (c - b u^2)^(-1/2) du on [u_lo, u_hi]."""
-    if b <= 0 or c <= 0:
-        raise DomainError("arc integral needs positive coefficients")
-
-    def anti(u: float) -> float:
-        s = min(max(u * math.sqrt(b / c), -1.0), 1.0)
-        th = math.asin(s)
-        return 1.5 * (c / b ** 1.5) * (th - s * math.sqrt(1.0 - s * s))
-
-    return anti(u_hi) - anti(u_lo)
+def _power_arc_integral(c, b: float, u):
+    """int_0^u 3 v^2 (c - b v^2)^(-1/2) dv in closed form: with
+    v = sqrt(c/b) sin(theta) it is 3 c / b^(3/2) int sin^2(theta) dtheta.
+    c and b must be positive."""
+    theta = np.arcsin(np.minimum(u * np.sqrt(b / c), 1.0))
+    return 3.0 * c / b ** 1.5 * sin_power_integral(2, theta)
 
 
-def _scalar_leg_integral(x_sw: float, k: float, z: float) -> float:
+def _scalar_leg_integral(x_sw, k, z):
     """dx/y along the scalar equality curve from x_sw to its zero z^(3/2).
 
     In u = x^(1/3) the height factors as y^2 = (u_0 - u) Q(u) with
     Q(u) = 9 (u_0 + u) - K / (u u_0) smooth and positive, so the integral is
-    int 3 u^2 Q(u)^(-1/2) (u_0 - u)^(-1/2) du, a clean weighted quadrature.
+    int 3 u^2 Q(u)^(-1/2) (u_0 - u)^(-1/2) du, which the fixed rule of
+    ``quadrature`` integrates to double precision.  At z = z_lo the leg has
+    length zero and the rule returns exactly 0.
     """
-    u0 = math.sqrt(z)
-    u_lo = x_sw ** (1.0 / 3.0)
-    if u0 - u_lo <= 1e-14 * u0:
-        return 0.0
+    u0 = np.sqrt(z)
+    u_lo = np.minimum(np.cbrt(x_sw), u0)
+    u0_, k_ = u0[..., None], np.asarray(k)[..., None]
 
-    def g(u: float) -> float:
-        q = 9.0 * (u0 + u) - k / (u * u0)
-        return 3.0 * u * u / math.sqrt(q)
+    def g(u):
+        return 3.0 * u * u / np.sqrt(9.0 * (u0_ + u) - k_ / (u * u0_))
 
-    return sqrt_endpoint(g, u_lo, u0, rel_tol=1e-11)
+    return sqrt_endpoint(g, u_lo, u0, u0)
 
 
-def _half_volume(z: float, eps: float) -> float:
-    """Half-volume bound for termination area z at Ricci fraction eps < 1."""
+def _half_volume(z, eps: float):
+    """Half-volume bound for termination areas z (any array shape) at Ricci
+    fraction eps < 1."""
+    z = np.asarray(z, dtype=float)
     x_sw, m0, k = _legs(z, eps)
-    ricci_leg = _power_arc_integral(_Y0_SQ - m0, 9.0 * eps, 0.0,
-                                    x_sw ** (1.0 / 3.0)) if x_sw > 0 else 0.0
+    ricci_leg = _power_arc_integral(_Y0_SQ - m0, 9.0 * eps, np.cbrt(x_sw))
     return ricci_leg + _scalar_leg_integral(x_sw, k, z)
 
 
@@ -189,22 +186,21 @@ class AlphaResult:
     z_argmax_as_written: float = math.nan
 
 
-def _supremum(value, z_lo: float, z_hi: float, coarse: int):
-    """Coarse-grid argmax refined by bounded golden-section search."""
-    zs = np.linspace(z_lo, z_hi, coarse)
-    vals = np.array([value(z) for z in zs])
+def _supremum(eps: float):
+    """Argmax of the half volume on the scan grid, refined by bounded
+    golden-section search between its neighbours."""
+    zs = np.linspace(*_z_bracket(eps), _SCAN)
+    vals = _half_volume(zs, eps)
     k = int(np.nanargmax(vals))
     best_z, best = float(zs[k]), float(vals[k])
-    lo = float(zs[max(k - 1, 0)])
-    hi = float(zs[min(k + 1, coarse - 1)])
-    if hi > lo:
-        res = minimize_scalar(lambda z: -value(z), bounds=(lo, hi),
-                              method="bounded", options={"xatol": 1e-9})
-        if -res.fun > best:
-            best, best_z = float(-res.fun), float(res.x)
+    res = minimize_scalar(lambda z: -float(_half_volume(z, eps)),
+                          bounds=(zs[max(k - 1, 0)], zs[min(k + 1, _SCAN - 1)]),
+                          method="bounded", options={"xatol": 1e-9})
+    if -res.fun > best:
+        best, best_z = float(-res.fun), float(res.x)
     interior = vals[1:-1]
     peaks = np.sum((interior > vals[:-2]) & (interior > vals[2:]))
-    return best, best_z, vals, bool(peaks > 1)
+    return best, best_z, bool(peaks > 1)
 
 
 def _rhs_difference_sign_changes(eps: float, z: float, num: int = 401) -> int:
@@ -224,7 +220,7 @@ def _rhs_difference_sign_changes(eps: float, z: float, num: int = 401) -> int:
     return int(np.count_nonzero(np.diff(signs) != 0))
 
 
-def alpha_oracle(epsilon: float, coarse: int = 33) -> AlphaResult:
+def alpha_oracle(epsilon: float) -> AlphaResult:
     """Sharp volume ratio bound alpha(eps) from the two-leg construction."""
     if not 0.0 < epsilon <= 1.0:
         raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
@@ -239,10 +235,8 @@ def alpha_oracle(epsilon: float, coarse: int = 33) -> AlphaResult:
         result.rhs_sign_changes = 0
         return result
 
-    z_lo, z_hi = _z_bracket(epsilon)
-    best, z_arg, _vals, multimodal = _supremum(
-        lambda z: _half_volume(z, epsilon), z_lo, z_hi, coarse)
-    x_sw, m0, k = _legs(z_arg, epsilon)
+    best, z_arg, multimodal = _supremum(epsilon)
+    x_sw, m0, k = (float(v) for v in _legs(z_arg, epsilon))
     result.alpha_oracle = best / math.pi ** 2
     result.z_argmax = z_arg
     result.switch_x = x_sw
@@ -264,19 +258,25 @@ def oracle_path(epsilon: float, z: float | None = None,
         return extremal_path(3, RIC0_UNIT, 0.0, samples=samples)
     if z is None:
         z = alpha_oracle(epsilon).z_argmax
-    x_sw, m0, k = _legs(z, epsilon)
-    x0 = z ** 1.5
-    half = samples // 2
-    x_ricci = x_sw * np.linspace(0.0, 1.0, half, endpoint=False) ** 3
-    s = np.linspace(0.0, 1.0, samples - half)
-    x_scalar = x_sw + (x0 - x_sw) * (1.0 - (1.0 - s) ** 2)
-    xs = np.concatenate([x_ricci, x_scalar])
-    ysq = np.where(xs <= x_sw,
-                   _Y0_SQ - m0 - 9.0 * epsilon * xs ** (2.0 / 3.0),
-                   _Y0_SQ - 9.0 * xs ** (2.0 / 3.0)
-                   - np.divide(k, np.cbrt(xs), out=np.zeros_like(xs), where=xs > 0))
-    return PhasePath(x=xs, y=np.sqrt(np.maximum(ysq, 0.0)), m0=m0,
-                     x0=x0, y0=math.sqrt(_Y0_SQ - m0))
+    x_sw, m0, k = (float(v) for v in _legs(z, epsilon))
+    u0 = math.sqrt(z)
+    u_sw = min(float(np.cbrt(x_sw)), u0)
+    c = _Y0_SQ - m0
+    # each leg is sampled in the variable that makes it smooth, u = x^(1/3):
+    # the ricci leg y^2 = c - 9 eps u^2 as u = sqrt(c / (9 eps)) sin(theta),
+    # the scalar leg y^2 = (u0 - u) Q(u) as u = u0 - w^2.  An empty leg gets
+    # no samples: the ricci leg at z = 4 pi, the scalar leg at z = z_lo.
+    n_ricci = 0 if u_sw == 0.0 else samples - 1 if u_sw == u0 else samples // 2
+    u_e = math.sqrt(c / (9.0 * epsilon))
+    theta = (math.asin(min(u_sw / u_e, 1.0))
+             * np.linspace(0.0, 1.0, n_ricci, endpoint=False))
+    w = math.sqrt(u0 - u_sw) * np.linspace(1.0, 0.0, samples - n_ricci)
+    u = u0 - w * w
+    q = 9.0 * (u0 + u) - (k / (u * u0) if k else 0.0)
+    x = np.concatenate([(u_e * np.sin(theta)) ** 3, u ** 3])
+    x[-1] = z ** 1.5
+    y = np.concatenate([math.sqrt(c) * np.cos(theta), w * np.sqrt(q)])
+    return PhasePath(x=x, y=y, m0=m0, x0=x[-1], y0=math.sqrt(c))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def _as_written_switch(z: float, eps: float) -> float:
     return z ** (0.5 * (4.0 * math.pi - eps)) / (2.0 * (1.0 - eps))
 
 
-def alpha_as_written(epsilon: float, coarse: int = 33) -> AlphaResult:
+def alpha_as_written(epsilon: float) -> AlphaResult:
     """Evaluate the published alpha(eps) display verbatim, recording every
     domain violation instead of clamping."""
     if not 0.0 < epsilon <= 1.0:
@@ -302,8 +302,7 @@ def alpha_as_written(epsilon: float, coarse: int = 33) -> AlphaResult:
             "eps -> 1: switch formula divides by 2(1-eps)")
         return result
 
-    z_lo, z_hi = _z_bracket(epsilon)
-    zs = np.linspace(z_lo, z_hi, coarse)
+    zs = np.linspace(*_z_bracket(epsilon), _SCAN)
     best = math.nan
     best_z = math.nan
     for z in zs:
@@ -333,9 +332,10 @@ def alpha_as_written(epsilon: float, coarse: int = 33) -> AlphaResult:
         if violations:
             result.domain_violations.extend(violations)
             continue
-        val = (_power_arc_integral(c1, 9.0 * epsilon, 0.0, y_sw ** (1.0 / 3.0))
-               + _power_arc_integral(c2, 9.0, y_sw ** (1.0 / 3.0),
-                                     x_top ** (1.0 / 3.0)))
+        u_sw, u_top = y_sw ** (1.0 / 3.0), x_top ** (1.0 / 3.0)
+        val = float(_power_arc_integral(c1, 9.0 * epsilon, u_sw)
+                    + _power_arc_integral(c2, 9.0, u_top)
+                    - _power_arc_integral(c2, 9.0, u_sw))
         if math.isnan(best) or val > best:
             best, best_z = val, float(z)
     if not math.isnan(best):
@@ -344,10 +344,10 @@ def alpha_as_written(epsilon: float, coarse: int = 33) -> AlphaResult:
     return result
 
 
-def alpha_result(epsilon: float, coarse: int = 33) -> AlphaResult:
+def alpha_result(epsilon: float) -> AlphaResult:
     """Oracle and verbatim values side by side with their discrepancy."""
-    oracle = alpha_oracle(epsilon, coarse=coarse)
-    written = alpha_as_written(epsilon, coarse=coarse)
+    oracle = alpha_oracle(epsilon)
+    written = alpha_as_written(epsilon)
     oracle.alpha_as_written = written.alpha_as_written
     oracle.z_argmax_as_written = written.z_argmax_as_written
     oracle.domain_violations = written.domain_violations

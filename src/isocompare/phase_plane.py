@@ -13,21 +13,22 @@ A Ricci lower bound Ric >= ric0 > 0 makes the mass
 nondecreasing, zero at V = 0 on smooth manifolds.  Constant-mass extremal
 paths y^2 = y0^2 - m0 - (n^2 ric0/(n-1)) x^(2/n) therefore bound the volume,
 the bound is largest at m0 = 0, and its value is the round-sphere volume: the
-sharp comparison bound.  The dx/y integrand has an inverse-square-root zero
-at x0, handled by the weighted quadrature in ``quadrature``.
+sharp comparison bound, which ``volume_from_path`` gives in closed form.  On
+sampled paths the dx/y integrand has an inverse-square-root zero at x0,
+handled by the fixed endpoint rule in ``quadrature``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import EmptyPathError, ResolutionError, ValidationError
-from .quadrature import inverse_sqrt_integral, sqrt_endpoint
-from .warped import Profile, sphere_area
+from .quadrature import sqrt_endpoint
+from .warped import Profile, sin_power_integral, sphere_area
 
 __all__ = [
     "PhaseCurve", "MassFunction", "PhasePath",
@@ -160,17 +161,13 @@ class PhasePath:
     y0: float
     n: int | None = None
     ric0: float | None = None
-    _interp: object = field(default=None, repr=False, compare=False)
 
     def height_squared(self, x):
         """y^2 at arbitrary x in [0, x0]."""
         if self.n is not None and self.ric0 is not None:
             b = mass_coefficient(self.n, self.ric0)
             return self.y0 ** 2 - b * np.asarray(x, dtype=float) ** (2.0 / self.n)
-        if self._interp is None:
-            object.__setattr__(self, "_interp",
-                               PchipInterpolator(self.x, self.y ** 2))
-        return self._interp(x)
+        return PchipInterpolator(self.x, self.y ** 2)(x)
 
 
 def extremal_path(n: int, ric0: float, m0: float, samples: int = 513) -> PhasePath:
@@ -204,26 +201,23 @@ def extremal_path(n: int, ric0: float, m0: float, samples: int = 513) -> PhasePa
 def volume_from_path(path: PhasePath) -> float:
     """Total volume 2 * integral dx / y along the path.
 
-    Closed-form paths are straightened by x = u^n, which removes the x^(2/n)
-    cusp at the origin and leaves a single inverse-square-root zero at the
-    endpoint for the weighted rule; sampled paths integrate the monotone
-    interpolant of y^2 with the same endpoint factorization.  Relative
-    quadrature error stays below 1e-8.
+    Closed-form paths are integrated exactly: with x = u^n and
+    u = u0 sin(theta) the half volume is n u0^(n-1) / sqrt(b) times
+    int_0^(pi/2) sin^(n-1), b the mass coefficient.  Sampled paths
+    integrate the monotone interpolant p of y^2 piece by piece as
+    sqrt((x0 - x) / p(x)) (x0 - x)^(-1/2) with the fixed endpoint rule of
+    ``quadrature``; the error is that of the interpolant.
     """
     if path.n is not None and path.ric0 is not None:
         n = path.n
-        b = mass_coefficient(n, path.ric0)
         u0 = path.x0 ** (1.0 / n)
-
-        def g(u: float) -> float:
-            return n * u ** (n - 1) / math.sqrt(b * (u0 + u))
-
-        half = sqrt_endpoint(g, 0.0, u0, rel_tol=1e-11)
+        half = (n * u0 ** (n - 1) / math.sqrt(mass_coefficient(n, path.ric0))
+                * sin_power_integral(n - 1, 0.5 * math.pi))
     else:
-        lo = float(path.x[0])
-        half = inverse_sqrt_integral(lambda x: float(path.height_squared(x)),
-                                     lo, path.x0, rel_tol=1e-10)
-    return 2.0 * half
+        x0 = path.x0
+        half = sqrt_endpoint(lambda x: np.sqrt((x0 - x) / path.height_squared(x)),
+                             path.x[:-1], path.x[1:], x0).sum()
+    return float(2.0 * half)
 
 
 def bishop_bound(n: int, ric0: float) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -219,6 +220,9 @@ def test_cli_validation_exit_code(tmp_path):
     # no step level would leave the stencil unchecked and the table empty
     cfg.write_text("command = variation-check\nmodel = sphere\nt = 1.0\nlevels = 0\n")
     assert main(["variation-check", "--config", str(cfg)]) == 2
+    # the z-scan of alpha is a library constant, not a run option
+    cfg.write_text("command = football-alpha\nepsilon = 0.1\ncoarse = 33\n")
+    assert main(["football-alpha", "--config", str(cfg)]) == 2
 
 
 def test_cli_rejects_profile_on_tabulated_model(tmp_path):
@@ -244,6 +248,20 @@ def test_cli_json_format_override(tmp_path):
     doc = json.loads(text)
     assert doc["columns"] == ["N", "volume", "ric_inf", "scalar_inf"]
     assert doc["rows"][0][1] == pytest.approx(40 * PI, rel=1e-9)
+
+
+def test_cli_comment_numbers_have_12_digits(tmp_path):
+    # nested summary values (switch_points.<eps>) go through the same
+    # 12-significant-digit formatting as the table
+    code, text = _invoke(tmp_path, "football-alpha",
+                         "command = football-alpha\neps_grid = 0.05:0.3:3\n")
+    assert code == 0
+    comments = "\n".join(l for l in text.splitlines() if l.startswith("#"))
+    assert "# switch_points.0.05 = " in comments
+    numbers = re.findall(r"\d+\.\d+", comments)
+    assert numbers
+    for number in numbers:
+        assert len(number.replace(".", "").lstrip("0")) <= 12, number
 
 
 def test_cli_football_alpha_small_grid(tmp_path):

@@ -1,7 +1,11 @@
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isocompare.errors import DomainError, ValidationError
 from isocompare.football import (EULER_CHARACTERISTIC_SPHERE,
@@ -9,7 +13,10 @@ from isocompare.football import (EULER_CHARACTERISTIC_SPHERE,
                                  alpha_as_written, alpha_oracle, alpha_result,
                                  cylinder_growth, epsilon0, oracle_path,
                                  ricci_odi_rhs, scalar_odi_rhs)
-from isocompare.phase_plane import extremal_path
+from isocompare.phase_plane import extremal_path, volume_from_path
+
+# the package's football() function shadows the module of the same name
+football_module = sys.modules["isocompare.football"]
 
 PI = math.pi
 
@@ -121,10 +128,9 @@ def test_no_switch_above_threshold():
 def test_alpha_continuity_at_football_end():
     # at z = 4 pi/(3 - 2 eps) the construction degenerates to the pure
     # cone-point path, whose value is the closed-form family value
-    from isocompare.football import _half_volume, _z_bracket
     for eps in (0.05, 0.3, 0.6):
-        z_lo, _ = _z_bracket(eps)
-        got = _half_volume(z_lo, eps) / PI ** 2
+        z_lo, _ = football_module._z_bracket(eps)
+        got = football_module._half_volume(z_lo, eps) / PI ** 2
         assert got == pytest.approx(football_family_value(eps), rel=1e-6)
 
 
@@ -196,3 +202,115 @@ def test_cylinder_growth_validation():
         cylinder_growth([10.0, 5.0])
     with pytest.raises(ValidationError):
         cylinder_growth([-1.0, 2.0])
+
+
+# --- 25-digit mpmath references ----------------------------------------------
+
+def _mp_half_volume(eps, gap):
+    """Half volume of the two-leg path ending at area z = 4 pi - gap, by
+    25-digit quadrature of dx / y along each leg in u = x^(1/3):
+    the ricci leg y^2 = 36 pi - m0 - 9 eps u^2 on [0, u_sw] as
+    u = u_e sin(theta), the scalar leg y^2 = 36 pi - 9 u^2 - K / u on
+    [u_sw, sqrt(z)] as u = sqrt(z) - w^2."""
+    z = 4 * mp.pi - gap
+    u0 = mp.sqrt(z)
+    x_sw = u0 * gap / (2 * (1 - eps))
+    u_sw = mp.cbrt(x_sw)
+    c = 36 * mp.pi - 27 * (1 - eps) * u_sw ** 2
+    u_e = mp.sqrt(c / (9 * eps))
+    theta = mp.asin(min(u_sw / u_e, 1))
+    ricci = u_e ** 2 / mp.sqrt(eps) * mp.quad(lambda t: mp.sin(t) ** 2, [0, theta])
+    k = 18 * (1 - eps) * x_sw
+
+    def scalar(w):
+        u = u0 - w * w
+        return 6 * u * u / mp.sqrt(9 * (u0 + u) - k / (u * u0))
+
+    return ricci + mp.quad(scalar, [0, mp.sqrt(u0 - u_sw)])
+
+
+def _mp_alpha(eps):
+    """sup over z of the half volume / pi^2: a scan in s = (z - z_lo) /
+    (4 pi - z_lo) graded toward z_lo, then golden-section search between
+    the best scan point's neighbours."""
+    with mp.workdps(25):
+        e = mp.mpf(eps)
+        span = 4 * mp.pi - 4 * mp.pi / (3 - 2 * e)
+
+        def value(s):
+            return _mp_half_volume(e, (1 - s) * span)
+
+        ss = [mp.mpf(0)] + [mp.mpf(10) ** (mp.mpf(k) / 2) for k in range(-24, 1)]
+        vals = [value(s) for s in ss]
+        k = max(range(len(ss)), key=vals.__getitem__)
+        best = vals[k]
+        if 0 < k < len(ss) - 1:
+            a, b = ss[k - 1], ss[k + 1]
+            g = (mp.sqrt(5) - 1) / 2
+            c, d = b - g * (b - a), a + g * (b - a)
+            fc, fd = value(c), value(d)
+            while b - a > mp.mpf("1e-7") * ss[k]:
+                if fc > fd:
+                    b, d, fd = d, c, fc
+                    c = b - g * (b - a)
+                    fc = value(c)
+                else:
+                    a, c, fc = c, d, fd
+                    d = a + g * (b - a)
+                    fd = value(d)
+            best = max(best, fc, fd)
+        return best / mp.pi ** 2
+
+
+@pytest.mark.parametrize("eps", [5e-3, 0.02, 0.05, 0.1, 0.13, 0.5])
+def test_alpha_matches_mpmath_supremum(eps):
+    got = alpha_oracle(eps).alpha_oracle
+    want = _mp_alpha(eps)
+    assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("eps", [5e-3, 0.05, 0.1345, 0.9])
+def test_scalar_leg_rule_matches_mpmath(eps):
+    # the fixed endpoint rule alone, fed the same double inputs as mpmath
+    z_lo, z_hi = football_module._z_bracket(eps)
+    for s in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0):
+        z = z_lo + s * (z_hi - z_lo)
+        x_sw, _m0, k = (float(v) for v in football_module._legs(z, eps))
+        u0 = math.sqrt(z)
+        u_sw = min(float(np.cbrt(x_sw)), u0)
+        got = float(football_module._scalar_leg_integral(x_sw, k, z))
+        with mp.workdps(25):
+            def integrand(w):
+                u = u0 - w * w
+                return 6 * u * u / mp.sqrt(9 * (u0 + u) - k / (u * u0))
+
+            want = mp.quad(integrand, [0, mp.sqrt(mp.mpf(u0) - u_sw)])
+        assert abs(got - want) <= 1e-14 * want
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps=st.floats(1e-6, 1.0, exclude_max=True), s=st.floats(0.0, 1.0))
+def test_half_volume_finite_on_closed_bracket(eps, s):
+    z_lo, z_hi = football_module._z_bracket(eps)
+    zs = np.array([z_lo, np.nextafter(z_lo, z_hi), z_lo + s * (z_hi - z_lo),
+                   np.nextafter(z_hi, z_lo), z_hi])
+    assert np.all(np.isfinite(football_module._half_volume(zs, eps)))
+
+
+def test_half_volume_degenerate_leg_near_cone_end():
+    # a scalar leg of length ~1e-12 relative used to end in QuadratureError
+    z_lo, z_hi = football_module._z_bracket(0.136)
+    zs = z_lo + (z_hi - z_lo) * np.array([0.0, 1e-15, 1e-13, 1e-12, 1e-11])
+    assert np.all(np.isfinite(football_module._half_volume(zs, 0.136)))
+    assert alpha_oracle(1e-9).alpha_oracle > 1.0
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.13, 0.2, 0.5])
+def test_oracle_path_volume_matches_alpha(eps):
+    # the sampled extremal path integrates back to the supremum; above the
+    # threshold its ricci leg is empty (z = 4 pi) and carries no samples
+    path = oracle_path(eps)
+    assert np.all(np.diff(path.x) > 0)
+    volume = volume_from_path(path)
+    assert volume == pytest.approx(2 * PI ** 2 * alpha_oracle(eps).alpha_oracle,
+                                   rel=1e-6)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,37 @@ def test_volume_from_sampled_path():
     sampled = PhasePath(x=src.x, y=src.y, m0=src.m0, x0=src.x0, y0=src.y0)
     want = substitution_volume(3, 2.0, 15.0)
     assert volume_from_path(sampled) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("n, ric0, m0, samples", [
+    (3, 2.0, 15.0, 2049), (5, 4.0, 11.0, 1025), (8, 7.0, 0.0, 513),
+    (4, 3.0, 0.0, 4097)])
+def test_sampled_volume_error_is_interpolation_error(n, ric0, m0, samples):
+    # the last three ended in QuadratureError under adaptive quadrature;
+    # halving the spacing divides the error by about 2^(5/2), the order of
+    # the monotone cubic interpolant, so the rule adds nothing visible
+    want = substitution_volume(n, ric0, m0)
+    errors = []
+    for k in (samples, 2 * samples - 1):
+        src = extremal_path(n, ric0, m0, samples=k)
+        sampled = PhasePath(x=src.x, y=src.y, m0=src.m0, x0=src.x0, y0=src.y0)
+        errors.append(abs(volume_from_path(sampled) - want) / want)
+    assert errors[0] <= 1e-5
+    assert errors[1] <= errors[0] / 4
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_closed_form_volume_matches_mpmath(n):
+    for ric0, m0 in [(n - 1.0, 0.0), (2.0, 5.0), (0.3, 40.0)]:
+        with mp.workdps(25):
+            omega = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+            c = (n * omega ** (1 / mp.mpf(n - 1))) ** 2 - m0
+            x0 = (c * (n - 1) / (n * n * mp.mpf(ric0))) ** (mp.mpf(n) / 2)
+            # x = x0 s^n: dx / y = n x0 s^(n-1) (c (1 - s^2))^(-1/2) ds
+            want = 2 * mp.quad(lambda s: n * x0 * s ** (n - 1)
+                               / mp.sqrt(c * (1 - s * s)), [0, 1])
+        got = volume_from_path(extremal_path(n, ric0, m0))
+        assert abs(got - want) <= 1e-14 * want
 
 
 def test_bishop_bound_values():
