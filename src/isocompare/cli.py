@@ -104,7 +104,7 @@ def _run_football_alpha(opts):
         eps_values = [float(e) for e in np.linspace(lo, hi, num)]
     else:
         eps_values = [opts["epsilon"]]
-    results = [alpha_result(e) for e in eps_values]
+    results = alpha_result(eps_values)
     rows = [(r.epsilon, r.alpha_oracle, r.alpha_as_written, r.z_argmax,
              r.discrepancy) for r in results]
     columns = ["epsilon", "alpha_oracle", "alpha_as_written", "z_argmax",

@@ -40,8 +40,14 @@ and the bound is
 with I_* the dx/y integrals along the legs.  At z = 4 pi / (3 - 2 eps) the
 path is the pure ricci curve of the cone-point football family, value
 1 / ((3 - 2 eps) sqrt(eps)); at z = 4 pi it is the round sphere, value 1.
-alpha(eps) = 1 exactly for eps above a constant near 0.134 and grows without
+alpha(eps) = 1 exactly for eps above a constant near 0.1347 and grows without
 bound as eps -> 0, the long-cylinder regime.
+
+The supremum over z is taken for a whole array of eps at once: a 33-point
+scan, fixed zoom rounds into two brackets per eps (the scan argmax's
+neighbours, and the first scan cell, where a narrow interior peak sits near
+the threshold) and a least-squares parabola vertex, each step one array call
+over every eps, so a sweep costs as many calls as a single eps.
 
 ``alpha_as_written`` audits a verbatim transcription of the closed form this
 supremum is usually displayed as; the transcribed switch-point formula is
@@ -55,7 +61,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, ValidationError
 from .phase_plane import PhasePath, extremal_path, start_height
@@ -116,14 +121,29 @@ def ricci_odi_rhs(area: float, area_prime: float, epsilon: float,
 
 _Y0_SQ = start_height(3) ** 2          # 36 pi
 _Z_MAX = GAUSS_BONNET_TOTAL            # termination area of the round sphere
-_SCAN = 33                             # z values scanned before refinement
+_SCAN = 33                             # z values scanned per eps
+_ZOOM = 17                             # z values per bracket in a zoom round
+_STOP = 1e-6                           # z spacing at which zooming stops
+# A round narrows each bracket to the two cells around its argmax, so the
+# spacing falls by (_ZOOM - 1) / 2 per round.  The round count is set by the
+# widest first bracket, two scan cells at eps -> 0, so that every eps of a
+# batch gets the same rounds and no result depends on the rest of its batch.
+# Final spacings then lie between _STOP / 8 and _STOP, where the vertex of
+# the last round's parabola is off the argmax by about 1e-10 at eps = 0.05:
+# the fit's cubic bias grows as spacing^2 (6e-9 at 8e-6) and its roundoff
+# as 1 / spacing^2 (2e-9 at 6e-8).
+_ROUNDS = 1 + math.ceil(
+    math.log(2.0 * (_Z_MAX - _Z_MAX / 3.0) / (_SCAN - 1) / (_ZOOM - 1) / _STOP)
+    / math.log((_ZOOM - 1) / 2))
 
 
-def _z_bracket(eps: float) -> tuple[float, float]:
+def _z_bracket(eps):
+    """(z_lo, 4 pi): the termination areas of the cone-point football and of
+    the round sphere, z_lo elementwise over eps."""
     return _Z_MAX / (3.0 - 2.0 * eps), _Z_MAX
 
 
-def _legs(z, eps: float):
+def _legs(z, eps):
     """Switch abscissa and the two leg constants (x_sw, m0, K)."""
     x_sw = np.sqrt(z) * (_Z_MAX - z) / (2.0 * (1.0 - eps))
     m0 = 27.0 * (1.0 - eps) * x_sw ** (2.0 / 3.0)
@@ -139,32 +159,86 @@ def _power_arc_integral(c, b: float, u):
     return 3.0 * c / b ** 1.5 * sin_power_integral(2, theta)
 
 
-def _scalar_leg_integral(x_sw, k, z):
-    """dx/y along the scalar equality curve from x_sw to its zero z^(3/2).
+def _scalar_leg_integral(u0, length, k):
+    """dx/y along the scalar equality curve from u0 - length to its zero u0,
+    in u = x^(1/3), u0 = sqrt(z).
 
-    In u = x^(1/3) the height factors as y^2 = (u_0 - u) Q(u) with
-    Q(u) = 9 (u_0 + u) - K / (u u_0) smooth and positive, so the integral is
-    int 3 u^2 Q(u)^(-1/2) (u_0 - u)^(-1/2) du, which the fixed rule of
-    ``quadrature`` integrates to double precision.  At z = z_lo the leg has
-    length zero and the rule returns exactly 0.
+    The height factors as y^2 = (u0 - u) Q(u) with Q(u) = 9 (u0 + u)
+    - K / (u u0) smooth and positive, so the integral is
+    int 3 u^2 Q(u)^(-1/2) (u0 - u)^(-1/2) du, which the fixed rule of
+    ``quadrature`` integrates to double precision.  It is taken in
+    v = u - u0 on [-length, 0], so that the leg's length enters exactly
+    rather than as a difference of two numbers near u0.  At z = z_lo the
+    leg has length zero and the rule returns exactly 0.
     """
-    u0 = np.sqrt(z)
-    u_lo = np.minimum(np.cbrt(x_sw), u0)
-    u0_, k_ = u0[..., None], np.asarray(k)[..., None]
+    u0_, k_ = np.asarray(u0)[..., None], np.asarray(k)[..., None]
 
-    def g(u):
+    def g(v):
+        u = u0_ + v
         return 3.0 * u * u / np.sqrt(9.0 * (u0_ + u) - k_ / (u * u0_))
 
-    return sqrt_endpoint(g, u_lo, u0, u0)
+    return sqrt_endpoint(g, -length, 0.0, 0.0)
 
 
-def _half_volume(z, eps: float):
-    """Half-volume bound for termination areas z (any array shape) at Ricci
-    fraction eps < 1."""
-    z = np.asarray(z, dtype=float)
-    x_sw, m0, k = _legs(z, eps)
-    ricci_leg = _power_arc_integral(_Y0_SQ - m0, 9.0 * eps, np.cbrt(x_sw))
-    return ricci_leg + _scalar_leg_integral(x_sw, k, z)
+def _half_volume_at(eps):
+    """The half-volume bound as a function of termination areas z in
+    [z_lo, 4 pi], at Ricci fractions eps < 1 that broadcast against z; the
+    terms that depend on eps alone are computed once.
+
+    The ricci leg y^2 = c - b u^2, b = 9 eps, u = x^(1/3), runs from 0 to
+    u_sw = x_sw^(1/3); u = sqrt(c/b) sin(theta) makes it
+    3 c / b^(3/2) int_0^theta sin^2 with tan(theta) = u_sw sqrt(b) / y_sw.
+    Near z_lo = 4 pi / (3 - 2 eps) the switch nears that curve's own zero,
+    where theta -> pi/2 and arcsin would lose half the digits, and c, y_sw^2
+    and the scalar leg's length sqrt(z) - u_sw are differences of nearly
+    equal numbers.  With q = x_sw / z_lo^(3/2), r = q^(1/3) and
+    36 pi = 9 (3 - 2 eps) z_lo they are sums of nonnegative terms:
+
+        c = b u_sw^2 + y_sw^2,   y_sw^2 = 36 pi (1 - r^2),
+        1 - r^2 = (1 - q) (1 + r) / (1 + r + r^2),
+        sqrt(z) - u_sw = delta + sqrt(z_lo) (1 - q) / (1 + r + r^2),
+
+    and where q > 1/8, 1 - q itself comes from d = z - z_lo,
+
+        1 - q = d (d + sqrt(z_lo) delta + 2 eps z_lo)
+                / (2 (1 - eps) z_lo^(3/2) (sqrt(z) + sqrt(z_lo))),
+
+    with delta = sqrt(z) - sqrt(z_lo) = d / (sqrt(z) + sqrt(z_lo)); x_sw is
+    then z_lo^(3/2) q, so that both legs see the same z.  Elsewhere 1 - q
+    and sqrt(z) - u_sw are computed as written, which keeps the whole
+    round-sphere leg at z = 4 pi (x_sw = 0) exact.
+    """
+    z_lo = _Z_MAX / (3.0 - 2.0 * eps)
+    two_gap = 2.0 * (1.0 - eps)
+    root_lo = np.sqrt(z_lo)
+    top = z_lo * root_lo
+    near_top, slope_lo, denominator = top / 8.0, eps * 2.0 * z_lo, two_gap * top
+    b = 9.0 * eps
+    root_b, scale = np.sqrt(b), 3.0 / b ** 1.5
+
+    def half_volume(z):
+        z = np.asarray(z, dtype=float)
+        root = np.sqrt(z)
+        roots = root + root_lo
+        x_sw = root * (_Z_MAX - z) / two_gap
+        near = x_sw > near_top
+        d = z - z_lo
+        delta = d / roots
+        one_minus_q = np.where(
+            near, d * (d + root_lo * delta + slope_lo) / (denominator * roots),
+            1.0 - x_sw / top)
+        x_sw = np.where(near, top - top * one_minus_q, x_sw)
+        u_sw = np.cbrt(x_sw)
+        r = u_sw / root_lo
+        one_minus_r = one_minus_q / (1.0 + r + r * r)
+        # (27 - 18 eps) z_lo = 36 pi
+        y_sq = 9.0 * _Z_MAX * one_minus_r * (1.0 + r)
+        theta = np.arctan2(u_sw * root_b, np.sqrt(y_sq))
+        ricci_leg = scale * (b * u_sw * u_sw + y_sq) * sin_power_integral(2, theta)
+        length = np.where(near, delta + root_lo * one_minus_r, root - u_sw)
+        return ricci_leg + _scalar_leg_integral(root, length, 9.0 * two_gap * x_sw)
+
+    return half_volume
 
 
 @dataclass
@@ -186,65 +260,148 @@ class AlphaResult:
     z_argmax_as_written: float = math.nan
 
 
-def _supremum(eps: float):
-    """Argmax of the half volume on the scan grid, refined by bounded
-    golden-section search between its neighbours."""
-    zs = np.linspace(*_z_bracket(eps), _SCAN)
-    vals = _half_volume(zs, eps)
-    k = int(np.nanargmax(vals))
-    best_z, best = float(zs[k]), float(vals[k])
-    res = minimize_scalar(lambda z: -float(_half_volume(z, eps)),
-                          bounds=(zs[max(k - 1, 0)], zs[min(k + 1, _SCAN - 1)]),
-                          method="bounded", options={"xatol": 1e-9})
-    if -res.fun > best:
-        best, best_z = float(-res.fun), float(res.x)
-    interior = vals[1:-1]
-    peaks = np.sum((interior > vals[:-2]) & (interior > vals[2:]))
-    return best, best_z, bool(peaks > 1)
+def _batch(epsilon):
+    """epsilon as a 1-D float array, and whether it was a single number."""
+    eps = np.asarray(epsilon, dtype=float)
+    if eps.ndim > 1:
+        raise ValidationError("epsilon must be a number or a 1-D sequence")
+    bad = eps[~((eps > 0.0) & (eps <= 1.0))].reshape(-1)
+    if bad.size:
+        raise ValidationError(f"epsilon must lie in (0, 1], got {float(bad[0])}")
+    return eps.reshape(-1), eps.ndim == 0
 
 
-def _rhs_difference_sign_changes(eps: float, z: float, num: int = 401) -> int:
+def _unbatch(results: list, single: bool):
+    return results[0] if single else results
+
+
+def _grid(lo, hi, num: int):
+    """num evenly spaced points from lo to hi on a new last axis, both ends
+    exact (hi is 4 pi on the last cell, where x_sw must be exactly 0)."""
+    lo = np.asarray(lo, dtype=float)
+    z = lo[..., None] + ((hi - lo) / (num - 1))[..., None] * np.arange(num)
+    z[..., -1] = hi
+    return z
+
+
+# 5-point least-squares parabola on equal spacing, f ~ c0 + c1 t + c2 t^2 at
+# t = -2..2: the closed-form normal equations give c1 and c2 as these weights
+_SLOPE = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) / 10.0
+_CURVATURE = np.array([2.0, -1.0, -2.0, -1.0, 2.0]) / 14.0
+
+
+def _supremum(eps):
+    """Maximum of the half volume over z for each eps < 1 of a 1-D array:
+    (maximum, argmax, whether the scan saw more than one interior peak).
+
+    A 33-point scan picks two brackets per eps: the neighbours of the scan
+    argmax, and the first scan cell [z_0, z_1], where the narrow interior
+    peak sits near the threshold (its width is a fraction of a cell there,
+    so the scan alone can miss it).  Each of _ROUNDS zoom rounds samples
+    _ZOOM evenly spaced z in every bracket and narrows it to the neighbours
+    of its argmax.  A 5-point least-squares parabola through the last
+    round's best points gives a vertex, evaluated once more; each eps keeps
+    its largest value.  Every step is one array call over all eps and both
+    brackets, so the number of calls does not depend on the batch.
+    """
+    half_volume = _half_volume_at(eps[:, None, None])
+    zs = _grid(*_z_bracket(eps), _SCAN)
+    vals = half_volume(zs[:, None])[:, 0]
+    k = np.argmax(vals, axis=-1)
+    rows = np.arange(eps.size)
+    row, pair = rows[:, None], np.arange(2)
+    lo = np.stack([zs[rows, np.maximum(k - 1, 0)], zs[:, 0]], axis=-1)
+    hi = np.stack([zs[rows, np.minimum(k + 1, _SCAN - 1)], zs[:, 1]], axis=-1)
+    for _ in range(_ROUNDS):
+        z = _grid(lo, hi, _ZOOM)
+        f = half_volume(z)
+        j = np.argmax(f, axis=-1)
+        lo = z[row, pair, np.maximum(j - 1, 0)]
+        hi = z[row, pair, np.minimum(j + 1, _ZOOM - 1)]
+    z_best, f_best = z[row, pair, j], f[row, pair, j]
+
+    mid = np.clip(j, 2, _ZOOM - 3)
+    window = f[row[..., None], pair[:, None], mid[..., None] + np.arange(-2, 3)]
+    slope, curvature = window @ _SLOPE, window @ _CURVATURE
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -slope / (2.0 * curvature)
+    # only a concave fit with its vertex inside the window gives a new point;
+    # otherwise the maximum sits at a bracket end, on a sample
+    inside = (curvature < 0.0) & (np.abs(t) < 2.0)
+    t = np.where(inside, t, 0.0)
+    step = z[..., 1] - z[..., 0]
+    z_vertex = np.clip(z[row, pair, mid] + t * step, z[..., 0], z[..., -1])
+    f_vertex = half_volume(z_vertex[..., None])[..., 0]
+    better = inside & (f_vertex > f_best)
+    z_best = np.where(better, z_vertex, z_best)
+    f_best = np.where(better, f_vertex, f_best)
+
+    pick = np.argmax(f_best, axis=-1)
+    f_best, z_best = f_best[rows, pick], z_best[rows, pick]
+    # a gain within roundoff of the scan's best sample is no gain: it keeps a
+    # maximum at 4 pi there when the bracket is narrower than the half
+    # volume's resolution (eps -> 1), where z a few ulps off 4 pi would
+    # give a switch point amplified by 1 / (1 - eps)
+    f_scan = vals[rows, k]
+    stay = f_best <= f_scan * (1.0 + 4.0 * np.finfo(float).eps)
+    interior = vals[:, 1:-1]
+    peaks = np.sum((interior > vals[:, :-2]) & (interior > vals[:, 2:]), axis=-1)
+    return (np.where(stay, f_scan, f_best), np.where(stay, zs[rows, k], z_best),
+            peaks > 1)
+
+
+def _rhs_difference_sign_changes(eps, z, num: int = 401):
     """Sign changes of (scalar - ricci) phase-space descent bounds along the
-    oracle path; exactly one for eps < 1 on interior z."""
+    oracle path at each (eps, z) of two 1-D arrays; exactly one for eps < 1
+    on interior z."""
     x_sw, m0, _k = _legs(z, eps)
-    x0 = z ** 1.5
-    xs = np.linspace(x0 * 1e-6, x0 * (1 - 1e-9), num)
+    xs = _grid(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num)
+    e, x_sw, m0 = eps[:, None], x_sw[:, None], m0[:, None]
     ysq = np.where(xs <= x_sw,
-                   _Y0_SQ - m0 - 9.0 * eps * xs ** (2.0 / 3.0),
+                   _Y0_SQ - m0 - 9.0 * e * xs ** (2.0 / 3.0),
                    _Y0_SQ - 9.0 * xs ** (2.0 / 3.0)
-                   - 18.0 * (1.0 - eps) * x_sw * xs ** (-1.0 / 3.0))
-    ricci = -6.0 * eps * xs ** (-1.0 / 3.0)
+                   - 18.0 * (1.0 - e) * x_sw * xs ** (-1.0 / 3.0))
+    ricci = -6.0 * e * xs ** (-1.0 / 3.0)
     scalar = (_Y0_SQ - ysq) / (3.0 * xs) - 9.0 * xs ** (-1.0 / 3.0)
     signs = np.sign(scalar - ricci)
-    signs = signs[signs != 0]
-    return int(np.count_nonzero(np.diff(signs) != 0))
+    # a zero takes the sign before it, so only strict changes count
+    last = np.maximum.accumulate(
+        np.where(signs != 0, np.arange(num), 0), axis=-1)
+    signs = np.take_along_axis(signs, last, axis=-1)
+    return np.count_nonzero(signs[:, 1:] * signs[:, :-1] < 0, axis=-1)
 
 
-def alpha_oracle(epsilon: float) -> AlphaResult:
-    """Sharp volume ratio bound alpha(eps) from the two-leg construction."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
-    result = AlphaResult(epsilon=epsilon)
-    if epsilon == 1.0:
+def alpha_oracle(epsilon):
+    """Sharp volume ratio bound alpha(eps) from the two-leg construction.
+
+    epsilon is one number, giving one AlphaResult, or a 1-D sequence, giving
+    a list in the same order; all eps of a sequence share each array call.
+    """
+    eps, single = _batch(epsilon)
+    results = [AlphaResult(epsilon=float(e)) for e in eps]
+    inner = eps < 1.0
+    if inner.any():
+        e = eps[inner]
+        best, z_arg, multimodal = _supremum(e)
+        x_sw, m0, k = _legs(z_arg, e)
+        changes = _rhs_difference_sign_changes(e, z_arg)
+        rows = zip(best.tolist(), z_arg.tolist(), x_sw.tolist(), m0.tolist(),
+                   k.tolist(), multimodal.tolist(), changes.tolist())
+        for i, row in zip(np.flatnonzero(inner), rows):
+            r = results[i]
+            (value, r.z_argmax, r.switch_x, r.ricci_mass_const,
+             r.scalar_mass_const, r.multimodal, r.rhs_sign_changes) = row
+            r.alpha_oracle = value / math.pi ** 2
+    for i in np.flatnonzero(~inner):
         # the z-bracket collapses to the round sphere
-        result.alpha_oracle = 1.0
-        result.z_argmax = _Z_MAX
-        result.switch_x = 0.0
-        result.ricci_mass_const = 0.0
-        result.scalar_mass_const = 0.0
-        result.rhs_sign_changes = 0
-        return result
-
-    best, z_arg, multimodal = _supremum(epsilon)
-    x_sw, m0, k = (float(v) for v in _legs(z_arg, epsilon))
-    result.alpha_oracle = best / math.pi ** 2
-    result.z_argmax = z_arg
-    result.switch_x = x_sw
-    result.ricci_mass_const = m0
-    result.scalar_mass_const = k
-    result.multimodal = multimodal
-    result.rhs_sign_changes = _rhs_difference_sign_changes(epsilon, z_arg)
-    return result
+        r = results[i]
+        r.alpha_oracle = 1.0
+        r.z_argmax = _Z_MAX
+        r.switch_x = 0.0
+        r.ricci_mass_const = 0.0
+        r.scalar_mass_const = 0.0
+        r.rhs_sign_changes = 0
+    return _unbatch(results, single)
 
 
 def oracle_path(epsilon: float, z: float | None = None,
@@ -283,78 +440,103 @@ def oracle_path(epsilon: float, z: float | None = None,
 # the published closed form, evaluated verbatim for audit
 
 
-def _as_written_switch(z: float, eps: float) -> float:
+def _as_written_switch(z, eps):
     # verbatim: z^((4 pi - eps)/2) / (2 (1 - eps)); the exponent mixes the
     # Gauss-Bonnet constant into a power and is the suspected transcription
     # slip audited here.
     return z ** (0.5 * (4.0 * math.pi - eps)) / (2.0 * (1.0 - eps))
 
 
-def alpha_as_written(epsilon: float) -> AlphaResult:
+def alpha_as_written(epsilon):
     """Evaluate the published alpha(eps) display verbatim, recording every
-    domain violation instead of clamping."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
-    result = AlphaResult(epsilon=epsilon)
-    if 1.0 - epsilon < 1e-12:
-        result.degenerate_formula = True
-        result.domain_violations.append(
-            "eps -> 1: switch formula divides by 2(1-eps)")
-        return result
+    domain violation instead of clamping.
 
-    zs = np.linspace(*_z_bracket(epsilon), _SCAN)
-    best = math.nan
-    best_z = math.nan
-    for z in zs:
-        y_sw = _as_written_switch(float(z), epsilon)
-        x_top = float(z) ** 1.5
-        violations = []
-        if y_sw > x_top:
-            violations.append(
-                f"z={z:.6g}: switch y(z)={y_sw:.6g} exceeds termination "
-                f"z^(3/2)={x_top:.6g}")
-        c1 = _Y0_SQ - 27.0 * (1.0 - epsilon) * y_sw ** (2.0 / 3.0)
-        if c1 <= 0:
-            violations.append(
-                f"z={z:.6g}: first radicand {c1:.6g} <= 0 at x=0")
-        elif c1 - 9.0 * epsilon * y_sw ** (2.0 / 3.0) < 0:
-            violations.append(
-                f"z={z:.6g}: first radicand crosses zero inside [0, y(z)]")
-        c2 = _Y0_SQ - 18.0 * (1.0 - epsilon) * y_sw ** (-1.0 / 3.0)
-        if not violations:
-            if c2 <= 0:
+    epsilon is one number or a 1-D sequence, as for ``alpha_oracle``.  The
+    checks run as masks over the (eps, z) scan; violation strings are
+    written only for the entries that violate, z by z in scan order.
+    """
+    eps, single = _batch(epsilon)
+    results = [AlphaResult(epsilon=float(e)) for e in eps]
+    degenerate = 1.0 - eps < 1e-12
+    for i in np.flatnonzero(degenerate):
+        results[i].degenerate_formula = True
+        results[i].domain_violations.append(
+            "eps -> 1: switch formula divides by 2(1-eps)")
+    live = np.flatnonzero(~degenerate)
+    if live.size == 0:
+        return _unbatch(results, single)
+
+    e = eps[live][:, None]
+    zs = _grid(*_z_bracket(eps[live]), _SCAN)
+    y_sw = _as_written_switch(zs, e)
+    x_top = zs ** 1.5
+    c1 = _Y0_SQ - 27.0 * (1.0 - e) * y_sw ** (2.0 / 3.0)
+    c2 = _Y0_SQ - 18.0 * (1.0 - e) * y_sw ** (-1.0 / 3.0)
+    exceeds = y_sw > x_top
+    c1_nonpositive = c1 <= 0
+    c1_crosses = ~c1_nonpositive & (c1 - 9.0 * e * y_sw ** (2.0 / 3.0) < 0)
+    first = exceeds | c1_nonpositive | c1_crosses
+    c2_nonpositive = ~first & (c2 <= 0)
+    c2_crosses = (~first & ~c2_nonpositive
+                  & (c2 - 9.0 * x_top ** (2.0 / 3.0) < 0))
+    clean = ~(first | c2_nonpositive | c2_crosses)
+
+    table = zip(*(a.tolist() for a in (
+        clean, zs, y_sw, x_top, c1, c2, exceeds, c1_nonpositive, c1_crosses,
+        c2_nonpositive, c2_crosses)))
+    for row, columns in zip(live.tolist(), table):
+        violations = results[row].domain_violations
+        for ok, z, y, top, r1, r2, over, low1, cross1, low2, cross2 in zip(*columns):
+            if ok:
+                continue
+            if over:
                 violations.append(
-                    f"z={z:.6g}: second radicand constant {c2:.6g} <= 0")
-            elif c2 - 9.0 * x_top ** (2.0 / 3.0) < 0:
+                    f"z={z:.6g}: switch y(z)={y:.6g} exceeds termination "
+                    f"z^(3/2)={top:.6g}")
+            if low1:
+                violations.append(f"z={z:.6g}: first radicand {r1:.6g} <= 0 at x=0")
+            elif cross1:
+                violations.append(
+                    f"z={z:.6g}: first radicand crosses zero inside [0, y(z)]")
+            if low2:
+                violations.append(
+                    f"z={z:.6g}: second radicand constant {r2:.6g} <= 0")
+            elif cross2:
                 violations.append(
                     f"z={z:.6g}: second radicand negative on a subinterval "
                     f"ending at z^(3/2)")
-        if violations:
-            result.domain_violations.extend(violations)
-            continue
-        u_sw, u_top = y_sw ** (1.0 / 3.0), x_top ** (1.0 / 3.0)
-        val = float(_power_arc_integral(c1, 9.0 * epsilon, u_sw)
-                    + _power_arc_integral(c2, 9.0, u_top)
-                    - _power_arc_integral(c2, 9.0, u_sw))
-        if math.isnan(best) or val > best:
-            best, best_z = val, float(z)
-    if not math.isnan(best):
-        result.alpha_as_written = best / math.pi ** 2
-        result.z_argmax_as_written = best_z
-    return result
+
+    rows, cols = np.nonzero(clean)
+    if rows.size:
+        b = 9.0 * e[rows, 0]
+        u_sw, u_top = y_sw[rows, cols] ** (1.0 / 3.0), x_top[rows, cols] ** (1.0 / 3.0)
+        val = np.full(zs.shape, -np.inf)
+        val[rows, cols] = (_power_arc_integral(c1[rows, cols], b, u_sw)
+                           + _power_arc_integral(c2[rows, cols], 9.0, u_top)
+                           - _power_arc_integral(c2[rows, cols], 9.0, u_sw))
+        best = np.argmax(val, axis=-1)
+        for row in np.unique(rows):
+            r = results[live[row]]
+            r.alpha_as_written = float(val[row, best[row]]) / math.pi ** 2
+            r.z_argmax_as_written = float(zs[row, best[row]])
+    return _unbatch(results, single)
 
 
-def alpha_result(epsilon: float) -> AlphaResult:
-    """Oracle and verbatim values side by side with their discrepancy."""
-    oracle = alpha_oracle(epsilon)
-    written = alpha_as_written(epsilon)
-    oracle.alpha_as_written = written.alpha_as_written
-    oracle.z_argmax_as_written = written.z_argmax_as_written
-    oracle.domain_violations = written.domain_violations
-    oracle.degenerate_formula = written.degenerate_formula
-    if not math.isnan(written.alpha_as_written):
-        oracle.discrepancy = abs(oracle.alpha_oracle - written.alpha_as_written)
-    return oracle
+def alpha_result(epsilon):
+    """Oracle and verbatim values side by side with their discrepancy.
+
+    epsilon is one number or a 1-D sequence, as for ``alpha_oracle``.
+    """
+    eps, single = _batch(epsilon)
+    results = alpha_oracle(eps)
+    for oracle, written in zip(results, alpha_as_written(eps)):
+        oracle.alpha_as_written = written.alpha_as_written
+        oracle.z_argmax_as_written = written.z_argmax_as_written
+        oracle.domain_violations = written.domain_violations
+        oracle.degenerate_formula = written.degenerate_formula
+        if not math.isnan(written.alpha_as_written):
+            oracle.discrepancy = abs(oracle.alpha_oracle - written.alpha_as_written)
+    return _unbatch(results, single)
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,13 @@ def sin_power_integral(m: int, theta):
     a = 0.5 * (m + 1)
     half = 0.5 * beta(a, 0.5)
     s, c = np.sin(th), np.cos(th)
-    pole = half * betainc(a, 0.5, s * s)
-    middle = half * (1.0 - np.sign(c) * betainc(0.5, a, c * c))
-    return np.where(np.abs(c) > 0.5, np.where(c > 0, pole, 2.0 * half - pole),
-                    middle)
+    # one betainc call, each element with the parameters of its own form:
+    # betainc is most of the cost
+    pole = np.abs(c) > 0.5
+    ratio = betainc(np.where(pole, a, 0.5), np.where(pole, 0.5, a),
+                    np.where(pole, s * s, c * c))
+    return np.where(pole, np.where(c > 0, half * ratio, 2.0 * half - half * ratio),
+                    half * (1.0 - np.sign(c) * ratio))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from isocompare.cli import main
+from isocompare.cli import format_number, main
 from isocompare.config import build_metric, parse_config
 from isocompare.errors import ConfigError
 
@@ -270,6 +271,31 @@ def test_cli_football_alpha_small_grid(tmp_path):
     assert code == 0
     rows = [l for l in text.splitlines() if not l.startswith("#")]
     assert len(rows) == 4
+
+
+def _alpha_lines(tmp_path, *flags):
+    out = tmp_path / "alpha.csv"
+    assert main(["football-alpha", *flags, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    rows = {l.split(",")[0]: l for l in lines if not l.startswith("#")}
+    comments = {l.split(" = ")[0]: l for l in lines if l.startswith("# ")}
+    return rows, comments
+
+
+@pytest.mark.parametrize("grid", ["0.005:1:12", "0.134:0.1355:7", "0.02:0.3:9"])
+def test_cli_alpha_grid_rows_match_single_eps(tmp_path, grid):
+    # every eps of a grid shares each array call with the others, yet its
+    # row and its summary lines are the bytes a run at that eps alone gives;
+    # the grids end at eps = 1 and cross the threshold 0.1347
+    rows, comments = _alpha_lines(tmp_path, "--eps-grid", grid)
+    lo, hi, num = grid.split(":")
+    for eps in np.linspace(float(lo), float(hi), int(num)):
+        key = format_number(float(eps))
+        single_rows, single_comments = _alpha_lines(
+            tmp_path, "--epsilon", repr(float(eps)))
+        assert single_rows[key] == rows[key]
+        for name in (f"# domain_violations.{key}", f"# switch_points.{key}"):
+            assert single_comments.get(name) == comments.get(name), name
 
 
 def test_console_entry_point(tmp_path):
