@@ -8,6 +8,7 @@ numbers carry 12 significant digits, keys are sorted, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -273,6 +274,7 @@ _FLAG_KEYS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the 9 commands and their flags."""
     parser = argparse.ArgumentParser(
         prog="iso-compare",
         description="Isoperimetric-profile volume comparison toolkit")
@@ -294,8 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process, built on the first call rather than at import:
+    # rebuilding the nine subparsers on every call was a third of a one-eps
+    # football-alpha op
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         pairs = {}
         if args.config:

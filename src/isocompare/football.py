@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, NumericalError, ValidationError
 from .phase_plane import PhasePath, extremal_path, start_height
 from .quadrature import sqrt_endpoint
 from .warped import curvature_bounds, cylinder, sin_power_integral, total_volume
@@ -619,7 +619,11 @@ def cylinder_growth(lengths, radius: float = 1.0) -> list[CylinderGrowth]:
     rows = []
     for length in lengths:
         metric = cylinder(radius, float(length))
-        vol = total_volume(metric)
+        with np.errstate(over="ignore"):
+            vol = total_volume(metric)
+        if not math.isfinite(vol):
+            raise NumericalError(
+                f"cylinder volume overflows a double at length {length:g}")
         bounds = curvature_bounds(metric, grid_size=65)
         rows.append(CylinderGrowth(length=float(length), volume=vol,
                                    ric_inf=bounds.ric_min,

@@ -21,14 +21,16 @@ handled by the fixed endpoint rule in ``quadrature``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .errors import EmptyPathError, ResolutionError, ValidationError
+from .errors import (EmptyPathError, NumericalError, ResolutionError,
+                     ValidationError)
 from .quadrature import sqrt_endpoint
-from .warped import Profile, sin_power_integral, sphere_area
+from .warped import (MonotoneCubic, Profile, log_sphere_area, sin_power_integral,
+                     sphere_area)
 
 __all__ = [
     "PhaseCurve", "MassFunction", "PhasePath",
@@ -38,8 +40,14 @@ __all__ = [
 
 
 def start_height(n: int) -> float:
-    """Phase height y(0) of a profile at a smooth pole: n omega^(1/(n-1))."""
-    return n * sphere_area(n - 1) ** (1.0 / (n - 1))
+    """Phase height y(0) of a profile at a smooth pole: n omega^(1/(n-1)).
+
+    From n = 439 on omega is subnormal or 0, and the root is taken in logs.
+    """
+    omega = sphere_area(n - 1)
+    if omega < sys.float_info.min:
+        return n * math.exp(log_sphere_area(n - 1) / (n - 1))
+    return n * omega ** (1.0 / (n - 1))
 
 
 def mass_coefficient(n: int, ric0: float) -> float:
@@ -151,7 +159,8 @@ class PhasePath:
     """Extremal constant-mass path from (0, y(0)) to (x0, 0).
 
     Closed-form paths keep (n, ric0) so the height is evaluable anywhere;
-    sampled paths fall back to monotone interpolation of y^2.
+    sampled paths fall back to the monotone cubic (PCHIP) interpolant of y^2,
+    ``warped.MonotoneCubic``.
     """
 
     x: np.ndarray
@@ -167,7 +176,7 @@ class PhasePath:
         if self.n is not None and self.ric0 is not None:
             b = mass_coefficient(self.n, self.ric0)
             return self.y0 ** 2 - b * np.asarray(x, dtype=float) ** (2.0 / self.n)
-        return PchipInterpolator(self.x, self.y ** 2)(x)
+        return MonotoneCubic(self.x, self.y ** 2)(x)
 
 
 def extremal_path(n: int, ric0: float, m0: float, samples: int = 513) -> PhasePath:
@@ -188,7 +197,11 @@ def extremal_path(n: int, ric0: float, m0: float, samples: int = 513) -> PhasePa
             f"mass {m0:g} >= squared start height {y0_sq:g}; path is empty")
     b = mass_coefficient(n, ric0)
     c = y0_sq - m0
-    x0 = (c / b) ** (n / 2.0)
+    with np.errstate(over="ignore"):  # a Python float would raise instead
+        x0 = np.float64(c / b) ** (n / 2.0)
+    if not np.isfinite(x0):
+        raise NumericalError(
+            f"path end x0 overflows a double at n = {n}, ric0 = {ric0:g}")
     s = np.linspace(0.0, 1.0, samples)
     x = x0 * s ** n
     y = np.sqrt(c * (1.0 - s * s))
@@ -211,8 +224,12 @@ def volume_from_path(path: PhasePath) -> float:
     if path.n is not None and path.ric0 is not None:
         n = path.n
         u0 = path.x0 ** (1.0 / n)
-        half = (n * u0 ** (n - 1) / math.sqrt(mass_coefficient(n, path.ric0))
-                * sin_power_integral(n - 1, 0.5 * math.pi))
+        with np.errstate(over="ignore"):
+            half = (n * u0 ** (n - 1) / math.sqrt(mass_coefficient(n, path.ric0))
+                    * sin_power_integral(n - 1, 0.5 * math.pi))
+            if not np.isfinite(2.0 * half):
+                raise NumericalError(
+                    f"volume overflows a double at n = {n}, ric0 = {path.ric0:g}")
     else:
         x0 = path.x0
         half = sqrt_endpoint(lambda x: np.sqrt((x0 - x) / path.height_squared(x)),

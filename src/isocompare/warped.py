@@ -11,7 +11,8 @@ Closed-form warps:
     round sphere   f(t) = r sin(t/r)            t in [0, pi r]
     football       f(t) = r c sin(t/r), c <= 1  t in [0, pi r]   (cone points)
     cylinder       f(t) = a                     t in [0, L]
-plus tabulated warps interpolated monotonically on an interior window.
+plus tabulated warps interpolated monotonically (``MonotoneCubic``, PCHIP)
+on an interior window.
 
 Each warp integrates its own powers exactly (``power_integral``): the closed
 warps through the incomplete beta function, tabulated warps by Gauss-Legendre
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import beta, betainc, gamma
 
 from .errors import (DomainError, SingularPointError, UnsupportedPointError,
@@ -33,17 +33,37 @@ from .errors import (DomainError, SingularPointError, UnsupportedPointError,
 
 __all__ = [
     "WarpedMetric", "CurvatureData", "CurvatureBounds", "Slice", "Profile",
-    "round_sphere", "football", "cylinder", "tabulated", "sin_power_integral",
-    "sphere_area", "eval_warp", "curvature_at", "curvature_bounds",
-    "slice_at", "total_volume", "candidate_profile",
+    "MonotoneCubic", "round_sphere", "football", "cylinder", "tabulated",
+    "sin_power_integral", "sphere_area", "log_sphere_area", "eval_warp",
+    "curvature_at", "curvature_bounds", "slice_at", "total_volume",
+    "candidate_profile",
 ]
 
 
 def sphere_area(dim: int) -> float:
-    """Surface measure of the unit sphere S^dim, 2 pi^((dim+1)/2) / Gamma((dim+1)/2)."""
+    """Surface measure of the unit sphere S^dim, 2 pi^((dim+1)/2) / Gamma((dim+1)/2).
+
+    Gamma overflows a double for dim >= 343; there Legendre's duplication
+    Gamma(a) = Gamma(a/2) Gamma(a/2 + 1/2) 2^(a-1) / sqrt(pi) keeps every
+    factor finite up to dim 683.  The area itself is subnormal from dim 438
+    on and 0 from dim 491 on; use ``log_sphere_area`` there.
+    """
     if dim < 0:
         raise ValidationError(f"sphere dimension must be >= 0, got {dim}")
-    return 2.0 * math.pi ** ((dim + 1) / 2.0) / gamma((dim + 1) / 2.0)
+    a = (dim + 1) / 2.0
+    g = gamma(a)
+    if math.isfinite(g):
+        return 2.0 * math.pi ** a / g
+    g_upper = gamma(0.5 * a + 0.5)
+    if math.isinf(g_upper):
+        return 0.0
+    return 4.0 * math.sqrt(math.pi) * (0.5 * math.pi) ** a / gamma(0.5 * a) / g_upper
+
+
+def log_sphere_area(dim: int) -> float:
+    """Natural logarithm of ``sphere_area(dim)``, finite for every dim >= 0."""
+    a = (dim + 1) / 2.0
+    return math.log(2.0) + a * math.log(math.pi) - math.lgamma(a)
 
 
 def sin_power_integral(m: int, theta):
@@ -65,6 +85,70 @@ def sin_power_integral(m: int, theta):
                     np.where(pole, s * s, c * c))
     return np.where(pole, np.where(c > 0, half * ratio, 2.0 * half - half * ratio),
                     half * (1.0 - np.sign(c) * ratio))
+
+
+class MonotoneCubic:
+    """Monotone piecewise-cubic Hermite interpolant (PCHIP) of samples y(x).
+
+    Interior slopes are the Fritsch & Butland (1984) weighted harmonic means
+    of the neighbouring secant slopes, zero where those differ in sign or
+    one vanishes; end slopes are one-sided three-point estimates clamped to
+    keep the shape (Moler, *Numerical Computing with MATLAB*, 3.6).  Each
+    piece is stored in the power basis c0 s^3 + c1 s^2 + c2 s + c3 in
+    s = x - x_k, and is evaluated as an ascending power sum, which gives
+    the same doubles as ``scipy.interpolate.PchipInterpolator`` and its
+    ``derivative(nu)``.  Queries outside [x_0, x_last] extend the end pieces.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+            raise ValidationError("interpolation needs >= 2 matching samples")
+        if not np.all(np.diff(x) > 0):
+            raise ValidationError("interpolation grid must be strictly increasing")
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.empty_like(y)
+        if x.size == 2:
+            d[:] = m[0]
+        else:
+            w1 = 2.0 * h[1:] + h[:-1]
+            w2 = h[1:] + 2.0 * h[:-1]
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            # a zero or tiny secant slope makes w / m infinite; such knots
+            # are flat or get slope 1 / inf = 0
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                d[1:-1] = np.where(
+                    flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            d[0] = self._end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self.x = x
+        self.c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+    @staticmethod
+    def _end_slope(h0, h1, m0, m1) -> float:
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    def __call__(self, x, nu: int = 0):
+        """Value (nu = 0) or derivative of order nu = 1, 2 at x."""
+        x = np.asarray(x, dtype=float)
+        k = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, self.x.size - 2)
+        s = x - self.x[k]
+        c0, c1, c2, c3 = self.c[:, k]
+        if nu == 0:
+            return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+        if nu == 1:
+            return c2 + (2.0 * c1) * s + (3.0 * c0) * (s * s)
+        if nu == 2:
+            return 2.0 * c1 + (6.0 * c0) * s
+        raise ValueError(f"derivative order must be 0, 1 or 2, got {nu}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +246,10 @@ class _CylinderWarp:
 class _TabulatedWarp:
     """Monotone cubic interpolation of positive samples on an interior window.
 
-    Second derivatives come from the interpolant; poles (and anything outside
-    the window) are unsupported.
+    The warp is the ``MonotoneCubic`` (PCHIP) interpolant of the samples; f'
+    and f'' are its own derivatives, and powers of f are integrated exactly
+    on its cubic pieces.  Poles (and anything outside the window) are
+    unsupported.
     """
 
     kind = "tabulated"
@@ -182,9 +268,7 @@ class _TabulatedWarp:
             raise ValidationError("tabulated warp samples must be strictly positive")
         self.t_samples = ts
         self.f_samples = fs
-        self._interp = PchipInterpolator(ts, fs)
-        self._d1 = self._interp.derivative(1)
-        self._d2 = self._interp.derivative(2)
+        self._interp = MonotoneCubic(ts, fs)
 
     @property
     def t_max(self) -> float:
@@ -199,7 +283,7 @@ class _TabulatedWarp:
         if np.any(t < self.t_min) or np.any(t > self.t_max):
             raise UnsupportedPointError(
                 f"tabulated warp supports only [{self.t_min:g}, {self.t_max:g}]")
-        return self._interp(t), self._d1(t), self._d2(t)
+        return self._interp(t), self._interp(t, 1), self._interp(t, 2)
 
     def slope_complement(self, t):
         _, f1, _ = self.evaluate(t)

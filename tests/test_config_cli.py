@@ -1,13 +1,18 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isocompare.cli import format_number, main
+import isocompare
+from isocompare import cli
+from isocompare.cli import build_parser, format_number, main
 from isocompare.config import build_metric, parse_config
 from isocompare.errors import ConfigError
 
@@ -214,6 +219,29 @@ def test_cli_cylinder_growth(tmp_path):
     assert all(float(r.split(",")[2]) == 0.0 for r in rows)
 
 
+def test_cli_cylinder_overflow_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = cylinder-growth\nlengths = 1, 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["cylinder-growth", "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "length 1e+308" in captured.err
+
+
+def test_cli_bishop_bound_high_dimension(tmp_path, capsys):
+    code, text = _invoke(tmp_path, "bishop-bound",
+                         "command = bishop-bound\nn = 400\nric0 = 1\n")
+    assert code == 0
+    assert json.loads(text)["summary"]["bound"] == \
+        pytest.approx(2.67951627819e+246, rel=1e-11)
+    code, text = _invoke(tmp_path, "bishop-bound",
+                         "command = bishop-bound\nn = 600\nric0 = 1\n")
+    assert code == 3
+    assert "n = 600" in capsys.readouterr().err
+
+
 def test_cli_validation_exit_code(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("command = bishop-bound\nn = 2\nric0 = 2\n")
@@ -308,3 +336,42 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["summary"]["bound"] == pytest.approx(PI ** 2 / 4, rel=1e-6)
+
+
+# --- fixed costs: the parser and the import ---------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_cli_import_leaves_out_unused_scipy():
+    # the library uses scipy.special alone; scipy.interpolate (about a third
+    # of a cold start) and the other once-used subpackages stay unloaded
+    src = str(Path(isocompare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, isocompare.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'interpolate'], "
+            "['scipy', 'integrate'], ['scipy', 'optimize'])))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_parser_is_reused_across_calls(tmp_path, capsys):
+    # argparse errors leave the process-wide parser usable: after a bad flag
+    # and a bad choice, two different commands still write their golden bytes
+    with pytest.raises(SystemExit) as exc:
+        main(["football-alpha", "--bogus", "1"])
+    assert exc.value.code == 2
+    parser = cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["epsilon0", "--method", "newton"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    for command, suffix in (("football-alpha", "csv"), ("bishop-bound", "json")):
+        out = tmp_path / f"{command}.{suffix}"
+        assert main([command, "--config", str(GOLDEN / f"{command}.cfg"),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{command}.{suffix}").read_bytes()
+    assert cli._parser() is parser
+    assert build_parser() is not build_parser()

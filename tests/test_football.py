@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isocompare.errors import DomainError, ValidationError
+from isocompare.errors import DomainError, NumericalError, ValidationError
 from isocompare.football import (EULER_CHARACTERISTIC_SPHERE,
                                  GAUSS_BONNET_TOTAL, FootballSpec,
                                  alpha_as_written, alpha_oracle, alpha_result,
@@ -219,6 +219,13 @@ def test_cylinder_growth_validation():
         cylinder_growth([10.0, 5.0])
     with pytest.raises(ValidationError):
         cylinder_growth([-1.0, 2.0])
+
+
+def test_cylinder_growth_overflow_names_the_length():
+    with np.errstate(all="raise"):
+        with pytest.raises(NumericalError, match="length 1e\\+308"):
+            cylinder_growth([1.0, 1e308])
+        assert cylinder_growth([1e307])[0].volume == pytest.approx(4e307 * PI)
 
 
 # --- 25-digit mpmath references ----------------------------------------------

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma
 
-from isocompare.errors import EmptyPathError, ResolutionError, ValidationError
+from isocompare.errors import (EmptyPathError, NumericalError, ResolutionError,
+                               ValidationError)
 from isocompare.phase_plane import (PhasePath, bishop_bound, extremal_path,
                                     mass_coefficient, phase_curve, ricci_mass,
                                     start_height, volume_from_path)
@@ -238,6 +239,34 @@ def test_bishop_bound_exactness_sweep():
         for r in (0.5, 1.0, 2.0):
             got = bishop_bound(n, (n - 1) / r ** 2)
             assert got == pytest.approx(sphere_volume(n, r), rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [100, 343, 344, 400, 438, 439, 470, 500])
+def test_bishop_bound_in_high_dimension_matches_mpmath(n):
+    # Gamma((n+1)/2) overflows from n = 342 on and omega_(n-1) is subnormal
+    # from n = 439 on; the bound is vol(S^n(r)), r^2 = (n-1) / ric0.  The
+    # power (c / b)^(n/2) multiplies the few-ulp error of c by n / 2
+    ric0 = 3.0
+    with mp.workdps(30):
+        a = mp.mpf(n + 1) / 2
+        want = 2 * mp.pi ** a / mp.gamma(a) * ((n - 1) / mp.mpf(ric0)) ** (mp.mpf(n) / 2)
+    got = bishop_bound(n, ric0)
+    assert abs(got - want) <= 2e-15 * n * want
+
+
+@pytest.mark.parametrize("n, ric0", [(3, 1e-300), (600, 1.0), (10 ** 6, 3.0)])
+def test_bishop_bound_beyond_double_range_is_numerical_error(n, ric0):
+    with pytest.raises(NumericalError, match=f"n = {n}, ric0 = {ric0:g}"):
+        bishop_bound(n, ric0)
+
+
+def test_extremal_volume_overflow_is_numerical_error():
+    # a large mass leaves c = y0^2 - m0 small: the path end x0 is finite,
+    # and the volume, 2 n W x0 / sqrt(c), is not
+    path = extremal_path(3, 1.5e-206, start_height(3) ** 2 - 1.0)
+    assert math.isfinite(path.x0)
+    with pytest.raises(NumericalError, match="volume overflows"):
+        volume_from_path(path)
 
 
 def test_sup_attained_at_zero_mass():

@@ -9,8 +9,9 @@ from scipy.interpolate import PchipInterpolator
 
 from isocompare.errors import (DomainError, SingularPointError,
                                UnsupportedPointError, ValidationError)
-from isocompare.warped import (WarpedMetric, candidate_profile, curvature_at,
-                               curvature_bounds, cylinder, eval_warp, football,
+from isocompare.warped import (MonotoneCubic, WarpedMetric, candidate_profile,
+                               curvature_at, curvature_bounds, cylinder,
+                               eval_warp, football, log_sphere_area,
                                round_sphere, slice_at, sphere_area, tabulated,
                                total_volume)
 
@@ -40,6 +41,105 @@ def test_sphere_area_values():
     assert sphere_area(1) == pytest.approx(2 * PI, rel=1e-15)
     assert sphere_area(2) == pytest.approx(4 * PI, rel=1e-15)
     assert sphere_area(3) == pytest.approx(2 * PI ** 2, rel=1e-15)
+
+
+def _mp_sphere_area(dim):
+    a = mp.mpf(dim + 1) / 2
+    return 2 * mp.pi ** a / mp.gamma(a)
+
+
+@pytest.mark.parametrize("dim", [100, 342, 343, 344, 400, 437, 438, 460, 490])
+def test_sphere_area_past_gamma_overflow(dim):
+    # Gamma((dim+1)/2) overflows from dim 343 on; the duplication formula
+    # keeps the area to a few ulps while it is a normal double (dim < 438)
+    with mp.workdps(30):
+        ref = _mp_sphere_area(dim)
+        got = sphere_area(dim)
+        assert abs(got - ref) <= 1e-14 * ref + np.finfo(float).smallest_subnormal
+        # a few ulps of the larger of a log(pi) and lgamma(a)
+        a = (dim + 1) / 2
+        scale = max(a * math.log(PI), math.lgamma(a))
+        assert abs(log_sphere_area(dim) - mp.log(ref)) <= 4 * 2.2e-16 * scale
+
+
+def test_sphere_area_underflows_to_zero_without_error():
+    assert sphere_area(491) == 0.0
+    assert sphere_area(10 ** 6) == 0.0
+    assert math.isfinite(log_sphere_area(10 ** 6))
+
+
+# --- the monotone cubic interpolant against scipy's PCHIP ----------------------
+
+def _scipy_pchip(xs, ys, q, nu):
+    """scipy's PCHIP value, or its derivative polynomial's value: the routes
+    the interpolant reproduces double for double.  (Calling the interpolant
+    with nu > 0 scales the power sum differently and may differ by an ulp.)"""
+    with np.errstate(over="ignore"):  # a slope below 1e-305 overflows w / m
+        pieces = PchipInterpolator(xs, ys)
+    return pieces(q) if nu == 0 else pieces.derivative(nu)(q)
+
+
+def _assert_matches_scipy(xs, ys, q):
+    ours = MonotoneCubic(xs, ys)
+    for nu in (0, 1, 2):
+        want = _scipy_pchip(xs, ys, q, nu)
+        got = ours(q, nu)
+        assert np.array_equal(got, want), (nu, np.max(np.abs(got - want)))
+
+
+# gaps and values drawn from small sets as well as from ranges, so repeated
+# values (flat segments), equal neighbours and sign changes of the slope all
+# come up often
+_gaps = st.one_of(st.sampled_from([0.25, 1.0, 3.0]),
+                  st.floats(1e-3, 10.0, allow_nan=False))
+_values = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]),
+                    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(-5.0, 5.0), data=st.data(),
+       size=st.integers(4, 12), fractions=st.lists(st.floats(0.0, 1.0),
+                                                   min_size=1, max_size=20))
+def test_monotone_cubic_equals_scipy_pchip(start, data, size, fractions):
+    gaps = data.draw(st.lists(_gaps, min_size=size - 1, max_size=size - 1))
+    xs = start + np.concatenate(([0.0], np.cumsum(gaps)))
+    if not np.all(np.diff(xs) > 0):
+        return
+    ys = np.array(data.draw(st.lists(_values, min_size=size, max_size=size)))
+    # the knots themselves (both ends among them) and points inside
+    q = np.concatenate((xs, xs[0] + np.array(fractions) * (xs[-1] - xs[0])))
+    _assert_matches_scipy(xs, ys, q)
+
+
+@pytest.mark.parametrize("ys", [
+    [1.0, 1.0, 2.0, 2.0],      # flat, rising, flat
+    [0.0, 3.0, -1.0, 0.5],     # the slope changes sign at both interior knots
+    [2.0, 1.0, 1.0, -4.0],     # falling with a flat middle piece
+    [1.0, 5.0, 5.5, 20.0],     # monotone with a near-flat middle piece
+])
+def test_monotone_cubic_four_nonuniform_samples(ys):
+    xs = np.array([0.1, 0.35, 1.6, 1.75])
+    ys = np.array(ys)
+    q = np.concatenate((xs, np.linspace(xs[0], xs[-1], 41)))
+    _assert_matches_scipy(xs, ys, q)
+    # the interpolant passes through the samples (the last one up to the
+    # roundoff of its piece's power sum), with no overshoot on a monotone
+    # piece: the shape-preserving property PCHIP is chosen for
+    ours = MonotoneCubic(xs, ys)
+    assert np.array_equal(ours(xs[:-1]), ys[:-1])
+    assert ours(xs[-1]) == pytest.approx(ys[-1], rel=1e-14, abs=1e-14)
+    for lo, hi, a, b in zip(xs[:-1], xs[1:], ys[:-1], ys[1:]):
+        inside = ours(np.linspace(lo, hi, 33))
+        assert np.all(inside >= min(a, b)) and np.all(inside <= max(a, b))
+
+
+def test_monotone_cubic_rejects_bad_grids():
+    with pytest.raises(ValidationError):
+        MonotoneCubic([0.0, 1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValidationError):
+        MonotoneCubic([0.0], [1.0])
+    with pytest.raises(ValueError):
+        MonotoneCubic([0.0, 1.0, 2.0], [1.0, 2.0, 0.0])(0.5, nu=3)
 
 
 def test_eval_warp_closed_forms():
