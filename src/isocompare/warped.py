@@ -15,8 +15,9 @@ plus tabulated warps interpolated monotonically (``MonotoneCubic``, PCHIP)
 on an interior window.
 
 Each warp integrates its own powers exactly (``power_integral``): the closed
-warps through the incomplete beta function, tabulated warps by Gauss-Legendre
-rules that are exact on the interpolant's cubic pieces.
+warps through ``sin_power_integral`` (a closed form for sin^2, otherwise a
+fixed Gauss-Legendre rule in theta from ``quadrature``), tabulated warps by
+Gauss-Legendre rules that are exact on the interpolant's cubic pieces.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import beta, betainc, gamma
 
 from .errors import (DomainError, SingularPointError, UnsupportedPointError,
                      ValidationError)
+from .quadrature import sin_power
 
 __all__ = [
     "WarpedMetric", "CurvatureData", "CurvatureBounds", "Slice", "Profile",
@@ -51,13 +52,16 @@ def sphere_area(dim: int) -> float:
     if dim < 0:
         raise ValidationError(f"sphere dimension must be >= 0, got {dim}")
     a = (dim + 1) / 2.0
-    g = gamma(a)
-    if math.isfinite(g):
-        return 2.0 * math.pi ** a / g
-    g_upper = gamma(0.5 * a + 0.5)
-    if math.isinf(g_upper):
+    try:
+        return 2.0 * math.pi ** a / math.gamma(a)
+    except OverflowError:
+        pass
+    try:
+        g_upper = math.gamma(0.5 * a + 0.5)
+    except OverflowError:
         return 0.0
-    return 4.0 * math.sqrt(math.pi) * (0.5 * math.pi) ** a / gamma(0.5 * a) / g_upper
+    return (4.0 * math.sqrt(math.pi) * (0.5 * math.pi) ** a
+            / math.gamma(0.5 * a) / g_upper)
 
 
 def log_sphere_area(dim: int) -> float:
@@ -66,25 +70,33 @@ def log_sphere_area(dim: int) -> float:
     return math.log(2.0) + a * math.log(math.pi) - math.lgamma(a)
 
 
+# x - sin x = x^3 sum_j (-1)^j x^(2j) / (2j + 3)!, to within an ulp for x < 1
+_X_MINUS_SIN = [(-1) ** j / math.factorial(2 * j + 3) for j in range(10)][::-1]
+
+
 def sin_power_integral(m: int, theta):
     """Integral of sin^m over [0, theta], theta clipped to [0, pi].
 
-    Closed form through the regularized incomplete beta function (DLMF 8.17):
-    (1/2) B((m+1)/2, 1/2) I_{sin^2}((m+1)/2, 1/2) within pi/3 of either pole,
-    and the complementary form in cos^2 on the middle third, where sin^2 no
-    longer resolves theta.
+    m = 2 is the closed form (x - sin x) / 4 at x = 2 theta, with the odd
+    Taylor series of x - sin x below x = 1, where the difference cancels.
+    Any other m is ``quadrature.sin_power``: a fixed Gauss-Legendre rule in
+    theta on [0, min(theta, pi - theta)], reflected about pi/2 through
+    half = int_0^(pi/2) sin^m (a Wallis integral, cached per m), which is
+    also the value at theta = pi/2 exactly.  Against
+    40-digit mpmath the relative error is within 6e-16 for m <= 8 and about
+    m * 4e-17 up to m = 512 (2.9e-14 there); above m = 512 it grows, 7.9e-10
+    at m = 768, except at pi/2 (see ``quadrature``).  Results below the
+    normal doubles lose digits and underflow to 0.
     """
     th = np.clip(np.asarray(theta, dtype=float), 0.0, math.pi)
-    a = 0.5 * (m + 1)
-    half = 0.5 * beta(a, 0.5)
-    s, c = np.sin(th), np.cos(th)
-    # one betainc call, each element with the parameters of its own form:
-    # betainc is most of the cost
-    pole = np.abs(c) > 0.5
-    ratio = betainc(np.where(pole, a, 0.5), np.where(pole, 0.5, a),
-                    np.where(pole, s * s, c * c))
-    return np.where(pole, np.where(c > 0, half * ratio, 2.0 * half - half * ratio),
-                    half * (1.0 - np.sign(c) * ratio))
+    if m == 2:
+        x = 2.0 * th
+        y = x * x
+        series = _X_MINUS_SIN[0]
+        for coefficient in _X_MINUS_SIN[1:]:
+            series = series * y + coefficient
+        return 0.25 * np.where(x < 1.0, series * y * x, x - np.sin(x))
+    return sin_power(m, th)
 
 
 class MonotoneCubic:

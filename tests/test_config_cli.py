@@ -234,6 +234,8 @@ def test_cli_bishop_bound_high_dimension(tmp_path, capsys):
     code, text = _invoke(tmp_path, "bishop-bound",
                          "command = bishop-bound\nn = 400\nric0 = 1\n")
     assert code == 0
+    # Gamma overflows at this n; the Wallis integral at pi/2 is exact
+    assert '"bound": 2.67951627819e+246,' in text
     assert json.loads(text)["summary"]["bound"] == \
         pytest.approx(2.67951627819e+246, rel=1e-11)
     code, text = _invoke(tmp_path, "bishop-bound",
@@ -344,14 +346,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_cli_import_leaves_out_unused_scipy():
-    # the library uses scipy.special alone; scipy.interpolate (about a third
-    # of a cold start) and the other once-used subpackages stay unloaded
+    # the library needs numpy alone: without scipy.special a cold import of
+    # the CLI fell from about 0.6 s to 0.23 s, so no scipy module may load
     src = str(Path(isocompare.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, isocompare.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'interpolate'], "
-            "['scipy', 'integrate'], ['scipy', 'optimize'])))")
+            "if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

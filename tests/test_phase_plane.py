@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gamma
 
 from isocompare.errors import (EmptyPathError, NumericalError, ResolutionError,
                                ValidationError)
@@ -22,7 +21,7 @@ PI = math.pi
 
 def sphere_volume(n: int, r: float) -> float:
     """vol(S^n(r)) = 2 pi^((n+1)/2) / Gamma((n+1)/2) * r^n."""
-    return 2 * PI ** ((n + 1) / 2) / gamma((n + 1) / 2) * r ** n
+    return 2 * PI ** ((n + 1) / 2) / math.gamma((n + 1) / 2) * r ** n
 
 
 def substitution_volume(n: int, ric0: float, m0: float) -> float:
@@ -34,7 +33,7 @@ def substitution_volume(n: int, ric0: float, m0: float) -> float:
     y0_sq = start_height(n) ** 2
     c = y0_sq - m0
     x0 = (c / mass_coefficient(n, ric0)) ** (n / 2)
-    wallis = math.sqrt(PI) * gamma(n / 2) / (2 * gamma((n + 1) / 2))
+    wallis = math.sqrt(PI) * math.gamma(n / 2) / (2 * math.gamma((n + 1) / 2))
     return 2 * n * x0 / math.sqrt(c) * wallis
 
 

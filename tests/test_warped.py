@@ -12,8 +12,8 @@ from isocompare.errors import (DomainError, SingularPointError,
 from isocompare.warped import (MonotoneCubic, WarpedMetric, candidate_profile,
                                curvature_at, curvature_bounds, cylinder,
                                eval_warp, football, log_sphere_area,
-                               round_sphere, slice_at, sphere_area, tabulated,
-                               total_volume)
+                               round_sphere, sin_power_integral, slice_at,
+                               sphere_area, tabulated, total_volume)
 
 PI = math.pi
 REL_VOLUME = 1e-14
@@ -48,10 +48,12 @@ def _mp_sphere_area(dim):
     return 2 * mp.pi ** a / mp.gamma(a)
 
 
-@pytest.mark.parametrize("dim", [100, 342, 343, 344, 400, 437, 438, 460, 490])
+@pytest.mark.parametrize("dim", [100, 341, 342, 343, 344, 400, 437, 438, 460,
+                                 490, 682, 683, 684, 685])
 def test_sphere_area_past_gamma_overflow(dim):
-    # Gamma((dim+1)/2) overflows from dim 343 on; the duplication formula
-    # keeps the area to a few ulps while it is a normal double (dim < 438)
+    # Gamma((dim+1)/2) overflows from dim 343 on, where math.gamma raises;
+    # the duplication formula keeps the area to a few ulps while it is a
+    # normal double (dim < 438), and itself overflows from dim 684 on
     with mp.workdps(30):
         ref = _mp_sphere_area(dim)
         got = sphere_area(dim)
@@ -66,6 +68,49 @@ def test_sphere_area_underflows_to_zero_without_error():
     assert sphere_area(491) == 0.0
     assert sphere_area(10 ** 6) == 0.0
     assert math.isfinite(log_sphere_area(10 ** 6))
+
+
+# --- the integral of sin^m ----------------------------------------------------
+
+# graded toward 0 and toward pi down to 1.6e-8, and the middle third's upper
+# half, where the former complementary incomplete-beta form cancelled
+_SIN_THETAS = ([0.5 * PI * 10.0 ** (-k / 2) for k in range(17)]
+               + [PI - 0.5 * PI * 10.0 ** (-k / 2) for k in range(17)]
+               + [PI / 3 + PI / 6 * k / 8 for k in range(1, 8)]
+               + [1.06, 1.09, 0.0, 0.5 * PI - 1e-9, PI])
+
+
+def _mp_sin_power(m, theta):
+    a = mp.mpf(m + 1) / 2
+
+    def lower(x):
+        return mp.betainc(a, 0.5, 0, mp.sin(x) ** 2, regularized=False) / 2
+
+    t = mp.mpf(theta)
+    return lower(t) if t <= mp.pi / 2 else 2 * lower(mp.pi / 2) - lower(mp.pi - t)
+
+
+@pytest.mark.parametrize("m", list(range(9)) + [16, 32, 64, 128, 256, 440])
+def test_sin_power_integral_matches_mpmath(m):
+    # the error floor is about m * 4e-17 (table in the quadrature module).
+    # The complementary incomplete-beta form cancelled just above pi/3: at
+    # theta = 1.06 it was 1.4e-8 off for m = 128 and half off for m = 256,
+    # and at 1.09 it returned 0 for the 4.4e-26 of m = 440.  Values below
+    # the normal doubles are checked to the smallest normal double
+    got = sin_power_integral(m, np.array(_SIN_THETAS))
+    tol = 1e-15 + m * 1e-16
+    with mp.workdps(40):
+        for theta, value in zip(_SIN_THETAS, got):
+            want = _mp_sin_power(m, theta)
+            assert abs(float(value) - want) <= tol * want + np.finfo(float).tiny, theta
+
+
+@pytest.mark.parametrize("m", list(range(0, 600, 13)) + [2047, 2048, 10 ** 4, 10 ** 6])
+def test_sin_power_integral_is_exact_at_half_pi(m):
+    # the Wallis integral, which the Bishop bound reads at every n
+    with mp.workdps(30):
+        want = mp.beta(mp.mpf(m + 1) / 2, 0.5) / 2
+        assert abs(float(sin_power_integral(m, 0.5 * PI)) - want) <= 3.4e-16 * want
 
 
 # --- the monotone cubic interpolant against scipy's PCHIP ----------------------
