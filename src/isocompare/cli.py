@@ -8,6 +8,7 @@ numbers carry 12 significant digits, keys are sorted, no timestamps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -22,35 +23,28 @@ from .football import alpha_result, cylinder_growth, epsilon0
 from .gmt import (RadiusFamily, cone_over_circle, cutoff_budget,
                   monotonicity_profile, unit_circle, unit_sphere)
 from .phase_plane import extremal_path, phase_curve, ricci_mass, volume_from_path
-from .variation import observed_order, residual_sequence
+from .variation import observed_order, residual_table
 from .warped import candidate_profile
 
 
 def format_number(x) -> str:
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if x == 0.0:
-            x = 0.0  # normalize negative zero
-        return f"{x:.12g}"
+        return f"{x + 0.0:.12g}"  # + 0.0 turns -0 into 0
     return str(x)
 
 
+def _number(text: str):
+    """A formatted number read back: the float, or the text of nan and inf."""
+    return text if text in ("nan", "inf", "-inf") else float(text)
+
+
 def _round_floats(obj):
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return format_number(obj)
-        if obj == 0.0:
-            obj = 0.0
-        return float(f"{obj:.12g}")
+    if isinstance(obj, (float, np.floating)):
+        return _number(format_number(float(obj)))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return _round_floats(float(obj))
     if isinstance(obj, np.integer):
         return int(obj)
     return obj
@@ -63,7 +57,7 @@ def _round_floats(obj):
 def _run_profile(opts):
     metric = build_metric(opts)
     prof = candidate_profile(metric, opts.get("grid_size", 257))
-    rows = [(t, v, a) for t, v, a in zip(prof.t_grid, prof.v_grid, prof.a_values)]
+    rows = np.column_stack((prof.t_grid, prof.v_grid, prof.a_values))
     return "csv", ["t", "V", "A"], rows, {"total_volume": prof.total_volume}
 
 
@@ -73,11 +67,9 @@ def _run_variation_check(opts):
     levels = opts.get("levels", 3)
     rows = []
     for t in opts["t"]:
-        sequences = [residual_sequence(metric, t, h0, kind, levels)
-                     for kind in ("first", "h_dot", "second")]
-        order = observed_order(*sequences)
-        for (step, first), (_, h_dot), (_, second) in zip(*sequences):
-            rows.append((t, step, first, h_dot, second, order))
+        table = residual_table(metric, t, h0, levels)
+        order = observed_order(table)
+        rows += [(t, *row, order) for row in table]
     columns = ["t", "h", "residual_first", "residual_h_dot", "residual_second",
                "order"]
     return "csv", columns, rows, {}
@@ -88,8 +80,8 @@ def _run_mass(opts):
     prof = candidate_profile(metric, opts.get("grid_size", 257))
     curve = phase_curve(prof)
     mass = ricci_mass(prof, opts["ric0"])
-    rows = [(v, a, x, y, m) for v, a, x, y, m in
-            zip(prof.v_grid, prof.a_values, curve.x, curve.y, mass.m_values)]
+    rows = np.column_stack((prof.v_grid, prof.a_values, curve.x, curve.y,
+                            mass.m_values))
     return "csv", ["V", "A", "F", "F_prime", "m"], rows, {}
 
 
@@ -143,7 +135,7 @@ def _run_monotonicity(opts):
     else:
         case = cone_over_circle(opts.get("angle", math.pi / 4), lam, rho)
     profile = monotonicity_profile(case)
-    rows = list(zip(profile.rho, profile.values))
+    rows = np.column_stack((profile.rho, profile.values))
     return "csv", ["rho", "profile"], rows, {"clamped": int(profile.clamped.sum())}
 
 
@@ -151,18 +143,7 @@ def _run_cutoff_budget(opts):
     family = RadiusFamily(radii=np.asarray(opts["radii"], dtype=float),
                           delta=opts["delta"], n=opts["n"],
                           c0=opts["c0"], c=opts["c"], h=opts.get("h", 0.0))
-    budget = cutoff_budget(family)
-    return "json", None, None, {
-        "area_term": budget.area_term,
-        "dirichlet_term": budget.dirichlet_term,
-        "c1": budget.c1,
-        "area_bound": budget.area_bound,
-        "dirichlet_bound": budget.dirichlet_bound,
-        "area_ok": budget.area_ok,
-        "dirichlet_ok": budget.dirichlet_ok,
-        "admissible": budget.admissible,
-        "violated": budget.violated,
-    }
+    return "json", None, None, dataclasses.asdict(cutoff_budget(family))
 
 
 def _run_cylinder_growth(opts):
@@ -195,32 +176,43 @@ def _parameter_strings(opts: dict) -> dict[str, str]:
         if isinstance(value, (list, tuple)):
             out[key] = ",".join(format_number(float(v)) if isinstance(v, (int, float))
                                 else str(v) for v in value)
-        elif isinstance(value, float):
-            out[key] = format_number(value)
         else:
-            out[key] = str(value)
+            out[key] = format_number(value)
     return out
+
+
+def _table(rows, width: int) -> str:
+    """Data rows as CSV text: the rows become one float table, and a single
+    ``%`` fills a ``%.12g,...`` line template repeated once per row.  ``%``
+    writes nan, +-inf, subnormals and ints as ``format_number`` does, and
+    adding 0.0 turns -0 into 0 as it does."""
+    table = np.asarray(rows, dtype=float) + 0.0
+    line = ",".join(["%.12g"] * width)
+    return "\n".join([line] * len(table)) % tuple(table.ravel().tolist())
 
 
 def render(config: RunConfig, columns, rows, summary) -> str:
     fmt = config.format or ("csv" if rows is not None else "json")
     params = _parameter_strings(config.options)
+    body = None if rows is None else _table(rows, len(columns))
     if fmt == "json":
         doc = {"command": config.command, "version": __version__,
                "parameters": params}
         if columns is not None:
+            # the CSV cells read back: the same 12 digits, nonfinite as text
             doc["columns"] = columns
-            doc["rows"] = [[_round_floats(float(v) if isinstance(v, (np.floating, int, float)) else v)
-                            for v in row] for row in rows]
+            doc["rows"] = [[_number(c) for c in line.split(",")]
+                           for line in body.splitlines()]
         if summary:
             doc["summary"] = _round_floats(summary)
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     lines = [f"# iso-compare {config.command}", f"# version = {__version__}"]
     lines += [f"# {key} = {value}" for key, value in params.items()]
     if rows is None:
-        columns = ["key", "value"]
-        rows = [(k, summary[k]) for k in sorted(summary)]
-        summary = {}
+        # a summary-only command as CSV: one key,value line per entry
+        lines.append("key,value")
+        lines += [f"{key},{format_number(summary[key])}" for key in sorted(summary)]
+        return "\n".join(lines) + "\n"
     for key in sorted(summary or {}):
         value = summary[key]
         if isinstance(value, dict):
@@ -229,11 +221,8 @@ def render(config: RunConfig, columns, rows, summary) -> str:
         else:
             lines.append(f"# {key} = {format_number(value)}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(
-            format_number(float(v)) if isinstance(v, (int, float, np.floating, np.integer))
-            and not isinstance(v, bool) else str(v)
-            for v in row))
+    if body:
+        lines.append(body)
     return "\n".join(lines) + "\n"
 
 

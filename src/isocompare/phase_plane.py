@@ -202,6 +202,9 @@ def extremal_path(n: int, ric0: float, m0: float, samples: int = 513) -> PhasePa
     if not np.isfinite(x0):
         raise NumericalError(
             f"path end x0 overflows a double at n = {n}, ric0 = {ric0:g}")
+    if x0 < sys.float_info.min:
+        raise NumericalError(
+            f"path end x0 is below the normal doubles at n = {n}, ric0 = {ric0:g}")
     s = np.linspace(0.0, 1.0, samples)
     x = x0 * s ** n
     y = np.sqrt(c * (1.0 - s * s))
@@ -230,6 +233,9 @@ def volume_from_path(path: PhasePath) -> float:
             if not np.isfinite(2.0 * half):
                 raise NumericalError(
                     f"volume overflows a double at n = {n}, ric0 = {path.ric0:g}")
+            if 2.0 * half < sys.float_info.min:
+                raise NumericalError(
+                    f"volume is below the normal doubles at n = {n}, ric0 = {path.ric0:g}")
     else:
         x0 = path.x0
         half = sqrt_endpoint(lambda x: np.sqrt((x0 - x) / path.height_squared(x)),

@@ -9,11 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isocompare
 from isocompare import cli
-from isocompare.cli import build_parser, format_number, main
-from isocompare.config import build_metric, parse_config
+from isocompare.cli import build_parser, format_number, main, render
+from isocompare.config import COMMANDS, RunConfig, build_metric, parse_config
 from isocompare.errors import ConfigError
 
 PI = math.pi
@@ -244,6 +246,17 @@ def test_cli_bishop_bound_high_dimension(tmp_path, capsys):
     assert "n = 600" in capsys.readouterr().err
 
 
+def test_cli_subnormal_bishop_bound_exits_3(tmp_path, capsys):
+    # the bound 5.58e-317 would keep only about 7 sound digits of the 12
+    code, text = _invoke(tmp_path, "bishop-bound",
+                         "command = bishop-bound\nn = 3\nric0 = 1e212\n")
+    assert code == 3
+    assert text == ""
+    err = capsys.readouterr().err
+    assert "n = 3, ric0 = 1e+212" in err
+    assert "below the normal doubles" in err
+
+
 def test_cli_validation_exit_code(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("command = bishop-bound\nn = 2\nric0 = 2\n")
@@ -376,3 +389,51 @@ def test_cli_parser_is_reused_across_calls(tmp_path, capsys):
         assert out.read_bytes() == (GOLDEN / f"{command}.{suffix}").read_bytes()
     assert cli._parser() is parser
     assert build_parser() is not build_parser()
+
+
+# --- the table renderer ---------------------------------------------------------
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                     5e-324, -2.2250738585072014e-308, 1e-310]),
+    st.integers(min_value=-10 ** 20, max_value=10 ** 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda width: st.lists(st.lists(_CELLS, min_size=width, max_size=width),
+                           max_size=8)))
+def test_render_table_matches_per_cell_format_number(rows):
+    width = len(rows[0]) if rows else 3
+    columns = [f"c{k}" for k in range(width)]
+    text = render(RunConfig("cylinder-growth", {}, format="csv"), columns, rows, {})
+    body = text.splitlines()[text.splitlines().index(",".join(columns)) + 1:]
+    assert body == [",".join(format_number(float(v)) for v in row) for row in rows]
+
+
+def test_format_number_special_values():
+    assert [format_number(x) for x in (-0.0, math.nan, math.inf, -math.inf,
+                                       5e-324, 1 / 3, 12)] == \
+        ["0", "nan", "inf", "-inf", "4.94065645841e-324", "0.333333333333", "12"]
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c not in
+                                     ("bishop-bound", "epsilon0", "cutoff-budget")])
+def test_json_rows_are_the_csv_numbers(command, tmp_path):
+    golden = Path(__file__).parent / "golden"
+    cfg = str(golden / f"{command}.cfg")
+    csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main([command, "--config", cfg, "--out", str(csv_out)]) == 0
+    assert main([command, "--config", cfg, "--out", str(json_out),
+                 "--format", "json"]) == 0
+    lines = [l for l in csv_out.read_text().splitlines() if not l.startswith("#")]
+    doc = json.loads(json_out.read_text())
+    assert doc["columns"] == lines[0].split(",")
+    assert len(doc["rows"]) == len(lines) - 1
+    for line, row in zip(lines[1:], doc["rows"]):
+        for cell, value in zip(line.split(","), row, strict=True):
+            if cell in ("nan", "inf", "-inf"):
+                assert value == cell
+            else:
+                assert value == float(cell)

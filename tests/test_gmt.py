@@ -41,6 +41,21 @@ def test_sphere_profile_is_pi_exp():
             assert _max_rel_error(prof.values, ref) <= 1e-14
 
 
+def test_sphere_profile_row_keeps_scalar_ulps():
+    # numpy's array exp and ** are an ulp off math.exp and the float power
+    # at this radius, which would print ...638; pi e^(lambda rho) to 40 digits
+    # is 4.960124996385000683...
+    rho = np.linspace(0.016233786987396498, 1.434743670431994, 97)
+    lam = 2.554665411641461
+    prof = monotonicity_profile(unit_sphere(lam, rho, dim=2))
+    k = int(np.argmin(np.abs(rho - 0.178771377799)))
+    assert f"{rho[k]:.12g}" == "0.178771377799"
+    assert f"{prof.values[k]:.12g}" == "4.96012499639"
+    with mp.workdps(40):
+        assert abs(prof.values[k] - mp.pi * mp.exp(lam * mp.mpf(rho[k]))) \
+            <= 2e-15 * prof.values[k]
+
+
 def test_circle_profile_small_rho_limit():
     rho = np.linspace(1e-4, 2.0, 64)
     prof = monotonicity_profile(unit_circle(0.0, rho))
@@ -87,6 +102,27 @@ def test_rho_clamped_beyond_diameter():
     prof = monotonicity_profile(unit_sphere(1.0, rho))
     assert prof.clamped.any()
     assert not prof.clamped[rho <= 2.0].any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),
+                min_size=2, max_size=12),
+       st.sampled_from([0.0, 1e-12, 1e-3]))
+def test_check_monotone_matches_pairwise_loop(values, rel_tol):
+    expected = [(i, a, b) for i, (a, b) in enumerate(zip(values, values[1:]))
+                if a - b > rel_tol * max(abs(a), abs(b), 1e-300)]
+    with np.errstate(invalid="ignore"):   # inf - inf and 0 * inf, as in the loop
+        got = check_monotone(values, rel_tol)
+    assert [i for i, _, _ in got] == [i for i, _, _ in expected]
+
+
+def test_ball_mass_is_per_radius():
+    rho = np.linspace(0.05, 2.5, 9)
+    for case in (unit_sphere(1.0, RHO, dim=3), unit_circle(1.0, RHO),
+                 cone_over_circle(0.4, 1.0, RHO)):
+        masses = case.ball_mass(rho)
+        assert masses.shape == rho.shape
+        assert [float(case.ball_mass(r)[0]) for r in rho] == masses.tolist()
 
 
 def test_check_monotone_needs_two_samples():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -257,6 +258,15 @@ def test_bishop_bound_in_high_dimension_matches_mpmath(n):
 def test_bishop_bound_beyond_double_range_is_numerical_error(n, ric0):
     with pytest.raises(NumericalError, match=f"n = {n}, ric0 = {ric0:g}"):
         bishop_bound(n, ric0)
+
+
+@pytest.mark.parametrize("ric0, what", [(1e212, "path end x0"),
+                                        (2.5e206, "volume")])
+def test_bishop_bound_below_normal_doubles_is_numerical_error(ric0, what):
+    # at 2.5e206 the path end x0 = 3.2e-308 is still normal, the bound is not
+    with pytest.raises(NumericalError, match=re.escape(
+            f"{what} is below the normal doubles at n = 3, ric0 = {ric0:g}")):
+        bishop_bound(3, ric0)
 
 
 def test_extremal_volume_overflow_is_numerical_error():

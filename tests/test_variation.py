@@ -2,11 +2,13 @@ import math
 
 import pytest
 
+from isocompare import variation
 from isocompare.errors import DomainError
 from isocompare.variation import (check_first_variation,
                                   check_mean_curvature_evolution,
                                   check_second_variation, convergence_order,
-                                  residual_sequence, variation_report)
+                                  residual_sequence, residual_table,
+                                  variation_report)
 from isocompare.warped import cylinder, football, round_sphere, slice_at
 
 PI = math.pi
@@ -108,3 +110,24 @@ def test_variation_report_combined():
     assert rep.residual_h_dot < 1e-4
     assert rep.residual_second < 1e-4
     assert rep.order_estimate >= 1.9
+
+
+def test_residual_table_is_one_stencil_per_step(monkeypatch):
+    # three slices and one curvature evaluation per step feed all three
+    # residuals, which equal those of the separate checks
+    calls = {"slice_at": 0, "curvature_at": 0}
+    for name in calls:
+        original = getattr(variation, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(variation, name, counted)
+    table = residual_table(FOOTBALL, 1.0, 1e-2, levels=3)
+    assert calls == {"slice_at": 9, "curvature_at": 3}
+    for step, first, h_dot, second in table:
+        assert first == check_first_variation(FOOTBALL, 1.0, step).residual_first
+        assert h_dot == check_mean_curvature_evolution(
+            FOOTBALL, 1.0, step).residual_h_dot
+        assert second == check_second_variation(
+            FOOTBALL, 1.0, step).residual_second
