@@ -103,10 +103,9 @@ def _run_football_alpha(opts):
     columns = ["epsilon", "alpha_oracle", "alpha_as_written", "z_argmax",
                "discrepancy"]
     summary = {
-        "domain_violations": {
-            format_number(r.epsilon): r.domain_violations
-            for r in results if r.domain_violations
-        },
+        # the as-written audit: a count per kind and the first message
+        "violations": {format_number(r.epsilon): r.domain_violations.summary()
+                       for r in results if r.domain_violations},
         "switch_points": {
             format_number(r.epsilon): r.switch_x for r in results
         },

@@ -52,12 +52,15 @@ over every eps, so a sweep costs as many calls as a single eps.
 ``alpha_as_written`` audits a verbatim transcription of the closed form this
 supremum is usually displayed as; the transcribed switch-point formula is
 dimensionally garbled, so every domain violation it incurs is recorded and
-reported against the oracle rather than patched.
+reported against the oracle rather than patched.  A violation is kept as a
+kind and the numbers of its scan point; its message is formatted only when
+read, and the CLI prints a count per kind and the first message per eps.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +73,8 @@ from .warped import curvature_bounds, cylinder, sin_power_integral, total_volume
 __all__ = [
     "EULER_CHARACTERISTIC_SPHERE", "GAUSS_BONNET_TOTAL",
     "R0_UNIT", "RIC0_UNIT", "V0_UNIT",
-    "FootballSpec", "AlphaResult", "Epsilon0Bracket", "CylinderGrowth",
+    "FootballSpec", "AlphaResult", "DomainViolations", "Epsilon0Bracket",
+    "CylinderGrowth",
     "scalar_odi_rhs", "ricci_odi_rhs",
     "alpha_oracle", "alpha_as_written", "alpha_result", "oracle_path",
     "epsilon0", "cylinder_growth",
@@ -135,6 +139,13 @@ _STOP = 1e-6                           # z spacing at which zooming stops
 _ROUNDS = 1 + math.ceil(
     math.log(2.0 * (_Z_MAX - _Z_MAX / 3.0) / (_SCAN - 1) / (_ZOOM - 1) / _STOP)
     / math.log((_ZOOM - 1) / 2))
+
+# 1 - eps below which both routes take eps as 1.  The oracle returns the
+# round sphere, the supremum for every eps above eps0 ~ 0.1347: within 8e-15
+# of 1, where the bracket is about 100 ulps of 4 pi wide, the scan returned
+# a z an ulp below 4 pi and a switch point amplified by 1 / (1 - eps).  The
+# verbatim switch formula divides by 2 (1 - eps).
+_NEAR_ONE = 1e-12
 
 
 def _z_bracket(eps):
@@ -256,7 +267,7 @@ class AlphaResult:
     rhs_sign_changes: int | None = None
     multimodal: bool = False
     degenerate_formula: bool = False
-    domain_violations: list[str] = field(default_factory=list)
+    domain_violations: Sequence[str] = ()
     z_argmax_as_written: float = math.nan
 
 
@@ -357,12 +368,13 @@ def _rhs_difference_sign_changes(eps, z, num: int = 401):
     x_sw, m0, _k = _legs(z, eps)
     xs = _grid(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num)
     e, x_sw, m0 = eps[:, None], x_sw[:, None], m0[:, None]
+    u = np.cbrt(xs)
+    x_2_3, x_m1_3 = u * u, 1.0 / u          # x^(2/3), x^(-1/3)
     ysq = np.where(xs <= x_sw,
-                   _Y0_SQ - m0 - 9.0 * e * xs ** (2.0 / 3.0),
-                   _Y0_SQ - 9.0 * xs ** (2.0 / 3.0)
-                   - 18.0 * (1.0 - e) * x_sw * xs ** (-1.0 / 3.0))
-    ricci = -6.0 * e * xs ** (-1.0 / 3.0)
-    scalar = (_Y0_SQ - ysq) / (3.0 * xs) - 9.0 * xs ** (-1.0 / 3.0)
+                   _Y0_SQ - m0 - 9.0 * e * x_2_3,
+                   _Y0_SQ - 9.0 * x_2_3 - 18.0 * (1.0 - e) * x_sw * x_m1_3)
+    ricci = -6.0 * e * x_m1_3
+    scalar = (_Y0_SQ - ysq) / (3.0 * xs) - 9.0 * x_m1_3
     signs = np.sign(scalar - ricci)
     # a zero takes the sign before it, so only strict changes count
     last = np.maximum.accumulate(
@@ -379,7 +391,7 @@ def alpha_oracle(epsilon):
     """
     eps, single = _batch(epsilon)
     results = [AlphaResult(epsilon=float(e)) for e in eps]
-    inner = eps < 1.0
+    inner = 1.0 - eps >= _NEAR_ONE
     if inner.any():
         e = eps[inner]
         best, z_arg, multimodal = _supremum(e)
@@ -393,14 +405,10 @@ def alpha_oracle(epsilon):
              r.scalar_mass_const, r.multimodal, r.rhs_sign_changes) = row
             r.alpha_oracle = value / math.pi ** 2
     for i in np.flatnonzero(~inner):
-        # the z-bracket collapses to the round sphere
-        r = results[i]
-        r.alpha_oracle = 1.0
-        r.z_argmax = _Z_MAX
-        r.switch_x = 0.0
-        r.ricci_mass_const = 0.0
-        r.scalar_mass_const = 0.0
-        r.rhs_sign_changes = 0
+        # eps within _NEAR_ONE of 1: the round sphere
+        results[i] = AlphaResult(
+            results[i].epsilon, alpha_oracle=1.0, z_argmax=_Z_MAX, switch_x=0.0,
+            ricci_mass_const=0.0, scalar_mass_const=0.0, rhs_sign_changes=0)
     return _unbatch(results, single)
 
 
@@ -439,6 +447,59 @@ def oracle_path(epsilon: float, z: float | None = None,
 # ---------------------------------------------------------------------------
 # the published closed form, evaluated verbatim for audit
 
+# Each kind of domain violation: a short name, for counts, and the template
+# of its message, filled from the scan point's z, verbatim switch y, top
+# z^(3/2) and the radicand constants r1, r2.  The last is the eps -> 1 case.
+_VIOLATIONS = (
+    ("over", "z={z:.6g}: switch y(z)={y:.6g} exceeds termination z^(3/2)={top:.6g}"),
+    ("r1<=0", "z={z:.6g}: first radicand {r1:.6g} <= 0 at x=0"),
+    ("r1cross", "z={z:.6g}: first radicand crosses zero inside [0, y(z)]"),
+    ("r2<=0", "z={z:.6g}: second radicand constant {r2:.6g} <= 0"),
+    ("r2cross", "z={z:.6g}: second radicand negative on a subinterval "
+                "ending at z^(3/2)"),
+    ("degenerate", "eps -> 1: switch formula divides by 2(1-eps)"),
+)
+
+
+class DomainViolations(Sequence):
+    """The as-written audit's violation messages at one eps, in scan order.
+
+    It holds a kind code (an index into ``_VIOLATIONS``) and the numbers
+    (z, y, top, r1, r2) of its scan point per message, and formats a message
+    only when it is read: an audit that is counted, not printed, builds no
+    strings.  ``counts`` and ``summary`` report it in short.
+    """
+
+    __slots__ = ("_kinds", "_numbers")
+
+    def __init__(self, kinds, numbers):
+        self._kinds, self._numbers = kinds, numbers
+
+    def __len__(self) -> int:
+        return len(self._kinds)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        z, y, top, r1, r2 = self._numbers[index].tolist()
+        return _VIOLATIONS[self._kinds[index]][1].format(
+            z=z, y=y, top=top, r1=r1, r2=r2)
+
+    def counts(self) -> dict[str, int]:
+        """Messages per kind name, for the kinds that occur, in table order."""
+        tally = np.bincount(self._kinds, minlength=len(_VIOLATIONS)).tolist()
+        return {kind: n for (kind, _), n in zip(_VIOLATIONS, tally) if n}
+
+    def summary(self) -> str:
+        """The count of each kind, then the first message (of a nonempty
+        sequence): ``over 33, r1<=0 33; z=4.33323: switch y(z)=...``."""
+        counts = ", ".join(f"{kind} {n}" for kind, n in self.counts().items())
+        return f"{counts}; {self[0]}"
+
+
+_DEGENERATE = DomainViolations(np.array([len(_VIOLATIONS) - 1]),
+                               np.full((1, 5), math.nan))
+
 
 def _as_written_switch(z, eps):
     # verbatim: z^((4 pi - eps)/2) / (2 (1 - eps)); the exponent mixes the
@@ -452,16 +513,16 @@ def alpha_as_written(epsilon):
     domain violation instead of clamping.
 
     epsilon is one number or a 1-D sequence, as for ``alpha_oracle``.  The
-    checks run as masks over the (eps, z) scan; violation strings are
-    written only for the entries that violate, z by z in scan order.
+    checks run as masks over the (eps, z) scan.  Each eps keeps the kind
+    code and the scan numbers of its violations, z by z in scan order, as a
+    ``DomainViolations``, whose messages are formatted only when read.
     """
     eps, single = _batch(epsilon)
     results = [AlphaResult(epsilon=float(e)) for e in eps]
-    degenerate = 1.0 - eps < 1e-12
+    degenerate = 1.0 - eps < _NEAR_ONE
     for i in np.flatnonzero(degenerate):
         results[i].degenerate_formula = True
-        results[i].domain_violations.append(
-            "eps -> 1: switch formula divides by 2(1-eps)")
+        results[i].domain_violations = _DEGENERATE
     live = np.flatnonzero(~degenerate)
     if live.size == 0:
         return _unbatch(results, single)
@@ -472,39 +533,25 @@ def alpha_as_written(epsilon):
     x_top = zs ** 1.5
     c1 = _Y0_SQ - 27.0 * (1.0 - e) * y_sw ** (2.0 / 3.0)
     c2 = _Y0_SQ - 18.0 * (1.0 - e) * y_sw ** (-1.0 / 3.0)
-    exceeds = y_sw > x_top
-    c1_nonpositive = c1 <= 0
-    c1_crosses = ~c1_nonpositive & (c1 - 9.0 * e * y_sw ** (2.0 / 3.0) < 0)
-    first = exceeds | c1_nonpositive | c1_crosses
-    c2_nonpositive = ~first & (c2 <= 0)
-    c2_crosses = (~first & ~c2_nonpositive
-                  & (c2 - 9.0 * x_top ** (2.0 / 3.0) < 0))
-    clean = ~(first | c2_nonpositive | c2_crosses)
-
-    table = zip(*(a.tolist() for a in (
-        clean, zs, y_sw, x_top, c1, c2, exceeds, c1_nonpositive, c1_crosses,
-        c2_nonpositive, c2_crosses)))
-    for row, columns in zip(live.tolist(), table):
-        violations = results[row].domain_violations
-        for ok, z, y, top, r1, r2, over, low1, cross1, low2, cross2 in zip(*columns):
-            if ok:
-                continue
-            if over:
-                violations.append(
-                    f"z={z:.6g}: switch y(z)={y:.6g} exceeds termination "
-                    f"z^(3/2)={top:.6g}")
-            if low1:
-                violations.append(f"z={z:.6g}: first radicand {r1:.6g} <= 0 at x=0")
-            elif cross1:
-                violations.append(
-                    f"z={z:.6g}: first radicand crosses zero inside [0, y(z)]")
-            if low2:
-                violations.append(
-                    f"z={z:.6g}: second radicand constant {r2:.6g} <= 0")
-            elif cross2:
-                violations.append(
-                    f"z={z:.6g}: second radicand negative on a subinterval "
-                    f"ending at z^(3/2)")
+    over = y_sw > x_top
+    first = np.where(c1 <= 0, 1,
+                     np.where(c1 - 9.0 * e * y_sw ** (2.0 / 3.0) < 0, 2, -1))
+    second = np.where(c2 <= 0, 3,
+                      np.where(c2 - 9.0 * x_top ** (2.0 / 3.0) < 0, 4, -1))
+    # up to three messages per (eps, z), in this order: the switch, the first
+    # radicand, and the second where neither of those fails; a code indexes
+    # _VIOLATIONS, -1 is no message
+    codes = np.array((np.where(over, 0, -1), first,
+                      np.where(over | (first >= 0), -1, second))).transpose(1, 2, 0)
+    found = codes >= 0
+    clean = ~found.any(axis=-1)
+    at_eps, at_z, _ = np.nonzero(found)
+    kinds = codes[found]
+    numbers = np.array((zs, y_sw, x_top, c1, c2))[:, at_eps, at_z].T
+    ends = np.cumsum(np.count_nonzero(found, axis=(1, 2))).tolist()
+    for i, start, end in zip(live.tolist(), [0] + ends, ends):
+        results[i].domain_violations = DomainViolations(kinds[start:end],
+                                                        numbers[start:end])
 
     rows, cols = np.nonzero(clean)
     if rows.size:

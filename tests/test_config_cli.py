@@ -337,8 +337,37 @@ def test_cli_alpha_grid_rows_match_single_eps(tmp_path, grid):
         single_rows, single_comments = _alpha_lines(
             tmp_path, "--epsilon", repr(float(eps)))
         assert single_rows[key] == rows[key]
-        for name in (f"# domain_violations.{key}", f"# switch_points.{key}"):
+        for name in (f"# violations.{key}", f"# switch_points.{key}"):
+            assert name in comments, name
             assert single_comments.get(name) == comments.get(name), name
+
+
+def test_cli_alpha_switch_point_within_ulps_of_one(tmp_path):
+    # a bracket [z_lo, 4 pi] a few ulps wide is the round sphere, as at
+    # eps = 1: no switch point amplified by 1 / (1 - eps)
+    rows, comments = _alpha_lines(tmp_path, "--epsilon", "0.999999999999999")
+    assert comments["# switch_points.1"] == "# switch_points.1 = 0"
+    assert rows["1"] == "1,1,nan,12.5663706144,nan"
+
+
+def test_cli_alpha_violations_are_counted_not_listed(tmp_path):
+    # one line per eps, a count per kind and the first message, also at a
+    # 256-eps grid, which wrote over 1 MB while every message was printed
+    out = tmp_path / "alpha.csv"
+    assert main(["football-alpha", "--eps-grid", "0.05:0.5:256",
+                 "--out", str(out)]) == 0
+    assert out.stat().st_size < 50_000
+    lines = out.read_text().splitlines()
+    audit = [l for l in lines if l.startswith("# violations.")]
+    assert len(audit) == 256
+    assert audit[0] == (
+        "# violations.0.05 = over 33, r1<=0 33; z=4.33323: switch y(z)=5087.84 "
+        "exceeds termination z^(3/2)=9.02023")
+    # the JSON summary carries the same text per eps
+    assert main(["football-alpha", "--eps-grid", "0.05:0.5:256", "--format",
+                 "json", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]["violations"]
+    assert [f"# violations.{k} = {v}" for k, v in sorted(summary.items())] == audit
 
 
 def test_console_entry_point(tmp_path):

@@ -126,6 +126,49 @@ def test_no_switch_above_threshold():
         assert r.z_argmax == pytest.approx(4 * PI, rel=1e-12)
 
 
+def test_round_sphere_within_a_few_ulps_of_one():
+    # 1 - eps = k 2^-53, k = 1..68, left the scan a bracket of a few to
+    # about 100 ulps of 4 pi: it returned z an ulp below 4 pi and a switch
+    # point amplified by 1 / (1 - eps), 6.3 at eps = 0.999999999999999
+    eps = [0.999999999999999] + [1.0 - k * 2.0 ** -53 for k in range(1, 69)]
+    for r in alpha_oracle(eps):
+        assert (r.alpha_oracle, r.z_argmax, r.switch_x) == (1.0, 4 * PI, 0.0)
+
+
+def _sign_changes_power_form(eps, z, num=401):
+    # the scan as first written, with float powers of x
+    x_sw, m0, _k = football_module._legs(z, eps)
+    xs = football_module._grid(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num)
+    e, x_sw, m0 = eps[:, None], x_sw[:, None], m0[:, None]
+    y0_sq = football_module._Y0_SQ
+    ysq = np.where(xs <= x_sw,
+                   y0_sq - m0 - 9.0 * e * xs ** (2.0 / 3.0),
+                   y0_sq - 9.0 * xs ** (2.0 / 3.0)
+                   - 18.0 * (1.0 - e) * x_sw * xs ** (-1.0 / 3.0))
+    ricci = -6.0 * e * xs ** (-1.0 / 3.0)
+    scalar = (y0_sq - ysq) / (3.0 * xs) - 9.0 * xs ** (-1.0 / 3.0)
+    signs = np.sign(scalar - ricci)
+    last = np.maximum.accumulate(np.where(signs != 0, np.arange(num), 0), axis=-1)
+    signs = np.take_along_axis(signs, last, axis=-1)
+    return np.count_nonzero(signs[:, 1:] * signs[:, :-1] < 0, axis=-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(st.tuples(st.floats(1e-6, 1.0 - football_module._NEAR_ONE),
+                                 st.floats(0.0, 1.0)), min_size=1, max_size=8))
+def test_sign_changes_match_the_power_form(values):
+    # one cube root per x for x^(2/3) and x^(-1/3) counts the same changes,
+    # at the maximizer and at any z of the bracket, for every eps the oracle
+    # scans (closer to 1 it returns the round sphere without a scan)
+    eps = np.array([e for e, _ in values])
+    z_lo, z_hi = football_module._z_bracket(eps)
+    for z in (np.array([r.z_argmax for r in alpha_oracle(eps)]),
+              z_lo + np.array([s for _, s in values]) * (z_hi - z_lo)):
+        assert np.array_equal(
+            football_module._rhs_difference_sign_changes(eps, z),
+            _sign_changes_power_form(eps, z))
+
+
 def test_alpha_continuity_at_football_end():
     # at z = 4 pi/(3 - 2 eps) the construction degenerates to the pure
     # cone-point path, whose value is the closed-form family value
@@ -141,6 +184,106 @@ def test_alpha_as_written_records_violations():
     assert math.isnan(r.alpha_as_written)
     # the verbatim switch exceeds the termination for every z in the bracket
     assert any("exceeds termination" in v for v in r.domain_violations)
+
+
+# The as-written messages at eps = 0.05 as the audit printed them when it
+# built every string eagerly (the golden football-alpha dump of that time).
+_PARENT_VIOLATIONS_AT_0_05 = [
+    'z=4.33323: switch y(z)=5087.84 exceeds termination z^(3/2)=9.02023',
+    'z=4.33323: first radicand -7474.59 <= 0 at x=0',
+    'z=4.59052: switch y(z)=7299.6 exceeds termination z^(3/2)=9.83541',
+    'z=4.59052: first radicand -9538.96 <= 0 at x=0',
+    'z=4.8478: switch y(z)=10268.7 exceeds termination z^(3/2)=10.6738',
+    'z=4.8478: first radicand -12004.9 <= 0 at x=0',
+    'z=5.10509: switch y(z)=14192.6 exceeds termination z^(3/2)=11.5347',
+    'z=5.10509: first radicand -14922.8 <= 0 at x=0',
+    'z=5.36237: switch y(z)=19306.3 exceeds termination z^(3/2)=12.4175',
+    'z=5.36237: first radicand -18346.4 <= 0 at x=0',
+    'z=5.61966: switch y(z)=25886.3 exceeds termination z^(3/2)=13.3219',
+    'z=5.61966: first radicand -22332.7 <= 0 at x=0',
+    'z=5.87694: switch y(z)=34256.2 exceeds termination z^(3/2)=14.2471',
+    'z=5.87694: first radicand -26941.9 <= 0 at x=0',
+    'z=6.13423: switch y(z)=44791.4 exceeds termination z^(3/2)=15.1929',
+    'z=6.13423: first radicand -32237.6 <= 0 at x=0',
+    'z=6.39152: switch y(z)=57924.8 exceeds termination z^(3/2)=16.1587',
+    'z=6.39152: first radicand -38286.8 <= 0 at x=0',
+    'z=6.6488: switch y(z)=74152.7 exceeds termination z^(3/2)=17.1441',
+    'z=6.6488: first radicand -45159.8 <= 0 at x=0',
+    'z=6.90609: switch y(z)=94040.8 exceeds termination z^(3/2)=18.1488',
+    'z=6.90609: first radicand -52930.3 <= 0 at x=0',
+    'z=7.16337: switch y(z)=118231 exceeds termination z^(3/2)=19.1724',
+    'z=7.16337: first radicand -61675.4 <= 0 at x=0',
+    'z=7.42066: switch y(z)=147447 exceeds termination z^(3/2)=20.2145',
+    'z=7.42066: first radicand -71475.7 <= 0 at x=0',
+    'z=7.67794: switch y(z)=182504 exceeds termination z^(3/2)=21.2749',
+    'z=7.67794: first radicand -82415.2 <= 0 at x=0',
+    'z=7.93523: switch y(z)=224314 exceeds termination z^(3/2)=22.3532',
+    'z=7.93523: first radicand -94581.5 <= 0 at x=0',
+    'z=8.19252: switch y(z)=273893 exceeds termination z^(3/2)=23.4491',
+    'z=8.19252: first radicand -108065 <= 0 at x=0',
+    'z=8.4498: switch y(z)=332371 exceeds termination z^(3/2)=24.5623',
+    'z=8.4498: first radicand -122962 <= 0 at x=0',
+    'z=8.70709: switch y(z)=401001 exceeds termination z^(3/2)=25.6927',
+    'z=8.70709: first radicand -139369 <= 0 at x=0',
+    'z=8.96437: switch y(z)=481163 exceeds termination z^(3/2)=26.8398',
+    'z=8.96437: first radicand -157388 <= 0 at x=0',
+    'z=9.22166: switch y(z)=574381 exceeds termination z^(3/2)=28.0036',
+    'z=9.22166: first radicand -177124 <= 0 at x=0',
+    'z=9.47894: switch y(z)=682325 exceeds termination z^(3/2)=29.1837',
+    'z=9.47894: first radicand -198686 <= 0 at x=0',
+    'z=9.73623: switch y(z)=806824 exceeds termination z^(3/2)=30.3799',
+    'z=9.73623: first radicand -222187 <= 0 at x=0',
+    'z=9.99351: switch y(z)=949879 exceeds termination z^(3/2)=31.592',
+    'z=9.99351: first radicand -247743 <= 0 at x=0',
+    'z=10.2508: switch y(z)=1.11367e+06 exceeds termination z^(3/2)=32.8199',
+    'z=10.2508: first radicand -275473 <= 0 at x=0',
+    'z=10.5081: switch y(z)=1.30056e+06 exceeds termination z^(3/2)=34.0632',
+    'z=10.5081: first radicand -305502 <= 0 at x=0',
+    'z=10.7654: switch y(z)=1.51313e+06 exceeds termination z^(3/2)=35.3219',
+    'z=10.7654: first radicand -337955 <= 0 at x=0',
+    'z=11.0227: switch y(z)=1.75415e+06 exceeds termination z^(3/2)=36.5956',
+    'z=11.0227: first radicand -372964 <= 0 at x=0',
+    'z=11.2799: switch y(z)=2.02665e+06 exceeds termination z^(3/2)=37.8844',
+    'z=11.2799: first radicand -410664 <= 0 at x=0',
+    'z=11.5372: switch y(z)=2.33386e+06 exceeds termination z^(3/2)=39.1879',
+    'z=11.5372: first radicand -451192 <= 0 at x=0',
+    'z=11.7945: switch y(z)=2.67928e+06 exceeds termination z^(3/2)=40.5061',
+    'z=11.7945: first radicand -494691 <= 0 at x=0',
+    'z=12.0518: switch y(z)=3.06669e+06 exceeds termination z^(3/2)=41.8387',
+    'z=12.0518: first radicand -541306 <= 0 at x=0',
+    'z=12.3091: switch y(z)=3.50011e+06 exceeds termination z^(3/2)=43.1856',
+    'z=12.3091: first radicand -591187 <= 0 at x=0',
+    'z=12.5664: switch y(z)=3.98387e+06 exceeds termination z^(3/2)=44.5466',
+    'z=12.5664: first radicand -644488 <= 0 at x=0',
+]
+
+
+def test_as_written_messages_match_the_eager_dump():
+    # the lazy sequence formats today's exact messages, in scan order
+    assert list(alpha_as_written(0.05).domain_violations) == _PARENT_VIOLATIONS_AT_0_05
+    # the crossing and degenerate templates, from the same eager version
+    assert alpha_as_written(1.0 - 1e-11).domain_violations[:2] == [
+        "z=12.5664: switch y(z)=1.13738e+17 exceeds termination z^(3/2)=44.5466",
+        "z=12.5664: first radicand crosses zero inside [0, y(z)]"]
+    assert list(alpha_as_written(1.0).domain_violations) == [
+        "eps -> 1: switch formula divides by 2(1-eps)"]
+
+
+@pytest.mark.parametrize("eps", [1e-6, 0.05, 0.3, 0.9, 1.0 - 1e-11, 1.0])
+def test_violation_counts_sum_to_length(eps):
+    violations = alpha_as_written(eps).domain_violations
+    messages = list(violations)
+    assert sum(violations.counts().values()) == len(violations) == len(messages)
+    assert violations[-1] == messages[-1] and violations[0] in violations
+    with pytest.raises(IndexError):
+        violations[len(violations)]
+
+
+def test_violations_of_a_batch_match_single_eps():
+    eps = [1.0, 0.05, 1.0 - 1e-11, 0.3]
+    for eps_i, batched in zip(eps, alpha_as_written(eps)):
+        assert list(batched.domain_violations) == list(
+            alpha_as_written(eps_i).domain_violations)
 
 
 def test_alpha_as_written_radicand_at_endpoint():
