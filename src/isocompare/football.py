@@ -40,8 +40,11 @@ and the bound is
 with I_* the dx/y integrals along the legs.  At z = 4 pi / (3 - 2 eps) the
 path is the pure ricci curve of the cone-point football family, value
 1 / ((3 - 2 eps) sqrt(eps)); at z = 4 pi it is the round sphere, value 1.
-alpha(eps) = 1 exactly for eps above a constant near 0.1347 and grows without
-bound as eps -> 0, the long-cylinder regime.
+The cone family crosses 1 at eps_c = (2 - sqrt(3)) / 2 ~ 0.1339746, where
+3 - 2 eps = 1 + sqrt(3) and sqrt(eps) = (sqrt(3) - 1) / 2.  alpha(eps) = 1
+exactly for eps above eps0 ~ 0.13472776, which lies above eps_c: between
+the two an interior z still beats both ends.  alpha grows without bound as
+eps -> 0, the long-cylinder regime.
 
 The supremum over z is taken for a whole array of eps at once: a 33-point
 scan, fixed zoom rounds into two brackets per eps (the scan argmax's
@@ -67,8 +70,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .phase_plane import PhasePath, extremal_path, start_height
-from .quadrature import sqrt_endpoint
-from .warped import curvature_bounds, cylinder, sin_power_integral, total_volume
+from .quadrature import WORKSPACE, sqrt_endpoint
+from .warped import curvature_bounds, cylinder, sin_squared_integral, total_volume
 
 __all__ = [
     "EULER_CHARACTERISTIC_SPHERE", "GAUSS_BONNET_TOTAL",
@@ -125,6 +128,7 @@ def ricci_odi_rhs(area: float, area_prime: float, epsilon: float,
 
 _Y0_SQ = start_height(3) ** 2          # 36 pi
 _Z_MAX = GAUSS_BONNET_TOTAL            # termination area of the round sphere
+_ROUND_HALF_VOLUME = math.pi ** 2      # the half volume at z = 4 pi
 _SCAN = 33                             # z values scanned per eps
 _ZOOM = 17                             # z values per bracket in a zoom round
 _STOP = 1e-6                           # z spacing at which zooming stops
@@ -162,14 +166,6 @@ def _legs(z, eps):
     return x_sw, m0, k
 
 
-def _power_arc_integral(c, b: float, u):
-    """int_0^u 3 v^2 (c - b v^2)^(-1/2) dv in closed form: with
-    v = sqrt(c/b) sin(theta) it is 3 c / b^(3/2) int sin^2(theta) dtheta.
-    c and b must be positive."""
-    theta = np.arcsin(np.minimum(u * np.sqrt(b / c), 1.0))
-    return 3.0 * c / b ** 1.5 * sin_power_integral(2, theta)
-
-
 def _scalar_leg_integral(u0, length, k):
     """dx/y along the scalar equality curve from u0 - length to its zero u0,
     in u = x^(1/3), u0 = sqrt(z).
@@ -182,11 +178,18 @@ def _scalar_leg_integral(u0, length, k):
     rather than as a difference of two numbers near u0.  At z = z_lo the
     leg has length zero and the rule returns exactly 0.
     """
-    u0_, k_ = np.asarray(u0)[..., None], np.asarray(k)[..., None]
-
-    def g(v):
-        u = u0_ + v
-        return 3.0 * u * u / np.sqrt(9.0 * (u0_ + u) - k_ / (u * u0_))
+    def g(u, spare, out):
+        # node-major and in place, in the order of 3 u^2 / sqrt(Q(u))
+        np.add(u, u0, out=u)                 # u = u0 + v
+        np.multiply(u, u0, out=spare)
+        np.divide(k, spare, out=spare)       # K / (u u0)
+        np.add(u, u0, out=out)
+        out *= 9.0
+        out -= spare
+        np.sqrt(out, out=out)                # sqrt(Q(u))
+        np.multiply(u, 3.0, out=spare)
+        spare *= u
+        np.divide(spare, out, out=out)
 
     return sqrt_endpoint(g, -length, 0.0, 0.0)
 
@@ -216,38 +219,74 @@ def _half_volume_at(eps):
 
     with delta = sqrt(z) - sqrt(z_lo) = d / (sqrt(z) + sqrt(z_lo)); x_sw is
     then z_lo^(3/2) q, so that both legs see the same z.  Elsewhere 1 - q
-    and sqrt(z) - u_sw are computed as written, which keeps the whole
-    round-sphere leg at z = 4 pi (x_sw = 0) exact.
+    and sqrt(z) - u_sw are computed as written.  At z = 4 pi (x_sw = 0) the
+    ricci leg is empty and the value is the round sphere's closed form,
+    int_0^sqrt(4 pi) u^2 (4 pi - u^2)^(-1/2) du = pi^2, whatever the
+    rounding of the rule's weights.
     """
     z_lo = _Z_MAX / (3.0 - 2.0 * eps)
     two_gap = 2.0 * (1.0 - eps)
+    nine_gap = 9.0 * two_gap
     root_lo = np.sqrt(z_lo)
     top = z_lo * root_lo
     near_top, slope_lo, denominator = top / 8.0, eps * 2.0 * z_lo, two_gap * top
     b = 9.0 * eps
     root_b, scale = np.sqrt(b), 3.0 / b ** 1.5
 
+    single = np.ndim(eps) == 0
+
     def half_volume(z):
+        # in place where the shapes allow, and each name dropped after its
+        # last use, so that few batch-sized arrays are alive at once; every
+        # step keeps the operation order of the formulas above
         z = np.asarray(z, dtype=float)
+        if single and z.ndim == 0:
+            return half_volume(z.reshape(1))[0]
         root = np.sqrt(z)
         roots = root + root_lo
-        x_sw = root * (_Z_MAX - z) / two_gap
-        near = x_sw > near_top
         d = z - z_lo
         delta = d / roots
-        one_minus_q = np.where(
-            near, d * (d + root_lo * delta + slope_lo) / (denominator * roots),
-            1.0 - x_sw / top)
-        x_sw = np.where(near, top - top * one_minus_q, x_sw)
+        x_sw = root * (_Z_MAX - z) / two_gap
+        near = x_sw > near_top
+        # 1 - q, from d where q > 1/8
+        one_minus_q = 1.0 - x_sw / top
+        from_d = root_lo * delta
+        from_d += d
+        from_d += slope_lo
+        from_d *= d
+        roots *= denominator
+        from_d /= roots
+        np.copyto(one_minus_q, from_d, where=near)
+        del d, roots, from_d
+        np.copyto(x_sw, top - top * one_minus_q, where=near)
         u_sw = np.cbrt(x_sw)
+        # 1 - r = (1 - q) / (1 + r + r^2)
         r = u_sw / root_lo
-        one_minus_r = one_minus_q / (1.0 + r + r * r)
-        # (27 - 18 eps) z_lo = 36 pi
-        y_sq = 9.0 * _Z_MAX * one_minus_r * (1.0 + r)
+        one_plus_r = 1.0 + r
+        r *= r
+        r += one_plus_r
+        one_minus_r = one_minus_q / r
+        del one_minus_q, r
+        # y_sw^2 = 36 pi (1 - r) (1 + r), as (27 - 18 eps) z_lo = 36 pi
+        y_sq = 9.0 * _Z_MAX * one_minus_r
+        y_sq *= one_plus_r
+        length = root - u_sw
+        np.copyto(length, delta + root_lo * one_minus_r, where=near)
+        del near, delta, one_minus_r, one_plus_r
+        # ricci leg 3 c / b^(3/2) int_0^theta sin^2, c = b u_sw^2 + y_sw^2
         theta = np.arctan2(u_sw * root_b, np.sqrt(y_sq))
-        ricci_leg = scale * (b * u_sw * u_sw + y_sq) * sin_power_integral(2, theta)
-        length = np.where(near, delta + root_lo * one_minus_r, root - u_sw)
-        return ricci_leg + _scalar_leg_integral(root, length, 9.0 * two_gap * x_sw)
+        ricci_leg = b * u_sw
+        ricci_leg *= u_sw
+        ricci_leg += y_sq
+        ricci_leg *= scale
+        del u_sw, y_sq
+        x_sw *= nine_gap                     # K = 18 (1 - eps) x_sw
+        scalar_leg = _scalar_leg_integral(root, length, x_sw)
+        del root, length, x_sw
+        ricci_leg *= sin_squared_integral(theta)     # theta in [0, pi/2]
+        ricci_leg += scalar_leg
+        np.copyto(ricci_leg, _ROUND_HALF_VOLUME, where=z == _Z_MAX)
+        return ricci_leg
 
     return half_volume
 
@@ -286,11 +325,13 @@ def _unbatch(results: list, single: bool):
     return results[0] if single else results
 
 
-def _grid(lo, hi, num: int):
+def _grid(lo, hi, num: int, out=None):
     """num evenly spaced points from lo to hi on a new last axis, both ends
-    exact (hi is 4 pi on the last cell, where x_sw must be exactly 0)."""
+    exact (hi is 4 pi on the last cell, where x_sw must be exactly 0),
+    written into out when it is given."""
     lo = np.asarray(lo, dtype=float)
-    z = lo[..., None] + ((hi - lo) / (num - 1))[..., None] * np.arange(num)
+    z = np.multiply(((hi - lo) / (num - 1))[..., None], np.arange(num), out=out)
+    z += lo[..., None]
     z[..., -1] = hi
     return z
 
@@ -323,8 +364,14 @@ def _supremum(eps):
     row, pair = rows[:, None], np.arange(2)
     lo = np.stack([zs[rows, np.maximum(k - 1, 0)], zs[:, 0]], axis=-1)
     hi = np.stack([zs[rows, np.minimum(k + 1, _SCAN - 1)], zs[:, 1]], axis=-1)
+    z_scan, f_scan = zs[rows, k], vals[rows, k]
+    interior = vals[:, 1:-1]
+    peaks = np.sum((interior > vals[:, :-2]) & (interior > vals[:, 2:]), axis=-1)
+    del zs, vals, interior          # few batch-sized arrays alive per call
+    f = None
     for _ in range(_ROUNDS):
         z = _grid(lo, hi, _ZOOM)
+        del f                       # the last round's values, before this call
         f = half_volume(z)
         j = np.argmax(f, axis=-1)
         lo = z[row, pair, np.maximum(j - 1, 0)]
@@ -353,34 +400,54 @@ def _supremum(eps):
     # maximum at 4 pi there when the bracket is narrower than the half
     # volume's resolution (eps -> 1), where z a few ulps off 4 pi would
     # give a switch point amplified by 1 / (1 - eps)
-    f_scan = vals[rows, k]
     stay = f_best <= f_scan * (1.0 + 4.0 * np.finfo(float).eps)
-    interior = vals[:, 1:-1]
-    peaks = np.sum((interior > vals[:, :-2]) & (interior > vals[:, 2:]), axis=-1)
-    return (np.where(stay, f_scan, f_best), np.where(stay, zs[rows, k], z_best),
+    return (np.where(stay, f_scan, f_best), np.where(stay, z_scan, z_best),
             peaks > 1)
 
 
 def _rhs_difference_sign_changes(eps, z, num: int = 401):
     """Sign changes of (scalar - ricci) phase-space descent bounds along the
     oracle path at each (eps, z) of two 1-D arrays; exactly one for eps < 1
-    on interior z."""
+    on interior z.
+
+    The (eps, x) grid is worked on in place in this thread's workspace, in
+    the order of the expressions in the comments.
+    """
     x_sw, m0, _k = _legs(z, eps)
-    xs = _grid(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num)
     e, x_sw, m0 = eps[:, None], x_sw[:, None], m0[:, None]
-    u = np.cbrt(xs)
-    x_2_3, x_m1_3 = u * u, 1.0 / u          # x^(2/3), x^(-1/3)
-    ysq = np.where(xs <= x_sw,
-                   _Y0_SQ - m0 - 9.0 * e * x_2_3,
-                   _Y0_SQ - 9.0 * x_2_3 - 18.0 * (1.0 - e) * x_sw * x_m1_3)
-    ricci = -6.0 * e * x_m1_3
-    scalar = (_Y0_SQ - ysq) / (3.0 * xs) - 9.0 * x_m1_3
-    signs = np.sign(scalar - ricci)
-    # a zero takes the sign before it, so only strict changes count
-    last = np.maximum.accumulate(
-        np.where(signs != 0, np.arange(num), 0), axis=-1)
-    signs = np.take_along_axis(signs, last, axis=-1)
-    return np.count_nonzero(signs[:, 1:] * signs[:, :-1] < 0, axis=-1)
+    xs, u, x_m1_3, ricci_y, part = WORKSPACE.take(5, (eps.size, num))
+    _grid(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num, out=xs)
+    np.cbrt(xs, out=u)
+    np.divide(1.0, u, out=x_m1_3)            # x^(-1/3)
+    u *= u                                   # x^(2/3)
+    # y^2 = Y0^2 - m0 - 9 eps x^(2/3) up to x_sw, and beyond it
+    # Y0^2 - 9 x^(2/3) - 18 (1 - eps) x_sw x^(-1/3)
+    np.multiply(9.0 * e, u, out=ricci_y)
+    np.subtract(_Y0_SQ - m0, ricci_y, out=ricci_y)
+    u *= 9.0
+    np.subtract(_Y0_SQ, u, out=u)
+    np.multiply(18.0 * (1.0 - e) * x_sw, x_m1_3, out=part)
+    u -= part
+    np.copyto(u, ricci_y, where=xs <= x_sw)
+    # scalar - ricci = (Y0^2 - y^2) / (3 x) - 9 x^(-1/3) - (-6 eps x^(-1/3))
+    np.subtract(_Y0_SQ, u, out=u)
+    xs *= 3.0
+    u /= xs
+    np.multiply(9.0, x_m1_3, out=part)
+    u -= part
+    np.multiply(-6.0 * e, x_m1_3, out=part)
+    u -= part
+    signs = np.sign(u, out=u)
+    # a zero takes the sign before it, so only strict changes count: the
+    # flat index of the last nonzero sign so far, as integers in the
+    # memory of a spare array of doubles
+    last = part.view(np.int64)
+    np.multiply(signs != 0, np.arange(num), out=last)
+    np.maximum.accumulate(last, axis=-1, out=last)
+    last += np.arange(0, signs.size, num)[:, None]
+    filled = np.take(signs.reshape(-1), last, out=ricci_y, mode="clip")
+    np.multiply(filled[:, 1:], filled[:, :-1], out=xs[:, 1:])
+    return np.count_nonzero(xs[:, 1:] < 0, axis=-1)
 
 
 def alpha_oracle(epsilon):
@@ -516,6 +583,11 @@ def alpha_as_written(epsilon):
     checks run as masks over the (eps, z) scan.  Each eps keeps the kind
     code and the scan numbers of its violations, z by z in scan order, as a
     ``DomainViolations``, whose messages are formatted only when read.
+
+    No scan point ever passes: on z in [4 pi / (3 - 2 eps), 4 pi] the
+    verbatim switch over the termination is y / z^(3/2)
+    = z^((4 pi - eps - 3) / 2) / (2 (1 - eps)) >= (4 pi / 3)^4.28 / 2 > 200, so
+    every point is ``over`` and the verbatim value stays nan at every eps.
     """
     eps, single = _batch(epsilon)
     results = [AlphaResult(epsilon=float(e)) for e in eps]
@@ -544,7 +616,6 @@ def alpha_as_written(epsilon):
     codes = np.array((np.where(over, 0, -1), first,
                       np.where(over | (first >= 0), -1, second))).transpose(1, 2, 0)
     found = codes >= 0
-    clean = ~found.any(axis=-1)
     at_eps, at_z, _ = np.nonzero(found)
     kinds = codes[found]
     numbers = np.array((zs, y_sw, x_top, c1, c2))[:, at_eps, at_z].T
@@ -552,20 +623,6 @@ def alpha_as_written(epsilon):
     for i, start, end in zip(live.tolist(), [0] + ends, ends):
         results[i].domain_violations = DomainViolations(kinds[start:end],
                                                         numbers[start:end])
-
-    rows, cols = np.nonzero(clean)
-    if rows.size:
-        b = 9.0 * e[rows, 0]
-        u_sw, u_top = y_sw[rows, cols] ** (1.0 / 3.0), x_top[rows, cols] ** (1.0 / 3.0)
-        val = np.full(zs.shape, -np.inf)
-        val[rows, cols] = (_power_arc_integral(c1[rows, cols], b, u_sw)
-                           + _power_arc_integral(c2[rows, cols], 9.0, u_top)
-                           - _power_arc_integral(c2[rows, cols], 9.0, u_sw))
-        best = np.argmax(val, axis=-1)
-        for row in np.unique(rows):
-            r = results[live[row]]
-            r.alpha_as_written = float(val[row, best[row]]) / math.pi ** 2
-            r.z_argmax_as_written = float(zs[row, best[row]])
     return _unbatch(results, single)
 
 

@@ -238,8 +238,11 @@ def volume_from_path(path: PhasePath) -> float:
                     f"volume is below the normal doubles at n = {n}, ric0 = {path.ric0:g}")
     else:
         x0 = path.x0
-        half = sqrt_endpoint(lambda x: np.sqrt((x0 - x) / path.height_squared(x)),
-                             path.x[:-1], path.x[1:], x0).sum()
+
+        def g(x, spare, out):
+            np.sqrt((x0 - x) / path.height_squared(x), out=out)
+
+        half = sqrt_endpoint(g, path.x[:-1], path.x[1:], x0).sum()
     return float(2.0 * half)
 
 

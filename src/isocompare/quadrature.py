@@ -23,6 +23,21 @@ maximizer) at each eps in {5e-3, 0.05, 0.1345, 0.9}, same double inputs:
     nodes            4        8        12       16       20
     relative error   4e-5     1.5e-9   6e-13    3e-15    2.5e-15
 
+The rule runs node-major.  For intervals of shape ``shape`` the abscissae
+are one (NODES, *shape) array, so every elementwise step, and the integrand
+``g``, which writes through ``out=``, runs over the contiguous batch axis
+instead of broadcasting against a 16-long inner axis.  These arrays are
+views of a ``Workspace``, one per thread, grown to the largest call so far
+and never returned, so a call allocates no NODES x batch array.  The form
+it replaces made about 16 of them per call, 287 KiB each at 66 eps, above
+glibc's 128 KiB mmap threshold, so each came back as fresh pages.  The
+values are copied back to (*shape, NODES) for the weighted sum ``@ _W``, a
+BLAS matrix-vector product whose rounding depends on where a row sits in
+its matrix: with OpenBLAS's Haswell kernels the round-sphere leg is pi^2 in
+the last row of 17 or 33 and an ulp below it in a row of a 4-row block.
+Keeping the layout the sum always had keeps every interval's sum, and every
+half volume, bit for bit.
+
 ``sin_power``: int_0^theta sin^m for 0 <= theta <= pi, one rule in theta on
 [0, phi], phi = min(theta, pi - theta), reflected about pi/2 as
 2 half - part, where half = int_0^(pi/2) sin^m is the Wallis integral, which
@@ -55,9 +70,9 @@ rule, because ``warped.sphere_area`` is 0 from dimension 491 on.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import math
+import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,10 +81,10 @@ from .errors import QuadratureError
 __all__ = ["NODES", "gauss_legendre", "sin_power", "sqrt_endpoint"]
 
 NODES = 16
-# numpy's weights, not ``gauss_legendre``'s: with them the round-sphere leg
-# at z = 4 pi comes out exactly pi^2, so alpha is exactly 1 above eps0; the
-# nearest doubles land an ulp above, and alpha is within 4.4e-16 of the
-# 50-digit reference at ten eps in [5e-3, 0.3] with either
+# numpy's weights, not ``gauss_legendre``'s: the printed digits of alpha
+# were made with them.  alpha is within 4.4e-16 of the 50-digit reference
+# at ten eps in [5e-3, 0.3] with either, and is exactly 1 above eps0 with
+# either, since the round sphere's leg is the closed form pi^2 in ``football``
 _T, _W = np.polynomial.legendre.leggauss(NODES)
 
 # (largest power m, node count), from the table in the module docstring
@@ -110,24 +125,67 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x_out, w_out
 
 
+class Workspace(threading.local):
+    """Scratch arrays of doubles, one set per thread: a flat buffer grown on
+    demand to the largest request so far.  A view taken from it is valid
+    until the next ``take`` on the same thread; the kernels that take one
+    never return it, and never run inside each other."""
+
+    def __init__(self):
+        self.buffer = np.empty(0)
+
+    def take(self, count: int, shape: tuple) -> np.ndarray:
+        """count arrays of the given shape, as one view of shape (count, *shape)."""
+        size = count * math.prod(shape)
+        if self.buffer.size < size:
+            self.buffer = np.empty(size)
+        return self.buffer[:size].reshape((count,) + shape)
+
+
+# the scratch of the package's array kernels: ``sqrt_endpoint`` and the
+# sign count of ``football``
+WORKSPACE = Workspace()
+
+
 def sqrt_endpoint(g, a, b, c):
     """int_a^b g(x) / sqrt(c - x) dx for c >= b, elementwise over the
     broadcast shape of a, b and c.
 
-    g maps an array of abscissae of shape (*shape, NODES) to integrand values
-    of the same shape.  It is evaluated at x = c only on an interval of length
-    zero ending at c, where its value is multiplied by 0.
+    g(x, spare, out) writes the integrand's values at the node-major
+    abscissae x, of shape (NODES, *shape), into out, of the same shape.
+    x and spare are scratch that g may overwrite, and out may serve as
+    scratch before the values go in; all three are views of this thread's
+    ``WORKSPACE``, valid only during the call, so g takes none itself.
+    g is evaluated at x = c only on
+    an interval of length zero ending at c, where its value is multiplied
+    by 0.
     """
-    c = np.asarray(c, dtype=float)
+    # names are dropped after their last use, so that few batch-sized
+    # arrays are alive at once
     w_lo, w_hi = np.sqrt(c - b), np.sqrt(c - a)
-    w = (0.5 * (w_hi + w_lo))[..., None] + (0.5 * (w_hi - w_lo))[..., None] * _T
+    width = w_hi - w_lo
+    mid = 0.5 * (w_hi + w_lo)
+    del w_lo, w_hi
+    shape, size = width.shape, width.size
+    table, x, spare, out = WORKSPACE.take(4, (NODES,) + shape)
+    np.copyto(x, _T.reshape((NODES,) + (1,) * len(shape)))
+    x *= 0.5 * width
+    x += mid
+    del mid
+    x *= x
+    np.subtract(c, x, out=x)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = (w_hi - w_lo) * (g(c[..., None] - w * w) @ _W)
-    if not np.isfinite(out).all():
+        g(x, spare, out)
+        # back to (*shape, NODES), the layout the weighted sum was fitted
+        # in, so that each interval's sum keeps its order and its bits
+        rows = table.reshape(size, NODES)
+        np.copyto(rows.T, out.reshape(NODES, size))
+        result = width * (rows.reshape(shape + (NODES,)) @ _W)
+    if not np.isfinite(result).all():
         raise QuadratureError(
-            f"endpoint integral is not finite on {np.count_nonzero(~np.isfinite(out))} "
-            f"of {out.size} intervals")
-    return out
+            f"endpoint integral is not finite on {np.count_nonzero(~np.isfinite(result))} "
+            f"of {result.size} intervals")
+    return result
 
 
 @lru_cache(maxsize=None)

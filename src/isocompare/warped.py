@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +36,8 @@ from .quadrature import sin_power
 __all__ = [
     "WarpedMetric", "CurvatureData", "CurvatureBounds", "Slice", "Profile",
     "MonotoneCubic", "round_sphere", "football", "cylinder", "tabulated",
-    "sin_power_integral", "sphere_area", "log_sphere_area", "eval_warp",
+    "sin_power_integral", "sin_squared_integral", "sphere_area",
+    "log_sphere_area", "eval_warp",
     "curvature_at", "curvature_bounds", "slice_at", "total_volume",
     "candidate_profile",
 ]
@@ -90,13 +92,20 @@ def sin_power_integral(m: int, theta):
     """
     th = np.clip(np.asarray(theta, dtype=float), 0.0, math.pi)
     if m == 2:
-        x = 2.0 * th
-        y = x * x
-        series = _X_MINUS_SIN[0]
-        for coefficient in _X_MINUS_SIN[1:]:
-            series = series * y + coefficient
-        return 0.25 * np.where(x < 1.0, series * y * x, x - np.sin(x))
+        return sin_squared_integral(th)
     return sin_power(m, th)
+
+
+def sin_squared_integral(theta):
+    """Integral of sin^2 over [0, theta] for theta already in [0, pi]:
+    ``sin_power_integral(2, theta)`` without the clip, for callers whose
+    theta lies there by construction."""
+    x = 2.0 * theta
+    y = x * x
+    series = _X_MINUS_SIN[0]
+    for coefficient in _X_MINUS_SIN[1:]:
+        series = series * y + coefficient
+    return 0.25 * np.where(x < 1.0, series * y * x, x - np.sin(x))
 
 
 class MonotoneCubic:
@@ -255,6 +264,16 @@ class _CylinderWarp:
         return self.radius ** m * np.asarray(t, dtype=float)
 
 
+@lru_cache(maxsize=None)
+def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Legendre rule, built once per node count and read-only:
+    numpy's own doubles, so that the tabulated power integrals keep their
+    bits."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 class _TabulatedWarp:
     """Monotone cubic interpolation of positive samples on an interior window.
 
@@ -307,7 +326,7 @@ class _TabulatedWarp:
     def power_integral(self, t, m: int):
         # f^m has degree 3m on each cubic piece, where the
         # ceil((3m+1)/2)-node Gauss-Legendre rule is exact
-        nodes, weights = np.polynomial.legendre.leggauss((3 * m + 2) // 2)
+        nodes, weights = _leggauss((3 * m + 2) // 2)
 
         def within_piece(lo, hi):
             half = 0.5 * (hi - lo)

@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -7,13 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isocompare.errors import DomainError, NumericalError, ValidationError
+from isocompare import quadrature
+from isocompare.errors import (DomainError, NumericalError, QuadratureError,
+                               ValidationError)
 from isocompare.football import (EULER_CHARACTERISTIC_SPHERE,
                                  GAUSS_BONNET_TOTAL, FootballSpec,
                                  alpha_as_written, alpha_oracle, alpha_result,
                                  cylinder_growth, epsilon0, oracle_path,
                                  ricci_odi_rhs, scalar_odi_rhs)
 from isocompare.phase_plane import extremal_path, volume_from_path
+from isocompare.warped import sin_power_integral
 
 # the package's football() function shadows the module of the same name
 football_module = sys.modules["isocompare.football"]
@@ -167,6 +172,19 @@ def test_sign_changes_match_the_power_form(values):
         assert np.array_equal(
             football_module._rhs_difference_sign_changes(eps, z),
             _sign_changes_power_form(eps, z))
+
+
+def test_sign_changes_of_batches_in_one_workspace():
+    # the (eps, x) grid of each batch is worked in place in one scratch
+    # buffer, larger and smaller batches after each other
+    rng = np.random.default_rng(7)
+    for size in (203, 1, 66, 7, 203):
+        eps = rng.uniform(1e-6, 1.0 - football_module._NEAR_ONE, size)
+        z_lo, z_hi = football_module._z_bracket(eps)
+        z = z_lo + rng.uniform(0.0, 1.0, size) * (z_hi - z_lo)
+        z[:2] = z_lo[:2]
+        assert np.array_equal(football_module._rhs_difference_sign_changes(eps, z),
+                              _sign_changes_power_form(eps, z))
 
 
 def test_alpha_continuity_at_football_end():
@@ -544,3 +562,200 @@ def test_half_volume_near_cone_end_matches_mpmath(eps):
     got = float(football_module._half_volume_at(eps)(z_lo))
     assert got == pytest.approx(PI ** 2 * football_family_value(eps), rel=1e-14)
     assert float(football_module._half_volume_at(eps)(z_hi)) == PI ** 2
+
+
+# ---------------------------------------------------------------------------
+# the node-major scalar-leg kernel against the expression form it replaced
+
+def _sqrt_endpoint_expression_form(g, a, b, c):
+    # shape-major abscissae (*shape, NODES), one fresh array per operation
+    t, w = quadrature._T, quadrature._W
+    c = np.asarray(c, dtype=float)
+    w_lo, w_hi = np.sqrt(c - b), np.sqrt(c - a)
+    x = (0.5 * (w_hi + w_lo))[..., None] + (0.5 * (w_hi - w_lo))[..., None] * t
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (w_hi - w_lo) * (g(c[..., None] - x * x) @ w)
+
+
+def _half_volume_expression_form(eps, z):
+    # the half volume as written before the in-place kernel; only the round
+    # sphere's value at z = 4 pi is now the closed form pi^2, which numpy's
+    # 16-node weights give exactly where the supremum evaluates 4 pi (the
+    # last z of a scan or zoom row)
+    z_max = football_module._Z_MAX
+    z_lo = z_max / (3.0 - 2.0 * eps)
+    two_gap = 2.0 * (1.0 - eps)
+    root_lo = np.sqrt(z_lo)
+    top = z_lo * root_lo
+    near_top, slope_lo, denominator = top / 8.0, eps * 2.0 * z_lo, two_gap * top
+    b = 9.0 * eps
+    root_b, scale = np.sqrt(b), 3.0 / b ** 1.5
+    z = np.asarray(z, dtype=float)
+    root = np.sqrt(z)
+    roots = root + root_lo
+    x_sw = root * (z_max - z) / two_gap
+    near = x_sw > near_top
+    d = z - z_lo
+    delta = d / roots
+    one_minus_q = np.where(
+        near, d * (d + root_lo * delta + slope_lo) / (denominator * roots),
+        1.0 - x_sw / top)
+    x_sw = np.where(near, top - top * one_minus_q, x_sw)
+    u_sw = np.cbrt(x_sw)
+    r = u_sw / root_lo
+    one_minus_r = one_minus_q / (1.0 + r + r * r)
+    y_sq = 9.0 * z_max * one_minus_r * (1.0 + r)
+    theta = np.arctan2(u_sw * root_b, np.sqrt(y_sq))
+    ricci_leg = scale * (b * u_sw * u_sw + y_sq) * sin_power_integral(2, theta)
+    length = np.where(near, delta + root_lo * one_minus_r, root - u_sw)
+    u0, k = root[..., None], (9.0 * two_gap * x_sw)[..., None]
+
+    def g(v):
+        u = u0 + v
+        return 3.0 * u * u / np.sqrt(9.0 * (u0 + u) - k / (u * u0))
+
+    value = ricci_leg + _sqrt_endpoint_expression_form(g, -length, 0.0, 0.0)
+    return np.where(z == z_max, PI ** 2, value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 203), seed=st.integers(0, 2 ** 32 - 1))
+@example(size=66, seed=1)
+@example(size=203, seed=2)
+def test_half_volume_bit_equal_to_expression_form(size, seed):
+    # in the layouts of the supremum's calls: a 33-point scan, two brackets
+    # of 17 zoom points, two vertices; z_lo is a scalar leg of length 0,
+    # 4 pi the round sphere
+    rng = np.random.default_rng(seed)
+    eps = np.sort(rng.uniform(1e-6, 1.0 - 1e-9, size))
+    z_lo, z_hi = football_module._z_bracket(eps)
+    half_volume = football_module._half_volume_at(eps[:, None, None])
+    for rows, count in ((1, 33), (2, 17), (2, 1)):
+        s = rng.uniform(0.0, 1.0, (rows, count))
+        s[:, 0] = 0.0
+        s[:, -1] = 1.0
+        s[-1, 1:3] = (1e-15, 1e-9) if count > 3 else s[-1, 1:3]
+        z = z_lo[:, None, None] + (z_hi - z_lo)[:, None, None] * s
+        z[..., 0], z[..., -1] = z_lo[:, None], z_hi
+        if count == 1:
+            z[:, 1] = z_lo[:, None]
+        want = _half_volume_expression_form(eps[:, None, None], z)
+        assert np.array_equal(half_volume(z), want)
+    # one eps and one z, as the tests and the path sampler call it
+    e, z = float(eps[0]), float(z_lo[0] + rng.uniform() * (z_hi - z_lo[0]))
+    assert football_module._half_volume_at(e)(z) == _half_volume_expression_form(e, z)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scalar_leg_rejects_a_nonfinite_integrand():
+    # K large enough that Q(u) = 9 (u0 + u) - K / (u u0) is negative: the
+    # in-place steps stay inside np.errstate, and the rule raises
+    with pytest.raises(QuadratureError, match="not finite on 2 of 3"):
+        football_module._scalar_leg_integral(np.full(3, 2.0), np.array([0.5, 0.5, 0.0]),
+                                             np.array([1e6, 1e6, 1.0]))
+
+
+def test_round_sphere_leg_is_closed_form(monkeypatch):
+    # int_0^sqrt(4 pi) u^2 (4 pi - u^2)^(-1/2) du = pi^2: with the nearest
+    # doubles of the 16-node weights the rule lands an ulp below, and alpha
+    # above eps0 came out 0.9999999999999998
+    monkeypatch.setattr(quadrature, "_W", quadrature.gauss_legendre(16)[1])
+    for eps in (0.2, 0.5, 0.9, 1.0 - 1e-9):
+        assert football_module._half_volume_at(eps)(4.0 * PI) == PI ** 2
+        assert alpha_oracle(eps).alpha_oracle == 1.0
+
+
+def test_half_volume_is_eight_array_calls_per_batch(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(np.shape(args[1]))
+        return quadrature.sqrt_endpoint(*args)
+
+    monkeypatch.setattr(football_module, "sqrt_endpoint", counted)
+    for eps in (0.05, [0.01, 0.1, 0.3], np.linspace(0.005, 0.9, 66)):
+        calls.clear()
+        alpha_oracle(eps)
+        assert len(calls) == 8
+
+
+def test_supremum_allocates_less_than_one_node_array():
+    # 66 eps: each zoom round integrates 66 x 34 scalar legs of NODES nodes;
+    # the abscissae and integrand live in the thread's workspace, grown by
+    # the first call, so a repeated supremum allocates less than one
+    # NODES x batch array of doubles (280 KiB; the expression form took
+    # 2.4 MiB)
+    eps = np.linspace(0.006, 0.9, 66)
+    first = football_module._supremum(eps)
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            again = football_module._supremum(eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < quadrature.NODES * 66 * 34 * 8
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+
+
+def test_alpha_from_many_threads_matches_one_thread():
+    # each thread has its own workspace: more threads than cores, switching
+    # every few microseconds, give the bits of a serial run
+    batches = [np.linspace(0.005 + 0.01 * i, 0.9, 20 + 7 * i) for i in range(6)]
+    want = [[r.alpha_oracle for r in alpha_oracle(b)] for b in batches]
+    got = [None] * len(batches)
+
+    def work(i):
+        for _ in range(3):
+            got[i] = [r.alpha_oracle for r in alpha_oracle(batches[i])]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(batches))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps=st.floats(0.0, 1.0 - 1e-12, exclude_min=True, exclude_max=True))
+@example(eps=5e-324)
+@example(eps=float(np.nextafter(1.0 - 1e-12, 0.0)))
+def test_every_as_written_scan_point_is_over(eps):
+    # y / z^(3/2) = z^((4 pi - eps - 3) / 2) / (2 (1 - eps)) > 200 on the
+    # whole bracket, so the verbatim formula is never evaluated
+    r = alpha_as_written(eps)
+    assert r.domain_violations.counts()["over"] == football_module._SCAN
+    assert math.isnan(r.alpha_as_written) and math.isnan(r.z_argmax_as_written)
+
+
+_CONE_CROSSING = (2.0 - math.sqrt(3.0)) / 2.0
+
+
+def test_cone_family_crosses_one_at_closed_form():
+    # 3 - 2 eps = 1 + sqrt 3 and sqrt(eps) = (sqrt 3 - 1) / 2 there
+    assert _CONE_CROSSING == pytest.approx(0.1339746, abs=1e-7)
+    product = (3.0 - 2.0 * _CONE_CROSSING) * math.sqrt(_CONE_CROSSING)
+    assert abs(product - 1.0) <= 4 * np.finfo(float).eps
+    assert football_family_value(np.nextafter(_CONE_CROSSING, 0.0)) > 1.0 - 1e-15
+
+
+def test_alpha_dominates_cone_family_below_crossing():
+    eps = _CONE_CROSSING - np.array([1e-3, 1e-4, 1e-6, 1e-9, 1e-12])
+    alpha = np.array([r.alpha_oracle for r in alpha_oracle(eps)])
+    assert np.all(football_family_value(eps) > 1.0)
+    assert np.all(alpha >= football_family_value(eps) * (1.0 - 1e-12))
+
+
+def test_epsilon0_lies_above_cone_crossing():
+    # alpha stays above 1 past the cone crossing, up to eps0 = 0.13472776
+    bracket = epsilon0("oracle", tol=1e-7)
+    assert _CONE_CROSSING < bracket.lo < 0.13472776 < bracket.hi
+    assert alpha_oracle(0.5 * (_CONE_CROSSING + bracket.lo)).alpha_oracle > 1.0

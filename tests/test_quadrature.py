@@ -17,10 +17,10 @@ def test_sqrt_endpoint_closed_forms_over_arrays():
     def anti(x):
         return 2.0 / 3.0 * np.sqrt(c - x) * (x + 2.0 * c)
 
-    got = sqrt_endpoint(lambda x: x, a, b, c)
+    got = sqrt_endpoint(lambda x, spare, out: np.copyto(out, x), a, b, c)
     assert got.shape == a.shape
     assert np.allclose(got, anti(a) - anti(b), rtol=1e-14, atol=0.0)
-    assert sqrt_endpoint(lambda x: np.ones_like(x), 0.0, 1.0, 1.0) == \
+    assert sqrt_endpoint(lambda x, spare, out: out.fill(1.0), 0.0, 1.0, 1.0) == \
         pytest.approx(2.0, rel=1e-15)
 
 
@@ -28,13 +28,16 @@ def test_sqrt_endpoint_exact_for_polynomials_in_w():
     # with x = c - w^2 a polynomial g of degree NODES - 1 in x has degree
     # 2 NODES - 2 in w, inside the rule's exactness
     m = NODES - 1
-    got = sqrt_endpoint(lambda x: (1.0 - x) ** m, 0.0, 1.0, 1.0)
+    got = sqrt_endpoint(lambda x, spare, out: np.power(1.0 - x, m, out=out),
+                        0.0, 1.0, 1.0)
     assert got == pytest.approx(2.0 / (2 * m + 1), rel=1e-14)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sqrt_endpoint_rejects_nonfinite_values():
     with pytest.raises(QuadratureError):
-        sqrt_endpoint(lambda x: 1.0 / np.sqrt(x - 0.5), 0.0, 1.0, 1.0)
+        sqrt_endpoint(lambda x, spare, out: np.divide(1.0, np.sqrt(x - 0.5), out=out),
+                      0.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("nodes", [1, 2, 5, 16, 24, 64])
@@ -65,3 +68,33 @@ def test_sin_power_at_half_pi_builds_no_rule(monkeypatch):
         assert bishop_bound(n, 1.0) > 0.0
     with pytest.raises(AssertionError, match="16-node"):
         sin_power(7, np.array([0.5 * np.pi, 1.0]))
+
+
+def test_sqrt_endpoint_returns_no_workspace_memory():
+    # the abscissae and values of every call live in the thread's workspace,
+    # grown for the largest call and reused by smaller ones; results are
+    # fresh arrays, unchanged by later calls
+    def g(x, spare, out):
+        np.subtract(1.0, x, out=spare)
+        np.multiply(spare, spare, out=out)
+
+    big = sqrt_endpoint(g, np.zeros(50), np.full(50, 0.5), 1.0)
+    buffer = quadrature.WORKSPACE.buffer
+    small = sqrt_endpoint(g, np.zeros((2, 3)), np.full((2, 3), 0.5), 1.0)
+    assert quadrature.WORKSPACE.buffer is buffer
+    assert not np.shares_memory(big, buffer) and not np.shares_memory(small, buffer)
+    assert big.shape == (50,) and small.shape == (2, 3)
+    assert np.array_equal(big, np.full(50, big[0]))
+    assert np.array_equal(small, np.full((2, 3), big[0]))
+    # int_0^0.5 (1 - x)^2 (1 - x)^(-1/2) dx = (2/5) (1 - 0.5^(5/2))
+    assert big[0] == pytest.approx(0.4 * (1.0 - 0.5 ** 2.5), rel=1e-14)
+
+
+def test_workspace_grows_on_demand():
+    work = quadrature.Workspace()
+    a = work.take(2, (3, 4))
+    assert a.shape == (2, 3, 4)
+    buffer = work.buffer
+    assert work.take(1, (5,)).base is buffer
+    assert work.take(3, (5, 7)).shape == (3, 5, 7)
+    assert work.buffer is not buffer and work.buffer.size == 105

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
+from isocompare import warped
 from isocompare.errors import (DomainError, SingularPointError,
                                UnsupportedPointError, ValidationError)
 from isocompare.warped import (MonotoneCubic, WarpedMetric, candidate_profile,
@@ -435,3 +436,25 @@ def test_tabulated_interpolation_matches_samples():
                            _reference_volume(f_ref, n, xs[0], t, 1.0, xs))
         _assert_volume(total_volume(tab),
                        _reference_volume(f_ref, n, xs[0], xs[-1], 1.0, xs))
+
+
+def test_tabulated_rule_is_numpy_leggauss_built_once(monkeypatch):
+    # numpy's own doubles, read-only, so the power integrals keep their bits
+    x, w = warped._leggauss(11)
+    assert warped._leggauss(11) is warped._leggauss(11)
+    assert not x.flags.writeable and not w.flags.writeable
+    want_x, want_w = np.polynomial.legendre.leggauss(11)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    tab = tabulated([0.5, 0.9, 1.6, 2.0, 2.9], [1.0, 3.0, 0.5, 2.5, 1.2], n=8)
+    t = np.array([0.7, 1.6, 2.5])
+    volume = tab.warp.power_integral(t, 7)
+    built = []
+
+    def counted(nodes):
+        built.append(nodes)
+        return np.polynomial.legendre.leggauss(nodes)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    for _ in range(3):
+        assert np.array_equal(tab.warp.power_integral(t, 7), volume)
+    assert built == []
