@@ -23,7 +23,7 @@ from .football import alpha_result, cylinder_growth, epsilon0
 from .gmt import (RadiusFamily, cone_over_circle, cutoff_budget,
                   monotonicity_profile, unit_circle, unit_sphere)
 from .phase_plane import extremal_path, phase_curve, ricci_mass, volume_from_path
-from .variation import observed_order, residual_table
+from .variation import stencil_table
 from .warped import candidate_profile
 
 
@@ -63,16 +63,11 @@ def _run_profile(opts):
 
 def _run_variation_check(opts):
     metric = build_metric(opts)
-    h0 = opts.get("h", 1e-3 * metric.t_max)
-    levels = opts.get("levels", 3)
-    rows = []
-    for t in opts["t"]:
-        table = residual_table(metric, t, h0, levels)
-        order = observed_order(table)
-        rows += [(t, *row, order) for row in table]
+    table = stencil_table(metric, opts["t"], opts.get("h", 1e-3 * metric.t_max),
+                          opts.get("levels", 3))
     columns = ["t", "h", "residual_first", "residual_h_dot", "residual_second",
                "order"]
-    return "csv", columns, rows, {}
+    return "csv", columns, table.rows(), {}
 
 
 def _run_mass(opts):

@@ -66,6 +66,15 @@ raised to the m-th power.  Above m = 512 the 64-node rule is kept and its
 error grows (6.8e-12 at m = 640, 7.9e-10 at 768); no volume reaches those
 powers except at theta = pi/2, where ``sin_power`` is exact and builds no
 rule, because ``warped.sphere_area`` is 0 from dimension 491 on.
+
+Weighted sums.  ``sin_power`` takes each theta's sum with ``np.vecdot``, one
+BLAS dot product per row, so a batch of theta gives every theta the bits of
+a call on that theta alone.  A matrix-vector ``@`` rounds about one row in
+five of a batch differently from the same row on its own, and the variation
+stencils, which evaluate every (t, step) point in one call, must give the
+digits of the one-point ``warped.slice_at``.  ``sqrt_endpoint`` keeps the
+matrix-vector ``@ _W`` described above: the printed digits of alpha and of
+the sampled-path volumes were made with it.
 """
 
 from __future__ import annotations
@@ -220,5 +229,5 @@ def sin_power(m: int, theta):
     nodes = next((n for top, n in _SIN_POWER_NODES if m <= top), _SIN_POWER_NODES[-1][1])
     t, weights = gauss_legendre(nodes)
     h = 0.5 * np.minimum(theta, math.pi - theta)
-    part = h * (np.sin(h[..., None] * (1.0 + t)) ** m @ weights)
+    part = h * np.vecdot(np.sin(h[..., None] * (1.0 + t)) ** m, weights)
     return np.where(at_half, half, np.where(theta > 0.5 * math.pi, 2.0 * half - part, part))

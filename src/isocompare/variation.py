@@ -12,17 +12,38 @@ and reparameterizing by enclosed volume (dV = A dt, so A'(V) = H exactly),
 on every warped model.  Each check compares a centered difference against the
 closed-form right-hand side and reports a relative residual; residuals decay
 at second order in the step for smooth warps away from the poles.
+
+``stencil_table`` is the one kernel.  For T radii, L steps h / 2^k and the
+three points t - h, t, t + h of each stencil, it makes one
+``warped.pointwise`` call on the (T, L, 3) array of points, forms the three
+checks of every (t, step) as array expressions, and fits the observed order
+of every (t, check) column with a single ``np.polyfit`` whose right-hand
+side is 2-D.  ``residual_table``, ``variation_report``,
+``convergence_order`` and the ``check_*`` functions are views of it at one
+t, and ``variation-check`` reads it once for all its t.  Every number is the
+one a separate check at that (t, step) would give, bit for bit: the
+pointwise quantities round as at a single point, and a 2-D polyfit gives
+each column the slope it gets alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .warped import WarpedMetric, curvature_at, slice_at
+from .warped import WarpedMetric, pointwise
+
+KINDS = ("first", "h_dot", "second")
+
+# deepest step level computed.  For every admissible t, t - h / 2^k rounds
+# to t by k = 55 (t - h > t_min >= 0 gives t > h, and 2^-54 t is below half
+# an ulp of t), where a volume increment vanishes and the table raises, so a
+# deeper level is never reached
+_MAX_LEVELS = 64
 
 
 @dataclass
@@ -40,129 +61,170 @@ class VariationReport:
     analytic_value: float = math.nan
 
 
-def _relative(fd: float, exact: float, floor: float = 0.0) -> float:
-    """Relative residual with a physical scale floor, so points where both
-    sides vanish to roundoff (symmetry points) read as zero rather than as
-    ratios of noise."""
-    scale = max(abs(fd), abs(exact), floor)
-    if scale == 0.0:
-        return 0.0
-    return abs(fd - exact) / scale
+class StencilTable(NamedTuple):
+    """The three checks at every (t, step), from one array pass (a named
+    tuple, built faster than a frozen dataclass on a cold start).
 
-
-def _stencil(metric: WarpedMetric, t: float, h: float):
-    """Slices at t - h, t, t + h and Ric(nu, nu) at t: all the checks read."""
-    if h <= 0:
-        raise DomainError(f"step h must be positive, got {h:g}")
-    if not (metric.t_min < t - h and t + h < metric.t_max):
-        raise DomainError(
-            f"stencil [{t - h:g}, {t + h:g}] leaves ({metric.t_min:g}, {metric.t_max:g})")
-    return (slice_at(metric, t - h), slice_at(metric, t), slice_at(metric, t + h),
-            curvature_at(metric, t).ric_radial)
-
-
-def _checks(metric: WarpedMetric, t: float, h: float) -> dict:
-    """(fd, exact, residual) of each check at (t, h), all from one stencil,
-    keyed by the VariationReport field of the residual.
-
-    first: centered dA/dt against H A, with the area per unit length as the
-    scale floor.  h_dot: centered dH/dt against -|Pi|^2 - Ric(nu, nu).
-    second: second difference of A over the volume parameter against
-    (-|Pi|^2 - Ric(nu, nu)) / A; the stencil is nonuniform in V (dV = A dt),
-    so the three-point formula carries the exact node spacings.
+    Axes: t (T radii), step (L steps h / 2^k) and check (``KINDS``: first,
+    h_dot, second).  first: centered dA/dt against H A, with the area per
+    unit length as the scale floor.  h_dot: centered dH/dt against
+    -|Pi|^2 - Ric(nu, nu).  second: second difference of A over the volume
+    parameter against (-|Pi|^2 - Ric(nu, nu)) / A; the stencil is
+    nonuniform in V (dV = A dt), so the three-point formula carries the
+    exact node spacings.  A residual is relative to the larger side (or
+    the floor), and 0 where both sides vanish to roundoff.
     """
-    lo, mid, hi, ric = _stencil(metric, t, h)
-    h_dot = -mid.second_fundamental_norm_sq - ric
-    d_lo = mid.volume - lo.volume
-    d_hi = hi.volume - mid.volume
-    second = 2.0 * (lo.area * d_hi - mid.area * (d_lo + d_hi) + hi.area * d_lo) \
-        / (d_lo * d_hi * (d_lo + d_hi))
-    out = {
-        "residual_first": ((hi.area - lo.area) / (2.0 * h),
-                           mid.mean_curvature * mid.area, mid.area / metric.t_max),
-        "residual_h_dot": ((hi.mean_curvature - lo.mean_curvature) / (2.0 * h),
-                           h_dot, 0.0),
-        "residual_second": (second, h_dot / mid.area, 0.0),
-    }
-    return {attr: (fd, exact, _relative(fd, exact, floor))
-            for attr, (fd, exact, floor) in out.items()}
+
+    t: np.ndarray           # (T,)
+    h: np.ndarray           # (L,)
+    fd: np.ndarray          # (T, L, 3) finite differences
+    exact: np.ndarray       # (T, L, 3) closed-form right-hand sides
+    residual: np.ndarray    # (T, L, 3)
+    orders: np.ndarray      # (T, 3) observed order of each check, nan if none
+
+    @property
+    def order(self) -> np.ndarray:
+        """Worst observed order at each t over the checks that have one;
+        nan where none has."""
+        worst = np.where(np.isnan(self.orders), np.inf, self.orders).min(axis=1)
+        return np.where(np.isinf(worst), np.nan, worst)
+
+    def rows(self) -> np.ndarray:
+        """(t, h, first, h_dot, second, order) rows, t-major."""
+        count, levels = self.residual.shape[:2]
+        return np.column_stack((np.repeat(self.t, levels), np.tile(self.h, count),
+                                self.residual.reshape(count * levels, 3),
+                                np.repeat(self.order, levels)))
 
 
-def _report(metric: WarpedMetric, t: float, h: float, attr: str) -> VariationReport:
-    fd, exact, residual = _checks(metric, t, h)[attr]
-    return VariationReport(t=t, h=h, fd_value=fd, analytic_value=exact,
-                           **{attr: residual})
+def _first(mask, ts, steps) -> tuple[float, float]:
+    """(t, step) of the first true entry of a (T, L) mask, in table order."""
+    i, k = np.unravel_index(np.argmax(mask), mask.shape)
+    return float(ts[i]), float(steps[k])
+
+
+def _orders(steps, residual):
+    """Observed order of each (t, check) column: the least-squares slope of
+    log residual against log step.  A column with fewer than two steps or a
+    vanishing residual (flat cylinder checks) has none.  Only the columns
+    that have one are fitted, so no log of 0 is taken."""
+    orders = np.full((residual.shape[0], 3), np.nan)
+    if steps.size >= 2:
+        fits = (residual > 0).all(axis=1)
+        if fits.any():
+            columns = residual.transpose(1, 0, 2)[:, fits]
+            orders[fits] = np.polyfit(np.log(steps), np.log(columns), 1)[0]
+    return orders
+
+
+def stencil_table(metric: WarpedMetric, t, h: float | None = None,
+                  levels: int = 3) -> StencilTable:
+    """The three checks at each t of t (a number or a sequence) under
+    successive step halving, h, h/2, ..., h / 2^(levels-1), with every
+    observed order.
+
+    Default step is 1e-3 t_max, balancing truncation against cancellation
+    at double precision.  A stencil that leaves the model, a step that is
+    not positive, or a step so small that a volume increment vanishes
+    raises DomainError, for the first such (t, step) in table order.
+    """
+    if h is None:
+        h = 1e-3 * metric.t_max
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    steps = np.array([h / 2.0 ** k for k in range(min(levels, _MAX_LEVELS))])
+    lo, hi = ts[:, None] - steps, ts[:, None] + steps
+    bad = (steps <= 0) | ~((metric.t_min < lo) & (hi < metric.t_max))
+    if bad.any():
+        at, step = _first(bad, ts, steps)
+        raise DomainError(
+            f"step h must be positive, got {step:g}" if step <= 0 else
+            f"stencil [{at - step:g}, {at + step:g}] leaves "
+            f"({metric.t_min:g}, {metric.t_max:g})")
+    p = pointwise(metric, np.stack((lo, np.broadcast_to(ts[:, None], lo.shape), hi),
+                                   axis=-1))
+    area, volume, mean = p.area, p.volume, p.mean_curvature
+    d_lo = volume[..., 1] - volume[..., 0]
+    d_hi = volume[..., 2] - volume[..., 1]
+    spacing = d_lo * d_hi * (d_lo + d_hi)
+    if (spacing == 0.0).any():
+        at, step = _first(spacing == 0.0, ts, steps)
+        raise DomainError(f"step {step:g} is below the volume's resolution at t={at:g}")
+    mid_area = area[..., 1]
+    h_dot = -p.second_fundamental_norm_sq[..., 1] - p.ric_radial[..., 1]
+    second = 2.0 * (area[..., 0] * d_hi - mid_area * (d_lo + d_hi)
+                    + area[..., 2] * d_lo) / spacing
+    fd = np.stack(((area[..., 2] - area[..., 0]) / (2.0 * steps),
+                   (mean[..., 2] - mean[..., 0]) / (2.0 * steps), second), axis=-1)
+    exact = np.stack((mean[..., 1] * mid_area, h_dot, h_dot / mid_area), axis=-1)
+    floor = np.zeros_like(fd)
+    floor[..., 0] = mid_area / metric.t_max
+    scale = np.maximum(np.maximum(np.abs(fd), np.abs(exact)), floor)
+    residual = np.divide(np.abs(fd - exact), scale, out=np.zeros_like(scale),
+                         where=scale != 0.0)
+    return StencilTable(t=ts, h=steps, fd=fd, exact=exact, residual=residual,
+                        orders=_orders(steps, residual))
+
+
+def _report(metric: WarpedMetric, t: float, h: float, kind: str) -> VariationReport:
+    table = stencil_table(metric, t, h, 1)
+    k = KINDS.index(kind)
+    return VariationReport(t=t, h=h, fd_value=float(table.fd[0, 0, k]),
+                           analytic_value=float(table.exact[0, 0, k]),
+                           **{f"residual_{kind}": float(table.residual[0, 0, k])})
 
 
 def check_first_variation(metric: WarpedMetric, t: float, h: float) -> VariationReport:
     """Centered dA/dt against H A; scale floor is the area per unit length."""
-    return _report(metric, t, h, "residual_first")
+    return _report(metric, t, h, "first")
 
 
 def check_mean_curvature_evolution(metric: WarpedMetric, t: float, h: float) -> VariationReport:
     """Centered dH/dt against -|Pi|^2 - Ric(nu, nu)."""
-    return _report(metric, t, h, "residual_h_dot")
+    return _report(metric, t, h, "h_dot")
 
 
 def check_second_variation(metric: WarpedMetric, t: float, h: float) -> VariationReport:
     """Second difference of A over the volume parameter against
     (-|Pi|^2 - Ric(nu, nu)) / A, on the nonuniform-in-V stencil."""
-    return _report(metric, t, h, "residual_second")
+    return _report(metric, t, h, "second")
 
 
 def residual_table(metric: WarpedMetric, t: float, h: float,
                    levels: int = 3) -> list[tuple[float, float, float, float]]:
     """(h, first, h_dot, second) residual rows under successive step
-    halving, one stencil per step."""
-    return [(step, *(c[2] for c in _checks(metric, t, step).values()))
-            for step in (h / 2.0 ** k for k in range(levels))]
+    halving."""
+    table = stencil_table(metric, t, h, levels)
+    return [(step, *row) for step, row in zip(table.h.tolist(),
+                                               table.residual[0].tolist())]
 
 
 def residual_sequence(metric: WarpedMetric, t: float, h: float, kind: str,
                       levels: int = 3) -> list[tuple[float, float]]:
     """(h, residual) pairs of one check, first, h_dot or second, under
     successive step halving."""
-    column = 1 + ("first", "h_dot", "second").index(kind)
+    column = 1 + KINDS.index(kind)
     return [(row[0], row[column]) for row in residual_table(metric, t, h, levels)]
-
-
-def observed_order(table) -> float:
-    """Worst observed order over the residual columns of (h, residual, ...)
-    rows.
-
-    Each column's order is the least-squares slope of log residual vs log
-    step; a column with fewer than two steps or a vanishing residual (flat
-    cylinder checks) has none.  nan when no column has an order.
-    """
-    orders = []
-    if len(table) >= 2:
-        hs = np.array([row[0] for row in table])
-        for column in range(1, len(table[0])):
-            rs = np.array([row[column] for row in table])
-            if np.all(rs > 0):
-                orders.append(float(np.polyfit(np.log(hs), np.log(rs), 1)[0]))
-    return min(orders) if orders else math.nan
 
 
 def convergence_order(metric: WarpedMetric, t: float, h: float, kind: str,
                       levels: int = 3) -> float:
-    """Observed order of one check under step halving (see observed_order)."""
-    return observed_order(residual_sequence(metric, t, h, kind, levels))
+    """Observed order of one check under step halving: the least-squares
+    slope of log residual vs log step, nan with fewer than two steps or a
+    vanishing residual."""
+    return float(stencil_table(metric, t, h, levels).orders[0, KINDS.index(kind)])
 
 
 def variation_report(metric: WarpedMetric, t: float, h: float | None = None,
                      levels: int = 3) -> VariationReport:
     """All three residuals at (t, h) plus the worst observed order.
 
-    Default step is 1e-3 t_max, balancing truncation against cancellation
-    at double precision.  One stencil per level; the residuals at h are the
-    first level's.
+    Default step is 1e-3 t_max.  The residuals at h are the first level's.
     """
     if h is None:
         h = 1e-3 * metric.t_max
-    table = residual_table(metric, t, h, max(levels, 1))
-    order = observed_order(table)
-    _, first, h_dot, second = table[0]
+    table = stencil_table(metric, t, h, max(levels, 1))
+    first, h_dot, second = table.residual[0, 0].tolist()
+    order = float(table.order[0])
     return VariationReport(t=t, h=h, residual_first=first, residual_h_dot=h_dot,
                            residual_second=second,
                            order_estimate=None if math.isnan(order) else order)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ __all__ = [
     "WarpedMetric", "CurvatureData", "CurvatureBounds", "Slice", "Profile",
     "MonotoneCubic", "round_sphere", "football", "cylinder", "tabulated",
     "sin_power_integral", "sin_squared_integral", "sphere_area",
-    "log_sphere_area", "eval_warp",
+    "log_sphere_area", "eval_warp", "Pointwise", "pointwise",
     "curvature_at", "curvature_bounds", "slice_at", "total_volume",
     "candidate_profile",
 ]
@@ -106,6 +106,15 @@ def sin_squared_integral(theta):
     for coefficient in _X_MINUS_SIN[1:]:
         series = series * y + coefficient
     return 0.25 * np.where(x < 1.0, series * y * x, x - np.sin(x))
+
+
+def _float_pow(x, p):
+    """x ** p element by element with the C library's pow, as a Python float
+    power rounds.  numpy's array power takes its own SIMD path, which rounds
+    about one element in twenty differently on AVX-512, so the pointwise
+    quantities use this one at a single point and in a batch alike."""
+    x = np.asarray(x, dtype=float)
+    return np.array([v ** p for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 class MonotoneCubic:
@@ -195,7 +204,7 @@ class _RoundSphereWarp:
 
     def slope_complement(self, t):
         # 1 - f'^2 = sin^2(t/r), free of the cancellation near the poles
-        return np.sin(np.asarray(t, dtype=float) / self.radius) ** 2
+        return _float_pow(np.sin(np.asarray(t, dtype=float) / self.radius), 2)
 
     def pole_slopes(self):
         return 1.0, -1.0
@@ -227,7 +236,7 @@ class _FootballWarp:
         # 1 - c^2 cos^2 = sin^2 + (1 - c^2) cos^2, stable near the poles
         u = np.asarray(t, dtype=float) / self.radius
         c0 = self.cone_factor
-        return np.sin(u) ** 2 + (1.0 - c0 * c0) * np.cos(u) ** 2
+        return _float_pow(np.sin(u), 2) + (1.0 - c0 * c0) * _float_pow(np.cos(u), 2)
 
     def pole_slopes(self):
         return self.cone_factor, -self.cone_factor
@@ -329,15 +338,21 @@ class _TabulatedWarp:
         nodes, weights = _leggauss((3 * m + 2) // 2)
 
         def within_piece(lo, hi):
+            """Half widths and f^m at the rule's nodes on [lo, hi]."""
             half = 0.5 * (hi - lo)
             s = (lo + half)[..., None] + np.multiply.outer(half, nodes)
-            return half * (self._interp(s) ** m @ weights)
+            return half, self._interp(s) ** m
 
         x = self.t_samples
-        cumulative = np.concatenate(([0.0], np.cumsum(within_piece(x[:-1], x[1:]))))
+        # the whole pieces as one matrix-vector product, the sums every
+        # tabulated volume was printed with; the partial pieces as one dot
+        # per t, so that a batch of t gives each t its one-point bits
+        half, values = within_piece(x[:-1], x[1:])
+        cumulative = np.concatenate(([0.0], np.cumsum(half * (values @ weights))))
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
-        return cumulative[k] + within_piece(x[k], t)
+        half, values = within_piece(x[k], t)
+        return cumulative[k] + half * np.vecdot(values, weights)
 
 
 @dataclass(frozen=True)
@@ -401,13 +416,68 @@ def eval_warp(metric: WarpedMetric, t: float) -> tuple[float, float, float]:
     return float(f), float(f1), float(f2)
 
 
+def _curvatures(n: int, f, f2, sc):
+    """(radial Ricci, tangential Ricci, scalar) from f, f'' and 1 - f'^2."""
+    bend = -f2 / f            # -f''/f
+    spread = sc / (f * f)     # (1 - f'^2) / f^2
+    return ((n - 1) * bend, bend + (n - 2) * spread,
+            2 * (n - 1) * bend + (n - 1) * (n - 2) * spread)
+
+
+class Pointwise(NamedTuple):
+    """Slice and curvature data at strictly interior radii, one array each,
+    of the shape of t.  (A named tuple: the class is built on every cold
+    start, where a frozen dataclass costs about six times as long.)
+
+    The slices {t = const} are umbilic, so |Pi|^2 = H^2 / (n - 1) exactly;
+    the volume is the warp's exact power integral, measured from the window
+    start for tabulated warps.  ric_radial is Ric(nu, nu) for the radial
+    unit normal, ric_tangential the (repeated) tangential Ricci eigenvalue;
+    all closed forms in f, f', f''.
+    """
+
+    area: np.ndarray
+    volume: np.ndarray
+    mean_curvature: np.ndarray
+    second_fundamental_norm_sq: np.ndarray
+    ric_radial: np.ndarray
+    ric_tangential: np.ndarray
+    scalar: np.ndarray
+
+
+def pointwise(metric: WarpedMetric, t) -> Pointwise:
+    """Area, enclosed volume, H, |Pi|^2 and the curvatures at every t of an
+    array, each t strictly inside the model.
+
+    Every quantity is elementwise in t and rounds as it would at t alone:
+    the powers of f are C-library pows (``_float_pow``) and the volume's
+    weighted sums are one dot per t (``quadrature``), so ``slice_at`` and
+    ``curvature_at``, the one-point views, give the bits of any batch.
+    """
+    t = np.asarray(t, dtype=float)
+    outside = ~((metric.t_min < t) & (t < metric.t_max))
+    if outside.any():
+        raise SingularPointError(
+            f"t={t.ravel()[outside.ravel()][0]:g} not strictly inside "
+            f"({metric.t_min:g}, {metric.t_max:g})")
+    f, f1, f2 = (np.asarray(v, dtype=float) for v in metric.warp.evaluate(t))
+    if (f <= 0.0).any():
+        raise SingularPointError(f"warp vanishes at t={t.ravel()[(f <= 0.0).ravel()][0]:g}")
+    n = metric.n
+    omega = sphere_area(n - 1)
+    radial, tangential, scalar = _curvatures(n, f, f2, metric.warp.slope_complement(t))
+    return Pointwise(
+        area=omega * _float_pow(f, n - 1),
+        volume=omega * metric.warp.power_integral(t, n - 1),
+        mean_curvature=(n - 1) * f1 / f,
+        second_fundamental_norm_sq=(n - 1) * _float_pow(f1 / f, 2),
+        ric_radial=radial, ric_tangential=tangential, scalar=scalar)
+
+
 @dataclass(frozen=True)
 class CurvatureData:
-    """Ricci and scalar curvature of a warped model at one interior point.
-
-    ric_radial is Ric(nu, nu) for the radial unit normal; ric_tangential the
-    (repeated) tangential Ricci eigenvalue.  All closed forms in f, f', f''.
-    """
+    """Ricci and scalar curvature of a warped model at one interior point
+    (see ``Pointwise``)."""
 
     ric_radial: float
     ric_tangential: float
@@ -418,31 +488,15 @@ class CurvatureData:
         return min(self.ric_radial, self.ric_tangential)
 
 
-def _curvatures(n: int, f, f2, sc):
-    """(radial Ricci, tangential Ricci, scalar) from f, f'' and 1 - f'^2."""
-    bend = -f2 / f            # -f''/f
-    spread = sc / (f * f)     # (1 - f'^2) / f^2
-    return ((n - 1) * bend, bend + (n - 2) * spread,
-            2 * (n - 1) * bend + (n - 1) * (n - 2) * spread)
-
-
 def curvature_at(metric: WarpedMetric, t: float) -> CurvatureData:
     """Curvature quantities at a strictly interior radial coordinate."""
-    if not metric.t_min < t < metric.t_max:
-        raise SingularPointError(
-            f"t={t:g} not strictly inside ({metric.t_min:g}, {metric.t_max:g})")
-    f, _f1, f2 = metric.warp.evaluate(t)
-    f = float(f)
-    if f <= 0.0:
-        raise SingularPointError(f"warp vanishes at t={t:g}")
-    sc = float(metric.warp.slope_complement(t))  # 1 - f'^2, stably
-    radial, tangential, scalar = _curvatures(metric.n, f, float(f2), sc)
-    return CurvatureData(float(radial), float(tangential), float(scalar))
+    p = pointwise(metric, t)
+    return CurvatureData(float(p.ric_radial), float(p.ric_tangential), float(p.scalar))
 
 
 @dataclass(frozen=True)
 class CurvatureBounds:
-    """Grid infima of the minimal Ricci eigenvalue and of scalar curvature."""
+    """Infima of the minimal Ricci eigenvalue and of scalar curvature."""
 
     ric_min: float
     scalar_min: float
@@ -455,11 +509,21 @@ def curvature_bounds(metric: WarpedMetric, grid_size: int = 513,
                      max_refinements: int = 6) -> CurvatureBounds:
     """Infima of min-Ricci and scalar curvature over the interior.
 
-    The grid is refined (doubled, with shrinking endpoint margins) until both
-    infima are stable to refine_tol relative; the reported tolerance is the
-    last observed change.  If the minima keep moving the result is flagged
-    uncertified rather than silently reported.
+    On the closed-form models both infima sit at the midpoint t_max / 2 (the
+    equator of the sphere and of the football, anywhere on the cylinder),
+    and are the curvatures there: Ric_min = (n-1)/r^2 on the sphere and the
+    football; scalar_min = n(n-1)/r^2 on the sphere,
+    2(n-1)/r^2 + (n-1)(n-2)/(c^2 r^2) on the football and (n-1)(n-2)/a^2 on
+    the cylinder.  These are certified with tolerance 0.
+
+    A tabulated warp is sampled on a grid, refined (doubled, with shrinking
+    endpoint margins) until both infima are stable to refine_tol relative;
+    the reported tolerance is the last observed change.  If the minima keep
+    moving the result is flagged uncertified rather than silently reported.
     """
+    if metric.warp.kind != "tabulated":
+        c = curvature_at(metric, 0.5 * metric.t_max)
+        return CurvatureBounds(c.min_ricci, c.scalar, True, 0.0)
     n = metric.n
     lo, hi = metric.t_min, metric.t_max
 
@@ -492,7 +556,7 @@ def curvature_bounds(metric: WarpedMetric, grid_size: int = 513,
 
 @dataclass(frozen=True)
 class Slice:
-    """Geodesic-sphere slice data: umbilic, so |Pi|^2 = H^2/(n-1) exactly."""
+    """Geodesic-sphere slice data at one radius (see ``Pointwise``)."""
 
     t: float
     area: float
@@ -502,25 +566,11 @@ class Slice:
 
 
 def slice_at(metric: WarpedMetric, t: float) -> Slice:
-    """Area, enclosed volume, H and |Pi|^2 of the slice at radius t.
-
-    The volume is the warp's exact power integral, measured from the window
-    start for tabulated warps.
-    """
-    if not metric.t_min < t < metric.t_max:
-        raise SingularPointError(
-            f"t={t:g} not strictly inside ({metric.t_min:g}, {metric.t_max:g})")
-    f, f1, _ = metric.warp.evaluate(t)
-    f = float(f)
-    if f <= 0.0:
-        raise SingularPointError(f"warp vanishes at t={t:g}")
-    n = metric.n
-    omega = sphere_area(n - 1)
-    area = omega * f ** (n - 1)
-    vol = float(metric.warp.power_integral(t, n - 1))
-    h = (n - 1) * float(f1) / f
-    return Slice(t=t, area=area, volume=omega * vol, mean_curvature=h,
-                 second_fundamental_norm_sq=(n - 1) * (float(f1) / f) ** 2)
+    """Area, enclosed volume, H and |Pi|^2 of the slice at radius t."""
+    p = pointwise(metric, t)
+    return Slice(t=t, area=float(p.area), volume=float(p.volume),
+                 mean_curvature=float(p.mean_curvature),
+                 second_fundamental_norm_sq=float(p.second_fundamental_norm_sq))
 
 
 def total_volume(metric: WarpedMetric) -> float:

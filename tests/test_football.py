@@ -140,38 +140,58 @@ def test_round_sphere_within_a_few_ulps_of_one():
         assert (r.alpha_oracle, r.z_argmax, r.switch_x) == (1.0, 4 * PI, 0.0)
 
 
-def _sign_changes_power_form(eps, z, num=401):
-    # the scan as first written, with float powers of x
-    x_sw, m0, _k = football_module._legs(z, eps)
+def _sign_changes_exact(eps, z, num=401):
+    """The exact count of the scan and where it is resolved.
+
+    On the library's path constants scalar - ricci is
+    9 (1 - eps) x^(-1/3) ((x_sw / x)^(2/3) - 1) up to x_sw and
+    6 (1 - eps) x^(-1/3) (x_sw / x - 1) beyond it: positive before x_sw and
+    negative after, so the count is 1 where the scan's x grid straddles x_sw
+    and 0 otherwise.  In doubles the sign at a grid point is resolved where
+    (1 - eps) |x / x_sw - 1| is well above roundoff; as eps -> 1 at z = z_lo
+    the point nearest x_sw can fall below it (4e-16 at most, over 2e5
+    samples), and no count is pinned there.
+    """
+    x_sw, _m0, _k = football_module._legs(z, eps)
     xs = football_module._grid(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num)
-    e, x_sw, m0 = eps[:, None], x_sw[:, None], m0[:, None]
-    y0_sq = football_module._Y0_SQ
-    ysq = np.where(xs <= x_sw,
-                   y0_sq - m0 - 9.0 * e * xs ** (2.0 / 3.0),
-                   y0_sq - 9.0 * xs ** (2.0 / 3.0)
-                   - 18.0 * (1.0 - e) * x_sw * xs ** (-1.0 / 3.0))
-    ricci = -6.0 * e * xs ** (-1.0 / 3.0)
-    scalar = (y0_sq - ysq) / (3.0 * xs) - 9.0 * xs ** (-1.0 / 3.0)
-    signs = np.sign(scalar - ricci)
-    last = np.maximum.accumulate(np.where(signs != 0, np.arange(num), 0), axis=-1)
-    signs = np.take_along_axis(signs, last, axis=-1)
-    return np.count_nonzero(signs[:, 1:] * signs[:, :-1] < 0, axis=-1)
+    x_sw = x_sw[:, None]
+    count = ((xs < x_sw).any(axis=-1) & (xs > x_sw).any(axis=-1)).astype(int)
+    with np.errstate(divide="ignore"):      # x_sw = 0 at z = 4 pi
+        margin = (1.0 - eps) * np.abs(xs / x_sw - 1.0).min(axis=-1)
+    return count, margin > 1e-14
+
+
+def _assert_sign_changes(eps, z):
+    got = football_module._rhs_difference_sign_changes(eps, z)
+    want, resolved = _sign_changes_exact(eps, z)
+    assert np.array_equal(got[resolved], want[resolved])
+    assert np.isin(got, (0, 1)).all()
 
 
 @settings(max_examples=40, deadline=None)
 @given(values=st.lists(st.tuples(st.floats(1e-6, 1.0 - football_module._NEAR_ONE),
                                  st.floats(0.0, 1.0)), min_size=1, max_size=8))
-def test_sign_changes_match_the_power_form(values):
-    # one cube root per x for x^(2/3) and x^(-1/3) counts the same changes,
-    # at the maximizer and at any z of the bracket, for every eps the oracle
-    # scans (closer to 1 it returns the round sphere without a scan)
+@example(values=[(0.9999999999989999, 0.0)])
+def test_sign_changes_match_the_exact_count(values):
+    # the scan counts one change where its grid straddles x_sw and none
+    # elsewhere, at the maximizer and at any z of the bracket, for every eps
+    # the oracle scans (closer to 1 it returns the round sphere without a
+    # scan)
     eps = np.array([e for e, _ in values])
     z_lo, z_hi = football_module._z_bracket(eps)
     for z in (np.array([r.z_argmax for r in alpha_oracle(eps)]),
               z_lo + np.array([s for _, s in values]) * (z_hi - z_lo)):
-        assert np.array_equal(
-            football_module._rhs_difference_sign_changes(eps, z),
-            _sign_changes_power_form(eps, z))
+        _assert_sign_changes(eps, z)
+
+
+def test_sign_changes_near_the_round_sphere():
+    # eps within 1e-9 of 1, at z_lo and above it, where the sign nearest
+    # x_sw comes closest to roundoff
+    rng = np.random.default_rng(11)
+    eps = 1.0 - 10.0 ** rng.uniform(-12.0, -9.0, 4000)
+    z_lo, z_hi = football_module._z_bracket(eps)
+    for z in (z_lo, z_lo + 10.0 ** rng.uniform(-16.0, 0.0, eps.size) * (z_hi - z_lo)):
+        _assert_sign_changes(eps, z)
 
 
 def test_sign_changes_of_batches_in_one_workspace():
@@ -183,8 +203,7 @@ def test_sign_changes_of_batches_in_one_workspace():
         z_lo, z_hi = football_module._z_bracket(eps)
         z = z_lo + rng.uniform(0.0, 1.0, size) * (z_hi - z_lo)
         z[:2] = z_lo[:2]
-        assert np.array_equal(football_module._rhs_difference_sign_changes(eps, z),
-                              _sign_changes_power_form(eps, z))
+        _assert_sign_changes(eps, z)
 
 
 def test_alpha_continuity_at_football_end():

@@ -1,15 +1,19 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isocompare import variation
+from isocompare import cli, warped
 from isocompare.errors import DomainError
-from isocompare.variation import (check_first_variation,
+from isocompare.variation import (KINDS, check_first_variation,
                                   check_mean_curvature_evolution,
                                   check_second_variation, convergence_order,
                                   residual_sequence, residual_table,
-                                  variation_report)
-from isocompare.warped import cylinder, football, round_sphere, slice_at
+                                  stencil_table, variation_report)
+from isocompare.warped import (cylinder, football, round_sphere, slice_at,
+                               sphere_area, tabulated)
 
 PI = math.pi
 SPHERE = round_sphere(3, 1.0)
@@ -112,22 +116,193 @@ def test_variation_report_combined():
     assert rep.order_estimate >= 1.9
 
 
-def test_residual_table_is_one_stencil_per_step(monkeypatch):
-    # three slices and one curvature evaluation per step feed all three
-    # residuals, which equal those of the separate checks
-    calls = {"slice_at": 0, "curvature_at": 0}
-    for name in calls:
-        original = getattr(variation, name)
+# ---------------------------------------------------------------------------
+# the checks one (t, h) at a time, in scalar Python floats, as they were
+# computed before the stencil table: the reference for its rows
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(variation, name, counted)
-    table = residual_table(FOOTBALL, 1.0, 1e-2, levels=3)
-    assert calls == {"slice_at": 9, "curvature_at": 3}
-    for step, first, h_dot, second in table:
-        assert first == check_first_variation(FOOTBALL, 1.0, step).residual_first
-        assert h_dot == check_mean_curvature_evolution(
-            FOOTBALL, 1.0, step).residual_h_dot
-        assert second == check_second_variation(
-            FOOTBALL, 1.0, step).residual_second
+
+def _scalar_slope_complement(warp, t):
+    if warp.kind == "sphere":
+        return float(np.sin(np.asarray(t, dtype=float) / warp.radius) ** 2)
+    if warp.kind == "football":
+        u, c0 = np.asarray(t, dtype=float) / warp.radius, warp.cone_factor
+        return float(np.sin(u) ** 2 + (1.0 - c0 * c0) * np.cos(u) ** 2)
+    if warp.kind == "cylinder":
+        return 1.0
+    return float(1.0 - np.asarray(warp.evaluate(t)[1], dtype=float) ** 2)
+
+
+def _scalar_slice(metric, t):
+    """(area, volume, H, |Pi|^2) at t."""
+    f, f1, _ = metric.warp.evaluate(t)
+    f, f1, n = float(f), float(f1), metric.n
+    omega = sphere_area(n - 1)
+    return (omega * f ** (n - 1),
+            omega * float(metric.warp.power_integral(t, n - 1)),
+            (n - 1) * f1 / f, (n - 1) * (f1 / f) ** 2)
+
+
+def _scalar_ric_radial(metric, t):
+    f, _, f2 = metric.warp.evaluate(t)
+    f = float(f)
+    return (metric.n - 1) * (-float(f2) / f)
+
+
+def _relative(fd, exact, floor=0.0):
+    scale = max(abs(fd), abs(exact), floor)
+    if scale == 0.0:
+        return 0.0
+    return abs(fd - exact) / scale
+
+
+def _scalar_checks(metric, t, h):
+    """[(fd, exact, residual)] of first, h_dot and second at (t, h)."""
+    lo, mid, hi = (_scalar_slice(metric, s) for s in (t - h, t, t + h))
+    (a_lo, v_lo, h_lo, _), (a, v, h_mid, pi_sq), (a_hi, v_hi, h_hi, _) = lo, mid, hi
+    h_dot = -pi_sq - _scalar_ric_radial(metric, t)
+    d_lo, d_hi = v - v_lo, v_hi - v
+    second = 2.0 * (a_lo * d_hi - a * (d_lo + d_hi) + a_hi * d_lo) \
+        / (d_lo * d_hi * (d_lo + d_hi))
+    out = (((a_hi - a_lo) / (2.0 * h), h_mid * a, a / metric.t_max),
+           ((h_hi - h_lo) / (2.0 * h), h_dot, 0.0),
+           (second, h_dot / a, 0.0))
+    return [(fd, exact, _relative(fd, exact, floor)) for fd, exact, floor in out]
+
+
+def _scalar_order(steps, residuals):
+    """Worst least-squares slope of log residual on log step over the
+    columns of residuals whose entries are all positive; nan if none."""
+    orders = []
+    if len(steps) >= 2:
+        for column in zip(*residuals):
+            rs = np.array(column)
+            if np.all(rs > 0):
+                orders.append(float(np.polyfit(np.log(steps), np.log(rs), 1)[0]))
+    return min(orders) if orders else math.nan
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def _model(kind, n, shape):
+    if kind == "sphere":
+        return round_sphere(n, 0.5 + shape)
+    if kind == "football":
+        return football(shape, n=n, radius=2.0 * shape + 0.3)
+    if kind == "cylinder":
+        return cylinder(0.2 + shape, 1.0 + 3.0 * shape, n=n)
+    # four samples of a football warp on an interior window
+    knots = np.linspace(0.2, 2.8, 4)
+    return tabulated(knots, shape * np.sin(knots), n=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["sphere", "football", "cylinder", "tabulated"]),
+       n=st.integers(3, 8), shape=st.floats(0.05, 1.0),
+       fractions=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=8),
+       levels=st.integers(1, 4), h_fraction=st.floats(1e-4, 1e-2))
+def test_stencil_table_matches_the_scalar_checks(kind, n, shape, fractions,
+                                                 levels, h_fraction):
+    # every (t, step) of the one array pass gives the bits of the checks
+    # made one point at a time, and every order that of a fit per column
+    metric = _model(kind, n, shape)
+    width = metric.t_max - metric.t_min
+    ts = [metric.t_min + u * width for u in fractions]
+    h = h_fraction * width
+    table = stencil_table(metric, ts, h, levels)
+    steps = [h / 2.0 ** k for k in range(levels)]
+    assert _same_bits(table.h, steps)
+    for i, t in enumerate(ts):
+        checks = [_scalar_checks(metric, t, step) for step in steps]
+        assert _same_bits(table.fd[i], [[c[0] for c in row] for row in checks])
+        assert _same_bits(table.exact[i], [[c[1] for c in row] for row in checks])
+        residuals = [[c[2] for c in row] for row in checks]
+        assert _same_bits(table.residual[i], residuals)
+        assert _same_bits(table.order[i], _scalar_order(steps, residuals))
+
+
+def test_variation_check_rows_are_the_table():
+    # t-major rows of (t, h, three residuals, worst order)
+    ts = [0.7, 1.3, 2.2]
+    table = stencil_table(FOOTBALL, ts, 1e-2, 3)
+    rows = [(t, step, *table.residual[i, k], table.order[i])
+            for i, t in enumerate(ts) for k, step in enumerate(table.h)]
+    assert _same_bits(table.rows(), rows)
+    assert table.rows().shape == (9, 6)
+
+
+def test_views_are_the_table_at_one_t():
+    table = stencil_table(FOOTBALL, [1.0], 1e-2, 3)
+    assert residual_table(FOOTBALL, 1.0, 1e-2, 3) == [
+        (step, *table.residual[0, k]) for k, step in enumerate(table.h)]
+    for k, kind in enumerate(KINDS):
+        assert _same_bits(convergence_order(FOOTBALL, 1.0, 1e-2, kind),
+                          table.orders[0, k])
+    rep = variation_report(FOOTBALL, 1.0, 1e-2)
+    assert rep.order_estimate == table.order[0] == table.orders[0].min()
+    one = stencil_table(FOOTBALL, 1.0, 1e-2, 1)
+    for check, k in ((check_first_variation, 0), (check_mean_curvature_evolution, 1),
+                     (check_second_variation, 2)):
+        rep = check(FOOTBALL, 1.0, 1e-2)
+        assert (rep.fd_value, rep.analytic_value) == (one.fd[0, 0, k], one.exact[0, 0, k])
+
+
+def _count_array_calls(monkeypatch, warp_class):
+    calls = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("evaluate", "power_integral", "slope_complement"):
+        count(warp_class, name)
+    count(warped, "_curvatures")
+    count(warped, "sin_power")
+    count(np, "polyfit")
+    return calls
+
+
+@pytest.mark.parametrize("model, warp_class", [
+    ({"model": "football", "n": "5", "c": "0.7"}, warped._FootballWarp),
+    ({"model": "tabulated", "n": "4", "t_samples": "0.3,1.2,2.1,3.0",
+      "f_samples": "0.3,0.9,0.8,0.1"}, warped._TabulatedWarp),
+], ids=["football", "tabulated"])
+def test_array_calls_per_command_do_not_grow_with_t(monkeypatch, tmp_path, model,
+                                                    warp_class):
+    # one array pass per variation-check: the same warp, quadrature,
+    # curvature and fit calls for one t as for seven
+    counts = []
+    for ts in ("1.0", "0.8,1.0,1.3,1.5,1.7,1.9,2.05"):
+        config = tmp_path / "v.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in {**model, "t": ts}.items()))
+        with monkeypatch.context() as m:
+            calls = _count_array_calls(m, warp_class)
+            assert cli.main(["variation-check", "--config", str(config),
+                             "--out", str(tmp_path / "v.csv")]) == 0
+        counts.append(calls)
+    assert counts[0] == counts[1]
+    assert counts[0]["polyfit"] == 1 and counts[0]["power_integral"] == 1
+
+
+def test_stencil_table_errors_in_table_order():
+    # the first failing (t, step), t-major, names the error
+    with pytest.raises(DomainError, match="leaves"):
+        stencil_table(SPHERE, [1.0, 1e-4, 3.0], 1e-3)
+    with pytest.raises(DomainError, match="must be positive"):
+        stencil_table(SPHERE, [1.0], 0.0)
+    # a step below half an ulp of t leaves t - h == t: a vanishing volume
+    # increment is an error, not a division by zero, at any depth
+    with pytest.raises(DomainError, match="resolution at t=1"):
+        stencil_table(SPHERE, [1.0, 2.0], 1e-3, levels=60)
+    with pytest.raises(DomainError, match="resolution"):
+        stencil_table(SPHERE, [1.0], 1e-3, levels=10 ** 9)
+
+
+def test_stencil_table_of_no_t_is_empty():
+    table = stencil_table(SPHERE, [], 1e-3, 3)
+    assert table.rows().shape == (0, 6)

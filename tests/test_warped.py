@@ -12,7 +12,7 @@ from isocompare.errors import (DomainError, SingularPointError,
                                UnsupportedPointError, ValidationError)
 from isocompare.warped import (MonotoneCubic, WarpedMetric, candidate_profile,
                                curvature_at, curvature_bounds, cylinder,
-                               eval_warp, football, log_sphere_area,
+                               eval_warp, football, log_sphere_area, pointwise,
                                round_sphere, sin_power_integral, slice_at,
                                sphere_area, tabulated, total_volume)
 
@@ -275,6 +275,73 @@ def test_curvature_bounds_football():
         b = curvature_bounds(football(c0))
         assert b.certified
         assert b.ric_min == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_curvature_bounds_closed_forms_are_the_infima(n):
+    # the closed forms, certified with tolerance 0, and no sample of the
+    # interior lies below them
+    cases = [(round_sphere(n, r), (n - 1) / r ** 2, n * (n - 1) / r ** 2)
+             for r in (0.7, 2.5)]
+    cases += [(football(c, n=n, radius=r), (n - 1) / r ** 2,
+               2 * (n - 1) / r ** 2 + (n - 1) * (n - 2) / (c * r) ** 2)
+              for c, r in ((0.3, 1.0), (0.8, 1.7))]
+    cases += [(cylinder(a, 3.0, n=n), 0.0, (n - 1) * (n - 2) / a ** 2)
+              for a in (0.4, 3.0)]
+    for metric, ric, scalar in cases:
+        b = curvature_bounds(metric)
+        assert (b.certified, b.tolerance) == (True, 0.0)
+        assert b.ric_min == pytest.approx(ric, rel=1e-15, abs=1e-15)
+        assert b.scalar_min == pytest.approx(scalar, rel=1e-15)
+        p = pointwise(metric, np.linspace(0.01, 0.99, 397) * metric.t_max)
+        assert np.minimum(p.ric_radial, p.ric_tangential).min() >= \
+            b.ric_min - 1e-13 * max(1.0, b.ric_min)
+        assert p.scalar.min() >= b.scalar_min * (1 - 1e-13)
+
+
+def test_cylinder_bounds_keep_the_curvature_rounding():
+    # cylinder-growth prints these: -0.0 radial, and the scalar curvature in
+    # the order of operations of the curvature formulas
+    b = curvature_bounds(cylinder(1.0, 4.0, n=3))
+    assert math.copysign(1.0, b.ric_min) == -1.0 and b.ric_min == 0.0
+    assert b.scalar_min == 2.0
+
+
+def test_pointwise_views_are_elementwise():
+    # slice_at and curvature_at are one-point views of the array form, and
+    # each point of a batch has the bits it has alone
+    knots = np.linspace(0.2, 2.8, 5)
+    for metric in (round_sphere(5, 1.3), football(0.4, n=4, radius=0.8),
+                   cylinder(0.6, 2.0, n=7), tabulated(knots, np.sin(knots), n=6)):
+        ts = metric.t_min + np.linspace(0.03, 0.97, 23).reshape(23, 1) \
+            * (metric.t_max - metric.t_min)
+        p = pointwise(metric, ts)
+        assert p.area.shape == ts.shape
+        for i, t in enumerate(ts[:, 0].tolist()):
+            s, c = slice_at(metric, t), curvature_at(metric, t)
+            assert (s.area, s.volume, s.mean_curvature, s.second_fundamental_norm_sq) == (
+                p.area[i, 0], p.volume[i, 0], p.mean_curvature[i, 0],
+                p.second_fundamental_norm_sq[i, 0])
+            assert (c.ric_radial, c.ric_tangential, c.scalar) == (
+                p.ric_radial[i, 0], p.ric_tangential[i, 0], p.scalar[i, 0])
+    with pytest.raises(SingularPointError, match="t=0 not strictly inside"):
+        pointwise(round_sphere(3), np.array([1.0, 0.0, 2.0]))
+
+
+def test_float_pow_is_the_python_power():
+    x = np.random.default_rng(3).uniform(0.0, 2.0, 2000)
+    for p in (2, 3, 7):
+        assert warped._float_pow(x, p).tolist() == [v ** p for v in x.tolist()]
+    assert warped._float_pow(np.float64(1.5), 2).shape == ()
+
+
+def test_tabulated_volume_batch_is_one_t_at_a_time():
+    xs = np.array([0.5, 0.9, 1.6, 2.0, 2.9, 3.1])
+    tab = tabulated(xs, [1.0, 3.0, 0.5, 2.5, 1.2, 2.0], n=8)
+    t = np.random.default_rng(5).uniform(0.5, 3.1, 200)
+    batch = tab.warp.power_integral(t, 7)
+    singles = [float(tab.warp.power_integral(v, 7)) for v in t.tolist()]
+    assert batch.tobytes() == np.array(singles).tobytes()
 
 
 def test_slice_unit_sphere_equator():
