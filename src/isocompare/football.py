@@ -46,11 +46,11 @@ exactly for eps above eps0 ~ 0.13472776, which lies above eps_c: between
 the two an interior z still beats both ends.  alpha grows without bound as
 eps -> 0, the long-cylinder regime.
 
-The supremum over z is taken for a whole array of eps at once: a 33-point
-scan, fixed zoom rounds into two brackets per eps (the scan argmax's
-neighbours, and the first scan cell, where a narrow interior peak sits near
-the threshold) and a least-squares parabola vertex, each step one array call
-over every eps, so a sweep costs as many calls as a single eps.
+The supremum over z is taken for a whole array of eps at once, from the
+stationarity condition dV/dz = 0: a 33-point scan with points graded toward
+the narrow interior peak near z_lo, then three safeguarded root steps on
+dV/dz in two brackets per eps, each step one array call over every eps, so a
+sweep costs as many calls as a single eps.
 
 ``alpha_as_written`` audits a verbatim transcription of the closed form this
 supremum is usually displayed as; the transcribed switch-point formula is
@@ -63,14 +63,15 @@ read, and the CLI prints a count per kind and the first message per eps.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .phase_plane import PhasePath, extremal_path, start_height
-from .quadrature import WORKSPACE, sqrt_endpoint
+from .quadrature import sqrt_endpoint
 from .warped import curvature_bounds, cylinder, sin_squared_integral, total_volume
 
 __all__ = [
@@ -130,19 +131,11 @@ _Y0_SQ = start_height(3) ** 2          # 36 pi
 _Z_MAX = GAUSS_BONNET_TOTAL            # termination area of the round sphere
 _ROUND_HALF_VOLUME = math.pi ** 2      # the half volume at z = 4 pi
 _SCAN = 33                             # z values scanned per eps
-_ZOOM = 17                             # z values per bracket in a zoom round
-_STOP = 1e-6                           # z spacing at which zooming stops
-# A round narrows each bracket to the two cells around its argmax, so the
-# spacing falls by (_ZOOM - 1) / 2 per round.  The round count is set by the
-# widest first bracket, two scan cells at eps -> 0, so that every eps of a
-# batch gets the same rounds and no result depends on the rest of its batch.
-# Final spacings then lie between _STOP / 8 and _STOP, where the vertex of
-# the last round's parabola is off the argmax by about 1e-10 at eps = 0.05:
-# the fit's cubic bias grows as spacing^2 (6e-9 at 8e-6) and its roundoff
-# as 1 / spacing^2 (2e-9 at 6e-8).
-_ROUNDS = 1 + math.ceil(
-    math.log(2.0 * (_Z_MAX - _Z_MAX / 3.0) / (_SCAN - 1) / (_ZOOM - 1) / _STOP)
-    / math.log((_ZOOM - 1) / 2))
+# s = (z - z_lo) / (4 pi - z_lo) of the graded points over the seed 0.14 eps^2
+# (1 + 5 eps), within 10% of the interior peak's s up to eps0 (0.98 of it at
+# 1e-5, 0.94 at 0.05, 1.00 at 0.1345)
+_GRADED = 2.0 ** np.arange(-4.0, 5.0)
+_STEPS = 3                             # safeguarded steps on dV/dz per bracket
 
 # 1 - eps below which both routes take eps as 1.  The oracle returns the
 # round sphere, the supremum for every eps above eps0 ~ 0.1347: within 8e-15
@@ -166,9 +159,9 @@ def _legs(z, eps):
     return x_sw, m0, k
 
 
-def _scalar_leg_integral(u0, length, k):
+def _scalar_leg_integral(u0, length, k, bracket):
     """dx/y along the scalar equality curve from u0 - length to its zero u0,
-    in u = x^(1/3), u0 = sqrt(z).
+    in u = x^(1/3), u0 = sqrt(z), and its z-derivative at fixed w.
 
     The height factors as y^2 = (u0 - u) Q(u) with Q(u) = 9 (u0 + u)
     - K / (u u0) smooth and positive, so the integral is
@@ -177,27 +170,48 @@ def _scalar_leg_integral(u0, length, k):
     v = u - u0 on [-length, 0], so that the leg's length enters exactly
     rather than as a difference of two numbers near u0.  At z = z_lo the
     leg has length zero and the rule returns exactly 0.
+
+    In the rule's variable w, u = u0 - w^2, the leg is 2 int 3 u^2 Q^(-1/2)
+    dw.  Its integrand's z-derivative at fixed w is the second integrand on
+    the same nodes, (3 u / u0) Q^(-3/2) (bracket + 9 u / 2
+    - (K / (u u0)) (5 + u / u0) / 4), given bracket = 9 u0 + (dK/dz) / 2.
+    Returns (leg, the integral over w of that derivative).
     """
     def g(u, spare, out):
-        # node-major and in place, in the order of 3 u^2 / sqrt(Q(u))
+        # node-major and in place; the leg keeps the order of 3 u^2 / sqrt(Q(u))
+        leg, slope = out
         np.add(u, u0, out=u)                 # u = u0 + v
         np.multiply(u, u0, out=spare)
         np.divide(k, spare, out=spare)       # K / (u u0)
-        np.add(u, u0, out=out)
-        out *= 9.0
-        out -= spare
-        np.sqrt(out, out=out)                # sqrt(Q(u))
+        np.divide(u, u0, out=leg)
+        leg *= 0.25
+        leg += 1.25
+        leg *= spare
+        np.multiply(u, 4.5, out=slope)
+        slope += bracket
+        slope -= leg
+        slope *= u
+        slope /= u0
+        np.add(u, u0, out=leg)
+        leg *= 9.0
+        leg -= spare
+        np.sqrt(leg, out=leg)                # sqrt(Q(u))
+        np.multiply(leg, leg, out=spare)
+        spare *= leg
+        slope /= spare
+        slope *= 3.0
         np.multiply(u, 3.0, out=spare)
         spare *= u
-        np.divide(spare, out, out=out)
+        np.divide(spare, leg, out=leg)
 
-    return sqrt_endpoint(g, -length, 0.0, 0.0)
+    return sqrt_endpoint(g, -length, 0.0, 0.0, integrands=2)
 
 
 def _half_volume_at(eps):
-    """The half-volume bound as a function of termination areas z in
-    [z_lo, 4 pi], at Ricci fractions eps < 1 that broadcast against z; the
-    terms that depend on eps alone are computed once.
+    """The half-volume bound V and its slope dV/dz as functions of
+    termination areas z in [z_lo, 4 pi], at Ricci fractions eps < 1 that
+    broadcast against z; the terms that depend on eps alone are computed
+    once.
 
     The ricci leg y^2 = c - b u^2, b = 9 eps, u = x^(1/3), runs from 0 to
     u_sw = x_sw^(1/3); u = sqrt(c/b) sin(theta) makes it
@@ -223,6 +237,23 @@ def _half_volume_at(eps):
     ricci leg is empty and the value is the round sphere's closed form,
     int_0^sqrt(4 pi) u^2 (4 pi - u^2)^(-1/2) du = pi^2, whatever the
     rounding of the rule's weights.
+
+    The slope.  K = 18 (1 - eps) x_sw = 9 u0 (4 pi - z), u0 = sqrt(z), so
+    dK/dz = -9 (3 d + 2 eps z_lo) / (2 u0), and c = 36 pi - m0 moves by
+    dc/dz = -(dK/dz) / u_sw.  The ricci leg's derivative in c at fixed u_sw
+    is -(3 / (2 b^(3/2))) (tan(theta) - theta); the scalar leg, in w, moves
+    its end w = sqrt(length) and its integrand.  The two boundary terms at
+    the switch, 3 u_sw^2 / y_sw du_sw/dz, cancel; the tan(theta) term and
+    the scalar end's 3 u_sw^2 / (2 u0 y_sw) combine, by
+    z_lo - u_sw^2 = z_lo (1 - r^2), into terms with no 1 / y_sw left:
+
+        dV/dz = [ (3 d + 2 eps z_lo) theta / (sqrt(eps) u_sw)
+                  - 9 d / y_sw ] / (4 eps u0)
+                - z_lo y_sw / (24 pi u0) + (scalar leg's integrand term),
+
+    where d / y_sw -> 0 at z_lo (y_sw^2 is d times a positive factor) and
+    theta / u_sw -> sqrt(b) / y_sw at z = 4 pi, both taken as those limits.
+    At z_lo the slope is pi / (4 sqrt(eps)).
     """
     z_lo = _Z_MAX / (3.0 - 2.0 * eps)
     two_gap = 2.0 * (1.0 - eps)
@@ -232,6 +263,8 @@ def _half_volume_at(eps):
     near_top, slope_lo, denominator = top / 8.0, eps * 2.0 * z_lo, two_gap * top
     b = 9.0 * eps
     root_b, scale = np.sqrt(b), 3.0 / b ** 1.5
+    # theta / u_sw at z = 4 pi, and factors of the slope's terms
+    ratio_top, four_eps = root_b / math.sqrt(_Y0_SQ), 4.0 * eps
 
     single = np.ndim(eps) == 0
 
@@ -241,7 +274,7 @@ def _half_volume_at(eps):
         # step keeps the operation order of the formulas above
         z = np.asarray(z, dtype=float)
         if single and z.ndim == 0:
-            return half_volume(z.reshape(1))[0]
+            return tuple(a[0] for a in half_volume(z.reshape(1)))
         root = np.sqrt(z)
         roots = root + root_lo
         d = z - z_lo
@@ -257,7 +290,7 @@ def _half_volume_at(eps):
         roots *= denominator
         from_d /= roots
         np.copyto(one_minus_q, from_d, where=near)
-        del d, roots, from_d
+        del roots, from_d
         np.copyto(x_sw, top - top * one_minus_q, where=near)
         u_sw = np.cbrt(x_sw)
         # 1 - r = (1 - q) / (1 + r + r^2)
@@ -274,19 +307,31 @@ def _half_volume_at(eps):
         np.copyto(length, delta + root_lo * one_minus_r, where=near)
         del near, delta, one_minus_r, one_plus_r
         # ricci leg 3 c / b^(3/2) int_0^theta sin^2, c = b u_sw^2 + y_sw^2
-        theta = np.arctan2(u_sw * root_b, np.sqrt(y_sq))
+        y_sw = np.sqrt(y_sq)
+        theta = np.arctan2(u_sw * root_b, y_sw)
         ricci_leg = b * u_sw
         ricci_leg *= u_sw
         ricci_leg += y_sq
         ricci_leg *= scale
-        del u_sw, y_sq
-        x_sw *= nine_gap                     # K = 18 (1 - eps) x_sw
-        scalar_leg = _scalar_leg_integral(root, length, x_sw)
-        del root, length, x_sw
+        del y_sq
+        # the slope's ricci and switch terms, from the docstring's formula
+        excess = 3.0 * d + slope_lo          # 3 d + 2 eps z_lo = 3 z - 4 pi
+        slope = np.divide(theta, u_sw, out=np.full(theta.shape, ratio_top),
+                          where=u_sw > 0.0)
+        slope = (slope * excess * (3.0 / root_b)
+                 - 9.0 * np.divide(d, y_sw, out=d, where=d > 0.0)) / four_eps
+        slope = (slope - z_lo / (6.0 * _Z_MAX) * y_sw) / root
+        del d, u_sw, y_sw
         ricci_leg *= sin_squared_integral(theta)     # theta in [0, pi/2]
+        del theta
+        x_sw *= nine_gap                     # K = 18 (1 - eps) x_sw
+        bracket = 9.0 * root - 2.25 * excess / root  # 9 u0 + (dK/dz) / 2
+        scalar_leg, scalar_slope = _scalar_leg_integral(root, length, x_sw, bracket)
+        del root, length, x_sw, excess, bracket
         ricci_leg += scalar_leg
         np.copyto(ricci_leg, _ROUND_HALF_VOLUME, where=z == _Z_MAX)
-        return ricci_leg
+        slope += scalar_slope
+        return ricci_leg, slope
 
     return half_volume
 
@@ -303,11 +348,18 @@ class AlphaResult:
     switch_x: float = math.nan
     ricci_mass_const: float = math.nan
     scalar_mass_const: float = math.nan
-    rhs_sign_changes: int | None = None
     multimodal: bool = False
     degenerate_formula: bool = False
     domain_violations: Sequence[str] = ()
     z_argmax_as_written: float = math.nan
+    # a thunk of the batch's sign counts, cached on first read, and the row
+    _signs: Callable = field(default=lambda: (None,), repr=False, compare=False)
+    _row: int = field(default=0, repr=False, compare=False)
+
+    @property
+    def rhs_sign_changes(self) -> int | None:
+        """Sign changes of (scalar - ricci) descent bounds along the path."""
+        return self._signs()[self._row]
 
 
 def _batch(epsilon):
@@ -336,118 +388,91 @@ def _grid(lo, hi, num: int, out=None):
     return z
 
 
-# 5-point least-squares parabola on equal spacing, f ~ c0 + c1 t + c2 t^2 at
-# t = -2..2: the closed-form normal equations give c1 and c2 as these weights
-_SLOPE = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) / 10.0
-_CURVATURE = np.array([2.0, -1.0, -2.0, -1.0, 2.0]) / 14.0
-
-
 def _supremum(eps):
     """Maximum of the half volume over z for each eps < 1 of a 1-D array:
     (maximum, argmax, whether the scan saw more than one interior peak).
 
-    A 33-point scan picks two brackets per eps: the neighbours of the scan
-    argmax, and the first scan cell [z_0, z_1], where the narrow interior
-    peak sits near the threshold (its width is a fraction of a cell there,
-    so the scan alone can miss it).  Each of _ROUNDS zoom rounds samples
-    _ZOOM evenly spaced z in every bracket and narrows it to the neighbours
-    of its argmax.  A 5-point least-squares parabola through the last
-    round's best points gives a vertex, evaluated once more; each eps keeps
-    its largest value.  Every step is one array call over all eps and both
-    brackets, so the number of calls does not depend on the batch.
+    One call takes V and dV/dz on a 33-point scan, which carries the z = 4 pi
+    end and the multimodal flag, and on the ``_GRADED`` points around the
+    narrow interior peak, in the first scan cell.  Two brackets per eps: the
+    first + to - sign change of dV/dz (the interior peak nearest z_lo), and
+    the side of the argmax that dV/dz points to (one point at an end
+    maximum).  Each takes _STEPS steps of Chandrupatla's (1997) method on
+    dV/dz in t = sqrt(z - z_lo), where dV/dz ~ a - b t is smooth: inverse
+    quadratic interpolation where his test admits it, else bisection.  The
+    end with the smaller |dV/dz| is a bracket's argmax.  Each step is one
+    array call over every eps and both brackets.
     """
-    half_volume = _half_volume_at(eps[:, None, None])
-    zs = _grid(*_z_bracket(eps), _SCAN)
-    vals = half_volume(zs[:, None])[:, 0]
-    k = np.argmax(vals, axis=-1)
-    rows = np.arange(eps.size)
-    row, pair = rows[:, None], np.arange(2)
-    lo = np.stack([zs[rows, np.maximum(k - 1, 0)], zs[:, 0]], axis=-1)
-    hi = np.stack([zs[rows, np.minimum(k + 1, _SCAN - 1)], zs[:, 1]], axis=-1)
-    z_scan, f_scan = zs[rows, k], vals[rows, k]
+    z_lo, z_hi = _z_bracket(eps)
+    origin, rows = z_lo[:, None], np.arange(eps.size)[:, None]
+    half_volume = _half_volume_at(eps[:, None])
+    scan = _grid(z_lo, z_hi, _SCAN)
+    s = np.minimum((0.14 * eps * eps * (1.0 + 5.0 * eps))[:, None] * _GRADED,
+                   1.0 / (_SCAN - 1))       # in the first scan cell, in order
+    graded = origin + (z_hi - z_lo)[:, None] * s
+    z = np.concatenate((scan[:, :1], graded, scan[:, 1:]), axis=1)
+    del scan, s, graded             # few batch-sized arrays alive per call
+    f, slope = half_volume(z)
+    vals = np.concatenate((f[:, :1], f[:, _GRADED.size + 1:]), axis=1)   # scan values
     interior = vals[:, 1:-1]
     peaks = np.sum((interior > vals[:, :-2]) & (interior > vals[:, 2:]), axis=-1)
-    del zs, vals, interior          # few batch-sized arrays alive per call
-    f = None
-    for _ in range(_ROUNDS):
-        z = _grid(lo, hi, _ZOOM)
-        del f                       # the last round's values, before this call
-        f = half_volume(z)
-        j = np.argmax(f, axis=-1)
-        lo = z[row, pair, np.maximum(j - 1, 0)]
-        hi = z[row, pair, np.minimum(j + 1, _ZOOM - 1)]
-    z_best, f_best = z[row, pair, j], f[row, pair, j]
-
-    mid = np.clip(j, 2, _ZOOM - 3)
-    window = f[row[..., None], pair[:, None], mid[..., None] + np.arange(-2, 3)]
-    slope, curvature = window @ _SLOPE, window @ _CURVATURE
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = -slope / (2.0 * curvature)
-    # only a concave fit with its vertex inside the window gives a new point;
-    # otherwise the maximum sits at a bracket end, on a sample
-    inside = (curvature < 0.0) & (np.abs(t) < 2.0)
-    t = np.where(inside, t, 0.0)
-    step = z[..., 1] - z[..., 0]
-    z_vertex = np.clip(z[row, pair, mid] + t * step, z[..., 0], z[..., -1])
-    f_vertex = half_volume(z_vertex[..., None])[..., 0]
-    better = inside & (f_vertex > f_best)
-    z_best = np.where(better, z_vertex, z_best)
-    f_best = np.where(better, f_vertex, f_best)
-
-    pick = np.argmax(f_best, axis=-1)
-    f_best, z_best = f_best[rows, pick], z_best[rows, pick]
-    # a gain within roundoff of the scan's best sample is no gain: it keeps a
-    # maximum at 4 pi there when the bracket is narrower than the half
-    # volume's resolution (eps -> 1), where z a few ulps off 4 pi would
-    # give a switch point amplified by 1 / (1 - eps)
-    stay = f_best <= f_scan * (1.0 + 4.0 * np.finfo(float).eps)
-    return (np.where(stay, f_scan, f_best), np.where(stay, z_scan, z_best),
-            peaks > 1)
+    k, last = np.argmax(f, axis=-1)[:, None], z.shape[1] - 1
+    change = (slope[:, :-1] > 0.0) & (slope[:, 1:] <= 0.0)
+    first = np.argmax(change, axis=-1)[:, None]
+    first = np.where(change[rows, first], first, last)
+    side = slope[rows, k]
+    lo = np.hstack((k - ((side < 0.0) & (k > 0)), first))
+    hi = np.hstack((k + ((side > 0.0) & (k < last)), np.minimum(first + 1, last)))
+    # Chandrupatla's points as rows (z, dV/dz, V, t): p1 the newest, p2 the
+    # bracket's other end, p3 the point last dropped, on p1's side
+    table = np.stack((z, slope, f, np.sqrt(z - origin)))
+    z_scan, f_scan = z[rows, k][:, 0], f[rows, k][:, 0]
+    p1, p2, p3 = (table[:, rows, i] for i in (hi, lo, np.minimum(hi + 1, last)))
+    del z, f, slope, vals, interior, table
+    for _ in range(_STEPS):
+        (x1, f1, _, t1), (x2, f2, _, t2), (_, f3, _, t3) = p1, p2, p3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = (t1 - t2) / (t3 - t2), (f1 - f2) / (f3 - f2)
+            t = (f1 / (f2 - f1) * f3 / (f2 - f3)
+                 + (t3 - t1) / (t2 - t1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+        t = t1 + (t2 - t1) * np.where(
+            (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), t, 0.5)
+        x = np.clip(origin + t * t, np.minimum(x1, x2), np.maximum(x1, x2))
+        value, fx = half_volume(x)
+        keep = (fx > 0.0) == (f1 > 0.0)
+        p3, p2 = np.where(keep, p1, p2), np.where(keep, p2, p1)
+        p1 = np.stack((x, fx, value, np.sqrt(x - origin)))
+    best = np.where(np.abs(p1[1]) <= np.abs(p2[1]), p1, p2)
+    pick = np.argmax(best[2], axis=-1)[:, None]
+    z_best, f_best = best[0][rows, pick][:, 0], best[2][rows, pick][:, 0]
+    # a gain within roundoff of the scan's 4 pi is no gain (as eps -> 1, z an
+    # ulp off 4 pi amplifies the switch point by 1 / (1 - eps)); elsewhere the
+    # refined point wins unless it is below the scan's best beyond roundoff
+    roundoff = 4.0 * np.finfo(float).eps
+    stay = np.where(z_scan == z_hi, f_best <= f_scan * (1.0 + roundoff),
+                    f_best < f_scan * (1.0 - roundoff))
+    return np.where(stay, f_scan, f_best), np.where(stay, z_scan, z_best), peaks > 1
 
 
 def _rhs_difference_sign_changes(eps, z, num: int = 401):
     """Sign changes of (scalar - ricci) phase-space descent bounds along the
     oracle path at each (eps, z) of two 1-D arrays; exactly one for eps < 1
-    on interior z.
-
-    The (eps, x) grid is worked on in place in this thread's workspace, in
-    the order of the expressions in the comments.
-    """
+    on interior z.  A zero takes the sign before it, so only strict changes
+    count."""
     x_sw, m0, _k = _legs(z, eps)
     e, x_sw, m0 = eps[:, None], x_sw[:, None], m0[:, None]
-    xs, u, x_m1_3, ricci_y, part = WORKSPACE.take(5, (eps.size, num))
-    _grid(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num, out=xs)
-    np.cbrt(xs, out=u)
-    np.divide(1.0, u, out=x_m1_3)            # x^(-1/3)
-    u *= u                                   # x^(2/3)
+    xs = _grid(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num)
+    u = np.cbrt(xs)
+    x_m1_3, u = 1.0 / u, u * u               # x^(-1/3), x^(2/3)
     # y^2 = Y0^2 - m0 - 9 eps x^(2/3) up to x_sw, and beyond it
     # Y0^2 - 9 x^(2/3) - 18 (1 - eps) x_sw x^(-1/3)
-    np.multiply(9.0 * e, u, out=ricci_y)
-    np.subtract(_Y0_SQ - m0, ricci_y, out=ricci_y)
-    u *= 9.0
-    np.subtract(_Y0_SQ, u, out=u)
-    np.multiply(18.0 * (1.0 - e) * x_sw, x_m1_3, out=part)
-    u -= part
-    np.copyto(u, ricci_y, where=xs <= x_sw)
+    y_sq = np.where(xs <= x_sw, (_Y0_SQ - m0) - 9.0 * e * u,
+                    (_Y0_SQ - 9.0 * u) - 18.0 * (1.0 - e) * x_sw * x_m1_3)
     # scalar - ricci = (Y0^2 - y^2) / (3 x) - 9 x^(-1/3) - (-6 eps x^(-1/3))
-    np.subtract(_Y0_SQ, u, out=u)
-    xs *= 3.0
-    u /= xs
-    np.multiply(9.0, x_m1_3, out=part)
-    u -= part
-    np.multiply(-6.0 * e, x_m1_3, out=part)
-    u -= part
-    signs = np.sign(u, out=u)
-    # a zero takes the sign before it, so only strict changes count: the
-    # flat index of the last nonzero sign so far, as integers in the
-    # memory of a spare array of doubles
-    last = part.view(np.int64)
-    np.multiply(signs != 0, np.arange(num), out=last)
-    np.maximum.accumulate(last, axis=-1, out=last)
-    last += np.arange(0, signs.size, num)[:, None]
-    filled = np.take(signs.reshape(-1), last, out=ricci_y, mode="clip")
-    np.multiply(filled[:, 1:], filled[:, :-1], out=xs[:, 1:])
-    return np.count_nonzero(xs[:, 1:] < 0, axis=-1)
+    signs = np.sign((_Y0_SQ - y_sq) / (3.0 * xs) - 9.0 * x_m1_3 - -6.0 * e * x_m1_3)
+    last = np.maximum.accumulate((signs != 0) * np.arange(num), axis=-1)
+    filled = np.take_along_axis(signs, last, axis=-1)
+    return np.count_nonzero(filled[:, 1:] * filled[:, :-1] < 0, axis=-1)
 
 
 def alpha_oracle(epsilon):
@@ -463,19 +488,19 @@ def alpha_oracle(epsilon):
         e = eps[inner]
         best, z_arg, multimodal = _supremum(e)
         x_sw, m0, k = _legs(z_arg, e)
-        changes = _rhs_difference_sign_changes(e, z_arg)
+        signs = cache(lambda: _rhs_difference_sign_changes(e, z_arg).tolist())
         rows = zip(best.tolist(), z_arg.tolist(), x_sw.tolist(), m0.tolist(),
-                   k.tolist(), multimodal.tolist(), changes.tolist())
-        for i, row in zip(np.flatnonzero(inner), rows):
+                   k.tolist(), multimodal.tolist())
+        for j, (i, row) in enumerate(zip(np.flatnonzero(inner), rows)):
             r = results[i]
             (value, r.z_argmax, r.switch_x, r.ricci_mass_const,
-             r.scalar_mass_const, r.multimodal, r.rhs_sign_changes) = row
-            r.alpha_oracle = value / math.pi ** 2
+             r.scalar_mass_const, r.multimodal) = row
+            r.alpha_oracle, r._signs, r._row = value / math.pi ** 2, signs, j
     for i in np.flatnonzero(~inner):
         # eps within _NEAR_ONE of 1: the round sphere
         results[i] = AlphaResult(
             results[i].epsilon, alpha_oracle=1.0, z_argmax=_Z_MAX, switch_x=0.0,
-            ricci_mass_const=0.0, scalar_mass_const=0.0, rhs_sign_changes=0)
+            ricci_mass_const=0.0, scalar_mass_const=0.0, _signs=lambda: (0,))
     return _unbatch(results, single)
 
 
@@ -676,14 +701,13 @@ def epsilon0(method: str = "oracle", tol: float = 5e-4,
     else:
         raise ValidationError(f"unknown method {method!r}: use oracle | as-written")
 
-    margin = 1e-8
     lo, hi = search
     evals = []
 
     def above(eps: float) -> bool:
         a = value(eps)
         evals.append((eps, a))
-        return (not math.isnan(a)) and a > 1.0 + margin
+        return (not math.isnan(a)) and a > 1.0
 
     if not above(lo) or above(hi):
         return Epsilon0Bracket(lo=math.nan, hi=math.nan, iterations=0,

@@ -15,10 +15,13 @@ one inverse-square-root zero at the end of the path.  Written as
 
 the substitution x = c - w^2 turns it into 2 int g(c - w^2) dw over
 [sqrt(c - b), sqrt(c - a)], a smooth integral in w, which one fixed rule
-integrates to double precision.  NODES is the smallest count at which the
-scalar leg of alpha reaches its roundoff floor: worst relative error against
-30-digit mpmath over ten z in the bracket (graded toward z_lo, plus the
-maximizer) at each eps in {5e-3, 0.05, 0.1345, 0.9}, same double inputs:
+integrates to double precision.  One call may integrate several such g on
+the same abscissae: alpha's half volume and its z-derivative, whose
+integrand is the leg's differentiated under the integral in w.  NODES is
+the smallest count at which the scalar leg of alpha reaches its roundoff
+floor: worst relative error against 30-digit mpmath over ten z in the
+bracket (graded toward z_lo, plus the maximizer) at each eps in
+{5e-3, 0.05, 0.1345, 0.9}, same double inputs:
 
     nodes            4        8        12       16       20
     relative error   4e-5     1.5e-9   6e-13    3e-15    2.5e-15
@@ -151,12 +154,11 @@ class Workspace(threading.local):
         return self.buffer[:size].reshape((count,) + shape)
 
 
-# the scratch of the package's array kernels: ``sqrt_endpoint`` and the
-# sign count of ``football``
+# the scratch of the package's array kernel ``sqrt_endpoint``
 WORKSPACE = Workspace()
 
 
-def sqrt_endpoint(g, a, b, c):
+def sqrt_endpoint(g, a, b, c, integrands: int = 1):
     """int_a^b g(x) / sqrt(c - x) dx for c >= b, elementwise over the
     broadcast shape of a, b and c.
 
@@ -168,6 +170,11 @@ def sqrt_endpoint(g, a, b, c):
     g is evaluated at x = c only on
     an interval of length zero ending at c, where its value is multiplied
     by 0.
+
+    With ``integrands`` k > 1, g writes k integrands on the same abscissae
+    into out of shape (k, NODES, *shape), and the result has shape
+    (k, *shape).  Each integrand's weighted sum is taken on its own, so
+    the first gets the bits of a one-integrand call.
     """
     # names are dropped after their last use, so that few batch-sized
     # arrays are alive at once
@@ -176,25 +183,30 @@ def sqrt_endpoint(g, a, b, c):
     mid = 0.5 * (w_hi + w_lo)
     del w_lo, w_hi
     shape, size = width.shape, width.size
-    table, x, spare, out = WORKSPACE.take(4, (NODES,) + shape)
+    scratch = WORKSPACE.take(2 + 2 * integrands, (NODES,) + shape)
+    x, spare = scratch[0], scratch[1]
+    out, tables = scratch[2:2 + integrands], scratch[2 + integrands:]
     np.copyto(x, _T.reshape((NODES,) + (1,) * len(shape)))
     x *= 0.5 * width
     x += mid
     del mid
     x *= x
     np.subtract(c, x, out=x)
+    result = np.empty((integrands,) + shape)
     with np.errstate(invalid="ignore", divide="ignore"):
-        g(x, spare, out)
-        # back to (*shape, NODES), the layout the weighted sum was fitted
-        # in, so that each interval's sum keeps its order and its bits
-        rows = table.reshape(size, NODES)
-        np.copyto(rows.T, out.reshape(NODES, size))
-        result = width * (rows.reshape(shape + (NODES,)) @ _W)
-    if not np.isfinite(result).all():
+        g(x, spare, out[0] if integrands == 1 else out)
+        for i in range(integrands):
+            # back to (*shape, NODES), the layout the weighted sum was fitted
+            # in, so that each interval's sum keeps its order and its bits
+            rows = tables[i].reshape(size, NODES)
+            np.copyto(rows.T, out[i].reshape(NODES, size))
+            result[i] = width * (rows.reshape(shape + (NODES,)) @ _W)
+    bad = ~np.isfinite(result).all(axis=0)
+    if bad.any():
         raise QuadratureError(
-            f"endpoint integral is not finite on {np.count_nonzero(~np.isfinite(result))} "
-            f"of {result.size} intervals")
-    return result
+            f"endpoint integral is not finite on {np.count_nonzero(bad)} "
+            f"of {bad.size} intervals")
+    return result[0] if integrands == 1 else result
 
 
 @lru_cache(maxsize=None)

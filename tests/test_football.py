@@ -195,8 +195,8 @@ def test_sign_changes_near_the_round_sphere():
 
 
 def test_sign_changes_of_batches_in_one_workspace():
-    # the (eps, x) grid of each batch is worked in place in one scratch
-    # buffer, larger and smaller batches after each other
+    # larger and smaller batches after each other, each eps counted on
+    # its own row of the (eps, x) grid
     rng = np.random.default_rng(7)
     for size in (203, 1, 66, 7, 203):
         eps = rng.uniform(1e-6, 1.0 - football_module._NEAR_ONE, size)
@@ -206,12 +206,35 @@ def test_sign_changes_of_batches_in_one_workspace():
         _assert_sign_changes(eps, z)
 
 
+def test_sign_changes_are_counted_when_first_read(monkeypatch):
+    # no command prints them: the batch's grid is built on the first read
+    # of any of its results, once
+    calls = []
+    count = football_module._rhs_difference_sign_changes
+
+    def counted(eps, z):
+        calls.append(eps.size)
+        return count(eps, z)
+
+    monkeypatch.setattr(football_module, "_rhs_difference_sign_changes", counted)
+    results = alpha_oracle([0.01, 0.1, 1.0, 0.3])
+    assert calls == []
+    changes = [r.rhs_sign_changes for r in results]
+    assert calls == [3]
+    assert changes == [1, 1, 0, 0]
+    inner = [r for r in results if r.epsilon < 1.0]
+    eps = np.array([r.epsilon for r in inner])
+    want = count(eps, np.array([r.z_argmax for r in inner])).tolist()
+    assert [r.rhs_sign_changes for r in inner] == want
+    assert calls == [3]
+
+
 def test_alpha_continuity_at_football_end():
     # at z = 4 pi/(3 - 2 eps) the construction degenerates to the pure
     # cone-point path, whose value is the closed-form family value
     for eps in (0.05, 0.3, 0.6):
         z_lo, _ = football_module._z_bracket(eps)
-        got = football_module._half_volume_at(eps)(z_lo) / PI ** 2
+        got = football_module._half_volume_at(eps)(z_lo)[0] / PI ** 2
         assert got == pytest.approx(football_family_value(eps), rel=1e-6)
 
 
@@ -424,6 +447,8 @@ def _mp_half_volume(eps, gap):
     u_e = mp.sqrt(c / (9 * eps))
     theta = mp.asin(min(u_sw / u_e, 1))
     ricci = u_e ** 2 / mp.sqrt(eps) * mp.quad(lambda t: mp.sin(t) ** 2, [0, theta])
+    if u0 <= u_sw:
+        return ricci        # z = z_lo, where rounding can put u_sw past u0
     k = 18 * (1 - eps) * x_sw
 
     def scalar(w):
@@ -482,7 +507,8 @@ def test_scalar_leg_rule_matches_mpmath(eps):
         x_sw, _m0, k = (float(v) for v in football_module._legs(z, eps))
         u0 = math.sqrt(z)
         length = u0 - min(float(np.cbrt(x_sw)), u0)
-        got = float(football_module._scalar_leg_integral(u0, length, k))
+        bracket = 9.0 * u0 - 2.25 * (3.0 * z - 4.0 * PI) / u0
+        got = float(football_module._scalar_leg_integral(u0, length, k, bracket)[0])
         with mp.workdps(25):
             def integrand(w):
                 u = u0 - w * w
@@ -546,13 +572,57 @@ def test_alpha_dominates_cone_family_at_small_eps(values):
     assert np.all(alpha >= football_family_value(eps) * (1.0 - 1e-12))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "below eps ~ 1e-4 the interior peak lies within 1e-8 of z_lo or closer, "
-    "inside the last zoom round's first cell near z_lo, so the "
-    "supremum comes out low (8e-11 relative at eps = 3e-5)"))
 def test_alpha_matches_mpmath_supremum_at_3e_5():
+    # the interior peak sits at s = (z - z_lo) / (4 pi - z_lo) ~ 1.2e-10,
+    # inside the first scan cell: the graded points bracket it
     want = _mp_alpha(3e-5)
     assert abs(alpha_oracle(3e-5).alpha_oracle - want) <= 1e-11 * want
+
+
+@settings(max_examples=5, deadline=None)
+@given(eps=st.floats(1e-6, 5e-3))
+def test_alpha_matches_mpmath_supremum_at_small_eps(eps):
+    want = _mp_alpha(eps)
+    assert abs(alpha_oracle(eps).alpha_oracle - want) <= 1e-11 * want
+
+
+@pytest.mark.parametrize("eps", [1e-5, 5e-3, 0.05, 0.1345, 0.9])
+def test_half_volume_slope_matches_mpmath(eps):
+    # dV/dz against numerical differentiation of the 40-digit half volume,
+    # at z - z_lo from 1e-12 to the whole bracket; the offset is taken from
+    # the double z_lo, as the library does.  The scale pi / (4 sqrt(eps)) is
+    # the slope at z_lo: at small eps the slope is a difference of terms of
+    # that size, and it crosses 0 at the maximizer.
+    z_lo, z_hi = football_module._z_bracket(eps)
+    half_volume = football_module._half_volume_at(eps)
+    scale = PI / (4.0 * math.sqrt(eps))
+    # the two ends in closed form: pi / (4 sqrt(eps)) at z_lo, and at 4 pi,
+    # where the ricci and switch terms cancel, the round sphere's
+    # int_0^u0 u / (2 u0 sqrt(u0^2 - u^2)) du = 1/2
+    assert abs(half_volume(z_lo)[1] - scale) <= 1e-15 * scale
+    assert abs(half_volume(z_hi)[1] - 0.5) <= 1e-12 * scale
+    # near z_lo, Q(u) of the scalar leg is about 18 eps u0, a difference of
+    # two terms near 18 u0, so the slope carries about 1e-16 / eps relative
+    tol = 1e-12 + 1e-15 / eps
+    span = z_hi - z_lo
+    for d in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 0.5 * span, 0.9 * span):
+        got = float(half_volume(z_lo + d)[1])
+        with mp.workdps(40):
+            e = mp.mpf(eps)
+            gap = 4 * mp.pi - 4 * mp.pi / (3 - 2 * e) - (mp.mpf(z_lo + d) - mp.mpf(z_lo))
+            want = -mp.diff(lambda g: _mp_half_volume(e, g), gap)
+        assert abs(got - want) <= tol * (abs(want) + scale), d
+
+
+@pytest.mark.parametrize("eps", [9.530123466977739e-07, 2.8281252902500807e-06,
+                                 1e-5, 1e-3, 0.05, 0.1345])
+def test_argmax_is_a_zero_of_the_slope(eps):
+    # the refined point wins over a scan point within roundoff of its value:
+    # below eps ~ 1e-5 a graded point can lie that close, and it is then
+    # up to 5e-14 off the stationary point, where dV/dz is 1% of its scale
+    z = alpha_oracle(eps).z_argmax
+    slope = football_module._half_volume_at(eps)(z)[1]
+    assert abs(slope) <= 1e-3 * PI / (4.0 * math.sqrt(eps))
 
 
 def test_alpha_oracle_batch_shapes():
@@ -572,15 +642,15 @@ def test_half_volume_near_cone_end_matches_mpmath(eps):
     # is exact to roundoff as the switch nears the ricci curve's zero
     z_lo, z_hi = football_module._z_bracket(eps)
     for d in (1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0):
-        got = float(football_module._half_volume_at(eps)(z_lo + d))
+        got = float(football_module._half_volume_at(eps)(z_lo + d)[0])
         with mp.workdps(40):
             e = mp.mpf(eps)
             offset = mp.mpf(z_lo + d) - mp.mpf(z_lo)
             want = _mp_half_volume(e, 4 * mp.pi - 4 * mp.pi / (3 - 2 * e) - offset)
         assert abs(got - want) <= 1e-14 * want, d
-    got = float(football_module._half_volume_at(eps)(z_lo))
+    got = float(football_module._half_volume_at(eps)(z_lo)[0])
     assert got == pytest.approx(PI ** 2 * football_family_value(eps), rel=1e-14)
-    assert float(football_module._half_volume_at(eps)(z_hi)) == PI ** 2
+    assert float(football_module._half_volume_at(eps)(z_hi)[0]) == PI ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +670,7 @@ def _half_volume_expression_form(eps, z):
     # the half volume as written before the in-place kernel; only the round
     # sphere's value at z = 4 pi is now the closed form pi^2, which numpy's
     # 16-node weights give exactly where the supremum evaluates 4 pi (the
-    # last z of a scan or zoom row)
+    # last z of the scan, or a bracket end)
     z_max = football_module._Z_MAX
     z_lo = z_max / (3.0 - 2.0 * eps)
     two_gap = 2.0 * (1.0 - eps)
@@ -642,27 +712,24 @@ def _half_volume_expression_form(eps, z):
 @example(size=66, seed=1)
 @example(size=203, seed=2)
 def test_half_volume_bit_equal_to_expression_form(size, seed):
-    # in the layouts of the supremum's calls: a 33-point scan, two brackets
-    # of 17 zoom points, two vertices; z_lo is a scalar leg of length 0,
+    # in the layouts of the supremum's calls: a scan of 33 + 9 points, and
+    # one point in each of two brackets; z_lo is a scalar leg of length 0,
     # 4 pi the round sphere
     rng = np.random.default_rng(seed)
     eps = np.sort(rng.uniform(1e-6, 1.0 - 1e-9, size))
     z_lo, z_hi = football_module._z_bracket(eps)
-    half_volume = football_module._half_volume_at(eps[:, None, None])
-    for rows, count in ((1, 33), (2, 17), (2, 1)):
-        s = rng.uniform(0.0, 1.0, (rows, count))
-        s[:, 0] = 0.0
-        s[:, -1] = 1.0
-        s[-1, 1:3] = (1e-15, 1e-9) if count > 3 else s[-1, 1:3]
-        z = z_lo[:, None, None] + (z_hi - z_lo)[:, None, None] * s
-        z[..., 0], z[..., -1] = z_lo[:, None], z_hi
-        if count == 1:
-            z[:, 1] = z_lo[:, None]
-        want = _half_volume_expression_form(eps[:, None, None], z)
-        assert np.array_equal(half_volume(z), want)
+    half_volume = football_module._half_volume_at(eps[:, None])
+    for count in (42, 2):
+        s = rng.uniform(0.0, 1.0, count)
+        s[0], s[-1] = 0.0, 1.0
+        s[1:3] = (1e-15, 1e-9) if count > 3 else s[1:3]
+        z = z_lo[:, None] + (z_hi - z_lo)[:, None] * s
+        z[:, 0], z[:, -1] = z_lo, z_hi
+        want = _half_volume_expression_form(eps[:, None], z)
+        assert np.array_equal(half_volume(z)[0], want)
     # one eps and one z, as the tests and the path sampler call it
     e, z = float(eps[0]), float(z_lo[0] + rng.uniform() * (z_hi - z_lo[0]))
-    assert football_module._half_volume_at(e)(z) == _half_volume_expression_form(e, z)
+    assert football_module._half_volume_at(e)(z)[0] == _half_volume_expression_form(e, z)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -671,7 +738,7 @@ def test_scalar_leg_rejects_a_nonfinite_integrand():
     # in-place steps stay inside np.errstate, and the rule raises
     with pytest.raises(QuadratureError, match="not finite on 2 of 3"):
         football_module._scalar_leg_integral(np.full(3, 2.0), np.array([0.5, 0.5, 0.0]),
-                                             np.array([1e6, 1e6, 1.0]))
+                                             np.array([1e6, 1e6, 1.0]), np.zeros(3))
 
 
 def test_round_sphere_leg_is_closed_form(monkeypatch):
@@ -680,30 +747,32 @@ def test_round_sphere_leg_is_closed_form(monkeypatch):
     # above eps0 came out 0.9999999999999998
     monkeypatch.setattr(quadrature, "_W", quadrature.gauss_legendre(16)[1])
     for eps in (0.2, 0.5, 0.9, 1.0 - 1e-9):
-        assert football_module._half_volume_at(eps)(4.0 * PI) == PI ** 2
+        assert football_module._half_volume_at(eps)(4.0 * PI)[0] == PI ** 2
         assert alpha_oracle(eps).alpha_oracle == 1.0
 
 
-def test_half_volume_is_eight_array_calls_per_batch(monkeypatch):
+def test_supremum_is_four_array_calls_for_any_batch(monkeypatch):
+    # one scan and _STEPS bracket steps, whatever the batch and its eps
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(np.shape(args[1]))
-        return quadrature.sqrt_endpoint(*args)
+        return quadrature.sqrt_endpoint(*args, **kwargs)
 
     monkeypatch.setattr(football_module, "sqrt_endpoint", counted)
-    for eps in (0.05, [0.01, 0.1, 0.3], np.linspace(0.005, 0.9, 66)):
+    assert football_module._STEPS == 3
+    for eps in (0.05, 3e-5, [0.01, 0.1], [1e-9, 0.5], np.linspace(0.005, 0.9, 66)):
         calls.clear()
         alpha_oracle(eps)
-        assert len(calls) == 8
+        assert len(calls) == 4
+        assert calls[1:] == [(np.size(eps), 2)] * 3
 
 
 def test_supremum_allocates_less_than_one_node_array():
-    # 66 eps: each zoom round integrates 66 x 34 scalar legs of NODES nodes;
-    # the abscissae and integrand live in the thread's workspace, grown by
-    # the first call, so a repeated supremum allocates less than one
-    # NODES x batch array of doubles (280 KiB; the expression form took
-    # 2.4 MiB)
+    # 66 eps: the scan integrates 66 x 42 scalar legs of NODES nodes, two
+    # integrands each; the abscissae and integrands live in the thread's
+    # workspace, grown by the first call, so a repeated supremum allocates
+    # less than one NODES x batch array of doubles (347 KiB)
     eps = np.linspace(0.006, 0.9, 66)
     first = football_module._supremum(eps)
     tracemalloc.start()
@@ -713,7 +782,7 @@ def test_supremum_allocates_less_than_one_node_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < quadrature.NODES * 66 * 34 * 8
+    assert peak < quadrature.NODES * 66 * 42 * 8
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
 
@@ -771,6 +840,16 @@ def test_alpha_dominates_cone_family_below_crossing():
     alpha = np.array([r.alpha_oracle for r in alpha_oracle(eps)])
     assert np.all(football_family_value(eps) > 1.0)
     assert np.all(alpha >= football_family_value(eps) * (1.0 - 1e-12))
+
+
+def test_epsilon0_brackets_the_reference_at_1e_10():
+    # alpha is exactly 1 above eps0 (the round sphere's closed form), so the
+    # bisection tests alpha > 1 with no margin, which would shift every
+    # bracket by about 3.4e-9
+    ref = 0.1347277554
+    bracket = epsilon0("oracle", tol=1e-10)
+    assert bracket.hi - bracket.lo <= 1e-10
+    assert max(bracket.lo - ref, ref - bracket.hi, 0.0) <= 1e-10
 
 
 def test_epsilon0_lies_above_cone_crossing():

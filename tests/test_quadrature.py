@@ -34,6 +34,37 @@ def test_sqrt_endpoint_exact_for_polynomials_in_w():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sqrt_endpoint_integrates_two_integrands_on_one_rule():
+    # the first integrand gets the bits of a call on its own, the second its
+    # closed form; an interval counts once when either is not finite
+    a = np.array([[0.0, 0.5], [1.0, 2.0]])
+    b = np.array([[1.0, 1.0], [1.5, 3.0]])
+    c = np.array([[1.0, 2.0], [1.5, 10.0]])
+
+    def first(x, spare, out):
+        np.multiply(x, x, out=out)
+
+    def both(x, spare, out):
+        first(x, spare, out[0])
+        np.copyto(out[1], x)
+
+    def anti(x):
+        return 2.0 / 3.0 * np.sqrt(c - x) * (x + 2.0 * c)
+
+    got = sqrt_endpoint(both, a, b, c, integrands=2)
+    assert got.shape == (2,) + a.shape
+    assert np.array_equal(got[0], sqrt_endpoint(first, a, b, c))
+    assert np.allclose(got[1], anti(a) - anti(b), rtol=1e-14, atol=0.0)
+
+    def blows_up(x, spare, out):
+        np.sqrt(x - 0.9, out=out[0])         # nan on [0, 1] and [0.5, 1]
+        np.sqrt(x - 0.4, out=out[1])         # nan on [0, 1] alone
+
+    with pytest.raises(QuadratureError, match="not finite on 2 of 4"):
+        sqrt_endpoint(blows_up, a, b, c, integrands=2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sqrt_endpoint_rejects_nonfinite_values():
     with pytest.raises(QuadratureError):
         sqrt_endpoint(lambda x, spare, out: np.divide(1.0, np.sqrt(x - 0.5), out=out),
