@@ -3,7 +3,7 @@ warped-product model manifolds."""
 
 __version__ = "0.1.0"
 
-from .football import (alpha_as_written, alpha_oracle, alpha_result,
+from .football import (alpha_oracle, alpha_result, as_written_bound,
                        cylinder_growth, epsilon0, oracle_path)
 from .gmt import (ambient_h_bound, area_ratio_constant, check_monotone,
                   cone_over_circle, cutoff_budget, monotonicity_profile,
@@ -19,7 +19,7 @@ from .warped import (candidate_profile, curvature_at, curvature_bounds,
 
 __all__ = [
     "__version__",
-    "alpha_as_written", "alpha_oracle", "alpha_result", "cylinder_growth",
+    "alpha_oracle", "alpha_result", "as_written_bound", "cylinder_growth",
     "epsilon0", "oracle_path",
     "ambient_h_bound", "area_ratio_constant", "check_monotone",
     "cone_over_circle", "cutoff_budget", "monotonicity_profile",

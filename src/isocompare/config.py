@@ -185,6 +185,13 @@ def _cross_validate(config: RunConfig) -> None:
     if config.command == "football-alpha":
         if "eps_grid" not in opts and "epsilon" not in opts:
             raise ConfigError("football-alpha needs eps_grid or epsilon")
+        if "eps_grid" in opts:
+            # checked before the grid is spread: ends such as -inf:inf or
+            # -1e308:1e308 make np.linspace overflow
+            lo, hi, _ = opts["eps_grid"]
+            if not (0.0 < lo and hi <= 1.0):
+                raise ConfigError(
+                    f"eps_grid ends must lie in (0, 1], got {lo:g}:{hi:g}")
     if opts.get("model") == "football" and not 0.0 < opts.get("c", 1.0) <= 1.0:
         raise ConfigError("football cone factor c must lie in (0, 1]")
     if opts.get("model") == "cylinder" and "length" not in opts:

@@ -52,18 +52,17 @@ the narrow interior peak near z_lo, then three safeguarded root steps on
 dV/dz in two brackets per eps, each step one array call over every eps, so a
 sweep costs as many calls as a single eps.
 
-``alpha_as_written`` audits a verbatim transcription of the closed form this
-supremum is usually displayed as; the transcribed switch-point formula is
-dimensionally garbled, so every domain violation it incurs is recorded and
-reported against the oracle rather than patched.  A violation is kept as a
-kind and the numbers of its scan point; its message is formatted only when
-read, and the CLI prints a count per kind and the first message per eps.
+The supremum is usually displayed in a closed form that cannot be evaluated
+as written: its switch point z^((4 pi - eps)/2) / (2 (1 - eps)) puts the
+Gauss-Bonnet constant into an exponent, and ``as_written_bound`` proves that
+on the whole bracket it lies past the path's end x = z^(3/2), by a factor of
+more than 200, so the displayed integrals have no domain.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -77,10 +76,9 @@ from .warped import curvature_bounds, cylinder, sin_squared_integral, total_volu
 __all__ = [
     "EULER_CHARACTERISTIC_SPHERE", "GAUSS_BONNET_TOTAL",
     "R0_UNIT", "RIC0_UNIT", "V0_UNIT",
-    "FootballSpec", "AlphaResult", "DomainViolations", "Epsilon0Bracket",
-    "CylinderGrowth",
+    "FootballSpec", "AlphaResult", "Epsilon0Bracket", "CylinderGrowth",
     "scalar_odi_rhs", "ricci_odi_rhs",
-    "alpha_oracle", "alpha_as_written", "alpha_result", "oracle_path",
+    "alpha_oracle", "alpha_result", "as_written_bound", "oracle_path",
     "epsilon0", "cylinder_growth",
 ]
 
@@ -137,11 +135,11 @@ _SCAN = 33                             # z values scanned per eps
 _GRADED = 2.0 ** np.arange(-4.0, 5.0)
 _STEPS = 3                             # safeguarded steps on dV/dz per bracket
 
-# 1 - eps below which both routes take eps as 1.  The oracle returns the
-# round sphere, the supremum for every eps above eps0 ~ 0.1347: within 8e-15
-# of 1, where the bracket is about 100 ulps of 4 pi wide, the scan returned
-# a z an ulp below 4 pi and a switch point amplified by 1 / (1 - eps).  The
-# verbatim switch formula divides by 2 (1 - eps).
+# 1 - eps below which eps is taken as 1: the oracle returns the round
+# sphere, the supremum for every eps above eps0 ~ 0.1347 (within 8e-15 of 1,
+# where the bracket is about 100 ulps of 4 pi wide, the scan returned a z an
+# ulp below 4 pi and a switch point amplified by 1 / (1 - eps)), and
+# ``as_written_bound`` inf, as the verbatim switch divides by 2 (1 - eps).
 _NEAR_ONE = 1e-12
 
 
@@ -262,7 +260,14 @@ def _half_volume_at(eps):
     top = z_lo * root_lo
     near_top, slope_lo, denominator = top / 8.0, eps * 2.0 * z_lo, two_gap * top
     b = 9.0 * eps
-    root_b, scale = np.sqrt(b), 3.0 / b ** 1.5
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = 3.0 / np.power(b, 1.5)
+        # the ricci leg is at most 36 pi scale, a double while b > 1.5e-204
+        finite = np.isfinite(_Y0_SQ * scale).all()
+    if not finite:
+        raise NumericalError(f"alpha at eps = {float(np.min(eps))!r}: the ricci "
+                             "leg's scale 3 / (9 eps)^(3/2) overflows a double")
+    root_b = np.sqrt(b)
     # theta / u_sw at z = 4 pi, and factors of the slope's terms
     ratio_top, four_eps = root_b / math.sqrt(_Y0_SQ), 4.0 * eps
 
@@ -338,20 +343,15 @@ def _half_volume_at(eps):
 
 @dataclass
 class AlphaResult:
-    """Volume ratio bound at one eps, oracle and verbatim-formula values."""
+    """Volume ratio bound at one eps, its maximizer and its path's constants."""
 
     epsilon: float
     alpha_oracle: float = math.nan
-    alpha_as_written: float = math.nan
     z_argmax: float = math.nan
-    discrepancy: float = math.nan
     switch_x: float = math.nan
     ricci_mass_const: float = math.nan
     scalar_mass_const: float = math.nan
     multimodal: bool = False
-    degenerate_formula: bool = False
-    domain_violations: Sequence[str] = ()
-    z_argmax_as_written: float = math.nan
     # a thunk of the batch's sign counts, cached on first read, and the row
     _signs: Callable = field(default=lambda: (None,), repr=False, compare=False)
     _row: int = field(default=0, repr=False, compare=False)
@@ -371,10 +371,6 @@ def _batch(epsilon):
     if bad.size:
         raise ValidationError(f"epsilon must lie in (0, 1], got {float(bad[0])}")
     return eps.reshape(-1), eps.ndim == 0
-
-
-def _unbatch(results: list, single: bool):
-    return results[0] if single else results
 
 
 def _grid(lo, hi, num: int, out=None):
@@ -501,7 +497,15 @@ def alpha_oracle(epsilon):
         results[i] = AlphaResult(
             results[i].epsilon, alpha_oracle=1.0, z_argmax=_Z_MAX, switch_x=0.0,
             ricci_mass_const=0.0, scalar_mass_const=0.0, _signs=lambda: (0,))
-    return _unbatch(results, single)
+    return results[0] if single else results
+
+
+def alpha_result(epsilon):
+    """The values ``football-alpha`` prints: ``alpha_oracle`` at each eps.
+
+    epsilon is one number or a 1-D sequence, as for ``alpha_oracle``.
+    """
+    return alpha_oracle(epsilon)
 
 
 def oracle_path(epsilon: float, z: float | None = None,
@@ -537,135 +541,30 @@ def oracle_path(epsilon: float, z: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# the published closed form, evaluated verbatim for audit
-
-# Each kind of domain violation: a short name, for counts, and the template
-# of its message, filled from the scan point's z, verbatim switch y, top
-# z^(3/2) and the radicand constants r1, r2.  The last is the eps -> 1 case.
-_VIOLATIONS = (
-    ("over", "z={z:.6g}: switch y(z)={y:.6g} exceeds termination z^(3/2)={top:.6g}"),
-    ("r1<=0", "z={z:.6g}: first radicand {r1:.6g} <= 0 at x=0"),
-    ("r1cross", "z={z:.6g}: first radicand crosses zero inside [0, y(z)]"),
-    ("r2<=0", "z={z:.6g}: second radicand constant {r2:.6g} <= 0"),
-    ("r2cross", "z={z:.6g}: second radicand negative on a subinterval "
-                "ending at z^(3/2)"),
-    ("degenerate", "eps -> 1: switch formula divides by 2(1-eps)"),
-)
+# the published closed form cannot be evaluated as written
 
 
-class DomainViolations(Sequence):
-    """The as-written audit's violation messages at one eps, in scan order.
+def as_written_bound(epsilon):
+    """Least ratio of the published switch point to the path's end: the
+    minimum over z in [z_lo, 4 pi] of y(z) / z^(3/2), with the verbatim
+    y(z) = z^((4 pi - eps) / 2) / (2 (1 - eps)).
 
-    It holds a kind code (an index into ``_VIOLATIONS``) and the numbers
-    (z, y, top, r1, r2) of its scan point per message, and formats a message
-    only when it is read: an audit that is counted, not printed, builds no
-    strings.  ``counts`` and ``summary`` report it in short.
-    """
+    The ratio is z^((4 pi - eps - 3) / 2) / (2 (1 - eps)), increasing in z,
+    so the minimum is its value at z_lo = 4 pi / (3 - 2 eps), at least
+    (4 pi / 3)^4.28 / 2 > 200 for every eps in (0, 1).  So the verbatim
+    switch lies past the end x = z^(3/2) of every admissible path and the
+    displayed integrals have no domain.  inf where 1 - eps < ``_NEAR_ONE``.
 
-    __slots__ = ("_kinds", "_numbers")
-
-    def __init__(self, kinds, numbers):
-        self._kinds, self._numbers = kinds, numbers
-
-    def __len__(self) -> int:
-        return len(self._kinds)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        z, y, top, r1, r2 = self._numbers[index].tolist()
-        return _VIOLATIONS[self._kinds[index]][1].format(
-            z=z, y=y, top=top, r1=r1, r2=r2)
-
-    def counts(self) -> dict[str, int]:
-        """Messages per kind name, for the kinds that occur, in table order."""
-        tally = np.bincount(self._kinds, minlength=len(_VIOLATIONS)).tolist()
-        return {kind: n for (kind, _), n in zip(_VIOLATIONS, tally) if n}
-
-    def summary(self) -> str:
-        """The count of each kind, then the first message (of a nonempty
-        sequence): ``over 33, r1<=0 33; z=4.33323: switch y(z)=...``."""
-        counts = ", ".join(f"{kind} {n}" for kind, n in self.counts().items())
-        return f"{counts}; {self[0]}"
-
-
-_DEGENERATE = DomainViolations(np.array([len(_VIOLATIONS) - 1]),
-                               np.full((1, 5), math.nan))
-
-
-def _as_written_switch(z, eps):
-    # verbatim: z^((4 pi - eps)/2) / (2 (1 - eps)); the exponent mixes the
-    # Gauss-Bonnet constant into a power and is the suspected transcription
-    # slip audited here.
-    return z ** (0.5 * (4.0 * math.pi - eps)) / (2.0 * (1.0 - eps))
-
-
-def alpha_as_written(epsilon):
-    """Evaluate the published alpha(eps) display verbatim, recording every
-    domain violation instead of clamping.
-
-    epsilon is one number or a 1-D sequence, as for ``alpha_oracle``.  The
-    checks run as masks over the (eps, z) scan.  Each eps keeps the kind
-    code and the scan numbers of its violations, z by z in scan order, as a
-    ``DomainViolations``, whose messages are formatted only when read.
-
-    No scan point ever passes: on z in [4 pi / (3 - 2 eps), 4 pi] the
-    verbatim switch over the termination is y / z^(3/2)
-    = z^((4 pi - eps - 3) / 2) / (2 (1 - eps)) >= (4 pi / 3)^4.28 / 2 > 200, so
-    every point is ``over`` and the verbatim value stays nan at every eps.
+    epsilon is one number, giving a float, or a 1-D sequence, giving an
+    array in the same order.
     """
     eps, single = _batch(epsilon)
-    results = [AlphaResult(epsilon=float(e)) for e in eps]
-    degenerate = 1.0 - eps < _NEAR_ONE
-    for i in np.flatnonzero(degenerate):
-        results[i].degenerate_formula = True
-        results[i].domain_violations = _DEGENERATE
-    live = np.flatnonzero(~degenerate)
-    if live.size == 0:
-        return _unbatch(results, single)
-
-    e = eps[live][:, None]
-    zs = _grid(*_z_bracket(eps[live]), _SCAN)
-    y_sw = _as_written_switch(zs, e)
-    x_top = zs ** 1.5
-    c1 = _Y0_SQ - 27.0 * (1.0 - e) * y_sw ** (2.0 / 3.0)
-    c2 = _Y0_SQ - 18.0 * (1.0 - e) * y_sw ** (-1.0 / 3.0)
-    over = y_sw > x_top
-    first = np.where(c1 <= 0, 1,
-                     np.where(c1 - 9.0 * e * y_sw ** (2.0 / 3.0) < 0, 2, -1))
-    second = np.where(c2 <= 0, 3,
-                      np.where(c2 - 9.0 * x_top ** (2.0 / 3.0) < 0, 4, -1))
-    # up to three messages per (eps, z), in this order: the switch, the first
-    # radicand, and the second where neither of those fails; a code indexes
-    # _VIOLATIONS, -1 is no message
-    codes = np.array((np.where(over, 0, -1), first,
-                      np.where(over | (first >= 0), -1, second))).transpose(1, 2, 0)
-    found = codes >= 0
-    at_eps, at_z, _ = np.nonzero(found)
-    kinds = codes[found]
-    numbers = np.array((zs, y_sw, x_top, c1, c2))[:, at_eps, at_z].T
-    ends = np.cumsum(np.count_nonzero(found, axis=(1, 2))).tolist()
-    for i, start, end in zip(live.tolist(), [0] + ends, ends):
-        results[i].domain_violations = DomainViolations(kinds[start:end],
-                                                        numbers[start:end])
-    return _unbatch(results, single)
-
-
-def alpha_result(epsilon):
-    """Oracle and verbatim values side by side with their discrepancy.
-
-    epsilon is one number or a 1-D sequence, as for ``alpha_oracle``.
-    """
-    eps, single = _batch(epsilon)
-    results = alpha_oracle(eps)
-    for oracle, written in zip(results, alpha_as_written(eps)):
-        oracle.alpha_as_written = written.alpha_as_written
-        oracle.z_argmax_as_written = written.z_argmax_as_written
-        oracle.domain_violations = written.domain_violations
-        oracle.degenerate_formula = written.degenerate_formula
-        if not math.isnan(written.alpha_as_written):
-            oracle.discrepancy = abs(oracle.alpha_oracle - written.alpha_as_written)
-    return _unbatch(results, single)
+    # the verbatim exponent (4 pi - eps) / 2 as it rounds, less 3/2 exactly
+    power = 0.5 * ((_Z_MAX - eps) - 3.0)
+    with np.errstate(divide="ignore"):
+        bound = _z_bracket(eps)[0] ** power / (2.0 * (1.0 - eps))
+    bound[1.0 - eps < _NEAR_ONE] = math.inf
+    return float(bound[0]) if single else bound
 
 
 # ---------------------------------------------------------------------------
@@ -689,25 +588,23 @@ def epsilon0(method: str = "oracle", tol: float = 5e-4,
     """Bracket the threshold eps0 by bisection on alpha(eps) - 1.
 
     The search interval starts below the known football excess region and at
-    the proven upper bound 1/2.  For the verbatim formula the predicate is
-    typically never true, which is reported as no_root rather than an error.
+    the proven upper bound 1/2.  The bracket narrows to tol or to adjacent
+    doubles.  The verbatim formula cannot be evaluated at any eps
+    (``as_written_bound``), so ``as-written`` reports no root at once.
     """
-    if method == "oracle":
-        def value(eps: float) -> float:
-            return alpha_oracle(eps).alpha_oracle
-    elif method in ("as_written", "as-written"):
-        def value(eps: float) -> float:
-            return alpha_as_written(eps).alpha_as_written
-    else:
+    if method in ("as_written", "as-written"):
+        return Epsilon0Bracket(lo=math.nan, hi=math.nan, iterations=0,
+                               method=method, no_root=True)
+    if method != "oracle":
         raise ValidationError(f"unknown method {method!r}: use oracle | as-written")
 
     lo, hi = search
     evals = []
 
     def above(eps: float) -> bool:
-        a = value(eps)
+        a = alpha_oracle(eps).alpha_oracle
         evals.append((eps, a))
-        return (not math.isnan(a)) and a > 1.0
+        return a > 1.0
 
     if not above(lo) or above(hi):
         return Epsilon0Bracket(lo=math.nan, hi=math.nan, iterations=0,
@@ -715,6 +612,8 @@ def epsilon0(method: str = "oracle", tol: float = 5e-4,
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:       # adjacent doubles
+            break
         if above(mid):
             lo = mid
         else:

@@ -26,6 +26,13 @@ bracket (graded toward z_lo, plus the maximizer) at each eps in
     nodes            4        8        12       16       20
     relative error   4e-5     1.5e-9   6e-13    3e-15    2.5e-15
 
+Those ten z miss the end near 4 pi, where the scalar leg's K / (u u0) has
+its pole at u = 0 just past the leg's end.  At 0.99, 0.995 and 0.999 of
+the span, at eps = 0.05 and 0.1345, the 16-node half volume is up to
+5.4e-15 relative off 40-digit mpmath and dV/dz up to 1.7e-11, against
+about 1e-16 elsewhere.  No printed digit moves, since the maximizer is
+never there.
+
 The rule runs node-major.  For intervals of shape ``shape`` the abscissae
 are one (NODES, *shape) array, so every elementwise step, and the integrand
 ``g``, which writes through ``out=``, runs over the contiguous batch axis
@@ -36,8 +43,11 @@ it replaces made about 16 of them per call, 287 KiB each at 66 eps, above
 glibc's 128 KiB mmap threshold, so each came back as fresh pages.  The
 values are copied back to (*shape, NODES) for the weighted sum ``@ _W``, a
 BLAS matrix-vector product whose rounding depends on where a row sits in
-its matrix: with OpenBLAS's Haswell kernels the round-sphere leg is pi^2 in
-the last row of 17 or 33 and an ulp below it in a row of a 4-row block.
+its matrix: the round-sphere leg is pi^2 in the last row of 17 or 33 and
+an ulp below it in a row of a 4-row block.  That holds under OpenBLAS
+0.3.31's SkylakeX kernels, which an AVX-512 machine selects and the
+goldens were made with, and under its Haswell kernels; but under Haswell
+two golden ``variation-check`` digits move (ROADMAP item 5).
 Keeping the layout the sum always had keeps every interval's sum, and every
 half volume, bit for bit.
 

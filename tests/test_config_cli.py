@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -5,11 +6,12 @@ import re
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import isocompare
@@ -332,14 +334,18 @@ def test_cli_alpha_grid_rows_match_single_eps(tmp_path, grid):
     # the grids end at eps = 1 and cross the threshold 0.1347
     rows, comments = _alpha_lines(tmp_path, "--eps-grid", grid)
     lo, hi, num = grid.split(":")
+    least = math.inf
     for eps in np.linspace(float(lo), float(hi), int(num)):
         key = format_number(float(eps))
         single_rows, single_comments = _alpha_lines(
             tmp_path, "--epsilon", repr(float(eps)))
         assert single_rows[key] == rows[key]
-        for name in (f"# violations.{key}", f"# switch_points.{key}"):
-            assert name in comments, name
-            assert single_comments.get(name) == comments.get(name), name
+        name = f"# switch_points.{key}"
+        assert name in comments, name
+        assert single_comments.get(name) == comments.get(name), name
+        least = min(least, float(single_comments["# as_written"].split(" = ")[1]))
+    # one as_written line for the run: the least bound over its eps
+    assert comments["# as_written"] == f"# as_written = {format_number(least)}"
 
 
 def test_cli_alpha_switch_point_within_ulps_of_one(tmp_path):
@@ -350,24 +356,91 @@ def test_cli_alpha_switch_point_within_ulps_of_one(tmp_path):
     assert rows["1"] == "1,1,nan,12.5663706144,nan"
 
 
-def test_cli_alpha_violations_are_counted_not_listed(tmp_path):
-    # one line per eps, a count per kind and the first message, also at a
-    # 256-eps grid, which wrote over 1 MB while every message was printed
+def test_cli_alpha_as_written_is_one_line(tmp_path):
+    # one line for the run, also at a 256-eps grid, which wrote over 1 MB
+    # while the audit printed every message and 49 kB while it printed a
+    # line per eps
     out = tmp_path / "alpha.csv"
     assert main(["football-alpha", "--eps-grid", "0.05:0.5:256",
                  "--out", str(out)]) == 0
-    assert out.stat().st_size < 50_000
+    assert out.stat().st_size < 25_000
     lines = out.read_text().splitlines()
-    audit = [l for l in lines if l.startswith("# violations.")]
-    assert len(audit) == 256
-    assert audit[0] == (
-        "# violations.0.05 = over 33, r1<=0 33; z=4.33323: switch y(z)=5087.84 "
-        "exceeds termination z^(3/2)=9.02023")
-    # the JSON summary carries the same text per eps
+    assert [l for l in lines if l.startswith("# as_written")] == [
+        "# as_written = 564.046961283"]
+    assert not any(l.startswith("# violations") for l in lines)
+    # the JSON summary carries the same number
     assert main(["football-alpha", "--eps-grid", "0.05:0.5:256", "--format",
                  "json", "--out", str(out)]) == 0
-    summary = json.loads(out.read_text())["summary"]["violations"]
-    assert [f"# violations.{k} = {v}" for k, v in sorted(summary.items())] == audit
+    assert json.loads(out.read_text())["summary"]["as_written"] == 564.046961283
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eps, code", [("1e-300", 3), ("5e-324", 3),
+                                       ("1e-206", 3), ("1e-200", 0)])
+def test_cli_alpha_tiny_epsilon(tmp_path, capsys, eps, code):
+    # below about 1.7e-205 the ricci leg's scale 3 / (9 eps)^(3/2) times its
+    # height overflows a double (the scale alone below about 7e-207), where
+    # alpha printed nan or inf with exit 0
+    out = tmp_path / "alpha.csv"
+    assert main(["football-alpha", "--epsilon", eps, "--out", str(out)]) == code
+    if code:
+        assert f"eps = {eps}" in capsys.readouterr().err
+    else:
+        row = out.read_text().splitlines()[-1].split(",")
+        assert math.isfinite(float(row[1])) and float(row[1]) > 1e99
+
+
+# --- fuzz of the alpha and epsilon0 flags ---------------------------------------
+
+# numbers as text: any double, nan and inf; eps at and below the overflow of
+# the ricci leg's scale (about 1.7e-205); tol finer than the doubles near
+# eps0 (below about 1.4e-17); and malformed text
+_FUZZ_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(0.0, 1.0).map(repr),
+    st.floats(0.0, 1e-200).map(repr),
+    st.sampled_from(["5e-324", "1e-300", "1e-206", "1e-17", "nan", "inf",
+                     "-inf", "-0", "0", "1", "0.5"]),
+    st.text(max_size=8))
+_FUZZ_GRID = st.one_of(
+    st.tuples(_FUZZ_NUMBER, _FUZZ_NUMBER, st.integers(0, 70)).map(
+        lambda t: "%s:%s:%d" % t),
+    st.text(max_size=12))
+_FUZZ_ARGS = st.one_of(
+    st.tuples(st.just("football-alpha"), st.fixed_dictionaries(
+        {}, optional={"--epsilon": _FUZZ_NUMBER, "--eps-grid": _FUZZ_GRID})),
+    st.tuples(st.just("epsilon0"), st.fixed_dictionaries(
+        {}, optional={"--method": st.one_of(
+            st.sampled_from(["oracle", "as-written"]), st.text(max_size=8)),
+                      "--tol": _FUZZ_NUMBER})))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_FUZZ_ARGS)
+@example(("football-alpha", {"--epsilon": "1e-300"}))
+@example(("football-alpha", {"--epsilon": "1e-206"}))
+@example(("football-alpha", {"--eps-grid": "1e-300:1:4"}))
+@example(("football-alpha", {"--eps-grid": "-inf:inf:3"}))
+@example(("epsilon0", {"--tol": "1e-300"}))
+def test_cli_fuzz_alpha_and_epsilon0_flags(args):
+    # exit 0, 2 or 3, nothing raised, no RuntimeWarning, and a finite alpha
+    # on every row of an exit 0
+    command, flags = args
+    argv = [command] + [f"{flag}={value}" for flag, value in flags.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse's usage error, exit 2; in --flag=value form only a
+            # --method outside its choices reaches it
+            assert flags.get("--method") not in (None, "oracle", "as-written")
+            code = exc.code
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0 and command == "football-alpha":
+        rows = [l for l in out.getvalue().splitlines() if l[:1].isdigit()]
+        assert rows and all(math.isfinite(float(r.split(",")[1])) for r in rows)
 
 
 def test_console_entry_point(tmp_path):

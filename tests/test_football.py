@@ -14,7 +14,7 @@ from isocompare.errors import (DomainError, NumericalError, QuadratureError,
                                ValidationError)
 from isocompare.football import (EULER_CHARACTERISTIC_SPHERE,
                                  GAUSS_BONNET_TOTAL, FootballSpec,
-                                 alpha_as_written, alpha_oracle, alpha_result,
+                                 alpha_oracle, alpha_result, as_written_bound,
                                  cylinder_growth, epsilon0, oracle_path,
                                  ricci_odi_rhs, scalar_odi_rhs)
 from isocompare.phase_plane import extremal_path, volume_from_path
@@ -238,138 +238,84 @@ def test_alpha_continuity_at_football_end():
         assert got == pytest.approx(football_family_value(eps), rel=1e-6)
 
 
-def test_alpha_as_written_records_violations():
-    r = alpha_as_written(0.5)
-    assert r.domain_violations
-    assert math.isnan(r.alpha_as_written)
-    # the verbatim switch exceeds the termination for every z in the bracket
-    assert any("exceeds termination" in v for v in r.domain_violations)
+def _verbatim_over_end(z, eps):
+    # the published switch point over the path's end x = z^(3/2), as written
+    return z ** ((4 * PI - eps) / 2) / (2 * (1 - eps)) / z ** 1.5
 
 
-# The as-written messages at eps = 0.05 as the audit printed them when it
-# built every string eagerly (the golden football-alpha dump of that time).
-_PARENT_VIOLATIONS_AT_0_05 = [
-    'z=4.33323: switch y(z)=5087.84 exceeds termination z^(3/2)=9.02023',
-    'z=4.33323: first radicand -7474.59 <= 0 at x=0',
-    'z=4.59052: switch y(z)=7299.6 exceeds termination z^(3/2)=9.83541',
-    'z=4.59052: first radicand -9538.96 <= 0 at x=0',
-    'z=4.8478: switch y(z)=10268.7 exceeds termination z^(3/2)=10.6738',
-    'z=4.8478: first radicand -12004.9 <= 0 at x=0',
-    'z=5.10509: switch y(z)=14192.6 exceeds termination z^(3/2)=11.5347',
-    'z=5.10509: first radicand -14922.8 <= 0 at x=0',
-    'z=5.36237: switch y(z)=19306.3 exceeds termination z^(3/2)=12.4175',
-    'z=5.36237: first radicand -18346.4 <= 0 at x=0',
-    'z=5.61966: switch y(z)=25886.3 exceeds termination z^(3/2)=13.3219',
-    'z=5.61966: first radicand -22332.7 <= 0 at x=0',
-    'z=5.87694: switch y(z)=34256.2 exceeds termination z^(3/2)=14.2471',
-    'z=5.87694: first radicand -26941.9 <= 0 at x=0',
-    'z=6.13423: switch y(z)=44791.4 exceeds termination z^(3/2)=15.1929',
-    'z=6.13423: first radicand -32237.6 <= 0 at x=0',
-    'z=6.39152: switch y(z)=57924.8 exceeds termination z^(3/2)=16.1587',
-    'z=6.39152: first radicand -38286.8 <= 0 at x=0',
-    'z=6.6488: switch y(z)=74152.7 exceeds termination z^(3/2)=17.1441',
-    'z=6.6488: first radicand -45159.8 <= 0 at x=0',
-    'z=6.90609: switch y(z)=94040.8 exceeds termination z^(3/2)=18.1488',
-    'z=6.90609: first radicand -52930.3 <= 0 at x=0',
-    'z=7.16337: switch y(z)=118231 exceeds termination z^(3/2)=19.1724',
-    'z=7.16337: first radicand -61675.4 <= 0 at x=0',
-    'z=7.42066: switch y(z)=147447 exceeds termination z^(3/2)=20.2145',
-    'z=7.42066: first radicand -71475.7 <= 0 at x=0',
-    'z=7.67794: switch y(z)=182504 exceeds termination z^(3/2)=21.2749',
-    'z=7.67794: first radicand -82415.2 <= 0 at x=0',
-    'z=7.93523: switch y(z)=224314 exceeds termination z^(3/2)=22.3532',
-    'z=7.93523: first radicand -94581.5 <= 0 at x=0',
-    'z=8.19252: switch y(z)=273893 exceeds termination z^(3/2)=23.4491',
-    'z=8.19252: first radicand -108065 <= 0 at x=0',
-    'z=8.4498: switch y(z)=332371 exceeds termination z^(3/2)=24.5623',
-    'z=8.4498: first radicand -122962 <= 0 at x=0',
-    'z=8.70709: switch y(z)=401001 exceeds termination z^(3/2)=25.6927',
-    'z=8.70709: first radicand -139369 <= 0 at x=0',
-    'z=8.96437: switch y(z)=481163 exceeds termination z^(3/2)=26.8398',
-    'z=8.96437: first radicand -157388 <= 0 at x=0',
-    'z=9.22166: switch y(z)=574381 exceeds termination z^(3/2)=28.0036',
-    'z=9.22166: first radicand -177124 <= 0 at x=0',
-    'z=9.47894: switch y(z)=682325 exceeds termination z^(3/2)=29.1837',
-    'z=9.47894: first radicand -198686 <= 0 at x=0',
-    'z=9.73623: switch y(z)=806824 exceeds termination z^(3/2)=30.3799',
-    'z=9.73623: first radicand -222187 <= 0 at x=0',
-    'z=9.99351: switch y(z)=949879 exceeds termination z^(3/2)=31.592',
-    'z=9.99351: first radicand -247743 <= 0 at x=0',
-    'z=10.2508: switch y(z)=1.11367e+06 exceeds termination z^(3/2)=32.8199',
-    'z=10.2508: first radicand -275473 <= 0 at x=0',
-    'z=10.5081: switch y(z)=1.30056e+06 exceeds termination z^(3/2)=34.0632',
-    'z=10.5081: first radicand -305502 <= 0 at x=0',
-    'z=10.7654: switch y(z)=1.51313e+06 exceeds termination z^(3/2)=35.3219',
-    'z=10.7654: first radicand -337955 <= 0 at x=0',
-    'z=11.0227: switch y(z)=1.75415e+06 exceeds termination z^(3/2)=36.5956',
-    'z=11.0227: first radicand -372964 <= 0 at x=0',
-    'z=11.2799: switch y(z)=2.02665e+06 exceeds termination z^(3/2)=37.8844',
-    'z=11.2799: first radicand -410664 <= 0 at x=0',
-    'z=11.5372: switch y(z)=2.33386e+06 exceeds termination z^(3/2)=39.1879',
-    'z=11.5372: first radicand -451192 <= 0 at x=0',
-    'z=11.7945: switch y(z)=2.67928e+06 exceeds termination z^(3/2)=40.5061',
-    'z=11.7945: first radicand -494691 <= 0 at x=0',
-    'z=12.0518: switch y(z)=3.06669e+06 exceeds termination z^(3/2)=41.8387',
-    'z=12.0518: first radicand -541306 <= 0 at x=0',
-    'z=12.3091: switch y(z)=3.50011e+06 exceeds termination z^(3/2)=43.1856',
-    'z=12.3091: first radicand -591187 <= 0 at x=0',
-    'z=12.5664: switch y(z)=3.98387e+06 exceeds termination z^(3/2)=44.5466',
-    'z=12.5664: first radicand -644488 <= 0 at x=0',
-]
+def test_as_written_bound_exceeds_200():
+    # z_lo >= 4 pi / 3 and the exponent (4 pi - eps - 3) / 2 >= 4.28, so the
+    # bound is at least (4 pi / 3)^4.28 / 2 = 229.9 for every eps
+    eps = np.concatenate((np.geomspace(5e-324, 0.5, 300),
+                          1.0 - np.geomspace(0.5, 1e-12, 300)))
+    floor = (4 * PI / 3) ** 4.28 / 2
+    assert floor > 200.0
+    assert np.all(as_written_bound(eps) >= floor)
 
 
 def test_as_written_messages_match_the_eager_dump():
-    # the lazy sequence formats today's exact messages, in scan order
-    assert list(alpha_as_written(0.05).domain_violations) == _PARENT_VIOLATIONS_AT_0_05
-    # the crossing and degenerate templates, from the same eager version
-    assert alpha_as_written(1.0 - 1e-11).domain_violations[:2] == [
-        "z=12.5664: switch y(z)=1.13738e+17 exceeds termination z^(3/2)=44.5466",
-        "z=12.5664: first radicand crosses zero inside [0, y(z)]"]
-    assert list(alpha_as_written(1.0).domain_violations) == [
-        "eps -> 1: switch formula divides by 2(1-eps)"]
+    # the audit's first message per eps, "switch y(z)=Y exceeds termination
+    # z^(3/2)=T" at z = z_lo, printed Y and T to 6 digits, and the bound is
+    # their ratio: the golden eps, and 1 - 1e-11, whose bracket is a few
+    # ulps of 4 pi wide
+    for eps, y, end in ((0.05, 5087.84, 9.02023), (0.175, 9344.93, 10.3263),
+                        (0.3, 18349.5, 11.9811),
+                        (1.0 - 1e-11, 1.13738e17, 44.5466)):
+        assert as_written_bound(eps) == pytest.approx(y / end, rel=1e-5)
+    # "eps -> 1: switch formula divides by 2(1-eps)"
+    assert as_written_bound(1.0) == math.inf
 
 
 @pytest.mark.parametrize("eps", [1e-6, 0.05, 0.3, 0.9, 1.0 - 1e-11, 1.0])
 def test_violation_counts_sum_to_length(eps):
-    violations = alpha_as_written(eps).domain_violations
-    messages = list(violations)
-    assert sum(violations.counts().values()) == len(violations) == len(messages)
-    assert violations[-1] == messages[-1] and violations[0] in violations
-    with pytest.raises(IndexError):
-        violations[len(violations)]
+    # the audit's 33-point scan: every point is over, so the count of over
+    # points is the scan's length, and the least ratio is the bound, at z_lo
+    bound = as_written_bound(eps)
+    if eps == 1.0:
+        assert bound == math.inf
+        return
+    z = np.linspace(*football_module._z_bracket(eps), football_module._SCAN)
+    ratio = _verbatim_over_end(z, eps)
+    assert np.count_nonzero(ratio > 1.0) == z.size == football_module._SCAN
+    assert np.argmin(ratio) == 0
+    assert abs(ratio[0] - bound) <= 1e-15 * bound
 
 
 def test_violations_of_a_batch_match_single_eps():
-    eps = [1.0, 0.05, 1.0 - 1e-11, 0.3]
-    for eps_i, batched in zip(eps, alpha_as_written(eps)):
-        assert list(batched.domain_violations) == list(
-            alpha_as_written(eps_i).domain_violations)
+    eps = [1.0, 0.05, 1.0 - 1e-11, 0.3, 5e-324]
+    assert isinstance(as_written_bound(0.3), float)
+    assert as_written_bound(eps).tolist() == [as_written_bound(e) for e in eps]
+    assert as_written_bound([]).size == 0
+    with pytest.raises(ValidationError, match="got 0.0"):
+        as_written_bound([0.1, 0.0])
+    with pytest.raises(ValidationError):
+        as_written_bound([[0.1]])
 
 
 def test_alpha_as_written_radicand_at_endpoint():
     # at z = 4 pi the second radicand at x = z^(3/2) is
-    # -18 (1-eps) y(z)^(-1/3) <= 0: recorded, not fatal
+    # -18 (1-eps) y(z)^(-1/3) <= 0, and the switch lies past that end
     eps = 0.5
     y_sw = (4 * PI) ** (0.5 * (4 * PI - eps)) / (2 * (1 - eps))
     radicand = 36 * PI - 18 * (1 - eps) * y_sw ** (-1 / 3) - 9 * (4 * PI)
     assert radicand <= 0
-    r = alpha_as_written(eps)
-    assert r.domain_violations
+    assert y_sw / (4 * PI) ** 1.5 >= as_written_bound(eps) > 1.0
 
 
 def test_alpha_as_written_degenerate_near_one():
-    r = alpha_as_written(1.0)
-    assert r.degenerate_formula
-    assert math.isnan(r.alpha_as_written)
+    # the verbatim switch divides by 2 (1 - eps): inf within 1e-12 of 1
+    assert as_written_bound(1.0) == as_written_bound(1.0 - 1e-13) == math.inf
+    assert math.isfinite(as_written_bound(1.0 - 1e-11))
 
 
 def test_alpha_result_discrepancy_reported():
+    # football-alpha prints the oracle's values; the verbatim display gives
+    # no value to set against them, and the bound says why
     for eps in (0.1, 0.3, 0.5):
         r = alpha_result(eps)
+        assert r == alpha_oracle(eps)
         assert r.alpha_oracle >= 1.0 - 1e-9
-        # the verbatim formula never evaluates cleanly; the audit trail
-        # must say so rather than silently passing
-        assert (not math.isnan(r.discrepancy)) or r.domain_violations
+        assert as_written_bound(eps) > 1.0
 
 
 def test_epsilon0_oracle_bracket():
@@ -399,6 +345,17 @@ def test_epsilon0_bracket_contains_two_leg_root():
 def test_epsilon0_as_written_no_root():
     bracket = epsilon0("as-written", tol=5e-4)
     assert bracket.no_root
+    assert bracket.evaluations == []
+
+
+def test_epsilon0_ends_at_adjacent_doubles():
+    # a tol finer than the doubles near eps0 once looped for ever: the
+    # bracket stops at two adjacent doubles
+    for tol in (1e-300, 5e-324):
+        bracket = epsilon0("oracle", tol=tol)
+        assert len(bracket.evaluations) <= 64
+        assert bracket.hi == np.nextafter(bracket.lo, 1.0)
+        assert max(bracket.lo - 0.1347277554, 0.1347277554 - bracket.hi) <= 1e-10
 
 
 def test_epsilon0_unknown_method():
@@ -812,16 +769,19 @@ def test_alpha_from_many_threads_matches_one_thread():
     assert got == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(eps=st.floats(0.0, 1.0 - 1e-12, exclude_min=True, exclude_max=True))
-@example(eps=5e-324)
-@example(eps=float(np.nextafter(1.0 - 1e-12, 0.0)))
-def test_every_as_written_scan_point_is_over(eps):
-    # y / z^(3/2) = z^((4 pi - eps - 3) / 2) / (2 (1 - eps)) > 200 on the
-    # whole bracket, so the verbatim formula is never evaluated
-    r = alpha_as_written(eps)
-    assert r.domain_violations.counts()["over"] == football_module._SCAN
-    assert math.isnan(r.alpha_as_written) and math.isnan(r.z_argmax_as_written)
+@settings(max_examples=200, deadline=None)
+@given(eps=st.floats(0.0, 1.0 - 1e-12, exclude_min=True, exclude_max=True),
+       s=st.floats(0.0, 1.0))
+@example(eps=5e-324, s=0.0)
+@example(eps=float(np.nextafter(1.0 - 1e-12, 0.0)), s=1.0)
+def test_every_as_written_scan_point_is_over(eps, s):
+    # y / z^(3/2) = z^((4 pi - eps - 3) / 2) / (2 (1 - eps)) increases in z,
+    # so its least value on the bracket, the bound, is its value at z_lo
+    bound = as_written_bound(eps)
+    z_lo, z_hi = football_module._z_bracket(eps)
+    z = min(z_lo + s * (z_hi - z_lo), z_hi)
+    assert _verbatim_over_end(z, eps) >= bound * (1.0 - 1e-15)
+    assert abs(_verbatim_over_end(z_lo, eps) - bound) <= 1e-15 * bound
 
 
 _CONE_CROSSING = (2.0 - math.sqrt(3.0)) / 2.0
