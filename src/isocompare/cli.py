@@ -3,6 +3,17 @@
 Every command writes a single CSV or JSON artifact with a header naming the
 command, its parameters and the package version.  Output is deterministic:
 numbers carry 12 significant digits, keys are sorted, no timestamps.
+
+Every number is written as Python's ``%.12g`` writes it.  A table of at
+least ``_KERNEL_MIN`` cells goes through a numpy kernel that writes the same
+bytes: each cell's 12 digits are m = rint(|x| 10^(11 - e)), with e from
+log10 and 10^(11 - e) a correctly rounded double, so m is within 2.3e-4 of
+the exact scaled value; a cell whose fraction is within 1/2 - 1e-3 of an
+integer has its correctly rounded digits in m, and any other cell (ties and
+near-ties, nan, inf, subnormals, |x| outside (1e-290, 1e290)) is written by
+``%`` itself.  m splits into 3 quads of 4 digits, looked up as ASCII, and one
+gather from a layout table per (sign, notation, digits kept) places the
+digits, the point, the sign, the exponent and the separator.
 """
 
 from __future__ import annotations
@@ -176,13 +187,26 @@ def _parameter_strings(opts: dict) -> dict[str, str]:
 
 
 def _table(rows, width: int) -> str:
-    """Data rows as CSV text: the rows become one float table, and a single
-    ``%`` fills a ``%.12g,...`` line template repeated once per row.  ``%``
-    writes nan, +-inf, subnormals and ints as ``format_number`` does, and
-    adding 0.0 turns -0 into 0 as it does."""
-    table = np.asarray(rows, dtype=float) + 0.0
+    """Data rows as CSV text, each cell as ``format_number`` writes it: the
+    rows become one float table (adding 0.0 turns -0 into 0), which the
+    ``%.12g`` kernel renders in blocks of whole rows, or ``%`` alone below
+    ``_KERNEL_MIN`` cells."""
+    with np.errstate(invalid="ignore"):  # a signalling nan
+        cells = (np.asarray(rows, dtype=float) + 0.0).ravel()
+    if cells.size < _KERNEL_MIN:
+        return _percent(cells, width)
+    step = max(1, _BLOCK // width) * width
+    text = b"".join(_kernel(cells[i:i + step], width)
+                    for i in range(0, cells.size, step))
+    return text[:-1].decode("ascii")
+
+
+def _percent(cells, width: int) -> str:
+    """Python's ``%.12g`` on a flat run of cells, ``width`` to a line: a
+    single ``%`` fills a line template repeated once per row.  ``%`` writes
+    nan, +-inf and subnormals as ``format_number`` does."""
     line = ",".join(["%.12g"] * width)
-    return "\n".join([line] * len(table)) % tuple(table.ravel().tolist())
+    return "\n".join([line] * (cells.size // width)) % tuple(cells.tolist())
 
 
 def render(config: RunConfig, columns, rows, summary) -> str:
@@ -243,6 +267,121 @@ def run(config: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the %.12g kernel
+
+_DIGITS = 12            # significant digits of every printed number
+_LO, _HI = 10.0 ** (_DIGITS - 1), 10.0 ** _DIGITS
+_KERNEL_MIN = 768       # cells: below this the kernel's fixed cost exceeds %'s
+_BLOCK = 2048           # cells per kernel pass, which bounds its scratch arrays
+_TINY, _HUGE = 1e-290, 1e290  # the kernel's range of |x|; % outside it
+_POW_LO = _EXP_LO = -300      # the tables hold 10^k and "e%+03d" from k = -300
+_FORMS = _DIGITS + 5    # fixed notation for -4 <= X < 12, then d.ddde+XX
+_WIDTH = 20             # bytes of the longest cell with its separator
+# a cell's 24 source bytes: 12 digits, the exponent text padded with NUL to
+# 8 bytes, then "-", ".", "0" and the separator
+_EXP, _PAD, _MINUS, _DOT, _ZERO, _SEP = 12, 19, 20, 21, 22, 23
+
+
+@functools.cache
+def _kernel_tables():
+    """Built on the first large table: the ASCII quads "0000" .. "9999" as
+    uint32 and their trailing zeros, the powers 10^k correctly rounded, the
+    exponent texts, each exponent's first layout key, and the layout rows:
+    the source byte of each output byte, per (sign, form, digits kept)."""
+    q = np.arange(10_000)[:, None]
+    quads = (q // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    zeros = (q % [10, 100, 1000, 10_000] == 0).sum(axis=1, dtype=np.uint8)
+    powers = np.array([float(f"1e{k}") for k in range(_POW_LO, 309)])
+    xs = np.arange(_EXP_LO, 1 - _EXP_LO)
+    exps = b"".join(f"e{x:+03d}".encode().ljust(8, b"\0") for x in xs)
+    forms = np.where((xs >= -4) & (xs < _DIGITS), xs + 4, _FORMS - 1)
+    layout = np.full((2, _FORMS, _DIGITS, _WIDTH), _PAD, dtype=np.intp)
+    for form in range(_FORMS):
+        exponent = form == _FORMS - 1  # d.ddde+XX: the digits of X = 0
+        x = 0 if exponent else form - 4
+        for kept in range(1, _DIGITS + 1):
+            if x >= 0:  # ddd.ddd, every integer digit kept
+                digits = list(range(max(kept, x + 1)))
+                body = digits[:x + 1] + [_DOT] * (kept > x + 1) + digits[x + 1:]
+            else:       # 0.000ddd
+                body = [_ZERO, _DOT] + [_ZERO] * (-x - 1) + list(range(kept))
+            body += list(range(_EXP, _EXP + 5)) * exponent
+            for sign in (0, 1):
+                row = [_MINUS] * sign + body + [_SEP]
+                layout[sign, form, kept - 1, :len(row)] = row
+    tables = (quads.view(np.uint32).ravel(), zeros, powers,
+              np.frombuffer(exps, np.uint64), forms * _DIGITS + _DIGITS - 1,
+              layout.view(f"V{8 * _WIDTH}").ravel())
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _kernel(cells, width: int) -> bytes:
+    """Whole rows of cells as ``%.12g`` text, each cell followed by "," or,
+    at the end of a row, "\\n".
+
+    A cell with _TINY < |x| < _HUGE gets e = floor(log10 |x|) and
+    s = |x| * 10^(11 - e).  10^(11 - e) is a correctly rounded double, so s
+    is within 2 roundings, 2.3e-4 at s < 1e12, of the exact
+    t = |x| * 10^(11 - e), whatever the error of log10.  If
+    |s - rint(s)| < 1/2 - 1e-3, then m = rint(s) is t correctly rounded, as
+    dtoa rounds it.  With 1e11 - 0.04 <= s and m < 1e12, m holds %.12g's
+    digits at exponent e: t < 1e11 then means t > 1e11 - 0.041, whose 12
+    digits at exponent e - 1 round up to 10^e = m * 10^(e - 11).  Past
+    either end e moves by one and s is taken again, at most three times.
+    A zero is taken as 1, whose one digit becomes "0".  Every other cell
+    goes to % instead: ties and near-ties, nan, inf, subnormals and the
+    range ends.
+    """
+    quads, zeros, powers, exps, form_keys, layout = _kernel_tables()
+    n = cells.size
+    a = np.abs(cells)
+    zero = a == 0
+    inside = (a > _TINY) & (a < _HUGE)
+    a = np.where(inside, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    for _ in range(3):
+        s = a * powers[_DIGITS - 1 - _POW_LO - e]
+        m = np.rint(s)
+        shift = (m >= _HI).view(np.int8) - (s < _LO - 0.04).view(np.int8)
+        if not shift.any():
+            break
+        e += shift
+    ok = (inside | zero) & (np.abs(s - m) < 0.5 - 1e-3) & (shift == 0)
+    m = np.where(ok, m, _LO).astype(np.intp)  # < 1e12: 3 quads of 4 digits
+    q = m // 10_000
+    low = m - q * 10_000
+    top = q // 10_000
+    mid = q - top * 10_000
+    trailing = zeros[low]
+    deep = np.flatnonzero(low == 0)
+    if deep.size:
+        more = zeros[mid[deep]]
+        trailing[deep] += more + (more == 4) * zeros[top[deep]]
+    top[zero] = 0
+    e -= _EXP_LO
+    key = form_keys[e] - trailing
+    key += (cells < 0) * (_FORMS * _DIGITS)
+    src = np.empty((n, 6), np.uint32)
+    src[:, 0], src[:, 1], src[:, 2] = quads[top], quads[mid], quads[low]
+    src[:, 3:5] = exps[e][:, None].view(np.uint32)
+    src.reshape(-1, width, 6)[:, :, 5] = np.frombuffer(
+        b"-.0," * (width - 1) + b"-.0\n", np.uint32)
+    index = np.take(layout, key).view(np.intp).reshape(n, _WIDTH)
+    index += np.arange(0, 24 * n, 24)[:, None]
+    out = np.take(src.view(np.uint8).ravel(), index)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        text = _percent(cells[bad], 1).encode().split(b"\n")
+        out[bad, :-1] = np.frombuffer(
+            b"".join(t.ljust(_WIDTH - 1, b"\0") for t in text),
+            np.uint8).reshape(-1, _WIDTH - 1)
+        out[bad, -1] = np.where(bad % width == width - 1, ord("\n"), ord(","))
+    return out.tobytes().translate(None, b"\0")
+
+
+# ---------------------------------------------------------------------------
 # argument parsing
 
 
@@ -288,7 +427,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # a usage error (2) or --help (0): argparse has printed the message
+        return exc.code
     try:
         pairs = {}
         if args.config:

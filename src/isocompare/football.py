@@ -261,7 +261,9 @@ def _half_volume_at(eps):
     near_top, slope_lo, denominator = top / 8.0, eps * 2.0 * z_lo, two_gap * top
     b = 9.0 * eps
     with np.errstate(divide="ignore", over="ignore"):
-        scale = 3.0 / np.power(b, 1.5)
+        # at one eps a numpy scalar's power, C's pow as for a float's b ** 1.5;
+        # numpy's array power rounds about 1 b in 20 an ulp apart from it
+        scale = 3.0 / np.asarray(b)[()] ** 1.5
         # the ricci leg is at most 36 pi scale, a double while b > 1.5e-204
         finite = np.isfinite(_Y0_SQ * scale).all()
     if not finite:

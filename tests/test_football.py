@@ -668,6 +668,7 @@ def _half_volume_expression_form(eps, z):
 @given(size=st.integers(1, 203), seed=st.integers(0, 2 ** 32 - 1))
 @example(size=66, seed=1)
 @example(size=203, seed=2)
+@example(size=183, seed=328)
 def test_half_volume_bit_equal_to_expression_form(size, seed):
     # in the layouts of the supremum's calls: a scan of 33 + 9 points, and
     # one point in each of two brackets; z_lo is a scalar leg of length 0,
