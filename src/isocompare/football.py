@@ -157,9 +157,10 @@ def _legs(z, eps):
     return x_sw, m0, k
 
 
-def _scalar_leg_integral(u0, length, k, bracket):
+def _scalar_leg_integral(u0, length, k, excess):
     """dx/y along the scalar equality curve from u0 - length to its zero u0,
-    in u = x^(1/3), u0 = sqrt(z), and its z-derivative at fixed w.
+    in u = x^(1/3), u0 = sqrt(z), and its z-derivative at fixed w, given
+    K and excess = 3 z - 4 pi.
 
     The height factors as y^2 = (u0 - u) Q(u) with Q(u) = 9 (u0 + u)
     - K / (u u0) smooth and positive, so the integral is
@@ -167,39 +168,48 @@ def _scalar_leg_integral(u0, length, k, bracket):
     ``quadrature`` integrates to double precision.  It is taken in
     v = u - u0 on [-length, 0], so that the leg's length enters exactly
     rather than as a difference of two numbers near u0.  At z = z_lo the
-    leg has length zero and the rule returns exactly 0.
+    leg has length zero and the rule returns exactly 0.  Near the switch at
+    small eps, Q is about 18 eps u0, a difference of two terms near 18 u0
+    as written; by K = 9 u0 (4 pi - z) it is the sum
+    Q = 9 (excess + v (3 u0 + v)) / u, whose parts are each of Q's size.
 
     In the rule's variable w, u = u0 - w^2, the leg is 2 int 3 u^2 Q^(-1/2)
     dw.  Its integrand's z-derivative at fixed w is the second integrand on
     the same nodes, (3 u / u0) Q^(-3/2) (bracket + 9 u / 2
-    - (K / (u u0)) (5 + u / u0) / 4), given bracket = 9 u0 + (dK/dz) / 2.
-    Returns (leg, the integral over w of that derivative).
+    - (K / (u u0)) (5 + u / u0) / 4), where bracket = 9 u0 + (dK/dz) / 2
+    = 9 u0 - 9 excess / (4 u0).  Returns (leg, the integral over w of that
+    derivative).
     """
-    def g(u, spare, out):
-        # node-major and in place; the leg keeps the order of 3 u^2 / sqrt(Q(u))
+    bracket = 9.0 * u0 - 2.25 * excess / u0
+
+    def g(v, spare, out):
+        # node-major and in place
         leg, slope = out
-        np.add(u, u0, out=u)                 # u = u0 + v
-        np.multiply(u, u0, out=spare)
+        np.multiply(u0, 3.0, out=leg)
+        leg += v
+        leg *= v
+        leg += excess                        # Q u / 9
+        np.add(v, u0, out=v)                 # u = u0 + v
+        leg /= v
+        leg *= 9.0                           # Q(u)
+        np.multiply(v, u0, out=spare)
         np.divide(k, spare, out=spare)       # K / (u u0)
-        np.divide(u, u0, out=leg)
-        leg *= 0.25
-        leg += 1.25
-        leg *= spare
-        np.multiply(u, 4.5, out=slope)
-        slope += bracket
-        slope -= leg
-        slope *= u
-        slope /= u0
-        np.add(u, u0, out=leg)
-        leg *= 9.0
-        leg -= spare
+        np.divide(v, u0, out=slope)
+        slope *= 0.25
+        slope += 1.25
+        slope *= spare
+        np.multiply(v, 4.5, out=spare)
+        spare += bracket
+        spare -= slope
+        spare *= v
+        spare /= u0
         np.sqrt(leg, out=leg)                # sqrt(Q(u))
-        np.multiply(leg, leg, out=spare)
-        spare *= leg
-        slope /= spare
+        np.multiply(leg, leg, out=slope)
+        slope *= leg
+        np.divide(spare, slope, out=slope)
         slope *= 3.0
-        np.multiply(u, 3.0, out=spare)
-        spare *= u
+        np.multiply(v, 3.0, out=spare)
+        spare *= v
         np.divide(spare, leg, out=leg)
 
     return sqrt_endpoint(g, -length, 0.0, 0.0, integrands=2)
@@ -261,9 +271,7 @@ def _half_volume_at(eps):
     near_top, slope_lo, denominator = top / 8.0, eps * 2.0 * z_lo, two_gap * top
     b = 9.0 * eps
     with np.errstate(divide="ignore", over="ignore"):
-        # at one eps a numpy scalar's power, C's pow as for a float's b ** 1.5;
-        # numpy's array power rounds about 1 b in 20 an ulp apart from it
-        scale = 3.0 / np.asarray(b)[()] ** 1.5
+        scale = 3.0 / b ** 1.5
         # the ricci leg is at most 36 pi scale, a double while b > 1.5e-204
         finite = np.isfinite(_Y0_SQ * scale).all()
     if not finite:
@@ -332,9 +340,8 @@ def _half_volume_at(eps):
         ricci_leg *= sin_squared_integral(theta)     # theta in [0, pi/2]
         del theta
         x_sw *= nine_gap                     # K = 18 (1 - eps) x_sw
-        bracket = 9.0 * root - 2.25 * excess / root  # 9 u0 + (dK/dz) / 2
-        scalar_leg, scalar_slope = _scalar_leg_integral(root, length, x_sw, bracket)
-        del root, length, x_sw, excess, bracket
+        scalar_leg, scalar_slope = _scalar_leg_integral(root, length, x_sw, excess)
+        del root, length, x_sw, excess
         ricci_leg += scalar_leg
         np.copyto(ricci_leg, _ROUND_HALF_VOLUME, where=z == _Z_MAX)
         slope += scalar_slope

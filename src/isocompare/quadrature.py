@@ -24,12 +24,12 @@ bracket (graded toward z_lo, plus the maximizer) at each eps in
 {5e-3, 0.05, 0.1345, 0.9}, same double inputs:
 
     nodes            4        8        12       16       20
-    relative error   4e-5     1.5e-9   6e-13    3e-15    2.5e-15
+    relative error   1e-5     7.7e-10  6.1e-13  7.6e-16  3.1e-16
 
-Those ten z miss the end near 4 pi, where the scalar leg's K / (u u0) has
-its pole at u = 0 just past the leg's end.  At 0.99, 0.995 and 0.999 of
-the span, at eps = 0.05 and 0.1345, the 16-node half volume is up to
-5.4e-15 relative off 40-digit mpmath and dV/dz up to 1.7e-11, against
+Those ten z miss the end near 4 pi, where the scalar leg's Q(u) has its
+pole at u = 0 just past the leg's end.  At 0.99, 0.995 and 0.999 of the
+span, at eps = 0.05 and 0.1345, the 16-node half volume is up to 5.6e-15
+relative off 40-digit mpmath and dV/dz up to 1.7e-11, against
 about 1e-16 elsewhere.  No printed digit moves, since the maximizer is
 never there.
 
@@ -40,16 +40,15 @@ instead of broadcasting against a 16-long inner axis.  These arrays are
 views of a ``Workspace``, one per thread, grown to the largest call so far
 and never returned, so a call allocates no NODES x batch array.  The form
 it replaces made about 16 of them per call, 287 KiB each at 66 eps, above
-glibc's 128 KiB mmap threshold, so each came back as fresh pages.  The
-values are copied back to (*shape, NODES) for the weighted sum ``@ _W``, a
-BLAS matrix-vector product whose rounding depends on where a row sits in
-its matrix: the round-sphere leg is pi^2 in the last row of 17 or 33 and
-an ulp below it in a row of a 4-row block.  That holds under OpenBLAS
-0.3.31's SkylakeX kernels, which an AVX-512 machine selects and the
-goldens were made with, and under its Haswell kernels; but under Haswell
-two golden ``variation-check`` digits move (ROADMAP item 5).
-Keeping the layout the sum always had keeps every interval's sum, and every
-half volume, bit for bit.
+glibc's 128 KiB mmap threshold, so each came back as fresh pages.
+
+Every weighted sum is a plain ``@``.  BLAS orders a sum by the kernel the
+CPU selects and by a row's place in its block, which moves the last bits
+of a sum (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4)
+but no printed digit: with numpy 2.4.6 and OpenBLAS 0.3.31 every golden
+output keeps its bytes under the SkylakeX, Haswell, Sandybridge, Zen,
+Prescott, Nehalem, Core2, Atom, Penryn and Barcelona kernels
+(``OPENBLAS_CORETYPE``), and with numpy's AVX-512 loops disabled.
 
 ``sin_power``: int_0^theta sin^m for 0 <= theta <= pi, one rule in theta on
 [0, phi], phi = min(theta, pi - theta), reflected about pi/2 as
@@ -79,15 +78,6 @@ raised to the m-th power.  Above m = 512 the 64-node rule is kept and its
 error grows (6.8e-12 at m = 640, 7.9e-10 at 768); no volume reaches those
 powers except at theta = pi/2, where ``sin_power`` is exact and builds no
 rule, because ``warped.sphere_area`` is 0 from dimension 491 on.
-
-Weighted sums.  ``sin_power`` takes each theta's sum with ``np.vecdot``, one
-BLAS dot product per row, so a batch of theta gives every theta the bits of
-a call on that theta alone.  A matrix-vector ``@`` rounds about one row in
-five of a batch differently from the same row on its own, and the variation
-stencils, which evaluate every (t, step) point in one call, must give the
-digits of the one-point ``warped.slice_at``.  ``sqrt_endpoint`` keeps the
-matrix-vector ``@ _W`` described above: the printed digits of alpha and of
-the sampled-path volumes were made with it.
 """
 
 from __future__ import annotations
@@ -103,11 +93,6 @@ from .errors import QuadratureError
 __all__ = ["NODES", "gauss_legendre", "sin_power", "sqrt_endpoint"]
 
 NODES = 16
-# numpy's weights, not ``gauss_legendre``'s: the printed digits of alpha
-# were made with them.  alpha is within 4.4e-16 of the 50-digit reference
-# at ten eps in [5e-3, 0.3] with either, and is exactly 1 above eps0 with
-# either, since the round sphere's leg is the closed form pi^2 in ``football``
-_T, _W = np.polynomial.legendre.leggauss(NODES)
 
 # (largest power m, node count), from the table in the module docstring
 _SIN_POWER_NODES = ((12, 16), (48, 24), (112, 32), (256, 48), (512, 64))
@@ -126,8 +111,8 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights of the Gauss-Legendre rule on [-1, 1],
     each the double nearest its exact value.  Read-only arrays, built once
     per node count."""
-    # imported here: alpha and the Bishop bound never build such a rule, and
-    # their cold start skips the 1.6 ms import
+    # imported here: the Bishop bound builds no rule, and its cold start
+    # skips the 1.6 ms import
     from decimal import Decimal, localcontext
 
     guess, _ = np.polynomial.legendre.leggauss(nodes)
@@ -183,8 +168,7 @@ def sqrt_endpoint(g, a, b, c, integrands: int = 1):
 
     With ``integrands`` k > 1, g writes k integrands on the same abscissae
     into out of shape (k, NODES, *shape), and the result has shape
-    (k, *shape).  Each integrand's weighted sum is taken on its own, so
-    the first gets the bits of a one-integrand call.
+    (k, *shape).
     """
     # names are dropped after their last use, so that few batch-sized
     # arrays are alive at once
@@ -193,10 +177,10 @@ def sqrt_endpoint(g, a, b, c, integrands: int = 1):
     mid = 0.5 * (w_hi + w_lo)
     del w_lo, w_hi
     shape, size = width.shape, width.size
-    scratch = WORKSPACE.take(2 + 2 * integrands, (NODES,) + shape)
-    x, spare = scratch[0], scratch[1]
-    out, tables = scratch[2:2 + integrands], scratch[2 + integrands:]
-    np.copyto(x, _T.reshape((NODES,) + (1,) * len(shape)))
+    t, weights = gauss_legendre(NODES)
+    scratch = WORKSPACE.take(2 + integrands, (NODES,) + shape)
+    x, spare, out = scratch[0], scratch[1], scratch[2:]
+    np.copyto(x, t.reshape((NODES,) + (1,) * len(shape)))
     x *= 0.5 * width
     x += mid
     del mid
@@ -206,11 +190,7 @@ def sqrt_endpoint(g, a, b, c, integrands: int = 1):
     with np.errstate(invalid="ignore", divide="ignore"):
         g(x, spare, out[0] if integrands == 1 else out)
         for i in range(integrands):
-            # back to (*shape, NODES), the layout the weighted sum was fitted
-            # in, so that each interval's sum keeps its order and its bits
-            rows = tables[i].reshape(size, NODES)
-            np.copyto(rows.T, out[i].reshape(NODES, size))
-            result[i] = width * (rows.reshape(shape + (NODES,)) @ _W)
+            result[i] = width * (weights @ out[i].reshape(NODES, size)).reshape(shape)
     bad = ~np.isfinite(result).all(axis=0)
     if bad.any():
         raise QuadratureError(
@@ -251,5 +231,5 @@ def sin_power(m: int, theta):
     nodes = next((n for top, n in _SIN_POWER_NODES if m <= top), _SIN_POWER_NODES[-1][1])
     t, weights = gauss_legendre(nodes)
     h = 0.5 * np.minimum(theta, math.pi - theta)
-    part = h * np.vecdot(np.sin(h[..., None] * (1.0 + t)) ** m, weights)
+    part = h * (np.sin(h[..., None] * (1.0 + t)) ** m @ weights)
     return np.where(at_half, half, np.where(theta > 0.5 * math.pi, 2.0 * half - part, part))

@@ -20,10 +20,7 @@ checks of every (t, step) as array expressions, and fits the observed order
 of every (t, check) column with a single ``np.polyfit`` whose right-hand
 side is 2-D.  ``residual_table``, ``variation_report``,
 ``convergence_order`` and the ``check_*`` functions are views of it at one
-t, and ``variation-check`` reads it once for all its t.  Every number is the
-one a separate check at that (t, step) would give, bit for bit: the
-pointwise quantities round as at a single point, and a 2-D polyfit gives
-each column the slope it gets alone.
+t, and ``variation-check`` reads it once for all its t.
 """
 
 from __future__ import annotations

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (DomainError, SingularPointError, UnsupportedPointError,
                      ValidationError)
-from .quadrature import sin_power
+from .quadrature import gauss_legendre, sin_power
 
 __all__ = [
     "WarpedMetric", "CurvatureData", "CurvatureBounds", "Slice", "Profile",
@@ -106,15 +105,6 @@ def sin_squared_integral(theta):
     for coefficient in _X_MINUS_SIN[1:]:
         series = series * y + coefficient
     return 0.25 * np.where(x < 1.0, series * y * x, x - np.sin(x))
-
-
-def _float_pow(x, p):
-    """x ** p element by element with the C library's pow, as a Python float
-    power rounds.  numpy's array power takes its own SIMD path, which rounds
-    about one element in twenty differently on AVX-512, so the pointwise
-    quantities use this one at a single point and in a batch alike."""
-    x = np.asarray(x, dtype=float)
-    return np.array([v ** p for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 class MonotoneCubic:
@@ -204,7 +194,7 @@ class _RoundSphereWarp:
 
     def slope_complement(self, t):
         # 1 - f'^2 = sin^2(t/r), free of the cancellation near the poles
-        return _float_pow(np.sin(np.asarray(t, dtype=float) / self.radius), 2)
+        return np.sin(np.asarray(t, dtype=float) / self.radius) ** 2
 
     def pole_slopes(self):
         return 1.0, -1.0
@@ -236,7 +226,7 @@ class _FootballWarp:
         # 1 - c^2 cos^2 = sin^2 + (1 - c^2) cos^2, stable near the poles
         u = np.asarray(t, dtype=float) / self.radius
         c0 = self.cone_factor
-        return _float_pow(np.sin(u), 2) + (1.0 - c0 * c0) * _float_pow(np.cos(u), 2)
+        return np.sin(u) ** 2 + (1.0 - c0 * c0) * np.cos(u) ** 2
 
     def pole_slopes(self):
         return self.cone_factor, -self.cone_factor
@@ -271,16 +261,6 @@ class _CylinderWarp:
 
     def power_integral(self, t, m: int):
         return self.radius ** m * np.asarray(t, dtype=float)
-
-
-@lru_cache(maxsize=None)
-def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's Gauss-Legendre rule, built once per node count and read-only:
-    numpy's own doubles, so that the tabulated power integrals keep their
-    bits."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
 
 
 class _TabulatedWarp:
@@ -335,7 +315,7 @@ class _TabulatedWarp:
     def power_integral(self, t, m: int):
         # f^m has degree 3m on each cubic piece, where the
         # ceil((3m+1)/2)-node Gauss-Legendre rule is exact
-        nodes, weights = _leggauss((3 * m + 2) // 2)
+        nodes, weights = gauss_legendre((3 * m + 2) // 2)
 
         def within_piece(lo, hi):
             """Half widths and f^m at the rule's nodes on [lo, hi]."""
@@ -344,15 +324,12 @@ class _TabulatedWarp:
             return half, self._interp(s) ** m
 
         x = self.t_samples
-        # the whole pieces as one matrix-vector product, the sums every
-        # tabulated volume was printed with; the partial pieces as one dot
-        # per t, so that a batch of t gives each t its one-point bits
         half, values = within_piece(x[:-1], x[1:])
         cumulative = np.concatenate(([0.0], np.cumsum(half * (values @ weights))))
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
         half, values = within_piece(x[k], t)
-        return cumulative[k] + half * np.vecdot(values, weights)
+        return cumulative[k] + half * (values @ weights)
 
 
 @dataclass(frozen=True)
@@ -447,13 +424,8 @@ class Pointwise(NamedTuple):
 
 def pointwise(metric: WarpedMetric, t) -> Pointwise:
     """Area, enclosed volume, H, |Pi|^2 and the curvatures at every t of an
-    array, each t strictly inside the model.
-
-    Every quantity is elementwise in t and rounds as it would at t alone:
-    the powers of f are C-library pows (``_float_pow``) and the volume's
-    weighted sums are one dot per t (``quadrature``), so ``slice_at`` and
-    ``curvature_at``, the one-point views, give the bits of any batch.
-    """
+    array, each t strictly inside the model; ``slice_at`` and
+    ``curvature_at`` are its one-point views."""
     t = np.asarray(t, dtype=float)
     outside = ~((metric.t_min < t) & (t < metric.t_max))
     if outside.any():
@@ -467,10 +439,10 @@ def pointwise(metric: WarpedMetric, t) -> Pointwise:
     omega = sphere_area(n - 1)
     radial, tangential, scalar = _curvatures(n, f, f2, metric.warp.slope_complement(t))
     return Pointwise(
-        area=omega * _float_pow(f, n - 1),
+        area=omega * f ** (n - 1),
         volume=omega * metric.warp.power_integral(t, n - 1),
         mean_curvature=(n - 1) * f1 / f,
-        second_fundamental_norm_sq=(n - 1) * _float_pow(f1 / f, 2),
+        second_fundamental_norm_sq=(n - 1) * (f1 / f) ** 2,
         ric_radial=radial, ric_tangential=tangential, scalar=scalar)
 
 
@@ -633,8 +605,12 @@ def candidate_profile(metric: WarpedMetric, grid_size: int = 257) -> Profile:
     areas = omega * f ** (n - 1)
 
     vols = omega * metric.warp.power_integral(ts, n - 1)
-    if not np.all(np.diff(vols) > 0):
-        raise ValidationError("volume samples are not strictly increasing")
+    stalled = ~(np.diff(vols) > 0)
+    if stalled.any():
+        raise ValidationError(
+            f"volume samples are not strictly increasing: V stops increasing at "
+            f"t={ts[np.argmax(stalled)]:g} (n={n}, grid_size={grid_size}), where "
+            "a grid cell is below the volume's resolution")
 
     with np.errstate(divide="ignore", invalid="ignore"):
         da_dv = np.where(f > 0, (n - 1) * np.asarray(f1, dtype=float) / f, np.inf)

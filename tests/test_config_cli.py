@@ -141,6 +141,21 @@ def test_cli_profile_csv(tmp_path):
     assert len(rows) == 18
 
 
+@pytest.mark.parametrize("command, model", [
+    ("profile", "model = sphere\n"), ("mass", "model = sphere\nric0 = 7\n"),
+    ("profile", "model = football\nc = 0.0439\n")])
+def test_cli_stalled_volume_names_its_inputs(tmp_path, capsys, command, model):
+    # at n = 8 and 2049 points the last cells near the pole are below one
+    # ulp of the total volume, first after t = 3.12779: a config error (exit
+    # 2) that names n, grid_size and that t
+    code, text = _invoke(tmp_path, command, f"command = {command}\n{model}"
+                         "n = 8\ngrid_size = 2049\n")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "volume samples are not strictly increasing" in err
+    assert "t=3.12779 (n=8, grid_size=2049)" in err
+
+
 def test_cli_variation_check(tmp_path):
     code, text = _invoke(tmp_path, "variation-check",
                          "command = variation-check\nmodel = sphere\n"

@@ -464,14 +464,19 @@ def test_scalar_leg_rule_matches_mpmath(eps):
         x_sw, _m0, k = (float(v) for v in football_module._legs(z, eps))
         u0 = math.sqrt(z)
         length = u0 - min(float(np.cbrt(x_sw)), u0)
-        bracket = 9.0 * u0 - 2.25 * (3.0 * z - 4.0 * PI) / u0
-        got = float(football_module._scalar_leg_integral(u0, length, k, bracket)[0])
+        excess = 3.0 * z - 4.0 * PI
+        got = float(football_module._scalar_leg_integral(u0, length, k, excess)[0])
         with mp.workdps(25):
             def integrand(w):
-                u = u0 - w * w
-                return 6 * u * u / mp.sqrt(9 * (u0 + u) - k / (u * u0))
+                v = -w * w
+                return 6 * (u0 + v) ** 2 / mp.sqrt(9 * (excess + v * (3 * u0 + v))
+                                                   / (u0 + v))
 
-            want = mp.quad(integrand, [0, mp.sqrt(length)])
+            # at z = 4 pi (K = 0) the leg runs to u = 0, where the rounded
+            # excess leaves Q's numerator an ulp from 0, of either sign; the
+            # leg is int_0^u0 u^2 (u0^2 - u^2)^(-1/2) du = pi u0^2 / 4
+            want = (mp.pi * mp.mpf(u0) ** 2 / 4 if k == 0.0
+                    else mp.quad(integrand, [0, mp.sqrt(length)]))
         assert abs(got - want) <= 1e-14 * want
 
 
@@ -558,9 +563,7 @@ def test_half_volume_slope_matches_mpmath(eps):
     # int_0^u0 u / (2 u0 sqrt(u0^2 - u^2)) du = 1/2
     assert abs(half_volume(z_lo)[1] - scale) <= 1e-15 * scale
     assert abs(half_volume(z_hi)[1] - 0.5) <= 1e-12 * scale
-    # near z_lo, Q(u) of the scalar leg is about 18 eps u0, a difference of
-    # two terms near 18 u0, so the slope carries about 1e-16 / eps relative
-    tol = 1e-12 + 1e-15 / eps
+    tol = 1e-12
     span = z_hi - z_lo
     for d in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 0.5 * span, 0.9 * span):
         got = float(half_volume(z_lo + d)[1])
@@ -615,7 +618,7 @@ def test_half_volume_near_cone_end_matches_mpmath(eps):
 
 def _sqrt_endpoint_expression_form(g, a, b, c):
     # shape-major abscissae (*shape, NODES), one fresh array per operation
-    t, w = quadrature._T, quadrature._W
+    t, w = quadrature.gauss_legendre(quadrature.NODES)
     c = np.asarray(c, dtype=float)
     w_lo, w_hi = np.sqrt(c - b), np.sqrt(c - a)
     x = (0.5 * (w_hi + w_lo))[..., None] + (0.5 * (w_hi - w_lo))[..., None] * t
@@ -624,10 +627,8 @@ def _sqrt_endpoint_expression_form(g, a, b, c):
 
 
 def _half_volume_expression_form(eps, z):
-    # the half volume as written before the in-place kernel; only the round
-    # sphere's value at z = 4 pi is now the closed form pi^2, which numpy's
-    # 16-node weights give exactly where the supremum evaluates 4 pi (the
-    # last z of the scan, or a bracket end)
+    # the half volume as written before the in-place kernel, with the
+    # round sphere's value at z = 4 pi the closed form pi^2
     z_max = football_module._Z_MAX
     z_lo = z_max / (3.0 - 2.0 * eps)
     two_gap = 2.0 * (1.0 - eps)
@@ -654,11 +655,11 @@ def _half_volume_expression_form(eps, z):
     theta = np.arctan2(u_sw * root_b, np.sqrt(y_sq))
     ricci_leg = scale * (b * u_sw * u_sw + y_sq) * sin_power_integral(2, theta)
     length = np.where(near, delta + root_lo * one_minus_r, root - u_sw)
-    u0, k = root[..., None], (9.0 * two_gap * x_sw)[..., None]
+    u0, excess = root[..., None], (3.0 * d + slope_lo)[..., None]
 
     def g(v):
         u = u0 + v
-        return 3.0 * u * u / np.sqrt(9.0 * (u0 + u) - k / (u * u0))
+        return 3.0 * u * u / np.sqrt(9.0 * (excess + v * (3.0 * u0 + v)) / u)
 
     value = ricci_leg + _sqrt_endpoint_expression_form(g, -length, 0.0, 0.0)
     return np.where(z == z_max, PI ** 2, value)
@@ -669,10 +670,12 @@ def _half_volume_expression_form(eps, z):
 @example(size=66, seed=1)
 @example(size=203, seed=2)
 @example(size=183, seed=328)
-def test_half_volume_bit_equal_to_expression_form(size, seed):
+def test_half_volume_within_ulps_of_expression_form(size, seed):
     # in the layouts of the supremum's calls: a scan of 33 + 9 points, and
     # one point in each of two brackets; z_lo is a scalar leg of length 0,
-    # 4 pi the round sphere
+    # 4 pi the round sphere.  The two differ in the order of the rule's
+    # weighted sum and of a few products, each a few ulps of a leg, and
+    # both legs are positive (measured worst, 3 ulps of V)
     rng = np.random.default_rng(seed)
     eps = np.sort(rng.uniform(1e-6, 1.0 - 1e-9, size))
     z_lo, z_hi = football_module._z_bracket(eps)
@@ -684,26 +687,26 @@ def test_half_volume_bit_equal_to_expression_form(size, seed):
         z = z_lo[:, None] + (z_hi - z_lo)[:, None] * s
         z[:, 0], z[:, -1] = z_lo, z_hi
         want = _half_volume_expression_form(eps[:, None], z)
-        assert np.array_equal(half_volume(z)[0], want)
+        assert np.all(np.abs(half_volume(z)[0] - want) <= 8 * np.spacing(want))
     # one eps and one z, as the tests and the path sampler call it
     e, z = float(eps[0]), float(z_lo[0] + rng.uniform() * (z_hi - z_lo[0]))
-    assert football_module._half_volume_at(e)(z)[0] == _half_volume_expression_form(e, z)
+    want = _half_volume_expression_form(e, z)
+    assert abs(football_module._half_volume_at(e)(z)[0] - want) <= 8 * np.spacing(want)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_scalar_leg_rejects_a_nonfinite_integrand():
-    # K large enough that Q(u) = 9 (u0 + u) - K / (u u0) is negative: the
-    # in-place steps stay inside np.errstate, and the rule raises
+    # excess = 3 z - 4 pi negative enough that Q(u) = 9 (excess + v (3 u0 + v))
+    # / u is negative: the in-place steps stay inside np.errstate, and the
+    # rule raises
     with pytest.raises(QuadratureError, match="not finite on 2 of 3"):
         football_module._scalar_leg_integral(np.full(3, 2.0), np.array([0.5, 0.5, 0.0]),
-                                             np.array([1e6, 1e6, 1.0]), np.zeros(3))
+                                             np.ones(3), np.array([-1e6, -1e6, 1.0]))
 
 
-def test_round_sphere_leg_is_closed_form(monkeypatch):
-    # int_0^sqrt(4 pi) u^2 (4 pi - u^2)^(-1/2) du = pi^2: with the nearest
-    # doubles of the 16-node weights the rule lands an ulp below, and alpha
-    # above eps0 came out 0.9999999999999998
-    monkeypatch.setattr(quadrature, "_W", quadrature.gauss_legendre(16)[1])
+def test_round_sphere_leg_is_closed_form():
+    # int_0^sqrt(4 pi) u^2 (4 pi - u^2)^(-1/2) du = pi^2: the 16-node rule
+    # lands an ulp below, and alpha above eps0 came out 0.9999999999999998
     for eps in (0.2, 0.5, 0.9, 1.0 - 1e-9):
         assert football_module._half_volume_at(eps)(4.0 * PI)[0] == PI ** 2
         assert alpha_oracle(eps).alpha_oracle == 1.0

