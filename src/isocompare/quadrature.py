@@ -168,7 +168,8 @@ def sqrt_endpoint(g, a, b, c, integrands: int = 1):
 
     With ``integrands`` k > 1, g writes k integrands on the same abscissae
     into out of shape (k, NODES, *shape), and the result has shape
-    (k, *shape).
+    (k, *shape).  Each integrand's weighted sum is taken on its own, so
+    the first gets the bits of a one-integrand call.
     """
     # names are dropped after their last use, so that few batch-sized
     # arrays are alive at once
