@@ -47,10 +47,10 @@ the two an interior z still beats both ends.  alpha grows without bound as
 eps -> 0, the long-cylinder regime.
 
 The supremum over z is taken for a whole array of eps at once, from the
-stationarity condition dV/dz = 0: a 33-point scan with points graded toward
-the narrow interior peak near z_lo, then three safeguarded root steps on
-dV/dz in two brackets per eps, each step one array call over every eps, so a
-sweep costs as many calls as a single eps.
+stationarity condition dV/dz = 0: a 12-point scan from z_lo to 4 pi, graded
+toward the narrow interior peak near z_lo, then three safeguarded root steps
+on dV/dz in one bracket per eps, each step one array call over every eps, so
+a sweep costs as many calls as a single eps.
 
 The supremum is usually displayed in a closed form that cannot be evaluated
 as written: its switch point z^((4 pi - eps)/2) / (2 (1 - eps)) puts the
@@ -128,12 +128,11 @@ def ricci_odi_rhs(area: float, area_prime: float, epsilon: float,
 _Y0_SQ = start_height(3) ** 2          # 36 pi
 _Z_MAX = GAUSS_BONNET_TOTAL            # termination area of the round sphere
 _ROUND_HALF_VOLUME = math.pi ** 2      # the half volume at z = 4 pi
-_SCAN = 33                             # z values scanned per eps
 # s = (z - z_lo) / (4 pi - z_lo) of the graded points over the seed 0.14 eps^2
-# (1 + 5 eps), within 10% of the interior peak's s up to eps0 (0.98 of it at
-# 1e-5, 0.94 at 0.05, 1.00 at 0.1345)
+# (1 + 5 eps), capped at 1/32; the seed is within 10% of the interior peak's
+# s up to eps0 (0.98 of it at 1e-5, 0.94 at 0.05, 1.00 at 0.1345)
 _GRADED = 2.0 ** np.arange(-4.0, 5.0)
-_STEPS = 3                             # safeguarded steps on dV/dz per bracket
+_STEPS = 3                             # safeguarded steps on dV/dz
 
 # 1 - eps below which eps is taken as 1: the oracle returns the round
 # sphere, the supremum for every eps above eps0 ~ 0.1347 (within 8e-15 of 1,
@@ -360,7 +359,6 @@ class AlphaResult:
     switch_x: float = math.nan
     ricci_mass_const: float = math.nan
     scalar_mass_const: float = math.nan
-    multimodal: bool = False
     # a thunk of the batch's sign counts, cached on first read, and the row
     _signs: Callable = field(default=lambda: (None,), repr=False, compare=False)
     _row: int = field(default=0, repr=False, compare=False)
@@ -382,59 +380,43 @@ def _batch(epsilon):
     return eps.reshape(-1), eps.ndim == 0
 
 
-def _grid(lo, hi, num: int, out=None):
-    """num evenly spaced points from lo to hi on a new last axis, both ends
-    exact (hi is 4 pi on the last cell, where x_sw must be exactly 0),
-    written into out when it is given."""
-    lo = np.asarray(lo, dtype=float)
-    z = np.multiply(((hi - lo) / (num - 1))[..., None], np.arange(num), out=out)
-    z += lo[..., None]
-    z[..., -1] = hi
-    return z
-
-
 def _supremum(eps):
     """Maximum of the half volume over z for each eps < 1 of a 1-D array:
-    (maximum, argmax, whether the scan saw more than one interior peak).
+    (maximum, argmax).
 
-    One call takes V and dV/dz on a 33-point scan, which carries the z = 4 pi
-    end and the multimodal flag, and on the ``_GRADED`` points around the
-    narrow interior peak, in the first scan cell.  Two brackets per eps: the
-    first + to - sign change of dV/dz (the interior peak nearest z_lo), and
-    the side of the argmax that dV/dz points to (one point at an end
-    maximum).  Each takes _STEPS steps of Chandrupatla's (1997) method on
-    dV/dz in t = sqrt(z - z_lo), where dV/dz ~ a - b t is smooth: inverse
-    quadratic interpolation where his test admits it, else bisection.  The
-    end with the smaller |dV/dz| is a bracket's argmax.  Each step is one
-    array call over every eps and both brackets.
+    dV/dz is pi / (4 sqrt(eps)) > 0 at z_lo.  Up to eps0 it turns negative
+    past the interior peak, which lies among the ``_GRADED`` points; above
+    eps0 no z beats the round sphere's pi^2 at z = 4 pi.  So one call takes
+    V and dV/dz at 12 z per eps: z_lo, the graded points, s = 1/32 and 4 pi.
+    The first + to - change of dV/dz brackets the peak (without one, as
+    above eps ~ 0.252, the bracket is the point 4 pi) and takes _STEPS steps
+    of Chandrupatla's (1997) method on dV/dz in t = sqrt(z - z_lo), where
+    dV/dz ~ a - b t is smooth: inverse quadratic interpolation where his
+    test admits it, else bisection; the end with the smaller |dV/dz| is its
+    argmax.  Each step is one array call over every eps; a batch with no
+    change makes none.
     """
     z_lo, z_hi = _z_bracket(eps)
     origin, rows = z_lo[:, None], np.arange(eps.size)[:, None]
     half_volume = _half_volume_at(eps[:, None])
-    scan = _grid(z_lo, z_hi, _SCAN)
+    span = (z_hi - z_lo)[:, None]
     s = np.minimum((0.14 * eps * eps * (1.0 + 5.0 * eps))[:, None] * _GRADED,
-                   1.0 / (_SCAN - 1))       # in the first scan cell, in order
-    graded = origin + (z_hi - z_lo)[:, None] * s
-    z = np.concatenate((scan[:, :1], graded, scan[:, 1:]), axis=1)
-    del scan, s, graded             # few batch-sized arrays alive per call
+                   1.0 / 32.0)
+    z = np.hstack((origin, origin + span * s, origin + span / 32.0,
+                   np.full_like(origin, z_hi)))
+    del span, s                     # few batch-sized arrays alive per call
     f, slope = half_volume(z)
-    vals = np.concatenate((f[:, :1], f[:, _GRADED.size + 1:]), axis=1)   # scan values
-    interior = vals[:, 1:-1]
-    peaks = np.sum((interior > vals[:, :-2]) & (interior > vals[:, 2:]), axis=-1)
     k, last = np.argmax(f, axis=-1)[:, None], z.shape[1] - 1
     change = (slope[:, :-1] > 0.0) & (slope[:, 1:] <= 0.0)
-    first = np.argmax(change, axis=-1)[:, None]
-    first = np.where(change[rows, first], first, last)
-    side = slope[rows, k]
-    lo = np.hstack((k - ((side < 0.0) & (k > 0)), first))
-    hi = np.hstack((k + ((side > 0.0) & (k < last)), np.minimum(first + 1, last)))
+    lo = np.where(change.any(axis=-1), np.argmax(change, axis=-1), last)[:, None]
+    hi = np.minimum(lo + 1, last)
     # Chandrupatla's points as rows (z, dV/dz, V, t): p1 the newest, p2 the
     # bracket's other end, p3 the point last dropped, on p1's side
     table = np.stack((z, slope, f, np.sqrt(z - origin)))
     z_scan, f_scan = z[rows, k][:, 0], f[rows, k][:, 0]
     p1, p2, p3 = (table[:, rows, i] for i in (hi, lo, np.minimum(hi + 1, last)))
-    del z, f, slope, vals, interior, table
-    for _ in range(_STEPS):
+    del z, f, slope, table
+    for _ in range(_STEPS if change.any() else 0):
         (x1, f1, _, t1), (x2, f2, _, t2), (_, f3, _, t3) = p1, p2, p3
         with np.errstate(divide="ignore", invalid="ignore"):
             xi, phi = (t1 - t2) / (t3 - t2), (f1 - f2) / (f3 - f2)
@@ -447,16 +429,15 @@ def _supremum(eps):
         keep = (fx > 0.0) == (f1 > 0.0)
         p3, p2 = np.where(keep, p1, p2), np.where(keep, p2, p1)
         p1 = np.stack((x, fx, value, np.sqrt(x - origin)))
-    best = np.where(np.abs(p1[1]) <= np.abs(p2[1]), p1, p2)
-    pick = np.argmax(best[2], axis=-1)[:, None]
-    z_best, f_best = best[0][rows, pick][:, 0], best[2][rows, pick][:, 0]
+    z_best, _, f_best, _ = np.where(np.abs(p1[1]) <= np.abs(p2[1]), p1, p2)[..., 0]
     # a gain within roundoff of the scan's 4 pi is no gain (as eps -> 1, z an
     # ulp off 4 pi amplifies the switch point by 1 / (1 - eps)); elsewhere the
-    # refined point wins unless it is below the scan's best beyond roundoff
+    # refined point wins unless it is below the scan's best beyond roundoff,
+    # as below eps ~ 1e-7, where the peak is within a few ulps of z_lo
     roundoff = 4.0 * np.finfo(float).eps
     stay = np.where(z_scan == z_hi, f_best <= f_scan * (1.0 + roundoff),
                     f_best < f_scan * (1.0 - roundoff))
-    return np.where(stay, f_scan, f_best), np.where(stay, z_scan, z_best), peaks > 1
+    return np.where(stay, f_scan, f_best), np.where(stay, z_scan, z_best)
 
 
 def _rhs_difference_sign_changes(eps, z, num: int = 401):
@@ -466,7 +447,7 @@ def _rhs_difference_sign_changes(eps, z, num: int = 401):
     count."""
     x_sw, m0, _k = _legs(z, eps)
     e, x_sw, m0 = eps[:, None], x_sw[:, None], m0[:, None]
-    xs = _grid(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num)
+    xs = np.linspace(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num, axis=-1)
     u = np.cbrt(xs)
     x_m1_3, u = 1.0 / u, u * u               # x^(-1/3), x^(2/3)
     # y^2 = Y0^2 - m0 - 9 eps x^(2/3) up to x_sw, and beyond it
@@ -491,15 +472,14 @@ def alpha_oracle(epsilon):
     inner = 1.0 - eps >= _NEAR_ONE
     if inner.any():
         e = eps[inner]
-        best, z_arg, multimodal = _supremum(e)
+        best, z_arg = _supremum(e)
         x_sw, m0, k = _legs(z_arg, e)
         signs = cache(lambda: _rhs_difference_sign_changes(e, z_arg).tolist())
-        rows = zip(best.tolist(), z_arg.tolist(), x_sw.tolist(), m0.tolist(),
-                   k.tolist(), multimodal.tolist())
+        rows = zip(*(a.tolist() for a in (best, z_arg, x_sw, m0, k)))
         for j, (i, row) in enumerate(zip(np.flatnonzero(inner), rows)):
             r = results[i]
             (value, r.z_argmax, r.switch_x, r.ricci_mass_const,
-             r.scalar_mass_const, r.multimodal) = row
+             r.scalar_mass_const) = row
             r.alpha_oracle, r._signs, r._row = value / math.pi ** 2, signs, j
     for i in np.flatnonzero(~inner):
         # eps within _NEAR_ONE of 1: the round sphere

@@ -605,6 +605,15 @@ def candidate_profile(metric: WarpedMetric, grid_size: int = 257) -> Profile:
     areas = omega * f ** (n - 1)
 
     vols = omega * metric.warp.power_integral(ts, n - 1)
+    if not vols[-1] > 0:
+        # f^(n-1) underflows on every cell: name the inputs that scale f
+        scales = {"radius": metric.warp.radius}
+        if metric.warp.kind == "football":
+            scales["c"] = metric.warp.cone_factor
+        named = ", ".join(f"{k}={v:g}" for k, v in scales.items())
+        raise ValidationError(
+            f"the model's volume underflows to 0 ({named}, n={n}): f^{n - 1} "
+            f"is 0 in doubles on every cell; raise {' or '.join(scales)}")
     stalled = ~(np.diff(vols) > 0)
     if stalled.any():
         raise ValidationError(

@@ -156,6 +156,21 @@ def test_cli_stalled_volume_names_its_inputs(tmp_path, capsys, command, model):
     assert "t=3.12779 (n=8, grid_size=2049)" in err
 
 
+@pytest.mark.parametrize("command, model, named", [
+    ("profile", "model = football\nc = 1e-300\n", "(radius=1, c=1e-300, n=3)"),
+    ("mass", "model = sphere\nradius = 1e-200\nric0 = 2\n", "(radius=1e-200, n=3)")])
+def test_cli_underflowed_volume_names_its_inputs(tmp_path, capsys, command, model,
+                                                 named):
+    # f^(n-1) underflows to 0 on every cell: a config error (exit 2) that
+    # names the radius and the cone factor c, not a stalled grid cell
+    code, text = _invoke(tmp_path, command, f"command = {command}\n{model}")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert f"volume underflows to 0 {named}" in err
+    assert ("raise radius or c" if "c=" in named else "raise radius") in err
+    assert "stops increasing" not in err
+
+
 def test_cli_variation_check(tmp_path):
     code, text = _invoke(tmp_path, "variation-check",
                          "command = variation-check\nmodel = sphere\n"

@@ -153,7 +153,7 @@ def _sign_changes_exact(eps, z, num=401):
     samples), and no count is pinned there.
     """
     x_sw, _m0, _k = football_module._legs(z, eps)
-    xs = football_module._grid(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num)
+    xs = np.linspace(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num, axis=-1)
     x_sw = x_sw[:, None]
     count = ((xs < x_sw).any(axis=-1) & (xs > x_sw).any(axis=-1)).astype(int)
     with np.errstate(divide="ignore"):      # x_sw = 0 at z = 4 pi
@@ -274,9 +274,9 @@ def test_violation_counts_sum_to_length(eps):
     if eps == 1.0:
         assert bound == math.inf
         return
-    z = np.linspace(*football_module._z_bracket(eps), football_module._SCAN)
+    z = np.linspace(*football_module._z_bracket(eps), 33)
     ratio = _verbatim_over_end(z, eps)
-    assert np.count_nonzero(ratio > 1.0) == z.size == football_module._SCAN
+    assert np.count_nonzero(ratio > 1.0) == z.size == 33
     assert np.argmin(ratio) == 0
     assert abs(ratio[0] - bound) <= 1e-15 * bound
 
@@ -671,8 +671,8 @@ def _half_volume_expression_form(eps, z):
 @example(size=203, seed=2)
 @example(size=183, seed=328)
 def test_half_volume_within_ulps_of_expression_form(size, seed):
-    # in the layouts of the supremum's calls: a scan of 33 + 9 points, and
-    # one point in each of two brackets; z_lo is a scalar leg of length 0,
+    # in layouts like the supremum's calls: its 12-point scan, a wider one of
+    # 42 points, and two points per eps; z_lo is a scalar leg of length 0,
     # 4 pi the round sphere.  The two differ in the order of the rule's
     # weighted sum and of a few products, each a few ulps of a leg, and
     # both legs are positive (measured worst, 3 ulps of V)
@@ -680,7 +680,7 @@ def test_half_volume_within_ulps_of_expression_form(size, seed):
     eps = np.sort(rng.uniform(1e-6, 1.0 - 1e-9, size))
     z_lo, z_hi = football_module._z_bracket(eps)
     half_volume = football_module._half_volume_at(eps[:, None])
-    for count in (42, 2):
+    for count in (42, 12, 2):
         s = rng.uniform(0.0, 1.0, count)
         s[0], s[-1] = 0.0, 1.0
         s[1:3] = (1e-15, 1e-9) if count > 3 else s[1:3]
@@ -713,7 +713,10 @@ def test_round_sphere_leg_is_closed_form():
 
 
 def test_supremum_is_four_array_calls_for_any_batch(monkeypatch):
-    # one scan and _STEPS bracket steps, whatever the batch and its eps
+    # one 12-point scan and _STEPS steps on one bracket per eps, whatever the
+    # batch and its eps; a batch in which dV/dz changes sign at no scan point
+    # (each eps above about 0.252) has only the point 4 pi to refine and
+    # makes the scan alone
     calls = []
 
     def counted(*args, **kwargs):
@@ -725,15 +728,19 @@ def test_supremum_is_four_array_calls_for_any_batch(monkeypatch):
     for eps in (0.05, 3e-5, [0.01, 0.1], [1e-9, 0.5], np.linspace(0.005, 0.9, 66)):
         calls.clear()
         alpha_oracle(eps)
-        assert len(calls) == 4
-        assert calls[1:] == [(np.size(eps), 2)] * 3
+        assert calls == [(np.size(eps), 12)] + [(np.size(eps), 1)] * 3
+    for eps in (0.5, [0.4, 0.9], [0.31, 1.0 - 1e-11, 0.6]):
+        calls.clear()
+        alpha_oracle(eps)
+        assert calls == [(np.size(eps), 12)]
 
 
-def test_supremum_allocates_less_than_one_node_array():
-    # 66 eps: the scan integrates 66 x 42 scalar legs of NODES nodes, two
+def test_supremum_allocates_less_than_two_node_arrays():
+    # 66 eps: the scan integrates 66 x 12 scalar legs of NODES nodes, two
     # integrands each; the abscissae and integrands live in the thread's
     # workspace, grown by the first call, so a repeated supremum allocates
-    # less than one NODES x batch array of doubles (347 KiB)
+    # only its (66, 12) arrays (171 KiB at the peak), less than two NODES x
+    # batch arrays of doubles (198 KiB): one node array more would show
     eps = np.linspace(0.006, 0.9, 66)
     first = football_module._supremum(eps)
     tracemalloc.start()
@@ -743,7 +750,7 @@ def test_supremum_allocates_less_than_one_node_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < quadrature.NODES * 66 * 42 * 8
+    assert peak < 2 * quadrature.NODES * 66 * 12 * 8
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
 
@@ -821,3 +828,71 @@ def test_epsilon0_lies_above_cone_crossing():
     bracket = epsilon0("oracle", tol=1e-7)
     assert _CONE_CROSSING < bracket.lo < 0.13472776 < bracket.hi
     assert alpha_oracle(0.5 * (_CONE_CROSSING + bracket.lo)).alpha_oracle > 1.0
+
+
+# ---------------------------------------------------------------------------
+# the premise of the 12-point scan, on a dense grid in s
+
+_BELOW_EPS0 = 0.1347277554       # eps0 = 0.13472775541141216 to a double
+_ABOVE_EPS0 = 0.1347277555
+
+
+def _dense_scan(eps, num=600):
+    """The graded points' seed 0.14 eps^2 (1 + 5 eps), and on num
+    s = (z - z_lo) / (4 pi - z_lo) geometric from 1e-3 seed to 1: s, V and
+    dV/dz, one row per eps of a list."""
+    eps = np.asarray(eps, dtype=float)
+    seed = 0.14 * eps * eps * (1.0 + 5.0 * eps)
+    s = np.geomspace(1e-3 * seed, 1.0, num, axis=-1)
+    z_lo, z_hi = football_module._z_bracket(eps)
+    z = z_lo[:, None] + (z_hi - z_lo)[:, None] * s
+    z[:, -1] = z_hi
+    return (seed, s) + football_module._half_volume_at(eps[:, None])(z)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(
+        lambda x: min(max(10.0 ** x, lo), hi))
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(1e-7, _BELOW_EPS0),
+                                 _log_uniform(1e-7, _BELOW_EPS0)),
+                       min_size=1, max_size=20))
+@example(values=[1e-7, 3e-5, 0.05, 0.1345, _BELOW_EPS0])
+def test_first_slope_change_lies_among_the_graded_points(values):
+    # from 1e-7 to eps0, dV/dz first turns from + to - inside
+    # [seed / 16, min(16 seed, 1/32)], the span of the graded points, so the
+    # scan's first change brackets the interior peak (measured: between
+    # 0.89 and 1.09 seed)
+    seed, s, _, slope = _dense_scan(values)
+    change = (slope[:, :-1] > 0.0) & (slope[:, 1:] <= 0.0)
+    assert change.any(axis=-1).all()
+    first, rows = np.argmax(change, axis=-1), np.arange(seed.size)
+    assert np.all(s[rows, first] >= seed / 16.0)
+    assert np.all(s[rows, first + 1] <= np.minimum(16.0 * seed, 1.0 / 32.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(st.floats(_ABOVE_EPS0, 1.0 - football_module._NEAR_ONE),
+                       min_size=1, max_size=20))
+@example(values=[_ABOVE_EPS0, 0.2, 0.2962, 0.3, 0.5, 1.0 - 1e-12])
+def test_half_volume_stays_at_the_round_sphere_above_eps0(values):
+    # above eps0 no z beats the round sphere's pi^2 by more than the
+    # supremum's roundoff of 4 ulps (measured: by none), so the scan's best
+    # point, 4 pi, is the answer whatever its one bracket holds
+    _, _, v, _ = _dense_scan(values)
+    assert np.all(v <= PI ** 2 * (1.0 + 4.0 * np.finfo(float).eps))
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(_log_uniform(1.7e-205, 1e-7), min_size=1, max_size=20))
+@example(values=[1.7e-205, 1e-200, 1e-100, 1e-20, 1e-7])
+def test_alpha_is_the_cone_family_below_1e_7(values):
+    # below eps ~ 1e-7 the peak lies within a few ulps of z_lo, and the
+    # scan's best point is the answer: the cone family's closed form to
+    # roundoff (measured: -5.6e-16 to 1.1e-15 relative); below 1.7e-205 the
+    # ricci leg's scale overflows
+    eps = np.array(values)
+    alpha = np.array([r.alpha_oracle for r in alpha_oracle(eps)])
+    assert np.all(np.abs(alpha / football_family_value(eps) - 1.0) <= 4e-15)
