@@ -3,8 +3,8 @@ warped-product model manifolds."""
 
 __version__ = "0.1.0"
 
-from .football import (alpha_oracle, alpha_result, as_written_bound,
-                       cylinder_growth, epsilon0, oracle_path)
+from .football import (alpha_oracle, as_written_bound, cylinder_growth,
+                       epsilon0, oracle_path)
 from .gmt import (ambient_h_bound, area_ratio_constant, check_monotone,
                   cone_over_circle, cutoff_budget, monotonicity_profile,
                   unit_circle, unit_sphere)
@@ -19,8 +19,8 @@ from .warped import (candidate_profile, curvature_at, curvature_bounds,
 
 __all__ = [
     "__version__",
-    "alpha_oracle", "alpha_result", "as_written_bound", "cylinder_growth",
-    "epsilon0", "oracle_path",
+    "alpha_oracle", "as_written_bound", "cylinder_growth", "epsilon0",
+    "oracle_path",
     "ambient_h_bound", "area_ratio_constant", "check_monotone",
     "cone_over_circle", "cutoff_budget", "monotonicity_profile",
     "unit_circle", "unit_sphere",

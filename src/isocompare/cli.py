@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .config import COMMANDS, RunConfig, build_metric, read_pairs, validate
 from .errors import ConfigError, NumericalError, ValidationError
-from .football import alpha_result, as_written_bound, cylinder_growth, epsilon0
+from .football import alpha_oracle, as_written_bound, cylinder_growth, epsilon0
 from .gmt import (RadiusFamily, cone_over_circle, cutoff_budget,
                   monotonicity_profile, unit_circle, unit_sphere)
 from .phase_plane import extremal_path, phase_curve, ricci_mass, volume_from_path
@@ -103,7 +103,7 @@ def _run_football_alpha(opts):
         eps_values = [float(e) for e in np.linspace(lo, hi, num)]
     else:
         eps_values = [opts["epsilon"]]
-    results = alpha_result(eps_values)
+    results = alpha_oracle(eps_values)
     # the verbatim display's two columns stay, nan on every row: as_written,
     # its switch point over the path's end, is above 200 at every eps
     rows = [(r.epsilon, r.alpha_oracle, math.nan, r.z_argmax, math.nan)

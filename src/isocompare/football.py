@@ -62,9 +62,7 @@ more than 200, so the displayed integrals have no domain.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -75,10 +73,10 @@ from .warped import curvature_bounds, cylinder, sin_squared_integral, total_volu
 
 __all__ = [
     "EULER_CHARACTERISTIC_SPHERE", "GAUSS_BONNET_TOTAL",
-    "R0_UNIT", "RIC0_UNIT", "V0_UNIT",
-    "FootballSpec", "AlphaResult", "Epsilon0Bracket", "CylinderGrowth",
+    "R0_UNIT", "RIC0_UNIT",
+    "AlphaResult", "Epsilon0Bracket", "CylinderGrowth",
     "scalar_odi_rhs", "ricci_odi_rhs",
-    "alpha_oracle", "alpha_result", "as_written_bound", "oracle_path",
+    "alpha_oracle", "as_written_bound", "oracle_path",
     "epsilon0", "cylinder_growth",
 ]
 
@@ -89,21 +87,6 @@ GAUSS_BONNET_TOTAL = 2.0 * math.pi * EULER_CHARACTERISTIC_SPHERE
 
 R0_UNIT = 6.0
 RIC0_UNIT = 2.0
-V0_UNIT = 2.0 * math.pi ** 2
-
-
-@dataclass(frozen=True)
-class FootballSpec:
-    """Problem data: Ricci fraction eps in (0, 1] at unit-sphere normalization."""
-
-    epsilon: float
-    r0: float = R0_UNIT
-    ric0: float = RIC0_UNIT
-    v0: float = V0_UNIT
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValidationError(f"epsilon must lie in (0, 1], got {self.epsilon}")
 
 
 def scalar_odi_rhs(area: float, area_prime: float, r0: float = R0_UNIT) -> float:
@@ -349,24 +332,15 @@ def _half_volume_at(eps):
     return half_volume
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlphaResult:
-    """Volume ratio bound at one eps, its maximizer and its path's constants."""
+    """What ``football-alpha`` prints for one eps: the volume ratio bound,
+    its maximizer z and the switch point of the maximizing path."""
 
     epsilon: float
-    alpha_oracle: float = math.nan
-    z_argmax: float = math.nan
-    switch_x: float = math.nan
-    ricci_mass_const: float = math.nan
-    scalar_mass_const: float = math.nan
-    # a thunk of the batch's sign counts, cached on first read, and the row
-    _signs: Callable = field(default=lambda: (None,), repr=False, compare=False)
-    _row: int = field(default=0, repr=False, compare=False)
-
-    @property
-    def rhs_sign_changes(self) -> int | None:
-        """Sign changes of (scalar - ricci) descent bounds along the path."""
-        return self._signs()[self._row]
+    alpha_oracle: float
+    z_argmax: float
+    switch_x: float
 
 
 def _batch(epsilon):
@@ -440,27 +414,6 @@ def _supremum(eps):
     return np.where(stay, f_scan, f_best), np.where(stay, z_scan, z_best)
 
 
-def _rhs_difference_sign_changes(eps, z, num: int = 401):
-    """Sign changes of (scalar - ricci) phase-space descent bounds along the
-    oracle path at each (eps, z) of two 1-D arrays; exactly one for eps < 1
-    on interior z.  A zero takes the sign before it, so only strict changes
-    count."""
-    x_sw, m0, _k = _legs(z, eps)
-    e, x_sw, m0 = eps[:, None], x_sw[:, None], m0[:, None]
-    xs = np.linspace(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num, axis=-1)
-    u = np.cbrt(xs)
-    x_m1_3, u = 1.0 / u, u * u               # x^(-1/3), x^(2/3)
-    # y^2 = Y0^2 - m0 - 9 eps x^(2/3) up to x_sw, and beyond it
-    # Y0^2 - 9 x^(2/3) - 18 (1 - eps) x_sw x^(-1/3)
-    y_sq = np.where(xs <= x_sw, (_Y0_SQ - m0) - 9.0 * e * u,
-                    (_Y0_SQ - 9.0 * u) - 18.0 * (1.0 - e) * x_sw * x_m1_3)
-    # scalar - ricci = (Y0^2 - y^2) / (3 x) - 9 x^(-1/3) - (-6 eps x^(-1/3))
-    signs = np.sign((_Y0_SQ - y_sq) / (3.0 * xs) - 9.0 * x_m1_3 - -6.0 * e * x_m1_3)
-    last = np.maximum.accumulate((signs != 0) * np.arange(num), axis=-1)
-    filled = np.take_along_axis(signs, last, axis=-1)
-    return np.count_nonzero(filled[:, 1:] * filled[:, :-1] < 0, axis=-1)
-
-
 def alpha_oracle(epsilon):
     """Sharp volume ratio bound alpha(eps) from the two-leg construction.
 
@@ -468,33 +421,17 @@ def alpha_oracle(epsilon):
     a list in the same order; all eps of a sequence share each array call.
     """
     eps, single = _batch(epsilon)
-    results = [AlphaResult(epsilon=float(e)) for e in eps]
+    # eps within _NEAR_ONE of 1 is the round sphere, as eps = 1
+    alpha, z_arg = np.ones_like(eps), np.full_like(eps, _Z_MAX)
+    x_sw = np.zeros_like(eps)
     inner = 1.0 - eps >= _NEAR_ONE
     if inner.any():
         e = eps[inner]
-        best, z_arg = _supremum(e)
-        x_sw, m0, k = _legs(z_arg, e)
-        signs = cache(lambda: _rhs_difference_sign_changes(e, z_arg).tolist())
-        rows = zip(*(a.tolist() for a in (best, z_arg, x_sw, m0, k)))
-        for j, (i, row) in enumerate(zip(np.flatnonzero(inner), rows)):
-            r = results[i]
-            (value, r.z_argmax, r.switch_x, r.ricci_mass_const,
-             r.scalar_mass_const) = row
-            r.alpha_oracle, r._signs, r._row = value / math.pi ** 2, signs, j
-    for i in np.flatnonzero(~inner):
-        # eps within _NEAR_ONE of 1: the round sphere
-        results[i] = AlphaResult(
-            results[i].epsilon, alpha_oracle=1.0, z_argmax=_Z_MAX, switch_x=0.0,
-            ricci_mass_const=0.0, scalar_mass_const=0.0, _signs=lambda: (0,))
+        best, z_arg[inner] = _supremum(e)
+        alpha[inner], x_sw[inner] = best / math.pi ** 2, _legs(z_arg[inner], e)[0]
+    results = [AlphaResult(*row) for row in
+               zip(*(a.tolist() for a in (eps, alpha, z_arg, x_sw)))]
     return results[0] if single else results
-
-
-def alpha_result(epsilon):
-    """The values ``football-alpha`` prints: ``alpha_oracle`` at each eps.
-
-    epsilon is one number or a 1-D sequence, as for ``alpha_oracle``.
-    """
-    return alpha_oracle(epsilon)
 
 
 def oracle_path(epsilon: float, z: float | None = None,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .warped import WarpedMetric, eval_warp, sin_power_integral, sphere_area
 
 __all__ = [
@@ -102,10 +102,23 @@ def monotonicity_profile(case: MonotonicityCase) -> MonotonicityProfile:
     """Samples of e^(lambda rho) rho^(-m) mass(E_rho); radii beyond the
     diameter are clamped to it and flagged.  exp, the power and the cap's
     arcsin are taken per radius with ``math``: numpy's array versions are an
-    ulp off on some inputs, enough to move a printed digit."""
+    ulp off on some inputs, enough to move a printed digit.  A factor that
+    overflows a double, e^(lambda rho) at the largest radius or rho^(-m) at
+    the smallest, is a NumericalError that names its inputs."""
     rho = case.rho_grid
     clamped = rho > case.diameter
-    weight = [math.exp(case.lambda_ * r) * r ** (-case.m) for r in rho.tolist()]
+    try:
+        weight = [math.exp(case.lambda_ * r) * r ** (-case.m) for r in rho.tolist()]
+    except OverflowError:
+        lo, hi = float(rho[0]), float(rho[-1])
+        try:
+            math.exp(case.lambda_ * hi)
+        except OverflowError:
+            raise NumericalError(f"e^(lambda rho) overflows a double at lambda = "
+                                 f"{case.lambda_!r}, rho_max = {hi!r}") from None
+        dim = "sphere_dim" if case.kind == "sphere" else "m"
+        raise NumericalError(f"rho^(-m) overflows a double at rho_min = {lo!r}, "
+                             f"{dim} = {case.m}") from None
     values = np.array(weight) * case.ball_mass(np.minimum(rho, case.diameter))
     return MonotonicityProfile(rho=rho.copy(), values=values, clamped=clamped)
 
@@ -204,13 +217,17 @@ def cutoff_budget(family: RadiusFamily) -> CutoffBudget:
     violated = family.violations()
     r = family.radii
     n, c, c0, h, delta = family.n, family.c, family.c0, family.h, family.delta
-    doubling = 2.0 ** (n - 1)
-    area_term = c * float(np.sum(r ** (n - 1)))
-    dirichlet_term = h * h * area_term * doubling \
-        + c0 * c0 * c * float(np.sum(r ** (n - 3)))
-    c1 = c * (h * h * delta * delta + c0 * c0) * doubling
-    area_bound = c * doubling * delta ** 6
-    dirichlet_bound = c1 * delta ** 4
+    try:
+        doubling = 2.0 ** (n - 1)
+        area_term = c * float(np.sum(r ** (n - 1)))
+        dirichlet_term = h * h * area_term * doubling \
+            + c0 * c0 * c * float(np.sum(r ** (n - 3)))
+        c1 = c * (h * h * delta * delta + c0 * c0) * doubling
+        area_bound = c * doubling * delta ** 6
+        dirichlet_bound = c1 * delta ** 4
+    except OverflowError:
+        key = f"n = {n}" if n > 1024 else f"delta = {delta!r}"
+        raise NumericalError(f"the cutoff budget overflows a double at {key}") from None
     slack = 1.0 + 1e-12
     return CutoffBudget(
         area_term=area_term,

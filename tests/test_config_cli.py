@@ -1,7 +1,9 @@
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -264,6 +266,29 @@ def test_cli_cylinder_overflow_exits_3(tmp_path, capsys):
     assert "length 1e+308" in captured.err
 
 
+@pytest.mark.parametrize("command, config, key", [
+    ("cutoff-budget", "n = 1025\ndelta = 0.1\nc0 = 1\nc = 1\nradii = 0.01\n",
+     "n = 1025"),
+    ("cutoff-budget", "n = 9\ndelta = 1e60\nc0 = 1\nc = 1\nradii = 0.01\n",
+     "delta = 1e+60"),
+    ("monotonicity", "case = sphere\nlambda = 1\nsphere_dim = 155\n",
+     "sphere_dim = 155"),
+    ("monotonicity", "case = circle\nlambda = 355\n", "lambda = 355.0"),
+], ids=["n", "delta", "sphere_dim", "lambda"])
+def test_cli_overflow_exits_3(tmp_path, capsys, command, config, key):
+    # 2^(n - 1), delta^6, rho^(-m) at the default rho_min 0.01 and
+    # e^(lambda rho) at the default rho_max 2 each overflow a double
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = {command}\n{config}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_bishop_bound_high_dimension(tmp_path, capsys):
     code, text = _invoke(tmp_path, "bishop-bound",
                          "command = bishop-bound\nn = 400\nric0 = 1\n")
@@ -420,7 +445,7 @@ def test_cli_alpha_tiny_epsilon(tmp_path, capsys, eps, code):
         assert math.isfinite(float(row[1])) and float(row[1]) > 1e99
 
 
-# --- fuzz of the alpha and epsilon0 flags ---------------------------------------
+# --- fuzz of the alpha, epsilon0 and monotonicity flags -------------------------
 
 # numbers as text: any double, nan and inf; eps at and below the overflow of
 # the ricci leg's scale (about 1.7e-205); tol finer than the doubles near
@@ -436,13 +461,20 @@ _FUZZ_GRID = st.one_of(
     st.tuples(_FUZZ_NUMBER, _FUZZ_NUMBER, st.integers(0, 70)).map(
         lambda t: "%s:%s:%d" % t),
     st.text(max_size=12))
+# the flags with choices, where argparse itself rejects a value
+_FUZZ_CHOICES = {"--method": ("oracle", "as-written"),
+                 "--case": ("sphere", "circle", "cone")}
 _FUZZ_ARGS = st.one_of(
     st.tuples(st.just("football-alpha"), st.fixed_dictionaries(
         {}, optional={"--epsilon": _FUZZ_NUMBER, "--eps-grid": _FUZZ_GRID})),
     st.tuples(st.just("epsilon0"), st.fixed_dictionaries(
         {}, optional={"--method": st.one_of(
-            st.sampled_from(["oracle", "as-written"]), st.text(max_size=8)),
-                      "--tol": _FUZZ_NUMBER})))
+            st.sampled_from(_FUZZ_CHOICES["--method"]), st.text(max_size=8)),
+                      "--tol": _FUZZ_NUMBER})),
+    st.tuples(st.just("monotonicity"), st.fixed_dictionaries(
+        {}, optional={"--case": st.one_of(
+            st.sampled_from(_FUZZ_CHOICES["--case"]), st.text(max_size=8)),
+                      "--lambda": _FUZZ_NUMBER})))
 
 
 @settings(max_examples=120, deadline=None)
@@ -452,6 +484,7 @@ _FUZZ_ARGS = st.one_of(
 @example(("football-alpha", {"--eps-grid": "1e-300:1:4"}))
 @example(("football-alpha", {"--eps-grid": "-inf:inf:3"}))
 @example(("epsilon0", {"--tol": "1e-300"}))
+@example(("monotonicity", {"--case": "sphere", "--lambda": "355"}))
 def test_cli_fuzz_alpha_and_epsilon0_flags(args):
     # exit 0, 2 or 3, nothing raised, no RuntimeWarning, and a finite alpha
     # on every row of an exit 0
@@ -463,13 +496,24 @@ def test_cli_fuzz_alpha_and_epsilon0_flags(args):
         code = main(argv)
     if "usage:" in err.getvalue():
         # argparse's usage error, exit 2; in --flag=value form only a
-        # --method outside its choices reaches it
+        # --method or --case outside its choices reaches it
         assert code == 2
-        assert flags.get("--method") not in (None, "oracle", "as-written")
+        assert any(flags[flag] not in choices
+                   for flag, choices in _FUZZ_CHOICES.items() if flag in flags)
     assert code in (0, 2, 3), err.getvalue()
     if code == 0 and command == "football-alpha":
         rows = [l for l in out.getvalue().splitlines() if l[:1].isdigit()]
         assert rows and all(math.isfinite(float(r.split(",")[1])) for r in rows)
+
+
+def test_every_exported_name_resolves():
+    # a name deleted from a module must leave its __all__, and the package's
+    modules = [isocompare] + [importlib.import_module(f"isocompare.{m.name}")
+                              for m in pkgutil.iter_modules(isocompare.__path__)]
+    exported = [(m, name) for m in modules for name in getattr(m, "__all__", ())]
+    assert len({m for m, _ in exported}) >= 6
+    assert [f"{m.__name__}.{name}" for m, name in exported
+            if not hasattr(m, name)] == []
 
 
 def test_console_entry_point(tmp_path):

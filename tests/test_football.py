@@ -13,10 +13,9 @@ from isocompare import quadrature
 from isocompare.errors import (DomainError, NumericalError, QuadratureError,
                                ValidationError)
 from isocompare.football import (EULER_CHARACTERISTIC_SPHERE,
-                                 GAUSS_BONNET_TOTAL, FootballSpec,
-                                 alpha_oracle, alpha_result, as_written_bound,
-                                 cylinder_growth, epsilon0, oracle_path,
-                                 ricci_odi_rhs, scalar_odi_rhs)
+                                 GAUSS_BONNET_TOTAL, alpha_oracle,
+                                 as_written_bound, cylinder_growth, epsilon0,
+                                 oracle_path, ricci_odi_rhs, scalar_odi_rhs)
 from isocompare.phase_plane import extremal_path, volume_from_path
 from isocompare.warped import sin_power_integral
 
@@ -40,14 +39,6 @@ def test_gauss_bonnet_constant_is_named():
     assert EULER_CHARACTERISTIC_SPHERE == 2
     assert GAUSS_BONNET_TOTAL == 2 * PI * EULER_CHARACTERISTIC_SPHERE
     assert GAUSS_BONNET_TOTAL == pytest.approx(4 * PI, rel=1e-15)
-
-
-def test_football_spec_validation():
-    FootballSpec(0.5)
-    with pytest.raises(ValidationError):
-        FootballSpec(0.0)
-    with pytest.raises(ValidationError):
-        FootballSpec(1.5)
 
 
 def test_scalar_odi_rhs_values():
@@ -119,7 +110,9 @@ def test_single_regime_switch_below_threshold():
     for eps in (0.05, 0.1, 0.13):
         r = alpha_oracle(eps)
         assert r.switch_x > 0
-        assert r.rhs_sign_changes == 1
+        assert _sign_changes([r]) == [1]
+    # and none where the maximizer is the round sphere
+    assert _sign_changes(alpha_oracle([0.01, 0.1, 1.0, 0.3])) == [1, 1, 0, 0]
 
 
 def test_no_switch_above_threshold():
@@ -138,6 +131,39 @@ def test_round_sphere_within_a_few_ulps_of_one():
     eps = [0.999999999999999] + [1.0 - k * 2.0 ** -53 for k in range(1, 69)]
     for r in alpha_oracle(eps):
         assert (r.alpha_oracle, r.z_argmax, r.switch_x) == (1.0, 4 * PI, 0.0)
+
+
+def _rhs_difference_sign_changes(eps, z, num: int = 401):
+    """Sign changes of (scalar - ricci) phase-space descent bounds along the
+    oracle path at each (eps, z) of two 1-D arrays, eps < 1; exactly one on
+    interior z.  A zero takes the sign before it, so only strict changes
+    count."""
+    x_sw, m0, _k = football_module._legs(z, eps)
+    e, x_sw, m0 = eps[:, None], x_sw[:, None], m0[:, None]
+    xs = np.linspace(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num, axis=-1)
+    u = np.cbrt(xs)
+    x_m1_3, u = 1.0 / u, u * u               # x^(-1/3), x^(2/3)
+    # y^2 = Y0^2 - m0 - 9 eps x^(2/3) up to x_sw, and beyond it
+    # Y0^2 - 9 x^(2/3) - 18 (1 - eps) x_sw x^(-1/3)
+    y0_sq = football_module._Y0_SQ
+    y_sq = np.where(xs <= x_sw, (y0_sq - m0) - 9.0 * e * u,
+                    (y0_sq - 9.0 * u) - 18.0 * (1.0 - e) * x_sw * x_m1_3)
+    # scalar - ricci = (Y0^2 - y^2) / (3 x) - 9 x^(-1/3) - (-6 eps x^(-1/3))
+    signs = np.sign((y0_sq - y_sq) / (3.0 * xs) - 9.0 * x_m1_3 - -6.0 * e * x_m1_3)
+    last = np.maximum.accumulate((signs != 0) * np.arange(num), axis=-1)
+    filled = np.take_along_axis(signs, last, axis=-1)
+    return np.count_nonzero(filled[:, 1:] * filled[:, :-1] < 0, axis=-1)
+
+
+def _sign_changes(results):
+    """The sign count at each result's (eps, z_argmax) as a list; 0 at
+    eps = 1, where the path is the round sphere's and has no ricci leg."""
+    eps = np.array([r.epsilon for r in results])
+    z = np.array([r.z_argmax for r in results])
+    counts = np.zeros(eps.size, dtype=int)
+    inner = eps < 1.0
+    counts[inner] = _rhs_difference_sign_changes(eps[inner], z[inner])
+    return counts.tolist()
 
 
 def _sign_changes_exact(eps, z, num=401):
@@ -162,7 +188,7 @@ def _sign_changes_exact(eps, z, num=401):
 
 
 def _assert_sign_changes(eps, z):
-    got = football_module._rhs_difference_sign_changes(eps, z)
+    got = _rhs_difference_sign_changes(eps, z)
     want, resolved = _sign_changes_exact(eps, z)
     assert np.array_equal(got[resolved], want[resolved])
     assert np.isin(got, (0, 1)).all()
@@ -204,29 +230,6 @@ def test_sign_changes_of_batches_in_one_workspace():
         z = z_lo + rng.uniform(0.0, 1.0, size) * (z_hi - z_lo)
         z[:2] = z_lo[:2]
         _assert_sign_changes(eps, z)
-
-
-def test_sign_changes_are_counted_when_first_read(monkeypatch):
-    # no command prints them: the batch's grid is built on the first read
-    # of any of its results, once
-    calls = []
-    count = football_module._rhs_difference_sign_changes
-
-    def counted(eps, z):
-        calls.append(eps.size)
-        return count(eps, z)
-
-    monkeypatch.setattr(football_module, "_rhs_difference_sign_changes", counted)
-    results = alpha_oracle([0.01, 0.1, 1.0, 0.3])
-    assert calls == []
-    changes = [r.rhs_sign_changes for r in results]
-    assert calls == [3]
-    assert changes == [1, 1, 0, 0]
-    inner = [r for r in results if r.epsilon < 1.0]
-    eps = np.array([r.epsilon for r in inner])
-    want = count(eps, np.array([r.z_argmax for r in inner])).tolist()
-    assert [r.rhs_sign_changes for r in inner] == want
-    assert calls == [3]
 
 
 def test_alpha_continuity_at_football_end():
@@ -312,8 +315,7 @@ def test_alpha_result_discrepancy_reported():
     # football-alpha prints the oracle's values; the verbatim display gives
     # no value to set against them, and the bound says why
     for eps in (0.1, 0.3, 0.5):
-        r = alpha_result(eps)
-        assert r == alpha_oracle(eps)
+        r = alpha_oracle(eps)
         assert r.alpha_oracle >= 1.0 - 1e-9
         assert as_written_bound(eps) > 1.0
 
@@ -332,7 +334,7 @@ def test_alpha_oracle_finds_narrow_peak_near_threshold():
     r = alpha_oracle(0.1345)
     assert 6.70e-4 <= r.alpha_oracle - 1.0 <= 6.71e-4
     assert r.z_argmax == pytest.approx(4.63522, abs=1e-5)
-    assert r.rhs_sign_changes == 1
+    assert _sign_changes([r]) == [1]
 
 
 def test_epsilon0_bracket_contains_two_leg_root():
@@ -520,9 +522,10 @@ def test_alpha_batch_invariants(values):
     assert np.all(alpha[(eps == 0.5) | (eps == 1.0)] == 1.0)
     # an eps gets the same result whatever else is in its batch
     alone = alpha_oracle(eps[::-1])[::-1]
-    for a, b in zip(results, alone):
-        assert (a.alpha_oracle, a.z_argmax, a.switch_x, a.rhs_sign_changes) == (
-            b.alpha_oracle, b.z_argmax, b.switch_x, b.rhs_sign_changes)
+    counts = zip(_sign_changes(results), _sign_changes(alone))
+    for a, b, (n_a, n_b) in zip(results, alone, counts):
+        assert (a.alpha_oracle, a.z_argmax, a.switch_x, n_a) == (
+            b.alpha_oracle, b.z_argmax, b.switch_x, n_b)
 
 
 @settings(max_examples=30, deadline=None)
@@ -593,7 +596,7 @@ def test_alpha_oracle_batch_shapes():
     with pytest.raises(ValidationError, match="got 0.0"):
         alpha_oracle([0.1, 0.0])
     with pytest.raises(ValidationError):
-        alpha_result([[0.1]])
+        alpha_oracle([[0.1]])
 
 
 @pytest.mark.parametrize("eps", [1e-5, 1e-3, 5e-3, 0.05, 0.1345, 0.5, 0.9])
