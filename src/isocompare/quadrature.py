@@ -42,13 +42,19 @@ and never returned, so a call allocates no NODES x batch array.  The form
 it replaces made about 16 of them per call, 287 KiB each at 66 eps, above
 glibc's 128 KiB mmap threshold, so each came back as fresh pages.
 
-Every weighted sum is a plain ``@``.  BLAS orders a sum by the kernel the
-CPU selects and by a row's place in its block, which moves the last bits
-of a sum (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4)
-but no printed digit: with numpy 2.4.6 and OpenBLAS 0.3.31 every golden
-output keeps its bytes under the SkylakeX, Haswell, Sandybridge, Zen,
-Prescott, Nehalem, Core2, Atom, Penryn and Barcelona kernels
-(``OPENBLAS_CORETYPE``), and with numpy's AVX-512 loops disabled.
+The weighted sum over the nodes is elementwise across the batch: the terms
+w_j v_j are added pairwise by halving the node axis (j and j + 8, then
+j and j + 4, ...), so each interval's value has the same bits whatever else
+is in the batch and wherever it stands there.  A
+BLAS ``weights @ values`` does not: it orders a sum by the kernel the CPU
+selects and by a column's place in its block (Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 4), which moved alpha(0.125) by an
+ulp between a batch of its own and the end of a batch of five.
+``sin_power`` keeps its ``@``, whose rows are summed whole.  With numpy
+2.4.6 and OpenBLAS 0.3.31 every golden output keeps its bytes under the
+SkylakeX, Haswell, Sandybridge, Zen, Prescott, Nehalem, Core2, Atom,
+Penryn and Barcelona kernels (``OPENBLAS_CORETYPE``), and with numpy's
+AVX-512 loops disabled.
 
 ``sin_power``: int_0^theta sin^m for 0 <= theta <= pi, one rule in theta on
 [0, phi], phi = min(theta, pi - theta), reflected about pi/2 as
@@ -169,7 +175,8 @@ def sqrt_endpoint(g, a, b, c, integrands: int = 1):
     With ``integrands`` k > 1, g writes k integrands on the same abscissae
     into out of shape (k, NODES, *shape), and the result has shape
     (k, *shape).  Each integrand's weighted sum is taken on its own, so
-    the first gets the bits of a one-integrand call.
+    the first gets the bits of a one-integrand call, and an interval's
+    value does not depend on its place in the batch.
     """
     # names are dropped after their last use, so that few batch-sized
     # arrays are alive at once
@@ -177,7 +184,7 @@ def sqrt_endpoint(g, a, b, c, integrands: int = 1):
     width = w_hi - w_lo
     mid = 0.5 * (w_hi + w_lo)
     del w_lo, w_hi
-    shape, size = width.shape, width.size
+    shape = width.shape
     t, weights = gauss_legendre(NODES)
     scratch = WORKSPACE.take(2 + integrands, (NODES,) + shape)
     x, spare, out = scratch[0], scratch[1], scratch[2:]
@@ -190,8 +197,14 @@ def sqrt_endpoint(g, a, b, c, integrands: int = 1):
     result = np.empty((integrands,) + shape)
     with np.errstate(invalid="ignore", divide="ignore"):
         g(x, spare, out[0] if integrands == 1 else out)
-        for i in range(integrands):
-            result[i] = width * (weights @ out[i].reshape(NODES, size)).reshape(shape)
+        out *= weights.reshape((NODES,) + (1,) * len(shape))
+        # the nodes' terms summed by halving, the same tree for every interval
+        n = NODES
+        while n > 1:
+            half = n // 2
+            out[:, :half] += out[:, n - half:n]
+            n -= half
+        np.multiply(out[:, 0], width, out=result)
     bad = ~np.isfinite(result).all(axis=0)
     if bad.any():
         raise QuadratureError(

@@ -528,6 +528,17 @@ def test_alpha_batch_invariants(values):
             b.alpha_oracle, b.z_argmax, b.switch_x, n_b)
 
 
+def test_alpha_bits_do_not_depend_on_place_in_batch():
+    # alpha(0.125) moved by an ulp at the end of a batch of 0.5s while the
+    # quadrature summed its nodes with a BLAS matrix-vector product
+    alone = alpha_oracle(0.125).alpha_oracle
+    for size in range(1, 10):
+        for place in range(size):
+            eps = np.full(size, 0.5)
+            eps[place] = 0.125
+            assert alpha_oracle(eps)[place].alpha_oracle == alone, (size, place)
+
+
 @settings(max_examples=30, deadline=None)
 @given(values=st.lists(st.floats(1e-6, 5e-3), min_size=1, max_size=8))
 @example(values=[1e-5])   # 7.4e-7 below while the ricci leg used arcsin
