@@ -33,6 +33,8 @@ def _parse_float(s: str):
         raise ConfigError(f"malformed number {s!r}") from None
     if math.isnan(v):
         raise ConfigError(f"malformed number {s!r}")
+    if math.isinf(v):
+        raise ConfigError(f"number must be finite, got {s!r}")
     return v
 
 
@@ -186,8 +188,8 @@ def _cross_validate(config: RunConfig) -> None:
         if "eps_grid" not in opts and "epsilon" not in opts:
             raise ConfigError("football-alpha needs eps_grid or epsilon")
         if "eps_grid" in opts:
-            # checked before the grid is spread: ends such as -inf:inf or
-            # -1e308:1e308 make np.linspace overflow
+            # checked before the grid is spread: ends such as -1e308:1e308
+            # make np.linspace overflow
             lo, hi, _ = opts["eps_grid"]
             if not (0.0 < lo and hi <= 1.0):
                 raise ConfigError(

@@ -212,7 +212,7 @@ def cutoff_budget(family: RadiusFamily) -> CutoffBudget:
     area_term = c sum r_i^(n-1) <= c delta^6 sum r_i^(n-7) <= c 2^(n-1) delta^6;
     dirichlet_term = h^2 area_term 2^(n-1) + c0^2 c sum r_i^(n-3) <= c1 delta^4.
     An inadmissible family is flagged with the violated constraint named, the
-    terms still reported.
+    terms still reported; a budget that overflows a double is an error.
     """
     violated = family.violations()
     r = family.radii
@@ -228,6 +228,11 @@ def cutoff_budget(family: RadiusFamily) -> CutoffBudget:
     except OverflowError:
         key = f"n = {n}" if n > 1024 else f"delta = {delta!r}"
         raise NumericalError(f"the cutoff budget overflows a double at {key}") from None
+    if not all(map(math.isfinite, (area_term, dirichlet_term, c1, area_bound,
+                                   dirichlet_bound))):
+        raise NumericalError(
+            f"the cutoff budget overflows a double at c = {c!r}, c0 = {c0!r}, "
+            f"h = {h!r}, delta = {delta!r}")
     slack = 1.0 + 1e-12
     return CutoffBudget(
         area_term=area_term,

@@ -289,6 +289,29 @@ def test_cli_overflow_exits_3(tmp_path, capsys, command, config, key):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command, config, flags, code, key", [
+    ("cutoff-budget", "n = 9\ndelta = 0.1\nc0 = 1\nc = 1e308\nradii = 0.05\n",
+     [], 3, "c = 1e+308, c0 = 1.0, h = 0.0, delta = 0.1"),
+    ("monotonicity", "case = circle\nlambda = 1\n", ["--lambda", "inf"], 2,
+     "lambda: number must be finite, got 'inf'"),
+    ("cylinder-growth", "lengths = 1, 2\nradius = inf\n", [], 2,
+     "radius: number must be finite, got 'inf'"),
+], ids=["cutoff-budget", "monotonicity", "cylinder-growth"])
+def test_cli_nonfinite_number_is_named(tmp_path, capsys, command, config, flags,
+                                       code, key):
+    # c 2^(n - 1) delta^6 overflows to inf, where area_ok read true with exit
+    # 0, and an inf lambda or radius printed inf rows with exit 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = {command}\n{config}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg)] + flags) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_bishop_bound_high_dimension(tmp_path, capsys):
     code, text = _invoke(tmp_path, "bishop-bound",
                          "command = bishop-bound\nn = 400\nric0 = 1\n")
@@ -485,9 +508,11 @@ _FUZZ_ARGS = st.one_of(
 @example(("football-alpha", {"--eps-grid": "-inf:inf:3"}))
 @example(("epsilon0", {"--tol": "1e-300"}))
 @example(("monotonicity", {"--case": "sphere", "--lambda": "355"}))
+@example(("monotonicity", {"--case": "circle", "--lambda": "inf"}))
+@example(("monotonicity", {"--case": "cone", "--lambda": "-inf"}))
 def test_cli_fuzz_alpha_and_epsilon0_flags(args):
     # exit 0, 2 or 3, nothing raised, no RuntimeWarning, and a finite alpha
-    # on every row of an exit 0
+    # or monotonicity profile on every row of an exit 0
     command, flags = args
     argv = [command] + [f"{flag}={value}" for flag, value in flags.items()]
     out, err = io.StringIO(), io.StringIO()
@@ -501,7 +526,7 @@ def test_cli_fuzz_alpha_and_epsilon0_flags(args):
         assert any(flags[flag] not in choices
                    for flag, choices in _FUZZ_CHOICES.items() if flag in flags)
     assert code in (0, 2, 3), err.getvalue()
-    if code == 0 and command == "football-alpha":
+    if code == 0 and command in ("football-alpha", "monotonicity"):
         rows = [l for l in out.getvalue().splitlines() if l[:1].isdigit()]
         assert rows and all(math.isfinite(float(r.split(",")[1])) for r in rows)
 

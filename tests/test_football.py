@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isocompare import quadrature
+from isocompare.cli import format_number
 from isocompare.errors import (DomainError, NumericalError, QuadratureError,
                                ValidationError)
 from isocompare.football import (EULER_CHARACTERISTIC_SPHERE,
@@ -599,6 +600,19 @@ def test_argmax_is_a_zero_of_the_slope(eps):
     assert abs(slope) <= 1e-3 * PI / (4.0 * math.sqrt(eps))
 
 
+@pytest.mark.parametrize("eps", [5e-3, 0.05, 0.1, 0.13, 0.1345])
+def test_argmax_matches_mpmath_root_of_the_slope(eps):
+    # the argmax is the last root step's point, never evaluated: it is still
+    # the 25-digit zero of dV/dz, found from the double argmax
+    z = alpha_oracle(eps).z_argmax
+    with mp.workdps(25):
+        e = mp.mpf(eps)
+        gap = mp.findroot(lambda g: mp.diff(lambda h: _mp_half_volume(e, h), g),
+                          4 * mp.pi - mp.mpf(z))
+        want = 4 * mp.pi - gap
+        assert abs(z - want) <= 1e-14 * want
+
+
 def test_alpha_oracle_batch_shapes():
     assert isinstance(alpha_oracle(0.1), football_module.AlphaResult)
     batch = alpha_oracle([0.1, 1.0, 0.3])
@@ -726,11 +740,11 @@ def test_round_sphere_leg_is_closed_form():
         assert alpha_oracle(eps).alpha_oracle == 1.0
 
 
-def test_supremum_is_four_array_calls_for_any_batch(monkeypatch):
+def test_supremum_is_three_array_calls_for_any_batch(monkeypatch):
     # one 12-point scan and _STEPS steps on one bracket per eps, whatever the
-    # batch and its eps; a batch in which dV/dz changes sign at no scan point
-    # (each eps above about 0.252) has only the point 4 pi to refine and
-    # makes the scan alone
+    # batch and its eps, of which the last step's point is not evaluated; a
+    # batch in which dV/dz changes sign at no scan point (each eps above
+    # about 0.252) has only the point 4 pi to refine and makes the scan alone
     calls = []
 
     def counted(*args, **kwargs):
@@ -742,11 +756,71 @@ def test_supremum_is_four_array_calls_for_any_batch(monkeypatch):
     for eps in (0.05, 3e-5, [0.01, 0.1], [1e-9, 0.5], np.linspace(0.005, 0.9, 66)):
         calls.clear()
         alpha_oracle(eps)
-        assert calls == [(np.size(eps), 12)] + [(np.size(eps), 1)] * 3
+        assert calls == [(np.size(eps), 12)] + [(np.size(eps), 1)] * 2
     for eps in (0.5, [0.4, 0.9], [0.31, 1.0 - 1e-11, 0.6]):
         calls.clear()
         alpha_oracle(eps)
         assert calls == [(np.size(eps), 12)]
+
+
+def _supremum_evaluating_every_step(eps):
+    """The supremum with every one of the _STEPS root steps evaluated, and
+    the end with the smaller |dV/dz| as its argmax: the same scan, bracket
+    and steps as ``football._supremum``, one array call more."""
+    z_lo, z_hi = football_module._z_bracket(eps)
+    origin, rows = z_lo[:, None], np.arange(eps.size)[:, None]
+    half_volume = football_module._half_volume_at(eps[:, None])
+    span = (z_hi - z_lo)[:, None]
+    s = np.minimum((0.14 * eps * eps * (1.0 + 5.0 * eps))[:, None]
+                   * football_module._GRADED, 1.0 / 32.0)
+    z = np.hstack((origin, origin + span * s, origin + span / 32.0,
+                   np.full_like(origin, z_hi)))
+    f, slope = half_volume(z)
+    k, last = np.argmax(f, axis=-1)[:, None], z.shape[1] - 1
+    change = (slope[:, :-1] > 0.0) & (slope[:, 1:] <= 0.0)
+    lo = np.where(change.any(axis=-1), np.argmax(change, axis=-1), last)[:, None]
+    hi = np.minimum(lo + 1, last)
+    table = np.stack((z, slope, f, np.sqrt(z - origin)))
+    z_scan, f_scan = z[rows, k][:, 0], f[rows, k][:, 0]
+    p1, p2, p3 = (table[:, rows, i] for i in (hi, lo, np.minimum(hi + 1, last)))
+    for _ in range(football_module._STEPS if change.any() else 0):
+        (x1, f1, _, t1), (x2, f2, _, t2), (_, f3, _, t3) = p1, p2, p3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = (t1 - t2) / (t3 - t2), (f1 - f2) / (f3 - f2)
+            t = (f1 / (f2 - f1) * f3 / (f2 - f3)
+                 + (t3 - t1) / (t2 - t1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+        t = t1 + (t2 - t1) * np.where(
+            (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), t, 0.5)
+        x = np.clip(origin + t * t, np.minimum(x1, x2), np.maximum(x1, x2))
+        value, fx = half_volume(x)
+        keep = (fx > 0.0) == (f1 > 0.0)
+        p3, p2 = np.where(keep, p1, p2), np.where(keep, p2, p1)
+        p1 = np.stack((x, fx, value, np.sqrt(x - origin)))
+    z_best, _, f_best, _ = np.where(np.abs(p1[1]) <= np.abs(p2[1]), p1, p2)[..., 0]
+    roundoff = 4.0 * np.finfo(float).eps
+    stay = np.where(z_scan == z_hi, f_best <= f_scan * (1.0 + roundoff),
+                    f_best < f_scan * (1.0 - roundoff))
+    return np.where(stay, f_scan, f_best), np.where(stay, z_scan, z_best)
+
+
+def _printed(results):
+    return [tuple(format_number(v) for v in (r.alpha_oracle, r.z_argmax, r.switch_x))
+            for r in results]
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(1e-9, 1.0, exclude_max=True),
+                                 st.floats(0.1339, 0.1348)),
+                       min_size=1, max_size=12))
+@example(values=[3.361476855473515e-08])    # the argmax moves by an ulp
+def test_unevaluated_last_step_prints_as_every_step_evaluated(values):
+    # the last step's point, taken without a call, prints the alpha, argmax
+    # and switch point of a supremum that evaluates it and picks by |dV/dz|
+    got = alpha_oracle(values)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(football_module, "_supremum", _supremum_evaluating_every_step)
+        want = alpha_oracle(values)
+    assert _printed(got) == _printed(want)
 
 
 def test_supremum_allocates_less_than_two_node_arrays():
