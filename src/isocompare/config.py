@@ -42,6 +42,21 @@ def _parse_float_list(s: str):
     return [_parse_float(p.strip()) for p in s.split(",") if p.strip()]
 
 
+# Upper bounds of the size keys.  A run's largest arrays grow linearly in
+# its cells, so each key stops where the run's peak would pass
+# _MEMORY_BUDGET: an array past the machine's memory ends in numpy's
+# MemoryError, not in an error that names the key.  Peak bytes per cell,
+# measured with tracemalloc through ``cli.main``: 9 KiB per eps of
+# football-alpha, 6 KiB of it the scratch of ``quadrature.sqrt_endpoint``
+# (12 z x 4 arrays of 16 doubles); 1.1 KiB per grid point of profile or
+# mass under the 64-node ``sin_power`` rule (n >= 258); 340 bytes per
+# radius of monotonicity.
+_MEMORY_BUDGET = 1 << 30
+_MAX_EPS = _MEMORY_BUDGET // 9216
+_MAX_GRID = _MEMORY_BUDGET // 1152
+_MAX_RHO = _MEMORY_BUDGET // 384
+
+
 def _parse_grid(s: str):
     """lo:hi:n range specification."""
     parts = s.split(":")
@@ -51,6 +66,8 @@ def _parse_grid(s: str):
     num = _parse_int(parts[2])
     if num < 2 or hi <= lo:
         raise ConfigError(f"grid {s!r} must have hi > lo and n >= 2")
+    if num > _MAX_EPS:
+        raise ConfigError(f"grid {s!r} has n above maximum {_MAX_EPS}")
     return (lo, hi, num)
 
 
@@ -69,6 +86,17 @@ def _positive(parse):
             raise ConfigError(f"value must be positive, got {s}")
         return v
     return check
+
+
+def _size(low: int, high: int):
+    def parse(s: str):
+        v = _parse_int(s)
+        if v < low:
+            raise ConfigError(f"below minimum {low}, got {v}")
+        if v > high:
+            raise ConfigError(f"above maximum {high}, got {v}")
+        return v
+    return parse
 
 
 def _dimension(s: str):
@@ -95,12 +123,12 @@ _OUTPUT_KEYS = {
 
 # per command: {key: parser}, set of required keys
 _SCHEMAS = {
-    "profile": ({**_MODEL_KEYS, "grid_size": _parse_int}, {"model"}),
+    "profile": ({**_MODEL_KEYS, "grid_size": _size(16, _MAX_GRID)}, {"model"}),
     "variation-check": ({**_MODEL_KEYS, "t": _parse_float_list,
                          "h": _positive(_parse_float), "levels": _positive(_parse_int)},
                         {"model", "t"}),
     "mass": ({**_MODEL_KEYS, "ric0": _positive(_parse_float),
-              "grid_size": _parse_int}, {"model", "ric0"}),
+              "grid_size": _size(16, _MAX_GRID)}, {"model", "ric0"}),
     "bishop-bound": ({"n": _dimension, "ric0": _positive(_parse_float)},
                      {"n", "ric0"}),
     "football-alpha": ({"eps_grid": _parse_grid, "epsilon": _parse_float},
@@ -111,7 +139,7 @@ _SCHEMAS = {
                       "lambda": _parse_float,
                       "rho_min": _positive(_parse_float),
                       "rho_max": _positive(_parse_float),
-                      "rho_n": _parse_int,
+                      "rho_n": _size(2, _MAX_RHO),
                       "angle": _positive(_parse_float),
                       "sphere_dim": _parse_int}, {"case", "lambda"}),
     "cutoff-budget": ({"n": _parse_int, "delta": _positive(_parse_float),
@@ -201,10 +229,6 @@ def _cross_validate(config: RunConfig) -> None:
     if opts.get("model") == "tabulated":
         if "t_samples" not in opts or "f_samples" not in opts:
             raise ConfigError("tabulated model needs t_samples and f_samples")
-    if "grid_size" in opts and opts["grid_size"] < 16:
-        raise ConfigError(f"grid_size below minimum 16, got {opts['grid_size']}")
-    if "rho_n" in opts and opts["rho_n"] < 2:
-        raise ConfigError("rho_n must be >= 2")
 
 
 def parse_config(text: str) -> RunConfig:

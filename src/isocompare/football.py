@@ -267,9 +267,7 @@ def _half_volume_at(eps):
     single = np.ndim(eps) == 0
 
     def half_volume(z):
-        # in place where the shapes allow, and each name dropped after its
-        # last use, so that few batch-sized arrays are alive at once; every
-        # step keeps the operation order of the formulas above
+        # one expression per formula above, in its operation order
         z = np.asarray(z, dtype=float)
         if single and z.ndim == 0:
             return tuple(a[0] for a in half_volume(z.reshape(1)))
@@ -280,55 +278,34 @@ def _half_volume_at(eps):
         x_sw = root * (_Z_MAX - z) / two_gap
         near = x_sw > near_top
         # 1 - q, from d where q > 1/8
-        one_minus_q = 1.0 - x_sw / top
-        from_d = root_lo * delta
-        from_d += d
-        from_d += slope_lo
-        from_d *= d
-        roots *= denominator
-        from_d /= roots
-        np.copyto(one_minus_q, from_d, where=near)
-        del roots, from_d
-        np.copyto(x_sw, top - top * one_minus_q, where=near)
+        one_minus_q = np.where(
+            near, (root_lo * delta + d + slope_lo) * d / (roots * denominator),
+            1.0 - x_sw / top)
+        x_sw = np.where(near, top - top * one_minus_q, x_sw)
         u_sw = np.cbrt(x_sw)
         # 1 - r = (1 - q) / (1 + r + r^2)
         r = u_sw / root_lo
         one_plus_r = 1.0 + r
-        r *= r
-        r += one_plus_r
-        one_minus_r = one_minus_q / r
-        del one_minus_q, r
+        one_minus_r = one_minus_q / (r * r + one_plus_r)
         # y_sw^2 = 36 pi (1 - r) (1 + r), as (27 - 18 eps) z_lo = 36 pi
-        y_sq = 9.0 * _Z_MAX * one_minus_r
-        y_sq *= one_plus_r
-        length = root - u_sw
-        np.copyto(length, delta + root_lo * one_minus_r, where=near)
-        del near, delta, one_minus_r, one_plus_r
-        # ricci leg 3 c / b^(3/2) int_0^theta sin^2, c = b u_sw^2 + y_sw^2
+        y_sq = 9.0 * _Z_MAX * one_minus_r * one_plus_r
+        length = np.where(near, delta + root_lo * one_minus_r, root - u_sw)
+        # ricci leg 3 c / b^(3/2) int_0^theta sin^2, c = b u_sw^2 + y_sw^2,
+        # theta in [0, pi/2]
         y_sw = np.sqrt(y_sq)
         theta = np.arctan2(u_sw * root_b, y_sw)
-        ricci_leg = b * u_sw
-        ricci_leg *= u_sw
-        ricci_leg += y_sq
-        ricci_leg *= scale
-        del y_sq
+        ricci_leg = (b * u_sw * u_sw + y_sq) * scale * sin_squared_integral(theta)
         # the slope's ricci and switch terms, from the docstring's formula
         excess = 3.0 * d + slope_lo          # 3 d + 2 eps z_lo = 3 z - 4 pi
-        slope = np.divide(theta, u_sw, out=np.full(theta.shape, ratio_top),
+        ratio = np.divide(theta, u_sw, out=np.full(theta.shape, ratio_top),
                           where=u_sw > 0.0)
-        slope = (slope * excess * (3.0 / root_b)
-                 - 9.0 * np.divide(d, y_sw, out=d, where=d > 0.0)) / four_eps
-        slope = (slope - z_lo / (6.0 * _Z_MAX) * y_sw) / root
-        del d, u_sw, y_sw
-        ricci_leg *= sin_squared_integral(theta)     # theta in [0, pi/2]
-        del theta
-        x_sw *= nine_gap                     # K = 18 (1 - eps) x_sw
-        scalar_leg, scalar_slope = _scalar_leg_integral(root, length, x_sw, excess)
-        del root, length, x_sw, excess
-        ricci_leg += scalar_leg
-        np.copyto(ricci_leg, _ROUND_HALF_VOLUME, where=z == _Z_MAX)
-        slope += scalar_slope
-        return ricci_leg, slope
+        over_y = np.divide(d, y_sw, out=np.zeros_like(d), where=d > 0.0)
+        slope = ((ratio * excess * (3.0 / root_b) - 9.0 * over_y) / four_eps
+                 - z_lo / (6.0 * _Z_MAX) * y_sw) / root
+        k = x_sw * nine_gap                  # K = 18 (1 - eps) x_sw
+        scalar_leg, scalar_slope = _scalar_leg_integral(root, length, k, excess)
+        volume = np.where(z == _Z_MAX, _ROUND_HALF_VOLUME, ricci_leg + scalar_leg)
+        return volume, slope + scalar_slope
 
     return half_volume
 
@@ -382,7 +359,6 @@ def _supremum(eps):
                    1.0 / 32.0)
     z = np.hstack((origin, origin + span * s, origin + span / 32.0,
                    np.full_like(origin, z_hi)))
-    del span, s                     # few batch-sized arrays alive per call
     f, slope = half_volume(z)
     k, last = np.argmax(f, axis=-1)[:, None], z.shape[1] - 1
     change = (slope[:, :-1] > 0.0) & (slope[:, 1:] <= 0.0)
@@ -393,7 +369,6 @@ def _supremum(eps):
     table = np.stack((z, slope, f, np.sqrt(z - origin)))
     z_scan, f_scan = z[rows, k][:, 0], f[rows, k][:, 0]
     p1, p2, p3 = (table[:, rows, i] for i in (hi, lo, np.minimum(hi + 1, last)))
-    del z, f, slope, table
     steps = _STEPS if change.any() else 0
     for step in range(steps):
         (x1, f1, _, t1), (x2, f2, _, t2), (_, f3, _, t3) = p1, p2, p3

@@ -33,14 +33,16 @@ relative off 40-digit mpmath and dV/dz up to 1.7e-11, against
 about 1e-16 elsewhere.  No printed digit moves, since the maximizer is
 never there.
 
-The rule runs node-major.  For intervals of shape ``shape`` the abscissae
-are one (NODES, *shape) array, so every elementwise step, and the integrand
-``g``, which writes through ``out=``, runs over the contiguous batch axis
-instead of broadcasting against a 16-long inner axis.  These arrays are
-views of a ``Workspace``, one per thread, grown to the largest call so far
-and never returned, so a call allocates no NODES x batch array.  The form
-it replaces made about 16 of them per call, 287 KiB each at 66 eps, above
-glibc's 128 KiB mmap threshold, so each came back as fresh pages.
+The rule runs node-major and in place.  For intervals of shape ``shape``
+the abscissae are one (NODES, *shape) array, so every elementwise step, and
+the integrand ``g``, which writes through ``out=``, runs over the
+contiguous batch axis instead of broadcasting against a 16-long inner axis.
+Each call takes its own scratch, one (2 + integrands, NODES, *shape) array
+that holds the abscissae, a spare and the integrands' values, so the
+integral is reentrant and thread-safe.  The in-place integrand pays: with
+the scalar leg of alpha written as plain expressions, a 66-eps supremum
+took 1.43 ms against 1.04 ms (in process, best of five runs of 200 calls,
+a shared 2-vCPU AVX-512 VM).
 
 The weighted sum over the nodes is elementwise across the batch: the terms
 w_j v_j are added pairwise by halving the node axis (j and j + 8, then
@@ -89,7 +91,6 @@ rule, because ``warped.sphere_area`` is 0 from dimension 491 on.
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -138,27 +139,6 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x_out, w_out
 
 
-class Workspace(threading.local):
-    """Scratch arrays of doubles, one set per thread: a flat buffer grown on
-    demand to the largest request so far.  A view taken from it is valid
-    until the next ``take`` on the same thread; the kernels that take one
-    never return it, and never run inside each other."""
-
-    def __init__(self):
-        self.buffer = np.empty(0)
-
-    def take(self, count: int, shape: tuple) -> np.ndarray:
-        """count arrays of the given shape, as one view of shape (count, *shape)."""
-        size = count * math.prod(shape)
-        if self.buffer.size < size:
-            self.buffer = np.empty(size)
-        return self.buffer[:size].reshape((count,) + shape)
-
-
-# the scratch of the package's array kernel ``sqrt_endpoint``
-WORKSPACE = Workspace()
-
-
 def sqrt_endpoint(g, a, b, c, integrands: int = 1):
     """int_a^b g(x) / sqrt(c - x) dx for c >= b, elementwise over the
     broadcast shape of a, b and c.
@@ -166,11 +146,10 @@ def sqrt_endpoint(g, a, b, c, integrands: int = 1):
     g(x, spare, out) writes the integrand's values at the node-major
     abscissae x, of shape (NODES, *shape), into out, of the same shape.
     x and spare are scratch that g may overwrite, and out may serve as
-    scratch before the values go in; all three are views of this thread's
-    ``WORKSPACE``, valid only during the call, so g takes none itself.
-    g is evaluated at x = c only on
-    an interval of length zero ending at c, where its value is multiplied
-    by 0.
+    scratch before the values go in; all three are views of this call's
+    scratch, valid only during the call.  g may call back into the library,
+    ``sqrt_endpoint`` included.  g is evaluated at x = c only on an interval
+    of length zero ending at c, where its value is multiplied by 0.
 
     With ``integrands`` k > 1, g writes k integrands on the same abscissae
     into out of shape (k, NODES, *shape), and the result has shape
@@ -178,20 +157,15 @@ def sqrt_endpoint(g, a, b, c, integrands: int = 1):
     the first gets the bits of a one-integrand call, and an interval's
     value does not depend on its place in the batch.
     """
-    # names are dropped after their last use, so that few batch-sized
-    # arrays are alive at once
     w_lo, w_hi = np.sqrt(c - b), np.sqrt(c - a)
     width = w_hi - w_lo
-    mid = 0.5 * (w_hi + w_lo)
-    del w_lo, w_hi
     shape = width.shape
     t, weights = gauss_legendre(NODES)
-    scratch = WORKSPACE.take(2 + integrands, (NODES,) + shape)
+    scratch = np.empty((2 + integrands, NODES) + shape)
     x, spare, out = scratch[0], scratch[1], scratch[2:]
     np.copyto(x, t.reshape((NODES,) + (1,) * len(shape)))
     x *= 0.5 * width
-    x += mid
-    del mid
+    x += 0.5 * (w_hi + w_lo)
     x *= x
     np.subtract(c, x, out=x)
     result = np.empty((integrands,) + shape)

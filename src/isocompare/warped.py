@@ -176,40 +176,13 @@ class MonotoneCubic:
 
 
 @dataclass(frozen=True)
-class _RoundSphereWarp:
-    radius: float
-
-    kind = "sphere"
-    closed = True
-
-    @property
-    def t_max(self) -> float:
-        return math.pi * self.radius
-
-    def evaluate(self, t):
-        r = self.radius
-        s = np.sin(np.asarray(t, dtype=float) / r)
-        c = np.cos(np.asarray(t, dtype=float) / r)
-        return r * s, c, -s / r
-
-    def slope_complement(self, t):
-        # 1 - f'^2 = sin^2(t/r), free of the cancellation near the poles
-        return np.sin(np.asarray(t, dtype=float) / self.radius) ** 2
-
-    def pole_slopes(self):
-        return 1.0, -1.0
-
-    def power_integral(self, t, m: int):
-        r = self.radius
-        return r ** (m + 1) * sin_power_integral(m, np.asarray(t, dtype=float) / r)
-
-
-@dataclass(frozen=True)
 class _FootballWarp:
+    # the round sphere is the football with cone factor 1: each step
+    # with c = 1 is exact, a product by 1.0 or a sum with +0.0
     cone_factor: float
     radius: float
+    kind: str = "football"
 
-    kind = "football"
     closed = True
 
     @property
@@ -359,7 +332,7 @@ class WarpedMetric:
 def round_sphere(n: int = 3, radius: float = 1.0) -> WarpedMetric:
     if radius <= 0:
         raise ValidationError(f"radius must be positive, got {radius}")
-    return WarpedMetric(n, _RoundSphereWarp(radius))
+    return WarpedMetric(n, _FootballWarp(1.0, radius, kind="sphere"))
 
 
 def football(cone_factor: float, n: int = 3, radius: float = 1.0) -> WarpedMetric:

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 import isocompare
 from isocompare import cli
 from isocompare.cli import build_parser, format_number, main, render
-from isocompare.config import COMMANDS, RunConfig, build_metric, parse_config
+from isocompare.config import (_MAX_EPS, _MAX_GRID, _MAX_RHO, COMMANDS, RunConfig,
+                               build_metric, parse_config)
 from isocompare.errors import ConfigError
 
 PI = math.pi
@@ -310,6 +311,44 @@ def test_cli_nonfinite_number_is_named(tmp_path, capsys, command, config, flags,
     assert captured.out == ""
     assert key in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, config, flags, key", [
+    ("football-alpha", "", ["--eps-grid", "0.5:1:100000000000"],
+     "eps_grid: grid '0.5:1:100000000000' has n above maximum"),
+    ("profile", "model = sphere\ngrid_size = 100000000000\n", [],
+     "grid_size: above maximum"),
+    ("mass", "model = football\nc = 0.5\nric0 = 2\ngrid_size = 100000000000\n", [],
+     "grid_size: above maximum"),
+    ("monotonicity", "case = circle\nlambda = 1\nrho_n = 100000000000\n", [],
+     "rho_n: above maximum"),
+], ids=["eps_grid", "profile-grid_size", "mass-grid_size", "rho_n"])
+def test_cli_oversized_size_key_is_named(tmp_path, capsys, command, config,
+                                         flags, key):
+    # 10^11 cells: the arrays would not fit in memory, where numpy's
+    # MemoryError ended the run with a traceback and exit 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = {command}\n{config}")
+    assert main([command, "--config", str(cfg)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("key, top, template", [
+    ("eps_grid", _MAX_EPS, "command = football-alpha\neps_grid = 0.5:1:{}\n"),
+    ("grid_size", _MAX_GRID, "command = profile\nmodel = sphere\ngrid_size = {}\n"),
+    ("grid_size", _MAX_GRID, "command = mass\nmodel = sphere\nric0 = 2\ngrid_size = {}\n"),
+    ("rho_n", _MAX_RHO, "command = monotonicity\ncase = circle\nlambda = 1\nrho_n = {}\n"),
+], ids=["eps_grid", "profile-grid_size", "mass-grid_size", "rho_n"])
+def test_size_keys_stop_at_their_bound(key, top, template):
+    # validation only: the bound itself is accepted, one more is not, and no
+    # run allocates anything near it
+    options = parse_config(template.format(top)).options
+    assert (options[key][2] if key == "eps_grid" else options[key]) == top
+    with pytest.raises(ConfigError, match=f"line [0-9]+: {key}: .*above maximum {top}"):
+        parse_config(template.format(top + 1))
 
 
 def test_cli_bishop_bound_high_dimension(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -221,7 +220,7 @@ def test_sign_changes_near_the_round_sphere():
         _assert_sign_changes(eps, z)
 
 
-def test_sign_changes_of_batches_in_one_workspace():
+def test_sign_changes_of_batches_of_varying_size():
     # larger and smaller batches after each other, each eps counted on
     # its own row of the (eps, x) grid
     rng = np.random.default_rng(7)
@@ -823,29 +822,20 @@ def test_unevaluated_last_step_prints_as_every_step_evaluated(values):
     assert _printed(got) == _printed(want)
 
 
-def test_supremum_allocates_less_than_two_node_arrays():
-    # 66 eps: the scan integrates 66 x 12 scalar legs of NODES nodes, two
-    # integrands each; the abscissae and integrands live in the thread's
-    # workspace, grown by the first call, so a repeated supremum allocates
-    # only its (66, 12) arrays (171 KiB at the peak), less than two NODES x
-    # batch arrays of doubles (198 KiB): one node array more would show
+def test_repeated_supremum_keeps_its_bits():
+    # 66 eps, the scan's 66 x 12 scalar legs and the root steps: a repeated
+    # supremum gives the bits of the first
     eps = np.linspace(0.006, 0.9, 66)
     first = football_module._supremum(eps)
-    tracemalloc.start()
-    try:
-        for _ in range(3):
-            again = football_module._supremum(eps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * quadrature.NODES * 66 * 12 * 8
-    for a, b in zip(first, again):
-        assert np.array_equal(a, b)
+    for _ in range(3):
+        again = football_module._supremum(eps)
+        for a, b in zip(first, again):
+            assert np.array_equal(a, b)
 
 
 def test_alpha_from_many_threads_matches_one_thread():
-    # each thread has its own workspace: more threads than cores, switching
-    # every few microseconds, give the bits of a serial run
+    # each call owns its scratch: more threads than cores, switching every
+    # few microseconds, give the bits of a serial run
     batches = [np.linspace(0.005 + 0.01 * i, 0.9, 20 + 7 * i) for i in range(6)]
     want = [[r.alpha_oracle for r in alpha_oracle(b)] for b in batches]
     got = [None] * len(batches)

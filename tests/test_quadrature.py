@@ -127,18 +127,21 @@ def test_sin_power_batch_is_one_theta_at_a_time(m):
 
 
 def test_sqrt_endpoint_returns_no_workspace_memory():
-    # the abscissae and values of every call live in the thread's workspace,
-    # grown for the largest call and reused by smaller ones; results are
-    # fresh arrays, unchanged by later calls
+    # the abscissae and values of a call live in that call's scratch; results
+    # are fresh arrays, unchanged by later calls
+    scratch = []
+
     def g(x, spare, out):
+        scratch.append(out)
         np.subtract(1.0, x, out=spare)
         np.multiply(spare, spare, out=out)
 
     big = sqrt_endpoint(g, np.zeros(50), np.full(50, 0.5), 1.0)
-    buffer = quadrature.WORKSPACE.buffer
+    kept = big.copy()
     small = sqrt_endpoint(g, np.zeros((2, 3)), np.full((2, 3), 0.5), 1.0)
-    assert quadrature.WORKSPACE.buffer is buffer
-    assert not np.shares_memory(big, buffer) and not np.shares_memory(small, buffer)
+    assert np.array_equal(big, kept)
+    assert not any(np.shares_memory(r, s) for r in (big, small) for s in scratch)
+    assert not np.shares_memory(big, small)
     assert big.shape == (50,) and small.shape == (2, 3)
     assert np.array_equal(big, np.full(50, big[0]))
     assert np.array_equal(small, np.full((2, 3), big[0]))
@@ -146,11 +149,22 @@ def test_sqrt_endpoint_returns_no_workspace_memory():
     assert big[0] == pytest.approx(0.4 * (1.0 - 0.5 ** 2.5), rel=1e-14)
 
 
-def test_workspace_grows_on_demand():
-    work = quadrature.Workspace()
-    a = work.take(2, (3, 4))
-    assert a.shape == (2, 3, 4)
-    buffer = work.buffer
-    assert work.take(1, (5,)).base is buffer
-    assert work.take(3, (5, 7)).shape == (3, 5, 7)
-    assert work.buffer is not buffer and work.buffer.size == 105
+def test_sqrt_endpoint_is_reentrant():
+    # an integrand that integrates a smaller batch before it reads its own
+    # abscissae: each call's scratch is its own, so the outer call keeps
+    # the closed form c (2/3) (1 - 0.5^(3/2)) of int_0^0.5 c (1 - x)^(1/2)
+    def one(x, spare, out):
+        out.fill(1.0)
+
+    def inner():
+        # 2 (1 - sqrt(1 - 0.75)) = 1, up to roundoff
+        return sqrt_endpoint(one, np.zeros(1), np.full(1, 0.75), 1.0)[0]
+
+    def g(x, spare, out):
+        c = inner()
+        np.subtract(1.0, x, out=out)
+        out *= c
+
+    got = sqrt_endpoint(g, np.zeros(50), np.full(50, 0.5), 1.0)
+    want = inner() * (2.0 / 3.0) * (1.0 - 0.5 ** 1.5)
+    assert np.allclose(got, want, rtol=0.0, atol=2e-16)
