@@ -47,11 +47,12 @@ the two an interior z still beats both ends.  alpha grows without bound as
 eps -> 0, the long-cylinder regime.
 
 The supremum over z is taken for a whole array of eps at once, from the
-stationarity condition dV/dz = 0: a 12-point scan from z_lo to 4 pi, graded
-toward the narrow interior peak near z_lo, then three safeguarded root steps
-on dV/dz in one bracket per eps.  The first two are one array call each over
-every eps and the third step's point is taken unevaluated, so a sweep costs
-as many calls as a single eps: three.
+stationarity condition dV/dz = 0: a 20-point scan from z_lo to 4 pi, graded
+toward the narrow interior peak near z_lo and clustered about its predicted
+place, then two safeguarded root steps on dV/dz in one bracket per eps.  The
+scan and the first step are one array call each over every eps and the
+second step's point is taken unevaluated, so a sweep costs as many calls as
+a single eps: two.
 
 The supremum is usually displayed in a closed form that cannot be evaluated
 as written: its switch point z^((4 pi - eps)/2) / (2 (1 - eps)) puts the
@@ -112,11 +113,17 @@ def ricci_odi_rhs(area: float, area_prime: float, epsilon: float,
 _Y0_SQ = start_height(3) ** 2          # 36 pi
 _Z_MAX = GAUSS_BONNET_TOTAL            # termination area of the round sphere
 _ROUND_HALF_VOLUME = math.pi ** 2      # the half volume at z = 4 pi
-# s = (z - z_lo) / (4 pi - z_lo) of the graded points over the seed 0.14 eps^2
-# (1 + 5 eps), capped at 1/32; the seed is within 10% of the interior peak's
-# s up to eps0 (0.98 of it at 1e-5, 0.94 at 0.05, 1.00 at 0.1345)
-_GRADED = 2.0 ** np.arange(-4.0, 5.0)
-_STEPS = 3          # safeguarded steps on dV/dz, the last one unevaluated
+# s = (z - z_lo) / (4 pi - z_lo) of the scan's graded points over the seed
+# 0.14 eps^2 (1 + 5 eps), capped at 1/32: the powers of 2 from 1/16 to 16
+# and a cluster about the seed, at which the interior peak lies up to eps0
+# (its s is 0.98 seed at 1e-5, 0.94 at 0.05, 1.00 at 0.1345), so that the
+# first + to - change of dV/dz falls between two cluster points, 1-2% of
+# the seed apart.  No cluster point repeats the seed: a repeated point
+# would hand Chandrupatla's step a repeated third point, which forces a
+# bisection
+_CLUSTER = np.array([0.90, 0.92, 0.94, 0.96, 0.98, 0.99, 1.01, 1.03])
+_GRADED = np.sort(np.concatenate((2.0 ** np.arange(-4.0, 5.0), _CLUSTER)))
+_STEPS = 2          # safeguarded steps on dV/dz, the last one unevaluated
 
 # 1 - eps below which eps is taken as 1: the oracle returns the round
 # sphere, the supremum for every eps above eps0 ~ 0.1347 (within 8e-15 of 1,
@@ -332,33 +339,39 @@ def _batch(epsilon):
     return eps.reshape(-1), eps.ndim == 0
 
 
+def _scan(eps):
+    """The supremum's scan, one increasing row of z per eps of a 1-D array:
+    z_lo, the ``_GRADED`` points, s = 1/32 and 4 pi."""
+    z_lo, z_hi = _z_bracket(eps)
+    origin, span = z_lo[:, None], (z_hi - z_lo)[:, None]
+    s = np.minimum((0.14 * eps * eps * (1.0 + 5.0 * eps))[:, None] * _GRADED,
+                   1.0 / 32.0)
+    return np.hstack((origin, origin + span * s, origin + span / 32.0,
+                      np.full_like(origin, z_hi)))
+
+
 def _supremum(eps):
     """Maximum of the half volume over z for each eps < 1 of a 1-D array:
     (maximum, argmax).
 
     dV/dz is pi / (4 sqrt(eps)) > 0 at z_lo.  Up to eps0 it turns negative
-    past the interior peak, which lies among the ``_GRADED`` points; above
-    eps0 no z beats the round sphere's pi^2 at z = 4 pi.  So one call takes
-    V and dV/dz at 12 z per eps: z_lo, the graded points, s = 1/32 and 4 pi.
-    The first + to - change of dV/dz brackets the peak (without one, as
-    above eps ~ 0.252, the bracket is the point 4 pi) and takes _STEPS steps
-    of Chandrupatla's (1997) method on dV/dz in t = sqrt(z - z_lo), where
+    past the interior peak, which from eps ~ 1e-7 on lies between two of the
+    ``_CLUSTER`` points; above eps0 no z beats the round sphere's pi^2 at z = 4 pi.  So
+    one call takes V and dV/dz at the 20 z per eps of ``_scan``.  The first
+    + to - change of dV/dz brackets the peak (without one, as above eps ~
+    0.252, the bracket is the point 4 pi) and takes _STEPS steps of
+    Chandrupatla's (1997) method on dV/dz in t = sqrt(z - z_lo), where
     dV/dz ~ a - b t is smooth: inverse quadratic interpolation where his
     test admits it, else bisection.  The last step's point is not evaluated:
     where it is an inverse quadratic step it is the argmax, elsewhere the
     end with the smaller |dV/dz| is.  The maximum is V at that end: after
-    two steps its z is within 1e-9 relative of the root, where V is flat.
-    Each evaluated step is one array call over every eps; a batch with no
-    change makes none.
+    one step from a bracket 1-2% of the seed wide its z is within 3e-10
+    relative of the root, where V is flat.  The one evaluated step is one
+    array call over every eps; a batch with no change makes none.
     """
-    z_lo, z_hi = _z_bracket(eps)
-    origin, rows = z_lo[:, None], np.arange(eps.size)[:, None]
+    z = _scan(eps)
+    origin, rows = z[:, :1], np.arange(eps.size)[:, None]
     half_volume = _half_volume_at(eps[:, None])
-    span = (z_hi - z_lo)[:, None]
-    s = np.minimum((0.14 * eps * eps * (1.0 + 5.0 * eps))[:, None] * _GRADED,
-                   1.0 / 32.0)
-    z = np.hstack((origin, origin + span * s, origin + span / 32.0,
-                   np.full_like(origin, z_hi)))
     f, slope = half_volume(z)
     k, last = np.argmax(f, axis=-1)[:, None], z.shape[1] - 1
     change = (slope[:, :-1] > 0.0) & (slope[:, 1:] <= 0.0)
@@ -393,7 +406,7 @@ def _supremum(eps):
     # refined point wins unless it is below the scan's best beyond roundoff,
     # as below eps ~ 1e-7, where the peak is within a few ulps of z_lo
     roundoff = 4.0 * np.finfo(float).eps
-    stay = np.where(z_scan == z_hi, f_best <= f_scan * (1.0 + roundoff),
+    stay = np.where(z_scan == _Z_MAX, f_best <= f_scan * (1.0 + roundoff),
                     f_best < f_scan * (1.0 - roundoff))
     return np.where(stay, f_scan, f_best), np.where(stay, z_scan, z_best)
 

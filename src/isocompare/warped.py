@@ -28,8 +28,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, SingularPointError, UnsupportedPointError,
-                     ValidationError)
+from .errors import (DomainError, NumericalError, SingularPointError,
+                     UnsupportedPointError, ValidationError)
 from .quadrature import gauss_legendre, sin_power
 
 __all__ = [
@@ -409,11 +409,11 @@ def pointwise(metric: WarpedMetric, t) -> Pointwise:
     if (f <= 0.0).any():
         raise SingularPointError(f"warp vanishes at t={t.ravel()[(f <= 0.0).ravel()][0]:g}")
     n = metric.n
-    omega = sphere_area(n - 1)
+    volume = _volume(metric, t)
     radial, tangential, scalar = _curvatures(n, f, f2, metric.warp.slope_complement(t))
     return Pointwise(
-        area=omega * f ** (n - 1),
-        volume=omega * metric.warp.power_integral(t, n - 1),
+        area=sphere_area(n - 1) * f ** (n - 1),
+        volume=volume,
         mean_curvature=(n - 1) * f1 / f,
         second_fundamental_norm_sq=(n - 1) * (f1 / f) ** 2,
         ric_radial=radial, ric_tangential=tangential, scalar=scalar)
@@ -520,8 +520,36 @@ def slice_at(metric: WarpedMetric, t: float) -> Slice:
 
 def total_volume(metric: WarpedMetric) -> float:
     """Volume of the whole model: omega_(n-1) times the power integral of f."""
-    vol = float(metric.warp.power_integral(metric.t_max, metric.n - 1))
-    return sphere_area(metric.n - 1) * vol
+    return float(_volume(metric, metric.t_max))
+
+
+def _scales(metric: WarpedMetric) -> dict[str, float]:
+    """The inputs that scale a closed-form warp f, by their config keys."""
+    scales = {"radius": metric.warp.radius}
+    if metric.warp.kind == "football":
+        scales["c"] = metric.warp.cone_factor
+    return scales
+
+
+def _named(metric: WarpedMetric) -> str:
+    """The model's scales and n as they appear in an error message."""
+    return ", ".join([f"{k}={v:g}" for k, v in _scales(metric).items()]
+                     + [f"n={metric.n}"])
+
+
+def _volume(metric: WarpedMetric, t):
+    """omega_(n-1) times the power integral of f^(n-1) up to t.
+
+    The closed warps scale their integral by radius^n c^(n-1) (radius^(n-1)
+    on the cylinder) in Python floats, which raise OverflowError beyond the
+    doubles: that is a NumericalError naming radius, c and n.
+    """
+    n = metric.n
+    try:
+        return sphere_area(n - 1) * metric.warp.power_integral(t, n - 1)
+    except OverflowError:
+        raise NumericalError(f"the model's volume overflows a double "
+                             f"({_named(metric)}); lower radius") from None
 
 
 # ---------------------------------------------------------------------------
@@ -571,22 +599,16 @@ def candidate_profile(metric: WarpedMetric, grid_size: int = 257) -> Profile:
         raise ValidationError("candidate profiles need a closed or cylinder model")
 
     n = metric.n
-    omega = sphere_area(n - 1)
     ts = np.linspace(0.0, metric.t_max, grid_size)
     f, f1, _ = metric.warp.evaluate(ts)
     f = np.asarray(f, dtype=float)
-    areas = omega * f ** (n - 1)
-
-    vols = omega * metric.warp.power_integral(ts, n - 1)
+    vols = _volume(metric, ts)
     if not vols[-1] > 0:
         # f^(n-1) underflows on every cell: name the inputs that scale f
-        scales = {"radius": metric.warp.radius}
-        if metric.warp.kind == "football":
-            scales["c"] = metric.warp.cone_factor
-        named = ", ".join(f"{k}={v:g}" for k, v in scales.items())
         raise ValidationError(
-            f"the model's volume underflows to 0 ({named}, n={n}): f^{n - 1} "
-            f"is 0 in doubles on every cell; raise {' or '.join(scales)}")
+            f"the model's volume underflows to 0 ({_named(metric)}): f^{n - 1} "
+            f"is 0 in doubles on every cell; raise {' or '.join(_scales(metric))}")
+    areas = sphere_area(n - 1) * f ** (n - 1)
     stalled = ~(np.diff(vols) > 0)
     if stalled.any():
         raise ValidationError(

@@ -174,6 +174,37 @@ def test_cli_underflowed_volume_names_its_inputs(tmp_path, capsys, command, mode
     assert "stops increasing" not in err
 
 
+@pytest.mark.parametrize("command, config, named", [
+    ("profile", "model = sphere\nn = 3\nradius = 1e110\n", "(radius=1e+110, n=3)"),
+    ("mass", "model = sphere\nn = 3\nradius = 1e200\nric0 = 2\n",
+     "(radius=1e+200, n=3)"),
+    ("mass", "model = football\nn = 5\nc = 0.5\nradius = 1e70\nric0 = 2\n",
+     "(radius=1e+70, c=0.5, n=5)"),
+    ("profile", "model = cylinder\nn = 4\nradius = 1e150\nlength = 1\n",
+     "(radius=1e+150, n=4)"),
+    ("variation-check", "model = cylinder\nn = 4\nradius = 1e150\nlength = 1\n"
+     "t = 0.5\n", "(radius=1e+150, n=4)"),
+    ("variation-check", "model = sphere\nradius = 1e200\nt = 1e200\n",
+     "(radius=1e+200, n=3)"),
+    ("cylinder-growth", "lengths = 1, 2\nradius = 1e200\n", "(radius=1e+200, n=3)"),
+], ids=["profile-sphere", "mass-sphere", "mass-football", "profile-cylinder",
+        "variation-check-cylinder", "variation-check-sphere", "cylinder-growth"])
+def test_cli_overflowed_volume_names_its_inputs(tmp_path, capsys, command, config,
+                                                named):
+    # the closed warps scale their volume by radius^n (radius^(n-1) on the
+    # cylinder) in Python floats, whose OverflowError ended the run with a
+    # traceback and exit 1: a numerical failure (exit 3) naming radius, c, n
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = {command}\n{config}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"volume overflows a double {named}; lower radius" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_variation_check(tmp_path):
     code, text = _invoke(tmp_path, "variation-check",
                          "command = variation-check\nmodel = sphere\n"

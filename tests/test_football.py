@@ -599,17 +599,33 @@ def test_argmax_is_a_zero_of_the_slope(eps):
     assert abs(slope) <= 1e-3 * PI / (4.0 * math.sqrt(eps))
 
 
+def _mp_slope_root(eps, z):
+    """The 25-digit zero of dV/dz, found from a double z near it."""
+    with mp.workdps(25):
+        e = mp.mpf(eps)
+        gap = mp.findroot(lambda g: mp.diff(lambda h: _mp_half_volume(e, h), g),
+                          4 * mp.pi - mp.mpf(z))
+        return 4 * mp.pi - gap
+
+
 @pytest.mark.parametrize("eps", [5e-3, 0.05, 0.1, 0.13, 0.1345])
 def test_argmax_matches_mpmath_root_of_the_slope(eps):
     # the argmax is the last root step's point, never evaluated: it is still
     # the 25-digit zero of dV/dz, found from the double argmax
     z = alpha_oracle(eps).z_argmax
-    with mp.workdps(25):
-        e = mp.mpf(eps)
-        gap = mp.findroot(lambda g: mp.diff(lambda h: _mp_half_volume(e, h), g),
-                          4 * mp.pi - mp.mpf(z))
-        want = 4 * mp.pi - gap
-        assert abs(z - want) <= 1e-14 * want
+    want = _mp_slope_root(eps, z)
+    assert abs(z - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("eps, printed", [
+    (0.13418777070375168, "4.63396972482"), (0.13433559051233723, "4.63456344373")])
+def test_argmax_near_eps0_prints_the_mpmath_digits(eps, printed):
+    # near eps0 the peak is narrow; a 12-point scan and two evaluated steps
+    # left z 4e-15 and 5e-15 off the root and printed ...481 and ...372
+    z = alpha_oracle(eps).z_argmax
+    want = _mp_slope_root(eps, z)
+    assert abs(z - want) <= 1e-14 * want
+    assert mp.nstr(want, 12) == format_number(z) == printed
 
 
 def test_alpha_oracle_batch_shapes():
@@ -698,8 +714,8 @@ def _half_volume_expression_form(eps, z):
 @example(size=203, seed=2)
 @example(size=183, seed=328)
 def test_half_volume_within_ulps_of_expression_form(size, seed):
-    # in layouts like the supremum's calls: its 12-point scan, a wider one of
-    # 42 points, and two points per eps; z_lo is a scalar leg of length 0,
+    # in layouts like the supremum's calls: scans of 12 and 42 points about
+    # its 20, and two points per eps; z_lo is a scalar leg of length 0,
     # 4 pi the round sphere.  The two differ in the order of the rule's
     # weighted sum and of a few products, each a few ulps of a leg, and
     # both legs are positive (measured worst, 3 ulps of V)
@@ -739,8 +755,8 @@ def test_round_sphere_leg_is_closed_form():
         assert alpha_oracle(eps).alpha_oracle == 1.0
 
 
-def test_supremum_is_three_array_calls_for_any_batch(monkeypatch):
-    # one 12-point scan and _STEPS steps on one bracket per eps, whatever the
+def test_supremum_is_two_array_calls_for_any_batch(monkeypatch):
+    # one 20-point scan and _STEPS steps on one bracket per eps, whatever the
     # batch and its eps, of which the last step's point is not evaluated; a
     # batch in which dV/dz changes sign at no scan point (each eps above
     # about 0.252) has only the point 4 pi to refine and makes the scan alone
@@ -751,29 +767,26 @@ def test_supremum_is_three_array_calls_for_any_batch(monkeypatch):
         return quadrature.sqrt_endpoint(*args, **kwargs)
 
     monkeypatch.setattr(football_module, "sqrt_endpoint", counted)
-    assert football_module._STEPS == 3
+    assert football_module._STEPS == 2
+    scan = football_module._scan(np.array([0.1])).shape[1]
+    assert scan == 20
     for eps in (0.05, 3e-5, [0.01, 0.1], [1e-9, 0.5], np.linspace(0.005, 0.9, 66)):
         calls.clear()
         alpha_oracle(eps)
-        assert calls == [(np.size(eps), 12)] + [(np.size(eps), 1)] * 2
+        assert calls == [(np.size(eps), scan)] + [(np.size(eps), 1)]
     for eps in (0.5, [0.4, 0.9], [0.31, 1.0 - 1e-11, 0.6]):
         calls.clear()
         alpha_oracle(eps)
-        assert calls == [(np.size(eps), 12)]
+        assert calls == [(np.size(eps), scan)]
 
 
 def _supremum_evaluating_every_step(eps):
     """The supremum with every one of the _STEPS root steps evaluated, and
     the end with the smaller |dV/dz| as its argmax: the same scan, bracket
     and steps as ``football._supremum``, one array call more."""
-    z_lo, z_hi = football_module._z_bracket(eps)
-    origin, rows = z_lo[:, None], np.arange(eps.size)[:, None]
+    z = football_module._scan(eps)
+    origin, rows = z[:, :1], np.arange(eps.size)[:, None]
     half_volume = football_module._half_volume_at(eps[:, None])
-    span = (z_hi - z_lo)[:, None]
-    s = np.minimum((0.14 * eps * eps * (1.0 + 5.0 * eps))[:, None]
-                   * football_module._GRADED, 1.0 / 32.0)
-    z = np.hstack((origin, origin + span * s, origin + span / 32.0,
-                   np.full_like(origin, z_hi)))
     f, slope = half_volume(z)
     k, last = np.argmax(f, axis=-1)[:, None], z.shape[1] - 1
     change = (slope[:, :-1] > 0.0) & (slope[:, 1:] <= 0.0)
@@ -797,7 +810,8 @@ def _supremum_evaluating_every_step(eps):
         p1 = np.stack((x, fx, value, np.sqrt(x - origin)))
     z_best, _, f_best, _ = np.where(np.abs(p1[1]) <= np.abs(p2[1]), p1, p2)[..., 0]
     roundoff = 4.0 * np.finfo(float).eps
-    stay = np.where(z_scan == z_hi, f_best <= f_scan * (1.0 + roundoff),
+    stay = np.where(z_scan == football_module._Z_MAX,
+                    f_best <= f_scan * (1.0 + roundoff),
                     f_best < f_scan * (1.0 - roundoff))
     return np.where(stay, f_scan, f_best), np.where(stay, z_scan, z_best)
 
@@ -909,7 +923,7 @@ def test_epsilon0_lies_above_cone_crossing():
 
 
 # ---------------------------------------------------------------------------
-# the premise of the 12-point scan, on a dense grid in s
+# the premises of the scan: on a dense grid in s, and on the scan itself
 
 _BELOW_EPS0 = 0.1347277554       # eps0 = 0.13472775541141216 to a double
 _ABOVE_EPS0 = 0.1347277555
@@ -949,6 +963,30 @@ def test_first_slope_change_lies_among_the_graded_points(values):
     first, rows = np.argmax(change, axis=-1), np.arange(seed.size)
     assert np.all(s[rows, first] >= seed / 16.0)
     assert np.all(s[rows, first + 1] <= np.minimum(16.0 * seed, 1.0 / 32.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(1e-7, _BELOW_EPS0),
+                                 _log_uniform(1e-7, _BELOW_EPS0)),
+                       min_size=1, max_size=20))
+@example(values=[1e-7, 3e-5, 0.05, 0.1345, _BELOW_EPS0])
+def test_first_slope_change_on_the_scan_lies_in_the_cluster(values):
+    # from 1e-7 to eps0 the scan's own first + to - change of dV/dz has both
+    # ends among the cluster points about the seed (the graded seed itself
+    # between them), so the one evaluated root step starts from a bracket
+    # 1-2% of the seed wide (measured on 20000 eps: first change from 0.92
+    # to 1.03 seed; below about 8.4e-8 the cluster is a few ulps of z_lo
+    # wide, and the change can fall past it)
+    eps = np.array(values)
+    z = football_module._scan(eps)
+    _, slope = football_module._half_volume_at(eps[:, None])(z)
+    change = (slope[:, :-1] > 0.0) & (slope[:, 1:] <= 0.0)
+    assert change.any(axis=-1).all()
+    first = np.argmax(change, axis=-1)
+    # scan columns of the cluster points, after z_lo in column 0
+    cluster = 1 + np.flatnonzero(np.isin(football_module._GRADED,
+                                         football_module._CLUSTER))
+    assert np.all(first >= cluster[0]) and np.all(first + 1 <= cluster[-1])
 
 
 @settings(max_examples=30, deadline=None)
