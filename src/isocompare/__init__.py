@@ -10,12 +10,10 @@ from .gmt import (ambient_h_bound, area_ratio_constant, check_monotone,
                   unit_circle, unit_sphere)
 from .phase_plane import (bishop_bound, extremal_path, phase_curve, ricci_mass,
                           start_height, volume_from_path)
-from .variation import (check_first_variation, check_mean_curvature_evolution,
-                        check_second_variation, convergence_order,
-                        variation_report)
-from .warped import (candidate_profile, curvature_at, curvature_bounds,
-                     cylinder, eval_warp, football, round_sphere, slice_at,
-                     sphere_area, tabulated, total_volume)
+from .variation import stencil_table
+from .warped import (candidate_profile, curvature_bounds, cylinder, eval_warp,
+                     football, pointwise, round_sphere, sphere_area, tabulated,
+                     total_volume)
 
 __all__ = [
     "__version__",
@@ -26,9 +24,8 @@ __all__ = [
     "unit_circle", "unit_sphere",
     "bishop_bound", "extremal_path", "phase_curve", "ricci_mass",
     "start_height", "volume_from_path",
-    "check_first_variation", "check_mean_curvature_evolution",
-    "check_second_variation", "convergence_order", "variation_report",
-    "candidate_profile", "curvature_at", "curvature_bounds", "cylinder",
-    "eval_warp", "football", "round_sphere", "slice_at", "sphere_area",
-    "tabulated", "total_volume",
+    "stencil_table",
+    "candidate_profile", "curvature_bounds", "cylinder", "eval_warp",
+    "football", "pointwise", "round_sphere", "sphere_area", "tabulated",
+    "total_volume",
 ]

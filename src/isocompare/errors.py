@@ -27,10 +27,6 @@ class UnsupportedPointError(DomainError):
     """Evaluation outside the sample window of a tabulated warp."""
 
 
-class ResolutionError(ValidationError):
-    """Sampled data too coarse to anchor a derived quantity."""
-
-
 class EmptyPathError(ValidationError):
     """Phase-plane path degenerate: the requested mass leaves no room for
     a positive starting height."""

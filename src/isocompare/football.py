@@ -506,14 +506,17 @@ class Epsilon0Bracket:
     evaluations: list[tuple[float, float]] = field(default_factory=list)
 
 
-def epsilon0(method: str = "oracle", tol: float = 5e-4,
-             search: tuple[float, float] = (0.05, 0.5)) -> Epsilon0Bracket:
+_EPS0_SEARCH = (0.05, 0.5)
+
+
+def epsilon0(method: str = "oracle", tol: float = 5e-4) -> Epsilon0Bracket:
     """Bracket the threshold eps0 by bisection on alpha(eps) - 1.
 
-    The search interval starts below the known football excess region and at
-    the proven upper bound 1/2.  The bracket narrows to tol or to adjacent
-    doubles.  The verbatim formula cannot be evaluated at any eps
-    (``as_written_bound``), so ``as-written`` reports no root at once.
+    The search interval, ``_EPS0_SEARCH``, starts below the known football
+    excess region and at the proven upper bound 1/2.  The bracket narrows
+    to tol or to adjacent doubles.  The verbatim formula cannot be
+    evaluated at any eps (``as_written_bound``), so ``as-written`` reports
+    no root at once.
     """
     if method in ("as_written", "as-written"):
         return Epsilon0Bracket(lo=math.nan, hi=math.nan, iterations=0,
@@ -521,7 +524,7 @@ def epsilon0(method: str = "oracle", tol: float = 5e-4,
     if method != "oracle":
         raise ValidationError(f"unknown method {method!r}: use oracle | as-written")
 
-    lo, hi = search
+    lo, hi = _EPS0_SEARCH
     evals = []
 
     def above(eps: float) -> bool:
@@ -569,12 +572,11 @@ def cylinder_growth(lengths, radius: float = 1.0) -> list[CylinderGrowth]:
     rows = []
     for length in lengths:
         metric = cylinder(radius, float(length))
-        with np.errstate(over="ignore"):
+        try:
             vol = total_volume(metric)
-        if not math.isfinite(vol):
-            raise NumericalError(
-                f"cylinder volume overflows a double at length {length:g}")
-        bounds = curvature_bounds(metric, grid_size=65)
+        except NumericalError as err:
+            raise NumericalError(f"at length {length:g}, {err}") from None
+        bounds = curvature_bounds(metric)
         rows.append(CylinderGrowth(length=float(length), volume=vol,
                                    ric_inf=bounds.ric_min,
                                    scalar_inf=bounds.scalar_min))

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EmptyPathError, NumericalError, ResolutionError,
-                     ValidationError)
+from .errors import EmptyPathError, NumericalError, ValidationError
 from .quadrature import sqrt_endpoint
 from .warped import (MonotoneCubic, Profile, log_sphere_area, sin_power_integral,
                      sphere_area)
@@ -74,48 +73,11 @@ class MassFunction:
     m_values: np.ndarray
 
 
-def _fit_origin_slope(v: np.ndarray, x: np.ndarray, total: float) -> float:
-    """Least-squares slope of x ~ slope * v over the leading samples.
-
-    Uses up to the first ten interior samples, all required to sit inside the
-    first 2% of the total volume so the linear model is honest; fewer than
-    three such samples cannot anchor the slope.
-    """
-    window = np.nonzero((v > 0) & (v <= 0.02 * total))[0][:10]
-    if window.size < 3:
-        raise ResolutionError(
-            "fewer than 3 profile samples inside the first 2% of volume; "
-            "cannot anchor the origin slope")
-    vv, xx = v[window], x[window]
-    return float(np.dot(vv, xx) / np.dot(vv, vv))
-
-
-def _difference_slopes(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Three-point derivative of x(v) on a nonuniform grid."""
-    y = np.empty_like(x)
-    dm = v[1:-1] - v[:-2]
-    dp = v[2:] - v[1:-1]
-    y[1:-1] = (-dp / (dm * (dm + dp)) * x[:-2]
-               + (dp - dm) / (dm * dp) * x[1:-1]
-               + dm / (dp * (dm + dp)) * x[2:])
-    d0, d1 = v[1] - v[0], v[2] - v[1]
-    y[0] = (-(2 * d0 + d1) / (d0 * (d0 + d1)) * x[0]
-            + (d0 + d1) / (d0 * d1) * x[1]
-            - d0 / (d1 * (d0 + d1)) * x[2])
-    e0, e1 = v[-1] - v[-2], v[-2] - v[-3]
-    y[-1] = ((2 * e0 + e1) / (e0 * (e0 + e1)) * x[-1]
-             - (e0 + e1) / (e0 * e1) * x[-2]
-             + e0 / (e1 * (e0 + e1)) * x[-3])
-    return y
-
-
 def phase_curve(profile: Profile) -> PhaseCurve:
     """Transform a profile to (x, y) phase samples on its volume grid.
 
-    When the profile carries foliation data the slope is exact:
-    y = n omega^(1/(n-1)) f'(t), the chain rule through dV = A dt.  Otherwise
-    y comes from centered differences on the volume grid, with the pole-end
-    slope anchored by fitting x ~ y0 * v over the first decade of samples.
+    The slope is exact from the profile's warp slope:
+    y = n omega^(1/(n-1)) f'(t), the chain rule through dV = A dt.
     """
     n = profile.n
     a = profile.a_values
@@ -124,17 +86,7 @@ def phase_curve(profile: Profile) -> PhaseCurve:
         raise ValidationError("profile areas must be positive in the interior")
     power = n / (n - 1.0)
     x = a ** power
-
-    if profile.warp_slope is not None:
-        y = start_height(n) * np.asarray(profile.warp_slope, dtype=float)
-    else:
-        y = _difference_slopes(profile.v_grid, x)
-        total = profile.total_volume
-        if a[0] == 0.0:
-            y[0] = _fit_origin_slope(profile.v_grid, x, total)
-        if a[-1] == 0.0:
-            vr = total - profile.v_grid[::-1]
-            y[-1] = -_fit_origin_slope(vr, x[::-1], total)
+    y = start_height(n) * profile.warp_slope
     return PhaseCurve(n=n, v=profile.v_grid.copy(), x=x, y=y)
 
 

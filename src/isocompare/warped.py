@@ -33,12 +33,11 @@ from .errors import (DomainError, NumericalError, SingularPointError,
 from .quadrature import gauss_legendre, sin_power
 
 __all__ = [
-    "WarpedMetric", "CurvatureData", "CurvatureBounds", "Slice", "Profile",
+    "WarpedMetric", "CurvatureBounds", "Profile",
     "MonotoneCubic", "round_sphere", "football", "cylinder", "tabulated",
     "sin_power_integral", "sin_squared_integral", "sphere_area",
     "log_sphere_area", "eval_warp", "Pointwise", "pointwise",
-    "curvature_at", "curvature_bounds", "slice_at", "total_volume",
-    "candidate_profile",
+    "curvature_bounds", "total_volume", "candidate_profile",
 ]
 
 
@@ -183,8 +182,6 @@ class _FootballWarp:
     radius: float
     kind: str = "football"
 
-    closed = True
-
     @property
     def t_max(self) -> float:
         return math.pi * self.radius
@@ -201,9 +198,6 @@ class _FootballWarp:
         c0 = self.cone_factor
         return np.sin(u) ** 2 + (1.0 - c0 * c0) * np.cos(u) ** 2
 
-    def pole_slopes(self):
-        return self.cone_factor, -self.cone_factor
-
     def power_integral(self, t, m: int):
         r = self.radius
         return (r ** (m + 1) * self.cone_factor ** m
@@ -216,7 +210,6 @@ class _CylinderWarp:
     length: float
 
     kind = "cylinder"
-    closed = False
 
     @property
     def t_max(self) -> float:
@@ -228,9 +221,6 @@ class _CylinderWarp:
 
     def slope_complement(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
-
-    def pole_slopes(self):
-        return 0.0, 0.0
 
     def power_integral(self, t, m: int):
         return self.radius ** m * np.asarray(t, dtype=float)
@@ -246,7 +236,6 @@ class _TabulatedWarp:
     """
 
     kind = "tabulated"
-    closed = False
 
     def __init__(self, t_samples: Sequence[float], f_samples: Sequence[float]):
         ts = np.asarray(t_samples, dtype=float)
@@ -281,9 +270,6 @@ class _TabulatedWarp:
     def slope_complement(self, t):
         _, f1, _ = self.evaluate(t)
         return 1.0 - np.asarray(f1, dtype=float) ** 2
-
-    def pole_slopes(self):
-        raise UnsupportedPointError("tabulated warp has no pole data")
 
     def power_integral(self, t, m: int):
         # f^m has degree 3m on each cubic piece, where the
@@ -323,10 +309,6 @@ class WarpedMetric:
     @property
     def t_min(self) -> float:
         return getattr(self.warp, "t_min", 0.0)
-
-    @property
-    def closed(self) -> bool:
-        return self.warp.closed
 
 
 def round_sphere(n: int = 3, radius: float = 1.0) -> WarpedMetric:
@@ -376,8 +358,10 @@ def _curvatures(n: int, f, f2, sc):
 
 class Pointwise(NamedTuple):
     """Slice and curvature data at strictly interior radii, one array each,
-    of the shape of t.  (A named tuple: the class is built on every cold
-    start, where a frozen dataclass costs about six times as long.)
+    of the shape of t: the only form of these quantities, which the
+    variation stencils and the curvature bounds read.  (A named tuple: the
+    class is built on every cold start, where a frozen dataclass costs about
+    six times as long.)
 
     The slices {t = const} are umbilic, so |Pi|^2 = H^2 / (n - 1) exactly;
     the volume is the warp's exact power integral, measured from the window
@@ -396,9 +380,8 @@ class Pointwise(NamedTuple):
 
 
 def pointwise(metric: WarpedMetric, t) -> Pointwise:
-    """Area, enclosed volume, H, |Pi|^2 and the curvatures at every t of an
-    array, each t strictly inside the model; ``slice_at`` and
-    ``curvature_at`` are its one-point views."""
+    """Area, enclosed volume, H, |Pi|^2 and the curvatures at every t of a
+    number or an array, each t strictly inside the model."""
     t = np.asarray(t, dtype=float)
     outside = ~((metric.t_min < t) & (t < metric.t_max))
     if outside.any():
@@ -420,102 +403,28 @@ def pointwise(metric: WarpedMetric, t) -> Pointwise:
 
 
 @dataclass(frozen=True)
-class CurvatureData:
-    """Ricci and scalar curvature of a warped model at one interior point
-    (see ``Pointwise``)."""
-
-    ric_radial: float
-    ric_tangential: float
-    scalar: float
-
-    @property
-    def min_ricci(self) -> float:
-        return min(self.ric_radial, self.ric_tangential)
-
-
-def curvature_at(metric: WarpedMetric, t: float) -> CurvatureData:
-    """Curvature quantities at a strictly interior radial coordinate."""
-    p = pointwise(metric, t)
-    return CurvatureData(float(p.ric_radial), float(p.ric_tangential), float(p.scalar))
-
-
-@dataclass(frozen=True)
 class CurvatureBounds:
     """Infima of the minimal Ricci eigenvalue and of scalar curvature."""
 
     ric_min: float
     scalar_min: float
-    certified: bool
-    tolerance: float
 
 
-def curvature_bounds(metric: WarpedMetric, grid_size: int = 513,
-                     refine_tol: float = 1e-7,
-                     max_refinements: int = 6) -> CurvatureBounds:
-    """Infima of min-Ricci and scalar curvature over the interior.
+def curvature_bounds(metric: WarpedMetric) -> CurvatureBounds:
+    """Infima of min-Ricci and scalar curvature over the interior of a
+    closed model or a cylinder.
 
-    On the closed-form models both infima sit at the midpoint t_max / 2 (the
-    equator of the sphere and of the football, anywhere on the cylinder),
-    and are the curvatures there: Ric_min = (n-1)/r^2 on the sphere and the
-    football; scalar_min = n(n-1)/r^2 on the sphere,
-    2(n-1)/r^2 + (n-1)(n-2)/(c^2 r^2) on the football and (n-1)(n-2)/a^2 on
-    the cylinder.  These are certified with tolerance 0.
-
-    A tabulated warp is sampled on a grid, refined (doubled, with shrinking
-    endpoint margins) until both infima are stable to refine_tol relative;
-    the reported tolerance is the last observed change.  If the minima keep
-    moving the result is flagged uncertified rather than silently reported.
+    Both infima sit at the midpoint t_max / 2 (the equator of the sphere
+    and of the football, anywhere on the cylinder), and are the curvatures
+    there: Ric_min = (n-1)/r^2 on the sphere and the football;
+    scalar_min = n(n-1)/r^2 on the sphere, 2(n-1)/r^2 + (n-1)(n-2)/(c^2 r^2)
+    on the football and (n-1)(n-2)/a^2 on the cylinder.
     """
-    if metric.warp.kind != "tabulated":
-        c = curvature_at(metric, 0.5 * metric.t_max)
-        return CurvatureBounds(c.min_ricci, c.scalar, True, 0.0)
-    n = metric.n
-    lo, hi = metric.t_min, metric.t_max
-
-    def grid_min(num: int) -> tuple[float, float]:
-        margin = (hi - lo) / (2.0 * num)
-        ts = np.linspace(lo + margin, hi - margin, num)
-        f, _f1, f2 = metric.warp.evaluate(ts)
-        f = np.asarray(f, dtype=float)
-        if np.any(f <= 0):
-            raise SingularPointError("warp vanishes inside the sampling window")
-        sc = np.asarray(metric.warp.slope_complement(ts), dtype=float)
-        radial, tangential, scal = _curvatures(n, f, np.asarray(f2, dtype=float), sc)
-        return float(np.min(np.minimum(radial, tangential))), float(np.min(scal))
-
-    num = grid_size
-    ric_min, scal_min = grid_min(num)
-    certified = False
-    achieved = math.inf
-    for _ in range(max_refinements):
-        num *= 2
-        ric_next, scal_next = grid_min(num)
-        scale = max(1.0, abs(ric_next), abs(scal_next))
-        achieved = max(abs(ric_next - ric_min), abs(scal_next - scal_min)) / scale
-        ric_min, scal_min = ric_next, scal_next
-        if achieved <= refine_tol:
-            certified = True
-            break
-    return CurvatureBounds(ric_min, scal_min, certified, achieved)
-
-
-@dataclass(frozen=True)
-class Slice:
-    """Geodesic-sphere slice data at one radius (see ``Pointwise``)."""
-
-    t: float
-    area: float
-    volume: float
-    mean_curvature: float
-    second_fundamental_norm_sq: float
-
-
-def slice_at(metric: WarpedMetric, t: float) -> Slice:
-    """Area, enclosed volume, H and |Pi|^2 of the slice at radius t."""
-    p = pointwise(metric, t)
-    return Slice(t=t, area=float(p.area), volume=float(p.volume),
-                 mean_curvature=float(p.mean_curvature),
-                 second_fundamental_norm_sq=float(p.second_fundamental_norm_sq))
+    if metric.warp.kind == "tabulated":
+        raise ValidationError("curvature bounds need a closed or cylinder model")
+    p = pointwise(metric, 0.5 * metric.t_max)
+    return CurvatureBounds(min(float(p.ric_radial), float(p.ric_tangential)),
+                           float(p.scalar))
 
 
 def total_volume(metric: WarpedMetric) -> float:
@@ -524,7 +433,10 @@ def total_volume(metric: WarpedMetric) -> float:
 
 
 def _scales(metric: WarpedMetric) -> dict[str, float]:
-    """The inputs that scale a closed-form warp f, by their config keys."""
+    """The inputs that scale the warp f, by their config keys: radius and c
+    of a closed-form warp, the largest sample of a tabulated one."""
+    if metric.warp.kind == "tabulated":
+        return {"f_samples": float(metric.warp.f_samples.max())}
     scales = {"radius": metric.warp.radius}
     if metric.warp.kind == "football":
         scales["c"] = metric.warp.cone_factor
@@ -537,19 +449,30 @@ def _named(metric: WarpedMetric) -> str:
                      + [f"n={metric.n}"])
 
 
+def _overflows(metric: WarpedMetric, what: str) -> NumericalError:
+    """The error for a quantity of the model beyond the doubles, naming the
+    model and the input to lower."""
+    return NumericalError(f"{what} overflows a double ({_named(metric)}); "
+                          f"lower {next(iter(_scales(metric)))}")
+
+
 def _volume(metric: WarpedMetric, t):
     """omega_(n-1) times the power integral of f^(n-1) up to t.
 
     The closed warps scale their integral by radius^n c^(n-1) (radius^(n-1)
     on the cylinder) in Python floats, which raise OverflowError beyond the
-    doubles: that is a NumericalError naming radius, c and n.
+    doubles, and the array product can overflow after that: either is a
+    NumericalError naming radius, c and n.
     """
     n = metric.n
     try:
-        return sphere_area(n - 1) * metric.warp.power_integral(t, n - 1)
+        with np.errstate(over="ignore"):
+            volume = sphere_area(n - 1) * metric.warp.power_integral(t, n - 1)
     except OverflowError:
-        raise NumericalError(f"the model's volume overflows a double "
-                             f"({_named(metric)}); lower radius") from None
+        volume = math.inf
+    if not np.isfinite(volume).all():
+        raise _overflows(metric, "the model's volume")
+    return volume
 
 
 # ---------------------------------------------------------------------------
@@ -558,26 +481,27 @@ def _volume(metric: WarpedMetric, t):
 
 @dataclass
 class Profile:
-    """Sampled candidate profile (V, A) with foliation derivative estimates.
+    """Sampled candidate profile (V, A) with its foliation data.
 
-    Profiles generated by ``candidate_profile`` carry the generating t-grid,
-    dA/dV = H (infinite at closed-model poles) and the warp slope f'(t), from
-    which the volume-derivative of any power of A follows exactly via
-    dV = A dt.  Externally supplied profiles may leave those fields None.
+    Every profile carries the generating t-grid and the warp slope f'(t) at
+    each sample, from which the volume-derivative of any power of A follows
+    exactly via dV = A dt.
     """
 
     n: int
     v_grid: np.ndarray
     a_values: np.ndarray
     total_volume: float
-    t_grid: np.ndarray | None = None
-    da_dv: np.ndarray | None = None
-    warp_slope: np.ndarray | None = None
+    t_grid: np.ndarray
+    warp_slope: np.ndarray
 
     def __post_init__(self):
-        self.v_grid = np.asarray(self.v_grid, dtype=float)
-        self.a_values = np.asarray(self.a_values, dtype=float)
-        if self.v_grid.ndim != 1 or self.v_grid.shape != self.a_values.shape:
+        self.v_grid, self.a_values, self.t_grid, self.warp_slope = (
+            np.asarray(a, dtype=float)
+            for a in (self.v_grid, self.a_values, self.t_grid, self.warp_slope))
+        if self.v_grid.ndim != 1 or any(
+                a.shape != self.v_grid.shape
+                for a in (self.a_values, self.t_grid, self.warp_slope)):
             raise ValidationError("profile grids must be matching 1-d arrays")
         if not np.all(np.diff(self.v_grid) > 0):
             raise ValidationError("profile volume samples must be strictly increasing")
@@ -615,13 +539,5 @@ def candidate_profile(metric: WarpedMetric, grid_size: int = 257) -> Profile:
             f"volume samples are not strictly increasing: V stops increasing at "
             f"t={ts[np.argmax(stalled)]:g} (n={n}, grid_size={grid_size}), where "
             "a grid cell is below the volume's resolution")
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        da_dv = np.where(f > 0, (n - 1) * np.asarray(f1, dtype=float) / f, np.inf)
-    if metric.closed:
-        da_dv[0] = np.inf
-        da_dv[-1] = -np.inf
-
     return Profile(n=n, v_grid=vols, a_values=areas, total_volume=float(vols[-1]),
-                   t_grid=ts, da_dv=da_dv,
-                   warp_slope=np.asarray(f1, dtype=float).copy())
+                   t_grid=ts, warp_slope=np.asarray(f1, dtype=float).copy())

@@ -205,6 +205,31 @@ def test_cli_overflowed_volume_names_its_inputs(tmp_path, capsys, command, confi
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command, config, named", [
+    ("profile", "model = sphere\nn = 3\nradius = 5.5e102\n",
+     "(radius=5.5e+102, n=3); lower radius"),
+    ("variation-check", "model = sphere\nn = 3\nradius = 5.5e102\nt = 1e102\n",
+     "(radius=5.5e+102, n=3); lower radius"),
+    ("variation-check", "model = tabulated\nn = 3\nt_samples = 0.3,1.2,2.1,3.0\n"
+     "f_samples = 1e102,2e102,1e102,3e102\nt = 1\n",
+     "(f_samples=3e+102, n=3); lower f_samples"),
+], ids=["profile", "variation-check", "variation-check-tabulated"])
+def test_cli_overflow_past_the_radius_power_exits_3(tmp_path, capsys, command,
+                                                   config, named):
+    # radius^3 = 1.7e308 is a double, but omega times the volume integral
+    # and the stencil's volume increments are not: profile reported a false
+    # stalled volume (exit 2), variation-check printed nan residuals (exit 0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = {command}\n{config}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nan" not in captured.out
+    assert f"overflows a double {named}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_variation_check(tmp_path):
     code, text = _invoke(tmp_path, "variation-check",
                          "command = variation-check\nmodel = sphere\n"

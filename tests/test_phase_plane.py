@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocompare.errors import (EmptyPathError, NumericalError, ResolutionError,
-                               ValidationError)
+from isocompare.errors import EmptyPathError, NumericalError, ValidationError
 from isocompare.phase_plane import (PhasePath, bishop_bound, extremal_path,
                                     mass_coefficient, phase_curve, ricci_mass,
                                     start_height, volume_from_path)
@@ -54,21 +53,22 @@ def test_phase_curve_sphere_values():
 def test_phase_curve_positivity_validation():
     v = np.linspace(0.0, 1.0, 8)
     a = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0])
-    prof = Profile(n=3, v_grid=v, a_values=a, total_volume=1.0)
+    prof = Profile(n=3, v_grid=v, a_values=a, total_volume=1.0, t_grid=v,
+                   warp_slope=np.ones(8))
     with pytest.raises(ValidationError):
         phase_curve(prof)
 
 
-def test_phase_curve_difference_fallback():
-    # strip the foliation data: differences plus the origin-slope fit
-    src = candidate_profile(round_sphere(3, 1.0), 513)
-    prof = Profile(n=3, v_grid=src.v_grid, a_values=src.a_values,
-                   total_volume=src.total_volume)
-    curve = phase_curve(prof)
-    exact = phase_curve(src)
-    assert curve.y[0] == pytest.approx(exact.y[0], rel=2e-3)
-    interior = slice(5, -5)
-    assert np.max(np.abs(curve.y[interior] - exact.y[interior])) < 5e-3
+def test_profile_needs_matching_foliation_data():
+    # the phase slope is exact from f'(t): a profile carries its t-grid and
+    # warp slope, one per volume sample
+    src = candidate_profile(round_sphere(3, 1.0), 16)
+    fields = dict(n=3, v_grid=src.v_grid, a_values=src.a_values,
+                  total_volume=src.total_volume)
+    with pytest.raises(TypeError):
+        Profile(**fields)
+    with pytest.raises(ValidationError, match="matching"):
+        Profile(**fields, t_grid=src.t_grid, warp_slope=src.warp_slope[1:])
 
 
 def test_ricci_mass_zero_on_round_sphere():
@@ -100,15 +100,6 @@ def test_ricci_mass_football_constant():
     mass = ricci_mass(prof, 2.0)
     expected = 36 * PI * (1 - c0 ** 2)
     assert np.max(np.abs(mass.m_values - expected)) <= 1e-10
-
-
-def test_ricci_mass_resolution_error():
-    # coarse grid without foliation data cannot anchor the origin slope
-    src = candidate_profile(round_sphere(3, 1.0), 16)
-    prof = Profile(n=3, v_grid=src.v_grid, a_values=src.a_values,
-                   total_volume=src.total_volume)
-    with pytest.raises(ResolutionError):
-        ricci_mass(prof, 2.0)
 
 
 def test_ricci_mass_validation():

@@ -7,92 +7,87 @@ from hypothesis import strategies as st
 
 from isocompare import cli, warped
 from isocompare.errors import DomainError
-from isocompare.variation import (KINDS, check_first_variation,
-                                  check_mean_curvature_evolution,
-                                  check_second_variation, convergence_order,
-                                  residual_sequence, residual_table,
-                                  stencil_table, variation_report)
-from isocompare.warped import (cylinder, football, round_sphere, slice_at,
+from isocompare.variation import KINDS, stencil_table
+from isocompare.warped import (cylinder, football, pointwise, round_sphere,
                                sphere_area, tabulated)
 
 PI = math.pi
 SPHERE = round_sphere(3, 1.0)
 FOOTBALL = football(0.5)
 CYLINDER = cylinder(1.0, 4.0)
+FIRST, H_DOT, SECOND = range(3)
 
 
 def test_first_variation_equator():
     # A'(pi/2) = 0 = H A; the centered difference is exactly symmetric
-    rep = check_first_variation(SPHERE, PI / 2, 1e-3)
-    assert rep.residual_first <= 1e-6
+    table = stencil_table(SPHERE, PI / 2, 1e-3, 1)
+    assert table.residual[0, 0, FIRST] <= 1e-6
 
 
 def test_first_variation_cylinder_trivial():
-    rep = check_first_variation(CYLINDER, 1.0, 1e-3)
-    assert rep.residual_first == 0.0
+    table = stencil_table(CYLINDER, 1.0, 1e-3, 1)
+    assert table.residual[0, 0, FIRST] == 0.0
 
 
 def test_first_variation_halving_ratio():
-    r1 = check_first_variation(SPHERE, PI / 3, 1e-3).residual_first
-    r2 = check_first_variation(SPHERE, PI / 3, 5e-4).residual_first
+    r1, r2 = stencil_table(SPHERE, PI / 3, 1e-3, 2).residual[0, :, FIRST]
     assert r1 / r2 == pytest.approx(4.0, rel=0.05)
 
 
 def test_h_dot_equator():
     # dH/dt = -2 at the equator; -|Pi|^2 - Ric(nu,nu) = 0 - 2
-    rep = check_mean_curvature_evolution(SPHERE, PI / 2, 1e-3)
-    assert rep.analytic_value == pytest.approx(-2.0, rel=1e-14)
-    assert rep.residual_h_dot <= 1e-6
+    table = stencil_table(SPHERE, PI / 2, 1e-3, 1)
+    assert table.exact[0, 0, H_DOT] == pytest.approx(-2.0, rel=1e-14)
+    assert table.residual[0, 0, H_DOT] <= 1e-6
 
 
 def test_h_dot_cylinder_trivial():
-    rep = check_mean_curvature_evolution(CYLINDER, 1.0, 1e-3)
-    assert rep.residual_h_dot == 0.0
+    table = stencil_table(CYLINDER, 1.0, 1e-3, 1)
+    assert table.residual[0, 0, H_DOT] == 0.0
 
 
 def test_h_dot_football():
-    rep = check_mean_curvature_evolution(FOOTBALL, PI / 2, 1e-3)
-    assert rep.residual_h_dot <= 1e-6
+    table = stencil_table(FOOTBALL, PI / 2, 1e-3, 1)
+    assert table.residual[0, 0, H_DOT] <= 1e-6
 
 
 def test_second_variation_equator_value():
     # A''(V) at the equator: (0 - 2) / (4 pi)^2 integrated = -1/(2 pi)
-    rep = check_second_variation(SPHERE, PI / 2, 1e-3)
-    assert rep.analytic_value == pytest.approx(-1.0 / (2 * PI), rel=1e-14)
-    assert abs(rep.fd_value - (-1.0 / (2 * PI))) <= 1e-5
-    assert rep.residual_second <= 1e-5
+    table = stencil_table(SPHERE, PI / 2, 1e-3, 1)
+    assert table.exact[0, 0, SECOND] == pytest.approx(-1.0 / (2 * PI), rel=1e-14)
+    assert abs(table.fd[0, 0, SECOND] - (-1.0 / (2 * PI))) <= 1e-5
+    assert table.residual[0, 0, SECOND] <= 1e-5
 
 
 def test_second_variation_cylinder_trivial():
-    rep = check_second_variation(CYLINDER, 1.0, 1e-3)
-    assert rep.fd_value == pytest.approx(0.0, abs=1e-12)
-    assert rep.analytic_value == 0.0
+    table = stencil_table(CYLINDER, 1.0, 1e-3, 1)
+    assert table.fd[0, 0, SECOND] == pytest.approx(0.0, abs=1e-12)
+    assert table.exact[0, 0, SECOND] == 0.0
 
 
 def test_second_variation_generic_point():
-    rep = check_second_variation(SPHERE, PI / 3, 1e-3)
-    assert rep.residual_second <= 1e-5
+    table = stencil_table(SPHERE, PI / 3, 1e-3, 1)
+    assert table.residual[0, 0, SECOND] <= 1e-5
 
 
 def test_stencil_domain_error():
     with pytest.raises(DomainError):
-        check_first_variation(SPHERE, 1e-4, 1e-3)
+        stencil_table(SPHERE, 1e-4, 1e-3, 1)
     with pytest.raises(DomainError):
-        check_second_variation(SPHERE, PI - 1e-4, 1e-3)
+        stencil_table(SPHERE, PI - 1e-4, 1e-3, 1)
     with pytest.raises(DomainError):
-        check_first_variation(SPHERE, 1.0, -1e-3)
+        stencil_table(SPHERE, 1.0, -1e-3, 1)
 
 
 @pytest.mark.parametrize("metric", [SPHERE, FOOTBALL], ids=["sphere", "football"])
 @pytest.mark.parametrize("kind", ["first", "h_dot", "second"])
 def test_convergence_orders(metric, kind):
-    order = convergence_order(metric, 1.0, 1e-2, kind)
+    order = stencil_table(metric, 1.0, 1e-2).orders[0, KINDS.index(kind)]
     assert order >= 1.9
 
 
 def test_residual_sequence_decreasing():
-    seq = residual_sequence(SPHERE, 1.2, 1e-2, "second", levels=3)
-    values = [r for _, r in seq]
+    values = stencil_table(SPHERE, 1.2, 1e-2, 3).residual[0, :, SECOND]
     assert values[0] > values[1] > values[2]
 
 
@@ -100,20 +95,18 @@ def test_profile_slope_is_mean_curvature():
     # dA/dV = (dA/dt)/(dV/dt) = H exactly from the slice closed forms
     for metric in (SPHERE, FOOTBALL, CYLINDER):
         t = 0.4 * metric.t_max
-        s = slice_at(metric, t)
         h = 1e-6
-        lo, hi = slice_at(metric, t - h), slice_at(metric, t + h)
-        da_dv = (hi.area - lo.area) / (hi.volume - lo.volume) \
-            if hi.volume != lo.volume else 0.0
-        assert da_dv == pytest.approx(s.mean_curvature, abs=1e-5)
+        p = pointwise(metric, [t - h, t, t + h])
+        d_volume = p.volume[2] - p.volume[0]
+        da_dv = (p.area[2] - p.area[0]) / d_volume if d_volume != 0.0 else 0.0
+        assert da_dv == pytest.approx(p.mean_curvature[1], abs=1e-5)
 
 
 def test_variation_report_combined():
-    rep = variation_report(SPHERE, 1.0)
-    assert rep.residual_first < 1e-4
-    assert rep.residual_h_dot < 1e-4
-    assert rep.residual_second < 1e-4
-    assert rep.order_estimate >= 1.9
+    # the default step 1e-3 t_max, three levels
+    table = stencil_table(SPHERE, 1.0)
+    assert np.all(table.residual[0, 0] < 1e-4)
+    assert table.order[0] >= 1.9
 
 
 # ---------------------------------------------------------------------------
@@ -307,22 +300,6 @@ def test_variation_check_prints_each_t_as_alone(tmp_path, model):
     batch = rows(",".join(ts))
     assert len(batch) == 3 * len(ts)
     assert batch == [row for t in ts for row in rows(t)]
-
-
-def test_views_are_the_table_at_one_t():
-    table = stencil_table(FOOTBALL, [1.0], 1e-2, 3)
-    assert residual_table(FOOTBALL, 1.0, 1e-2, 3) == [
-        (step, *table.residual[0, k]) for k, step in enumerate(table.h)]
-    for k, kind in enumerate(KINDS):
-        assert _same_bits(convergence_order(FOOTBALL, 1.0, 1e-2, kind),
-                          table.orders[0, k])
-    rep = variation_report(FOOTBALL, 1.0, 1e-2)
-    assert rep.order_estimate == table.order[0] == table.orders[0].min()
-    one = stencil_table(FOOTBALL, 1.0, 1e-2, 1)
-    for check, k in ((check_first_variation, 0), (check_mean_curvature_evolution, 1),
-                     (check_second_variation, 2)):
-        rep = check(FOOTBALL, 1.0, 1e-2)
-        assert (rep.fd_value, rep.analytic_value) == (one.fd[0, 0, k], one.exact[0, 0, k])
 
 
 def _count_array_calls(monkeypatch, warp_class):
