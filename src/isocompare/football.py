@@ -68,8 +68,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ValidationError
-from .phase_plane import PhasePath, extremal_path, start_height
+from .errors import NumericalError, ValidationError
+from .phase_plane import start_height
 from .quadrature import sqrt_endpoint
 from .warped import curvature_bounds, cylinder, sin_squared_integral, total_volume
 
@@ -77,8 +77,7 @@ __all__ = [
     "EULER_CHARACTERISTIC_SPHERE", "GAUSS_BONNET_TOTAL",
     "R0_UNIT", "RIC0_UNIT",
     "AlphaResult", "Epsilon0Bracket", "CylinderGrowth",
-    "scalar_odi_rhs", "ricci_odi_rhs",
-    "alpha_oracle", "as_written_bound", "oracle_path",
+    "alpha_oracle", "as_written_bound",
     "epsilon0", "cylinder_growth",
 ]
 
@@ -89,22 +88,6 @@ GAUSS_BONNET_TOTAL = 2.0 * math.pi * EULER_CHARACTERISTIC_SPHERE
 
 R0_UNIT = 6.0
 RIC0_UNIT = 2.0
-
-
-def scalar_odi_rhs(area: float, area_prime: float, r0: float = R0_UNIT) -> float:
-    """Upper bound for A''(V) from the scalar curvature floor."""
-    if area <= 0:
-        raise DomainError(f"area must be positive, got {area}")
-    return (GAUSS_BONNET_TOTAL / area ** 2
-            - (0.75 * area_prime ** 2 + 0.5 * r0) / area)
-
-
-def ricci_odi_rhs(area: float, area_prime: float, epsilon: float,
-                  ric0: float = RIC0_UNIT) -> float:
-    """Upper bound for A''(V) from the fractional Ricci floor."""
-    if area <= 0:
-        raise DomainError(f"area must be positive, got {area}")
-    return -(0.5 * area_prime ** 2 + epsilon * ric0) / area
 
 
 # ---------------------------------------------------------------------------
@@ -429,38 +412,6 @@ def alpha_oracle(epsilon):
     results = [AlphaResult(*row) for row in
                zip(*(a.tolist() for a in (eps, alpha, z_arg, x_sw)))]
     return results[0] if single else results
-
-
-def oracle_path(epsilon: float, z: float | None = None,
-                samples: int = 1025) -> PhasePath:
-    """Phase-plane samples of the oracle's extremal path at (eps, z).
-
-    z defaults to the maximizer.  At eps = 1 the path is the zero-mass
-    round-sphere extremal, closed form included.
-    """
-    if epsilon == 1.0:
-        return extremal_path(3, RIC0_UNIT, 0.0, samples=samples)
-    if z is None:
-        z = alpha_oracle(epsilon).z_argmax
-    x_sw, m0, k = (float(v) for v in _legs(z, epsilon))
-    u0 = math.sqrt(z)
-    u_sw = min(float(np.cbrt(x_sw)), u0)
-    c = _Y0_SQ - m0
-    # each leg is sampled in the variable that makes it smooth, u = x^(1/3):
-    # the ricci leg y^2 = c - 9 eps u^2 as u = sqrt(c / (9 eps)) sin(theta),
-    # the scalar leg y^2 = (u0 - u) Q(u) as u = u0 - w^2.  An empty leg gets
-    # no samples: the ricci leg at z = 4 pi, the scalar leg at z = z_lo.
-    n_ricci = 0 if u_sw == 0.0 else samples - 1 if u_sw == u0 else samples // 2
-    u_e = math.sqrt(c / (9.0 * epsilon))
-    theta = (math.asin(min(u_sw / u_e, 1.0))
-             * np.linspace(0.0, 1.0, n_ricci, endpoint=False))
-    w = math.sqrt(u0 - u_sw) * np.linspace(1.0, 0.0, samples - n_ricci)
-    u = u0 - w * w
-    q = 9.0 * (u0 + u) - (k / (u * u0) if k else 0.0)
-    x = np.concatenate([(u_e * np.sin(theta)) ** 3, u ** 3])
-    x[-1] = z ** 1.5
-    y = np.concatenate([math.sqrt(c) * np.cos(theta), w * np.sqrt(q)])
-    return PhasePath(x=x, y=y, m0=m0, x0=x[-1], y0=math.sqrt(c))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Desk-scale verification of the measure-theoretic estimates: the weighted
-density monotonicity on analytic surfaces, the ambient mean-curvature bound
-arithmetic, and the covering/cutoff error budgets used to excise small
-neighborhoods of a singular set.
+density monotonicity on analytic surfaces and the covering/cutoff error
+budgets used to excise small neighborhoods of a singular set.
 
 Surfaces are restricted to cases with closed-form Euclidean ball masses
 (circles, round spheres, cones), which exercise the formulas exactly; the
@@ -16,13 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .warped import WarpedMetric, eval_warp, sin_power_integral, sphere_area
+from .warped import sin_power_integral, sphere_area
 
 __all__ = [
     "MonotonicityCase", "MonotonicityProfile", "RadiusFamily", "CutoffBudget",
     "unit_circle", "unit_sphere", "cone_over_circle",
-    "monotonicity_profile", "check_monotone", "ambient_h_bound",
-    "cutoff_budget", "area_ratio_constant",
+    "monotonicity_profile", "cutoff_budget",
 ]
 
 
@@ -121,29 +119,6 @@ def monotonicity_profile(case: MonotonicityCase) -> MonotonicityProfile:
                              f"{dim} = {case.m}") from None
     values = np.array(weight) * case.ball_mass(np.minimum(rho, case.diameter))
     return MonotonicityProfile(rho=rho.copy(), values=values, clamped=clamped)
-
-
-def check_monotone(samples, rel_tol: float = 1e-12) -> list[tuple[int, float, float]]:
-    """Adjacent pairs that decrease by more than rel_tol relative; empty = pass."""
-    values = np.asarray(getattr(samples, "values", samples), dtype=float)
-    if values.size < 2:
-        raise ValidationError("need at least 2 samples to check monotonicity")
-    a, b = values[:-1], values[1:]
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-    return [(int(i), float(a[i]), float(b[i]))
-            for i in np.nonzero(a - b > rel_tol * scale)[0]]
-
-
-def ambient_h_bound(sup_h_ambient: float, h_hypersurface: float,
-                    n: int, l: int, frame_bound: float) -> float:
-    """Mean-curvature bound of an embedded hypersurface in flat (n+l)-space:
-    sup |H_ambient| + |H_within| + n l A, with A bounding the normal-frame
-    derivatives of the embedding."""
-    if min(sup_h_ambient, h_hypersurface, frame_bound) < 0:
-        raise ValidationError("curvature and frame bounds must be nonnegative")
-    if n < 1 or l < 1:
-        raise ValidationError("n and l must be positive integers")
-    return sup_h_ambient + h_hypersurface + n * l * frame_bound
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +221,3 @@ def cutoff_budget(family: RadiusFamily) -> CutoffBudget:
         violated=violated,
     )
 
-
-def area_ratio_constant(metric: WarpedMetric, t: float, rho_grid) -> tuple[float, np.ndarray]:
-    """Empirical area-ratio constant of a geodesic-sphere slice.
-
-    Returns the max over the grid of (slice area within an intrinsic rho-ball)
-    / rho^(n-1), with the cap areas in closed form for the round slice; scale
-    invariant and finite, approaching the flat ball measure as rho -> 0.
-    """
-    rho = _check_grid(rho_grid)
-    f, _, _ = eval_warp(metric, t)
-    if f <= 0:
-        raise ValidationError("slice radius must be positive")
-    n = metric.n
-    # caps of geodesic radius rho / f, whole sphere once that passes pi
-    caps = sphere_area(n - 2) * f ** (n - 1) * sin_power_integral(n - 2, rho / f)
-    ratios = caps / rho ** (n - 1)
-    return float(np.max(ratios)), ratios

@@ -13,9 +13,7 @@ A Ricci lower bound Ric >= ric0 > 0 makes the mass
 nondecreasing, zero at V = 0 on smooth manifolds.  Constant-mass extremal
 paths y^2 = y0^2 - m0 - (n^2 ric0/(n-1)) x^(2/n) therefore bound the volume,
 the bound is largest at m0 = 0, and its value is the round-sphere volume: the
-sharp comparison bound, which ``volume_from_path`` gives in closed form.  On
-sampled paths the dx/y integrand has an inverse-square-root zero at x0,
-handled by the fixed endpoint rule in ``quadrature``.
+sharp comparison bound, which ``volume_from_path`` gives in closed form.
 """
 
 from __future__ import annotations
@@ -27,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPathError, NumericalError, ValidationError
-from .quadrature import sqrt_endpoint
-from .warped import (MonotoneCubic, Profile, log_sphere_area, sin_power_integral,
-                     sphere_area)
+from .warped import Profile, log_sphere_area, sin_power_integral, sphere_area
 
 __all__ = [
     "PhaseCurve", "MassFunction", "PhasePath",
@@ -77,7 +73,8 @@ def phase_curve(profile: Profile) -> PhaseCurve:
     """Transform a profile to (x, y) phase samples on its volume grid.
 
     The slope is exact from the profile's warp slope:
-    y = n omega^(1/(n-1)) f'(t), the chain rule through dV = A dt.
+    y = n omega^(1/(n-1)) f'(t), the chain rule through dV = A dt.  An x
+    beyond the doubles is a NumericalError naming F and n.
     """
     n = profile.n
     a = profile.a_values
@@ -85,7 +82,11 @@ def phase_curve(profile: Profile) -> PhaseCurve:
     if np.any(interior <= 0):
         raise ValidationError("profile areas must be positive in the interior")
     power = n / (n - 1.0)
-    x = a ** power
+    with np.errstate(over="ignore"):
+        x = a ** power
+    if not np.all(np.isfinite(x)):
+        raise NumericalError(f"F = A^(n/(n-1)) overflows a double at n = {n}, "
+                             f"A_max = {float(np.max(a)):g}")
     y = start_height(n) * profile.warp_slope
     return PhaseCurve(n=n, v=profile.v_grid.copy(), x=x, y=y)
 
@@ -108,34 +109,19 @@ def ricci_mass(profile: Profile, ric0: float) -> MassFunction:
 
 @dataclass
 class PhasePath:
-    """Extremal constant-mass path from (0, y(0)) to (x0, 0).
+    """Extremal constant-mass path from (0, y0) to (x0, 0), kept as its
+    closed form: y^2 = y0^2 - (n^2 ric0/(n-1)) x^(2/n)."""
 
-    Closed-form paths keep (n, ric0) so the height is evaluable anywhere;
-    sampled paths fall back to the monotone cubic (PCHIP) interpolant of y^2,
-    ``warped.MonotoneCubic``.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
     m0: float
     x0: float
     y0: float
-    n: int | None = None
-    ric0: float | None = None
-
-    def height_squared(self, x):
-        """y^2 at arbitrary x in [0, x0]."""
-        if self.n is not None and self.ric0 is not None:
-            b = mass_coefficient(self.n, self.ric0)
-            return self.y0 ** 2 - b * np.asarray(x, dtype=float) ** (2.0 / self.n)
-        return MonotoneCubic(self.x, self.y ** 2)(x)
+    n: int
+    ric0: float
 
 
-def extremal_path(n: int, ric0: float, m0: float, samples: int = 513) -> PhasePath:
-    """Closed-form extremal path of constant mass m0.
-
-    y(x)^2 = y0^2 - m0 - (n^2 ric0/(n-1)) x^(2/n), sampled as x = x0 s^n so the
-    points crowd toward the singular endpoint.
+def extremal_path(n: int, ric0: float, m0: float) -> PhasePath:
+    """Closed-form extremal path of constant mass m0:
+    y(x)^2 = y0^2 - m0 - (n^2 ric0/(n-1)) x^(2/n), ending at x0 where y = 0.
     """
     if n < 3:
         raise ValidationError(f"n must be >= 3, got {n}")
@@ -157,44 +143,27 @@ def extremal_path(n: int, ric0: float, m0: float, samples: int = 513) -> PhasePa
     if x0 < sys.float_info.min:
         raise NumericalError(
             f"path end x0 is below the normal doubles at n = {n}, ric0 = {ric0:g}")
-    s = np.linspace(0.0, 1.0, samples)
-    x = x0 * s ** n
-    y = np.sqrt(c * (1.0 - s * s))
     # exact start height on the zero-mass path, not sqrt(y0^2) roundoff
-    y_start = start_height(n) if m0 == 0.0 else float(np.sqrt(c))
-    y[0] = y_start
-    return PhasePath(x=x, y=y, m0=m0, x0=x0, y0=y_start, n=n, ric0=ric0)
+    y_start = start_height(n) if m0 == 0.0 else math.sqrt(c)
+    return PhasePath(m0=m0, x0=x0, y0=y_start, n=n, ric0=ric0)
 
 
 def volume_from_path(path: PhasePath) -> float:
-    """Total volume 2 * integral dx / y along the path.
-
-    Closed-form paths are integrated exactly: with x = u^n and
-    u = u0 sin(theta) the half volume is n u0^(n-1) / sqrt(b) times
-    int_0^(pi/2) sin^(n-1), b the mass coefficient.  Sampled paths
-    integrate the monotone interpolant p of y^2 piece by piece as
-    sqrt((x0 - x) / p(x)) (x0 - x)^(-1/2) with the fixed endpoint rule of
-    ``quadrature``; the error is that of the interpolant.
+    """Total volume 2 * integral dx / y along the path, in closed form: with
+    x = u^n and u = u0 sin(theta) the half volume is n u0^(n-1) / sqrt(b)
+    times int_0^(pi/2) sin^(n-1), b the mass coefficient.
     """
-    if path.n is not None and path.ric0 is not None:
-        n = path.n
-        u0 = path.x0 ** (1.0 / n)
-        with np.errstate(over="ignore"):
-            half = (n * u0 ** (n - 1) / math.sqrt(mass_coefficient(n, path.ric0))
-                    * sin_power_integral(n - 1, 0.5 * math.pi))
-            if not np.isfinite(2.0 * half):
-                raise NumericalError(
-                    f"volume overflows a double at n = {n}, ric0 = {path.ric0:g}")
-            if 2.0 * half < sys.float_info.min:
-                raise NumericalError(
-                    f"volume is below the normal doubles at n = {n}, ric0 = {path.ric0:g}")
-    else:
-        x0 = path.x0
-
-        def g(x, spare, out):
-            np.sqrt((x0 - x) / path.height_squared(x), out=out)
-
-        half = sqrt_endpoint(g, path.x[:-1], path.x[1:], x0).sum()
+    n = path.n
+    u0 = path.x0 ** (1.0 / n)
+    with np.errstate(over="ignore"):
+        half = (n * u0 ** (n - 1) / math.sqrt(mass_coefficient(n, path.ric0))
+                * sin_power_integral(n - 1, 0.5 * math.pi))
+        if not np.isfinite(2.0 * half):
+            raise NumericalError(
+                f"volume overflows a double at n = {n}, ric0 = {path.ric0:g}")
+        if 2.0 * half < sys.float_info.min:
+            raise NumericalError(
+                f"volume is below the normal doubles at n = {n}, ric0 = {path.ric0:g}")
     return float(2.0 * half)
 
 

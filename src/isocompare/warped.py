@@ -28,15 +28,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, NumericalError, SingularPointError,
-                     UnsupportedPointError, ValidationError)
+from .errors import (NumericalError, SingularPointError, UnsupportedPointError,
+                     ValidationError)
 from .quadrature import gauss_legendre, sin_power
 
 __all__ = [
     "WarpedMetric", "CurvatureBounds", "Profile",
     "MonotoneCubic", "round_sphere", "football", "cylinder", "tabulated",
     "sin_power_integral", "sin_squared_integral", "sphere_area",
-    "log_sphere_area", "eval_warp", "Pointwise", "pointwise",
+    "log_sphere_area", "Pointwise", "pointwise",
     "curvature_bounds", "total_volume", "candidate_profile",
 ]
 
@@ -338,14 +338,6 @@ def tabulated(t_samples: Sequence[float], f_samples: Sequence[float],
 
 # ---------------------------------------------------------------------------
 # pointwise quantities
-
-
-def eval_warp(metric: WarpedMetric, t: float) -> tuple[float, float, float]:
-    """Warp value and first two derivatives at radial coordinate t."""
-    if not 0.0 <= t <= metric.t_max:
-        raise DomainError(f"t={t:g} outside [0, {metric.t_max:g}]")
-    f, f1, f2 = metric.warp.evaluate(t)
-    return float(f), float(f1), float(f2)
 
 
 def _curvatures(n: int, f, f2, sc):

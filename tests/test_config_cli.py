@@ -230,6 +230,21 @@ def test_cli_overflow_past_the_radius_power_exits_3(tmp_path, capsys, command,
     assert "Traceback" not in captured.err
 
 
+def test_cli_mass_phase_overflow_exits_3(tmp_path, capsys):
+    # A = 4 pi radius^2 sin^2 is a double at radius 2e102, but F = A^(3/2)
+    # is not: mass printed inf and -inf in F and m with exit 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = mass\nmodel = sphere\nn = 3\nradius = 2e102\n"
+                   "ric0 = 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["mass", "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "F = A^(n/(n-1)) overflows a double at n = 3" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_variation_check(tmp_path):
     code, text = _invoke(tmp_path, "variation-check",
                          "command = variation-check\nmodel = sphere\n"

@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 
 from isocompare import quadrature
 from isocompare.cli import format_number
-from isocompare.errors import (DomainError, NumericalError, QuadratureError,
-                               ValidationError)
+from isocompare.errors import NumericalError, QuadratureError, ValidationError
 from isocompare.football import (EULER_CHARACTERISTIC_SPHERE,
                                  GAUSS_BONNET_TOTAL, alpha_oracle,
-                                 as_written_bound, cylinder_growth, epsilon0,
-                                 oracle_path, ricci_odi_rhs, scalar_odi_rhs)
-from isocompare.phase_plane import extremal_path, volume_from_path
+                                 as_written_bound, cylinder_growth, epsilon0)
 from isocompare.warped import sin_power_integral
 
 # the package's football() function shadows the module of the same name
@@ -39,29 +36,6 @@ def test_gauss_bonnet_constant_is_named():
     assert EULER_CHARACTERISTIC_SPHERE == 2
     assert GAUSS_BONNET_TOTAL == 2 * PI * EULER_CHARACTERISTIC_SPHERE
     assert GAUSS_BONNET_TOTAL == pytest.approx(4 * PI, rel=1e-15)
-
-
-def test_scalar_odi_rhs_values():
-    assert scalar_odi_rhs(4 * PI, 0.0, 6.0) == pytest.approx(-1 / (2 * PI), rel=1e-14)
-    assert scalar_odi_rhs(4 * PI, 0.0, 0.0) == pytest.approx(1 / (4 * PI), rel=1e-14)
-    assert scalar_odi_rhs(1e9, 0.0, 6.0) == pytest.approx(0.0, abs=1e-8)
-    assert scalar_odi_rhs(1e9, 0.0, 6.0) < 0.0
-    with pytest.raises(DomainError):
-        scalar_odi_rhs(0.0, 1.0)
-
-
-def test_ricci_odi_rhs_values():
-    assert ricci_odi_rhs(4 * PI, 0.0, 1.0) == pytest.approx(-1 / (2 * PI), rel=1e-14)
-    assert ricci_odi_rhs(4 * PI, 0.0, 0.5) == pytest.approx(-1 / (4 * PI), rel=1e-14)
-    assert ricci_odi_rhs(1.0, 2.0, 1.0) == -4.0
-    with pytest.raises(DomainError):
-        ricci_odi_rhs(-1.0, 0.0, 1.0)
-
-
-def test_rhs_agree_at_sphere_equator():
-    # normalization consistency: both bounds coincide on the round sphere
-    assert scalar_odi_rhs(4 * PI, 0.0) == pytest.approx(
-        ricci_odi_rhs(4 * PI, 0.0, 1.0), rel=1e-14)
 
 
 def test_alpha_oracle_at_one():
@@ -95,13 +69,6 @@ def test_alpha_oracle_nonincreasing():
     values = [alpha_oracle(float(e)).alpha_oracle for e in grid]
     diffs = np.diff(values)
     assert np.max(diffs) <= 1e-9
-
-
-def test_oracle_path_matches_extremal_at_one():
-    oracle = oracle_path(1.0)
-    reference = extremal_path(3, 2.0, 0.0, samples=oracle.x.size)
-    assert np.max(np.abs(oracle.x - reference.x)) <= 1e-8
-    assert np.max(np.abs(oracle.y - reference.y)) <= 1e-8
 
 
 def test_single_regime_switch_below_threshold():
@@ -450,7 +417,7 @@ def _mp_alpha(eps):
         return best / mp.pi ** 2
 
 
-@pytest.mark.parametrize("eps", [5e-3, 0.02, 0.05, 0.1, 0.13, 0.5])
+@pytest.mark.parametrize("eps", [5e-3, 0.02, 0.05, 0.1, 0.13, 0.2, 0.5])
 def test_alpha_matches_mpmath_supremum(eps):
     got = alpha_oracle(eps).alpha_oracle
     want = _mp_alpha(eps)
@@ -497,17 +464,6 @@ def test_half_volume_degenerate_leg_near_cone_end():
     zs = z_lo + (z_hi - z_lo) * np.array([0.0, 1e-15, 1e-13, 1e-12, 1e-11])
     assert np.all(np.isfinite(football_module._half_volume_at(0.136)(zs)))
     assert alpha_oracle(1e-9).alpha_oracle > 1.0
-
-
-@pytest.mark.parametrize("eps", [0.05, 0.1, 0.13, 0.2, 0.5])
-def test_oracle_path_volume_matches_alpha(eps):
-    # the sampled extremal path integrates back to the supremum; above the
-    # threshold its ricci leg is empty (z = 4 pi) and carries no samples
-    path = oracle_path(eps)
-    assert np.all(np.diff(path.x) > 0)
-    volume = volume_from_path(path)
-    assert volume == pytest.approx(2 * PI ** 2 * alpha_oracle(eps).alpha_oracle,
-                                   rel=1e-6)
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocompare.errors import EmptyPathError, NumericalError, ValidationError
-from isocompare.phase_plane import (PhasePath, bishop_bound, extremal_path,
-                                    mass_coefficient, phase_curve, ricci_mass,
-                                    start_height, volume_from_path)
+from isocompare.phase_plane import (bishop_bound, extremal_path, mass_coefficient,
+                                    phase_curve, ricci_mass, start_height,
+                                    volume_from_path)
 from isocompare.warped import (Profile, candidate_profile, curvature_bounds,
                                football, round_sphere, total_volume)
 
@@ -132,13 +132,6 @@ def test_extremal_path_unit_constants():
     assert path.x0 == pytest.approx((4 * PI) ** 1.5, rel=1e-14)
 
 
-def test_extremal_path_monotone_samples():
-    path = extremal_path(3, 2.0, 10.0)
-    assert np.all(np.diff(path.x) >= 0)
-    assert np.all(np.diff(path.y) <= 0)
-    assert path.y[-1] == 0.0
-
-
 def test_extremal_path_scaled():
     # 36 pi - 36 x^(2/3) = 0 at x = pi^(3/2)
     path = extremal_path(3, 8.0, 0.0)
@@ -172,31 +165,6 @@ def test_volume_known_values():
         pytest.approx(PI ** 2 / 4, rel=1e-8)
     assert volume_from_path(extremal_path(4, 3.0, 0.0)) == \
         pytest.approx(8 * PI ** 2 / 3, rel=1e-8)
-
-
-def test_volume_from_sampled_path():
-    # strip the closed-form tag; the interpolated route must agree
-    src = extremal_path(3, 2.0, 15.0, samples=2049)
-    sampled = PhasePath(x=src.x, y=src.y, m0=src.m0, x0=src.x0, y0=src.y0)
-    want = substitution_volume(3, 2.0, 15.0)
-    assert volume_from_path(sampled) == pytest.approx(want, rel=1e-6)
-
-
-@pytest.mark.parametrize("n, ric0, m0, samples", [
-    (3, 2.0, 15.0, 2049), (5, 4.0, 11.0, 1025), (8, 7.0, 0.0, 513),
-    (4, 3.0, 0.0, 4097)])
-def test_sampled_volume_error_is_interpolation_error(n, ric0, m0, samples):
-    # the last three ended in QuadratureError under adaptive quadrature;
-    # halving the spacing divides the error by about 2^(5/2), the order of
-    # the monotone cubic interpolant, so the rule adds nothing visible
-    want = substitution_volume(n, ric0, m0)
-    errors = []
-    for k in (samples, 2 * samples - 1):
-        src = extremal_path(n, ric0, m0, samples=k)
-        sampled = PhasePath(x=src.x, y=src.y, m0=src.m0, x0=src.x0, y0=src.y0)
-        errors.append(abs(volume_from_path(sampled) - want) / want)
-    assert errors[0] <= 1e-5
-    assert errors[1] <= errors[0] / 4
 
 
 @pytest.mark.parametrize("n", range(3, 9))

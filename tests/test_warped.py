@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from isocompare.errors import (DomainError, SingularPointError,
-                               UnsupportedPointError, ValidationError)
+from isocompare.errors import (SingularPointError, UnsupportedPointError,
+                               ValidationError)
 from isocompare.warped import (MonotoneCubic, WarpedMetric, candidate_profile,
-                               curvature_bounds, cylinder, eval_warp, football,
+                               curvature_bounds, cylinder, football,
                                log_sphere_area, pointwise, round_sphere,
                                sin_power_integral, sphere_area, tabulated,
                                total_volume)
@@ -187,27 +187,23 @@ def test_monotone_cubic_rejects_bad_grids():
         MonotoneCubic([0.0, 1.0, 2.0], [1.0, 2.0, 0.0])(0.5, nu=3)
 
 
-def test_eval_warp_closed_forms():
-    f, f1, f2 = eval_warp(round_sphere(3, 1.0), PI / 2)
+def test_warp_evaluate_closed_forms():
+    f, f1, f2 = round_sphere(3, 1.0).warp.evaluate(PI / 2)
     assert (f, f2) == pytest.approx((1.0, -1.0), abs=1e-15)
     assert f1 == pytest.approx(0.0, abs=1e-15)
 
-    f, f1, f2 = eval_warp(football(0.5), PI / 2)
+    f, f1, f2 = football(0.5).warp.evaluate(PI / 2)
     assert (f, f2) == pytest.approx((0.5, -0.5), abs=1e-15)
     assert f1 == pytest.approx(0.0, abs=1e-15)
 
-    f, f1, f2 = eval_warp(cylinder(1.0, 5.0), 2.3)
+    f, f1, f2 = cylinder(1.0, 5.0).warp.evaluate(2.3)
     assert (f, f1, f2) == (1.0, 0.0, 0.0)
 
 
-def test_eval_warp_domain_errors():
-    with pytest.raises(DomainError):
-        eval_warp(round_sphere(3, 1.0), -0.1)
-    with pytest.raises(DomainError):
-        eval_warp(round_sphere(3, 1.0), PI + 0.1)
+def test_tabulated_warp_evaluate_outside_window():
     tab = tabulated([0.5, 1.0, 1.5, 2.0], [1.0, 1.2, 1.2, 1.0])
     with pytest.raises(UnsupportedPointError):
-        eval_warp(tab, 0.25)
+        tab.warp.evaluate(0.25)
 
 
 def test_metric_validation():
@@ -459,7 +455,7 @@ def test_total_volume_football():
 def test_tabulated_interpolation_matches_samples():
     ts = np.linspace(0.4, PI - 0.4, 40)
     tab = tabulated(ts, np.sin(ts))
-    f, f1, _ = eval_warp(tab, 1.1)
+    f, f1, _ = tab.warp.evaluate(1.1)
     assert f == pytest.approx(math.sin(1.1), abs=1e-4)
     assert f1 == pytest.approx(math.cos(1.1), abs=1e-2)
 
