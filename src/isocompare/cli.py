@@ -1,4 +1,4 @@
-"""Command-line front end: iso-compare <command> --config <file>.
+"""Command-line front end: iso-compare <command> [--config <file>] [--flag value].
 
 Every command writes a single CSV or JSON artifact with a header naming the
 command, its parameters and the package version.  Output is deterministic:
@@ -18,7 +18,6 @@ digits, the point, the sign, the exponent and the separator.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import functools
 import json
@@ -85,7 +84,7 @@ def _run_mass(opts):
     metric = build_metric(opts)
     prof = candidate_profile(metric, opts.get("grid_size", 257))
     curve = phase_curve(prof)
-    mass = ricci_mass(prof, opts["ric0"])
+    mass = ricci_mass(curve, opts["ric0"])
     rows = np.column_stack((prof.v_grid, prof.a_values, curve.x, curve.y,
                             mass.m_values))
     return "csv", ["V", "A", "F", "F_prime", "m"], rows, {}
@@ -248,21 +247,21 @@ def run(config: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit status."""
     try:
         default_fmt, columns, rows, summary = _HANDLERS[config.command](config.options)
-    except (ConfigError, ValidationError) as exc:
+        if config.format is None:
+            config.format = default_fmt
+        text = render(config, columns, rows, summary)
+        if config.output:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ConfigError, ValidationError, OSError) as exc:
         print(f"iso-compare: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"iso-compare: numerical failure in {config.command}: {exc}",
               file=sys.stderr)
         return 3
-    if config.format is None:
-        config.format = default_fmt
-    text = render(config, columns, rows, summary)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -382,79 +381,78 @@ def _kernel(cells, width: int) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command line: <command>, then flags as --flag value or --flag=value
 
-
-_FLAG_KEYS = {
-    "eps_grid": "eps_grid",
-    "method": "method",
-    "case": "case",
-    "lambda_": "lambda",
-    "tol": "tol",
-    "epsilon": "epsilon",
+# flag -> the config key it sets, whose rule in ``config`` checks the value
+# as it checks the file's line; "config" itself names the file
+_FLAGS = {"--config": "config", "--out": "output", "--format": "format"}
+_COMMAND_FLAGS = {
+    "football-alpha": {"--eps-grid": "eps_grid", "--epsilon": "epsilon"},
+    "epsilon0": {"--method": "method", "--tol": "tol"},
+    "monotonicity": {"--case": "case", "--lambda": "lambda"},
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser for the 9 commands and their flags."""
-    parser = argparse.ArgumentParser(
-        prog="iso-compare",
-        description="Isoperimetric-profile volume comparison toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        p = sub.add_parser(command)
-        p.add_argument("--config", help="key-value configuration file")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"))
-        if command == "football-alpha":
-            p.add_argument("--eps-grid", dest="eps_grid", help="lo:hi:n")
-            p.add_argument("--epsilon", dest="epsilon")
-        if command == "epsilon0":
-            p.add_argument("--method", choices=("oracle", "as-written"))
-            p.add_argument("--tol", dest="tol")
-        if command == "monotonicity":
-            p.add_argument("--case", choices=("sphere", "circle", "cone"))
-            p.add_argument("--lambda", dest="lambda_")
-    return parser
+def _usage() -> str:
+    """The --help text, from the command and flag tables."""
+    def flags(table):
+        return " ".join(f"[{flag} {key.upper()}]" for flag, key in table.items())
+    return "\n".join(
+        [f"usage: iso-compare <command> {flags(_FLAGS)} [flags]", "",
+         "Each flag, as --flag VALUE or --flag=VALUE, sets its config key",
+         "over the --config file.", "",
+         "commands and their own flags:"]
+        + [f"  {c:17}{flags(_COMMAND_FLAGS.get(c, {}))}".rstrip()
+           for c in COMMANDS]) + "\n"
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # one parser per process, built on the first call rather than at import:
-    # rebuilding the nine subparsers on every call was a third of a one-eps
-    # football-alpha op
-    return build_parser()
+def _command_line(argv):
+    """The command and its flags as config pairs, key -> (value, 0), the
+    last of a repeated flag winning; None if argv holds -h or --help.  A
+    flag matches only in full; the token after a flag is its value unless
+    it begins with "--"."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        what = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise ConfigError(f"{what}; valid commands: {', '.join(COMMANDS)}")
+    command, *tokens = argv
+    flags = {**_FLAGS, **_COMMAND_FLAGS.get(command, {})}
+    pairs = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise ConfigError(f"unknown flag {flag!r} for {command!r}; "
+                              f"its flags: {', '.join(flags)}")
+        if not eq:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise ConfigError(f"flag {flag} needs a value")
+        pairs[flags[flag]] = (value, 0)
+    return command, pairs
 
 
 def main(argv=None) -> int:
+    """Run one command line; returns the exit status, raising no SystemExit."""
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # a usage error (2) or --help (0): argparse has printed the message
-        return exc.code
-    try:
+        parsed = _command_line(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            sys.stdout.write(_usage())
+            return 0
+        command, flag_pairs = parsed
         pairs = {}
-        if args.config:
-            with open(args.config, encoding="utf-8") as fh:
+        path = flag_pairs.pop("config", None)
+        if path is not None:
+            with open(path[0], encoding="utf-8") as fh:
                 pairs = read_pairs(fh.read())
         file_command = pairs.pop("command", (None, 0))[0]
-        if file_command is not None and file_command != args.command:
+        if file_command is not None and file_command != command:
             raise ConfigError(
                 f"config file names command {file_command!r} but "
-                f"{args.command!r} was invoked")
-        for attr, key in _FLAG_KEYS.items():
-            value = getattr(args, attr, None)
-            if value is not None:
-                pairs[key] = (value, 0)
-        config = validate(args.command, pairs)
-        if args.out:
-            config.output = args.out
-        if args.format:
-            config.format = args.format
-    except OSError as exc:
-        print(f"iso-compare: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, ValidationError) as exc:
+                f"{command!r} was invoked")
+        config = validate(command, {**pairs, **flag_pairs})
+    except (OSError, ConfigError, ValidationError) as exc:
         print(f"iso-compare: {exc}", file=sys.stderr)
         return 2
     return run(config)

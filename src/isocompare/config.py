@@ -2,7 +2,8 @@
 
 A configuration is plain text, one ``key = value`` per line, ``#`` comments.
 Keys are validated per command with unknown keys rejected by name; every
-error message carries the offending line number.
+error message carries the offending line number, or "command line" for the
+value of a flag, which is checked as its key.
 """
 
 from __future__ import annotations

@@ -75,7 +75,6 @@ from .warped import curvature_bounds, cylinder, sin_squared_integral, total_volu
 
 __all__ = [
     "EULER_CHARACTERISTIC_SPHERE", "GAUSS_BONNET_TOTAL",
-    "R0_UNIT", "RIC0_UNIT",
     "AlphaResult", "Epsilon0Bracket", "CylinderGrowth",
     "alpha_oracle", "as_written_bound",
     "epsilon0", "cylinder_growth",
@@ -85,9 +84,6 @@ __all__ = [
 # 2 pi chi(S^2).  Named so the 4 pi in the scalar inequality is never inlined.
 EULER_CHARACTERISTIC_SPHERE = 2
 GAUSS_BONNET_TOTAL = 2.0 * math.pi * EULER_CHARACTERISTIC_SPHERE
-
-R0_UNIT = 6.0
-RIC0_UNIT = 2.0
 
 
 # ---------------------------------------------------------------------------

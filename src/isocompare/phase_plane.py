@@ -91,8 +91,8 @@ def phase_curve(profile: Profile) -> PhaseCurve:
     return PhaseCurve(n=n, v=profile.v_grid.copy(), x=x, y=y)
 
 
-def ricci_mass(profile: Profile, ric0: float) -> MassFunction:
-    """Mass of a sampled profile under the Ricci floor ric0.
+def ricci_mass(curve: PhaseCurve, ric0: float) -> MassFunction:
+    """Mass along a profile's phase curve under the Ricci floor ric0.
 
     The additive constant is the smooth-pole value y0^2 = n^2 omega^(2/(n-1)),
     the unique normalization vanishing at V = 0 for smooth models; models with
@@ -100,8 +100,7 @@ def ricci_mass(profile: Profile, ric0: float) -> MassFunction:
     """
     if ric0 <= 0:
         raise ValidationError(f"ric0 must be positive, got {ric0}")
-    curve = phase_curve(profile)
-    n = profile.n
+    n = curve.n
     y0_sq = start_height(n) ** 2
     m = y0_sq - curve.y ** 2 - mass_coefficient(n, ric0) * curve.x ** (2.0 / n)
     return MassFunction(v_grid=curve.v.copy(), m_values=m)

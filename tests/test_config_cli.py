@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import isocompare
 from isocompare import cli
-from isocompare.cli import build_parser, format_number, main, render
+from isocompare.cli import format_number, main, render
 from isocompare.config import (_MAX_EPS, _MAX_GRID, _MAX_RHO, COMMANDS, RunConfig,
                                build_metric, parse_config)
 from isocompare.errors import ConfigError
@@ -594,49 +594,71 @@ _FUZZ_GRID = st.one_of(
     st.tuples(_FUZZ_NUMBER, _FUZZ_NUMBER, st.integers(0, 70)).map(
         lambda t: "%s:%s:%d" % t),
     st.text(max_size=12))
-# the flags with choices, where argparse itself rejects a value
-_FUZZ_CHOICES = {"--method": ("oracle", "as-written"),
-                 "--case": ("sphere", "circle", "cone")}
 _FUZZ_ARGS = st.one_of(
     st.tuples(st.just("football-alpha"), st.fixed_dictionaries(
         {}, optional={"--epsilon": _FUZZ_NUMBER, "--eps-grid": _FUZZ_GRID})),
     st.tuples(st.just("epsilon0"), st.fixed_dictionaries(
         {}, optional={"--method": st.one_of(
-            st.sampled_from(_FUZZ_CHOICES["--method"]), st.text(max_size=8)),
+            st.sampled_from(["oracle", "as-written"]), st.text(max_size=8)),
                       "--tol": _FUZZ_NUMBER})),
     st.tuples(st.just("monotonicity"), st.fixed_dictionaries(
         {}, optional={"--case": st.one_of(
-            st.sampled_from(_FUZZ_CHOICES["--case"]), st.text(max_size=8)),
-                      "--lambda": _FUZZ_NUMBER})))
+            st.sampled_from(["sphere", "circle", "cone"]), st.text(max_size=8)),
+                      "--lambda": _FUZZ_NUMBER}))).map(
+    lambda args: [args[0]] + [f"{flag}={value}" for flag, value in args[1].items()])
+# raw token lists: the real flags, abbreviations and unknown flags, -h and
+# --help anywhere, negative numbers and well-formed values; a flag drawn
+# last or before another flag has no value
+_FUZZ_TOKEN = st.one_of(
+    st.sampled_from(["--epsilon", "--eps-grid", "--method", "--tol", "--case",
+                     "--lambda", "--format", "--config", "--eps", "--conf",
+                     "--meth", "--bogus", "--", "-", "-x", "-h", "--help",
+                     "-1", "-0.5", "-inf", "-1e-3", "0.1", "0.05:0.5:3",
+                     "oracle", "circle", "json", "--epsilon=-1",
+                     "--lambda=-2"]),
+    _FUZZ_NUMBER)
+_FUZZ_TOKENS = st.tuples(
+    st.sampled_from(["football-alpha", "epsilon0", "monotonicity", "mass",
+                     "bogus", "-h"]),
+    st.lists(_FUZZ_TOKEN, max_size=6)).map(lambda t: [t[0], *t[1]])
 
 
-@settings(max_examples=120, deadline=None)
-@given(_FUZZ_ARGS)
-@example(("football-alpha", {"--epsilon": "1e-300"}))
-@example(("football-alpha", {"--epsilon": "1e-206"}))
-@example(("football-alpha", {"--eps-grid": "1e-300:1:4"}))
-@example(("football-alpha", {"--eps-grid": "-inf:inf:3"}))
-@example(("epsilon0", {"--tol": "1e-300"}))
-@example(("monotonicity", {"--case": "sphere", "--lambda": "355"}))
-@example(("monotonicity", {"--case": "circle", "--lambda": "inf"}))
-@example(("monotonicity", {"--case": "cone", "--lambda": "-inf"}))
-def test_cli_fuzz_alpha_and_epsilon0_flags(args):
-    # exit 0, 2 or 3, nothing raised, no RuntimeWarning, and a finite alpha
-    # or monotonicity profile on every row of an exit 0
-    command, flags = args
-    argv = [command] + [f"{flag}={value}" for flag, value in flags.items()]
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_FUZZ_ARGS, _FUZZ_TOKENS, st.lists(_FUZZ_TOKEN, max_size=3)))
+@example(["football-alpha", "--epsilon=1e-300"])
+@example(["football-alpha", "--epsilon=1e-206"])
+@example(["football-alpha", "--eps-grid=1e-300:1:4"])
+@example(["football-alpha", "--eps-grid=-inf:inf:3"])
+@example(["epsilon0", "--tol=1e-300"])
+@example(["monotonicity", "--case=sphere", "--lambda=355"])
+@example(["monotonicity", "--case=circle", "--lambda=inf"])
+@example(["monotonicity", "--case=cone", "--lambda=-inf"])
+@example(["monotonicity", "--case", "circle", "--lambda", "-1"])
+@example(["football-alpha", "--eps", "0.1"])
+@example(["football-alpha", "--epsilon"])
+@example(["football-alpha", "--epsilon", "--conf", "x", "-h"])
+@example([])
+def test_cli_fuzz_alpha_and_epsilon0_flags(argv):
+    # exit 0, 2 or 3, no SystemExit, no traceback, no RuntimeWarning; -h or
+    # --help anywhere prints the usage; an error is one line naming its
+    # cause; and a finite alpha or monotonicity profile on every row of an
+    # exit 0
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("error", RuntimeWarning)
-        code = main(argv)
-    if "usage:" in err.getvalue():
-        # argparse's usage error, exit 2; in --flag=value form only a
-        # --method or --case outside its choices reaches it
-        assert code == 2
-        assert any(flags[flag] not in choices
-                   for flag, choices in _FUZZ_CHOICES.items() if flag in flags)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            pytest.fail(f"main raised SystemExit({exc.code})")
     assert code in (0, 2, 3), err.getvalue()
-    if code == 0 and command in ("football-alpha", "monotonicity"):
+    assert "Traceback" not in err.getvalue()
+    if "-h" in argv or "--help" in argv:
+        assert code == 0 and out.getvalue().startswith("usage: iso-compare")
+    elif code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("iso-compare: ")
+        assert err.getvalue().count("\n") == 1
+    elif argv[0] in ("football-alpha", "monotonicity"):
         rows = [l for l in out.getvalue().splitlines() if l[:1].isdigit()]
         assert rows and all(math.isfinite(float(r.split(",")[1])) for r in rows)
 
@@ -681,23 +703,106 @@ def test_cli_import_leaves_out_unused_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_parser_is_reused_across_calls(tmp_path, capsys):
-    # argparse errors return 2, as every other bad input does, and leave the
-    # process-wide parser usable: after a bad flag and a bad choice, two
-    # different commands still write their golden bytes
-    assert main(["football-alpha", "--bogus", "1"]) == 2
-    parser = cli._parser()
-    assert main(["epsilon0", "--method", "newton"]) == 2
-    assert "invalid choice" in capsys.readouterr().err
-    assert main(["--help"]) == 0
-    assert "usage: iso-compare" in capsys.readouterr().out
+def test_cli_import_leaves_out_argparse():
+    # the command line is split without argparse, whose import and nine
+    # subparsers cost a tenth of a one-eps football-alpha op
+    src = str(Path(isocompare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, isocompare.cli; print('argparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "missing command; valid commands: profile,"),
+    (["flya"], "unknown command 'flya'"),
+    (["football-alpha", "--bogus", "1"], "unknown flag '--bogus'"),
+    (["football-alpha", "--eps", "0.1"], "unknown flag '--eps'"),
+    (["football-alpha", "--conf", "x"], "unknown flag '--conf'"),
+    (["football-alpha", "--epsilon", "0.1", "0.2"], "unknown flag '0.2'"),
+    (["epsilon0", "--epsilon", "0.1"], "unknown flag '--epsilon' for 'epsilon0'"),
+    (["football-alpha", "--epsilon"], "flag --epsilon needs a value"),
+    (["football-alpha", "--epsilon", "--out", "x"], "flag --epsilon needs a value"),
+    (["epsilon0", "--method", "newton"],
+     "command line: method: expected one of oracle, as-written; got 'newton'"),
+    (["epsilon0", "--format", "xml"],
+     "command line: format: expected one of csv, json; got 'xml'"),
+], ids=["empty", "unknown-command", "unknown-flag", "abbreviated-eps",
+        "abbreviated-conf", "stray-value", "other-command-flag", "no-value",
+        "flag-as-value", "bad-method", "bad-format"])
+def test_cli_usage_errors_leave_main_usable(tmp_path, capsys, argv, message):
+    # a usage error exits 2 with one line naming its token, and --help exits
+    # 0 listing every command and flag; neither raises, and two commands
+    # still write their golden bytes
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("iso-compare: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+    assert main(argv + ["--help"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: iso-compare <command>")
+    assert all(token in text for token in COMMANDS + (
+        "--config", "--out", "--format", "--eps-grid", "--epsilon", "--method",
+        "--tol", "--case", "--lambda"))
     for command, suffix in (("football-alpha", "csv"), ("bishop-bound", "json")):
         out = tmp_path / f"{command}.{suffix}"
         assert main([command, "--config", str(GOLDEN / f"{command}.cfg"),
                      "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / f"{command}.{suffix}").read_bytes()
-    assert cli._parser() is parser
-    assert build_parser() is not build_parser()
+
+
+# each flag, its command's other keys, a good value and a bad one; None
+# stands for the output file and, as a bad output, a directory, which is an
+# exit 2 rather than an OSError raised out of main
+_FLAG_CASES = [
+    ("--out", "output", "bishop-bound", "n = 3\nric0 = 2\n", None, None),
+    ("--format", "format", "bishop-bound", "n = 3\nric0 = 2\n", "csv", "xml"),
+    ("--eps-grid", "eps_grid", "football-alpha", "", "0.1:0.3:3", "0.3:0.1:3"),
+    ("--epsilon", "epsilon", "football-alpha", "", "0.2", "0.2x"),
+    ("--method", "method", "epsilon0", "tol = 0.01\n", "as-written", "newton"),
+    ("--tol", "tol", "epsilon0", "", "0.01", "-1"),
+    ("--case", "case", "monotonicity", "lambda = 1\nrho_n = 8\n", "cone", "disk"),
+    ("--lambda", "lambda", "monotonicity", "case = circle\nrho_n = 8\n", "-1",
+     "nan"),
+]
+
+
+@pytest.mark.parametrize("flag, key, command, config, good, bad", _FLAG_CASES,
+                         ids=[case[0] for case in _FLAG_CASES])
+def test_cli_flag_is_its_config_key(tmp_path, capsys, flag, key, command,
+                                    config, good, bad):
+    # --flag value, --flag=value and the line "key = value" in the config
+    # file write the same bytes, and reject a bad value with the same
+    # message but for its "command line" or "line N" prefix
+    out, cfg = tmp_path / "out.txt", tmp_path / "run.cfg"
+
+    def forms(value):
+        """(exit status, output bytes, message) of each of the 3 forms."""
+        base = [command, "--config", str(cfg)]
+        if key != "output":
+            base += ["--out", str(out)]
+        results = []
+        for argv, line in ((base + [flag, value], ""),
+                           (base + [f"{flag}={value}"], ""),
+                           (base, f"{key} = {value}\n")):
+            cfg.write_text(f"command = {command}\n{config}{line}")
+            out.unlink(missing_ok=True)
+            code = main(argv)
+            err = capsys.readouterr().err
+            results.append((code, out.read_bytes() if code == 0 else None,
+                            re.sub(r"^iso-compare: (command line|line \d+): ",
+                                   "", err)))
+        assert results[0] == results[1] == results[2]
+        return results[0]
+
+    assert forms(good or str(out))[0] == 0
+    code, _, message = forms(bad or str(tmp_path))
+    assert code == 2
+    if bad is not None:
+        assert message.startswith(f"{key}: ") and bad in message
 
 
 # --- the table renderer ---------------------------------------------------------

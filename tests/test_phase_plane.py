@@ -73,14 +73,14 @@ def test_profile_needs_matching_foliation_data():
 
 def test_ricci_mass_zero_on_round_sphere():
     prof = candidate_profile(round_sphere(3, 1.0), 257)
-    mass = ricci_mass(prof, 2.0)
+    mass = ricci_mass(phase_curve(prof), 2.0)
     assert np.max(np.abs(mass.m_values)) <= 1e-6
 
 
 def test_ricci_mass_positive_interior_small_sphere():
     # r = 1/2 has Ric = 8 > 2: mass 27 pi sin^2(t/r) > 0 strictly inside
     prof = candidate_profile(round_sphere(3, 0.5), 257)
-    mass = ricci_mass(prof, 2.0)
+    mass = ricci_mass(phase_curve(prof), 2.0)
     assert mass.m_values[0] == pytest.approx(0.0, abs=1e-10)
     assert np.all(mass.m_values[1:-1] > 0)
     mid = 128
@@ -90,14 +90,14 @@ def test_ricci_mass_positive_interior_small_sphere():
 def test_ricci_mass_smooth_anchor():
     for r in (0.5, 1.0, 2.0):
         prof = candidate_profile(round_sphere(3, r), 129)
-        mass = ricci_mass(prof, 2.0)
+        mass = ricci_mass(phase_curve(prof), 2.0)
         assert mass.m_values[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_ricci_mass_football_constant():
     c0 = 0.7
     prof = candidate_profile(football(c0), 257)
-    mass = ricci_mass(prof, 2.0)
+    mass = ricci_mass(phase_curve(prof), 2.0)
     expected = 36 * PI * (1 - c0 ** 2)
     assert np.max(np.abs(mass.m_values - expected)) <= 1e-10
 
@@ -105,7 +105,7 @@ def test_ricci_mass_football_constant():
 def test_ricci_mass_validation():
     prof = candidate_profile(round_sphere(3, 1.0), 65)
     with pytest.raises(ValidationError):
-        ricci_mass(prof, 0.0)
+        ricci_mass(phase_curve(prof), 0.0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -116,7 +116,7 @@ def test_monotone_mass_on_admissible_models(r, c0):
     metric = football(c0, radius=r)
     assert curvature_bounds(metric).ric_min >= 2.0 - 1e-9
     prof = candidate_profile(metric, 129)
-    mass = ricci_mass(prof, 2.0)
+    mass = ricci_mass(phase_curve(prof), 2.0)
     first_half = prof.v_grid <= prof.total_volume / 2 * (1 + 1e-9)
     drops = np.diff(mass.m_values[first_half])
     assert np.min(drops, initial=0.0) >= -1e-6
