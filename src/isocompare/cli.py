@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__
 from .config import COMMANDS, RunConfig, build_metric, read_pairs, validate
 from .errors import ConfigError, NumericalError, ValidationError
-from .football import alpha_oracle, as_written_bound, cylinder_growth, epsilon0
+from .football import (_alpha_columns, _batch, as_written_bound,
+                       cylinder_growth, epsilon0)
 from .gmt import (RadiusFamily, cone_over_circle, cutoff_budget,
                   monotonicity_profile, unit_circle, unit_sphere)
 from .phase_plane import extremal_path, phase_curve, ricci_mass, volume_from_path
@@ -97,25 +98,20 @@ def _run_bishop_bound(opts):
 
 
 def _run_football_alpha(opts):
-    if "eps_grid" in opts:
-        lo, hi, num = opts["eps_grid"]
-        eps_values = [float(e) for e in np.linspace(lo, hi, num)]
-    else:
-        eps_values = [opts["epsilon"]]
-    results = alpha_oracle(eps_values)
+    grid = opts.get("eps_grid")
+    eps, _ = _batch(opts["epsilon"] if grid is None else np.linspace(*grid))
+    alpha, z_arg, switch = _alpha_columns(eps)
     # the verbatim display's two columns stay, nan on every row: as_written,
     # its switch point over the path's end, is above 200 at every eps
-    rows = [(r.epsilon, r.alpha_oracle, math.nan, r.z_argmax, math.nan)
-            for r in results]
+    nan = np.full_like(eps, math.nan)
+    rows = np.column_stack((eps, alpha, nan, z_arg, nan))
     columns = ["epsilon", "alpha_oracle", "alpha_as_written", "z_argmax",
                "discrepancy"]
-    summary = {
-        "as_written": float(np.min(as_written_bound(eps_values))),
-        "switch_points": {
-            format_number(r.epsilon): r.switch_x for r in results
-        },
+    return "csv", columns, rows, {
+        "as_written": float(np.min(as_written_bound(eps))),
+        # keyed by eps as a cell prints it: one % over the column
+        "switch_points": dict(zip(_percent(eps, 1).split("\n"), switch.tolist())),
     }
-    return "csv", columns, rows, summary
 
 
 def _run_epsilon0(opts):

@@ -47,13 +47,13 @@ def _parse_float_list(s: str):
 # its cells, so each key stops where the run's peak would pass
 # _MEMORY_BUDGET: an array past the machine's memory ends in numpy's
 # MemoryError, not in an error that names the key.  Peak bytes per cell,
-# measured with tracemalloc through ``cli.main``: 9 KiB per eps of
-# football-alpha, 6 KiB of it the scratch of ``quadrature.sqrt_endpoint``
-# (12 z x 4 arrays of 16 doubles); 1.1 KiB per grid point of profile or
-# mass under the 64-node ``sin_power`` rule (n >= 258); 340 bytes per
-# radius of monotonicity.
+# measured with tracemalloc through ``cli.main`` (a test holds each to its
+# divisor): 14.4 KiB per eps of football-alpha, 10 KiB of it the scratch of
+# ``quadrature.sqrt_endpoint`` at the scan (20 z x 4 arrays of 16 doubles);
+# 1.1 KiB per grid point of profile or mass under the 64-node ``sin_power``
+# rule (n >= 258); 340 bytes per radius of monotonicity.
 _MEMORY_BUDGET = 1 << 30
-_MAX_EPS = _MEMORY_BUDGET // 9216
+_MAX_EPS = _MEMORY_BUDGET // 15360
 _MAX_GRID = _MEMORY_BUDGET // 1152
 _MAX_RHO = _MEMORY_BUDGET // 384
 

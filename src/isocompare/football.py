@@ -250,13 +250,9 @@ def _half_volume_at(eps):
     # theta / u_sw at z = 4 pi, and factors of the slope's terms
     ratio_top, four_eps = root_b / math.sqrt(_Y0_SQ), 4.0 * eps
 
-    single = np.ndim(eps) == 0
-
     def half_volume(z):
         # one expression per formula above, in its operation order
         z = np.asarray(z, dtype=float)
-        if single and z.ndim == 0:
-            return tuple(a[0] for a in half_volume(z.reshape(1)))
         root = np.sqrt(z)
         roots = root + root_lo
         d = z - z_lo
@@ -335,35 +331,36 @@ def _supremum(eps):
 
     dV/dz is pi / (4 sqrt(eps)) > 0 at z_lo.  Up to eps0 it turns negative
     past the interior peak, which from eps ~ 1e-7 on lies between two of the
-    ``_CLUSTER`` points; above eps0 no z beats the round sphere's pi^2 at z = 4 pi.  So
-    one call takes V and dV/dz at the 20 z per eps of ``_scan``.  The first
-    + to - change of dV/dz brackets the peak (without one, as above eps ~
-    0.252, the bracket is the point 4 pi) and takes _STEPS steps of
-    Chandrupatla's (1997) method on dV/dz in t = sqrt(z - z_lo), where
-    dV/dz ~ a - b t is smooth: inverse quadratic interpolation where his
-    test admits it, else bisection.  The last step's point is not evaluated:
-    where it is an inverse quadratic step it is the argmax, elsewhere the
-    end with the smaller |dV/dz| is.  The maximum is V at that end: after
-    one step from a bracket 1-2% of the seed wide its z is within 3e-10
-    relative of the root, where V is flat.  The one evaluated step is one
-    array call over every eps; a batch with no change makes none.
+    ``_CLUSTER`` points; above eps0 no z beats pi^2 at z = 4 pi.  So one
+    call takes V and dV/dz at the 20 z per eps of ``_scan``.  The first + to
+    - change of dV/dz brackets the peak (without one, as above eps ~ 0.252,
+    the bracket is the point 4 pi).  From its ends and the point past it,
+    gathered once, _STEPS steps of Chandrupatla's (1997) method on dV/dz in
+    t = sqrt(z - z_lo), where dV/dz ~ a - b t is smooth, run on 1-D arrays:
+    inverse quadratic interpolation where his test admits it, else
+    bisection.  The last step's point is not evaluated: where it is an
+    inverse quadratic step it is the argmax, elsewhere the end with the
+    smaller |dV/dz| is.  The maximum is V at that end: after one step from
+    a bracket 1-2% of the seed wide its z is within 3e-10 relative of the
+    root, where V is flat.  The one evaluated step is one array call over
+    every eps; a batch with no change makes none.
     """
     z = _scan(eps)
-    origin, rows = z[:, :1], np.arange(eps.size)[:, None]
+    origin, rows, last = z[:, 0], np.arange(eps.size), z.shape[1] - 1
     half_volume = _half_volume_at(eps[:, None])
-    f, slope = half_volume(z)
-    k, last = np.argmax(f, axis=-1)[:, None], z.shape[1] - 1
-    change = (slope[:, :-1] > 0.0) & (slope[:, 1:] <= 0.0)
-    lo = np.where(change.any(axis=-1), np.argmax(change, axis=-1), last)[:, None]
+    v, f = half_volume(z)               # V and dV/dz
+    k = np.argmax(v, axis=-1)
+    change = (f[:, :-1] > 0.0) & (f[:, 1:] <= 0.0)
+    lo = np.where(change.any(axis=-1), np.argmax(change, axis=-1), last)
     hi = np.minimum(lo + 1, last)
-    # Chandrupatla's points as rows (z, dV/dz, V, t): p1 the newest, p2 the
-    # bracket's other end, p3 the point last dropped, on p1's side
-    table = np.stack((z, slope, f, np.sqrt(z - origin)))
-    z_scan, f_scan = z[rows, k][:, 0], f[rows, k][:, 0]
-    p1, p2, p3 = (table[:, rows, i] for i in (hi, lo, np.minimum(hi + 1, last)))
+    # Chandrupatla's points (z, dV/dz, V, t): p1 = (x1, f1, v1, t1) the newest,
+    # p2 the bracket's other end, p3 the point last dropped, on p1's side
+    columns = hi, lo, np.minimum(hi + 1, last)
+    (x1, x2, x3), (f1, f2, f3) = ([a[rows, c] for c in columns] for a in (z, f))
+    t1, t2, t3 = (np.sqrt(x - origin) for x in (x1, x2, x3))
+    v1, v2, z_scan, f_scan = v[rows, hi], v[rows, lo], z[rows, k], v[rows, k]
     steps = _STEPS if change.any() else 0
     for step in range(steps):
-        (x1, f1, _, t1), (x2, f2, _, t2), (_, f3, _, t3) = p1, p2, p3
         with np.errstate(divide="ignore", invalid="ignore"):
             xi, phi = (t1 - t2) / (t3 - t2), (f1 - f2) / (f3 - f2)
             t = (f1 / (f2 - f1) * f3 / (f2 - f3)
@@ -373,13 +370,16 @@ def _supremum(eps):
         x = np.clip(origin + t * t, np.minimum(x1, x2), np.maximum(x1, x2))
         if step == steps - 1:
             break               # the last point is the argmax, not evaluated
-        value, fx = half_volume(x)
+        value, fx = (a[:, 0] for a in half_volume(x[:, None]))
         keep = (fx > 0.0) == (f1 > 0.0)
-        p3, p2 = np.where(keep, p1, p2), np.where(keep, p2, p1)
-        p1 = np.stack((x, fx, value, np.sqrt(x - origin)))
-    z_best, _, f_best, _ = np.where(np.abs(p1[1]) <= np.abs(p2[1]), p1, p2)[..., 0]
+        f3, t3 = np.where(keep, f1, f2), np.where(keep, t1, t2)
+        x2, f2, v2, t2 = (np.where(keep, p2, p1) for p1, p2 in
+                          zip((x1, f1, v1, t1), (x2, f2, v2, t2)))
+        x1, f1, v1, t1 = x, fx, value, np.sqrt(x - origin)
+    near = np.abs(f1) <= np.abs(f2)
+    z_best, f_best = np.where(near, x1, x2), np.where(near, v1, v2)
     if steps:
-        z_best = np.where(quadratic[:, 0], x[:, 0], z_best)
+        z_best = np.where(quadratic, x, z_best)
     # a gain within roundoff of the scan's 4 pi is no gain (as eps -> 1, z an
     # ulp off 4 pi amplifies the switch point by 1 / (1 - eps)); elsewhere the
     # refined point wins unless it is below the scan's best beyond roundoff,
@@ -390,6 +390,18 @@ def _supremum(eps):
     return np.where(stay, f_scan, f_best), np.where(stay, z_scan, z_best)
 
 
+def _alpha_columns(eps):
+    """alpha, z_argmax and switch_x over a 1-D eps array from ``_batch``."""
+    # eps within _NEAR_ONE of 1 is the round sphere, as eps = 1
+    alpha, z_arg, x_sw = (np.full_like(eps, a) for a in (1.0, _Z_MAX, 0.0))
+    inner = 1.0 - eps >= _NEAR_ONE
+    if inner.any():
+        e = eps[inner]
+        best, z_arg[inner] = _supremum(e)
+        alpha[inner], x_sw[inner] = best / math.pi ** 2, _legs(z_arg[inner], e)[0]
+    return alpha, z_arg, x_sw
+
+
 def alpha_oracle(epsilon):
     """Sharp volume ratio bound alpha(eps) from the two-leg construction.
 
@@ -397,16 +409,8 @@ def alpha_oracle(epsilon):
     a list in the same order; all eps of a sequence share each array call.
     """
     eps, single = _batch(epsilon)
-    # eps within _NEAR_ONE of 1 is the round sphere, as eps = 1
-    alpha, z_arg = np.ones_like(eps), np.full_like(eps, _Z_MAX)
-    x_sw = np.zeros_like(eps)
-    inner = 1.0 - eps >= _NEAR_ONE
-    if inner.any():
-        e = eps[inner]
-        best, z_arg[inner] = _supremum(e)
-        alpha[inner], x_sw[inner] = best / math.pi ** 2, _legs(z_arg[inner], e)[0]
     results = [AlphaResult(*row) for row in
-               zip(*(a.tolist() for a in (eps, alpha, z_arg, x_sw)))]
+               zip(*(a.tolist() for a in (eps, *_alpha_columns(eps))))]
     return results[0] if single else results
 
 

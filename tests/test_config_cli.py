@@ -7,6 +7,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -19,8 +20,8 @@ from hypothesis import strategies as st
 import isocompare
 from isocompare import cli
 from isocompare.cli import format_number, main, render
-from isocompare.config import (_MAX_EPS, _MAX_GRID, _MAX_RHO, COMMANDS, RunConfig,
-                               build_metric, parse_config)
+from isocompare.config import (_MAX_EPS, _MAX_GRID, _MAX_RHO, _MEMORY_BUDGET,
+                               COMMANDS, RunConfig, build_metric, parse_config)
 from isocompare.errors import ConfigError
 
 PI = math.pi
@@ -420,6 +421,32 @@ def test_size_keys_stop_at_their_bound(key, top, template):
     assert (options[key][2] if key == "eps_grid" else options[key]) == top
     with pytest.raises(ConfigError, match=f"line [0-9]+: {key}: .*above maximum {top}"):
         parse_config(template.format(top + 1))
+
+
+@pytest.mark.parametrize("command, top, cells, template", [
+    ("football-alpha", _MAX_EPS, 3000, "eps_grid = 1e-6:1:{}\n"),
+    # the 64-node sin_power rule; the run stops at its volume check
+    # (V stops increasing), after the volumes, which set the peak
+    ("profile", _MAX_GRID, 4000, "model = sphere\nn = 300\ngrid_size = {}\n"),
+    ("monotonicity", _MAX_RHO, 20000, "case = circle\nlambda = 1\nrho_n = {}\n"),
+], ids=["eps_grid", "grid_size", "rho_n"])
+def test_size_keys_bound_the_traced_peak(tmp_path, capsys, command, top, cells,
+                                         template):
+    # each size key stops at _MEMORY_BUDGET over the peak bytes per cell;
+    # a run of a few thousand cells through main, traced, stays within
+    # that share, so a change that grows the footprint per cell fails here
+    # instead of leaving the key's bound stale
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+    for size in (cells // 8, cells):     # the first run builds cached rules
+        cfg.write_text(template.format(size))
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0 or "V stops increasing" in capsys.readouterr().err
+    assert peak / cells <= _MEMORY_BUDGET / top
 
 
 def test_cli_bishop_bound_high_dimension(tmp_path, capsys):

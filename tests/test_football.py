@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import sys
 import threading
@@ -8,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isocompare import quadrature
-from isocompare.cli import format_number
+from isocompare import __version__, quadrature
+from isocompare.cli import format_number, main
 from isocompare.errors import NumericalError, QuadratureError, ValidationError
 from isocompare.football import (EULER_CHARACTERISTIC_SPHERE,
                                  GAUSS_BONNET_TOTAL, alpha_oracle,
@@ -881,7 +883,9 @@ def test_epsilon0_lies_above_cone_crossing():
 # ---------------------------------------------------------------------------
 # the premises of the scan: on a dense grid in s, and on the scan itself
 
-_BELOW_EPS0 = 0.1347277554       # eps0 = 0.13472775541141216 to a double
+# eps0 is 0.13472775541141249893 to 34 digits (mpmath); the bisection's
+# adjacent-double bracket ends at 0.13472775541141216, 12 ulps below it
+_BELOW_EPS0 = 0.1347277554
 _ABOVE_EPS0 = 0.1347277555
 
 
@@ -968,3 +972,65 @@ def test_alpha_is_the_cone_family_below_1e_7(values):
     eps = np.array(values)
     alpha = np.array([r.alpha_oracle for r in alpha_oracle(eps)])
     assert np.all(np.abs(alpha / football_family_value(eps) - 1.0) <= 4e-15)
+
+
+# ---------------------------------------------------------------------------
+# football-alpha through the command line: the bytes of alpha_oracle's results
+
+
+def _alpha_text(results, parameter: str) -> str:
+    """The CSV of football-alpha built from per-eps AlphaResults, cell by
+    cell with ``format_number``; parameter is the line of --eps-grid or
+    --epsilon."""
+    switch = {format_number(r.epsilon): r.switch_x for r in results}
+    bound = min(as_written_bound(r.epsilon) for r in results)
+    lines = ["# iso-compare football-alpha", f"# version = {__version__}",
+             parameter, f"# as_written = {format_number(bound)}"]
+    lines += [f"# switch_points.{key} = {format_number(switch[key])}"
+              for key in sorted(switch)]
+    lines.append("epsilon,alpha_oracle,alpha_as_written,z_argmax,discrepancy")
+    lines += [",".join(format_number(v) for v in (r.epsilon, r.alpha_oracle,
+                                                  math.nan, r.z_argmax, math.nan))
+              for r in results]
+    return "\n".join(lines) + "\n"
+
+
+# eps = 1 and within _NEAR_ONE of it, the band from the cone crossing past
+# eps0, eps below 1e-5, and the band above 0.2517 where dV/dz changes sign
+# at no scan point
+_EPS_REGIONS = st.one_of(
+    st.just(1.0), st.floats(1.0 - football_module._NEAR_ONE, 1.0),
+    st.floats(0.1339, 0.1348, exclude_min=True, exclude_max=True),
+    _log_uniform(1e-9, 1e-5), st.floats(0.2517, 1.0), _log_uniform(1e-9, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ends=st.lists(_EPS_REGIONS, min_size=1, max_size=2, unique=True),
+       num=st.integers(2, 40))
+@example(ends=[1e-6, 1.0], num=40)
+@example(ends=[0.1339, 0.1348], num=13)
+@example(ends=[1.0 - 1e-12, 1.0], num=5)
+@example(ends=[0.26, 0.99], num=9)        # no step call: the scan alone
+@example(ends=[3e-6], num=2)
+@example(ends=[0.999999999999999], num=2)
+def test_cli_alpha_writes_the_bytes_of_alpha_oracle(ends, num):
+    # one eps is an --epsilon run, two are the ends of an --eps-grid of num
+    # eps; the handler reads the array core, and writes what the per-eps
+    # results give, which are that core bit for bit
+    if len(ends) == 1:
+        eps = np.array(ends)
+        argv = ["--epsilon", repr(ends[0])]
+        parameter = f"# epsilon = {format_number(ends[0])}"
+    else:
+        lo, hi = sorted(ends)
+        eps = np.linspace(lo, hi, num)
+        argv = ["--eps-grid", f"{lo!r}:{hi!r}:{num}"]
+        parameter = f"# eps_grid = {format_number(lo)},{format_number(hi)},{num}"
+    results = alpha_oracle(eps.tolist())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["football-alpha", *argv]) == 0
+    assert out.getvalue() == _alpha_text(results, parameter)
+    columns = football_module._alpha_columns(eps)
+    for got, name in zip(columns, ("alpha_oracle", "z_argmax", "switch_x")):
+        assert got.tobytes() == np.array([getattr(r, name) for r in results]).tobytes()
