@@ -27,15 +27,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import COMMANDS, RunConfig, build_metric, read_pairs, validate
+from .config import COMMANDS, RunConfig, read_pairs, validate
 from .errors import ConfigError, NumericalError, ValidationError
-from .football import (_alpha_columns, _batch, as_written_bound,
+from .football import (_alpha_columns, _as_written_column, _batch,
                        cylinder_growth, epsilon0)
 from .gmt import (RadiusFamily, cone_over_circle, cutoff_budget,
                   monotonicity_profile, unit_circle, unit_sphere)
 from .phase_plane import extremal_path, phase_curve, ricci_mass, volume_from_path
 from .variation import stencil_table
-from .warped import candidate_profile
+from .warped import (WarpedMetric, candidate_profile, cylinder, football,
+                     round_sphere, tabulated)
 
 
 def format_number(x) -> str:
@@ -62,14 +63,28 @@ def _round_floats(obj):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (default_format, columns, rows, summary)
+# command handlers: each returns (columns, rows, summary), with columns and
+# rows None for a summary alone
+
+
+def build_metric(options: dict) -> WarpedMetric:
+    """Construct the configured warped model."""
+    model, n = options["model"], options.get("n", 3)
+    radius = options.get("radius", 1.0)
+    if model == "sphere":
+        return round_sphere(n=n, radius=radius)
+    if model == "football":
+        return football(options.get("c", 0.5), n=n, radius=radius)
+    if model == "cylinder":
+        return cylinder(radius, options["length"], n=n)
+    return tabulated(options["t_samples"], options["f_samples"], n=n)
 
 
 def _run_profile(opts):
     metric = build_metric(opts)
     prof = candidate_profile(metric, opts.get("grid_size", 257))
     rows = np.column_stack((prof.t_grid, prof.v_grid, prof.a_values))
-    return "csv", ["t", "V", "A"], rows, {"total_volume": prof.total_volume}
+    return ["t", "V", "A"], rows, {"total_volume": prof.total_volume}
 
 
 def _run_variation_check(opts):
@@ -78,7 +93,7 @@ def _run_variation_check(opts):
                           opts.get("levels", 3))
     columns = ["t", "h", "residual_first", "residual_h_dot", "residual_second",
                "order"]
-    return "csv", columns, table.rows(), {}
+    return columns, table.rows(), {}
 
 
 def _run_mass(opts):
@@ -88,13 +103,13 @@ def _run_mass(opts):
     mass = ricci_mass(curve, opts["ric0"])
     rows = np.column_stack((prof.v_grid, prof.a_values, curve.x, curve.y,
                             mass.m_values))
-    return "csv", ["V", "A", "F", "F_prime", "m"], rows, {}
+    return ["V", "A", "F", "F_prime", "m"], rows, {}
 
 
 def _run_bishop_bound(opts):
     path = extremal_path(opts["n"], opts["ric0"], 0.0)
     bound = volume_from_path(path)
-    return "json", None, None, {"y0": path.y0, "x0": path.x0, "bound": bound}
+    return None, None, {"y0": path.y0, "x0": path.x0, "bound": bound}
 
 
 def _run_football_alpha(opts):
@@ -107,8 +122,8 @@ def _run_football_alpha(opts):
     rows = np.column_stack((eps, alpha, nan, z_arg, nan))
     columns = ["epsilon", "alpha_oracle", "alpha_as_written", "z_argmax",
                "discrepancy"]
-    return "csv", columns, rows, {
-        "as_written": float(np.min(as_written_bound(eps))),
+    return columns, rows, {
+        "as_written": float(np.min(_as_written_column(eps))),
         # keyed by eps as a cell prints it: one % over the column
         "switch_points": dict(zip(_percent(eps, 1).split("\n"), switch.tolist())),
     }
@@ -117,7 +132,7 @@ def _run_football_alpha(opts):
 def _run_epsilon0(opts):
     bracket = epsilon0(method=opts.get("method", "oracle"),
                        tol=opts.get("tol", 5e-4))
-    return "json", None, None, {
+    return None, None, {
         "lo": bracket.lo, "hi": bracket.hi, "iterations": bracket.iterations,
         "method": bracket.method, "no_root": bracket.no_root,
     }
@@ -136,33 +151,25 @@ def _run_monotonicity(opts):
         case = cone_over_circle(opts.get("angle", math.pi / 4), lam, rho)
     profile = monotonicity_profile(case)
     rows = np.column_stack((profile.rho, profile.values))
-    return "csv", ["rho", "profile"], rows, {"clamped": int(profile.clamped.sum())}
+    return ["rho", "profile"], rows, {"clamped": int(profile.clamped.sum())}
 
 
 def _run_cutoff_budget(opts):
     family = RadiusFamily(radii=np.asarray(opts["radii"], dtype=float),
                           delta=opts["delta"], n=opts["n"],
                           c0=opts["c0"], c=opts["c"], h=opts.get("h", 0.0))
-    return "json", None, None, dataclasses.asdict(cutoff_budget(family))
+    return None, None, dataclasses.asdict(cutoff_budget(family))
 
 
 def _run_cylinder_growth(opts):
     rows = [(g.length, g.volume, g.ric_inf, g.scalar_inf)
             for g in cylinder_growth(opts["lengths"], opts.get("radius", 1.0))]
-    return "csv", ["N", "volume", "ric_inf", "scalar_inf"], rows, {}
+    return ["N", "volume", "ric_inf", "scalar_inf"], rows, {}
 
 
-_HANDLERS = {
-    "profile": _run_profile,
-    "variation-check": _run_variation_check,
-    "mass": _run_mass,
-    "bishop-bound": _run_bishop_bound,
-    "football-alpha": _run_football_alpha,
-    "epsilon0": _run_epsilon0,
-    "monotonicity": _run_monotonicity,
-    "cutoff-budget": _run_cutoff_budget,
-    "cylinder-growth": _run_cylinder_growth,
-}
+# the handler of each command in ``COMMANDS``: _run_ and its name, "-" as "_"
+_HANDLERS = {command: globals()["_run_" + command.replace("-", "_")]
+             for command in COMMANDS}
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +246,15 @@ def render(config: RunConfig, columns, rows, summary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit status."""
-    try:
-        default_fmt, columns, rows, summary = _HANDLERS[config.command](config.options)
-        if config.format is None:
-            config.format = default_fmt
-        text = render(config, columns, rows, summary)
-        if config.output:
-            with open(config.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except (ConfigError, ValidationError, OSError) as exc:
-        print(f"iso-compare: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"iso-compare: numerical failure in {config.command}: {exc}",
-              file=sys.stderr)
-        return 3
-    return 0
+def run(config: RunConfig) -> None:
+    """Execute a validated configuration and write its artifact."""
+    columns, rows, summary = _HANDLERS[config.command](config.options)
+    text = render(config, columns, rows, summary)
+    if config.output:
+        with open(config.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +375,13 @@ def _kernel(cells, width: int) -> bytes:
 # ---------------------------------------------------------------------------
 # the command line: <command>, then flags as --flag value or --flag=value
 
-# flag -> the config key it sets, whose rule in ``config`` checks the value
-# as it checks the file's line; "config" itself names the file
+# every command's flags (its own are in ``COMMANDS``) -> the config key each
+# sets, whose rule checks the value as the file's line; "config" names the file
 _FLAGS = {"--config": "config", "--out": "output", "--format": "format"}
-_COMMAND_FLAGS = {
-    "football-alpha": {"--eps-grid": "eps_grid", "--epsilon": "epsilon"},
-    "epsilon0": {"--method": "method", "--tol": "tol"},
-    "monotonicity": {"--case": "case", "--lambda": "lambda"},
-}
 
 
 def _usage() -> str:
-    """The --help text, from the command and flag tables."""
+    """The --help text, from the global flags and ``COMMANDS``."""
     def flags(table):
         return " ".join(f"[{flag} {key.upper()}]" for flag, key in table.items())
     return "\n".join(
@@ -398,8 +389,8 @@ def _usage() -> str:
          "Each flag, as --flag VALUE or --flag=VALUE, sets its config key",
          "over the --config file.", "",
          "commands and their own flags:"]
-        + [f"  {c:17}{flags(_COMMAND_FLAGS.get(c, {}))}".rstrip()
-           for c in COMMANDS]) + "\n"
+        + [f"  {c:17}{flags(own)}".rstrip()
+           for c, (_, _, own) in COMMANDS.items()]) + "\n"
 
 
 def _command_line(argv):
@@ -413,7 +404,7 @@ def _command_line(argv):
         what = f"unknown command {argv[0]!r}" if argv else "missing command"
         raise ConfigError(f"{what}; valid commands: {', '.join(COMMANDS)}")
     command, *tokens = argv
-    flags = {**_FLAGS, **_COMMAND_FLAGS.get(command, {})}
+    flags = {**_FLAGS, **COMMANDS[command][2]}
     pairs = {}
     tokens = iter(tokens)
     for token in tokens:
@@ -438,20 +429,23 @@ def main(argv=None) -> int:
             return 0
         command, flag_pairs = parsed
         pairs = {}
-        path = flag_pairs.pop("config", None)
-        if path is not None:
-            with open(path[0], encoding="utf-8") as fh:
+        if "config" in flag_pairs:
+            with open(flag_pairs.pop("config")[0], encoding="utf-8") as fh:
                 pairs = read_pairs(fh.read())
-        file_command = pairs.pop("command", (None, 0))[0]
-        if file_command is not None and file_command != command:
+        file_command, _ = pairs.pop("command", (command, 0))
+        if file_command != command:
             raise ConfigError(
                 f"config file names command {file_command!r} but "
                 f"{command!r} was invoked")
-        config = validate(command, {**pairs, **flag_pairs})
+        run(validate(command, {**pairs, **flag_pairs}))
     except (OSError, ConfigError, ValidationError) as exc:
         print(f"iso-compare: {exc}", file=sys.stderr)
         return 2
-    return run(config)
+    except NumericalError as exc:
+        print(f"iso-compare: numerical failure in {command}: {exc}",
+              file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

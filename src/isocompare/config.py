@@ -1,9 +1,10 @@
 """Key-value run configurations for the command-line front end.
 
 A configuration is plain text, one ``key = value`` per line, ``#`` comments.
-Keys are validated per command with unknown keys rejected by name; every
-error message carries the offending line number, or "command line" for the
-value of a flag, which is checked as its key.
+``COMMANDS`` holds, per command, its keys with their parsers, its required
+keys and its flags.  Unknown keys are rejected by name; every error message
+carries the offending line number, or "command line" for the value of a
+flag, which is checked as its key.
 """
 
 from __future__ import annotations
@@ -12,12 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .warped import WarpedMetric, cylinder, football, round_sphere, tabulated
-
-COMMANDS = (
-    "profile", "variation-check", "mass", "bishop-bound", "football-alpha",
-    "epsilon0", "monotonicity", "cutoff-budget", "cylinder-growth",
-)
 
 
 def _parse_int(s: str):
@@ -89,7 +84,7 @@ def _positive(parse):
     return check
 
 
-def _size(low: int, high: int):
+def _size(low: int, high: float):
     def parse(s: str):
         v = _parse_int(s)
         if v < low:
@@ -100,12 +95,7 @@ def _size(low: int, high: int):
     return parse
 
 
-def _dimension(s: str):
-    v = _parse_int(s)
-    if v < 3:
-        raise ConfigError(f"n below minimum 3, got {v}")
-    return v
-
+_dimension = _size(3, math.inf)
 
 _MODEL_KEYS = {
     "model": _enum("sphere", "football", "cylinder", "tabulated"),
@@ -117,44 +107,54 @@ _MODEL_KEYS = {
     "f_samples": _parse_float_list,
 }
 
-_OUTPUT_KEYS = {
-    "output": str,
-    "format": _enum("csv", "json"),
+def _command(keys: dict, required=(), flags=()):
+    """A ``COMMANDS`` entry: the keys with output and format, the required
+    keys, and {flag: key} for the keys set by a flag of their own name, the
+    flag --eps-grid for the key eps_grid."""
+    return ({**keys, "output": str, "format": _enum("csv", "json")},
+            frozenset(required),
+            {"--" + key.replace("_", "-"): key for key in flags})
+
+
+# command -> ({key: parser}, required keys, {flag: key}): all that a command
+# accepts, in the order of --help
+COMMANDS = {
+    "profile": _command({**_MODEL_KEYS, "grid_size": _size(16, _MAX_GRID)},
+                        {"model"}),
+    "variation-check": _command({**_MODEL_KEYS, "t": _parse_float_list,
+                                 "h": _positive(_parse_float),
+                                 "levels": _positive(_parse_int)},
+                                {"model", "t"}),
+    "mass": _command({**_MODEL_KEYS, "ric0": _positive(_parse_float),
+                      "grid_size": _size(16, _MAX_GRID)}, {"model", "ric0"}),
+    "bishop-bound": _command({"n": _dimension, "ric0": _positive(_parse_float)},
+                             {"n", "ric0"}),
+    "football-alpha": _command({"eps_grid": _parse_grid, "epsilon": _parse_float},
+                               flags=("eps_grid", "epsilon")),
+    "epsilon0": _command({"method": _enum("oracle", "as-written"),
+                          "tol": _positive(_parse_float)},
+                         flags=("method", "tol")),
+    "monotonicity": _command({"case": _enum("sphere", "circle", "cone"),
+                              "lambda": _parse_float,
+                              "rho_min": _positive(_parse_float),
+                              "rho_max": _positive(_parse_float),
+                              "rho_n": _size(2, _MAX_RHO),
+                              "angle": _positive(_parse_float),
+                              "sphere_dim": _parse_int},
+                             {"case", "lambda"}, flags=("case", "lambda")),
+    "cutoff-budget": _command({"n": _parse_int, "delta": _positive(_parse_float),
+                               "c0": _parse_float, "c": _parse_float,
+                               "h": _parse_float, "radii": _parse_float_list},
+                              {"n", "delta", "c0", "c", "radii"}),
+    "cylinder-growth": _command({"lengths": _parse_float_list,
+                                 "radius": _positive(_parse_float)}, {"lengths"}),
 }
 
-# per command: {key: parser}, set of required keys
-_SCHEMAS = {
-    "profile": ({**_MODEL_KEYS, "grid_size": _size(16, _MAX_GRID)}, {"model"}),
-    "variation-check": ({**_MODEL_KEYS, "t": _parse_float_list,
-                         "h": _positive(_parse_float), "levels": _positive(_parse_int)},
-                        {"model", "t"}),
-    "mass": ({**_MODEL_KEYS, "ric0": _positive(_parse_float),
-              "grid_size": _size(16, _MAX_GRID)}, {"model", "ric0"}),
-    "bishop-bound": ({"n": _dimension, "ric0": _positive(_parse_float)},
-                     {"n", "ric0"}),
-    "football-alpha": ({"eps_grid": _parse_grid, "epsilon": _parse_float},
-                       set()),
-    "epsilon0": ({"method": _enum("oracle", "as-written"),
-                  "tol": _positive(_parse_float)}, set()),
-    "monotonicity": ({"case": _enum("sphere", "circle", "cone"),
-                      "lambda": _parse_float,
-                      "rho_min": _positive(_parse_float),
-                      "rho_max": _positive(_parse_float),
-                      "rho_n": _size(2, _MAX_RHO),
-                      "angle": _positive(_parse_float),
-                      "sphere_dim": _parse_int}, {"case", "lambda"}),
-    "cutoff-budget": ({"n": _parse_int, "delta": _positive(_parse_float),
-                       "c0": _parse_float, "c": _parse_float,
-                       "h": _parse_float, "radii": _parse_float_list},
-                      {"n", "delta", "c0", "c", "radii"}),
-    "cylinder-growth": ({"lengths": _parse_float_list,
-                         "radius": _positive(_parse_float)}, {"lengths"}),
-}
 
-
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """A validated command with typed options and output destination."""
+    """A validated command with typed options and output destination; a
+    format of None leaves the choice to the renderer."""
 
     command: str
     options: dict = field(default_factory=dict)
@@ -181,39 +181,33 @@ def read_pairs(text: str) -> dict[str, tuple[str, int]]:
 
 
 def validate(command: str, pairs: dict[str, tuple[str, int]]) -> RunConfig:
-    """Type-check raw pairs against the command's schema."""
-    if command not in _SCHEMAS:
+    """Type-check raw pairs against the command's keys in ``COMMANDS``."""
+    if command not in COMMANDS:
         raise ConfigError(
             f"unknown command {command!r}; valid commands: {', '.join(COMMANDS)}")
-    schema, required = _SCHEMAS[command]
-    config = RunConfig(command=command)
+    keys, required, _ = COMMANDS[command]
+    options = {}
     for key, (value, lineno) in pairs.items():
         where = f"line {lineno}" if lineno > 0 else "command line"
-        if key in _OUTPUT_KEYS:
-            try:
-                parsed = _OUTPUT_KEYS[key](value)
-            except ConfigError as exc:
-                raise ConfigError(f"{where}: {key}: {exc}") from None
-            setattr(config, "output" if key == "output" else "format", parsed)
-            continue
-        if key not in schema:
+        if key not in keys:
             raise ConfigError(
                 f"{where}: unknown key {key!r} for command {command!r}")
         try:
-            config.options[key] = schema[key](value)
+            options[key] = keys[key](value)
         except ConfigError as exc:
             raise ConfigError(f"{where}: {key}: {exc}") from None
-    missing = sorted(required - set(config.options))
+    missing = sorted(required - options.keys())
     if missing:
         raise ConfigError(
             f"missing required key(s) for {command!r}: {', '.join(missing)}")
-    _cross_validate(config)
-    return config
+    # the two keys of every command leave the options
+    output, fmt = options.pop("output", None), options.pop("format", None)
+    _cross_validate(command, options)
+    return RunConfig(command, options, output, fmt)
 
 
-def _cross_validate(config: RunConfig) -> None:
-    opts = config.options
-    if config.command == "football-alpha":
+def _cross_validate(command: str, opts: dict) -> None:
+    if command == "football-alpha":
         if "eps_grid" not in opts and "epsilon" not in opts:
             raise ConfigError("football-alpha needs eps_grid or epsilon")
         if "eps_grid" in opts:
@@ -230,26 +224,3 @@ def _cross_validate(config: RunConfig) -> None:
     if opts.get("model") == "tabulated":
         if "t_samples" not in opts or "f_samples" not in opts:
             raise ConfigError("tabulated model needs t_samples and f_samples")
-
-
-def parse_config(text: str) -> RunConfig:
-    """Validated RunConfig from key-value text; the command key is required."""
-    pairs = read_pairs(text)
-    if "command" not in pairs:
-        raise ConfigError("missing required key 'command'")
-    command, _ = pairs.pop("command")
-    return validate(command, pairs)
-
-
-def build_metric(options: dict) -> WarpedMetric:
-    """Construct the configured warped model."""
-    model = options["model"]
-    n = options.get("n", 3)
-    if model == "sphere":
-        return round_sphere(n=n, radius=options.get("radius", 1.0))
-    if model == "football":
-        return football(options.get("c", 0.5), n=n,
-                        radius=options.get("radius", 1.0))
-    if model == "cylinder":
-        return cylinder(options.get("radius", 1.0), options["length"], n=n)
-    return tabulated(options["t_samples"], options["f_samples"], n=n)

@@ -71,7 +71,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .phase_plane import start_height
 from .quadrature import sqrt_endpoint
-from .warped import curvature_bounds, cylinder, sin_squared_integral, total_volume
+from .warped import _volume, curvature_bounds, cylinder, sin_squared_integral
 
 __all__ = [
     "EULER_CHARACTERISTIC_SPHERE", "GAUSS_BONNET_TOTAL",
@@ -118,12 +118,9 @@ def _z_bracket(eps):
     return _Z_MAX / (3.0 - 2.0 * eps), _Z_MAX
 
 
-def _legs(z, eps):
-    """Switch abscissa and the two leg constants (x_sw, m0, K)."""
-    x_sw = np.sqrt(z) * (_Z_MAX - z) / (2.0 * (1.0 - eps))
-    m0 = 27.0 * (1.0 - eps) * x_sw ** (2.0 / 3.0)
-    k = 18.0 * (1.0 - eps) * x_sw
-    return x_sw, m0, k
+def _switch_x(z, eps):
+    """The switch abscissa x_sw, where the ricci leg meets the scalar leg."""
+    return np.sqrt(z) * (_Z_MAX - z) / (2.0 * (1.0 - eps))
 
 
 def _scalar_leg_integral(u0, length, k, excess):
@@ -398,7 +395,7 @@ def _alpha_columns(eps):
     if inner.any():
         e = eps[inner]
         best, z_arg[inner] = _supremum(e)
-        alpha[inner], x_sw[inner] = best / math.pi ** 2, _legs(z_arg[inner], e)[0]
+        alpha[inner], x_sw[inner] = best / math.pi ** 2, _switch_x(z_arg[inner], e)
     return alpha, z_arg, x_sw
 
 
@@ -433,12 +430,18 @@ def as_written_bound(epsilon):
     array in the same order.
     """
     eps, single = _batch(epsilon)
+    bound = _as_written_column(eps)
+    return float(bound[0]) if single else bound
+
+
+def _as_written_column(eps):
+    """``as_written_bound`` over a 1-D eps array from ``_batch``."""
     # the verbatim exponent (4 pi - eps) / 2 as it rounds, less 3/2 exactly
     power = 0.5 * ((_Z_MAX - eps) - 3.0)
     with np.errstate(divide="ignore"):
         bound = _z_bracket(eps)[0] ** power / (2.0 * (1.0 - eps))
     bound[1.0 - eps < _NEAR_ONE] = math.inf
-    return float(bound[0]) if single else bound
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +472,7 @@ def epsilon0(method: str = "oracle", tol: float = 5e-4) -> Epsilon0Bracket:
     evaluated at any eps (``as_written_bound``), so ``as-written`` reports
     no root at once.
     """
-    if method in ("as_written", "as-written"):
+    if method == "as-written":
         return Epsilon0Bracket(lo=math.nan, hi=math.nan, iterations=0,
                                method=method, no_root=True)
     if method != "oracle":
@@ -520,15 +523,21 @@ def cylinder_growth(lengths, radius: float = 1.0) -> list[CylinderGrowth]:
         raise ValidationError("cylinder lengths must be positive")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValidationError("cylinder lengths must be increasing")
-    rows = []
-    for length in lengths:
-        metric = cylinder(radius, float(length))
-        try:
-            vol = total_volume(metric)
-        except NumericalError as err:
-            raise NumericalError(f"at length {length:g}, {err}") from None
-        bounds = curvature_bounds(metric)
-        rows.append(CylinderGrowth(length=float(length), volume=vol,
-                                   ric_inf=bounds.ric_min,
-                                   scalar_inf=bounds.scalar_min))
-    return rows
+    if not lengths:
+        return []
+    # one cylinder: its volume, linear in the length, is one array product,
+    # and its curvatures are those of every length
+    metric = cylinder(radius, float(lengths[0]))
+    try:
+        volumes = _volume(metric, np.array(lengths, dtype=float)).tolist()
+    except NumericalError as err:
+        for length in lengths:          # the first length whose volume overflows
+            try:
+                _volume(metric, length)
+            except NumericalError:
+                raise NumericalError(f"at length {length:g}, {err}") from None
+        raise
+    bounds = curvature_bounds(metric)
+    return [CylinderGrowth(length=float(length), volume=volume,
+                           ric_inf=bounds.ric_min, scalar_inf=bounds.scalar_min)
+            for length, volume in zip(lengths, volumes)]

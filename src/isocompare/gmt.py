@@ -28,17 +28,16 @@ __all__ = [
 class MonotonicityCase:
     """An analytic surface, a mean-curvature bound and a radius grid.
 
-    lambda_ is the bound used in the weight e^(lambda rho); sup_h is the
-    surface's exact curvature scale (1 for unit circles and spheres in the
-    averaged convention, 0 for cones away from the apex), so monotonicity is
-    guaranteed whenever lambda_ >= sup_h.
+    lambda_ is the bound used in the weight e^(lambda rho).  Monotonicity is
+    guaranteed whenever lambda_ is at least the surface's exact curvature
+    scale: 1 for unit circles and spheres in the averaged convention, 0 for
+    cones away from the apex.
     """
 
     kind: str            # circle | sphere | cone
     m: int               # surface dimension
     lambda_: float
     rho_grid: np.ndarray
-    sup_h: float
     diameter: float
     angle: float | None = None
 
@@ -65,8 +64,7 @@ def _check_grid(rho_grid) -> np.ndarray:
 def unit_circle(lambda_: float, rho_grid) -> MonotonicityCase:
     """Unit circle in the plane; ball mass 4 arcsin(rho/2)."""
     return MonotonicityCase(kind="circle", m=1, lambda_=lambda_,
-                            rho_grid=_check_grid(rho_grid), sup_h=1.0,
-                            diameter=2.0)
+                            rho_grid=_check_grid(rho_grid), diameter=2.0)
 
 
 def unit_sphere(lambda_: float, rho_grid, dim: int = 2) -> MonotonicityCase:
@@ -75,8 +73,7 @@ def unit_sphere(lambda_: float, rho_grid, dim: int = 2) -> MonotonicityCase:
     if dim < 1:
         raise ValidationError(f"sphere dimension must be >= 1, got {dim}")
     return MonotonicityCase(kind="sphere", m=dim, lambda_=lambda_,
-                            rho_grid=_check_grid(rho_grid), sup_h=1.0,
-                            diameter=2.0)
+                            rho_grid=_check_grid(rho_grid), diameter=2.0)
 
 
 def cone_over_circle(angle: float, lambda_: float, rho_grid) -> MonotonicityCase:
@@ -85,8 +82,8 @@ def cone_over_circle(angle: float, lambda_: float, rho_grid) -> MonotonicityCase
     if not 0.0 < angle < math.pi / 2.0:
         raise ValidationError(f"cone half-angle must lie in (0, pi/2), got {angle}")
     return MonotonicityCase(kind="cone", m=2, lambda_=lambda_,
-                            rho_grid=_check_grid(rho_grid), sup_h=0.0,
-                            diameter=math.inf, angle=angle)
+                            rho_grid=_check_grid(rho_grid), diameter=math.inf,
+                            angle=angle)
 
 
 @dataclass

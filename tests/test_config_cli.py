@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 import isocompare
 from isocompare import cli
-from isocompare.cli import format_number, main, render
+from isocompare.cli import build_metric, format_number, main, render
 from isocompare.config import (_MAX_EPS, _MAX_GRID, _MAX_RHO, _MEMORY_BUDGET,
-                               COMMANDS, RunConfig, build_metric, parse_config)
+                               COMMANDS, RunConfig, read_pairs, validate)
 from isocompare.errors import ConfigError
 
 PI = math.pi
@@ -29,46 +29,55 @@ PI = math.pi
 
 # --- configuration parsing ---------------------------------------------------
 
+def _file_error(tmp_path, capsys, command, text):
+    """The stderr of main on a config file of text, which must exit 2."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg)]) == 2
+    return capsys.readouterr().err
+
+
 def test_parse_valid_bishop_config():
-    cfg = parse_config("command = bishop-bound\nn = 3\nric0 = 2\n")
-    assert cfg.command == "bishop-bound"
-    assert cfg.options == {"n": 3, "ric0": 2.0}
+    cfg = validate("bishop-bound", read_pairs("n = 3\nric0 = 2\n"))
+    assert cfg == RunConfig("bishop-bound", {"n": 3, "ric0": 2.0})
 
 
 def test_parse_rejects_small_dimension():
     with pytest.raises(ConfigError, match="below minimum 3"):
-        parse_config("command = bishop-bound\nn = 2\nric0 = 2\n")
+        validate("bishop-bound", read_pairs("n = 2\nric0 = 2\n"))
 
 
 def test_parse_unknown_command_names_valid_ones():
     with pytest.raises(ConfigError, match="bishop-bound"):
-        parse_config("command = flya\n")
+        validate("flya", {})
 
 
-def test_parse_unknown_key_with_line_number():
-    with pytest.raises(ConfigError, match="line 3.*unknown key 'fuzz'"):
-        parse_config("command = bishop-bound\nn = 3\nfuzz = 1\nric0 = 2\n")
+def test_parse_unknown_key_with_line_number(tmp_path, capsys):
+    assert re.search("line 3.*unknown key 'fuzz'", _file_error(
+        tmp_path, capsys, "bishop-bound",
+        "command = bishop-bound\nn = 3\nfuzz = 1\nric0 = 2\n"))
 
 
-def test_parse_malformed_number_with_line_number():
-    with pytest.raises(ConfigError, match="line 2.*malformed number"):
-        parse_config("command = bishop-bound\nric0 = two\nn = 3\n")
+def test_parse_malformed_number_with_line_number(tmp_path, capsys):
+    assert re.search("line 2.*malformed number", _file_error(
+        tmp_path, capsys, "bishop-bound",
+        "command = bishop-bound\nric0 = two\nn = 3\n"))
 
 
 def test_parse_missing_required_key():
     with pytest.raises(ConfigError, match="missing required key"):
-        parse_config("command = bishop-bound\nn = 3\n")
+        validate("bishop-bound", read_pairs("n = 3\n"))
 
 
 def test_parse_comments_and_blanks():
-    cfg = parse_config(
-        "# a comment\ncommand = mass\n\nmodel = sphere  # trailing\nric0 = 2\n")
+    cfg = validate("mass", read_pairs(
+        "# a comment\n\nmodel = sphere  # trailing\nric0 = 2\n"))
     assert cfg.options["model"] == "sphere"
 
 
 def test_parse_duplicate_key():
     with pytest.raises(ConfigError, match="duplicate"):
-        parse_config("command = bishop-bound\nn = 3\nn = 4\nric0 = 2\n")
+        read_pairs("command = bishop-bound\nn = 3\nn = 4\nric0 = 2\n")
 
 
 def test_build_metric_variants():
@@ -82,7 +91,7 @@ def test_build_metric_variants():
 
 def test_football_alpha_needs_epsilon():
     with pytest.raises(ConfigError, match="eps_grid or epsilon"):
-        parse_config("command = football-alpha\n")
+        validate("football-alpha", {})
 
 
 # --- the CLI ------------------------------------------------------------------
@@ -408,19 +417,19 @@ def test_cli_oversized_size_key_is_named(tmp_path, capsys, command, config,
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("key, top, template", [
-    ("eps_grid", _MAX_EPS, "command = football-alpha\neps_grid = 0.5:1:{}\n"),
-    ("grid_size", _MAX_GRID, "command = profile\nmodel = sphere\ngrid_size = {}\n"),
-    ("grid_size", _MAX_GRID, "command = mass\nmodel = sphere\nric0 = 2\ngrid_size = {}\n"),
-    ("rho_n", _MAX_RHO, "command = monotonicity\ncase = circle\nlambda = 1\nrho_n = {}\n"),
+@pytest.mark.parametrize("key, top, command, template", [
+    ("eps_grid", _MAX_EPS, "football-alpha", "eps_grid = 0.5:1:{}\n"),
+    ("grid_size", _MAX_GRID, "profile", "model = sphere\ngrid_size = {}\n"),
+    ("grid_size", _MAX_GRID, "mass", "model = sphere\nric0 = 2\ngrid_size = {}\n"),
+    ("rho_n", _MAX_RHO, "monotonicity", "case = circle\nlambda = 1\nrho_n = {}\n"),
 ], ids=["eps_grid", "profile-grid_size", "mass-grid_size", "rho_n"])
-def test_size_keys_stop_at_their_bound(key, top, template):
+def test_size_keys_stop_at_their_bound(key, top, command, template):
     # validation only: the bound itself is accepted, one more is not, and no
     # run allocates anything near it
-    options = parse_config(template.format(top)).options
+    options = validate(command, read_pairs(template.format(top))).options
     assert (options[key][2] if key == "eps_grid" else options[key]) == top
     with pytest.raises(ConfigError, match=f"line [0-9]+: {key}: .*above maximum {top}"):
-        parse_config(template.format(top + 1))
+        validate(command, read_pairs(template.format(top + 1)))
 
 
 @pytest.mark.parametrize("command, top, cells, template", [
@@ -771,9 +780,9 @@ def test_cli_usage_errors_leave_main_usable(tmp_path, capsys, argv, message):
     assert main(argv + ["--help"]) == 0
     text = capsys.readouterr().out
     assert text.startswith("usage: iso-compare <command>")
-    assert all(token in text for token in COMMANDS + (
+    assert all(token in text for token in [*COMMANDS,
         "--config", "--out", "--format", "--eps-grid", "--epsilon", "--method",
-        "--tol", "--case", "--lambda"))
+        "--tol", "--case", "--lambda"])
     for command, suffix in (("football-alpha", "csv"), ("bishop-bound", "json")):
         out = tmp_path / f"{command}.{suffix}"
         assert main([command, "--config", str(GOLDEN / f"{command}.cfg"),
@@ -830,6 +839,14 @@ def test_cli_flag_is_its_config_key(tmp_path, capsys, flag, key, command,
     assert code == 2
     if bad is not None:
         assert message.startswith(f"{key}: ") and bad in message
+
+
+def test_cli_flag_cases_cover_every_flag():
+    # a flag added to a command's entry in COMMANDS fails here until
+    # _FLAG_CASES holds a case for it; --config names the file, not a key
+    flags = {flag for _, _, own in COMMANDS.values() for flag in own}
+    assert {case[0] for case in _FLAG_CASES} == \
+        (set(cli._FLAGS) - {"--config"}) | flags
 
 
 # --- the table renderer ---------------------------------------------------------
@@ -958,7 +975,9 @@ def _assert_rendered_rows(tmp_path, capsys, command: str, text: str):
             capsys.readouterr().err
         return
     assert code == 0
-    _, columns, rows, _ = cli._HANDLERS[command](parse_config(text).options)
+    pairs = read_pairs(text)
+    del pairs["command"]
+    columns, rows, _ = cli._HANDLERS[command](validate(command, pairs).options)
     assert np.size(rows) >= _N
     lines = out.read_text().splitlines()
     assert lines[lines.index(",".join(columns)) + 1:] == _per_cell(rows)

@@ -16,7 +16,8 @@ from isocompare.errors import NumericalError, QuadratureError, ValidationError
 from isocompare.football import (EULER_CHARACTERISTIC_SPHERE,
                                  GAUSS_BONNET_TOTAL, alpha_oracle,
                                  as_written_bound, cylinder_growth, epsilon0)
-from isocompare.warped import sin_power_integral
+from isocompare.warped import (curvature_bounds, cylinder, sin_power_integral,
+                               total_volume)
 
 # the package's football() function shadows the module of the same name
 football_module = sys.modules["isocompare.football"]
@@ -107,7 +108,8 @@ def _rhs_difference_sign_changes(eps, z, num: int = 401):
     oracle path at each (eps, z) of two 1-D arrays, eps < 1; exactly one on
     interior z.  A zero takes the sign before it, so only strict changes
     count."""
-    x_sw, m0, _k = football_module._legs(z, eps)
+    x_sw = football_module._switch_x(z, eps)
+    m0 = 27.0 * (1.0 - eps) * x_sw ** (2.0 / 3.0)     # as the module docstring has it
     e, x_sw, m0 = eps[:, None], x_sw[:, None], m0[:, None]
     xs = np.linspace(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num, axis=-1)
     u = np.cbrt(xs)
@@ -147,7 +149,7 @@ def _sign_changes_exact(eps, z, num=401):
     the point nearest x_sw can fall below it (4e-16 at most, over 2e5
     samples), and no count is pinned there.
     """
-    x_sw, _m0, _k = football_module._legs(z, eps)
+    x_sw = football_module._switch_x(z, eps)
     xs = np.linspace(z ** 1.5 * 1e-6, z ** 1.5 * (1 - 1e-9), num, axis=-1)
     x_sw = x_sw[:, None]
     count = ((xs < x_sw).any(axis=-1) & (xs > x_sw).any(axis=-1)).astype(int)
@@ -345,6 +347,18 @@ def test_cylinder_growth_values():
         assert row.ric_inf < 0.05 * 2.0
 
 
+def test_cylinder_growth_is_each_cylinder_alone():
+    # one array product for the volumes, one curvature evaluation: the bits
+    # of each length's own cylinder
+    lengths = [0.5, 1.0, 3.0, 1e300]
+    rows = cylinder_growth(lengths, radius=1.7)
+    for length, row in zip(lengths, rows):
+        metric = cylinder(1.7, length)
+        bounds = curvature_bounds(metric)
+        assert (row.length, row.volume, row.ric_inf, row.scalar_inf) == \
+            (length, total_volume(metric), bounds.ric_min, bounds.scalar_min)
+
+
 def test_cylinder_growth_validation():
     with pytest.raises(ValidationError):
         cylinder_growth([10.0, 5.0])
@@ -432,7 +446,8 @@ def test_scalar_leg_rule_matches_mpmath(eps):
     z_lo, z_hi = football_module._z_bracket(eps)
     for s in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0):
         z = z_lo + s * (z_hi - z_lo)
-        x_sw, _m0, k = (float(v) for v in football_module._legs(z, eps))
+        x_sw = float(football_module._switch_x(z, eps))
+        k = 18.0 * (1.0 - eps) * x_sw         # K, as the module docstring has it
         u0 = math.sqrt(z)
         length = u0 - min(float(np.cbrt(x_sw)), u0)
         excess = 3.0 * z - 4.0 * PI
