@@ -29,8 +29,7 @@ import numpy as np
 from . import __version__
 from .config import COMMANDS, RunConfig, read_pairs, validate
 from .errors import ConfigError, NumericalError, ValidationError
-from .football import (_alpha_columns, _as_written_column, _batch,
-                       cylinder_growth, epsilon0)
+from .football import alpha_oracle, as_written_bound, cylinder_growth, epsilon0
 from .gmt import (RadiusFamily, cone_over_circle, cutoff_budget,
                   monotonicity_profile, unit_circle, unit_sphere)
 from .phase_plane import extremal_path, phase_curve, ricci_mass, volume_from_path
@@ -100,9 +99,8 @@ def _run_mass(opts):
     metric = build_metric(opts)
     prof = candidate_profile(metric, opts.get("grid_size", 257))
     curve = phase_curve(prof)
-    mass = ricci_mass(curve, opts["ric0"])
     rows = np.column_stack((prof.v_grid, prof.a_values, curve.x, curve.y,
-                            mass.m_values))
+                            ricci_mass(curve, opts["ric0"])))
     return ["V", "A", "F", "F_prime", "m"], rows, {}
 
 
@@ -114,8 +112,8 @@ def _run_bishop_bound(opts):
 
 def _run_football_alpha(opts):
     grid = opts.get("eps_grid")
-    eps, _ = _batch(opts["epsilon"] if grid is None else np.linspace(*grid))
-    alpha, z_arg, switch = _alpha_columns(eps)
+    eps, alpha, z_arg, switch = alpha_oracle(
+        [opts["epsilon"]] if grid is None else np.linspace(*grid))
     # the verbatim display's two columns stay, nan on every row: as_written,
     # its switch point over the path's end, is above 200 at every eps
     nan = np.full_like(eps, math.nan)
@@ -123,7 +121,7 @@ def _run_football_alpha(opts):
     columns = ["epsilon", "alpha_oracle", "alpha_as_written", "z_argmax",
                "discrepancy"]
     return columns, rows, {
-        "as_written": float(np.min(_as_written_column(eps))),
+        "as_written": float(np.min(as_written_bound(eps))),
         # keyed by eps as a cell prints it: one % over the column
         "switch_points": dict(zip(_percent(eps, 1).split("\n"), switch.tolist())),
     }
@@ -150,7 +148,7 @@ def _run_monotonicity(opts):
     else:
         case = cone_over_circle(opts.get("angle", math.pi / 4), lam, rho)
     profile = monotonicity_profile(case)
-    rows = np.column_stack((profile.rho, profile.values))
+    rows = np.column_stack((rho, profile.values))
     return ["rho", "profile"], rows, {"clamped": int(profile.clamped.sum())}
 
 
@@ -162,8 +160,9 @@ def _run_cutoff_budget(opts):
 
 
 def _run_cylinder_growth(opts):
-    rows = [(g.length, g.volume, g.ric_inf, g.scalar_inf)
-            for g in cylinder_growth(opts["lengths"], opts.get("radius", 1.0))]
+    growth = cylinder_growth(opts["lengths"], opts.get("radius", 1.0))
+    rows = np.empty((growth.lengths.size, 4))
+    rows[:, 0], rows[:, 1], rows[:, 2:] = growth.lengths, growth.volumes, growth[2:]
     return ["N", "volume", "ric_inf", "scalar_inf"], rows, {}
 
 

@@ -210,6 +210,8 @@ def _cross_validate(command: str, opts: dict) -> None:
     if command == "football-alpha":
         if "eps_grid" not in opts and "epsilon" not in opts:
             raise ConfigError("football-alpha needs eps_grid or epsilon")
+        if "eps_grid" in opts and "epsilon" in opts:
+            raise ConfigError("football-alpha takes eps_grid or epsilon, not both")
         if "eps_grid" in opts:
             # checked before the grid is spread: ends such as -1e308:1e308
             # make np.linspace overflow

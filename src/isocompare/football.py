@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,20 +290,20 @@ def _half_volume_at(eps):
     return half_volume
 
 
-@dataclass(frozen=True)
-class AlphaResult:
-    """What ``football-alpha`` prints for one eps: the volume ratio bound,
-    its maximizer z and the switch point of the maximizing path."""
+class AlphaResult(NamedTuple):
+    """What ``football-alpha`` prints: per eps, the volume ratio bound, its
+    maximizer z and the switch point of the maximizing path; floats for one
+    eps, 1-D arrays for a sequence."""
 
-    epsilon: float
-    alpha_oracle: float
-    z_argmax: float
-    switch_x: float
+    epsilon: float | np.ndarray
+    alpha_oracle: float | np.ndarray
+    z_argmax: float | np.ndarray
+    switch_x: float | np.ndarray
 
 
 def _batch(epsilon):
-    """epsilon as a 1-D float array, and whether it was a single number."""
-    eps = np.asarray(epsilon, dtype=float)
+    """epsilon as a new 1-D float array, and whether it was a single number."""
+    eps = np.array(epsilon, dtype=float)
     if eps.ndim > 1:
         raise ValidationError("epsilon must be a number or a 1-D sequence")
     bad = eps[~((eps > 0.0) & (eps <= 1.0))].reshape(-1)
@@ -387,8 +388,14 @@ def _supremum(eps):
     return np.where(stay, f_scan, f_best), np.where(stay, z_scan, z_best)
 
 
-def _alpha_columns(eps):
-    """alpha, z_argmax and switch_x over a 1-D eps array from ``_batch``."""
+def alpha_oracle(epsilon) -> AlphaResult:
+    """Sharp volume ratio bound alpha(eps) from the two-leg construction.
+
+    epsilon is one number, giving an AlphaResult of floats, or a 1-D
+    sequence, giving one of arrays in the same order; all eps of a sequence
+    share each array call.
+    """
+    eps, single = _batch(epsilon)
     # eps within _NEAR_ONE of 1 is the round sphere, as eps = 1
     alpha, z_arg, x_sw = (np.full_like(eps, a) for a in (1.0, _Z_MAX, 0.0))
     inner = 1.0 - eps >= _NEAR_ONE
@@ -396,19 +403,8 @@ def _alpha_columns(eps):
         e = eps[inner]
         best, z_arg[inner] = _supremum(e)
         alpha[inner], x_sw[inner] = best / math.pi ** 2, _switch_x(z_arg[inner], e)
-    return alpha, z_arg, x_sw
-
-
-def alpha_oracle(epsilon):
-    """Sharp volume ratio bound alpha(eps) from the two-leg construction.
-
-    epsilon is one number, giving one AlphaResult, or a 1-D sequence, giving
-    a list in the same order; all eps of a sequence share each array call.
-    """
-    eps, single = _batch(epsilon)
-    results = [AlphaResult(*row) for row in
-               zip(*(a.tolist() for a in (eps, *_alpha_columns(eps))))]
-    return results[0] if single else results
+    result = AlphaResult(eps, alpha, z_arg, x_sw)
+    return AlphaResult(*(float(a[0]) for a in result)) if single else result
 
 
 # ---------------------------------------------------------------------------
@@ -430,18 +426,12 @@ def as_written_bound(epsilon):
     array in the same order.
     """
     eps, single = _batch(epsilon)
-    bound = _as_written_column(eps)
-    return float(bound[0]) if single else bound
-
-
-def _as_written_column(eps):
-    """``as_written_bound`` over a 1-D eps array from ``_batch``."""
     # the verbatim exponent (4 pi - eps) / 2 as it rounds, less 3/2 exactly
     power = 0.5 * ((_Z_MAX - eps) - 3.0)
     with np.errstate(divide="ignore"):
         bound = _z_bracket(eps)[0] ** power / (2.0 * (1.0 - eps))
     bound[1.0 - eps < _NEAR_ONE] = math.inf
-    return bound
+    return float(bound[0]) if single else bound
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +493,17 @@ def epsilon0(method: str = "oracle", tol: float = 5e-4) -> Epsilon0Bracket:
                            evaluations=evals)
 
 
-@dataclass(frozen=True)
-class CylinderGrowth:
-    length: float
-    volume: float
+class CylinderGrowth(NamedTuple):
+    """Volumes of the cylinders [0, N] x S^2, one per length N, and the
+    curvature infima, which every length shares."""
+
+    lengths: np.ndarray
+    volumes: np.ndarray
     ric_inf: float
     scalar_inf: float
 
 
-def cylinder_growth(lengths, radius: float = 1.0) -> list[CylinderGrowth]:
+def cylinder_growth(lengths, radius: float = 1.0) -> CylinderGrowth:
     """Volumes and curvature infima of unit-sphere cylinders [0, N] x S^2.
 
     Volume grows linearly in N while the minimal Ricci eigenvalue stays 0, so
@@ -523,13 +515,12 @@ def cylinder_growth(lengths, radius: float = 1.0) -> list[CylinderGrowth]:
         raise ValidationError("cylinder lengths must be positive")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValidationError("cylinder lengths must be increasing")
-    if not lengths:
-        return []
-    # one cylinder: its volume, linear in the length, is one array product,
-    # and its curvatures are those of every length
-    metric = cylinder(radius, float(lengths[0]))
+    # one cylinder: its volume, linear in t, is every length's in one array
+    # product, and its curvatures, constant, are those of every length
+    metric = cylinder(radius, 1.0)
+    column = np.array(lengths, dtype=float)
     try:
-        volumes = _volume(metric, np.array(lengths, dtype=float)).tolist()
+        volumes = _volume(metric, column)
     except NumericalError as err:
         for length in lengths:          # the first length whose volume overflows
             try:
@@ -538,6 +529,4 @@ def cylinder_growth(lengths, radius: float = 1.0) -> list[CylinderGrowth]:
                 raise NumericalError(f"at length {length:g}, {err}") from None
         raise
     bounds = curvature_bounds(metric)
-    return [CylinderGrowth(length=float(length), volume=volume,
-                           ric_inf=bounds.ric_min, scalar_inf=bounds.scalar_min)
-            for length, volume in zip(lengths, volumes)]
+    return CylinderGrowth(column, volumes, bounds.ric_min, bounds.scalar_min)

@@ -88,7 +88,6 @@ def cone_over_circle(angle: float, lambda_: float, rho_grid) -> MonotonicityCase
 
 @dataclass
 class MonotonicityProfile:
-    rho: np.ndarray
     values: np.ndarray
     clamped: np.ndarray  # True where rho exceeded the diameter
 
@@ -115,7 +114,7 @@ def monotonicity_profile(case: MonotonicityCase) -> MonotonicityProfile:
         raise NumericalError(f"rho^(-m) overflows a double at rho_min = {lo!r}, "
                              f"{dim} = {case.m}") from None
     values = np.array(weight) * case.ball_mass(np.minimum(rho, case.diameter))
-    return MonotonicityProfile(rho=rho.copy(), values=values, clamped=clamped)
+    return MonotonicityProfile(values=values, clamped=clamped)
 
 
 # ---------------------------------------------------------------------------

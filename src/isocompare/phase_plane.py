@@ -28,7 +28,7 @@ from .errors import EmptyPathError, NumericalError, ValidationError
 from .warped import Profile, log_sphere_area, sin_power_integral, sphere_area
 
 __all__ = [
-    "PhaseCurve", "MassFunction", "PhasePath",
+    "PhaseCurve", "PhasePath",
     "start_height", "mass_coefficient", "phase_curve", "ricci_mass",
     "extremal_path", "volume_from_path", "bishop_bound",
 ]
@@ -55,18 +55,8 @@ class PhaseCurve:
     """Transformed profile samples: x = A^(n/(n-1)), y = dx/dV."""
 
     n: int
-    v: np.ndarray
     x: np.ndarray
     y: np.ndarray
-
-
-@dataclass
-class MassFunction:
-    """Mass samples along volume; nondecreasing whenever the generating
-    metric honestly satisfies the Ricci bound."""
-
-    v_grid: np.ndarray
-    m_values: np.ndarray
 
 
 def phase_curve(profile: Profile) -> PhaseCurve:
@@ -88,11 +78,13 @@ def phase_curve(profile: Profile) -> PhaseCurve:
         raise NumericalError(f"F = A^(n/(n-1)) overflows a double at n = {n}, "
                              f"A_max = {float(np.max(a)):g}")
     y = start_height(n) * profile.warp_slope
-    return PhaseCurve(n=n, v=profile.v_grid.copy(), x=x, y=y)
+    return PhaseCurve(n=n, x=x, y=y)
 
 
-def ricci_mass(curve: PhaseCurve, ric0: float) -> MassFunction:
-    """Mass along a profile's phase curve under the Ricci floor ric0.
+def ricci_mass(curve: PhaseCurve, ric0: float) -> np.ndarray:
+    """Mass at each sample of a profile's phase curve under the Ricci floor
+    ric0; nondecreasing in V whenever the generating metric honestly
+    satisfies the Ricci bound.
 
     The additive constant is the smooth-pole value y0^2 = n^2 omega^(2/(n-1)),
     the unique normalization vanishing at V = 0 for smooth models; models with
@@ -102,8 +94,7 @@ def ricci_mass(curve: PhaseCurve, ric0: float) -> MassFunction:
         raise ValidationError(f"ric0 must be positive, got {ric0}")
     n = curve.n
     y0_sq = start_height(n) ** 2
-    m = y0_sq - curve.y ** 2 - mass_coefficient(n, ric0) * curve.x ** (2.0 / n)
-    return MassFunction(v_grid=curve.v.copy(), m_values=m)
+    return y0_sq - curve.y ** 2 - mass_coefficient(n, ric0) * curve.x ** (2.0 / n)
 
 
 @dataclass

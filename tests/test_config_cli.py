@@ -1,3 +1,4 @@
+import ast
 import importlib
 import io
 import json
@@ -92,6 +93,24 @@ def test_build_metric_variants():
 def test_football_alpha_needs_epsilon():
     with pytest.raises(ConfigError, match="eps_grid or epsilon"):
         validate("football-alpha", {})
+
+
+@pytest.mark.parametrize("text, flags", [
+    ("eps_grid = 0.05:0.3:3\n", ["--epsilon", "0.1"]),
+    ("epsilon = 0.1\n", ["--eps-grid", "0.05:0.3:3"]),
+    ("eps_grid = 0.05:0.3:3\nepsilon = 0.1\n", []),
+], ids=["grid-file-eps-flag", "eps-file-grid-flag", "file"])
+def test_football_alpha_rejects_both_eps_keys(tmp_path, capsys, text, flags):
+    # a flag overrides its own key in the file, never the other one: a run
+    # that sets both keys is a config error naming them, not the grid's rows
+    # under a header line "# epsilon = 0.1"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = football-alpha\n" + text)
+    assert main(["football-alpha", "--config", str(cfg), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("iso-compare: football-alpha takes eps_grid or "
+                            "epsilon, not both\n")
 
 
 # --- the CLI ------------------------------------------------------------------
@@ -335,6 +354,19 @@ def test_cli_cylinder_growth(tmp_path):
     volumes = [float(r.split(",")[1]) for r in rows]
     assert volumes == pytest.approx([40 * PI, 400 * PI], rel=1e-9)
     assert all(float(r.split(",")[2]) == 0.0 for r in rows)
+
+
+def test_cli_cylinder_growth_without_lengths(tmp_path, capsys):
+    # an empty length list is a table of no rows: the header and the column
+    # line alone, exit 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = cylinder-growth\nlengths = ,\n")
+    assert main(["cylinder-growth", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (f"# iso-compare cylinder-growth\n# version = "
+                            f"{isocompare.__version__}\n# lengths = \n"
+                            "N,volume,ric_inf,scalar_inf\n")
 
 
 def test_cli_cylinder_overflow_exits_3(tmp_path, capsys):
@@ -707,6 +739,19 @@ def test_every_exported_name_resolves():
     assert len({m for m, _ in exported}) >= 6
     assert [f"{m.__name__}.{name}" for m, name in exported
             if not hasattr(m, name)] == []
+
+
+def test_cli_imports_no_private_library_name():
+    # the handlers take their columns from the library's public calls: no
+    # name beginning with "_", but for a dunder such as __version__, comes
+    # from another isocompare module
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    names = [(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level > 0
+             for alias in node.names]
+    assert len({module for module, _ in names}) >= 7
+    assert [f"{module}.{name}" for module, name in names
+            if name.startswith("_") and not name.endswith("__")] == []
 
 
 def test_console_entry_point(tmp_path):

@@ -80,7 +80,7 @@ def test_single_regime_switch_below_threshold():
     for eps in (0.05, 0.1, 0.13):
         r = alpha_oracle(eps)
         assert r.switch_x > 0
-        assert _sign_changes([r]) == [1]
+        assert _sign_changes(r) == [1]
     # and none where the maximizer is the round sphere
     assert _sign_changes(alpha_oracle([0.01, 0.1, 1.0, 0.3])) == [1, 1, 0, 0]
 
@@ -99,8 +99,9 @@ def test_round_sphere_within_a_few_ulps_of_one():
     # about 100 ulps of 4 pi: it returned z an ulp below 4 pi and a switch
     # point amplified by 1 / (1 - eps), 6.3 at eps = 0.999999999999999
     eps = [0.999999999999999] + [1.0 - k * 2.0 ** -53 for k in range(1, 69)]
-    for r in alpha_oracle(eps):
-        assert (r.alpha_oracle, r.z_argmax, r.switch_x) == (1.0, 4 * PI, 0.0)
+    r = alpha_oracle(eps)
+    for row in zip(r.alpha_oracle, r.z_argmax, r.switch_x):
+        assert row == (1.0, 4 * PI, 0.0)
 
 
 def _rhs_difference_sign_changes(eps, z, num: int = 401):
@@ -126,11 +127,11 @@ def _rhs_difference_sign_changes(eps, z, num: int = 401):
     return np.count_nonzero(filled[:, 1:] * filled[:, :-1] < 0, axis=-1)
 
 
-def _sign_changes(results):
-    """The sign count at each result's (eps, z_argmax) as a list; 0 at
-    eps = 1, where the path is the round sphere's and has no ricci leg."""
-    eps = np.array([r.epsilon for r in results])
-    z = np.array([r.z_argmax for r in results])
+def _sign_changes(result):
+    """The sign count at each (eps, z_argmax) of an AlphaResult as a list;
+    0 at eps = 1, where the path is the round sphere's and has no ricci
+    leg."""
+    eps, z = np.atleast_1d(result.epsilon), np.atleast_1d(result.z_argmax)
     counts = np.zeros(eps.size, dtype=int)
     inner = eps < 1.0
     counts[inner] = _rhs_difference_sign_changes(eps[inner], z[inner])
@@ -176,7 +177,7 @@ def test_sign_changes_match_the_exact_count(values):
     # scan)
     eps = np.array([e for e, _ in values])
     z_lo, z_hi = football_module._z_bracket(eps)
-    for z in (np.array([r.z_argmax for r in alpha_oracle(eps)]),
+    for z in (alpha_oracle(eps).z_argmax,
               z_lo + np.array([s for _, s in values]) * (z_hi - z_lo)):
         _assert_sign_changes(eps, z)
 
@@ -305,7 +306,7 @@ def test_alpha_oracle_finds_narrow_peak_near_threshold():
     r = alpha_oracle(0.1345)
     assert 6.70e-4 <= r.alpha_oracle - 1.0 <= 6.71e-4
     assert r.z_argmax == pytest.approx(4.63522, abs=1e-5)
-    assert _sign_changes([r]) == [1]
+    assert _sign_changes(r) == [1]
 
 
 def test_epsilon0_bracket_contains_two_leg_root():
@@ -337,26 +338,33 @@ def test_epsilon0_unknown_method():
 
 
 def test_cylinder_growth_values():
-    rows = cylinder_growth([10.0, 100.0, 1000.0])
-    assert [r.volume for r in rows] == pytest.approx(
+    growth = cylinder_growth([10.0, 100.0, 1000.0])
+    assert growth.volumes.tolist() == pytest.approx(
         [40 * PI, 400 * PI, 4000 * PI], rel=1e-10)
-    for row in rows:
-        assert row.ric_inf == pytest.approx(0.0, abs=1e-12)
-        assert row.scalar_inf == pytest.approx(2.0, rel=1e-12)
-        # Ric_inf = 0 < eps * 2 for every positive eps: hypothesis violated
-        assert row.ric_inf < 0.05 * 2.0
+    # the infima, once for every length
+    assert growth.ric_inf == pytest.approx(0.0, abs=1e-12)
+    assert growth.scalar_inf == pytest.approx(2.0, rel=1e-12)
+    # Ric_inf = 0 < eps * 2 for every positive eps: hypothesis violated
+    assert growth.ric_inf < 0.05 * 2.0
 
 
 def test_cylinder_growth_is_each_cylinder_alone():
     # one array product for the volumes, one curvature evaluation: the bits
     # of each length's own cylinder
     lengths = [0.5, 1.0, 3.0, 1e300]
-    rows = cylinder_growth(lengths, radius=1.7)
-    for length, row in zip(lengths, rows):
+    growth = cylinder_growth(lengths, radius=1.7)
+    for length, got, volume in zip(lengths, growth.lengths, growth.volumes):
         metric = cylinder(1.7, length)
         bounds = curvature_bounds(metric)
-        assert (row.length, row.volume, row.ric_inf, row.scalar_inf) == \
+        assert (got, volume, growth.ric_inf, growth.scalar_inf) == \
             (length, total_volume(metric), bounds.ric_min, bounds.scalar_min)
+
+
+def test_cylinder_growth_of_no_lengths():
+    # no rows, and the infima that every length shares
+    growth = cylinder_growth([])
+    assert growth.lengths.shape == growth.volumes.shape == (0,)
+    assert (growth.ric_inf, growth.scalar_inf) == cylinder_growth([1.0])[2:]
 
 
 def test_cylinder_growth_validation():
@@ -370,7 +378,7 @@ def test_cylinder_growth_overflow_names_the_length():
     with np.errstate(all="raise"):
         with pytest.raises(NumericalError, match="length 1e\\+308"):
             cylinder_growth([1.0, 1e308])
-        assert cylinder_growth([1e307])[0].volume == pytest.approx(4e307 * PI)
+        assert cylinder_growth([1e307]).volumes[0] == pytest.approx(4e307 * PI)
 
 
 # --- 25-digit mpmath references ----------------------------------------------
@@ -488,17 +496,16 @@ def test_half_volume_degenerate_leg_near_cone_end():
                        min_size=1, max_size=12))
 def test_alpha_batch_invariants(values):
     eps = np.array(sorted(values + [0.5, 1.0]))
-    results = alpha_oracle(eps)
-    alpha = np.array([r.alpha_oracle for r in results])
+    result = alpha_oracle(eps)
+    alpha = result.alpha_oracle
     assert np.all(alpha[1:] <= alpha[:-1] * (1.0 + 1e-12))
     assert np.all(alpha >= np.maximum(football_family_value(eps), 1.0) * (1.0 - 1e-12))
     assert np.all(alpha[(eps == 0.5) | (eps == 1.0)] == 1.0)
     # an eps gets the same result whatever else is in its batch
-    alone = alpha_oracle(eps[::-1])[::-1]
-    counts = zip(_sign_changes(results), _sign_changes(alone))
-    for a, b, (n_a, n_b) in zip(results, alone, counts):
-        assert (a.alpha_oracle, a.z_argmax, a.switch_x, n_a) == (
-            b.alpha_oracle, b.z_argmax, b.switch_x, n_b)
+    alone = football_module.AlphaResult(*(a[::-1] for a in alpha_oracle(eps[::-1])))
+    counts = zip(_sign_changes(result), _sign_changes(alone))
+    for a, b, (n_a, n_b) in zip(zip(*result[1:]), zip(*alone[1:]), counts):
+        assert (*a, n_a) == (*b, n_b)
 
 
 def test_alpha_bits_do_not_depend_on_place_in_batch():
@@ -509,7 +516,7 @@ def test_alpha_bits_do_not_depend_on_place_in_batch():
         for place in range(size):
             eps = np.full(size, 0.5)
             eps[place] = 0.125
-            assert alpha_oracle(eps)[place].alpha_oracle == alone, (size, place)
+            assert alpha_oracle(eps).alpha_oracle[place] == alone, (size, place)
 
 
 @settings(max_examples=30, deadline=None)
@@ -517,7 +524,7 @@ def test_alpha_bits_do_not_depend_on_place_in_batch():
 @example(values=[1e-5])   # 7.4e-7 below while the ricci leg used arcsin
 def test_alpha_dominates_cone_family_at_small_eps(values):
     eps = np.array(values)
-    alpha = np.array([r.alpha_oracle for r in alpha_oracle(eps)])
+    alpha = alpha_oracle(eps).alpha_oracle
     assert np.all(alpha >= football_family_value(eps) * (1.0 - 1e-12))
 
 
@@ -602,10 +609,17 @@ def test_argmax_near_eps0_prints_the_mpmath_digits(eps, printed):
 
 
 def test_alpha_oracle_batch_shapes():
-    assert isinstance(alpha_oracle(0.1), football_module.AlphaResult)
-    batch = alpha_oracle([0.1, 1.0, 0.3])
-    assert [r.epsilon for r in batch] == [0.1, 1.0, 0.3]
-    assert alpha_oracle([]) == []
+    # floats for one eps, 1-D arrays in the sequence's order for a sequence,
+    # and four empty columns for an empty one
+    single = alpha_oracle(0.1)
+    assert isinstance(single, football_module.AlphaResult)
+    assert [type(v) for v in single] == [float] * 4
+    eps = np.array([0.1, 1.0, 0.3])
+    batch = alpha_oracle(eps)
+    eps[0] = 0.5                       # the epsilon column is the result's own
+    assert batch.epsilon.tolist() == [0.1, 1.0, 0.3]
+    assert [a.shape for a in batch] == [(3,)] * 4
+    assert [a.shape for a in alpha_oracle([])] == [(0,)] * 4
     with pytest.raises(ValidationError, match="got 0.0"):
         alpha_oracle([0.1, 0.0])
     with pytest.raises(ValidationError):
@@ -789,9 +803,9 @@ def _supremum_evaluating_every_step(eps):
     return np.where(stay, f_scan, f_best), np.where(stay, z_scan, z_best)
 
 
-def _printed(results):
-    return [tuple(format_number(v) for v in (r.alpha_oracle, r.z_argmax, r.switch_x))
-            for r in results]
+def _printed(result):
+    return [tuple(map(format_number, row))
+            for row in zip(*(a.tolist() for a in result[1:]))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -824,12 +838,12 @@ def test_alpha_from_many_threads_matches_one_thread():
     # each call owns its scratch: more threads than cores, switching every
     # few microseconds, give the bits of a serial run
     batches = [np.linspace(0.005 + 0.01 * i, 0.9, 20 + 7 * i) for i in range(6)]
-    want = [[r.alpha_oracle for r in alpha_oracle(b)] for b in batches]
+    want = [alpha_oracle(b).alpha_oracle.tolist() for b in batches]
     got = [None] * len(batches)
 
     def work(i):
         for _ in range(3):
-            got[i] = [r.alpha_oracle for r in alpha_oracle(batches[i])]
+            got[i] = alpha_oracle(batches[i]).alpha_oracle.tolist()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -873,7 +887,7 @@ def test_cone_family_crosses_one_at_closed_form():
 
 def test_alpha_dominates_cone_family_below_crossing():
     eps = _CONE_CROSSING - np.array([1e-3, 1e-4, 1e-6, 1e-9, 1e-12])
-    alpha = np.array([r.alpha_oracle for r in alpha_oracle(eps)])
+    alpha = alpha_oracle(eps).alpha_oracle
     assert np.all(football_family_value(eps) > 1.0)
     assert np.all(alpha >= football_family_value(eps) * (1.0 - 1e-12))
 
@@ -985,28 +999,28 @@ def test_alpha_is_the_cone_family_below_1e_7(values):
     # roundoff (measured: -5.6e-16 to 1.1e-15 relative); below 1.7e-205 the
     # ricci leg's scale overflows
     eps = np.array(values)
-    alpha = np.array([r.alpha_oracle for r in alpha_oracle(eps)])
+    alpha = alpha_oracle(eps).alpha_oracle
     assert np.all(np.abs(alpha / football_family_value(eps) - 1.0) <= 4e-15)
 
 
 # ---------------------------------------------------------------------------
-# football-alpha through the command line: the bytes of alpha_oracle's results
+# football-alpha through the command line: the bytes of alpha_oracle's columns
 
 
-def _alpha_text(results, parameter: str) -> str:
-    """The CSV of football-alpha built from per-eps AlphaResults, cell by
-    cell with ``format_number``; parameter is the line of --eps-grid or
-    --epsilon."""
-    switch = {format_number(r.epsilon): r.switch_x for r in results}
-    bound = min(as_written_bound(r.epsilon) for r in results)
+def _alpha_text(result, parameter: str) -> str:
+    """The CSV of football-alpha built from an AlphaResult of arrays, eps by
+    eps and cell by cell with ``format_number``; parameter is the line of
+    --eps-grid or --epsilon."""
+    rows = list(zip(*(a.tolist() for a in result)))
+    switch = {format_number(e): x for e, _, _, x in rows}
+    bound = min(as_written_bound(e) for e, *_ in rows)
     lines = ["# iso-compare football-alpha", f"# version = {__version__}",
              parameter, f"# as_written = {format_number(bound)}"]
     lines += [f"# switch_points.{key} = {format_number(switch[key])}"
               for key in sorted(switch)]
     lines.append("epsilon,alpha_oracle,alpha_as_written,z_argmax,discrepancy")
-    lines += [",".join(format_number(v) for v in (r.epsilon, r.alpha_oracle,
-                                                  math.nan, r.z_argmax, math.nan))
-              for r in results]
+    lines += [",".join(format_number(v) for v in (e, alpha, math.nan, z, math.nan))
+              for e, alpha, z, _ in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -1030,8 +1044,8 @@ _EPS_REGIONS = st.one_of(
 @example(ends=[0.999999999999999], num=2)
 def test_cli_alpha_writes_the_bytes_of_alpha_oracle(ends, num):
     # one eps is an --epsilon run, two are the ends of an --eps-grid of num
-    # eps; the handler reads the array core, and writes what the per-eps
-    # results give, which are that core bit for bit
+    # eps; the handler writes alpha_oracle's columns as the per-cell
+    # rendering of the same call writes them
     if len(ends) == 1:
         eps = np.array(ends)
         argv = ["--epsilon", repr(ends[0])]
@@ -1041,11 +1055,8 @@ def test_cli_alpha_writes_the_bytes_of_alpha_oracle(ends, num):
         eps = np.linspace(lo, hi, num)
         argv = ["--eps-grid", f"{lo!r}:{hi!r}:{num}"]
         parameter = f"# eps_grid = {format_number(lo)},{format_number(hi)},{num}"
-    results = alpha_oracle(eps.tolist())
+    result = alpha_oracle(eps.tolist())
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["football-alpha", *argv]) == 0
-    assert out.getvalue() == _alpha_text(results, parameter)
-    columns = football_module._alpha_columns(eps)
-    for got, name in zip(columns, ("alpha_oracle", "z_argmax", "switch_x")):
-        assert got.tobytes() == np.array([getattr(r, name) for r in results]).tobytes()
+    assert out.getvalue() == _alpha_text(result, parameter)

@@ -74,24 +74,24 @@ def test_profile_needs_matching_foliation_data():
 def test_ricci_mass_zero_on_round_sphere():
     prof = candidate_profile(round_sphere(3, 1.0), 257)
     mass = ricci_mass(phase_curve(prof), 2.0)
-    assert np.max(np.abs(mass.m_values)) <= 1e-6
+    assert np.max(np.abs(mass)) <= 1e-6
 
 
 def test_ricci_mass_positive_interior_small_sphere():
     # r = 1/2 has Ric = 8 > 2: mass 27 pi sin^2(t/r) > 0 strictly inside
     prof = candidate_profile(round_sphere(3, 0.5), 257)
     mass = ricci_mass(phase_curve(prof), 2.0)
-    assert mass.m_values[0] == pytest.approx(0.0, abs=1e-10)
-    assert np.all(mass.m_values[1:-1] > 0)
+    assert mass[0] == pytest.approx(0.0, abs=1e-10)
+    assert np.all(mass[1:-1] > 0)
     mid = 128
-    assert mass.m_values[mid] == pytest.approx(27 * PI, rel=1e-10)
+    assert mass[mid] == pytest.approx(27 * PI, rel=1e-10)
 
 
 def test_ricci_mass_smooth_anchor():
     for r in (0.5, 1.0, 2.0):
         prof = candidate_profile(round_sphere(3, r), 129)
         mass = ricci_mass(phase_curve(prof), 2.0)
-        assert mass.m_values[0] == pytest.approx(0.0, abs=1e-10)
+        assert mass[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_ricci_mass_football_constant():
@@ -99,7 +99,7 @@ def test_ricci_mass_football_constant():
     prof = candidate_profile(football(c0), 257)
     mass = ricci_mass(phase_curve(prof), 2.0)
     expected = 36 * PI * (1 - c0 ** 2)
-    assert np.max(np.abs(mass.m_values - expected)) <= 1e-10
+    assert np.max(np.abs(mass - expected)) <= 1e-10
 
 
 def test_ricci_mass_validation():
@@ -118,7 +118,7 @@ def test_monotone_mass_on_admissible_models(r, c0):
     prof = candidate_profile(metric, 129)
     mass = ricci_mass(phase_curve(prof), 2.0)
     first_half = prof.v_grid <= prof.total_volume / 2 * (1 + 1e-9)
-    drops = np.diff(mass.m_values[first_half])
+    drops = np.diff(mass[first_half])
     assert np.min(drops, initial=0.0) >= -1e-6
 
 
