@@ -29,13 +29,13 @@ import numpy as np
 from . import __version__
 from .config import COMMANDS, RunConfig, read_pairs, validate
 from .errors import ConfigError, NumericalError, ValidationError
-from .football import alpha_oracle, as_written_bound, cylinder_growth, epsilon0
+from .football import alpha_oracle, as_written_bound, epsilon0
 from .gmt import (RadiusFamily, cone_over_circle, cutoff_budget,
                   monotonicity_profile, unit_circle, unit_sphere)
 from .phase_plane import extremal_path, phase_curve, ricci_mass, volume_from_path
 from .variation import stencil_table
-from .warped import (WarpedMetric, candidate_profile, cylinder, football,
-                     round_sphere, tabulated)
+from .warped import (WarpedMetric, candidate_profile, cylinder,
+                     cylinder_growth, football, round_sphere, tabulated)
 
 
 def format_number(x) -> str:
@@ -88,8 +88,7 @@ def _run_profile(opts):
 
 def _run_variation_check(opts):
     metric = build_metric(opts)
-    table = stencil_table(metric, opts["t"], opts.get("h", 1e-3 * metric.t_max),
-                          opts.get("levels", 3))
+    table = stencil_table(metric, opts["t"], opts.get("h"), opts.get("levels", 3))
     columns = ["t", "h", "residual_first", "residual_h_dot", "residual_second",
                "order"]
     return columns, table.rows(), {}

@@ -71,14 +71,12 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .phase_plane import start_height
-from .quadrature import sqrt_endpoint
-from .warped import _volume, curvature_bounds, cylinder, sin_squared_integral
+from .quadrature import sin_squared_integral, sqrt_endpoint
 
 __all__ = [
     "EULER_CHARACTERISTIC_SPHERE", "GAUSS_BONNET_TOTAL",
-    "AlphaResult", "Epsilon0Bracket", "CylinderGrowth",
-    "alpha_oracle", "as_written_bound",
-    "epsilon0", "cylinder_growth",
+    "AlphaResult", "Epsilon0Bracket",
+    "alpha_oracle", "as_written_bound", "epsilon0",
 ]
 
 # Gauss-Bonnet total curvature of a connected genus-0 isoperimetric slice:
@@ -179,7 +177,7 @@ def _scalar_leg_integral(u0, length, k, excess):
         spare *= v
         np.divide(spare, leg, out=leg)
 
-    return sqrt_endpoint(g, -length, 0.0, 0.0, integrands=2)
+    return sqrt_endpoint(g, length)
 
 
 def _half_volume_at(eps):
@@ -435,7 +433,7 @@ def as_written_bound(epsilon):
 
 
 # ---------------------------------------------------------------------------
-# the threshold constant and the cylinder counterexample
+# the threshold constant
 
 
 @dataclass
@@ -491,42 +489,3 @@ def epsilon0(method: str = "oracle", tol: float = 5e-4) -> Epsilon0Bracket:
         iterations += 1
     return Epsilon0Bracket(lo=lo, hi=hi, iterations=iterations, method=method,
                            evaluations=evals)
-
-
-class CylinderGrowth(NamedTuple):
-    """Volumes of the cylinders [0, N] x S^2, one per length N, and the
-    curvature infima, which every length shares."""
-
-    lengths: np.ndarray
-    volumes: np.ndarray
-    ric_inf: float
-    scalar_inf: float
-
-
-def cylinder_growth(lengths, radius: float = 1.0) -> CylinderGrowth:
-    """Volumes and curvature infima of unit-sphere cylinders [0, N] x S^2.
-
-    Volume grows linearly in N while the minimal Ricci eigenvalue stays 0, so
-    no positive Ricci fraction is ever satisfied: the scalar floor alone
-    cannot bound volume.
-    """
-    lengths = list(lengths)
-    if any(l <= 0 for l in lengths):
-        raise ValidationError("cylinder lengths must be positive")
-    if any(b <= a for a, b in zip(lengths, lengths[1:])):
-        raise ValidationError("cylinder lengths must be increasing")
-    # one cylinder: its volume, linear in t, is every length's in one array
-    # product, and its curvatures, constant, are those of every length
-    metric = cylinder(radius, 1.0)
-    column = np.array(lengths, dtype=float)
-    try:
-        volumes = _volume(metric, column)
-    except NumericalError as err:
-        for length in lengths:          # the first length whose volume overflows
-            try:
-                _volume(metric, length)
-            except NumericalError:
-                raise NumericalError(f"at length {length:g}, {err}") from None
-        raise
-    bounds = curvature_bounds(metric)
-    return CylinderGrowth(column, volumes, bounds.ric_min, bounds.scalar_min)

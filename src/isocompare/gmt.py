@@ -10,12 +10,14 @@ cone is the dilation-invariant singularity model.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .warped import sin_power_integral, sphere_area
+from .quadrature import sin_power
+from .warped import sphere_area
 
 __all__ = [
     "MonotonicityCase", "MonotonicityProfile", "RadiusFamily", "CutoffBudget",
@@ -49,7 +51,7 @@ class MonotonicityCase:
         # spherical cap cut by a chord-radius rho ball about a surface point;
         # the chord 2 sin(theta/2) resolves small caps, unlike cos theta
         theta = np.array([2.0 * math.asin(min(r / 2.0, 1.0)) for r in rho.tolist()])
-        return sphere_area(self.m - 1) * sin_power_integral(self.m - 1, theta)
+        return sphere_area(self.m - 1) * sin_power(self.m - 1, theta)
 
 
 def _check_grid(rho_grid) -> np.ndarray:
@@ -98,7 +100,11 @@ def monotonicity_profile(case: MonotonicityCase) -> MonotonicityProfile:
     arcsin are taken per radius with ``math``: numpy's array versions are an
     ulp off on some inputs, enough to move a printed digit.  A factor that
     overflows a double, e^(lambda rho) at the largest radius or rho^(-m) at
-    the smallest, is a NumericalError that names its inputs."""
+    the smallest, is a NumericalError that names its inputs.  So is a
+    sample that is not a positive normal double, the profile being positive
+    at every radius: the weight's product overflowing against a mass that
+    underflows to 0 (nan), or either one underflowing (0 or subnormal).
+    The error names the first such radius and the case's keys."""
     rho = case.rho_grid
     clamped = rho > case.diameter
     try:
@@ -113,7 +119,19 @@ def monotonicity_profile(case: MonotonicityCase) -> MonotonicityProfile:
         dim = "sphere_dim" if case.kind == "sphere" else "m"
         raise NumericalError(f"rho^(-m) overflows a double at rho_min = {lo!r}, "
                              f"{dim} = {case.m}") from None
-    values = np.array(weight) * case.ball_mass(np.minimum(rho, case.diameter))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.array(weight) * case.ball_mass(np.minimum(rho, case.diameter))
+    bad = ~((values >= sys.float_info.min) & (values <= sys.float_info.max))
+    if bad.any():
+        k = int(np.argmax(bad))
+        keys = [f"lambda = {case.lambda_!r}"]
+        if case.kind == "sphere":
+            keys.append(f"sphere_dim = {case.m}")
+        elif case.kind == "cone":
+            keys.append(f"angle = {case.angle!r}")
+        raise NumericalError(
+            f"the profile at rho = {float(rho[k])!r} is {float(values[k]):g}, not "
+            f"a positive normal double, at {', '.join(keys)}")
     return MonotonicityProfile(values=values, clamped=clamped)
 
 

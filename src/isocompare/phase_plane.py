@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPathError, NumericalError, ValidationError
-from .warped import Profile, log_sphere_area, sin_power_integral, sphere_area
+from .quadrature import sin_power
+from .warped import Profile, log_sphere_area, sphere_area
 
 __all__ = [
     "PhaseCurve", "PhasePath",
@@ -97,6 +98,17 @@ def ricci_mass(curve: PhaseCurve, ric0: float) -> np.ndarray:
     return y0_sq - curve.y ** 2 - mass_coefficient(n, ric0) * curve.x ** (2.0 / n)
 
 
+def _in_range(value, what: str, n: int, ric0: float):
+    """value if it is a normal double, else a NumericalError naming what
+    left the range (below it a 12-digit print carries unsound digits)."""
+    if not np.isfinite(value):
+        raise NumericalError(f"{what} overflows a double at n = {n}, ric0 = {ric0:g}")
+    if value < sys.float_info.min:
+        raise NumericalError(
+            f"{what} is below the normal doubles at n = {n}, ric0 = {ric0:g}")
+    return value
+
+
 @dataclass
 class PhasePath:
     """Extremal constant-mass path from (0, y0) to (x0, 0), kept as its
@@ -126,13 +138,7 @@ def extremal_path(n: int, ric0: float, m0: float) -> PhasePath:
     b = mass_coefficient(n, ric0)
     c = y0_sq - m0
     with np.errstate(over="ignore"):  # a Python float would raise instead
-        x0 = np.float64(c / b) ** (n / 2.0)
-    if not np.isfinite(x0):
-        raise NumericalError(
-            f"path end x0 overflows a double at n = {n}, ric0 = {ric0:g}")
-    if x0 < sys.float_info.min:
-        raise NumericalError(
-            f"path end x0 is below the normal doubles at n = {n}, ric0 = {ric0:g}")
+        x0 = _in_range(np.float64(c / b) ** (n / 2.0), "path end x0", n, ric0)
     # exact start height on the zero-mass path, not sqrt(y0^2) roundoff
     y_start = start_height(n) if m0 == 0.0 else math.sqrt(c)
     return PhasePath(m0=m0, x0=x0, y0=y_start, n=n, ric0=ric0)
@@ -146,15 +152,9 @@ def volume_from_path(path: PhasePath) -> float:
     n = path.n
     u0 = path.x0 ** (1.0 / n)
     with np.errstate(over="ignore"):
-        half = (n * u0 ** (n - 1) / math.sqrt(mass_coefficient(n, path.ric0))
-                * sin_power_integral(n - 1, 0.5 * math.pi))
-        if not np.isfinite(2.0 * half):
-            raise NumericalError(
-                f"volume overflows a double at n = {n}, ric0 = {path.ric0:g}")
-        if 2.0 * half < sys.float_info.min:
-            raise NumericalError(
-                f"volume is below the normal doubles at n = {n}, ric0 = {path.ric0:g}")
-    return float(2.0 * half)
+        volume = 2.0 * (n * u0 ** (n - 1) / math.sqrt(mass_coefficient(n, path.ric0))
+                        * sin_power(n - 1, 0.5 * math.pi))
+    return float(_in_range(volume, "volume", n, path.ric0))
 
 
 def bishop_bound(n: int, ric0: float) -> float:

@@ -9,15 +9,16 @@ alone held the 32-node ``sin_power`` at m = 64 to 1.7e-14 instead of 3.4e-15.
 
 ``sqrt_endpoint``: both volume bounds of the package are half-volumes,
 integrals of dx / y along phase-plane paths, and each is smooth apart from
-one inverse-square-root zero at the end of the path.  Written as
+one inverse-square-root zero at the end of the path.  Written on [-L, 0],
+with the zero at 0, as
 
-    int_a^b g(x) (c - x)^(-1/2) dx,    a <= b <= c, g smooth on [a, c],
+    int_(-L)^0 g(x) (-x)^(-1/2) dx,    g smooth on [-L, 0],
 
-the substitution x = c - w^2 turns it into 2 int g(c - w^2) dw over
-[sqrt(c - b), sqrt(c - a)], a smooth integral in w, which one fixed rule
-integrates to double precision.  One call may integrate several such g on
-the same abscissae: alpha's half volume and its z-derivative, whose
-integrand is the leg's differentiated under the integral in w.  NODES is
+the substitution x = -w^2 turns it into 2 int_0^sqrt(L) g(-w^2) dw, a
+smooth integral in w, which one fixed rule integrates to double precision.
+Each call integrates two such g on the same abscissae: alpha's half volume
+and its z-derivative, whose integrand is the leg's differentiated under the
+integral in w.  NODES is
 the smallest count at which the scalar leg of alpha reaches its roundoff
 floor: worst relative error against 30-digit mpmath over ten z in the
 bracket (graded toward z_lo, plus the maximizer) at each eps in
@@ -33,12 +34,12 @@ relative off 40-digit mpmath and dV/dz up to 1.7e-11, against
 about 1e-16 elsewhere.  No printed digit moves, since the maximizer is
 never there.
 
-The rule runs node-major and in place.  For intervals of shape ``shape``
+The rule runs node-major and in place.  For lengths of shape ``shape``
 the abscissae are one (NODES, *shape) array, so every elementwise step, and
 the integrand ``g``, which writes through ``out=``, runs over the
 contiguous batch axis instead of broadcasting against a 16-long inner axis.
-Each call takes its own scratch, one (2 + integrands, NODES, *shape) array
-that holds the abscissae, a spare and the integrands' values, so the
+Each call takes its own scratch, one (4, NODES, *shape) array that holds
+the abscissae, a spare and the two integrands' values, so the
 integral is reentrant and thread-safe.  The in-place integrand pays: with
 the scalar leg of alpha written as plain expressions, a 66-eps supremum
 took 1.43 ms against 1.04 ms (in process, best of five runs of 200 calls,
@@ -58,7 +59,10 @@ SkylakeX, Haswell, Sandybridge, Zen, Prescott, Nehalem, Core2, Atom,
 Penryn and Barcelona kernels (``OPENBLAS_CORETYPE``), and with numpy's
 AVX-512 loops disabled.
 
-``sin_power``: int_0^theta sin^m for 0 <= theta <= pi, one rule in theta on
+``sin_power``: int_0^theta sin^m, theta clipped to [0, pi].  m = 2 is the
+closed form (x - sin x) / 4 at x = 2 theta, with the odd Taylor series of
+x - sin x below x = 1, where the difference cancels
+(``sin_squared_integral``).  Any other m is one rule in theta on
 [0, phi], phi = min(theta, pi - theta), reflected about pi/2 as
 2 half - part, where half = int_0^(pi/2) sin^m is the Wallis integral, which
 is also the value at pi/2 exactly.  The integrand peaks at pi/2 with width
@@ -97,12 +101,16 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["NODES", "gauss_legendre", "sin_power", "sqrt_endpoint"]
+__all__ = ["NODES", "gauss_legendre", "sin_power", "sin_squared_integral",
+           "sqrt_endpoint"]
 
 NODES = 16
 
 # (largest power m, node count), from the table in the module docstring
 _SIN_POWER_NODES = ((12, 16), (48, 24), (112, 32), (256, 48), (512, 64))
+
+# x - sin x = x^3 sum_j (-1)^j x^(2j) / (2j + 3)!, to within an ulp for x < 1
+_X_MINUS_SIN = [(-1) ** j / math.factorial(2 * j + 3) for j in range(10)][::-1]
 
 
 def _legendre(n: int, x):
@@ -139,38 +147,34 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x_out, w_out
 
 
-def sqrt_endpoint(g, a, b, c, integrands: int = 1):
-    """int_a^b g(x) / sqrt(c - x) dx for c >= b, elementwise over the
-    broadcast shape of a, b and c.
+def sqrt_endpoint(g, length):
+    """The two integrals int_(-L)^0 g(x) / sqrt(-x) dx of g's two integrands,
+    elementwise over the shape of the lengths L >= 0: an array of shape
+    (2, *shape).
 
-    g(x, spare, out) writes the integrand's values at the node-major
-    abscissae x, of shape (NODES, *shape), into out, of the same shape.
-    x and spare are scratch that g may overwrite, and out may serve as
-    scratch before the values go in; all three are views of this call's
-    scratch, valid only during the call.  g may call back into the library,
-    ``sqrt_endpoint`` included.  g is evaluated at x = c only on an interval
-    of length zero ending at c, where its value is multiplied by 0.
-
-    With ``integrands`` k > 1, g writes k integrands on the same abscissae
-    into out of shape (k, NODES, *shape), and the result has shape
-    (k, *shape).  Each integrand's weighted sum is taken on its own, so
-    the first gets the bits of a one-integrand call, and an interval's
-    value does not depend on its place in the batch.
+    g(x, spare, out) writes both integrands' values at the node-major
+    abscissae x, of shape (NODES, *shape), into out, of shape
+    (2, NODES, *shape).  x and spare are scratch that g may overwrite, and
+    out may serve as scratch before the values go in; all three are views
+    of this call's scratch, valid only during the call.  g may call back
+    into the library, ``sqrt_endpoint`` included.  g is evaluated at x = 0
+    only where L = 0, where its values are multiplied by 0.  Each
+    integrand's weighted sum is taken on its own, so an interval's value
+    does not depend on its place in the batch.
     """
-    w_lo, w_hi = np.sqrt(c - b), np.sqrt(c - a)
-    width = w_hi - w_lo
+    width = np.sqrt(length)                 # the rule runs on [0, sqrt(L)] in w
     shape = width.shape
     t, weights = gauss_legendre(NODES)
-    scratch = np.empty((2 + integrands, NODES) + shape)
+    scratch = np.empty((4, NODES) + shape)
     x, spare, out = scratch[0], scratch[1], scratch[2:]
     np.copyto(x, t.reshape((NODES,) + (1,) * len(shape)))
     x *= 0.5 * width
-    x += 0.5 * (w_hi + w_lo)
+    x += 0.5 * width
     x *= x
-    np.subtract(c, x, out=x)
-    result = np.empty((integrands,) + shape)
+    np.subtract(0.0, x, out=x)              # x = -w^2, and +0 at w = 0
+    result = np.empty((2,) + shape)
     with np.errstate(invalid="ignore", divide="ignore"):
-        g(x, spare, out[0] if integrands == 1 else out)
+        g(x, spare, out)
         out *= weights.reshape((NODES,) + (1,) * len(shape))
         # the nodes' terms summed by halving, the same tree for every interval
         n = NODES
@@ -184,7 +188,7 @@ def sqrt_endpoint(g, a, b, c, integrands: int = 1):
         raise QuadratureError(
             f"endpoint integral is not finite on {np.count_nonzero(bad)} "
             f"of {bad.size} intervals")
-    return result[0] if integrands == 1 else result
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -207,11 +211,13 @@ def _half_sin_power(m: int) -> float:
 
 
 def sin_power(m: int, theta):
-    """int_0^theta sin^m for 0 <= theta <= pi, elementwise, with the node
-    count the module docstring's table gives m (64 above m = 512).  Where
-    theta is pi/2 exactly the result is the Wallis integral, and an input
-    that is pi/2 throughout builds no rule."""
-    theta = np.asarray(theta, dtype=float)
+    """int_0^theta sin^m, elementwise, theta clipped to [0, pi]: the closed
+    form at m = 2, else the rule with the node count the module docstring's
+    table gives m (64 above m = 512), and the Wallis integral where theta is
+    pi/2 exactly, with no rule built for an input that is pi/2 throughout."""
+    theta = np.clip(np.asarray(theta, dtype=float), 0.0, math.pi)
+    if m == 2:
+        return sin_squared_integral(theta)
     half = _half_sin_power(m)
     at_half = theta == 0.5 * math.pi
     if at_half.all():
@@ -221,3 +227,14 @@ def sin_power(m: int, theta):
     h = 0.5 * np.minimum(theta, math.pi - theta)
     part = h * (np.sin(h[..., None] * (1.0 + t)) ** m @ weights)
     return np.where(at_half, half, np.where(theta > 0.5 * math.pi, 2.0 * half - part, part))
+
+
+def sin_squared_integral(theta):
+    """``sin_power(2, theta)`` without the clip, for callers whose theta
+    lies in [0, pi] by construction."""
+    x = 2.0 * theta
+    y = x * x
+    series = _X_MINUS_SIN[0]
+    for coefficient in _X_MINUS_SIN[1:]:
+        series = series * y + coefficient
+    return 0.25 * np.where(x < 1.0, series * y * x, x - np.sin(x))

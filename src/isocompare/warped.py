@@ -15,9 +15,10 @@ plus tabulated warps interpolated monotonically (``MonotoneCubic``, PCHIP)
 on an interior window.
 
 Each warp integrates its own powers exactly (``power_integral``): the closed
-warps through ``sin_power_integral`` (a closed form for sin^2, otherwise a
-fixed Gauss-Legendre rule in theta from ``quadrature``), tabulated warps by
-Gauss-Legendre rules that are exact on the interpolant's cubic pieces.
+warps through ``quadrature.sin_power``, tabulated warps by Gauss-Legendre
+rules that are exact on the interpolant's cubic pieces.  The cylinders
+[0, N] x S^2 of ``cylinder_growth`` are the counterexample to a volume bound
+from the scalar floor alone.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .quadrature import gauss_legendre, sin_power
 __all__ = [
     "WarpedMetric", "CurvatureBounds", "Profile",
     "MonotoneCubic", "round_sphere", "football", "cylinder", "tabulated",
-    "sin_power_integral", "sin_squared_integral", "sphere_area",
-    "log_sphere_area", "Pointwise", "pointwise",
+    "sphere_area", "log_sphere_area", "Pointwise", "pointwise",
     "curvature_bounds", "total_volume", "candidate_profile",
+    "CylinderGrowth", "cylinder_growth",
 ]
 
 
@@ -68,42 +69,6 @@ def log_sphere_area(dim: int) -> float:
     """Natural logarithm of ``sphere_area(dim)``, finite for every dim >= 0."""
     a = (dim + 1) / 2.0
     return math.log(2.0) + a * math.log(math.pi) - math.lgamma(a)
-
-
-# x - sin x = x^3 sum_j (-1)^j x^(2j) / (2j + 3)!, to within an ulp for x < 1
-_X_MINUS_SIN = [(-1) ** j / math.factorial(2 * j + 3) for j in range(10)][::-1]
-
-
-def sin_power_integral(m: int, theta):
-    """Integral of sin^m over [0, theta], theta clipped to [0, pi].
-
-    m = 2 is the closed form (x - sin x) / 4 at x = 2 theta, with the odd
-    Taylor series of x - sin x below x = 1, where the difference cancels.
-    Any other m is ``quadrature.sin_power``: a fixed Gauss-Legendre rule in
-    theta on [0, min(theta, pi - theta)], reflected about pi/2 through
-    half = int_0^(pi/2) sin^m (a Wallis integral, cached per m), which is
-    also the value at theta = pi/2 exactly.  Against
-    40-digit mpmath the relative error is within 6e-16 for m <= 8 and about
-    m * 4e-17 up to m = 512 (2.9e-14 there); above m = 512 it grows, 7.9e-10
-    at m = 768, except at pi/2 (see ``quadrature``).  Results below the
-    normal doubles lose digits and underflow to 0.
-    """
-    th = np.clip(np.asarray(theta, dtype=float), 0.0, math.pi)
-    if m == 2:
-        return sin_squared_integral(th)
-    return sin_power(m, th)
-
-
-def sin_squared_integral(theta):
-    """Integral of sin^2 over [0, theta] for theta already in [0, pi]:
-    ``sin_power_integral(2, theta)`` without the clip, for callers whose
-    theta lies there by construction."""
-    x = 2.0 * theta
-    y = x * x
-    series = _X_MINUS_SIN[0]
-    for coefficient in _X_MINUS_SIN[1:]:
-        series = series * y + coefficient
-    return 0.25 * np.where(x < 1.0, series * y * x, x - np.sin(x))
 
 
 class MonotoneCubic:
@@ -201,7 +166,7 @@ class _FootballWarp:
     def power_integral(self, t, m: int):
         r = self.radius
         return (r ** (m + 1) * self.cone_factor ** m
-                * sin_power_integral(m, np.asarray(t, dtype=float) / r))
+                * sin_power(m, np.asarray(t, dtype=float) / r))
 
 
 @dataclass(frozen=True)
@@ -467,6 +432,45 @@ def _volume(metric: WarpedMetric, t):
     return volume
 
 
+class CylinderGrowth(NamedTuple):
+    """Volumes of the cylinders [0, N] x S^2, one per length N, and the
+    curvature infima, which every length shares."""
+
+    lengths: np.ndarray
+    volumes: np.ndarray
+    ric_inf: float
+    scalar_inf: float
+
+
+def cylinder_growth(lengths, radius: float = 1.0) -> CylinderGrowth:
+    """Volumes and curvature infima of unit-sphere cylinders [0, N] x S^2.
+
+    Volume grows linearly in N while the minimal Ricci eigenvalue stays 0, so
+    no positive Ricci fraction is ever satisfied: the scalar floor alone
+    cannot bound volume.
+    """
+    lengths = list(lengths)
+    if any(l <= 0 for l in lengths):
+        raise ValidationError("cylinder lengths must be positive")
+    if any(b <= a for a, b in zip(lengths, lengths[1:])):
+        raise ValidationError("cylinder lengths must be increasing")
+    # one cylinder: its volume, linear in t, is every length's in one array
+    # product, and its curvatures, constant, are those of every length
+    metric = cylinder(radius, 1.0)
+    column = np.array(lengths, dtype=float)
+    try:
+        volumes = _volume(metric, column)
+    except NumericalError as err:
+        for length in lengths:          # the first length whose volume overflows
+            try:
+                _volume(metric, length)
+            except NumericalError:
+                raise NumericalError(f"at length {length:g}, {err}") from None
+        raise
+    bounds = curvature_bounds(metric)
+    return CylinderGrowth(column, volumes, bounds.ric_min, bounds.scalar_min)
+
+
 # ---------------------------------------------------------------------------
 # candidate profiles
 
@@ -483,7 +487,6 @@ class Profile:
     n: int
     v_grid: np.ndarray
     a_values: np.ndarray
-    total_volume: float
     t_grid: np.ndarray
     warp_slope: np.ndarray
 
@@ -501,6 +504,11 @@ class Profile:
             raise ValidationError("profile areas must be nonnegative")
         if self.n < 3:
             raise ValidationError(f"profile dimension must be >= 3, got {self.n}")
+
+    @property
+    def total_volume(self) -> float:
+        """The volume at the last sample, the model's whole volume."""
+        return float(self.v_grid[-1])
 
 
 def candidate_profile(metric: WarpedMetric, grid_size: int = 257) -> Profile:
@@ -531,5 +539,5 @@ def candidate_profile(metric: WarpedMetric, grid_size: int = 257) -> Profile:
             f"volume samples are not strictly increasing: V stops increasing at "
             f"t={ts[np.argmax(stalled)]:g} (n={n}, grid_size={grid_size}), where "
             "a grid cell is below the volume's resolution")
-    return Profile(n=n, v_grid=vols, a_values=areas, total_volume=float(vols[-1]),
-                   t_grid=ts, warp_slope=np.asarray(f1, dtype=float).copy())
+    return Profile(n=n, v_grid=vols, a_values=areas, t_grid=ts,
+                   warp_slope=np.asarray(f1, dtype=float).copy())

@@ -403,6 +403,33 @@ def test_cli_overflow_exits_3(tmp_path, capsys, command, config, key):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("config, key", [
+    ("case = sphere\nsphere_dim = 700\nlambda = 200\nrho_min = 0.4\n"
+     "rho_max = 0.6\nrho_n = 3\n",
+     "rho = 0.4 is nan, not a positive normal double, at lambda = 200.0, "
+     "sphere_dim = 700"),
+    ("case = sphere\nsphere_dim = 450\nlambda = 1\nrho_min = 0.5\n"
+     "rho_max = 1.5\n", "rho = 0.5 is 0, not a positive normal double, at "
+     "lambda = 1.0, sphere_dim = 450"),
+    ("case = circle\nlambda = -2000\n",
+     "is 6.56573e-311, not a positive normal double, at lambda = -2000.0"),
+], ids=["nan", "zero", "subnormal"])
+def test_cli_monotonicity_cell_out_of_range_exits_3(tmp_path, capsys, config, key):
+    # the profile is positive at every radius; a weight that overflows
+    # against a cap area of 0 printed nan (with an invalid-value warning),
+    # an area or weight that underflows printed 0 or a subnormal, each with
+    # exit 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = monotonicity\n{config}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["monotonicity", "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("command, config, flags, code, key", [
     ("cutoff-budget", "n = 9\ndelta = 0.1\nc0 = 1\nc = 1e308\nradii = 0.05\n",
      [], 3, "c = 1e+308, c0 = 1.0, h = 0.0, delta = 0.1"),

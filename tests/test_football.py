@@ -15,8 +15,9 @@ from isocompare.cli import format_number, main
 from isocompare.errors import NumericalError, QuadratureError, ValidationError
 from isocompare.football import (EULER_CHARACTERISTIC_SPHERE,
                                  GAUSS_BONNET_TOTAL, alpha_oracle,
-                                 as_written_bound, cylinder_growth, epsilon0)
-from isocompare.warped import (curvature_bounds, cylinder, sin_power_integral,
+                                 as_written_bound, epsilon0)
+from isocompare.quadrature import sin_power
+from isocompare.warped import (curvature_bounds, cylinder, cylinder_growth,
                                total_volume)
 
 # the package's football() function shadows the module of the same name
@@ -683,7 +684,7 @@ def _half_volume_expression_form(eps, z):
     one_minus_r = one_minus_q / (1.0 + r + r * r)
     y_sq = 9.0 * z_max * one_minus_r * (1.0 + r)
     theta = np.arctan2(u_sw * root_b, np.sqrt(y_sq))
-    ricci_leg = scale * (b * u_sw * u_sw + y_sq) * sin_power_integral(2, theta)
+    ricci_leg = scale * (b * u_sw * u_sw + y_sq) * sin_power(2, theta)
     length = np.where(near, delta + root_lo * one_minus_r, root - u_sw)
     u0, excess = root[..., None], (3.0 * d + slope_lo)[..., None]
 

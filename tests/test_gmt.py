@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isocompare.errors import NumericalError
 from isocompare.gmt import (RadiusFamily, cone_over_circle, cutoff_budget,
                             monotonicity_profile, unit_circle, unit_sphere)
 
@@ -115,6 +117,24 @@ def test_ball_mass_is_per_radius():
         masses = case.ball_mass(rho)
         assert masses.shape == rho.shape
         assert [float(case.ball_mass(r)[0]) for r in rho] == masses.tolist()
+
+
+@pytest.mark.parametrize("dim", [2, 100, 300, 440, 450, 700])
+@pytest.mark.parametrize("lambda_", [-2000.0, -50.0, 1.0, 200.0])
+def test_profile_is_positive_normal_or_an_error(dim, lambda_):
+    # the profile is positive at every radius: a sample that a double cannot
+    # hold as a positive normal number (nan, inf, 0, subnormal) is a
+    # NumericalError naming lambda and sphere_dim, never a returned value.
+    # From rho = 1/2 each factor of the weight is a double
+    rho = np.linspace(0.5, 2.0, 16)
+    try:
+        values = monotonicity_profile(unit_sphere(lambda_, rho, dim=dim)).values
+    except NumericalError as err:
+        assert f"not a positive normal double, at lambda = {lambda_!r}, " \
+               f"sphere_dim = {dim}" in str(err)
+        assert dim >= 300 or lambda_ < 0.0
+        return
+    assert np.all((values >= sys.float_info.min) & (values <= sys.float_info.max))
 
 
 def test_cutoff_budget_single_radius():

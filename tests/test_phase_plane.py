@@ -53,22 +53,24 @@ def test_phase_curve_sphere_values():
 def test_phase_curve_positivity_validation():
     v = np.linspace(0.0, 1.0, 8)
     a = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0])
-    prof = Profile(n=3, v_grid=v, a_values=a, total_volume=1.0, t_grid=v,
-                   warp_slope=np.ones(8))
+    prof = Profile(n=3, v_grid=v, a_values=a, t_grid=v, warp_slope=np.ones(8))
     with pytest.raises(ValidationError):
         phase_curve(prof)
 
 
 def test_profile_needs_matching_foliation_data():
     # the phase slope is exact from f'(t): a profile carries its t-grid and
-    # warp slope, one per volume sample
+    # warp slope, one per volume sample; its total volume is its last one
     src = candidate_profile(round_sphere(3, 1.0), 16)
-    fields = dict(n=3, v_grid=src.v_grid, a_values=src.a_values,
-                  total_volume=src.total_volume)
+    fields = dict(n=3, v_grid=src.v_grid, a_values=src.a_values)
     with pytest.raises(TypeError):
         Profile(**fields)
     with pytest.raises(ValidationError, match="matching"):
         Profile(**fields, t_grid=src.t_grid, warp_slope=src.warp_slope[1:])
+    assert src.total_volume == float(src.v_grid[-1])
+    with pytest.raises(TypeError):
+        Profile(**fields, total_volume=1.0, t_grid=src.t_grid,
+                warp_slope=src.warp_slope)
 
 
 def test_ricci_mass_zero_on_round_sphere():

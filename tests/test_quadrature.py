@@ -9,66 +9,74 @@ from isocompare.quadrature import NODES, gauss_legendre, sin_power, sqrt_endpoin
 
 
 def test_sqrt_endpoint_closed_forms_over_arrays():
-    # int_a^b x (c - x)^(-1/2) dx = G(a) - G(b), G(x) = 2/3 sqrt(c - x) (x + 2c)
-    a = np.array([0.0, 0.5, 1.0, 2.0])
-    b = np.array([1.0, 1.0, 1.5, 3.0])
-    c = np.array([1.0, 2.0, 1.5, 10.0])
+    # int_(-L)^0 (-x)^(-1/2) dx = 2 sqrt(L), int_(-L)^0 x (-x)^(-1/2) dx
+    # = -(2/3) L^(3/2); a length of zero integrates to 0
+    length = np.array([[0.0, 0.25], [1.0, 2.0], [7.5, 10.0]])
 
-    def anti(x):
-        return 2.0 / 3.0 * np.sqrt(c - x) * (x + 2.0 * c)
+    def g(x, spare, out):
+        out[0].fill(1.0)
+        np.copyto(out[1], x)
 
-    got = sqrt_endpoint(lambda x, spare, out: np.copyto(out, x), a, b, c)
-    assert got.shape == a.shape
-    assert np.allclose(got, anti(a) - anti(b), rtol=1e-14, atol=0.0)
-    assert sqrt_endpoint(lambda x, spare, out: out.fill(1.0), 0.0, 1.0, 1.0) == \
-        pytest.approx(2.0, rel=1e-15)
+    got = sqrt_endpoint(g, length)
+    assert got.shape == (2,) + length.shape
+    assert np.allclose(got[0], 2.0 * np.sqrt(length), rtol=1e-14, atol=0.0)
+    assert np.allclose(got[1], -2.0 / 3.0 * length ** 1.5, rtol=1e-14, atol=0.0)
+    assert got[0, 0, 0] == got[1, 0, 0] == 0.0
+    one, _ = sqrt_endpoint(g, 1.0)
+    assert one == pytest.approx(2.0, rel=1e-15)
 
 
 def test_sqrt_endpoint_exact_for_polynomials_in_w():
-    # with x = c - w^2 a polynomial g of degree NODES - 1 in x has degree
+    # with x = -w^2 a polynomial g of degree NODES - 1 in x has degree
     # 2 NODES - 2 in w, inside the rule's exactness
     m = NODES - 1
-    got = sqrt_endpoint(lambda x, spare, out: np.power(1.0 - x, m, out=out),
-                        0.0, 1.0, 1.0)
-    assert got == pytest.approx(2.0 / (2 * m + 1), rel=1e-14)
+
+    def g(x, spare, out):
+        np.negative(x, out=spare)
+        np.power(spare, m, out=out[0])
+        np.power(spare, m - 1, out=out[1])
+
+    got = sqrt_endpoint(g, 1.0)
+    assert got[0] == pytest.approx(2.0 / (2 * m + 1), rel=1e-14)
+    assert got[1] == pytest.approx(2.0 / (2 * m - 1), rel=1e-14)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sqrt_endpoint_integrates_two_integrands_on_one_rule():
-    # the first integrand gets the bits of a call on its own, the second its
-    # closed form; an interval counts once when either is not finite
-    a = np.array([[0.0, 0.5], [1.0, 2.0]])
-    b = np.array([[1.0, 1.0], [1.5, 3.0]])
-    c = np.array([[1.0, 2.0], [1.5, 10.0]])
-
-    def first(x, spare, out):
-        np.multiply(x, x, out=out)
+    # each integrand's sum is its own: swapping the two swaps the results
+    # bit for bit, and each has its closed form; an interval counts once
+    # when either is not finite
+    length = np.array([[1.0, 0.5], [0.25, 2.0]])
 
     def both(x, spare, out):
-        first(x, spare, out[0])
+        np.multiply(x, x, out=out[0])
         np.copyto(out[1], x)
 
-    def anti(x):
-        return 2.0 / 3.0 * np.sqrt(c - x) * (x + 2.0 * c)
+    def swapped(x, spare, out):
+        both(x, spare, out[::-1])
 
-    got = sqrt_endpoint(both, a, b, c, integrands=2)
-    assert got.shape == (2,) + a.shape
-    assert np.array_equal(got[0], sqrt_endpoint(first, a, b, c))
-    assert np.allclose(got[1], anti(a) - anti(b), rtol=1e-14, atol=0.0)
+    got = sqrt_endpoint(both, length)
+    assert got.shape == (2,) + length.shape
+    assert np.array_equal(got, sqrt_endpoint(swapped, length)[::-1])
+    assert np.allclose(got[0], 0.4 * length ** 2.5, rtol=1e-14, atol=0.0)
+    assert np.allclose(got[1], -2.0 / 3.0 * length ** 1.5, rtol=1e-14, atol=0.0)
 
     def blows_up(x, spare, out):
-        np.sqrt(x - 0.9, out=out[0])         # nan on [0, 1] and [0.5, 1]
-        np.sqrt(x - 0.4, out=out[1])         # nan on [0, 1] alone
+        np.sqrt(x + 0.6, out=out[0])         # nan at L = 1 and L = 2
+        np.sqrt(x + 1.5, out=out[1])         # nan at L = 2 alone
 
     with pytest.raises(QuadratureError, match="not finite on 2 of 4"):
-        sqrt_endpoint(blows_up, a, b, c, integrands=2)
+        sqrt_endpoint(blows_up, length)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sqrt_endpoint_rejects_nonfinite_values():
+    def g(x, spare, out):
+        np.divide(1.0, np.sqrt(x + 0.5), out=out[0])
+        out[1].fill(1.0)
+
     with pytest.raises(QuadratureError):
-        sqrt_endpoint(lambda x, spare, out: np.divide(1.0, np.sqrt(x - 0.5), out=out),
-                      0.0, 1.0, 1.0)
+        sqrt_endpoint(g, 1.0)
 
 
 @pytest.mark.parametrize("nodes", [1, 2, 5, 16, 24, 64])
@@ -134,37 +142,44 @@ def test_sqrt_endpoint_returns_no_workspace_memory():
     def g(x, spare, out):
         scratch.append(out)
         np.subtract(1.0, x, out=spare)
-        np.multiply(spare, spare, out=out)
+        np.multiply(spare, spare, out=out[0])
+        np.copyto(out[1], spare)
 
-    big = sqrt_endpoint(g, np.zeros(50), np.full(50, 0.5), 1.0)
+    big = sqrt_endpoint(g, np.full(50, 0.5))
     kept = big.copy()
-    small = sqrt_endpoint(g, np.zeros((2, 3)), np.full((2, 3), 0.5), 1.0)
+    small = sqrt_endpoint(g, np.full((2, 3), 0.5))
     assert np.array_equal(big, kept)
     assert not any(np.shares_memory(r, s) for r in (big, small) for s in scratch)
     assert not np.shares_memory(big, small)
-    assert big.shape == (50,) and small.shape == (2, 3)
-    assert np.array_equal(big, np.full(50, big[0]))
-    assert np.array_equal(small, np.full((2, 3), big[0]))
-    # int_0^0.5 (1 - x)^2 (1 - x)^(-1/2) dx = (2/5) (1 - 0.5^(5/2))
-    assert big[0] == pytest.approx(0.4 * (1.0 - 0.5 ** 2.5), rel=1e-14)
+    assert big.shape == (2, 50) and small.shape == (2, 2, 3)
+    assert np.array_equal(big, np.repeat(big[:, :1], 50, axis=1))
+    assert np.array_equal(small, np.broadcast_to(big[:, :1, None], (2, 2, 3)))
+    # with s = -x: int_0^L (1 + s)^k s^(-1/2) ds at L = 1/2, k = 2 and 1
+    root = np.sqrt(0.5)
+    assert big[0, 0] == pytest.approx(
+        2.0 * root + 4.0 / 3.0 * root ** 3 + 0.4 * root ** 5, rel=1e-14)
+    assert big[1, 0] == pytest.approx(2.0 * root + 2.0 / 3.0 * root ** 3, rel=1e-14)
 
 
 def test_sqrt_endpoint_is_reentrant():
     # an integrand that integrates a smaller batch before it reads its own
     # abscissae: each call's scratch is its own, so the outer call keeps
-    # the closed form c (2/3) (1 - 0.5^(3/2)) of int_0^0.5 c (1 - x)^(1/2)
+    # the closed forms c (2 sqrt(L) + (2/3) L^(3/2)) and 2 c sqrt(L) of
+    # int_(-L)^0 c (1 - x) (-x)^(-1/2) and int_(-L)^0 c (-x)^(-1/2), L = 1/2
     def one(x, spare, out):
         out.fill(1.0)
 
     def inner():
-        # 2 (1 - sqrt(1 - 0.75)) = 1, up to roundoff
-        return sqrt_endpoint(one, np.zeros(1), np.full(1, 0.75), 1.0)[0]
+        # 2 sqrt(1/4) = 1, up to roundoff
+        return sqrt_endpoint(one, np.full(1, 0.25))[0, 0]
 
     def g(x, spare, out):
         c = inner()
-        np.subtract(1.0, x, out=out)
-        out *= c
+        np.subtract(1.0, x, out=out[0])
+        out[0] *= c
+        out[1].fill(c)
 
-    got = sqrt_endpoint(g, np.zeros(50), np.full(50, 0.5), 1.0)
-    want = inner() * (2.0 / 3.0) * (1.0 - 0.5 ** 1.5)
-    assert np.allclose(got, want, rtol=0.0, atol=2e-16)
+    got = sqrt_endpoint(g, np.full(50, 0.5))
+    root = np.sqrt(0.5)
+    want = inner() * np.array([[2.0 * root + 2.0 / 3.0 * root ** 3], [2.0 * root]])
+    assert np.allclose(got, want, rtol=4e-16, atol=0.0)

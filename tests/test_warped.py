@@ -9,11 +9,11 @@ from scipy.interpolate import PchipInterpolator
 
 from isocompare.errors import (SingularPointError, UnsupportedPointError,
                                ValidationError)
+from isocompare.quadrature import sin_power
 from isocompare.warped import (MonotoneCubic, WarpedMetric, candidate_profile,
                                curvature_bounds, cylinder, football,
                                log_sphere_area, pointwise, round_sphere,
-                               sin_power_integral, sphere_area, tabulated,
-                               total_volume)
+                               sphere_area, tabulated, total_volume)
 
 PI = math.pi
 REL_VOLUME = 1e-14
@@ -97,7 +97,7 @@ def test_sin_power_integral_matches_mpmath(m):
     # theta = 1.06 it was 1.4e-8 off for m = 128 and half off for m = 256,
     # and at 1.09 it returned 0 for the 4.4e-26 of m = 440.  Values below
     # the normal doubles are checked to the smallest normal double
-    got = sin_power_integral(m, np.array(_SIN_THETAS))
+    got = sin_power(m, np.array(_SIN_THETAS))
     tol = 1e-15 + m * 1e-16
     with mp.workdps(40):
         for theta, value in zip(_SIN_THETAS, got):
@@ -110,7 +110,7 @@ def test_sin_power_integral_is_exact_at_half_pi(m):
     # the Wallis integral, which the Bishop bound reads at every n
     with mp.workdps(30):
         want = mp.beta(mp.mpf(m + 1) / 2, 0.5) / 2
-        assert abs(float(sin_power_integral(m, 0.5 * PI)) - want) <= 3.4e-16 * want
+        assert abs(float(sin_power(m, 0.5 * PI)) - want) <= 3.4e-16 * want
 
 
 # --- the monotone cubic interpolant against scipy's PCHIP ----------------------
