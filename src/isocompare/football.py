@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .phase_plane import start_height
-from .quadrature import sin_squared_integral, sqrt_endpoint
+from .quadrature import sin_power, sqrt_endpoint
 
 __all__ = [
     "EULER_CHARACTERISTIC_SPHERE", "GAUSS_BONNET_TOTAL",
@@ -272,7 +272,7 @@ def _half_volume_at(eps):
         # theta in [0, pi/2]
         y_sw = np.sqrt(y_sq)
         theta = np.arctan2(u_sw * root_b, y_sw)
-        ricci_leg = (b * u_sw * u_sw + y_sq) * scale * sin_squared_integral(theta)
+        ricci_leg = (b * u_sw * u_sw + y_sq) * scale * sin_power(2, theta)
         # the slope's ricci and switch terms, from the docstring's formula
         excess = 3.0 * d + slope_lo          # 3 d + 2 eps z_lo = 3 z - 4 pi
         ratio = np.divide(theta, u_sw, out=np.full(theta.shape, ratio_top),

@@ -101,10 +101,11 @@ def monotonicity_profile(case: MonotonicityCase) -> MonotonicityProfile:
     ulp off on some inputs, enough to move a printed digit.  A factor that
     overflows a double, e^(lambda rho) at the largest radius or rho^(-m) at
     the smallest, is a NumericalError that names its inputs.  So is a
-    sample that is not a positive normal double, the profile being positive
-    at every radius: the weight's product overflowing against a mass that
-    underflows to 0 (nan), or either one underflowing (0 or subnormal).
-    The error names the first such radius and the case's keys."""
+    sample that cannot be formed as a positive normal double, the profile
+    being positive at every radius: the weight's product overflowing (inf,
+    or nan against a mass that underflows to 0), or either one underflowing
+    (0 or subnormal).  The error names the first such radius and the case's
+    keys."""
     rho = case.rho_grid
     clamped = rho > case.diameter
     try:
@@ -130,8 +131,8 @@ def monotonicity_profile(case: MonotonicityCase) -> MonotonicityProfile:
         elif case.kind == "cone":
             keys.append(f"angle = {case.angle!r}")
         raise NumericalError(
-            f"the profile at rho = {float(rho[k])!r} is {float(values[k]):g}, not "
-            f"a positive normal double, at {', '.join(keys)}")
+            f"the profile at rho = {float(rho[k])!r} cannot be formed in doubles "
+            f"(got {float(values[k]):g}), at {', '.join(keys)}")
     return MonotonicityProfile(values=values, clamped=clamped)
 
 

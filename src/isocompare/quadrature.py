@@ -61,8 +61,7 @@ AVX-512 loops disabled.
 
 ``sin_power``: int_0^theta sin^m, theta clipped to [0, pi].  m = 2 is the
 closed form (x - sin x) / 4 at x = 2 theta, with the odd Taylor series of
-x - sin x below x = 1, where the difference cancels
-(``sin_squared_integral``).  Any other m is one rule in theta on
+x - sin x below x = 1, where the difference cancels.  Any other m is one rule in theta on
 [0, phi], phi = min(theta, pi - theta), reflected about pi/2 as
 2 half - part, where half = int_0^(pi/2) sin^m is the Wallis integral, which
 is also the value at pi/2 exactly.  The integrand peaks at pi/2 with width
@@ -101,8 +100,7 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["NODES", "gauss_legendre", "sin_power", "sin_squared_integral",
-           "sqrt_endpoint"]
+__all__ = ["NODES", "gauss_legendre", "sin_power", "sqrt_endpoint"]
 
 NODES = 16
 
@@ -217,7 +215,12 @@ def sin_power(m: int, theta):
     pi/2 exactly, with no rule built for an input that is pi/2 throughout."""
     theta = np.clip(np.asarray(theta, dtype=float), 0.0, math.pi)
     if m == 2:
-        return sin_squared_integral(theta)
+        x = 2.0 * theta
+        y = x * x
+        series = _X_MINUS_SIN[0]
+        for coefficient in _X_MINUS_SIN[1:]:
+            series = series * y + coefficient
+        return 0.25 * np.where(x < 1.0, series * y * x, x - np.sin(x))
     half = _half_sin_power(m)
     at_half = theta == 0.5 * math.pi
     if at_half.all():
@@ -227,14 +230,3 @@ def sin_power(m: int, theta):
     h = 0.5 * np.minimum(theta, math.pi - theta)
     part = h * (np.sin(h[..., None] * (1.0 + t)) ** m @ weights)
     return np.where(at_half, half, np.where(theta > 0.5 * math.pi, 2.0 * half - part, part))
-
-
-def sin_squared_integral(theta):
-    """``sin_power(2, theta)`` without the clip, for callers whose theta
-    lies in [0, pi] by construction."""
-    x = 2.0 * theta
-    y = x * x
-    series = _X_MINUS_SIN[0]
-    for coefficient in _X_MINUS_SIN[1:]:
-        series = series * y + coefficient
-    return 0.25 * np.where(x < 1.0, series * y * x, x - np.sin(x))

@@ -106,6 +106,7 @@ def test_criterion_5_football_constant():
     overlaps_target = bracket.lo < 0.135 and bracket.hi > 0.134
     hard_ok = (not bracket.no_root
                and bracket.hi - bracket.lo <= 5e-4
+               and 0.10 < bracket.lo < bracket.hi < 0.20
                and overlaps_target
                and abs(a_half - 1.0) <= 1e-6
                and abs(a_one - 1.0) <= 1e-6

@@ -725,7 +725,6 @@ def test_half_volume_within_ulps_of_expression_form(size, seed):
     assert abs(football_module._half_volume_at(e)(z)[0] - want) <= 8 * np.spacing(want)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_scalar_leg_rejects_a_nonfinite_integrand():
     # excess = 3 z - 4 pi negative enough that Q(u) = 9 (excess + v (3 u0 + v))
     # / u is negative: the in-place steps stay inside np.errstate, and the

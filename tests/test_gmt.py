@@ -130,7 +130,8 @@ def test_profile_is_positive_normal_or_an_error(dim, lambda_):
     try:
         values = monotonicity_profile(unit_sphere(lambda_, rho, dim=dim)).values
     except NumericalError as err:
-        assert f"not a positive normal double, at lambda = {lambda_!r}, " \
+        assert "cannot be formed in doubles (got " in str(err)
+        assert f"), at lambda = {lambda_!r}, " \
                f"sphere_dim = {dim}" in str(err)
         assert dim >= 300 or lambda_ < 0.0
         return

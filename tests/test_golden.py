@@ -20,11 +20,10 @@ GOLDEN = Path(__file__).parent / "golden"
 SUFFIX = {"bishop-bound": "json", "epsilon0": "json", "cutoff-budget": "json"}
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", COMMANDS)
 def test_golden_output(command, tmp_path):
-    # a RuntimeWarning is an error: the in-place array kernels must keep
-    # their invalid and divide steps inside np.errstate
+    # a RuntimeWarning is an error (pyproject's filterwarnings): the in-place
+    # array kernels must keep their invalid and divide steps inside np.errstate
     out = tmp_path / "out"
     code = main([command, "--config", str(GOLDEN / f"{command}.cfg"),
                  "--out", str(out)])

