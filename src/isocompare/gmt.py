@@ -207,11 +207,15 @@ def cutoff_budget(family: RadiusFamily) -> CutoffBudget:
     violated = family.violations()
     r = family.radii
     n, c, c0, h, delta = family.n, family.c, family.c0, family.h, family.delta
+    with np.errstate(all="ignore"):     # named below, not warned: 0 ** -1 too
+        outer, inner = float(np.sum(r ** (n - 1))), float(np.sum(r ** (n - 3)))
+    if not (math.isfinite(outer) and math.isfinite(inner)):
+        raise NumericalError(f"the cutoff budget overflows a double at n = {n}, "
+                             f"radii in [{r.min():g}, {r.max():g}]")
     try:
         doubling = 2.0 ** (n - 1)
-        area_term = c * float(np.sum(r ** (n - 1)))
-        dirichlet_term = h * h * area_term * doubling \
-            + c0 * c0 * c * float(np.sum(r ** (n - 3)))
+        area_term = c * outer
+        dirichlet_term = h * h * area_term * doubling + c0 * c0 * c * inner
         c1 = c * (h * h * delta * delta + c0 * c0) * doubling
         area_bound = c * doubling * delta ** 6
         dirichlet_bound = c1 * delta ** 4

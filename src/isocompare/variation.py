@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .warped import WarpedMetric, _overflows, pointwise
+from .warped import WarpedMetric, _in_doubles, pointwise
 
 KINDS = ("first", "h_dot", "second")
 
@@ -121,9 +121,8 @@ def stencil_table(metric: WarpedMetric, t, h: float | None = None,
             f"({metric.t_min:g}, {metric.t_max:g})")
     p = pointwise(metric, np.stack((lo, np.broadcast_to(ts[:, None], lo.shape), hi),
                                    axis=-1))
-    # a huge model can overflow a volume increment, the spacing or a
-    # difference: a NumericalError naming the model, not a nan residual
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def table():
         area, volume, mean = p.area, p.volume, p.mean_curvature
         d_lo = volume[..., 1] - volume[..., 0]
         d_hi = volume[..., 2] - volume[..., 1]
@@ -144,10 +143,12 @@ def stencil_table(metric: WarpedMetric, t, h: float | None = None,
         scale = np.maximum(np.maximum(np.abs(fd), np.abs(exact)), floor)
         residual = np.divide(np.abs(fd - exact), scale, out=np.zeros_like(scale),
                              where=scale != 0.0)
-    broken = ~(np.isfinite(spacing) & np.isfinite(residual).all(axis=-1))
-    if broken.any():
-        at, step = _first(broken, ts, steps)
-        raise _overflows(metric, f"the variation stencil at t={at:g}, h={step:g}")
+        # a residual is at most 2: spacing + residual leaves the doubles where either does
+        return [("variation stencil", 3 * metric.n, a)
+                for a in (spacing[..., None] + residual, fd, exact, residual)]
+
+    _, fd, exact, residual = _in_doubles(metric, table, t=ts[:, None, None],
+                                         h=steps[:, None])
     return StencilTable(t=ts, h=steps, fd=fd, exact=exact, residual=residual,
                         orders=_orders(steps, residual))
 

@@ -16,9 +16,12 @@ on an interior window.
 
 Each warp integrates its own powers exactly (``power_integral``): the closed
 warps through ``quadrature.sin_power``, tabulated warps by Gauss-Legendre
-rules that are exact on the interpolant's cubic pieces.  The cylinders
-[0, N] x S^2 of ``cylinder_growth`` are the counterexample to a volume bound
-from the scalar floor alone.
+rules that are exact on the interpolant's cubic pieces.  A closed warp gives
+its integral as p 2^e (frexp splits its radius and c exactly), so only a
+volume itself beyond the doubles leaves them, with the plain product's bits
+elsewhere.  Every quantity the module hands out passes one range check,
+``_in_doubles``.  The cylinders [0, N] x S^2 of ``cylinder_growth`` are the
+counterexample to a volume bound from the scalar floor alone.
 """
 
 from __future__ import annotations
@@ -164,9 +167,10 @@ class _FootballWarp:
         return np.sin(u) ** 2 + (1.0 - c0 * c0) * np.cos(u) ** 2
 
     def power_integral(self, t, m: int):
-        r = self.radius
-        return (r ** (m + 1) * self.cone_factor ** m
-                * sin_power(m, np.asarray(t, dtype=float) / r))
+        (r, r_exp), (c, c_exp) = math.frexp(self.radius), math.frexp(self.cone_factor)
+        scale, exponent = math.frexp(r ** (m + 1) * c ** m)
+        return (2.0 * scale * sin_power(m, np.asarray(t, dtype=float) / self.radius),
+                exponent - 1 + (m + 1) * r_exp + m * c_exp)
 
 
 @dataclass(frozen=True)
@@ -188,7 +192,9 @@ class _CylinderWarp:
         return np.ones_like(np.asarray(t, dtype=float))
 
     def power_integral(self, t, m: int):
-        return self.radius ** m * np.asarray(t, dtype=float)
+        a, a_exp = math.frexp(self.radius)
+        scale, exponent = math.frexp(a ** m)
+        return 2.0 * scale * np.asarray(t, dtype=float), exponent - 1 + m * a_exp
 
 
 class _TabulatedWarp:
@@ -253,7 +259,7 @@ class _TabulatedWarp:
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
         half, values = within_piece(x[k], t)
-        return cumulative[k] + half * (values @ weights)
+        return cumulative[k] + half * (values @ weights), 0
 
 
 @dataclass(frozen=True)
@@ -342,21 +348,23 @@ def pointwise(metric: WarpedMetric, t) -> Pointwise:
     t = np.asarray(t, dtype=float)
     outside = ~((metric.t_min < t) & (t < metric.t_max))
     if outside.any():
-        raise SingularPointError(
-            f"t={t.ravel()[outside.ravel()][0]:g} not strictly inside "
-            f"({metric.t_min:g}, {metric.t_max:g})")
-    f, f1, f2 = (np.asarray(v, dtype=float) for v in metric.warp.evaluate(t))
-    if (f <= 0.0).any():
-        raise SingularPointError(f"warp vanishes at t={t.ravel()[(f <= 0.0).ravel()][0]:g}")
+        raise SingularPointError(f"t={t[outside][0]:g} not strictly inside "
+                                 f"({metric.t_min:g}, {metric.t_max:g})")
     n = metric.n
-    volume = _volume(metric, t)
-    radial, tangential, scalar = _curvatures(n, f, f2, metric.warp.slope_complement(t))
-    return Pointwise(
-        area=sphere_area(n - 1) * f ** (n - 1),
-        volume=volume,
-        mean_curvature=(n - 1) * f1 / f,
-        second_fundamental_norm_sq=(n - 1) * (f1 / f) ** 2,
-        ric_radial=radial, ric_tangential=tangential, scalar=scalar)
+
+    def fields():
+        f, f1, f2 = (np.asarray(v, dtype=float) for v in metric.warp.evaluate(t))
+        if (f <= 0.0).any():
+            raise SingularPointError(f"warp vanishes at t={t[f <= 0.0][0]:g}")
+        curvatures = _curvatures(n, f, f2, metric.warp.slope_complement(t))
+        return [("volume", n, _volume(metric, t)),
+                ("area", n - 1, sphere_area(n - 1) * f ** (n - 1)),
+                *zip(("mean curvature", "|Pi|^2", "Ric(nu, nu)", "tangential Ricci",
+                      "scalar curvature"), (-1, -2, -2, -2, -2),
+                     ((n - 1) * f1 / f, (n - 1) * (f1 / f) ** 2, *curvatures))]
+
+    volume, area, *rest = _in_doubles(metric, fields, t=t)
+    return Pointwise(area, volume, *rest)
 
 
 @dataclass(frozen=True)
@@ -386,50 +394,46 @@ def curvature_bounds(metric: WarpedMetric) -> CurvatureBounds:
 
 def total_volume(metric: WarpedMetric) -> float:
     """Volume of the whole model: omega_(n-1) times the power integral of f."""
-    return float(_volume(metric, metric.t_max))
+    return float(_in_doubles(
+        metric, lambda: [("volume", metric.n, _volume(metric, metric.t_max))])[0])
 
 
-def _scales(metric: WarpedMetric) -> dict[str, float]:
-    """The inputs that scale the warp f, by their config keys: radius and c
-    of a closed-form warp, the largest sample of a tabulated one."""
-    if metric.warp.kind == "tabulated":
-        return {"f_samples": float(metric.warp.f_samples.max())}
-    scales = {"radius": metric.warp.radius}
-    if metric.warp.kind == "football":
-        scales["c"] = metric.warp.cone_factor
-    return scales
-
-
-def _named(metric: WarpedMetric) -> str:
-    """The model's scales and n as they appear in an error message."""
-    return ", ".join([f"{k}={v:g}" for k, v in _scales(metric).items()]
-                     + [f"n={metric.n}"])
-
-
-def _overflows(metric: WarpedMetric, what: str) -> NumericalError:
-    """The error for a quantity of the model beyond the doubles, naming the
-    model and the input to lower."""
-    return NumericalError(f"{what} overflows a double ({_named(metric)}); "
-                          f"lower {next(iter(_scales(metric)))}")
+def _in_doubles(metric: WarpedMetric, compute, **at) -> list:
+    """The values (of one shape) of compute()'s (name, power of the model's
+    size, value) triples, computed under one errstate.  A value not finite is
+    exit 3, a volume 0 throughout exit 2, each naming the quantity, the keys
+    that scale f, n and the first entry that failed at the coordinates at,
+    with a hint to lower the size where the power is positive, else to raise it."""
+    with np.errstate(all="ignore"):
+        quantities = compute()
+    values = [value for _, _, value in quantities]
+    broken = (~np.isfinite(values)).reshape(len(values), -1).any(axis=1)
+    for (what, power, value), failed in zip(quantities, broken):
+        if failed or (what == "volume" and value.size and not value.any()):
+            break
+    else:
+        return values
+    warp = metric.warp
+    keys = ({"f_samples": float(warp.f_samples.max())} if warp.kind == "tabulated"
+            else {"radius": warp.radius, "c": warp.cone_factor} if warp.kind == "football"
+            else {"radius": warp.radius})
+    named = ", ".join([f"{k}={v:g}" for k, v in keys.items()] + [f"n={metric.n}"])
+    if not failed:
+        raise ValidationError(f"the model's volume underflows to 0 ({named}); "
+                              f"raise {' or '.join(keys)}")
+    bad = ~np.isfinite(value)
+    where = [f"{k}={np.broadcast_to(c, bad.shape)[bad][0]:g}" for k, c in at.items()]
+    raise NumericalError(
+        f"{'at ' + ', '.join(where) + ', ' if where else ''}the model's {what} "
+        f"overflows a double ({named}); {'lower' if power > 0 else 'raise'} {[*keys][0]}")
 
 
 def _volume(metric: WarpedMetric, t):
-    """omega_(n-1) times the power integral of f^(n-1) up to t.
-
-    The closed warps scale their integral by radius^n c^(n-1) (radius^(n-1)
-    on the cylinder) in Python floats, which raise OverflowError beyond the
-    doubles, and the array product can overflow after that: either is a
-    NumericalError naming radius, c and n.
-    """
-    n = metric.n
-    try:
-        with np.errstate(over="ignore"):
-            volume = sphere_area(n - 1) * metric.warp.power_integral(t, n - 1)
-    except OverflowError:
-        volume = math.inf
-    if not np.isfinite(volume).all():
-        raise _overflows(metric, "the model's volume")
-    return volume
+    """omega_(n-1) times the power integral p 2^e of f^(n-1) up to t, omega
+    split by frexp too: the exponents apply once, last (past 2^16 as 0 or inf)."""
+    omega, omega_exp = math.frexp(sphere_area(metric.n - 1))
+    p, e = metric.warp.power_integral(t, metric.n - 1)
+    return np.ldexp(omega * p, max(-65536, min(e + omega_exp, 65536)))
 
 
 class CylinderGrowth(NamedTuple):
@@ -458,15 +462,8 @@ def cylinder_growth(lengths, radius: float = 1.0) -> CylinderGrowth:
     # product, and its curvatures, constant, are those of every length
     metric = cylinder(radius, 1.0)
     column = np.array(lengths, dtype=float)
-    try:
-        volumes = _volume(metric, column)
-    except NumericalError as err:
-        for length in lengths:          # the first length whose volume overflows
-            try:
-                _volume(metric, length)
-            except NumericalError:
-                raise NumericalError(f"at length {length:g}, {err}") from None
-        raise
+    (volumes,) = _in_doubles(
+        metric, lambda: [("volume", metric.n, _volume(metric, column))], length=column)
     bounds = curvature_bounds(metric)
     return CylinderGrowth(column, volumes, bounds.ric_min, bounds.scalar_min)
 
@@ -524,20 +521,17 @@ def candidate_profile(metric: WarpedMetric, grid_size: int = 257) -> Profile:
 
     n = metric.n
     ts = np.linspace(0.0, metric.t_max, grid_size)
-    f, f1, _ = metric.warp.evaluate(ts)
-    f = np.asarray(f, dtype=float)
-    vols = _volume(metric, ts)
-    if not vols[-1] > 0:
-        # f^(n-1) underflows on every cell: name the inputs that scale f
-        raise ValidationError(
-            f"the model's volume underflows to 0 ({_named(metric)}): f^{n - 1} "
-            f"is 0 in doubles on every cell; raise {' or '.join(_scales(metric))}")
-    areas = sphere_area(n - 1) * f ** (n - 1)
+
+    def columns():
+        f, f1, _ = metric.warp.evaluate(ts)   # f'' of a tiny radius overflows here
+        return [("volume", n, _volume(metric, ts)),
+                ("area", n - 1, sphere_area(n - 1) * f ** (n - 1)), ("warp slope", 0, f1)]
+
+    vols, areas, slope = _in_doubles(metric, columns, t=ts)
     stalled = ~(np.diff(vols) > 0)
     if stalled.any():
         raise ValidationError(
             f"volume samples are not strictly increasing: V stops increasing at "
             f"t={ts[np.argmax(stalled)]:g} (n={n}, grid_size={grid_size}), where "
             "a grid cell is below the volume's resolution")
-    return Profile(n=n, v_grid=vols, a_values=areas, t_grid=ts,
-                   warp_slope=np.asarray(f1, dtype=float).copy())
+    return Profile(n=n, v_grid=vols, a_values=areas, t_grid=ts, warp_slope=slope)

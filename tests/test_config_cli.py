@@ -13,6 +13,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from isocompare.cli import build_metric, format_number, main, render
 from isocompare.config import (_MAX_EPS, _MAX_GRID, _MAX_RHO, _MEMORY_BUDGET,
                                COMMANDS, RunConfig, read_pairs, validate)
 from isocompare.errors import ConfigError
+from isocompare.warped import candidate_profile, football
 
 PI = math.pi
 
@@ -190,11 +192,16 @@ def test_cli_stalled_volume_names_its_inputs(tmp_path, capsys, command, model):
 
 @pytest.mark.parametrize("command, model, named", [
     ("profile", "model = football\nc = 1e-300\n", "(radius=1, c=1e-300, n=3)"),
-    ("mass", "model = sphere\nradius = 1e-200\nric0 = 2\n", "(radius=1e-200, n=3)")])
+    ("mass", "model = sphere\nradius = 1e-200\nric0 = 2\n", "(radius=1e-200, n=3)"),
+    ("cylinder-growth", "lengths = 1, 2\nradius = 1e-200\n", "(radius=1e-200, n=3)"),
+    ("variation-check", "model = sphere\nradius = 1e-200\nt = 1e-200\n",
+     "(radius=1e-200, n=3)")])
 def test_cli_underflowed_volume_names_its_inputs(tmp_path, capsys, command, model,
                                                  named):
     # f^(n-1) underflows to 0 on every cell: a config error (exit 2) that
-    # names the radius and the cone factor c, not a stalled grid cell
+    # names the radius and the cone factor c, not a stalled grid cell.
+    # cylinder-growth printed a volume of 0 and an infinite scalar_inf with
+    # exit 0, and variation-check warned of its curvatures' overflow
     code, text = _invoke(tmp_path, command, f"command = {command}\n{model}")
     assert code == 2 and text == ""
     err = capsys.readouterr().err
@@ -203,26 +210,33 @@ def test_cli_underflowed_volume_names_its_inputs(tmp_path, capsys, command, mode
     assert "stops increasing" not in err
 
 
-@pytest.mark.parametrize("command, config, named", [
-    ("profile", "model = sphere\nn = 3\nradius = 1e110\n", "(radius=1e+110, n=3)"),
-    ("mass", "model = sphere\nn = 3\nradius = 1e200\nric0 = 2\n",
+@pytest.mark.parametrize("command, config, what, named", [
+    ("profile", "model = sphere\nn = 3\nradius = 1e110\n", "volume",
+     "(radius=1e+110, n=3)"),
+    ("mass", "model = sphere\nn = 3\nradius = 1e200\nric0 = 2\n", "volume",
      "(radius=1e+200, n=3)"),
-    ("mass", "model = football\nn = 5\nc = 0.5\nradius = 1e70\nric0 = 2\n",
+    ("mass", "model = football\nn = 5\nc = 0.5\nradius = 1e70\nric0 = 2\n", "volume",
      "(radius=1e+70, c=0.5, n=5)"),
-    ("profile", "model = cylinder\nn = 4\nradius = 1e150\nlength = 1\n",
+    ("profile", "model = cylinder\nn = 4\nradius = 1e150\nlength = 1\n", "volume",
      "(radius=1e+150, n=4)"),
     ("variation-check", "model = cylinder\nn = 4\nradius = 1e150\nlength = 1\n"
-     "t = 0.5\n", "(radius=1e+150, n=4)"),
-    ("variation-check", "model = sphere\nradius = 1e200\nt = 1e200\n",
+     "t = 0.5\n", "volume", "(radius=1e+150, n=4)"),
+    ("variation-check", "model = sphere\nradius = 1e200\nt = 1e200\n", "volume",
      "(radius=1e+200, n=3)"),
-    ("cylinder-growth", "lengths = 1, 2\nradius = 1e200\n", "(radius=1e+200, n=3)"),
+    ("cylinder-growth", "lengths = 1, 2\nradius = 1e200\n", "volume",
+     "(radius=1e+200, n=3)"),
+    ("profile", "model = cylinder\nn = 3\nradius = 1e154\nlength = 1e-10\n", "area",
+     "(radius=1e+154, n=3)"),
 ], ids=["profile-sphere", "mass-sphere", "mass-football", "profile-cylinder",
-        "variation-check-cylinder", "variation-check-sphere", "cylinder-growth"])
+        "variation-check-cylinder", "variation-check-sphere", "cylinder-growth",
+        "profile-cylinder-area"])
 def test_cli_overflowed_volume_names_its_inputs(tmp_path, capsys, command, config,
-                                                named):
+                                                what, named):
     # the closed warps scale their volume by radius^n (radius^(n-1) on the
     # cylinder) in Python floats, whose OverflowError ended the run with a
-    # traceback and exit 1: a numerical failure (exit 3) naming radius, c, n
+    # traceback and exit 1: a numerical failure (exit 3) naming radius, c, n.
+    # A cylinder whose volume is a double but whose area 4 pi radius^2 is
+    # not printed A = inf on every row with exit 0
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"command = {command}\n{config}")
     with warnings.catch_warnings():
@@ -230,7 +244,7 @@ def test_cli_overflowed_volume_names_its_inputs(tmp_path, capsys, command, confi
         assert main([command, "--config", str(cfg)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"volume overflows a double {named}; lower radius" in captured.err
+    assert f"the model's {what} overflows a double {named}; lower radius" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -255,6 +269,22 @@ def test_cli_overflow_past_the_radius_power_exits_3(tmp_path, capsys, command,
     assert captured.out == "" and "nan" not in captured.out
     assert f"overflows a double {named}" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_cli_football_past_the_radius_power_writes_its_tables(tmp_path):
+    # radius^3 = 1e330 is not a double but the volume 2 pi^2 radius^3 c^2 is:
+    # the powers of radius and c meet in one binary exponent, not in a
+    # product of doubles, where profile and mass exited 3 naming radius
+    config = "model = football\nn = 3\nc = 1e-100\nradius = 1e110\n"
+    for command, extra in (("profile", ""), ("mass", "ric0 = 1\n")):
+        code, text = _invoke(tmp_path, command,
+                             f"command = {command}\n{config}{extra}")
+        assert code == 0
+        assert len([l for l in text.splitlines() if not l.startswith("#")]) == 258
+    total = candidate_profile(football(1e-100, 3, 1e110)).total_volume
+    with mp.workdps(30):
+        want = 2 * mp.pi ** 2 * mp.mpf(1e110) ** 3 * mp.mpf(1e-100) ** 2
+        assert abs(mp.mpf(total) - want) <= 1e-15 * want
 
 
 def test_cli_mass_phase_overflow_exits_3(tmp_path, capsys):
@@ -373,7 +403,7 @@ def test_cli_cylinder_overflow_exits_3(tmp_path, capsys):
         assert main(["cylinder-growth", "--config", str(cfg)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "length 1e+308" in captured.err
+    assert "at length=1e+308, " in captured.err
 
 
 @pytest.mark.parametrize("command, config, key", [
@@ -384,10 +414,16 @@ def test_cli_cylinder_overflow_exits_3(tmp_path, capsys):
     ("monotonicity", "case = sphere\nlambda = 1\nsphere_dim = 155\n",
      "sphere_dim = 155"),
     ("monotonicity", "case = circle\nlambda = 355\n", "lambda = 355.0"),
-], ids=["n", "delta", "sphere_dim", "lambda"])
+    ("cutoff-budget", "n = -2000\ndelta = 0.1\nc0 = 1\nc = 1\nradii = 0.05\n",
+     "n = -2000, radii in [0.05, 0.05]"),
+    ("cutoff-budget", "n = 2\ndelta = 0.1\nc0 = 1\nc = 1\nradii = 0, 0.05\n",
+     "n = 2, radii in [0, 0.05]"),
+], ids=["n", "delta", "sphere_dim", "lambda", "negative-n", "zero-radius"])
 def test_cli_overflow_exits_3(tmp_path, capsys, command, config, key):
     # 2^(n - 1), delta^6, rho^(-m) at the default rho_min 0.01 and
-    # e^(lambda rho) at the default rho_max 2 each overflow a double
+    # e^(lambda rho) at the default rho_max 2 each overflow a double, as do
+    # the power sums of r^(n - 1) and r^(n - 3) at a negative n or a radius
+    # of 0, which warned and named c, c0, h and delta
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"command = {command}\n{config}")
     with warnings.catch_warnings():

@@ -119,8 +119,9 @@ def _scalar_slice(metric, t):
     f, f1, _ = metric.warp.evaluate(t)
     f, f1, n = float(f), float(f1), metric.n
     omega = sphere_area(n - 1)
+    scaled, exponent = metric.warp.power_integral(t, n - 1)
     return (omega * f ** (n - 1),
-            omega * float(metric.warp.power_integral(t, n - 1)),
+            math.ldexp(omega * float(scaled), exponent),
             (n - 1) * f1 / f, (n - 1) * (f1 / f) ** 2)
 
 

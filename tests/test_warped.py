@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
@@ -318,8 +318,8 @@ def test_tabulated_volume_batch_is_one_t_at_a_time():
     tab = tabulated(xs, [1.0, 3.0, 0.5, 2.5, 1.2, 2.0], n=8)
     t = np.random.default_rng(5).uniform(0.5, 3.1, 200)
     # within 4 ulps relative of each t alone (measured worst, 2 ulps)
-    batch = tab.warp.power_integral(t, 7)
-    singles = [float(tab.warp.power_integral(v, 7)) for v in t.tolist()]
+    batch, _ = tab.warp.power_integral(t, 7)
+    singles = [float(tab.warp.power_integral(v, 7)[0]) for v in t.tolist()]
     assert np.allclose(batch, singles, rtol=4.0 * np.finfo(float).eps, atol=0.0)
 
 
@@ -433,7 +433,7 @@ class _StalledWarp:
         return z + 1.0, z, z
 
     def power_integral(self, t, m):
-        return np.minimum(t, 0.5)
+        return np.minimum(t, 0.5), 0
 
 
 def test_candidate_profile_validation():
@@ -450,6 +450,35 @@ def test_total_volume_football():
     # vol = 2 pi^2 c^2 r^3
     assert total_volume(football(0.7, radius=1.0)) == \
         pytest.approx(2 * PI ** 2 * 0.49, rel=1e-10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["sphere", "football", "cylinder"]), n=st.integers(3, 8),
+       radius=st.floats(0.5, 2.0), c=st.floats(0.5, 1.0), k=st.integers(-300, 300),
+       j=st.integers(-150, 0))
+@example(kind="football", n=8, radius=1.0, c=1.0, k=200, j=-150)
+def test_volume_scales_by_exact_powers_of_two(kind, n, radius, c, k, j):
+    # a model's size reaches its volume as a power of two: radius 2^k (with
+    # the length on the cylinder) scales every volume by 2^(n k) exactly, and
+    # a cone factor c 2^j by 2^((n - 1) j), wherever both are normal; a
+    # football's radius^n may overflow where its volume does not.  The
+    # volumes at 31 interior t and the total, as candidate_profile's far-pole
+    # area can be negative (ROADMAP item 6) whatever the scale
+    j = j if kind == "football" else 0
+    assume(abs(n * k + (n - 1) * j) <= 900)
+
+    def volumes(k, j):
+        size = math.ldexp(radius, k)
+        metric = {"sphere": lambda: round_sphere(n, size),
+                  "football": lambda: football(math.ldexp(c, j), n, size),
+                  "cylinder": lambda: cylinder(size, math.ldexp(1.5, k), n)}[kind]()
+        t = np.linspace(0.0, metric.t_max, 33)[1:-1]
+        return np.append(pointwise(metric, t).volume, total_volume(metric))
+
+    base, scaled = volumes(0, 0), volumes(k, j)
+    normal = (base >= np.finfo(float).tiny) & (scaled >= np.finfo(float).tiny)
+    assert normal.any()
+    assert np.array_equal(scaled[normal], np.ldexp(base[normal], n * k + (n - 1) * j))
 
 
 def test_tabulated_interpolation_matches_samples():
