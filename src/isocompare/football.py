@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError, in_doubles
 from .phase_plane import start_height
 from .quadrature import sin_power, sqrt_endpoint
 
@@ -235,13 +235,10 @@ def _half_volume_at(eps):
     top = z_lo * root_lo
     near_top, slope_lo, denominator = top / 8.0, eps * 2.0 * z_lo, two_gap * top
     b = 9.0 * eps
-    with np.errstate(divide="ignore", over="ignore"):
-        scale = 3.0 / b ** 1.5
-        # the ricci leg is at most 36 pi scale, a double while b > 1.5e-204
-        finite = np.isfinite(_Y0_SQ * scale).all()
-    if not finite:
-        raise NumericalError(f"alpha at eps = {float(np.min(eps))!r}: the ricci "
-                             "leg's scale 3 / (9 eps)^(3/2) overflows a double")
+    # the ricci leg is at most 36 pi scale, a double while b > 1.5e-204
+    scale, _ = in_doubles(lambda: [(s := 3.0 / b ** 1.5), _Y0_SQ * s],
+                          [("ricci leg's scale 3 / (9 eps)^(3/2)", 0)] * 2, {},
+                          at={"epsilon": eps})
     root_b = np.sqrt(b)
     # theta / u_sw at z = 4 pi, and factors of the slope's terms
     ratio_top, four_eps = root_b / math.sqrt(_Y0_SQ), 4.0 * eps

@@ -10,12 +10,11 @@ cone is the dilation-invariant singularity model.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError, in_doubles
 from .quadrature import sin_power
 from .warped import sphere_area
 
@@ -98,42 +97,19 @@ def monotonicity_profile(case: MonotonicityCase) -> MonotonicityProfile:
     """Samples of e^(lambda rho) rho^(-m) mass(E_rho); radii beyond the
     diameter are clamped to it and flagged.  exp, the power and the cap's
     arcsin are taken per radius with ``math``: numpy's array versions are an
-    ulp off on some inputs, enough to move a printed digit.  A factor that
-    overflows a double, e^(lambda rho) at the largest radius or rho^(-m) at
-    the smallest, is a NumericalError that names its inputs.  So is a
-    sample that cannot be formed as a positive normal double, the profile
-    being positive at every radius: the weight's product overflowing (inf,
-    or nan against a mass that underflows to 0), or either one underflowing
-    (0 or subnormal).  The error names the first such radius and the case's
-    keys."""
+    ulp off on some inputs, enough to move a printed digit.  The profile is
+    positive at every radius, so each sample must be a normal double."""
     rho = case.rho_grid
-    clamped = rho > case.diameter
-    try:
-        weight = [math.exp(case.lambda_ * r) * r ** (-case.m) for r in rho.tolist()]
-    except OverflowError:
-        lo, hi = float(rho[0]), float(rho[-1])
-        try:
-            math.exp(case.lambda_ * hi)
-        except OverflowError:
-            raise NumericalError(f"e^(lambda rho) overflows a double at lambda = "
-                                 f"{case.lambda_!r}, rho_max = {hi!r}") from None
-        dim = "sphere_dim" if case.kind == "sphere" else "m"
-        raise NumericalError(f"rho^(-m) overflows a double at rho_min = {lo!r}, "
-                             f"{dim} = {case.m}") from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.array(weight) * case.ball_mass(np.minimum(rho, case.diameter))
-    bad = ~((values >= sys.float_info.min) & (values <= sys.float_info.max))
-    if bad.any():
-        k = int(np.argmax(bad))
-        keys = [f"lambda = {case.lambda_!r}"]
-        if case.kind == "sphere":
-            keys.append(f"sphere_dim = {case.m}")
-        elif case.kind == "cone":
-            keys.append(f"angle = {case.angle!r}")
-        raise NumericalError(
-            f"the profile at rho = {float(rho[k])!r} cannot be formed in doubles "
-            f"(got {float(values[k]):g}), at {', '.join(keys)}")
-    return MonotonicityProfile(values=values, clamped=clamped)
+    keys = {"lambda": case.lambda_, "rho_min": rho[0], "rho_max": rho[-1]}
+    if case.kind != "circle":
+        keys.update({"sphere_dim": case.m} if case.kind == "sphere"
+                    else {"angle": case.angle})
+    (values,) = in_doubles(
+        lambda: [np.array([math.exp(case.lambda_ * r) * r ** (-case.m)
+                           for r in rho.tolist()])
+                 * case.ball_mass(np.minimum(rho, case.diameter))],
+        [("profile", 0)], keys, at={"rho": rho}, normal=True)
+    return MonotonicityProfile(values=values, clamped=rho > case.diameter)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +132,13 @@ class RadiusFamily:
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=float)
 
+    @property
+    def keys(self) -> dict:
+        """The family's config keys, as a range failure names them."""
+        r = f"[{self.radii.min():g}, {self.radii.max():g}]" if self.radii.size else "[]"
+        return {"n": self.n, "delta": self.delta, "c0": self.c0, "c": self.c,
+                "h": self.h, "radii": r}
+
     def violations(self) -> list[str]:
         out = []
         if self.n < 8:
@@ -169,7 +152,9 @@ class RadiusFamily:
             out.append("all radii must be positive")
         if np.any(self.radii > self.delta * (1 + 1e-12)):
             out.append("some radius exceeds delta")
-        if self.n >= 8 and np.sum(self.radii ** (self.n - 7)) > 1.0 + 1e-12:
+        if self.n >= 8 and in_doubles(
+                lambda: [np.sum(self.radii ** (self.n - 7))],
+                [("sum of r_i^(n-7)", 0)], self.keys)[0] > 1.0 + 1e-12:
             out.append("sum of r_i^(n-7) exceeds 1")
         if min(self.c0, self.c) < 0 or self.h < 0:
             out.append("constants c0, c, h must be nonnegative")
@@ -207,26 +192,17 @@ def cutoff_budget(family: RadiusFamily) -> CutoffBudget:
     violated = family.violations()
     r = family.radii
     n, c, c0, h, delta = family.n, family.c, family.c0, family.h, family.delta
-    with np.errstate(all="ignore"):     # named below, not warned: 0 ** -1 too
+
+    def budget():
         outer, inner = float(np.sum(r ** (n - 1))), float(np.sum(r ** (n - 3)))
-    if not (math.isfinite(outer) and math.isfinite(inner)):
-        raise NumericalError(f"the cutoff budget overflows a double at n = {n}, "
-                             f"radii in [{r.min():g}, {r.max():g}]")
-    try:
         doubling = 2.0 ** (n - 1)
         area_term = c * outer
-        dirichlet_term = h * h * area_term * doubling + c0 * c0 * c * inner
         c1 = c * (h * h * delta * delta + c0 * c0) * doubling
-        area_bound = c * doubling * delta ** 6
-        dirichlet_bound = c1 * delta ** 4
-    except OverflowError:
-        key = f"n = {n}" if n > 1024 else f"delta = {delta!r}"
-        raise NumericalError(f"the cutoff budget overflows a double at {key}") from None
-    if not all(map(math.isfinite, (area_term, dirichlet_term, c1, area_bound,
-                                   dirichlet_bound))):
-        raise NumericalError(
-            f"the cutoff budget overflows a double at c = {c!r}, c0 = {c0!r}, "
-            f"h = {h!r}, delta = {delta!r}")
+        return [[area_term, h * h * area_term * doubling + c0 * c0 * c * inner, c1,
+                 c * doubling * delta ** 6, c1 * delta ** 4, inner]]
+
+    area_term, dirichlet_term, c1, area_bound, dirichlet_bound, _ = in_doubles(
+        budget, [("cutoff budget", 0)], family.keys)[0]
     slack = 1.0 + 1e-12
     return CutoffBudget(
         area_term=area_term,

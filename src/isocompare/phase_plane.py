@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPathError, NumericalError, ValidationError
+from .errors import EmptyPathError, ValidationError, in_doubles
 from .quadrature import sin_power
 from .warped import Profile, log_sphere_area, sphere_area
 
@@ -64,8 +64,7 @@ def phase_curve(profile: Profile) -> PhaseCurve:
     """Transform a profile to (x, y) phase samples on its volume grid.
 
     The slope is exact from the profile's warp slope:
-    y = n omega^(1/(n-1)) f'(t), the chain rule through dV = A dt.  An x
-    beyond the doubles is a NumericalError naming F and n.
+    y = n omega^(1/(n-1)) f'(t), the chain rule through dV = A dt.
     """
     n = profile.n
     a = profile.a_values
@@ -73,11 +72,8 @@ def phase_curve(profile: Profile) -> PhaseCurve:
     if np.any(interior <= 0):
         raise ValidationError("profile areas must be positive in the interior")
     power = n / (n - 1.0)
-    with np.errstate(over="ignore"):
-        x = a ** power
-    if not np.all(np.isfinite(x)):
-        raise NumericalError(f"F = A^(n/(n-1)) overflows a double at n = {n}, "
-                             f"A_max = {float(np.max(a)):g}")
+    (x,) = in_doubles(lambda: [a ** power], [("phase coordinate F = A^(n/(n-1))", 0)],
+                      {"n": n}, at={"V": profile.v_grid})
     y = start_height(n) * profile.warp_slope
     return PhaseCurve(n=n, x=x, y=y)
 
@@ -95,18 +91,9 @@ def ricci_mass(curve: PhaseCurve, ric0: float) -> np.ndarray:
         raise ValidationError(f"ric0 must be positive, got {ric0}")
     n = curve.n
     y0_sq = start_height(n) ** 2
-    return y0_sq - curve.y ** 2 - mass_coefficient(n, ric0) * curve.x ** (2.0 / n)
-
-
-def _in_range(value, what: str, n: int, ric0: float):
-    """value if it is a normal double, else a NumericalError naming what
-    left the range (below it a 12-digit print carries unsound digits)."""
-    if not np.isfinite(value):
-        raise NumericalError(f"{what} overflows a double at n = {n}, ric0 = {ric0:g}")
-    if value < sys.float_info.min:
-        raise NumericalError(
-            f"{what} is below the normal doubles at n = {n}, ric0 = {ric0:g}")
-    return value
+    return in_doubles(
+        lambda: [y0_sq - curve.y ** 2 - mass_coefficient(n, ric0) * curve.x ** (2.0 / n)],
+        [("Ricci mass", 0)], {"n": n, "ric0": ric0}, at={"F": curve.x})[0]
 
 
 @dataclass
@@ -137,8 +124,8 @@ def extremal_path(n: int, ric0: float, m0: float) -> PhasePath:
             f"mass {m0:g} >= squared start height {y0_sq:g}; path is empty")
     b = mass_coefficient(n, ric0)
     c = y0_sq - m0
-    with np.errstate(over="ignore"):  # a Python float would raise instead
-        x0 = _in_range(np.float64(c / b) ** (n / 2.0), "path end x0", n, ric0)
+    (x0,) = in_doubles(lambda: [(c / b) ** (n / 2.0)], [("path end x0", -n / 2)],
+                       {"n": n, "ric0": ric0}, normal=True)
     # exact start height on the zero-mass path, not sqrt(y0^2) roundoff
     y_start = start_height(n) if m0 == 0.0 else math.sqrt(c)
     return PhasePath(m0=m0, x0=x0, y0=y_start, n=n, ric0=ric0)
@@ -151,10 +138,11 @@ def volume_from_path(path: PhasePath) -> float:
     """
     n = path.n
     u0 = path.x0 ** (1.0 / n)
-    with np.errstate(over="ignore"):
-        volume = 2.0 * (n * u0 ** (n - 1) / math.sqrt(mass_coefficient(n, path.ric0))
-                        * sin_power(n - 1, 0.5 * math.pi))
-    return float(_in_range(volume, "volume", n, path.ric0))
+    (volume,) = in_doubles(
+        lambda: [2.0 * (n * u0 ** (n - 1) / math.sqrt(mass_coefficient(n, path.ric0))
+                        * sin_power(n - 1, 0.5 * math.pi))],
+        [("volume", -n / 2)], {"n": n, "ric0": path.ric0}, normal=True)
+    return float(volume)
 
 
 def bishop_bound(n: int, ric0: float) -> float:

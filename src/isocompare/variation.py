@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
-from .warped import WarpedMetric, _in_doubles, pointwise
+from .errors import DomainError, in_doubles
+from .warped import WarpedMetric, pointwise
 
 KINDS = ("first", "h_dot", "second")
 
@@ -143,12 +143,13 @@ def stencil_table(metric: WarpedMetric, t, h: float | None = None,
         scale = np.maximum(np.maximum(np.abs(fd), np.abs(exact)), floor)
         residual = np.divide(np.abs(fd - exact), scale, out=np.zeros_like(scale),
                              where=scale != 0.0)
-        # a residual is at most 2: spacing + residual leaves the doubles where either does
-        return [("variation stencil", 3 * metric.n, a)
-                for a in (spacing[..., None] + residual, fd, exact, residual)]
+        # a residual is at most 2: spacing + residual leaves the doubles where
+        # either does; the rest mix powers of the size, or have none
+        return [spacing[..., None] + residual, fd, exact, residual]
 
-    _, fd, exact, residual = _in_doubles(metric, table, t=ts[:, None, None],
-                                         h=steps[:, None])
+    _, fd, exact, residual = in_doubles(
+        table, [("variation stencil", 3 * metric.n)] + [("variation stencil", 0)] * 3,
+        metric.size_keys, at={"t": ts[:, None, None], "h": steps[:, None]})
     return StencilTable(t=ts, h=steps, fd=fd, exact=exact, residual=residual,
                         orders=_orders(steps, residual))
 

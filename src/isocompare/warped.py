@@ -19,9 +19,10 @@ warps through ``quadrature.sin_power``, tabulated warps by Gauss-Legendre
 rules that are exact on the interpolant's cubic pieces.  A closed warp gives
 its integral as p 2^e (frexp splits its radius and c exactly), so only a
 volume itself beyond the doubles leaves them, with the plain product's bits
-elsewhere.  Every quantity the module hands out passes one range check,
-``_in_doubles``.  The cylinders [0, N] x S^2 of ``cylinder_growth`` are the
-counterexample to a volume bound from the scalar floor alone.
+elsewhere.  Every quantity the module hands out passes ``errors.in_doubles``,
+named by the model's ``size_keys``.  The cylinders [0, N] x S^2 of
+``cylinder_growth`` are the counterexample to a volume bound from the scalar
+floor alone.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (NumericalError, SingularPointError, UnsupportedPointError,
-                     ValidationError)
+from .errors import (SingularPointError, UnsupportedPointError, ValidationError,
+                     in_doubles)
 from .quadrature import gauss_legendre, sin_power
 
 __all__ = [
@@ -272,6 +273,17 @@ class WarpedMetric:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 3:
             raise ValidationError(f"dimension n must be an integer >= 3, got {self.n!r}")
+        # every t-grid and default step of the model is a fraction of t_max
+        in_doubles(lambda: [self.t_max], [("length t_max", 1)], self.size_keys)
+
+    @property
+    def size_keys(self) -> dict:
+        """The config keys that scale the warp, then n, as range failures name them."""
+        warp = self.warp
+        keys = ({"f_samples": float(warp.f_samples.max())} if warp.kind == "tabulated"
+                else {"radius": warp.radius, "c": warp.cone_factor}
+                if warp.kind == "football" else {"radius": warp.radius})
+        return {**keys, "n": self.n}
 
     @property
     def t_max(self) -> float:
@@ -356,14 +368,14 @@ def pointwise(metric: WarpedMetric, t) -> Pointwise:
         f, f1, f2 = (np.asarray(v, dtype=float) for v in metric.warp.evaluate(t))
         if (f <= 0.0).any():
             raise SingularPointError(f"warp vanishes at t={t[f <= 0.0][0]:g}")
-        curvatures = _curvatures(n, f, f2, metric.warp.slope_complement(t))
-        return [("volume", n, _volume(metric, t)),
-                ("area", n - 1, sphere_area(n - 1) * f ** (n - 1)),
-                *zip(("mean curvature", "|Pi|^2", "Ric(nu, nu)", "tangential Ricci",
-                      "scalar curvature"), (-1, -2, -2, -2, -2),
-                     ((n - 1) * f1 / f, (n - 1) * (f1 / f) ** 2, *curvatures))]
+        return [_volume(metric, t), sphere_area(n - 1) * f ** (n - 1),
+                (n - 1) * f1 / f, (n - 1) * (f1 / f) ** 2,
+                *_curvatures(n, f, f2, metric.warp.slope_complement(t))]
 
-    volume, area, *rest = _in_doubles(metric, fields, t=t)
+    volume, area, *rest = in_doubles(
+        fields, [("volume", n), ("area", n - 1), ("mean curvature", -1), ("|Pi|^2", -2),
+                 ("Ric(nu, nu)", -2), ("tangential Ricci", -2), ("scalar curvature", -2)],
+        metric.size_keys, at={"t": t})
     return Pointwise(area, volume, *rest)
 
 
@@ -394,38 +406,8 @@ def curvature_bounds(metric: WarpedMetric) -> CurvatureBounds:
 
 def total_volume(metric: WarpedMetric) -> float:
     """Volume of the whole model: omega_(n-1) times the power integral of f."""
-    return float(_in_doubles(
-        metric, lambda: [("volume", metric.n, _volume(metric, metric.t_max))])[0])
-
-
-def _in_doubles(metric: WarpedMetric, compute, **at) -> list:
-    """The values (of one shape) of compute()'s (name, power of the model's
-    size, value) triples, computed under one errstate.  A value not finite is
-    exit 3, a volume 0 throughout exit 2, each naming the quantity, the keys
-    that scale f, n and the first entry that failed at the coordinates at,
-    with a hint to lower the size where the power is positive, else to raise it."""
-    with np.errstate(all="ignore"):
-        quantities = compute()
-    values = [value for _, _, value in quantities]
-    broken = (~np.isfinite(values)).reshape(len(values), -1).any(axis=1)
-    for (what, power, value), failed in zip(quantities, broken):
-        if failed or (what == "volume" and value.size and not value.any()):
-            break
-    else:
-        return values
-    warp = metric.warp
-    keys = ({"f_samples": float(warp.f_samples.max())} if warp.kind == "tabulated"
-            else {"radius": warp.radius, "c": warp.cone_factor} if warp.kind == "football"
-            else {"radius": warp.radius})
-    named = ", ".join([f"{k}={v:g}" for k, v in keys.items()] + [f"n={metric.n}"])
-    if not failed:
-        raise ValidationError(f"the model's volume underflows to 0 ({named}); "
-                              f"raise {' or '.join(keys)}")
-    bad = ~np.isfinite(value)
-    where = [f"{k}={np.broadcast_to(c, bad.shape)[bad][0]:g}" for k, c in at.items()]
-    raise NumericalError(
-        f"{'at ' + ', '.join(where) + ', ' if where else ''}the model's {what} "
-        f"overflows a double ({named}); {'lower' if power > 0 else 'raise'} {[*keys][0]}")
+    return float(in_doubles(lambda: [_volume(metric, metric.t_max)],
+                            [("volume", metric.n)], metric.size_keys)[0])
 
 
 def _volume(metric: WarpedMetric, t):
@@ -462,8 +444,8 @@ def cylinder_growth(lengths, radius: float = 1.0) -> CylinderGrowth:
     # product, and its curvatures, constant, are those of every length
     metric = cylinder(radius, 1.0)
     column = np.array(lengths, dtype=float)
-    (volumes,) = _in_doubles(
-        metric, lambda: [("volume", metric.n, _volume(metric, column))], length=column)
+    (volumes,) = in_doubles(lambda: [_volume(metric, column)], [("volume", metric.n)],
+                            metric.size_keys, at={"length": column})
     bounds = curvature_bounds(metric)
     return CylinderGrowth(column, volumes, bounds.ric_min, bounds.scalar_min)
 
@@ -524,10 +506,11 @@ def candidate_profile(metric: WarpedMetric, grid_size: int = 257) -> Profile:
 
     def columns():
         f, f1, _ = metric.warp.evaluate(ts)   # f'' of a tiny radius overflows here
-        return [("volume", n, _volume(metric, ts)),
-                ("area", n - 1, sphere_area(n - 1) * f ** (n - 1)), ("warp slope", 0, f1)]
+        return [_volume(metric, ts), sphere_area(n - 1) * f ** (n - 1), f1]
 
-    vols, areas, slope = _in_doubles(metric, columns, t=ts)
+    vols, areas, slope = in_doubles(
+        columns, [("volume", n), ("area", n - 1), ("warp slope", 0)], metric.size_keys,
+        at={"t": ts})
     stalled = ~(np.diff(vols) > 0)
     if stalled.any():
         raise ValidationError(

@@ -217,7 +217,8 @@ def test_bishop_bound_in_high_dimension_matches_mpmath(n):
 
 @pytest.mark.parametrize("n, ric0", [(3, 1e-300), (600, 1.0), (10 ** 6, 3.0)])
 def test_bishop_bound_beyond_double_range_is_numerical_error(n, ric0):
-    with pytest.raises(NumericalError, match=f"n = {n}, ric0 = {ric0:g}"):
+    with pytest.raises(NumericalError, match=re.escape(
+            f"the path end x0 overflows a double (n={n}, ric0={ric0:g}); raise ric0")):
         bishop_bound(n, ric0)
 
 
@@ -226,7 +227,7 @@ def test_bishop_bound_beyond_double_range_is_numerical_error(n, ric0):
 def test_bishop_bound_below_normal_doubles_is_numerical_error(ric0, what):
     # at 2.5e206 the path end x0 = 3.2e-308 is still normal, the bound is not
     with pytest.raises(NumericalError, match=re.escape(
-            f"{what} is below the normal doubles at n = 3, ric0 = {ric0:g}")):
+            f"the {what} is below the normal doubles (n=3, ric0={ric0:g}); lower ric0")):
         bishop_bound(3, ric0)
 
 

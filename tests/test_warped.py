@@ -426,7 +426,7 @@ class _StalledWarp:
     """A cylinder-like warp whose volume stops growing halfway."""
 
     kind = "cylinder"
-    t_max = 1.0
+    radius = t_max = 1.0
 
     def evaluate(self, t):
         z = np.zeros_like(np.asarray(t, dtype=float))
