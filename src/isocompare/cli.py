@@ -127,17 +127,21 @@ def _run_football_alpha(opts):
 
 
 def _run_epsilon0(opts):
-    bracket = epsilon0(method=opts.get("method", "oracle"),
-                       tol=opts.get("tol", 5e-4))
+    # method has the one value oracle, printed for the readers of the summary
+    bracket = epsilon0(opts.get("tol", 5e-4))
     return None, None, {
         "lo": bracket.lo, "hi": bracket.hi, "iterations": bracket.iterations,
-        "method": bracket.method, "no_root": bracket.no_root,
+        "method": "oracle", "no_root": bracket.no_root,
     }
 
 
 def _run_monotonicity(opts):
-    rho = np.linspace(opts.get("rho_min", 0.01), opts.get("rho_max", 2.0),
-                      opts.get("rho_n", 64))
+    lo, hi = opts.get("rho_min", 0.01), opts.get("rho_max", 2.0)
+    num = opts.get("rho_n", 64)
+    rho = np.linspace(lo, hi, num)
+    if not (np.diff(rho) > 0.0).all():
+        raise ConfigError(f"the rho grid from rho_min={lo!r} to rho_max={hi!r} "
+                          f"in rho_n={num} points is not increasing")
     lam = opts["lambda"]
     case_name = opts["case"]
     if case_name == "circle":

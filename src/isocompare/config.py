@@ -54,7 +54,7 @@ _MAX_RHO = _MEMORY_BUDGET // 384
 
 
 def _parse_grid(s: str):
-    """lo:hi:n range specification."""
+    """lo:hi:n, an eps range with 0 < lo < hi <= 1."""
     parts = s.split(":")
     if len(parts) != 3:
         raise ConfigError(f"expected lo:hi:n, got {s!r}")
@@ -62,6 +62,10 @@ def _parse_grid(s: str):
     num = _parse_int(parts[2])
     if num < 2 or hi <= lo:
         raise ConfigError(f"grid {s!r} must have hi > lo and n >= 2")
+    # checked before the grid is spread: ends such as -1e308:1e308 make
+    # np.linspace overflow
+    if not (0.0 < lo and hi <= 1.0):
+        raise ConfigError(f"ends must lie in (0, 1], got {lo:g}:{hi:g}")
     if num > _MAX_EPS:
         raise ConfigError(f"grid {s!r} has n above maximum {_MAX_EPS}")
     return (lo, hi, num)
@@ -131,7 +135,7 @@ COMMANDS = {
                              {"n", "ric0"}),
     "football-alpha": _command({"eps_grid": _parse_grid, "epsilon": _parse_float},
                                flags=("eps_grid", "epsilon")),
-    "epsilon0": _command({"method": _enum("oracle", "as-written"),
+    "epsilon0": _command({"method": _enum("oracle"),
                           "tol": _positive(_parse_float)},
                          flags=("method", "tol")),
     "monotonicity": _command({"case": _enum("sphere", "circle", "cone"),
@@ -212,13 +216,6 @@ def _cross_validate(command: str, opts: dict) -> None:
             raise ConfigError("football-alpha needs eps_grid or epsilon")
         if "eps_grid" in opts and "epsilon" in opts:
             raise ConfigError("football-alpha takes eps_grid or epsilon, not both")
-        if "eps_grid" in opts:
-            # checked before the grid is spread: ends such as -1e308:1e308
-            # make np.linspace overflow
-            lo, hi, _ = opts["eps_grid"]
-            if not (0.0 < lo and hi <= 1.0):
-                raise ConfigError(
-                    f"eps_grid ends must lie in (0, 1], got {lo:g}:{hi:g}")
     if opts.get("model") == "football" and not 0.0 < opts.get("c", 1.0) <= 1.0:
         raise ConfigError("football cone factor c must lie in (0, 1]")
     if opts.get("model") == "cylinder" and "length" not in opts:

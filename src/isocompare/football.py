@@ -440,7 +440,6 @@ class Epsilon0Bracket:
     lo: float
     hi: float
     iterations: int
-    method: str
     no_root: bool = False
     evaluations: list[tuple[float, float]] = field(default_factory=list)
 
@@ -448,21 +447,13 @@ class Epsilon0Bracket:
 _EPS0_SEARCH = (0.05, 0.5)
 
 
-def epsilon0(method: str = "oracle", tol: float = 5e-4) -> Epsilon0Bracket:
+def epsilon0(tol: float = 5e-4) -> Epsilon0Bracket:
     """Bracket the threshold eps0 by bisection on alpha(eps) - 1.
 
     The search interval, ``_EPS0_SEARCH``, starts below the known football
     excess region and at the proven upper bound 1/2.  The bracket narrows
-    to tol or to adjacent doubles.  The verbatim formula cannot be
-    evaluated at any eps (``as_written_bound``), so ``as-written`` reports
-    no root at once.
+    to tol or to adjacent doubles.
     """
-    if method == "as-written":
-        return Epsilon0Bracket(lo=math.nan, hi=math.nan, iterations=0,
-                               method=method, no_root=True)
-    if method != "oracle":
-        raise ValidationError(f"unknown method {method!r}: use oracle | as-written")
-
     lo, hi = _EPS0_SEARCH
     evals = []
 
@@ -473,7 +464,7 @@ def epsilon0(method: str = "oracle", tol: float = 5e-4) -> Epsilon0Bracket:
 
     if not above(lo) or above(hi):
         return Epsilon0Bracket(lo=math.nan, hi=math.nan, iterations=0,
-                               method=method, no_root=True, evaluations=evals)
+                               no_root=True, evaluations=evals)
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -484,5 +475,4 @@ def epsilon0(method: str = "oracle", tol: float = 5e-4) -> Epsilon0Bracket:
         else:
             hi = mid
         iterations += 1
-    return Epsilon0Bracket(lo=lo, hi=hi, iterations=iterations, method=method,
-                           evaluations=evals)
+    return Epsilon0Bracket(lo=lo, hi=hi, iterations=iterations, evaluations=evals)

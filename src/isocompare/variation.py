@@ -117,8 +117,8 @@ def stencil_table(metric: WarpedMetric, t, h: float | None = None,
         at, step = _first(bad, ts, steps)
         raise DomainError(
             f"step h must be positive, got {step:g}" if step <= 0 else
-            f"stencil [{at - step:g}, {at + step:g}] leaves "
-            f"({metric.t_min:g}, {metric.t_max:g})")
+            f"at t={at:g}, h={step:g}, the stencil [{at - step:g}, {at + step:g}] "
+            f"leaves ({metric.t_min:g}, {metric.t_max:g})")
     p = pointwise(metric, np.stack((lo, np.broadcast_to(ts[:, None], lo.shape), hi),
                                    axis=-1))
 

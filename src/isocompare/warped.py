@@ -157,7 +157,9 @@ class _FootballWarp:
 
     def evaluate(self, t):
         r, c0 = self.radius, self.cone_factor
-        s = np.sin(np.asarray(t, dtype=float) / r)
+        # |sin|: where t_max / r rounds above pi the far pole's sine is
+        # -3.2e-16, and omega f^(n-1) negative for odd n - 1
+        s = np.abs(np.sin(np.asarray(t, dtype=float) / r))
         c = np.cos(np.asarray(t, dtype=float) / r)
         return r * c0 * s, c0 * c, -c0 * s / r
 

@@ -98,7 +98,7 @@ def test_criterion_4_bishop_inequality_on_models():
 
 def test_criterion_5_football_constant():
     start = time.perf_counter()
-    bracket = epsilon0("oracle", tol=5e-4)
+    bracket = epsilon0(tol=5e-4)
     a_half = alpha_oracle(0.5).alpha_oracle
     a_one = alpha_oracle(1.0).alpha_oracle
     elapsed = time.perf_counter() - start

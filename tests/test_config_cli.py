@@ -497,6 +497,45 @@ def test_cli_monotonicity_cell_out_of_range_exits_3(tmp_path, capsys, config, ke
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("monotonicity", "case = circle\nlambda = 1\nrho_min = 1e100\n",
+     "the rho grid from rho_min=1e+100 to rho_max=2.0 in rho_n=64 points is "
+     "not increasing"),
+    ("monotonicity", "case = circle\nlambda = 1\nrho_min = 1\n"
+     "rho_max = 1.0000000000000002\n", "the rho grid from rho_min=1.0 to "
+     "rho_max=1.0000000000000002 in rho_n=64 points is not increasing"),
+    ("variation-check", "model = cylinder\nradius = 1e-300\nlength = 1\n"
+     "t = 1e-300\n", "at t=1e-300, h=0.001, the stencil [-0.001, 0.001] "
+     "leaves (0, 1)"),
+    ("football-alpha", "eps_grid = 0.5:2:3\n",
+     "line 2: eps_grid: ends must lie in (0, 1], got 0.5:2"),
+], ids=["rho_min", "rho_n", "stencil", "eps_grid"])
+def test_cli_validation_names_its_keys(tmp_path, capsys, command, config, message):
+    # a rho_min above the default rho_max said only "rho grid must be
+    # positive and increasing", and a stencil about a t that the default
+    # step carries out of the model only "stencil [-0.001, 0.001] leaves
+    # (0, 1)"; the eps_grid ends rule ran after parsing, without the line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = {command}\n{config}")
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"iso-compare: {message}\n"
+
+
+@pytest.mark.parametrize("command, extra, area", [("profile", "", 2),
+                                                  ("mass", "ric0 = 3\n", 1)],
+                         ids=["profile", "mass"])
+def test_cli_far_pole_writes_its_table(tmp_path, command, extra, area):
+    # t_max / radius = (pi radius) / radius rounds above pi at this radius:
+    # the far pole's sine was -3.2e-16, so A = omega f^3 < 0, and both
+    # commands exited 2 with "profile areas must be nonnegative"
+    code, text = _invoke(tmp_path, command, f"command = {command}\nmodel = sphere\n"
+                         f"n = 4\nradius = 0.327977417671303\n{extra}")
+    assert code == 0
+    assert float(text.splitlines()[-1].split(",")[area]) > 0.0
+
+
 _SIZES = ("5e-324", "1e-300", "1e-200", "1e-100", "1e100", "1e200", "1e308")
 
 
@@ -504,11 +543,11 @@ def _extreme_size_configs():
     """(command, config) pairs: every command with one size key at each of
     _SIZES, the other keys at ordinary values."""
     for s in _SIZES:
-        for model, t in (("model = sphere\n", s), ("model = football\nc = 0.5\n", s),
-                         ("model = cylinder\nlength = 1\n", "0.5")):
+        for model in ("model = sphere\n", "model = football\nc = 0.5\n",
+                      "model = cylinder\nlength = 1\n"):
             yield "profile", f"{model}radius = {s}\n"
             yield "mass", f"{model}radius = {s}\nric0 = 2\n"
-            yield "variation-check", f"{model}radius = {s}\nt = {t}\n"
+            yield "variation-check", f"{model}radius = {s}\nt = {s}\n"
         yield "profile", f"model = cylinder\nradius = 1\nlength = {s}\n"
         yield ("variation-check",
                f"model = cylinder\nradius = 1\nlength = {s}\nt = {float(s) / 2!r}\n")
@@ -520,8 +559,7 @@ def _extreme_size_configs():
         for case in ("circle", "sphere", "cone"):
             yield "monotonicity", f"case = {case}\nlambda = {s}\n"
             yield "monotonicity", f"case = {case}\nlambda = -{s}\n"
-            yield "monotonicity", (f"case = {case}\nlambda = 1\nrho_min = {s}\n"
-                                   f"rho_max = {2 * float(s)!r}\nrho_n = 2\n")
+            yield "monotonicity", f"case = {case}\nlambda = 1\nrho_min = {s}\n"
         for n in (9, 100, 1100):
             for delta, radii in ((s, s), ("0.1", s), (s, "0.01")):
                 yield "cutoff-budget", (f"n = {n}\ndelta = {delta}\nc0 = 1\nc = 1\n"
@@ -965,12 +1003,14 @@ def test_cli_import_leaves_out_argparse():
     (["football-alpha", "--epsilon"], "flag --epsilon needs a value"),
     (["football-alpha", "--epsilon", "--out", "x"], "flag --epsilon needs a value"),
     (["epsilon0", "--method", "newton"],
-     "command line: method: expected one of oracle, as-written; got 'newton'"),
+     "command line: method: expected one of oracle; got 'newton'"),
+    (["epsilon0", "--method", "as-written"],
+     "command line: method: expected one of oracle; got 'as-written'"),
     (["epsilon0", "--format", "xml"],
      "command line: format: expected one of csv, json; got 'xml'"),
 ], ids=["empty", "unknown-command", "unknown-flag", "abbreviated-eps",
         "abbreviated-conf", "stray-value", "other-command-flag", "no-value",
-        "flag-as-value", "bad-method", "bad-format"])
+        "flag-as-value", "bad-method", "removed-method", "bad-format"])
 def test_cli_usage_errors_leave_main_usable(tmp_path, capsys, argv, message):
     # a usage error exits 2 with one line naming its token, and --help exits
     # 0 listing every command and flag; neither raises, and two commands
@@ -1001,7 +1041,7 @@ _FLAG_CASES = [
     ("--format", "format", "bishop-bound", "n = 3\nric0 = 2\n", "csv", "xml"),
     ("--eps-grid", "eps_grid", "football-alpha", "", "0.1:0.3:3", "0.3:0.1:3"),
     ("--epsilon", "epsilon", "football-alpha", "", "0.2", "0.2x"),
-    ("--method", "method", "epsilon0", "tol = 0.01\n", "as-written", "newton"),
+    ("--method", "method", "epsilon0", "tol = 0.01\n", "oracle", "newton"),
     ("--tol", "tol", "epsilon0", "", "0.01", "-1"),
     ("--case", "case", "monotonicity", "lambda = 1\nrho_n = 8\n", "cone", "disk"),
     ("--lambda", "lambda", "monotonicity", "case = circle\nrho_n = 8\n", "-1",

@@ -293,8 +293,17 @@ def test_alpha_result_discrepancy_reported():
         assert as_written_bound(eps) > 1.0
 
 
+# eps0 to 34 digits: the eps at which the half volume's interior maximum,
+# the zero of dV/dz, equals the round sphere's pi^2.  Recipe: a secant in
+# eps on that maximum over pi^2, less 1, each maximum a secant in z on a
+# central difference of _mp_half_volume, step 1e-12 (z - z_lo), at 45
+# digits; at 60 digits with step 1e-16 (z - z_lo) the root agrees to 36
+# digits.  It lies above the cone-family crossing (2 - sqrt 3) / 2 = 0.1339746.
+EPS0 = 0.1347277554114124989271003344249664
+
+
 def test_epsilon0_oracle_bracket():
-    bracket = epsilon0("oracle", tol=5e-4)
+    bracket = epsilon0(tol=5e-4)
     assert not bracket.no_root
     assert bracket.hi - bracket.lo <= 5e-4
     assert 0.10 < bracket.lo < bracket.hi < 0.20
@@ -311,31 +320,19 @@ def test_alpha_oracle_finds_narrow_peak_near_threshold():
 
 
 def test_epsilon0_bracket_contains_two_leg_root():
-    # the two-leg supremum crosses 1 at eps = 0.13472776 (mpmath bisection),
-    # above the cone-family crossing (2 - sqrt 3) / 2 = 0.1339746
-    bracket = epsilon0("oracle", tol=5e-4)
-    assert bracket.lo < 0.1347278 < bracket.hi
-
-
-def test_epsilon0_as_written_no_root():
-    bracket = epsilon0("as-written", tol=5e-4)
-    assert bracket.no_root
-    assert bracket.evaluations == []
+    # the two-leg supremum crosses 1 at EPS0, above the cone-family crossing
+    bracket = epsilon0(tol=5e-4)
+    assert bracket.lo < EPS0 < bracket.hi
 
 
 def test_epsilon0_ends_at_adjacent_doubles():
     # a tol finer than the doubles near eps0 once looped for ever: the
     # bracket stops at two adjacent doubles
     for tol in (1e-300, 5e-324):
-        bracket = epsilon0("oracle", tol=tol)
+        bracket = epsilon0(tol=tol)
         assert len(bracket.evaluations) <= 64
         assert bracket.hi == np.nextafter(bracket.lo, 1.0)
-        assert max(bracket.lo - 0.1347277554, 0.1347277554 - bracket.hi) <= 1e-10
-
-
-def test_epsilon0_unknown_method():
-    with pytest.raises(ValidationError):
-        epsilon0("guess")
+        assert max(bracket.lo - EPS0, EPS0 - bracket.hi) <= 1e-10
 
 
 def test_cylinder_growth_values():
@@ -581,18 +578,29 @@ def test_argmax_is_a_zero_of_the_slope(eps):
 
 
 def _mp_slope_root(eps, z):
-    """The 25-digit zero of dV/dz, found from a double z near it."""
-    with mp.workdps(25):
+    """The zero of dV/dz, found from a double z near it by a secant on a
+    50-digit central difference.  Its step, 1e-10 (z - z_lo), never crosses
+    z_lo (mpmath's own step did at eps = 1e-6, 1e-5 and 3.29e-5, and the
+    half volume below z_lo is complex) and moves the root by about 1e-24."""
+    with mp.workdps(50):
         e = mp.mpf(eps)
-        gap = mp.findroot(lambda g: mp.diff(lambda h: _mp_half_volume(e, h), g),
-                          4 * mp.pi - mp.mpf(z))
-        return 4 * mp.pi - gap
+        z_lo = 4 * mp.pi / (3 - 2 * e)
+
+        def slope(z):
+            h = (z - z_lo) / 10 ** 10
+            return (_mp_half_volume(e, 4 * mp.pi - z - h)
+                    - _mp_half_volume(e, 4 * mp.pi - z + h)) / (2 * h)
+
+        # from z and a point 1e-6 of z - z_lo past it, to steps of 1e-36
+        return mp.findroot(slope, (mp.mpf(z), z_lo + (z - z_lo) * (1 + mp.mpf(1e-6))),
+                           tol=mp.mpf(10) ** -36, verify=False)
 
 
-@pytest.mark.parametrize("eps", [5e-3, 0.05, 0.1, 0.13, 0.1345])
+@pytest.mark.parametrize("eps", [1e-6, 1e-5, 3.29e-5, 5e-3, 0.05, 0.1, 0.13, 0.1345])
 def test_argmax_matches_mpmath_root_of_the_slope(eps):
     # the argmax is the last root step's point, never evaluated: it is still
-    # the 25-digit zero of dV/dz, found from the double argmax
+    # the zero of dV/dz, found from the double argmax (measured: within
+    # 1.8e-16 relative from eps = 1e-6 to 0.1345)
     z = alpha_oracle(eps).z_argmax
     want = _mp_slope_root(eps, z)
     assert abs(z - want) <= 1e-14 * want
@@ -896,24 +904,23 @@ def test_epsilon0_brackets_the_reference_at_1e_10():
     # alpha is exactly 1 above eps0 (the round sphere's closed form), so the
     # bisection tests alpha > 1 with no margin, which would shift every
     # bracket by about 3.4e-9
-    ref = 0.1347277554
-    bracket = epsilon0("oracle", tol=1e-10)
+    bracket = epsilon0(tol=1e-10)
     assert bracket.hi - bracket.lo <= 1e-10
-    assert max(bracket.lo - ref, ref - bracket.hi, 0.0) <= 1e-10
+    assert max(bracket.lo - EPS0, EPS0 - bracket.hi, 0.0) <= 1e-10
 
 
 def test_epsilon0_lies_above_cone_crossing():
-    # alpha stays above 1 past the cone crossing, up to eps0 = 0.13472776
-    bracket = epsilon0("oracle", tol=1e-7)
-    assert _CONE_CROSSING < bracket.lo < 0.13472776 < bracket.hi
+    # alpha stays above 1 past the cone crossing, up to EPS0
+    bracket = epsilon0(tol=1e-7)
+    assert _CONE_CROSSING < bracket.lo < EPS0 < bracket.hi
     assert alpha_oracle(0.5 * (_CONE_CROSSING + bracket.lo)).alpha_oracle > 1.0
 
 
 # ---------------------------------------------------------------------------
 # the premises of the scan: on a dense grid in s, and on the scan itself
 
-# eps0 is 0.13472775541141249893 to 34 digits (mpmath); the bisection's
-# adjacent-double bracket ends at 0.13472775541141216, 12 ulps below it
+# the bisection's adjacent-double bracket ends at 0.13472775541141216, 12
+# ulps below EPS0
 _BELOW_EPS0 = 0.1347277554
 _ABOVE_EPS0 = 0.1347277555
 

@@ -412,6 +412,21 @@ def test_candidate_profile_sphere_values():
     assert prof.a_values[mid] == pytest.approx(4 * PI, rel=1e-12)
 
 
+@pytest.mark.parametrize("metric", [round_sphere(4, 0.327977417671303),
+                                    football(0.5, n=4, radius=0.327977417671303)],
+                         ids=["sphere", "football"])
+def test_far_pole_area_is_nonnegative(metric):
+    # t_max / r = (pi r) / r rounds above pi at this radius, where the sine
+    # at the far pole was -3.2e-16 and A = omega f^3 negative: profile and
+    # mass exited 2 with "profile areas must be nonnegative"
+    radius = metric.warp.radius
+    assert metric.t_max / radius > PI
+    assert metric.warp.evaluate(metric.t_max)[0] > 0.0
+    prof = candidate_profile(metric, 257)
+    assert prof.a_values[-1] >= 0.0
+    assert prof.v_grid[-1] == prof.total_volume
+
+
 def test_candidate_profile_symmetry():
     for metric in (round_sphere(3, 1.0), football(0.7)):
         prof = candidate_profile(metric, 129)
