@@ -253,7 +253,11 @@ def run(config: RunConfig) -> None:
     columns, rows, summary = _HANDLERS[config.command](config.options)
     text = render(config, columns, rows, summary)
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(config.output, "w", encoding="utf-8")
+        except ValueError as exc:  # a NUL byte in the path
+            raise ConfigError(f"output: cannot open {config.output!r}: {exc}") from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -432,15 +436,20 @@ def main(argv=None) -> int:
         command, flag_pairs = parsed
         pairs = {}
         if "config" in flag_pairs:
-            with open(flag_pairs.pop("config")[0], encoding="utf-8") as fh:
-                pairs = read_pairs(fh.read())
+            path = flag_pairs.pop("config")[0]
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
+            except ValueError as exc:  # a NUL byte in the path, or text not UTF-8
+                raise ConfigError(f"config: cannot read {path!r}: {exc}") from None
+            pairs = read_pairs(text)
         file_command, _ = pairs.pop("command", (command, 0))
         if file_command != command:
             raise ConfigError(
                 f"config file names command {file_command!r} but "
                 f"{command!r} was invoked")
         run(validate(command, {**pairs, **flag_pairs}))
-    except (OSError, ConfigError, ValidationError) as exc:
+    except (OSError, ValidationError) as exc:
         print(f"iso-compare: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

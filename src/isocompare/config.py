@@ -2,9 +2,10 @@
 
 A configuration is plain text, one ``key = value`` per line, ``#`` comments.
 ``COMMANDS`` holds, per command, its keys with their parsers, its required
-keys and its flags.  Unknown keys are rejected by name; every error message
-carries the offending line number, or "command line" for the value of a
-flag, which is checked as its key.
+keys and its flags; ``_VARIANTS`` holds the keys each model or case reads.
+Unknown keys, and keys of another model or case, are rejected by name; every
+error message about a key that is set carries its line number, or "command
+line" for the value of a flag, which is checked as its key.
 """
 
 from __future__ import annotations
@@ -101,8 +102,21 @@ def _size(low: int, high: float):
 
 _dimension = _size(3, math.inf)
 
+# the keys that only some models or cases read: selector key -> {its value:
+# (the keys it reads, the keys it needs)}.  A run that sets a key of another
+# model or case is a config error, not a header line of a key nobody read
+_VARIANTS = {
+    "model": {"sphere": ({"radius"}, set()), "football": ({"radius", "c"}, set()),
+              "cylinder": ({"radius", "length"}, {"length"}),
+              "tabulated": ({"t_samples", "f_samples"}, {"t_samples", "f_samples"})},
+    "case": {"sphere": ({"sphere_dim"}, set()), "circle": (set(), set()),
+             "cone": ({"angle"}, set())},
+}
+_VARIANT_KEYS = {selector: set().union(*(own for own, _ in variants.values()))
+                 for selector, variants in _VARIANTS.items()}
+
 _MODEL_KEYS = {
-    "model": _enum("sphere", "football", "cylinder", "tabulated"),
+    "model": _enum(*_VARIANTS["model"]),
     "n": _dimension,
     "radius": _positive(_parse_float),
     "c": _parse_float,
@@ -138,7 +152,7 @@ COMMANDS = {
     "epsilon0": _command({"method": _enum("oracle"),
                           "tol": _positive(_parse_float)},
                          flags=("method", "tol")),
-    "monotonicity": _command({"case": _enum("sphere", "circle", "cone"),
+    "monotonicity": _command({"case": _enum(*_VARIANTS["case"]),
                               "lambda": _parse_float,
                               "rho_min": _positive(_parse_float),
                               "rho_max": _positive(_parse_float),
@@ -190,20 +204,32 @@ def validate(command: str, pairs: dict[str, tuple[str, int]]) -> RunConfig:
         raise ConfigError(
             f"unknown command {command!r}; valid commands: {', '.join(COMMANDS)}")
     keys, required, _ = COMMANDS[command]
-    options = {}
+    options, where = {}, {}
     for key, (value, lineno) in pairs.items():
-        where = f"line {lineno}" if lineno > 0 else "command line"
+        where[key] = f"line {lineno}" if lineno > 0 else "command line"
         if key not in keys:
             raise ConfigError(
-                f"{where}: unknown key {key!r} for command {command!r}")
+                f"{where[key]}: unknown key {key!r} for command {command!r}")
         try:
             options[key] = keys[key](value)
         except ConfigError as exc:
-            raise ConfigError(f"{where}: {key}: {exc}") from None
+            raise ConfigError(f"{where[key]}: {key}: {exc}") from None
     missing = sorted(required - options.keys())
     if missing:
         raise ConfigError(
             f"missing required key(s) for {command!r}: {', '.join(missing)}")
+    for selector, variants in _VARIANTS.items():
+        if selector not in options:
+            continue
+        variant = f"{selector} {options[selector]!r}"
+        own, needed = variants[options[selector]]
+        for key in options:
+            if key in _VARIANT_KEYS[selector] and key not in own:
+                raise ConfigError(
+                    f"{where[key]}: key {key!r} does not apply to {variant}")
+        if not needed <= options.keys():
+            raise ConfigError(f"missing required key(s) for {variant}: "
+                              f"{', '.join(sorted(needed - options.keys()))}")
     # the two keys of every command leave the options
     output, fmt = options.pop("output", None), options.pop("format", None)
     _cross_validate(command, options)
@@ -218,8 +244,3 @@ def _cross_validate(command: str, opts: dict) -> None:
             raise ConfigError("football-alpha takes eps_grid or epsilon, not both")
     if opts.get("model") == "football" and not 0.0 < opts.get("c", 1.0) <= 1.0:
         raise ConfigError("football cone factor c must lie in (0, 1]")
-    if opts.get("model") == "cylinder" and "length" not in opts:
-        raise ConfigError("cylinder model needs a length")
-    if opts.get("model") == "tabulated":
-        if "t_samples" not in opts or "f_samples" not in opts:
-            raise ConfigError("tabulated model needs t_samples and f_samples")

@@ -61,7 +61,8 @@ def in_doubles(compute, quantities, keys: dict, at: dict | None = None,
     normal doubles (<key>=<v>, ...)[; lower|raise <first key but n>]", at the
     first failing entry of the coordinates at.  power is the quantity's power
     in that key, 0 for no one power; at a positive power a value 0 throughout
-    is exit 2: "the <name> underflows to 0 (...); raise <every key but n>"."""
+    is exit 2: "the <name> underflows to 0 (...); raise <every key but n>".
+    Values past the quantities are returned unchecked."""
     with np.errstate(all="ignore"):
         try:
             values = compute()

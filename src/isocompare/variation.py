@@ -143,13 +143,13 @@ def stencil_table(metric: WarpedMetric, t, h: float | None = None,
         scale = np.maximum(np.maximum(np.abs(fd), np.abs(exact)), floor)
         residual = np.divide(np.abs(fd - exact), scale, out=np.zeros_like(scale),
                              where=scale != 0.0)
-        # a residual is at most 2: spacing + residual leaves the doubles where
-        # either does; the rest mix powers of the size, or have none
+        # a residual is nan where fd or exact is not finite: spacing + residual
+        # leaves the doubles wherever any of the four does, and alone is checked
         return [spacing[..., None] + residual, fd, exact, residual]
 
     _, fd, exact, residual = in_doubles(
-        table, [("variation stencil", 3 * metric.n)] + [("variation stencil", 0)] * 3,
-        metric.size_keys, at={"t": ts[:, None, None], "h": steps[:, None]})
+        table, [("variation stencil", 3 * metric.n)], metric.size_keys,
+        at={"t": ts[:, None, None], "h": steps[:, None]})
     return StencilTable(t=ts, h=steps, fd=fd, exact=exact, residual=residual,
                         orders=_orders(steps, residual))
 

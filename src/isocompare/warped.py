@@ -19,10 +19,10 @@ warps through ``quadrature.sin_power``, tabulated warps by Gauss-Legendre
 rules that are exact on the interpolant's cubic pieces.  A closed warp gives
 its integral as p 2^e (frexp splits its radius and c exactly), so only a
 volume itself beyond the doubles leaves them, with the plain product's bits
-elsewhere.  Every quantity the module hands out passes ``errors.in_doubles``,
-named by the model's ``size_keys``.  The cylinders [0, N] x S^2 of
-``cylinder_growth`` are the counterexample to a volume bound from the scalar
-floor alone.
+elsewhere.  Every quantity the module hands out that can leave the doubles
+passes ``errors.in_doubles``, named by the model's ``size_keys``.  The
+cylinders [0, N] x S^2 of ``cylinder_growth`` are the counterexample to a
+volume bound from the scalar floor alone.
 """
 
 from __future__ import annotations
@@ -157,17 +157,12 @@ class _FootballWarp:
 
     def evaluate(self, t):
         r, c0 = self.radius, self.cone_factor
+        u = np.asarray(t, dtype=float) / r
         # |sin|: where t_max / r rounds above pi the far pole's sine is
         # -3.2e-16, and omega f^(n-1) negative for odd n - 1
-        s = np.abs(np.sin(np.asarray(t, dtype=float) / r))
-        c = np.cos(np.asarray(t, dtype=float) / r)
-        return r * c0 * s, c0 * c, -c0 * s / r
-
-    def slope_complement(self, t):
+        s, c = np.abs(np.sin(u)), np.cos(u)
         # 1 - c^2 cos^2 = sin^2 + (1 - c^2) cos^2, stable near the poles
-        u = np.asarray(t, dtype=float) / self.radius
-        c0 = self.cone_factor
-        return np.sin(u) ** 2 + (1.0 - c0 * c0) * np.cos(u) ** 2
+        return r * c0 * s, c0 * c, -c0 * s / r, s * s + (1.0 - c0 * c0) * (c * c)
 
     def power_integral(self, t, m: int):
         (r, r_exp), (c, c_exp) = math.frexp(self.radius), math.frexp(self.cone_factor)
@@ -189,10 +184,7 @@ class _CylinderWarp:
 
     def evaluate(self, t):
         z = np.zeros_like(np.asarray(t, dtype=float))
-        return z + self.radius, z, z
-
-    def slope_complement(self, t):
-        return np.ones_like(np.asarray(t, dtype=float))
+        return z + self.radius, z, z, z + 1.0
 
     def power_integral(self, t, m: int):
         a, a_exp = math.frexp(self.radius)
@@ -239,11 +231,8 @@ class _TabulatedWarp:
         if np.any(t < self.t_min) or np.any(t > self.t_max):
             raise UnsupportedPointError(
                 f"tabulated warp supports only [{self.t_min:g}, {self.t_max:g}]")
-        return self._interp(t), self._interp(t, 1), self._interp(t, 2)
-
-    def slope_complement(self, t):
-        _, f1, _ = self.evaluate(t)
-        return 1.0 - np.asarray(f1, dtype=float) ** 2
+        f1 = self._interp(t, 1)
+        return self._interp(t), f1, self._interp(t, 2), 1.0 - f1 ** 2
 
     def power_integral(self, t, m: int):
         # f^m has degree 3m on each cubic piece, where the
@@ -367,12 +356,11 @@ def pointwise(metric: WarpedMetric, t) -> Pointwise:
     n = metric.n
 
     def fields():
-        f, f1, f2 = (np.asarray(v, dtype=float) for v in metric.warp.evaluate(t))
+        f, f1, f2, sc = (np.asarray(v, dtype=float) for v in metric.warp.evaluate(t))
         if (f <= 0.0).any():
             raise SingularPointError(f"warp vanishes at t={t[f <= 0.0][0]:g}")
-        return [_volume(metric, t), sphere_area(n - 1) * f ** (n - 1),
-                (n - 1) * f1 / f, (n - 1) * (f1 / f) ** 2,
-                *_curvatures(n, f, f2, metric.warp.slope_complement(t))]
+        return [_volume(metric, t), _area(n, f), (n - 1) * f1 / f,
+                (n - 1) * (f1 / f) ** 2, *_curvatures(n, f, f2, sc)]
 
     volume, area, *rest = in_doubles(
         fields, [("volume", n), ("area", n - 1), ("mean curvature", -1), ("|Pi|^2", -2),
@@ -410,6 +398,11 @@ def total_volume(metric: WarpedMetric) -> float:
     """Volume of the whole model: omega_(n-1) times the power integral of f."""
     return float(in_doubles(lambda: [_volume(metric, metric.t_max)],
                             [("volume", metric.n)], metric.size_keys)[0])
+
+
+def _area(n: int, f):
+    """omega_(n-1) f^(n-1), the area of the slice where the warp is f."""
+    return sphere_area(n - 1) * f ** (n - 1)
 
 
 def _volume(metric: WarpedMetric, t):
@@ -479,8 +472,12 @@ class Profile:
                 a.shape != self.v_grid.shape
                 for a in (self.a_values, self.t_grid, self.warp_slope)):
             raise ValidationError("profile grids must be matching 1-d arrays")
-        if not np.all(np.diff(self.v_grid) > 0):
-            raise ValidationError("profile volume samples must be strictly increasing")
+        stalled = ~(np.diff(self.v_grid) > 0)
+        if stalled.any():
+            raise ValidationError(
+                f"volume samples are not strictly increasing: V stops increasing at "
+                f"t={self.t_grid[np.argmax(stalled)]:g} (n={self.n}, grid_size="
+                f"{self.v_grid.size}), where a grid cell is below the volume's resolution")
         if np.any(self.a_values < 0):
             raise ValidationError("profile areas must be nonnegative")
         if self.n < 3:
@@ -507,16 +504,10 @@ def candidate_profile(metric: WarpedMetric, grid_size: int = 257) -> Profile:
     ts = np.linspace(0.0, metric.t_max, grid_size)
 
     def columns():
-        f, f1, _ = metric.warp.evaluate(ts)   # f'' of a tiny radius overflows here
-        return [_volume(metric, ts), sphere_area(n - 1) * f ** (n - 1), f1]
+        f, f1, _, _ = metric.warp.evaluate(ts)   # f'' of a tiny radius overflows here
+        # f' = c cos(t / r), or 0, is a double: the slope goes unchecked
+        return [_volume(metric, ts), _area(n, f), f1]
 
-    vols, areas, slope = in_doubles(
-        columns, [("volume", n), ("area", n - 1), ("warp slope", 0)], metric.size_keys,
-        at={"t": ts})
-    stalled = ~(np.diff(vols) > 0)
-    if stalled.any():
-        raise ValidationError(
-            f"volume samples are not strictly increasing: V stops increasing at "
-            f"t={ts[np.argmax(stalled)]:g} (n={n}, grid_size={grid_size}), where "
-            "a grid cell is below the volume's resolution")
+    vols, areas, slope = in_doubles(columns, [("volume", n), ("area", n - 1)],
+                                    metric.size_keys, at={"t": ts})
     return Profile(n=n, v_grid=vols, a_values=areas, t_grid=ts, warp_slope=slope)

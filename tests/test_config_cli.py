@@ -509,18 +509,50 @@ def test_cli_monotonicity_cell_out_of_range_exits_3(tmp_path, capsys, config, ke
      "leaves (0, 1)"),
     ("football-alpha", "eps_grid = 0.5:2:3\n",
      "line 2: eps_grid: ends must lie in (0, 1], got 0.5:2"),
-], ids=["rho_min", "rho_n", "stencil", "eps_grid"])
+    ("profile", "model = sphere\nc = 0.3\nlength = 7\nt_samples = 1,2\n",
+     "line 3: key 'c' does not apply to model 'sphere'"),
+    ("variation-check", "t = 1\nradius = 2\nmodel = tabulated\n"
+     "t_samples = 1,2,3,4\nf_samples = 1,2,2,1\n",
+     "line 3: key 'radius' does not apply to model 'tabulated'"),
+    ("monotonicity", "case = circle\nlambda = 1\nsphere_dim = 3\n",
+     "line 4: key 'sphere_dim' does not apply to case 'circle'"),
+    ("mass", "model = cylinder\nric0 = 1\n",
+     "missing required key(s) for model 'cylinder': length"),
+    ("profile", "model = tabulated\nt_samples = 1,2,3,4\n",
+     "missing required key(s) for model 'tabulated': f_samples"),
+], ids=["rho_min", "rho_n", "stencil", "eps_grid", "other-model", "tabulated-radius",
+        "other-case", "cylinder-length", "tabulated-samples"])
 def test_cli_validation_names_its_keys(tmp_path, capsys, command, config, message):
     # a rho_min above the default rho_max said only "rho grid must be
     # positive and increasing", and a stencil about a t that the default
     # step carries out of the model only "stencil [-0.001, 0.001] leaves
-    # (0, 1)"; the eps_grid ends rule ran after parsing, without the line
+    # (0, 1)"; the eps_grid ends rule ran after parsing, without the line.
+    # A key of another model or case was ignored, yet printed in the header
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"command = {command}\n{config}")
     assert main([command, "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"iso-compare: {message}\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("profile", b"command = profile\nmodel = sph\xffere\n", "config: cannot read "
+     "'{cfg}': 'utf-8' codec can't decode byte 0xff in position 29: invalid start byte"),
+    ("bishop-bound", b"command = bishop-bound\nn = 3\nric0 = 2\noutput = a\x00b\n",
+     "output: cannot open 'a\\x00b': embedded null byte"),
+], ids=["not-utf-8", "nul-output"])
+def test_cli_unreadable_config_or_output_path_exits_2(tmp_path, capsys, command, text,
+                                                     message):
+    # a config file that is not UTF-8 and a path with a NUL byte raised
+    # UnicodeDecodeError and ValueError out of main (exit 1, a traceback)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"iso-compare: {message.format(cfg=cfg)}\n")
+    assert main([command, "--config", "a\x00b"]) == 2
+    assert capsys.readouterr() == (
+        "", "iso-compare: config: cannot read 'a\\x00b': embedded null byte\n")
 
 
 @pytest.mark.parametrize("command, extra, area", [("profile", "", 2),

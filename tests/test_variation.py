@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocompare import cli, warped
-from isocompare.errors import DomainError
+from isocompare.errors import DomainError, NumericalError
 from isocompare.variation import KINDS, stencil_table
-from isocompare.warped import (cylinder, football, pointwise, round_sphere,
-                               sphere_area, tabulated)
+from isocompare.warped import (WarpedMetric, cylinder, football, pointwise,
+                               round_sphere, sphere_area, tabulated)
 
 PI = math.pi
 SPHERE = round_sphere(3, 1.0)
@@ -116,7 +116,7 @@ def test_variation_report_combined():
 
 def _scalar_slice(metric, t):
     """(area, volume, H, |Pi|^2) at t."""
-    f, f1, _ = metric.warp.evaluate(t)
+    f, f1, _, _ = metric.warp.evaluate(t)
     f, f1, n = float(f), float(f1), metric.n
     omega = sphere_area(n - 1)
     scaled, exponent = metric.warp.power_integral(t, n - 1)
@@ -126,7 +126,7 @@ def _scalar_slice(metric, t):
 
 
 def _scalar_ric_radial(metric, t):
-    f, _, f2 = metric.warp.evaluate(t)
+    f, _, f2, _ = metric.warp.evaluate(t)
     f = float(f)
     return (metric.n - 1) * (-float(f2) / f)
 
@@ -314,7 +314,7 @@ def _count_array_calls(monkeypatch, warp_class):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("evaluate", "power_integral", "slope_complement"):
+    for name in ("evaluate", "power_integral"):
         count(warp_class, name)
     count(warped, "_curvatures")
     count(warped, "sin_power")
@@ -342,6 +342,7 @@ def test_array_calls_per_command_do_not_grow_with_t(monkeypatch, tmp_path, model
         counts.append(calls)
     assert counts[0] == counts[1]
     assert counts[0]["polyfit"] == 1 and counts[0]["power_integral"] == 1
+    assert counts[0]["evaluate"] == 1
 
 
 def test_stencil_table_errors_in_table_order():
@@ -361,3 +362,33 @@ def test_stencil_table_errors_in_table_order():
 def test_stencil_table_of_no_t_is_empty():
     table = stencil_table(SPHERE, [], 1e-3, 3)
     assert table.rows().shape == (0, 6)
+
+
+class _JumpWarp:
+    """f = 1e100 with f' jumping from -5e253 to 5e253 at t = 1e-140: every
+    pointwise field is a double, but dH/dt across the jump is not."""
+
+    kind = "cylinder"
+    radius = t_max = 1.0
+
+    def evaluate(self, t):
+        t = np.asarray(t, dtype=float)
+        z = np.zeros_like(t)
+        # 1 - f'^2 = -2.5e507 is not a double: the most negative double
+        # stands in for it
+        return (z + 1e100, np.where(t > 1e-140, 5e253, -5e253), z,
+                z - np.finfo(float).max)
+
+    def power_integral(self, t, m):
+        return 1e200 * np.asarray(t, dtype=float), 0
+
+
+def test_stencil_overflow_is_a_numerical_error():
+    # the stencil's one range quantity, spacing + residual, fails where the
+    # centered dH/dt overflows
+    metric = WarpedMetric(3, _JumpWarp())
+    assert np.isfinite(pointwise(metric, [1e-140 - 1e-155, 1e-140 + 1e-155])).all()
+    with pytest.raises(NumericalError) as info:
+        stencil_table(metric, 1e-140, 1e-155, 1)
+    assert str(info.value) == ("at t=1e-140, h=1e-155, the variation stencil overflows "
+                               "a double (radius=1, n=3); lower radius")

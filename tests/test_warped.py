@@ -10,10 +10,11 @@ from scipy.interpolate import PchipInterpolator
 from isocompare.errors import (SingularPointError, UnsupportedPointError,
                                ValidationError)
 from isocompare.quadrature import sin_power
-from isocompare.warped import (MonotoneCubic, WarpedMetric, candidate_profile,
-                               curvature_bounds, cylinder, football,
-                               log_sphere_area, pointwise, round_sphere,
-                               sphere_area, tabulated, total_volume)
+from isocompare.warped import (MonotoneCubic, Profile, WarpedMetric,
+                               candidate_profile, curvature_bounds, cylinder,
+                               football, log_sphere_area, pointwise,
+                               round_sphere, sphere_area, tabulated,
+                               total_volume)
 
 PI = math.pi
 REL_VOLUME = 1e-14
@@ -188,16 +189,25 @@ def test_monotone_cubic_rejects_bad_grids():
 
 
 def test_warp_evaluate_closed_forms():
-    f, f1, f2 = round_sphere(3, 1.0).warp.evaluate(PI / 2)
-    assert (f, f2) == pytest.approx((1.0, -1.0), abs=1e-15)
+    # evaluate gives f, f', f'' and 1 - f'^2 in one pass
+    f, f1, f2, sc = round_sphere(3, 1.0).warp.evaluate(PI / 2)
+    assert (f, f2, sc) == pytest.approx((1.0, -1.0, 1.0), abs=1e-15)
+    assert f1 == pytest.approx(0.0, abs=1e-15)
+    # near a pole 1 - cos^2 cancels; the sphere's complement is sin^2
+    t = 1e-8
+    sc = round_sphere(3, 1.0).warp.evaluate(t)[3]
+    assert abs(sc - math.sin(t) ** 2) <= math.ulp(math.sin(t) ** 2)
+
+    f, f1, f2, sc = football(0.5).warp.evaluate(PI / 2)
+    assert (f, f2, sc) == pytest.approx((0.5, -0.5, 1.0), abs=1e-15)
     assert f1 == pytest.approx(0.0, abs=1e-15)
 
-    f, f1, f2 = football(0.5).warp.evaluate(PI / 2)
-    assert (f, f2) == pytest.approx((0.5, -0.5), abs=1e-15)
-    assert f1 == pytest.approx(0.0, abs=1e-15)
+    f, f1, f2, sc = cylinder(1.0, 5.0).warp.evaluate(2.3)
+    assert (f, f1, f2, sc) == (1.0, 0.0, 0.0, 1.0)
 
-    f, f1, f2 = cylinder(1.0, 5.0).warp.evaluate(2.3)
-    assert (f, f1, f2) == (1.0, 0.0, 0.0)
+    tab = tabulated([0.5, 1.0, 1.5, 2.0], [1.0, 1.2, 1.4, 1.5])
+    f, f1, f2, sc = tab.warp.evaluate(1.1)
+    assert f1 != 0.0 and sc == 1.0 - f1 ** 2
 
 
 def test_tabulated_warp_evaluate_outside_window():
@@ -445,7 +455,7 @@ class _StalledWarp:
 
     def evaluate(self, t):
         z = np.zeros_like(np.asarray(t, dtype=float))
-        return z + 1.0, z, z
+        return z + 1.0, z, z, z + 1.0
 
     def power_integral(self, t, m):
         return np.minimum(t, 0.5), 0
@@ -459,6 +469,18 @@ def test_candidate_profile_validation():
         candidate_profile(tab, 64)
     with pytest.raises(ValidationError, match="not strictly increasing"):
         candidate_profile(WarpedMetric(3, _StalledWarp()), 32)
+
+
+def test_profile_names_the_first_stalled_cell():
+    # a Profile built directly makes the one check that volumes increase,
+    # with candidate_profile's message: the first stalled cell's t, n and size
+    t = np.linspace(0.0, 0.3, 4)
+    with pytest.raises(ValidationError) as info:
+        Profile(n=3, v_grid=[0.0, 1.0, 0.5, 2.0], a_values=np.ones(4), t_grid=t,
+                warp_slope=np.zeros(4))
+    assert str(info.value) == (
+        "volume samples are not strictly increasing: V stops increasing at t=0.1 "
+        "(n=3, grid_size=4), where a grid cell is below the volume's resolution")
 
 
 def test_total_volume_football():
@@ -499,7 +521,7 @@ def test_volume_scales_by_exact_powers_of_two(kind, n, radius, c, k, j):
 def test_tabulated_interpolation_matches_samples():
     ts = np.linspace(0.4, PI - 0.4, 40)
     tab = tabulated(ts, np.sin(ts))
-    f, f1, _ = tab.warp.evaluate(1.1)
+    f, f1, _, _ = tab.warp.evaluate(1.1)
     assert f == pytest.approx(math.sin(1.1), abs=1e-4)
     assert f1 == pytest.approx(math.cos(1.1), abs=1e-2)
 
