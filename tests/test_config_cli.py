@@ -541,13 +541,19 @@ def test_cli_validation_names_its_keys(tmp_path, capsys, command, config, messag
      "'{cfg}': 'utf-8' codec can't decode byte 0xff in position 29: invalid start byte"),
     ("bishop-bound", b"command = bishop-bound\nn = 3\nric0 = 2\noutput = a\x00b\n",
      "output: cannot open 'a\\x00b': embedded null byte"),
-], ids=["not-utf-8", "nul-output"])
+    ("profile", None, "config: cannot read '{cfg}': [Errno 2] No such file or directory"),
+    ("bishop-bound", b"command = bishop-bound\nn = 3\nric0 = 2\noutput = .\n",
+     "output: cannot open '.': [Errno 21] Is a directory"),
+], ids=["not-utf-8", "nul-output", "missing-config", "directory-output"])
 def test_cli_unreadable_config_or_output_path_exits_2(tmp_path, capsys, command, text,
                                                      message):
     # a config file that is not UTF-8 and a path with a NUL byte raised
-    # UnicodeDecodeError and ValueError out of main (exit 1, a traceback)
+    # UnicodeDecodeError and ValueError out of main (exit 1, a traceback); a
+    # missing config and an output directory printed the bare OSError, which
+    # named no key.  text None: no config file
     cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(text)
+    if text is not None:
+        cfg.write_bytes(text)
     assert main([command, "--config", str(cfg)]) == 2
     assert capsys.readouterr() == ("", f"iso-compare: {message.format(cfg=cfg)}\n")
     assert main([command, "--config", "a\x00b"]) == 2
@@ -994,6 +1000,53 @@ def test_console_entry_point(tmp_path):
     assert doc["summary"]["bound"] == pytest.approx(PI ** 2 / 4, rel=1e-6)
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this package."""
+    src = str(Path(isocompare.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_output_write_failing_part_way_leaves_no_old_tail(tmp_path):
+    # the artifact is written over the old file in place, then cut to the
+    # length written, also when the write fails: at a 16 KiB file size
+    # limit a 2049-point profile stops at 16,384 bytes (EFBIG), and none of
+    # the old file's 30,000 bytes may stay past them
+    pytest.importorskip("resource")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = profile\nmodel = sphere\ngrid_size = 2049\n")
+    full = tmp_path / "full.csv"
+    assert main(["profile", "--config", str(cfg), "--out", str(full)]) == 0
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"x" * 30_000)
+    code = ("import resource, signal, sys\n"
+            "from isocompare.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (16384, hard))\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, "profile", "--config",
+                           str(cfg), "--out", str(out)], env=_child_env(),
+                          capture_output=True, text=True)
+    message = f"output: cannot write {str(out)!r}: [Errno 27] File too large"
+    assert (proc.returncode, proc.stderr) == (2, f"iso-compare: {message}\n")
+    assert out.read_bytes() == full.read_bytes()[:16384]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_cli_output_to_a_device_or_pipe(capsys):
+    # a target that is not a regular file is written as a stream and not cut
+    # to length: ftruncate on /dev/null and lseek on a pipe raise OSError
+    cfg = str(GOLDEN / "profile.cfg")
+    assert main(["profile", "--config", cfg, "--out", "/dev/null"]) == 0
+    assert capsys.readouterr() == ("", "")
+    proc = subprocess.run([sys.executable, "-m", "isocompare.cli", "profile",
+                           "--config", cfg, "--out", "/dev/stdout"],
+                          env=_child_env(), capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN / "profile.csv").read_bytes()
+
+
 # --- fixed costs: the parser and the import ---------------------------------
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -1002,12 +1055,9 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_cli_import_leaves_out_unused_scipy():
     # the library needs numpy alone: without scipy.special a cold import of
     # the CLI fell from about 0.6 s to 0.23 s, so no scipy module may load
-    src = str(Path(isocompare.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, isocompare.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
 
@@ -1015,11 +1065,8 @@ def test_cli_import_leaves_out_unused_scipy():
 def test_cli_import_leaves_out_argparse():
     # the command line is split without argparse, whose import and nine
     # subparsers cost a tenth of a one-eps football-alpha op
-    src = str(Path(isocompare.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = "import sys, isocompare.cli; print('argparse' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
 

@@ -30,6 +30,11 @@ def test_golden_output(command, tmp_path):
     assert code == 0
     expected = GOLDEN / f"{command}.{SUFFIX.get(command, 'csv')}"
     assert out.read_bytes() == expected.read_bytes()
+    # over a longer file the artifact is written in place, then cut to length
+    out.write_bytes(b"filler\n" * 43_000)
+    assert main([command, "--config", str(GOLDEN / f"{command}.cfg"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_golden_outputs_without_scipy(tmp_path):
