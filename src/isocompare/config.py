@@ -39,6 +39,18 @@ def _parse_float_list(s: str):
     return [_parse_float(p.strip()) for p in s.split(",") if p.strip()]
 
 
+def _positive_list(increasing: bool = False):
+    """A list of positive floats, strictly increasing if asked."""
+    def parse(s: str):
+        v = _parse_float_list(s)
+        if any(x <= 0 for x in v):
+            raise ConfigError(f"values must be positive, got {s!r}")
+        if increasing and any(b <= a for a, b in zip(v, v[1:])):
+            raise ConfigError(f"values must be increasing, got {s!r}")
+        return v
+    return parse
+
+
 # Upper bounds of the size keys.  A run's largest arrays grow linearly in
 # its cells, so each key stops where the run's peak would pass
 # _MEMORY_BUDGET: an array past the machine's memory ends in numpy's
@@ -89,6 +101,16 @@ def _positive(parse):
     return check
 
 
+def _within(interval: str, inside):
+    """A float for which inside holds, interval naming the range."""
+    def parse(s: str):
+        v = _parse_float(s)
+        if not inside(v):
+            raise ConfigError(f"value must lie in {interval}, got {s}")
+        return v
+    return parse
+
+
 def _size(low: int, high: float):
     def parse(s: str):
         v = _parse_int(s)
@@ -119,11 +141,14 @@ _MODEL_KEYS = {
     "model": _enum(*_VARIANTS["model"]),
     "n": _dimension,
     "radius": _positive(_parse_float),
-    "c": _parse_float,
+    "c": _within("(0, 1]", lambda c: 0.0 < c <= 1.0),
     "length": _positive(_parse_float),
-    "t_samples": _parse_float_list,
-    "f_samples": _parse_float_list,
+    "t_samples": _positive_list(increasing=True),
+    "f_samples": _positive_list(),
 }
+# the models with a candidate profile: closed ones and the cylinder
+_PROFILE_MODEL = _enum("sphere", "football", "cylinder")
+
 
 def _command(keys: dict, required=(), flags=()):
     """A ``COMMANDS`` entry: the keys with output and format, the required
@@ -137,13 +162,14 @@ def _command(keys: dict, required=(), flags=()):
 # command -> ({key: parser}, required keys, {flag: key}): all that a command
 # accepts, in the order of --help
 COMMANDS = {
-    "profile": _command({**_MODEL_KEYS, "grid_size": _size(16, _MAX_GRID)},
-                        {"model"}),
+    "profile": _command({**_MODEL_KEYS, "model": _PROFILE_MODEL,
+                         "grid_size": _size(16, _MAX_GRID)}, {"model"}),
     "variation-check": _command({**_MODEL_KEYS, "t": _parse_float_list,
                                  "h": _positive(_parse_float),
                                  "levels": _positive(_parse_int)},
                                 {"model", "t"}),
-    "mass": _command({**_MODEL_KEYS, "ric0": _positive(_parse_float),
+    "mass": _command({**_MODEL_KEYS, "model": _PROFILE_MODEL,
+                      "ric0": _positive(_parse_float),
                       "grid_size": _size(16, _MAX_GRID)}, {"model", "ric0"}),
     "bishop-bound": _command({"n": _dimension, "ric0": _positive(_parse_float)},
                              {"n", "ric0"}),
@@ -157,14 +183,15 @@ COMMANDS = {
                               "rho_min": _positive(_parse_float),
                               "rho_max": _positive(_parse_float),
                               "rho_n": _size(2, _MAX_RHO),
-                              "angle": _positive(_parse_float),
-                              "sphere_dim": _parse_int},
+                              "angle": _within("(0, pi/2)",
+                                               lambda a: 0.0 < a < math.pi / 2),
+                              "sphere_dim": _size(1, math.inf)},
                              {"case", "lambda"}, flags=("case", "lambda")),
     "cutoff-budget": _command({"n": _parse_int, "delta": _positive(_parse_float),
                                "c0": _parse_float, "c": _parse_float,
                                "h": _parse_float, "radii": _parse_float_list},
                               {"n", "delta", "c0", "c", "radii"}),
-    "cylinder-growth": _command({"lengths": _parse_float_list,
+    "cylinder-growth": _command({"lengths": _positive_list(increasing=True),
                                  "radius": _positive(_parse_float)}, {"lengths"}),
 }
 
@@ -232,15 +259,21 @@ def validate(command: str, pairs: dict[str, tuple[str, int]]) -> RunConfig:
                               f"{', '.join(sorted(needed - options.keys()))}")
     # the two keys of every command leave the options
     output, fmt = options.pop("output", None), options.pop("format", None)
-    _cross_validate(command, options)
+    _cross_validate(command, options, where)
     return RunConfig(command, options, output, fmt)
 
 
-def _cross_validate(command: str, opts: dict) -> None:
+def _cross_validate(command: str, opts: dict, where: dict) -> None:
     if command == "football-alpha":
         if "eps_grid" not in opts and "epsilon" not in opts:
             raise ConfigError("football-alpha needs eps_grid or epsilon")
         if "eps_grid" in opts and "epsilon" in opts:
             raise ConfigError("football-alpha takes eps_grid or epsilon, not both")
-    if opts.get("model") == "football" and not 0.0 < opts.get("c", 1.0) <= 1.0:
-        raise ConfigError("football cone factor c must lie in (0, 1]")
+    # set only on the tabulated model, which needs both
+    if "t_samples" in opts:
+        counts = len(opts["t_samples"]), len(opts["f_samples"])
+        if counts[0] != counts[1] or counts[0] < 4:
+            raise ConfigError(
+                f"{where['t_samples']}: t_samples and {where['f_samples']}: "
+                f"f_samples: need the same number of samples, at least 4; got "
+                f"{counts[0]} and {counts[1]}")

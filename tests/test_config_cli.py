@@ -27,17 +27,12 @@ from isocompare.config import (_MAX_EPS, _MAX_GRID, _MAX_RHO, _MEMORY_BUDGET,
 from isocompare.errors import ConfigError
 from isocompare.warped import candidate_profile, football
 
+import exit_cases
+
 PI = math.pi
 
 
 # --- configuration parsing ---------------------------------------------------
-
-def _file_error(tmp_path, capsys, command, text):
-    """The stderr of main on a config file of text, which must exit 2."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
-    assert main([command, "--config", str(cfg)]) == 2
-    return capsys.readouterr().err
 
 
 def test_parse_valid_bishop_config():
@@ -53,18 +48,6 @@ def test_parse_rejects_small_dimension():
 def test_parse_unknown_command_names_valid_ones():
     with pytest.raises(ConfigError, match="bishop-bound"):
         validate("flya", {})
-
-
-def test_parse_unknown_key_with_line_number(tmp_path, capsys):
-    assert re.search("line 3.*unknown key 'fuzz'", _file_error(
-        tmp_path, capsys, "bishop-bound",
-        "command = bishop-bound\nn = 3\nfuzz = 1\nric0 = 2\n"))
-
-
-def test_parse_malformed_number_with_line_number(tmp_path, capsys):
-    assert re.search("line 2.*malformed number", _file_error(
-        tmp_path, capsys, "bishop-bound",
-        "command = bishop-bound\nric0 = two\nn = 3\n"))
 
 
 def test_parse_missing_required_key():
@@ -97,22 +80,159 @@ def test_football_alpha_needs_epsilon():
         validate("football-alpha", {})
 
 
-@pytest.mark.parametrize("text, flags", [
-    ("eps_grid = 0.05:0.3:3\n", ["--epsilon", "0.1"]),
-    ("epsilon = 0.1\n", ["--eps-grid", "0.05:0.3:3"]),
-    ("eps_grid = 0.05:0.3:3\nepsilon = 0.1\n", []),
-], ids=["grid-file-eps-flag", "eps-file-grid-flag", "file"])
-def test_football_alpha_rejects_both_eps_keys(tmp_path, capsys, text, flags):
-    # a flag overrides its own key in the file, never the other one: a run
-    # that sets both keys is a config error naming them, not the grid's rows
-    # under a header line "# epsilon = 0.1"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("command = football-alpha\n" + text)
-    assert main(["football-alpha", "--config", str(cfg), *flags]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("iso-compare: football-alpha takes eps_grid or "
-                            "epsilon, not both\n")
+# --- the exit contract: one row of exit_cases per case --------------------------
+
+_ROWS = {row.id: row for row in exit_cases.ROWS}
+
+
+def _check_row(row, tmp_path, capsys):
+    """The row's run through main, with every warning an error, checked as
+    the cold runner checks it."""
+    argv = exit_cases.prepare(row, str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert exit_cases.outcome(code, *capsys.readouterr()) == \
+        exit_cases.expected(row, str(tmp_path))
+
+
+# The rows that were cases of a test function of their own keep that test's
+# id, under which their results are tracked: test name -> {parameter id: row
+# id}, or the row ids of a test without parameters
+_KEPT_IDS = {
+    "test_parse_unknown_key_with_line_number": ["unknown-key"],
+    "test_parse_malformed_number_with_line_number": ["malformed-number"],
+    "test_football_alpha_rejects_both_eps_keys": {
+        "grid-file-eps-flag": "both-eps-grid-file", "file": "both-eps-file",
+        "eps-file-grid-flag": "both-eps-epsilon-file"},
+    "test_cli_stalled_volume_names_its_inputs": {
+        "profile-model = sphere\n": "stalled-profile",
+        "mass-model = sphere\nric0 = 7\n": "stalled-mass",
+        "profile-model = football\nc = 0.0439\n": "stalled-football"},
+    "test_cli_underflowed_volume_names_its_inputs": {
+        "profile-model = football\nc = 1e-300\n-(radius=1, c=1e-300, n=3)":
+            "underflow-profile",
+        "mass-model = sphere\nradius = 1e-200\nric0 = 2\n-(radius=1e-200, n=3)":
+            "underflow-mass",
+        "cylinder-growth-lengths = 1, 2\nradius = 1e-200\n-(radius=1e-200, n=3)":
+            "underflow-cylinder-growth",
+        "variation-check-model = sphere\nradius = 1e-200\nt = 1e-200\n"
+        "-(radius=1e-200, n=3)": "underflow-variation-check",
+        "profile-area": "underflow-profile-area", "mass-area": "underflow-mass-area"},
+    "test_cli_overflowed_volume_names_its_inputs": {
+        "profile-sphere": "overflow-profile-sphere",
+        "mass-sphere": "overflow-mass-sphere", "mass-football": "overflow-mass-football",
+        "profile-cylinder": "overflow-profile-cylinder",
+        "variation-check-cylinder": "overflow-variation-check-cylinder",
+        "variation-check-sphere": "overflow-variation-check-sphere",
+        "cylinder-growth": "overflow-cylinder-growth",
+        "profile-cylinder-area": "overflow-cylinder-area",
+        "profile-t_max": "overflow-profile-t_max", "mass-t_max": "overflow-mass-t_max",
+        "variation-check-t_max": "overflow-variation-check-t_max"},
+    "test_cli_overflow_past_the_radius_power_exits_3": {
+        "profile": "past-power-profile", "variation-check": "past-power-variation-check",
+        "variation-check-tabulated": "past-power-tabulated"},
+    "test_cli_mass_phase_overflow_exits_3": ["mass-phase"],
+    "test_cli_cylinder_overflow_exits_3": ["cylinder-growth-length"],
+    "test_cli_overflow_exits_3": {
+        "n": "budget-n", "delta": "budget-delta", "negative-n": "budget-negative-n",
+        "zero-radius": "budget-zero-radius", "power-sum": "budget-power-sum",
+        "sphere_dim": "monotonicity-sphere_dim", "lambda": "monotonicity-lambda"},
+    "test_cli_monotonicity_cell_out_of_range_exits_3": {
+        "nan": "cell-nan", "zero": "cell-zero", "subnormal": "cell-subnormal",
+        "inf": "cell-inf"},
+    "test_cli_validation_names_its_keys": {
+        "rho_min": "rho_min", "rho_n": "rho_n", "stencil": "stencil",
+        "eps_grid": "eps_grid-ends", "other-model": "other-model",
+        "tabulated-radius": "tabulated-radius", "other-case": "other-case",
+        "cylinder-length": "cylinder-length", "tabulated-samples": "tabulated-samples"},
+    "test_cli_unreadable_config_or_output_path_exits_2": {
+        "not-utf-8": "not-utf-8", "nul-output": "nul-output",
+        "missing-config": "missing-config", "directory-output": "directory-output"},
+    "test_cli_nonfinite_number_is_named": {
+        "cutoff-budget": "budget-c", "monotonicity": "nonfinite-lambda-flag",
+        "cylinder-growth": "nonfinite-radius"},
+    "test_cli_oversized_size_key_is_named": {
+        "eps_grid": "eps_grid-size", "profile-grid_size": "profile-grid_size",
+        "mass-grid_size": "mass-grid_size", "rho_n": "rho_n-size"},
+    "test_cli_subnormal_bishop_bound_exits_3": ["subnormal-bishop-bound"],
+    "test_cli_validation_exit_code": ["small-dimension", "no-levels", "coarse-key"],
+    "test_cli_rejects_profile_on_tabulated_model": ["mass-tabulated"],
+    "test_cli_command_mismatch": ["command-mismatch"],
+    "test_cli_alpha_tiny_epsilon": {
+        "1e-300-3": "alpha-1e-300", "5e-324-3": "alpha-5e-324",
+        "1e-206-3": "alpha-1e-206", "1e-200-0": "alpha-1e-200"},
+}
+
+
+def _kept_test(rows):
+    """A test of a _KEPT_IDS entry's rows, one case per parameter id."""
+    if isinstance(rows, dict):
+        @pytest.mark.parametrize("row", [_ROWS[r] for r in rows.values()], ids=list(rows))
+        def test(tmp_path, capsys, row):
+            _check_row(row, tmp_path, capsys)
+    else:
+        def test(tmp_path, capsys):
+            for row in rows:
+                _check_row(_ROWS[row], tmp_path, capsys)
+    return test
+
+
+globals().update({name: _kept_test(rows) for name, rows in _KEPT_IDS.items()})
+_KEPT_ROWS = {row for rows in _KEPT_IDS.values()
+              for row in (rows.values() if isinstance(rows, dict) else rows)}
+
+
+@pytest.mark.parametrize("row", [row for row in exit_cases.ROWS
+                                 if row.id not in _KEPT_ROWS], ids=lambda row: row.id)
+def test_exit_case(tmp_path, capsys, row):
+    # CI runs the same rows through the installed console script
+    _check_row(row, tmp_path, capsys)
+
+
+def test_exit_case_ids_are_unique():
+    ids = [row.id for row in exit_cases.ROWS]
+    assert len(set(ids)) == len(ids)
+
+
+def test_exit_cases_import_only_the_standard_library():
+    # CI runs the table on an install without the test extra
+    tree = ast.parse(Path(exit_cases.__file__).read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert {module.split(".")[0] for module in modules} <= sys.stdlib_module_names
+
+
+def test_exit_cases_run_cold(monkeypatch, capsys):
+    # the runner, through a child interpreter: a row of each exit code keeps
+    # its contract, and a row whose message is wrong is named with its run
+    monkeypatch.setenv("PYTHONPATH", _child_env()["PYTHONPATH"])
+    command = [sys.executable, "-m", "isocompare.cli"]
+    rows = [_ROWS[name] for name in ("alpha-1e-200", "bad-format", "alpha-1e-300")]
+    assert exit_cases.main(command, rows) == 0
+    assert capsys.readouterr().out == "3 of 3 rows keep their exit contract\n"
+    wrong = _ROWS["bad-format"]._replace(id="wrong-message", message="format")
+    assert exit_cases.main(command, [wrong]) == 1
+    assert capsys.readouterr().out == (
+        "wrong-message: exit 2\niso-compare: command line: format: expected one of "
+        "csv, json; got 'xml'\n0 of 1 rows keep their exit contract\n")
+
+
+def test_cli_nul_byte_in_config_path_exits_2(capsys):
+    # a NUL byte cannot go on a child's command line, so no row holds it
+    assert main(["profile", "--config", "a\x00b"]) == 2
+    assert capsys.readouterr() == (
+        "", "iso-compare: config: cannot read 'a\\x00b': embedded null byte\n")
+
+
+def test_cli_alpha_finite_above_the_scale_overflow(tmp_path):
+    # at eps = 1e-200 the ricci leg's scale times its height is a double
+    out = tmp_path / "alpha.csv"
+    assert main(["football-alpha", "--epsilon", "1e-200", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[-1].split(",")
+    assert math.isfinite(float(row[1])) and float(row[1]) > 1e99
 
 
 # --- the CLI ------------------------------------------------------------------
@@ -175,121 +295,6 @@ def test_cli_profile_csv(tmp_path):
     assert len(rows) == 18
 
 
-@pytest.mark.parametrize("command, model", [
-    ("profile", "model = sphere\n"), ("mass", "model = sphere\nric0 = 7\n"),
-    ("profile", "model = football\nc = 0.0439\n")])
-def test_cli_stalled_volume_names_its_inputs(tmp_path, capsys, command, model):
-    # at n = 8 and 2049 points the last cells near the pole are below one
-    # ulp of the total volume, first after t = 3.12779: a config error (exit
-    # 2) that names n, grid_size and that t
-    code, text = _invoke(tmp_path, command, f"command = {command}\n{model}"
-                         "n = 8\ngrid_size = 2049\n")
-    assert code == 2 and text == ""
-    err = capsys.readouterr().err
-    assert "volume samples are not strictly increasing" in err
-    assert "t=3.12779 (n=8, grid_size=2049)" in err
-
-
-# n = 8, radius 1e20 and c = 3e-67: the volume is a double (6.5e-305), every area 0
-_FLAT = "model = football\nn = 8\nc = 3e-67\nradius = 1e20\n"
-
-
-@pytest.mark.parametrize("command, model, named", [
-    ("profile", "model = football\nc = 1e-300\n", "(radius=1, c=1e-300, n=3)"),
-    ("mass", "model = sphere\nradius = 1e-200\nric0 = 2\n", "(radius=1e-200, n=3)"),
-    ("cylinder-growth", "lengths = 1, 2\nradius = 1e-200\n", "(radius=1e-200, n=3)"),
-    ("variation-check", "model = sphere\nradius = 1e-200\nt = 1e-200\n",
-     "(radius=1e-200, n=3)"),
-    pytest.param("profile", _FLAT, "(radius=1e+20, c=3e-67, n=8)", id="profile-area"),
-    pytest.param("mass", _FLAT + "ric0 = 1\n", "(radius=1e+20, c=3e-67, n=8)",
-                 id="mass-area")])
-def test_cli_underflowed_volume_names_its_inputs(tmp_path, capsys, command, model,
-                                                 named):
-    # f^(n-1) underflows to 0 on every cell: a config error (exit 2) that
-    # names the radius and the cone factor c, not a stalled grid cell.
-    # cylinder-growth printed a volume of 0 and an infinite scalar_inf with
-    # exit 0, and variation-check warned of its curvatures' overflow.  On
-    # _FLAT profile printed A = 0 on every row with exit 0, and mass exited
-    # 2 with "profile areas must be positive in the interior"
-    code, text = _invoke(tmp_path, command, f"command = {command}\n{model}")
-    assert code == 2 and text == ""
-    err = capsys.readouterr().err
-    what = "area" if model.startswith(_FLAT) else "volume"
-    assert f"the {what} underflows to 0 {named}" in err
-    assert ("raise radius or c" if "c=" in named else "raise radius") in err
-    assert "stops increasing" not in err
-
-
-@pytest.mark.parametrize("command, config, what, named", [
-    ("profile", "model = sphere\nn = 3\nradius = 1e110\n", "volume",
-     "(radius=1e+110, n=3)"),
-    ("mass", "model = sphere\nn = 3\nradius = 1e200\nric0 = 2\n", "volume",
-     "(radius=1e+200, n=3)"),
-    ("mass", "model = football\nn = 5\nc = 0.5\nradius = 1e70\nric0 = 2\n", "volume",
-     "(radius=1e+70, c=0.5, n=5)"),
-    ("profile", "model = cylinder\nn = 4\nradius = 1e150\nlength = 1\n", "volume",
-     "(radius=1e+150, n=4)"),
-    ("variation-check", "model = cylinder\nn = 4\nradius = 1e150\nlength = 1\n"
-     "t = 0.5\n", "volume", "(radius=1e+150, n=4)"),
-    ("variation-check", "model = sphere\nradius = 1e200\nt = 1e200\n", "volume",
-     "(radius=1e+200, n=3)"),
-    ("cylinder-growth", "lengths = 1, 2\nradius = 1e200\n", "volume",
-     "(radius=1e+200, n=3)"),
-    ("profile", "model = cylinder\nn = 3\nradius = 1e154\nlength = 1e-10\n", "area",
-     "(radius=1e+154, n=3)"),
-    ("profile", "model = sphere\nradius = 1e308\n", "length t_max",
-     "(radius=1e+308, n=3)"),
-    ("mass", "model = sphere\nradius = 1e308\nric0 = 2\n", "length t_max",
-     "(radius=1e+308, n=3)"),
-    ("variation-check", "model = sphere\nradius = 1e308\nt = 1\n", "length t_max",
-     "(radius=1e+308, n=3)"),
-], ids=["profile-sphere", "mass-sphere", "mass-football", "profile-cylinder",
-        "variation-check-cylinder", "variation-check-sphere", "cylinder-growth",
-        "profile-cylinder-area", "profile-t_max", "mass-t_max", "variation-check-t_max"])
-def test_cli_overflowed_volume_names_its_inputs(tmp_path, capsys, command, config,
-                                                what, named):
-    # the closed warps scale their volume by radius^n (radius^(n-1) on the
-    # cylinder) in Python floats, whose OverflowError ended the run with a
-    # traceback and exit 1: a numerical failure (exit 3) naming radius, c, n.
-    # A cylinder whose volume is a double but whose area 4 pi radius^2 is
-    # not printed A = inf on every row with exit 0.  At radius 1e308 the
-    # length t_max = pi radius is not a double: profile and mass warned from
-    # their t-grid and exited 3 "at t=nan", and variation-check exited 2
-    # "stencil [-inf, inf] leaves (0, inf)"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"command = {command}\n{config}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([command, "--config", str(cfg)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"the {what} overflows a double {named}; lower radius" in captured.err
-    assert "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize("command, config, named", [
-    ("profile", "model = sphere\nn = 3\nradius = 5.5e102\n",
-     "(radius=5.5e+102, n=3); lower radius"),
-    ("variation-check", "model = sphere\nn = 3\nradius = 5.5e102\nt = 1e102\n",
-     "(radius=5.5e+102, n=3); lower radius"),
-    ("variation-check", "model = tabulated\nn = 3\nt_samples = 0.3,1.2,2.1,3.0\n"
-     "f_samples = 1e102,2e102,1e102,3e102\nt = 1\n",
-     "(f_samples=3e+102, n=3); lower f_samples"),
-], ids=["profile", "variation-check", "variation-check-tabulated"])
-def test_cli_overflow_past_the_radius_power_exits_3(tmp_path, capsys, command,
-                                                   config, named):
-    # radius^3 = 1.7e308 is a double, but omega times the volume integral
-    # and the stencil's volume increments are not: profile reported a false
-    # stalled volume (exit 2), variation-check printed nan residuals (exit 0)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"command = {command}\n{config}")
-    assert main([command, "--config", str(cfg)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "nan" not in captured.out
-    assert f"overflows a double {named}" in captured.err
-    assert "Traceback" not in captured.err
-
-
 def test_cli_football_past_the_radius_power_writes_its_tables(tmp_path):
     # radius^3 = 1e330 is not a double but the volume 2 pi^2 radius^3 c^2 is:
     # the powers of radius and c meet in one binary exponent, not in a
@@ -304,20 +309,6 @@ def test_cli_football_past_the_radius_power_writes_its_tables(tmp_path):
     with mp.workdps(30):
         want = 2 * mp.pi ** 2 * mp.mpf(1e110) ** 3 * mp.mpf(1e-100) ** 2
         assert abs(mp.mpf(total) - want) <= 1e-15 * want
-
-
-def test_cli_mass_phase_overflow_exits_3(tmp_path, capsys):
-    # A = 4 pi radius^2 sin^2 is a double at radius 2e102, but F = A^(3/2)
-    # is not: mass printed inf and -inf in F and m with exit 0
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("command = mass\nmodel = sphere\nn = 3\nradius = 2e102\n"
-                   "ric0 = 2\n")
-    assert main(["mass", "--config", str(cfg)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert ("at V=2.28301e+307, the phase coordinate F = A^(n/(n-1)) overflows "
-            "a double (n=3)") in captured.err
-    assert "Traceback" not in captured.err
 
 
 def test_cli_variation_check(tmp_path):
@@ -415,152 +406,6 @@ def test_cli_cylinder_growth_without_lengths(tmp_path, capsys):
                             "N,volume,ric_inf,scalar_inf\n")
 
 
-def test_cli_cylinder_overflow_exits_3(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("command = cylinder-growth\nlengths = 1, 1e308\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["cylinder-growth", "--config", str(cfg)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "at length=1e+308, " in captured.err
-
-
-_BUDGET = "the cutoff budget overflows a double"
-
-
-@pytest.mark.parametrize("command, config, key", [
-    ("cutoff-budget", "n = 1025\ndelta = 0.1\nc0 = 1\nc = 1\nradii = 0.01\n",
-     f"{_BUDGET} (n=1025, delta=0.1, c0=1, c=1, h=0, radii=[0.01, 0.01])"),
-    ("cutoff-budget", "n = 9\ndelta = 1e60\nc0 = 1\nc = 1\nradii = 0.01\n",
-     f"{_BUDGET} (n=9, delta=1e+60, c0=1, c=1, h=0, radii=[0.01, 0.01])"),
-    ("monotonicity", "case = sphere\nlambda = 1\nsphere_dim = 155\n",
-     "the profile overflows a double (lambda=1, rho_min=0.01, rho_max=2, "
-     "sphere_dim=155)"),
-    ("monotonicity", "case = circle\nlambda = 355\n",
-     "the profile overflows a double (lambda=355, rho_min=0.01, rho_max=2)"),
-    ("cutoff-budget", "n = -2000\ndelta = 0.1\nc0 = 1\nc = 1\nradii = 0.05\n",
-     f"{_BUDGET} (n=-2000, delta=0.1, c0=1, c=1, h=0, radii=[0.05, 0.05])"),
-    ("cutoff-budget", "n = 2\ndelta = 0.1\nc0 = 1\nc = 1\nradii = 0, 0.05\n",
-     f"{_BUDGET} (n=2, delta=0.1, c0=1, c=1, h=0, radii=[0, 0.05])"),
-    ("cutoff-budget", "n = 9\ndelta = 0.1\nc0 = 1\nc = 1\nradii = 1e200\n",
-     "the sum of r_i^(n-7) overflows a double (n=9, delta=0.1, c0=1, c=1, h=0, "
-     "radii=[1e+200, 1e+200])"),
-], ids=["n", "delta", "sphere_dim", "lambda", "negative-n", "zero-radius",
-        "power-sum"])
-def test_cli_overflow_exits_3(tmp_path, capsys, command, config, key):
-    # 2^(n - 1), delta^6, rho^(-m) at the default rho_min 0.01 and
-    # e^(lambda rho) at the default rho_max 2 each overflow a double, as do
-    # the power sums of r^(n - 1) and r^(n - 3) at a negative n or a radius
-    # of 0, which warned and named c, c0, h and delta.  The admissibility
-    # sum of r^(n - 7) at radii 1e200 warned "overflow encountered in square"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"command = {command}\n{config}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([command, "--config", str(cfg)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert key in captured.err
-    assert "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize("config, key", [
-    ("case = sphere\nsphere_dim = 700\nlambda = 200\nrho_min = 0.4\n"
-     "rho_max = 0.6\nrho_n = 3\n",
-     "at rho=0.4, the profile overflows a double (lambda=200, rho_min=0.4, "
-     "rho_max=0.6, sphere_dim=700)"),
-    ("case = sphere\nsphere_dim = 450\nlambda = 1\nrho_min = 0.5\n"
-     "rho_max = 1.5\n", "at rho=0.5, the profile is below the normal doubles "
-     "(lambda=1, rho_min=0.5, rho_max=1.5, sphere_dim=450)"),
-    ("case = circle\nlambda = -2000\n",
-     "at rho=0.35746, the profile is below the normal doubles (lambda=-2000, "
-     "rho_min=0.01, rho_max=2)"),
-    ("case = sphere\nsphere_dim = 100\nlambda = 46000\nrho_min = 0.01\n"
-     "rho_max = 0.015\nrho_n = 3\n", "at rho=0.01, the profile overflows a "
-     "double (lambda=46000, rho_min=0.01, rho_max=0.015, sphere_dim=100)"),
-], ids=["nan", "zero", "subnormal", "inf"])
-def test_cli_monotonicity_cell_out_of_range_exits_3(tmp_path, capsys, config, key):
-    # the profile is positive at every radius; a weight that overflows
-    # against a cap area of 0 printed nan (with an invalid-value warning),
-    # an area or weight that underflows printed 0 or a subnormal, each with
-    # exit 0.  A weight whose product overflows printed inf, though the
-    # profile there (about 1e200 times the cap mass) is a double
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"command = monotonicity\n{config}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["monotonicity", "--config", str(cfg)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert key in captured.err
-    assert "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize("command, config, message", [
-    ("monotonicity", "case = circle\nlambda = 1\nrho_min = 1e100\n",
-     "the rho grid from rho_min=1e+100 to rho_max=2.0 in rho_n=64 points is "
-     "not increasing"),
-    ("monotonicity", "case = circle\nlambda = 1\nrho_min = 1\n"
-     "rho_max = 1.0000000000000002\n", "the rho grid from rho_min=1.0 to "
-     "rho_max=1.0000000000000002 in rho_n=64 points is not increasing"),
-    ("variation-check", "model = cylinder\nradius = 1e-300\nlength = 1\n"
-     "t = 1e-300\n", "at t=1e-300, h=0.001, the stencil [-0.001, 0.001] "
-     "leaves (0, 1)"),
-    ("football-alpha", "eps_grid = 0.5:2:3\n",
-     "line 2: eps_grid: ends must lie in (0, 1], got 0.5:2"),
-    ("profile", "model = sphere\nc = 0.3\nlength = 7\nt_samples = 1,2\n",
-     "line 3: key 'c' does not apply to model 'sphere'"),
-    ("variation-check", "t = 1\nradius = 2\nmodel = tabulated\n"
-     "t_samples = 1,2,3,4\nf_samples = 1,2,2,1\n",
-     "line 3: key 'radius' does not apply to model 'tabulated'"),
-    ("monotonicity", "case = circle\nlambda = 1\nsphere_dim = 3\n",
-     "line 4: key 'sphere_dim' does not apply to case 'circle'"),
-    ("mass", "model = cylinder\nric0 = 1\n",
-     "missing required key(s) for model 'cylinder': length"),
-    ("profile", "model = tabulated\nt_samples = 1,2,3,4\n",
-     "missing required key(s) for model 'tabulated': f_samples"),
-], ids=["rho_min", "rho_n", "stencil", "eps_grid", "other-model", "tabulated-radius",
-        "other-case", "cylinder-length", "tabulated-samples"])
-def test_cli_validation_names_its_keys(tmp_path, capsys, command, config, message):
-    # a rho_min above the default rho_max said only "rho grid must be
-    # positive and increasing", and a stencil about a t that the default
-    # step carries out of the model only "stencil [-0.001, 0.001] leaves
-    # (0, 1)"; the eps_grid ends rule ran after parsing, without the line.
-    # A key of another model or case was ignored, yet printed in the header
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"command = {command}\n{config}")
-    assert main([command, "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"iso-compare: {message}\n"
-
-
-@pytest.mark.parametrize("command, text, message", [
-    ("profile", b"command = profile\nmodel = sph\xffere\n", "config: cannot read "
-     "'{cfg}': 'utf-8' codec can't decode byte 0xff in position 29: invalid start byte"),
-    ("bishop-bound", b"command = bishop-bound\nn = 3\nric0 = 2\noutput = a\x00b\n",
-     "output: cannot open 'a\\x00b': embedded null byte"),
-    ("profile", None, "config: cannot read '{cfg}': [Errno 2] No such file or directory"),
-    ("bishop-bound", b"command = bishop-bound\nn = 3\nric0 = 2\noutput = .\n",
-     "output: cannot open '.': [Errno 21] Is a directory"),
-], ids=["not-utf-8", "nul-output", "missing-config", "directory-output"])
-def test_cli_unreadable_config_or_output_path_exits_2(tmp_path, capsys, command, text,
-                                                     message):
-    # a config file that is not UTF-8 and a path with a NUL byte raised
-    # UnicodeDecodeError and ValueError out of main (exit 1, a traceback); a
-    # missing config and an output directory printed the bare OSError, which
-    # named no key.  text None: no config file
-    cfg = tmp_path / "run.cfg"
-    if text is not None:
-        cfg.write_bytes(text)
-    assert main([command, "--config", str(cfg)]) == 2
-    assert capsys.readouterr() == ("", f"iso-compare: {message.format(cfg=cfg)}\n")
-    assert main([command, "--config", "a\x00b"]) == 2
-    assert capsys.readouterr() == (
-        "", "iso-compare: config: cannot read 'a\\x00b': embedded null byte\n")
-
-
 @pytest.mark.parametrize("command, extra, area", [("profile", "", 2),
                                                   ("mass", "ric0 = 3\n", 1)],
                          ids=["profile", "mass"])
@@ -638,52 +483,6 @@ def test_cli_extreme_sizes_exit_cleanly(tmp_path):
     assert not failures, "\n".join(failures)
 
 
-@pytest.mark.parametrize("command, config, flags, code, key", [
-    ("cutoff-budget", "n = 9\ndelta = 0.1\nc0 = 1\nc = 1e308\nradii = 0.05\n",
-     [], 3, f"{_BUDGET} (n=9, delta=0.1, c0=1, c=1e+308, h=0, radii=[0.05, 0.05])"),
-    ("monotonicity", "case = circle\nlambda = 1\n", ["--lambda", "inf"], 2,
-     "lambda: number must be finite, got 'inf'"),
-    ("cylinder-growth", "lengths = 1, 2\nradius = inf\n", [], 2,
-     "radius: number must be finite, got 'inf'"),
-], ids=["cutoff-budget", "monotonicity", "cylinder-growth"])
-def test_cli_nonfinite_number_is_named(tmp_path, capsys, command, config, flags,
-                                       code, key):
-    # c 2^(n - 1) delta^6 overflows to inf, where area_ok read true with exit
-    # 0, and an inf lambda or radius printed inf rows with exit 0
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"command = {command}\n{config}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([command, "--config", str(cfg)] + flags) == code
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert key in captured.err
-    assert "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize("command, config, flags, key", [
-    ("football-alpha", "", ["--eps-grid", "0.5:1:100000000000"],
-     "eps_grid: grid '0.5:1:100000000000' has n above maximum"),
-    ("profile", "model = sphere\ngrid_size = 100000000000\n", [],
-     "grid_size: above maximum"),
-    ("mass", "model = football\nc = 0.5\nric0 = 2\ngrid_size = 100000000000\n", [],
-     "grid_size: above maximum"),
-    ("monotonicity", "case = circle\nlambda = 1\nrho_n = 100000000000\n", [],
-     "rho_n: above maximum"),
-], ids=["eps_grid", "profile-grid_size", "mass-grid_size", "rho_n"])
-def test_cli_oversized_size_key_is_named(tmp_path, capsys, command, config,
-                                         flags, key):
-    # 10^11 cells: the arrays would not fit in memory, where numpy's
-    # MemoryError ended the run with a traceback and exit 1
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"command = {command}\n{config}")
-    assert main([command, "--config", str(cfg)] + flags) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert key in captured.err
-    assert "Traceback" not in captured.err
-
-
 @pytest.mark.parametrize("key, top, command, template", [
     ("eps_grid", _MAX_EPS, "football-alpha", "eps_grid = 0.5:1:{}\n"),
     ("grid_size", _MAX_GRID, "profile", "model = sphere\ngrid_size = {}\n"),
@@ -738,43 +537,6 @@ def test_cli_bishop_bound_high_dimension(tmp_path, capsys):
     assert code == 3
     assert ("the path end x0 overflows a double (n=600, ric0=1); raise ric0"
             in capsys.readouterr().err)
-
-
-def test_cli_subnormal_bishop_bound_exits_3(tmp_path, capsys):
-    # the bound 5.58e-317 would keep only about 7 sound digits of the 12
-    code, text = _invoke(tmp_path, "bishop-bound",
-                         "command = bishop-bound\nn = 3\nric0 = 1e212\n")
-    assert code == 3
-    assert text == ""
-    assert ("the path end x0 is below the normal doubles (n=3, ric0=1e+212); "
-            "lower ric0") in capsys.readouterr().err
-
-
-def test_cli_validation_exit_code(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("command = bishop-bound\nn = 2\nric0 = 2\n")
-    assert main(["bishop-bound", "--config", str(cfg)]) == 2
-    # no step level would leave the stencil unchecked and the table empty
-    cfg.write_text("command = variation-check\nmodel = sphere\nt = 1.0\nlevels = 0\n")
-    assert main(["variation-check", "--config", str(cfg)]) == 2
-    # the z-scan of alpha is a library constant, not a run option
-    cfg.write_text("command = football-alpha\nepsilon = 0.1\ncoarse = 33\n")
-    assert main(["football-alpha", "--config", str(cfg)]) == 2
-
-
-def test_cli_rejects_profile_on_tabulated_model(tmp_path):
-    # candidate profiles need a closed or cylinder model: validation, exit 2
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("command = mass\nmodel = tabulated\n"
-                   "t_samples = 0.5, 1.0, 1.5, 2.0\n"
-                   "f_samples = 1, 1, 1, 1\nric0 = 2\n")
-    assert main(["mass", "--config", str(cfg)]) == 2
-
-
-def test_cli_command_mismatch(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("command = mass\nmodel = sphere\nric0 = 2\n")
-    assert main(["bishop-bound", "--config", str(cfg)]) == 2
 
 
 def test_cli_json_format_override(tmp_path):
@@ -863,22 +625,6 @@ def test_cli_alpha_as_written_is_one_line(tmp_path):
     assert main(["football-alpha", "--eps-grid", "0.05:0.5:256", "--format",
                  "json", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["summary"]["as_written"] == 564.046961283
-
-
-@pytest.mark.parametrize("eps, code", [("1e-300", 3), ("5e-324", 3),
-                                       ("1e-206", 3), ("1e-200", 0)])
-def test_cli_alpha_tiny_epsilon(tmp_path, capsys, eps, code):
-    # below about 1.7e-205 the ricci leg's scale 3 / (9 eps)^(3/2) times its
-    # height overflows a double (the scale alone below about 7e-207), where
-    # alpha printed nan or inf with exit 0
-    out = tmp_path / "alpha.csv"
-    assert main(["football-alpha", "--epsilon", eps, "--out", str(out)]) == code
-    if code:
-        assert (f"at epsilon={float(eps):g}, the ricci leg's scale 3 / (9 eps)^(3/2) "
-                "overflows a double") in capsys.readouterr().err
-    else:
-        row = out.read_text().splitlines()[-1].split(",")
-        assert math.isfinite(float(row[1])) and float(row[1]) > 1e99
 
 
 # --- fuzz of the alpha, epsilon0 and monotonicity flags -------------------------
@@ -1071,35 +817,17 @@ def test_cli_import_leaves_out_argparse():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("argv, message", [
-    ([], "missing command; valid commands: profile,"),
-    (["flya"], "unknown command 'flya'"),
-    (["football-alpha", "--bogus", "1"], "unknown flag '--bogus'"),
-    (["football-alpha", "--eps", "0.1"], "unknown flag '--eps'"),
-    (["football-alpha", "--conf", "x"], "unknown flag '--conf'"),
-    (["football-alpha", "--epsilon", "0.1", "0.2"], "unknown flag '0.2'"),
-    (["epsilon0", "--epsilon", "0.1"], "unknown flag '--epsilon' for 'epsilon0'"),
-    (["football-alpha", "--epsilon"], "flag --epsilon needs a value"),
-    (["football-alpha", "--epsilon", "--out", "x"], "flag --epsilon needs a value"),
-    (["epsilon0", "--method", "newton"],
-     "command line: method: expected one of oracle; got 'newton'"),
-    (["epsilon0", "--method", "as-written"],
-     "command line: method: expected one of oracle; got 'as-written'"),
-    (["epsilon0", "--format", "xml"],
-     "command line: format: expected one of csv, json; got 'xml'"),
-], ids=["empty", "unknown-command", "unknown-flag", "abbreviated-eps",
-        "abbreviated-conf", "stray-value", "other-command-flag", "no-value",
-        "flag-as-value", "bad-method", "removed-method", "bad-format"])
-def test_cli_usage_errors_leave_main_usable(tmp_path, capsys, argv, message):
+# the rows whose whole input is the command line
+_USAGE_ROWS = [row for row in exit_cases.ROWS if row.config is None and row.code == 2]
+
+
+@pytest.mark.parametrize("row", _USAGE_ROWS, ids=lambda row: row.id)
+def test_cli_usage_errors_leave_main_usable(tmp_path, capsys, row):
     # a usage error exits 2 with one line naming its token, and --help exits
     # 0 listing every command and flag; neither raises, and two commands
     # still write their golden bytes
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("iso-compare: ") and message in captured.err
-    assert captured.err.count("\n") == 1
-    assert main(argv + ["--help"]) == 0
+    _check_row(row, tmp_path, capsys)
+    assert main(exit_cases.prepare(row, str(tmp_path)) + ["--help"]) == 0
     text = capsys.readouterr().out
     assert text.startswith("usage: iso-compare <command>")
     assert all(token in text for token in [*COMMANDS,
