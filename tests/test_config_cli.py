@@ -24,8 +24,9 @@ from isocompare import cli
 from isocompare.cli import build_metric, format_number, main, render
 from isocompare.config import (_MAX_EPS, _MAX_GRID, _MAX_RHO, _MEMORY_BUDGET,
                                COMMANDS, RunConfig, read_pairs, validate)
-from isocompare.errors import ConfigError
-from isocompare.warped import candidate_profile, football
+from isocompare.errors import ConfigError, ValidationError
+from isocompare.gmt import cone_over_circle, unit_sphere
+from isocompare.warped import candidate_profile, cylinder_growth, football, tabulated
 
 import exit_cases
 
@@ -96,10 +97,11 @@ def _check_row(row, tmp_path, capsys):
         exit_cases.expected(row, str(tmp_path))
 
 
-# The rows that were cases of a test function of their own keep that test's
-# id, under which their results are tracked: test name -> {parameter id: row
-# id}, or the row ids of a test without parameters
-_KEPT_IDS = {
+# The cases that were test functions of their own before the table keep
+# those functions' test ids, so that a run's results compare with earlier
+# runs: test name -> {parameter id: row id}, or the row ids of a test
+# without parameters.  Every other row is a case of test_exit_case.
+_LEGACY_IDS = {
     "test_parse_unknown_key_with_line_number": ["unknown-key"],
     "test_parse_malformed_number_with_line_number": ["malformed-number"],
     "test_football_alpha_rejects_both_eps_keys": {
@@ -120,14 +122,13 @@ _KEPT_IDS = {
         "-(radius=1e-200, n=3)": "underflow-variation-check",
         "profile-area": "underflow-profile-area", "mass-area": "underflow-mass-area"},
     "test_cli_overflowed_volume_names_its_inputs": {
-        "profile-sphere": "overflow-profile-sphere",
-        "mass-sphere": "overflow-mass-sphere", "mass-football": "overflow-mass-football",
-        "profile-cylinder": "overflow-profile-cylinder",
-        "variation-check-cylinder": "overflow-variation-check-cylinder",
-        "variation-check-sphere": "overflow-variation-check-sphere",
-        "cylinder-growth": "overflow-cylinder-growth",
-        "profile-cylinder-area": "overflow-cylinder-area",
-        "profile-t_max": "overflow-profile-t_max", "mass-t_max": "overflow-mass-t_max",
+        "profile-sphere": "overflow-profile-sphere", "mass-sphere":
+        "overflow-mass-sphere", "mass-football": "overflow-mass-football",
+        "profile-cylinder": "overflow-profile-cylinder", "variation-check-cylinder":
+        "overflow-variation-check-cylinder", "variation-check-sphere":
+        "overflow-variation-check-sphere", "cylinder-growth": "overflow-cylinder-growth",
+        "profile-cylinder-area": "overflow-cylinder-area", "profile-t_max":
+        "overflow-profile-t_max", "mass-t_max": "overflow-mass-t_max",
         "variation-check-t_max": "overflow-variation-check-t_max"},
     "test_cli_overflow_past_the_radius_power_exits_3": {
         "profile": "past-power-profile", "variation-check": "past-power-variation-check",
@@ -165,8 +166,8 @@ _KEPT_IDS = {
 }
 
 
-def _kept_test(rows):
-    """A test of a _KEPT_IDS entry's rows, one case per parameter id."""
+def _legacy_test(name, rows):
+    """The test name of _LEGACY_IDS, over its rows."""
     if isinstance(rows, dict):
         @pytest.mark.parametrize("row", [_ROWS[r] for r in rows.values()], ids=list(rows))
         def test(tmp_path, capsys, row):
@@ -175,16 +176,17 @@ def _kept_test(rows):
         def test(tmp_path, capsys):
             for row in rows:
                 _check_row(_ROWS[row], tmp_path, capsys)
+    test.__name__ = test.__qualname__ = name
     return test
 
 
-globals().update({name: _kept_test(rows) for name, rows in _KEPT_IDS.items()})
-_KEPT_ROWS = {row for rows in _KEPT_IDS.values()
-              for row in (rows.values() if isinstance(rows, dict) else rows)}
+globals().update({name: _legacy_test(name, rows) for name, rows in _LEGACY_IDS.items()})
+_LEGACY_ROWS = {row for rows in _LEGACY_IDS.values()
+                for row in (rows.values() if isinstance(rows, dict) else rows)}
 
 
 @pytest.mark.parametrize("row", [row for row in exit_cases.ROWS
-                                 if row.id not in _KEPT_ROWS], ids=lambda row: row.id)
+                                 if row.id not in _LEGACY_ROWS], ids=lambda row: row.id)
 def test_exit_case(tmp_path, capsys, row):
     # CI runs the same rows through the installed console script
     _check_row(row, tmp_path, capsys)
@@ -218,6 +220,52 @@ def test_exit_cases_run_cold(monkeypatch, capsys):
     assert capsys.readouterr().out == (
         "wrong-message: exit 2\niso-compare: command line: format: expected one of "
         "csv, json; got 'xml'\n0 of 1 rows keep their exit contract\n")
+
+
+def _floats(text):
+    return [float(x) for x in text.split(",")]
+
+
+# each bound that config.py checks where its key is parsed, so that the
+# message names the key and its line, is checked again by the library for
+# its own callers: (command, config with {} for the value, the library call
+# on the value, values both accept, values both reject)
+_BOUNDS = [
+    ("profile", "model = football\nc = {}\n", lambda s: football(float(s)),
+     ["1"], ["0", "1.0000000000000002"]),
+    ("monotonicity", "case = cone\nlambda = 1\nangle = {}\n",
+     lambda s: cone_over_circle(float(s), 1.0, [0.5, 1.0]),
+     ["1.5707963267948963"], ["0", "1.5707963267948966"]),
+    ("monotonicity", "case = sphere\nlambda = 1\nsphere_dim = {}\n",
+     lambda s: unit_sphere(1.0, [0.5, 1.0], int(s)), ["1"], ["0"]),
+    ("cylinder-growth", "lengths = {}\n", lambda s: cylinder_growth(_floats(s)),
+     ["1, 2"], ["2, 1", "1, 1", "-1, 1"]),
+    ("variation-check", "model = tabulated\nt_samples = {}\nf_samples = 1, 1, 1, 1\n"
+     "t = 2\n", lambda s: tabulated(_floats(s), [1.0] * 4),
+     ["1, 2, 3, 4"], ["0, 1, 2, 3", "1, 3, 2, 4", "1, 2, 3"]),
+    ("variation-check", "model = tabulated\nt_samples = 1, 2, 3, 4\nf_samples = {}\n"
+     "t = 2\n", lambda s: tabulated([1.0, 2.0, 3.0, 4.0], _floats(s)),
+     ["1, 1, 1, 1"], ["1, 0, 1, 1", "1, 1, 1"]),
+    ("profile", "model = {}\n", lambda s: candidate_profile(build_metric(
+        {"model": s, "t_samples": [1.0, 2.0, 3.0, 4.0], "f_samples": [1.0] * 4}),
+        16), ["sphere", "football"], ["tabulated"]),
+]
+
+
+@pytest.mark.parametrize("command, config, call, good, bad", _BOUNDS,
+                         ids=["c", "angle", "sphere_dim", "lengths", "t_samples",
+                              "f_samples", "model"])
+def test_config_bounds_are_the_librarys(command, config, call, good, bad):
+    def accepts(run):
+        try:
+            run()
+        except ValidationError:
+            return False
+        return True
+
+    for value in good + bad:
+        assert accepts(lambda: validate(command, read_pairs(config.format(value)))) \
+            == accepts(lambda: call(value)) == (value in good), value
 
 
 def test_cli_nul_byte_in_config_path_exits_2(capsys):
@@ -823,10 +871,11 @@ _USAGE_ROWS = [row for row in exit_cases.ROWS if row.config is None and row.code
 
 @pytest.mark.parametrize("row", _USAGE_ROWS, ids=lambda row: row.id)
 def test_cli_usage_errors_leave_main_usable(tmp_path, capsys, row):
-    # a usage error exits 2 with one line naming its token, and --help exits
-    # 0 listing every command and flag; neither raises, and two commands
-    # still write their golden bytes
-    _check_row(row, tmp_path, capsys)
+    # after a usage error (its row's own test checks the exit and message),
+    # --help exits 0 listing every command and flag, and two commands still
+    # write their golden bytes
+    main(exit_cases.prepare(row, str(tmp_path)))
+    capsys.readouterr()
     assert main(exit_cases.prepare(row, str(tmp_path)) + ["--help"]) == 0
     text = capsys.readouterr().out
     assert text.startswith("usage: iso-compare <command>")
