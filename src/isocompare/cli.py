@@ -472,11 +472,11 @@ def main(argv=None) -> int:
             except (OSError, ValueError) as exc:
                 raise _file_error("config", "read", path, exc) from None
             pairs = read_pairs(text)
-        file_command, _ = pairs.pop("command", (command, 0))
+        file_command, lineno = pairs.pop("command", (command, 0))
         if file_command != command:
             raise ConfigError(
-                f"config file names command {file_command!r} but "
-                f"{command!r} was invoked")
+                f"line {lineno}: command: config file names {file_command!r} "
+                f"but {command!r} was invoked")
         run(validate(command, {**pairs, **flag_pairs}))
     except (OSError, ValidationError) as exc:
         print(f"iso-compare: {exc}", file=sys.stderr)

@@ -56,8 +56,9 @@ def _positive_list(increasing: bool = False):
 # _MEMORY_BUDGET: an array past the machine's memory ends in numpy's
 # MemoryError, not in an error that names the key.  Peak bytes per cell,
 # measured with tracemalloc through ``cli.main`` (a test holds each to its
-# divisor): 14.4 KiB per eps of football-alpha, 10 KiB of it the scratch of
-# ``quadrature.sqrt_endpoint`` at the scan (20 z x 4 arrays of 16 doubles);
+# divisor): 8.5 KiB per eps of football-alpha, 6 KiB of it the scratch of
+# ``quadrature.sqrt_endpoint`` at the scan (12 z x 4 arrays of 16 doubles),
+# under a divisor kept at 15 KiB, so that eps_grid's bound stays 69,905;
 # 1.1 KiB per grid point of profile or mass under the 64-node ``sin_power``
 # rule (n >= 258); 340 bytes per radius of monotonicity.
 _MEMORY_BUDGET = 1 << 30
@@ -268,7 +269,9 @@ def _cross_validate(command: str, opts: dict, where: dict) -> None:
         if "eps_grid" not in opts and "epsilon" not in opts:
             raise ConfigError("football-alpha needs eps_grid or epsilon")
         if "eps_grid" in opts and "epsilon" in opts:
-            raise ConfigError("football-alpha takes eps_grid or epsilon, not both")
+            raise ConfigError(
+                f"{where['eps_grid']}: eps_grid and {where['epsilon']}: epsilon: "
+                "football-alpha takes eps_grid or epsilon, not both")
     # set only on the tabulated model, which needs both
     if "t_samples" in opts:
         counts = len(opts["t_samples"]), len(opts["f_samples"])

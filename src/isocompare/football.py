@@ -47,9 +47,9 @@ the two an interior z still beats both ends.  alpha grows without bound as
 eps -> 0, the long-cylinder regime.
 
 The supremum over z is taken for a whole array of eps at once, from the
-stationarity condition dV/dz = 0: a 20-point scan from z_lo to 4 pi, graded
-toward the narrow interior peak near z_lo and clustered about its predicted
-place, then two safeguarded root steps on dV/dz in one bracket per eps.  The
+stationarity condition dV/dz = 0: a 12-point scan from z_lo to 4 pi,
+clustered about the narrow interior peak's predicted place near z_lo, then
+two safeguarded root steps on dV/dz in one bracket per eps.  The
 scan and the first step are one array call each over every eps and the
 second step's point is taken unevaluated, so a sweep costs as many calls as
 a single eps: two.
@@ -92,15 +92,15 @@ _Y0_SQ = start_height(3) ** 2          # 36 pi
 _Z_MAX = GAUSS_BONNET_TOTAL            # termination area of the round sphere
 _ROUND_HALF_VOLUME = math.pi ** 2      # the half volume at z = 4 pi
 # s = (z - z_lo) / (4 pi - z_lo) of the scan's graded points over the seed
-# 0.14 eps^2 (1 + 5 eps), capped at 1/32: the powers of 2 from 1/16 to 16
-# and a cluster about the seed, at which the interior peak lies up to eps0
-# (its s is 0.98 seed at 1e-5, 0.94 at 0.05, 1.00 at 0.1345), so that the
-# first + to - change of dV/dz falls between two cluster points, 1-2% of
-# the seed apart.  No cluster point repeats the seed: a repeated point
-# would hand Chandrupatla's step a repeated third point, which forces a
-# bisection
+# 0.14 eps^2 (1 + 5 eps), capped at 1/32: a cluster about the seed, at which
+# the interior peak lies up to eps0 (its s is 0.98 seed at 1e-5, 0.94 at
+# 0.05, 1.00 at 0.1345), so that the first + to - change of dV/dz falls
+# between two cluster points, 1-2% of the seed apart; the seed; and 2 seed,
+# the root step's third point past the cluster (above eps0 the answer is
+# 4 pi whatever the bracket).  No cluster point repeats the seed: handed a
+# repeated third point, Chandrupatla's step bisects
 _CLUSTER = np.array([0.90, 0.92, 0.94, 0.96, 0.98, 0.99, 1.01, 1.03])
-_GRADED = np.sort(np.concatenate((2.0 ** np.arange(-4.0, 5.0), _CLUSTER)))
+_GRADED = np.sort(np.append(_CLUSTER, (1.0, 2.0)))
 _STEPS = 2          # safeguarded steps on dV/dz, the last one unevaluated
 
 # 1 - eps below which eps is taken as 1: the oracle returns the round
@@ -308,14 +308,13 @@ def _batch(epsilon):
 
 
 def _scan(eps):
-    """The supremum's scan, one increasing row of z per eps of a 1-D array:
-    z_lo, the ``_GRADED`` points, s = 1/32 and 4 pi."""
+    """The supremum's scan, one nondecreasing row of 12 z per eps of a 1-D
+    array: z_lo, the 10 ``_GRADED`` points and 4 pi."""
     z_lo, z_hi = _z_bracket(eps)
     origin, span = z_lo[:, None], (z_hi - z_lo)[:, None]
     s = np.minimum((0.14 * eps * eps * (1.0 + 5.0 * eps))[:, None] * _GRADED,
                    1.0 / 32.0)
-    return np.hstack((origin, origin + span * s, origin + span / 32.0,
-                      np.full_like(origin, z_hi)))
+    return np.hstack((origin, origin + span * s, np.full_like(origin, z_hi)))
 
 
 def _supremum(eps):
@@ -325,9 +324,10 @@ def _supremum(eps):
     dV/dz is pi / (4 sqrt(eps)) > 0 at z_lo.  Up to eps0 it turns negative
     past the interior peak, which from eps ~ 1e-7 on lies between two of the
     ``_CLUSTER`` points; above eps0 no z beats pi^2 at z = 4 pi.  So one
-    call takes V and dV/dz at the 20 z per eps of ``_scan``.  The first + to
-    - change of dV/dz brackets the peak (without one, as above eps ~ 0.252,
-    the bracket is the point 4 pi).  From its ends and the point past it,
+    call takes V and dV/dz at the 12 z per eps of ``_scan``.  The first + to
+    - change of dV/dz brackets the peak (without one, as above eps ~ 0.252
+    or below ~ 1.4e-8, where the graded points lie within ulps of z_lo, the
+    bracket is the point 4 pi).  From its ends and the point past it,
     gathered once, _STEPS steps of Chandrupatla's (1997) method on dV/dz in
     t = sqrt(z - z_lo), where dV/dz ~ a - b t is smooth, run on 1-D arrays:
     inverse quadratic interpolation where his test admits it, else

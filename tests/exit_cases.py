@@ -40,7 +40,7 @@ _COMMANDS = ("valid commands: profile, variation-check, mass, bishop-bound, "
              "football-alpha, epsilon0, monotonicity, cutoff-budget, cylinder-growth")
 _ALPHA = ("for 'football-alpha'; its flags: --config, --out, --format, --eps-grid, "
           "--epsilon")
-_BOTH = "football-alpha takes eps_grid or epsilon, not both"
+_BOTH = "{}: eps_grid and {}: epsilon: football-alpha takes eps_grid or epsilon, not both"
 _SIZE = "above maximum {}, got 100000000000"
 _PROFILE_MODEL = "model: expected one of sphere, football, cylinder; got 'tabulated'"
 _SAMPLES = ("line 3: t_samples and line 4: f_samples: need the same number of "
@@ -93,9 +93,9 @@ ROWS = [
     Row("directory-output", "bishop-bound", "n = 3\nric0 = 2\noutput = {dir}\n", 2,
         "output: cannot open '{dir}': [Errno 21] Is a directory"),
     Row("command-mismatch", "bishop-bound", "command = mass\nmodel = sphere\nric0 = 2\n",
-        2, "config file names command 'mass' but 'bishop-bound' was invoked"),
-    Row("other-command", "football-alpha", "command = epsilon0\n", 2, "config file "
-        "names command 'epsilon0' but 'football-alpha' was invoked"),
+        2, "line 1: command: config file names 'mass' but 'bishop-bound' was invoked"),
+    Row("other-command", "football-alpha", "command = epsilon0\n", 2, "line 1: command: "
+        "config file names 'epsilon0' but 'football-alpha' was invoked"),
     # /dev/null refuses ftruncate: it is written as a stream
     Row("dev-null", "profile --out /dev/null", "model = football\nn = 5\nradius = 1.3\n"
         "c = 0.6\ngrid_size = 33\n", 0),
@@ -117,11 +117,11 @@ ROWS = [
         "line 3: radius: number must be finite, got 'inf'"),
     # a flag overrides its own key in the file, never the other one
     Row("both-eps-grid-file", "football-alpha --epsilon 0.1", "eps_grid = 0.05:0.3:3\n",
-        2, _BOTH),
+        2, _BOTH.format("line 2", "command line")),
     Row("both-eps-epsilon-file", "football-alpha --eps-grid 0.05:0.3:3",
-        "epsilon = 0.1\n", 2, _BOTH),
+        "epsilon = 0.1\n", 2, _BOTH.format("command line", "line 2")),
     Row("both-eps-file", "football-alpha", "eps_grid = 0.05:0.3:3\nepsilon = 0.1\n", 2,
-        _BOTH),
+        _BOTH.format("line 2", "line 3")),
     Row("eps_grid-ends", "football-alpha", "eps_grid = 0.5:2:3\n", 2, "line 2: "
         "eps_grid: ends must lie in (0, 1], got 0.5:2"),
     # a size key of 10^11 cells: its arrays would not fit in memory

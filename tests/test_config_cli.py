@@ -104,9 +104,6 @@ def _check_row(row, tmp_path, capsys):
 _LEGACY_IDS = {
     "test_parse_unknown_key_with_line_number": ["unknown-key"],
     "test_parse_malformed_number_with_line_number": ["malformed-number"],
-    "test_football_alpha_rejects_both_eps_keys": {
-        "grid-file-eps-flag": "both-eps-grid-file", "file": "both-eps-file",
-        "eps-file-grid-flag": "both-eps-epsilon-file"},
     "test_cli_stalled_volume_names_its_inputs": {
         "profile-model = sphere\n": "stalled-profile",
         "mass-model = sphere\nric0 = 7\n": "stalled-mass",

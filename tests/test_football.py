@@ -528,7 +528,7 @@ def test_alpha_dominates_cone_family_at_small_eps(values):
 
 def test_alpha_matches_mpmath_supremum_at_3e_5():
     # the interior peak sits at s = (z - z_lo) / (4 pi - z_lo) ~ 1.2e-10,
-    # inside the first scan cell: the graded points bracket it
+    # about the seed 1.26e-10: two of the cluster points bracket it
     want = _mp_alpha(3e-5)
     assert abs(alpha_oracle(3e-5).alpha_oracle - want) <= 1e-11 * want
 
@@ -710,8 +710,8 @@ def _half_volume_expression_form(eps, z):
 @example(size=203, seed=2)
 @example(size=183, seed=328)
 def test_half_volume_within_ulps_of_expression_form(size, seed):
-    # in layouts like the supremum's calls: scans of 12 and 42 points about
-    # its 20, and two points per eps; z_lo is a scalar leg of length 0,
+    # in layouts like the supremum's calls: its scan of 12 points, one of
+    # 42, and two points per eps; z_lo is a scalar leg of length 0,
     # 4 pi the round sphere.  The two differ in the order of the rule's
     # weighted sum and of a few products, each a few ulps of a leg, and
     # both legs are positive (measured worst, 3 ulps of V)
@@ -751,10 +751,12 @@ def test_round_sphere_leg_is_closed_form():
 
 
 def test_supremum_is_two_array_calls_for_any_batch(monkeypatch):
-    # one 20-point scan and _STEPS steps on one bracket per eps, whatever the
+    # one 12-point scan and _STEPS steps on one bracket per eps, whatever the
     # batch and its eps, of which the last step's point is not evaluated; a
     # batch in which dV/dz changes sign at no scan point (each eps above
-    # about 0.252) has only the point 4 pi to refine and makes the scan alone
+    # about 0.252, or below about 1.4e-8, where every graded point rounds to
+    # within a few ulps of z_lo) has only the point 4 pi to refine and makes
+    # the scan alone
     calls = []
 
     def counted(*args, **kwargs):
@@ -764,12 +766,12 @@ def test_supremum_is_two_array_calls_for_any_batch(monkeypatch):
     monkeypatch.setattr(football_module, "sqrt_endpoint", counted)
     assert football_module._STEPS == 2
     scan = football_module._scan(np.array([0.1])).shape[1]
-    assert scan == 20
-    for eps in (0.05, 3e-5, [0.01, 0.1], [1e-9, 0.5], np.linspace(0.005, 0.9, 66)):
+    assert scan == 12
+    for eps in (0.05, 3e-5, [0.01, 0.1], [1e-7, 0.5], np.linspace(0.005, 0.9, 66)):
         calls.clear()
         alpha_oracle(eps)
         assert calls == [(np.size(eps), scan)] + [(np.size(eps), 1)]
-    for eps in (0.5, [0.4, 0.9], [0.31, 1.0 - 1e-11, 0.6]):
+    for eps in (0.5, [0.4, 0.9], [0.31, 1.0 - 1e-11, 0.6], [1e-9, 0.5]):
         calls.clear()
         alpha_oracle(eps)
         assert calls == [(np.size(eps), scan)]
@@ -938,6 +940,17 @@ def _dense_scan(eps, num=600):
     return (seed, s) + football_module._half_volume_at(eps[:, None])(z)
 
 
+def _first_scan_change(values):
+    """The scan of each eps of a list, and the column where its dV/dz
+    first turns from + to -, which each row must have."""
+    eps = np.array(values)
+    z = football_module._scan(eps)
+    _, slope = football_module._half_volume_at(eps[:, None])(z)
+    change = (slope[:, :-1] > 0.0) & (slope[:, 1:] <= 0.0)
+    assert change.any(axis=-1).all()
+    return z, np.argmax(change, axis=-1)
+
+
 def _log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(
         lambda x: min(max(10.0 ** x, lo), hi))
@@ -950,15 +963,15 @@ def _log_uniform(lo, hi):
 @example(values=[1e-7, 3e-5, 0.05, 0.1345, _BELOW_EPS0])
 def test_first_slope_change_lies_among_the_graded_points(values):
     # from 1e-7 to eps0, dV/dz first turns from + to - inside
-    # [seed / 16, min(16 seed, 1/32)], the span of the graded points, so the
-    # scan's first change brackets the interior peak (measured: between
-    # 0.89 and 1.09 seed)
+    # [seed / 2, min(2 seed, 1/32)], about the graded points, and not on the
+    # scan's one cell below them, so the scan's first change brackets the
+    # interior peak (measured: between 0.90 and 1.07 seed)
     seed, s, _, slope = _dense_scan(values)
     change = (slope[:, :-1] > 0.0) & (slope[:, 1:] <= 0.0)
     assert change.any(axis=-1).all()
     first, rows = np.argmax(change, axis=-1), np.arange(seed.size)
-    assert np.all(s[rows, first] >= seed / 16.0)
-    assert np.all(s[rows, first + 1] <= np.minimum(16.0 * seed, 1.0 / 32.0))
+    assert np.all(s[rows, first] >= seed / 2.0)
+    assert np.all(s[rows, first + 1] <= np.minimum(2.0 * seed, 1.0 / 32.0))
 
 
 @settings(max_examples=30, deadline=None)
@@ -973,16 +986,26 @@ def test_first_slope_change_on_the_scan_lies_in_the_cluster(values):
     # 1-2% of the seed wide (measured on 20000 eps: first change from 0.92
     # to 1.03 seed; below about 8.4e-8 the cluster is a few ulps of z_lo
     # wide, and the change can fall past it)
-    eps = np.array(values)
-    z = football_module._scan(eps)
-    _, slope = football_module._half_volume_at(eps[:, None])(z)
-    change = (slope[:, :-1] > 0.0) & (slope[:, 1:] <= 0.0)
-    assert change.any(axis=-1).all()
-    first = np.argmax(change, axis=-1)
+    _, first = _first_scan_change(values)
     # scan columns of the cluster points, after z_lo in column 0
     cluster = 1 + np.flatnonzero(np.isin(football_module._GRADED,
                                          football_module._CLUSTER))
     assert np.all(first >= cluster[0]) and np.all(first + 1 <= cluster[-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(1e-7, _BELOW_EPS0),
+                                 _log_uniform(1e-7, _BELOW_EPS0)),
+                       min_size=1, max_size=20))
+@example(values=[1e-7, 3e-5, 0.05, 0.1345, _BELOW_EPS0])
+def test_root_step_reads_only_the_graded_points(values):
+    # from 1e-7 to eps0 the root step's bracket ends lo and lo + 1 and its
+    # third point lo + 2 are scan columns of the graded points, which are
+    # the cluster, the seed and 2 seed, never z_lo (column 0) or 4 pi (the
+    # last): the scan needs no other point
+    assert set(football_module._GRADED) == set(football_module._CLUSTER) | {1.0, 2.0}
+    z, lo = _first_scan_change(values)
+    assert np.all(lo >= 1) and np.all(lo + 2 <= z.shape[1] - 2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1000,14 +1023,21 @@ def test_half_volume_stays_at_the_round_sphere_above_eps0(values):
 @settings(max_examples=30, deadline=None)
 @given(values=st.lists(_log_uniform(1.7e-205, 1e-7), min_size=1, max_size=20))
 @example(values=[1.7e-205, 1e-200, 1e-100, 1e-20, 1e-7])
+# a wide bracket's unevaluated root step lies 1e9 ulps off z_lo here
+@example(values=[2.921829989635208e-37])
 def test_alpha_is_the_cone_family_below_1e_7(values):
     # below eps ~ 1e-7 the peak lies within a few ulps of z_lo, and the
     # scan's best point is the answer: the cone family's closed form to
     # roundoff (measured: -5.6e-16 to 1.1e-15 relative); below 1.7e-205 the
-    # ricci leg's scale overflows
+    # ricci leg's scale overflows.  The argmax is z_lo = 4 pi / (3 - 2 eps)
+    # itself below 1e-12, where every graded point rounds to z_lo, and
+    # within 16 ulps of it up to 1e-7 (measured: 13)
     eps = np.array(values)
-    alpha = alpha_oracle(eps).alpha_oracle
-    assert np.all(np.abs(alpha / football_family_value(eps) - 1.0) <= 4e-15)
+    result = alpha_oracle(eps)
+    assert np.all(np.abs(result.alpha_oracle / football_family_value(eps) - 1.0) <= 4e-15)
+    z_lo = football_module._z_bracket(eps)[0]
+    ulps = np.abs(result.z_argmax - z_lo) / np.spacing(z_lo)
+    assert np.all(ulps <= np.where(eps < 1e-12, 0.0, 16.0))
 
 
 # ---------------------------------------------------------------------------
@@ -1047,6 +1077,7 @@ _EPS_REGIONS = st.one_of(
 @example(ends=[0.1339, 0.1348], num=13)
 @example(ends=[1.0 - 1e-12, 1.0], num=5)
 @example(ends=[0.26, 0.99], num=9)        # no step call: the scan alone
+@example(ends=[1e-9, 1e-8], num=4)        # nor here, below about 1.4e-8
 @example(ends=[3e-6], num=2)
 @example(ends=[0.999999999999999], num=2)
 def test_cli_alpha_writes_the_bytes_of_alpha_oracle(ends, num):
