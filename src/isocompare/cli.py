@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .config import COMMANDS, RunConfig, read_pairs, validate
 from .errors import ConfigError, NumericalError, ValidationError
-from .football import alpha_oracle, as_written_bound, epsilon0
+from .football import alpha_oracle, epsilon0
 from .gmt import (RadiusFamily, cone_over_circle, cutoff_budget,
                   monotonicity_profile, unit_circle, unit_sphere)
 from .phase_plane import extremal_path, phase_curve, ricci_mass, volume_from_path
@@ -113,16 +113,16 @@ def _run_bishop_bound(opts):
 
 def _run_football_alpha(opts):
     grid = opts.get("eps_grid")
-    eps, alpha, z_arg, switch = alpha_oracle(
-        [opts["epsilon"]] if grid is None else np.linspace(*grid))
+    result = alpha_oracle([opts["epsilon"]] if grid is None else np.linspace(*grid))
+    eps, alpha, z_arg, switch = result
     # the verbatim display's two columns stay, nan on every row: as_written,
     # its switch point over the path's end, is above 200 at every eps
-    nan = np.full_like(eps, math.nan)
-    rows = np.column_stack((eps, alpha, nan, z_arg, nan))
+    rows = np.empty((eps.size, 5))
+    rows[:, 0], rows[:, 1], rows[:, 2::2], rows[:, 3] = eps, alpha, math.nan, z_arg
     columns = ["epsilon", "alpha_oracle", "alpha_as_written", "z_argmax",
                "discrepancy"]
     return columns, rows, {
-        "as_written": float(np.min(as_written_bound(eps))),
+        "as_written": result.as_written(),
         # keyed by eps as a cell prints it: one % over the column
         "switch_points": dict(zip(_percent(eps, 1).split("\n"), switch.tolist())),
     }

@@ -109,6 +109,7 @@ _STEPS = 2          # safeguarded steps on dV/dz, the last one unevaluated
 # ulp below 4 pi and a switch point amplified by 1 / (1 - eps)), and
 # ``as_written_bound`` inf, as the verbatim switch divides by 2 (1 - eps).
 _NEAR_ONE = 1e-12
+_ROUND_SPHERE = np.array([[1.0], [_Z_MAX], [0.0]])  # alpha, z_argmax, switch_x
 
 
 def _z_bracket(eps):
@@ -274,7 +275,7 @@ def _half_volume_at(eps):
         excess = 3.0 * d + slope_lo          # 3 d + 2 eps z_lo = 3 z - 4 pi
         ratio = np.divide(theta, u_sw, out=np.full(theta.shape, ratio_top),
                           where=u_sw > 0.0)
-        over_y = np.divide(d, y_sw, out=np.zeros_like(d), where=d > 0.0)
+        over_y = np.divide(d, y_sw, out=np.zeros(d.shape), where=d > 0.0)
         slope = ((ratio * excess * (3.0 / root_b) - 9.0 * over_y) / four_eps
                  - z_lo / (6.0 * _Z_MAX) * y_sw) / root
         k = x_sw * nine_gap                  # K = 18 (1 - eps) x_sw
@@ -295,6 +296,10 @@ class AlphaResult(NamedTuple):
     z_argmax: float | np.ndarray
     switch_x: float | np.ndarray
 
+    def as_written(self) -> float:
+        """The least ``as_written_bound`` of these eps, not validated again."""
+        return float(_as_written(np.atleast_1d(self.epsilon)).min())
+
 
 def _batch(epsilon):
     """epsilon as a new 1-D float array, and whether it was a single number."""
@@ -311,10 +316,11 @@ def _scan(eps):
     """The supremum's scan, one nondecreasing row of 12 z per eps of a 1-D
     array: z_lo, the 10 ``_GRADED`` points and 4 pi."""
     z_lo, z_hi = _z_bracket(eps)
-    origin, span = z_lo[:, None], (z_hi - z_lo)[:, None]
     s = np.minimum((0.14 * eps * eps * (1.0 + 5.0 * eps))[:, None] * _GRADED,
                    1.0 / 32.0)
-    return np.hstack((origin, origin + span * s, np.full_like(origin, z_hi)))
+    z = np.empty((eps.size, _GRADED.size + 2))
+    z[:, 0], z[:, 1:-1], z[:, -1] = z_lo, z_lo[:, None] + (z_hi - z_lo)[:, None] * s, z_hi
+    return z
 
 
 def _supremum(eps):
@@ -342,9 +348,9 @@ def _supremum(eps):
     origin, rows, last = z[:, 0], np.arange(eps.size), z.shape[1] - 1
     half_volume = _half_volume_at(eps[:, None])
     v, f = half_volume(z)               # V and dV/dz
-    k = np.argmax(v, axis=-1)
+    k = v.argmax(axis=-1)
     change = (f[:, :-1] > 0.0) & (f[:, 1:] <= 0.0)
-    lo = np.where(change.any(axis=-1), np.argmax(change, axis=-1), last)
+    lo = np.where(change.any(axis=-1), change.argmax(axis=-1), last)
     hi = np.minimum(lo + 1, last)
     # Chandrupatla's points (z, dV/dz, V, t): p1 = (x1, f1, v1, t1) the newest,
     # p2 the bracket's other end, p3 the point last dropped, on p1's side
@@ -360,7 +366,7 @@ def _supremum(eps):
                  + (t3 - t1) / (t2 - t1) * f1 / (f3 - f1) * f2 / (f3 - f2))
         quadratic = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
         t = t1 + (t2 - t1) * np.where(quadratic, t, 0.5)
-        x = np.clip(origin + t * t, np.minimum(x1, x2), np.maximum(x1, x2))
+        x = np.minimum(np.maximum(origin + t * t, np.minimum(x1, x2)), np.maximum(x1, x2))
         if step == steps - 1:
             break               # the last point is the argmax, not evaluated
         value, fx = (a[:, 0] for a in half_volume(x[:, None]))
@@ -392,7 +398,7 @@ def alpha_oracle(epsilon) -> AlphaResult:
     """
     eps, single = _batch(epsilon)
     # eps within _NEAR_ONE of 1 is the round sphere, as eps = 1
-    alpha, z_arg, x_sw = (np.full_like(eps, a) for a in (1.0, _Z_MAX, 0.0))
+    alpha, z_arg, x_sw = _ROUND_SPHERE.repeat(eps.size, axis=1)
     inner = 1.0 - eps >= _NEAR_ONE
     if inner.any():
         e = eps[inner]
@@ -421,12 +427,17 @@ def as_written_bound(epsilon):
     array in the same order.
     """
     eps, single = _batch(epsilon)
+    return float(_as_written(eps)[0]) if single else _as_written(eps)
+
+
+def _as_written(eps):
+    """``as_written_bound`` over a 1-D eps array that ``_batch`` accepted."""
     # the verbatim exponent (4 pi - eps) / 2 as it rounds, less 3/2 exactly
     power = 0.5 * ((_Z_MAX - eps) - 3.0)
     with np.errstate(divide="ignore"):
         bound = _z_bracket(eps)[0] ** power / (2.0 * (1.0 - eps))
     bound[1.0 - eps < _NEAR_ONE] = math.inf
-    return float(bound[0]) if single else bound
+    return bound
 
 
 # ---------------------------------------------------------------------------

@@ -181,8 +181,8 @@ def sqrt_endpoint(g, length):
             out[:, :half] += out[:, n - half:n]
             n -= half
         np.multiply(out[:, 0], width, out=result)
-    bad = ~np.isfinite(result).all(axis=0)
-    if bad.any():
+    if not np.isfinite(result).all():
+        bad = ~np.isfinite(result).all(axis=0)
         raise QuadratureError(
             f"endpoint integral is not finite on {np.count_nonzero(bad)} "
             f"of {bad.size} intervals")
@@ -210,17 +210,23 @@ def _half_sin_power(m: int) -> float:
 
 def sin_power(m: int, theta):
     """int_0^theta sin^m, elementwise, theta clipped to [0, pi]: the closed
-    form at m = 2, else the rule with the node count the module docstring's
-    table gives m (64 above m = 512), and the Wallis integral where theta is
-    pi/2 exactly, with no rule built for an input that is pi/2 throughout."""
+    form at m = 2, its series taken only where 2 theta < 1, else the rule
+    with the node count the module docstring's table gives m (64 above m =
+    512), and the Wallis integral where theta is pi/2 exactly, with no rule
+    built for an input that is pi/2 throughout."""
     theta = np.clip(np.asarray(theta, dtype=float), 0.0, math.pi)
     if m == 2:
         x = 2.0 * theta
-        y = x * x
-        series = _X_MINUS_SIN[0]
-        for coefficient in _X_MINUS_SIN[1:]:
-            series = series * y + coefficient
-        return 0.25 * np.where(x < 1.0, series * y * x, x - np.sin(x))
+        value = np.subtract(x, np.sin(x), out=np.empty(x.shape))  # also at 0-d
+        small = x < 1.0
+        if small.any():
+            x = x[small]
+            y = x * x
+            series = _X_MINUS_SIN[0]
+            for coefficient in _X_MINUS_SIN[1:]:
+                series = series * y + coefficient
+            value[small] = series * y * x
+        return 0.25 * value
     half = _half_sin_power(m)
     at_half = theta == 0.5 * math.pi
     if at_half.all():

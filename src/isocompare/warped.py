@@ -264,8 +264,11 @@ class WarpedMetric:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 3:
             raise ValidationError(f"dimension n must be an integer >= 3, got {self.n!r}")
-        # every t-grid and default step of the model is a fraction of t_max
-        in_doubles(lambda: [self.t_max], [("length t_max", 1)], self.size_keys)
+        # every t-grid and default step of the model is a fraction of t_max;
+        # a finite nonzero float needs no range check (pi radius may overflow)
+        t_max = self.t_max
+        if not (isinstance(t_max, float) and math.isfinite(t_max) and t_max):
+            in_doubles(lambda: [t_max], [("length t_max", 1)], self.size_keys)
 
     @property
     def size_keys(self) -> dict:

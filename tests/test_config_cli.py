@@ -156,10 +156,6 @@ _LEGACY_IDS = {
     "test_cli_subnormal_bishop_bound_exits_3": ["subnormal-bishop-bound"],
     "test_cli_validation_exit_code": ["small-dimension", "no-levels", "coarse-key"],
     "test_cli_rejects_profile_on_tabulated_model": ["mass-tabulated"],
-    "test_cli_command_mismatch": ["command-mismatch"],
-    "test_cli_alpha_tiny_epsilon": {
-        "1e-300-3": "alpha-1e-300", "5e-324-3": "alpha-5e-324",
-        "1e-206-3": "alpha-1e-206", "1e-200-0": "alpha-1e-200"},
 }
 
 

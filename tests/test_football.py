@@ -266,6 +266,9 @@ def test_violations_of_a_batch_match_single_eps():
         as_written_bound([0.1, 0.0])
     with pytest.raises(ValidationError):
         as_written_bound([[0.1]])
+    # an oracle result's least bound, over the eps the oracle validated
+    assert alpha_oracle(eps[:4]).as_written() == min(as_written_bound(eps[:4]))
+    assert alpha_oracle(0.3).as_written() == as_written_bound(0.3)
 
 
 def test_alpha_as_written_radicand_at_endpoint():
@@ -775,6 +778,34 @@ def test_supremum_is_two_array_calls_for_any_batch(monkeypatch):
         calls.clear()
         alpha_oracle(eps)
         assert calls == [(np.size(eps), scan)]
+
+
+def test_cli_alpha_at_one_eps_validates_once(monkeypatch, capsys):
+    # one --epsilon run, in process: eps is validated once, by alpha_oracle,
+    # not again for the as-written bound; one half-volume set-up, and the
+    # scan and the one evaluated root step
+    counts = dict.fromkeys(("_batch", "_half_volume_at", "half_volume"), 0)
+    batch, half_volume_at = football_module._batch, football_module._half_volume_at
+
+    def counted_batch(epsilon):
+        counts["_batch"] += 1
+        return batch(epsilon)
+
+    def counted_half_volume_at(eps):
+        counts["_half_volume_at"] += 1
+        half_volume = half_volume_at(eps)
+
+        def counted_half_volume(z):
+            counts["half_volume"] += 1
+            return half_volume(z)
+        return counted_half_volume
+
+    monkeypatch.setattr(football_module, "_batch", counted_batch)
+    monkeypatch.setattr(football_module, "_half_volume_at", counted_half_volume_at)
+    assert main(["football-alpha", "--epsilon", "0.05"]) == 0
+    assert "# as_written = " in capsys.readouterr().out
+    assert counts["_batch"] == counts["_half_volume_at"] == 1
+    assert counts["half_volume"] <= 2
 
 
 def _supremum_evaluating_every_step(eps):

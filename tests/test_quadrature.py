@@ -132,6 +132,31 @@ def test_sin_power_batch_is_one_theta_at_a_time(m):
                                     rel=ulps, abs=0.0)
 
 
+def test_sin_power_2_is_elementwise_to_the_bit():
+    # the series of x - sin x runs only on the elements with x = 2 theta < 1;
+    # each theta, on either side of 0.5, keeps the bits of the whole-batch
+    # closed form, of a call on it alone, of a 0-d array and of any shape
+    rng = np.random.default_rng(2)
+    theta = np.concatenate((
+        rng.uniform(0.0, np.pi, 60), 0.5 + rng.uniform(-1e-3, 1e-3, 40),
+        np.nextafter(0.5, [0.0, 1.0]), [0.0, -0.0, 1e-9, 0.5, 0.5 * np.pi, np.pi]))
+    batch = sin_power(2, theta)
+    x = 2.0 * np.clip(theta, 0.0, np.pi)
+    y = x * x
+    series = quadrature._X_MINUS_SIN[0]
+    for coefficient in quadrature._X_MINUS_SIN[1:]:
+        series = series * y + coefficient
+    reference = 0.25 * np.where(x < 1.0, series * y * x, x - np.sin(x))
+    singles = [sin_power(2, th) for th in theta.tolist()]
+    zero_d = [sin_power(2, np.array(th)) for th in theta.tolist()]
+    shaped = sin_power(2, theta.reshape(9, 12))
+    assert shaped.shape == (9, 12)
+    bits = batch.view(np.int64)
+    for got in (reference, np.array(singles), np.array(zero_d), shaped.ravel()):
+        assert np.array_equal(np.asarray(got, dtype=float).view(np.int64), bits)
+    assert np.signbit(batch[-5]) and not np.signbit(batch[-6])
+
+
 def test_sqrt_endpoint_returns_no_workspace_memory():
     # the abscissae and values of a call live in that call's scratch; results
     # are fresh arrays, unchanged by later calls
