@@ -29,12 +29,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import COMMANDS, RunConfig, read_pairs, validate
+from .config import COMMANDS, RunConfig, place, read_pairs, validate
 from .errors import ConfigError, NumericalError, ValidationError
 from .football import alpha_oracle, epsilon0
 from .gmt import (RadiusFamily, cone_over_circle, cutoff_budget,
                   monotonicity_profile, unit_circle, unit_sphere)
-from .phase_plane import extremal_path, phase_curve, ricci_mass, volume_from_path
+from .phase_plane import (extremal_path, mass_coefficient, phase_curve, ricci_mass,
+                          volume_from_path)
 from .variation import stencil_table
 from .warped import (WarpedMetric, candidate_profile, cylinder,
                      cylinder_growth, football, round_sphere, tabulated)
@@ -98,6 +99,8 @@ def _run_variation_check(opts):
 
 def _run_mass(opts):
     metric = build_metric(opts)
+    # ric0's range before the profile, which may leave the doubles (exit 3)
+    mass_coefficient(metric.n, opts["ric0"])
     prof = candidate_profile(metric, opts.get("grid_size", 257))
     curve = phase_curve(prof)
     rows = np.column_stack((prof.v_grid, prof.a_values, curve.x, curve.y,
@@ -138,12 +141,10 @@ def _run_epsilon0(opts):
 
 
 def _run_monotonicity(opts):
-    lo, hi = opts.get("rho_min", 0.01), opts.get("rho_max", 2.0)
-    num = opts.get("rho_n", 64)
-    rho = np.linspace(lo, hi, num)
-    if not (np.diff(rho) > 0.0).all():
-        raise ConfigError(f"the rho grid from rho_min={lo!r} to rho_max={hi!r} "
-                          f"in rho_n={num} points is not increasing")
+    # the case checks the grid, whose spacing overflows at ends such as +-1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.linspace(opts.get("rho_min", 0.01), opts.get("rho_max", 2.0),
+                          opts.get("rho_n", 64))
     lam = opts["lambda"]
     case_name = opts["case"]
     if case_name == "circle":
@@ -456,13 +457,13 @@ def _command_line(argv):
 
 def main(argv=None) -> int:
     """Run one command line; returns the exit status, raising no SystemExit."""
+    pairs = {}
     try:
         parsed = _command_line(sys.argv[1:] if argv is None else argv)
         if parsed is None:
             sys.stdout.write(_usage())
             return 0
         command, flag_pairs = parsed
-        pairs = {}
         if "config" in flag_pairs:
             path = flag_pairs.pop("config")[0]
             try:
@@ -477,9 +478,11 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"line {lineno}: command: config file names {file_command!r} "
                 f"but {command!r} was invoked")
-        run(validate(command, {**pairs, **flag_pairs}))
+        pairs.update(flag_pairs)
+        run(validate(command, pairs))
     except (OSError, ValidationError) as exc:
-        print(f"iso-compare: {exc}", file=sys.stderr)
+        print(f"iso-compare: {place(getattr(exc, 'key', None), pairs)}{exc}",
+              file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"iso-compare: numerical failure in {command}: {exc}",

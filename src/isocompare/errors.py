@@ -17,7 +17,12 @@ class IsoCompareError(Exception):
 
 
 class ValidationError(IsoCompareError):
-    """Invalid input: bad parameters, malformed data, violated preconditions."""
+    """Invalid input: bad parameters, malformed data, violated preconditions.
+    key: the config key at fault (a tuple for a rule on several) or None."""
+
+    def __init__(self, message: str = "", key: str | tuple | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class DomainError(ValidationError):

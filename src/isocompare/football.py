@@ -308,7 +308,8 @@ def _batch(epsilon):
         raise ValidationError("epsilon must be a number or a 1-D sequence")
     bad = eps[~((eps > 0.0) & (eps <= 1.0))].reshape(-1)
     if bad.size:
-        raise ValidationError(f"epsilon must lie in (0, 1], got {float(bad[0])}")
+        raise ValidationError(f"epsilon must lie in (0, 1], got {float(bad[0])}",
+                              key="epsilon")
     return eps.reshape(-1), eps.ndim == 0
 
 
@@ -463,8 +464,10 @@ def epsilon0(tol: float = 5e-4) -> Epsilon0Bracket:
 
     The search interval, ``_EPS0_SEARCH``, starts below the known football
     excess region and at the proven upper bound 1/2.  The bracket narrows
-    to tol or to adjacent doubles.
+    to tol or to adjacent doubles; tol must be positive.
     """
+    if not tol > 0.0:
+        raise ValidationError(f"tol must be positive, got {tol}", key="tol")
     lo, hi = _EPS0_SEARCH
     evals = []
 

@@ -56,9 +56,12 @@ class MonotonicityCase:
 def _check_grid(rho_grid) -> np.ndarray:
     rho = np.asarray(rho_grid, dtype=float)
     if rho.ndim != 1 or rho.size < 2:
-        raise ValidationError("rho grid must be 1-d with >= 2 samples")
-    if np.any(rho <= 0) or not np.all(np.diff(rho) > 0):
-        raise ValidationError("rho grid must be positive and increasing")
+        raise ValidationError("rho grid must be 1-d with >= 2 samples", key="rho_n")
+    if not (rho[0] > 0.0 and (np.diff(rho) > 0.0).all()):
+        raise ValidationError(
+            f"the rho grid from rho_min={float(rho[0])!r} to rho_max={float(rho[-1])!r} "
+            f"in rho_n={rho.size} points is not positive and increasing",
+            key=("rho_min", "rho_max", "rho_n"))
     return rho
 
 
@@ -72,7 +75,7 @@ def unit_sphere(lambda_: float, rho_grid, dim: int = 2) -> MonotonicityCase:
     """Unit dim-sphere in (dim+1)-space; for dim = 2 the ball mass is
     exactly pi rho^2, so the profile is pi e^(lambda rho)."""
     if dim < 1:
-        raise ValidationError(f"sphere dimension must be >= 1, got {dim}")
+        raise ValidationError(f"sphere_dim must be >= 1, got {dim}", key="sphere_dim")
     return MonotonicityCase(kind="sphere", m=dim, lambda_=lambda_,
                             rho_grid=_check_grid(rho_grid), diameter=2.0)
 
@@ -81,7 +84,7 @@ def cone_over_circle(angle: float, lambda_: float, rho_grid) -> MonotonicityCase
     """Cone of half-aperture angle, base point at the apex; the mass is the
     unrolled sector area pi sin(angle) rho^2, dilation invariant."""
     if not 0.0 < angle < math.pi / 2.0:
-        raise ValidationError(f"cone half-angle must lie in (0, pi/2), got {angle}")
+        raise ValidationError(f"angle must lie in (0, pi/2), got {angle}", key="angle")
     return MonotonicityCase(kind="cone", m=2, lambda_=lambda_,
                             rho_grid=_check_grid(rho_grid), diameter=math.inf,
                             angle=angle)

@@ -10,8 +10,9 @@ A Ricci lower bound Ric >= ric0 > 0 makes the mass
 
     m(V) = y0^2 - y^2 - (n^2 ric0 / (n-1)) x^(2/n)
 
-nondecreasing, zero at V = 0 on smooth manifolds.  Constant-mass extremal
-paths y^2 = y0^2 - m0 - (n^2 ric0/(n-1)) x^(2/n) therefore bound the volume,
+nondecreasing on the near half, where y > 0 (dm/dV is -y times a factor that
+the bound makes <= 0), and zero at V = 0 on smooth manifolds.  Constant-mass
+extremal paths y^2 = y0^2 - m0 - (n^2 ric0/(n-1)) x^(2/n) therefore bound the volume,
 the bound is largest at m0 = 0, and its value is the round-sphere volume: the
 sharp comparison bound, which ``volume_from_path`` gives in closed form.
 """
@@ -47,7 +48,9 @@ def start_height(n: int) -> float:
 
 
 def mass_coefficient(n: int, ric0: float) -> float:
-    """Coefficient n^2 ric0 / (n-1) multiplying x^(2/n) in the mass."""
+    """Coefficient n^2 ric0 / (n-1), ric0 > 0, multiplying x^(2/n) in the mass."""
+    if ric0 <= 0:
+        raise ValidationError(f"ric0 must be positive, got {ric0}", key="ric0")
     return n * n * ric0 / (n - 1)
 
 
@@ -80,19 +83,18 @@ def phase_curve(profile: Profile) -> PhaseCurve:
 
 def ricci_mass(curve: PhaseCurve, ric0: float) -> np.ndarray:
     """Mass at each sample of a profile's phase curve under the Ricci floor
-    ric0; nondecreasing in V whenever the generating metric honestly
-    satisfies the Ricci bound.
+    ric0; nondecreasing in V on the near half, where y > 0, whenever the
+    generating metric honestly satisfies the Ricci bound.
 
     The additive constant is the smooth-pole value y0^2 = n^2 omega^(2/(n-1)),
     the unique normalization vanishing at V = 0 for smooth models; models with
     cone points keep a positive mass at V = 0, as they should.
     """
-    if ric0 <= 0:
-        raise ValidationError(f"ric0 must be positive, got {ric0}")
     n = curve.n
+    b = mass_coefficient(n, ric0)
     y0_sq = start_height(n) ** 2
     return in_doubles(
-        lambda: [y0_sq - curve.y ** 2 - mass_coefficient(n, ric0) * curve.x ** (2.0 / n)],
+        lambda: [y0_sq - curve.y ** 2 - b * curve.x ** (2.0 / n)],
         [("Ricci mass", 0)], {"n": n, "ric0": ric0}, at={"F": curve.x})[0]
 
 
@@ -113,16 +115,14 @@ def extremal_path(n: int, ric0: float, m0: float) -> PhasePath:
     y(x)^2 = y0^2 - m0 - (n^2 ric0/(n-1)) x^(2/n), ending at x0 where y = 0.
     """
     if n < 3:
-        raise ValidationError(f"n must be >= 3, got {n}")
-    if ric0 <= 0:
-        raise ValidationError(f"ric0 must be positive, got {ric0}")
+        raise ValidationError(f"n must be >= 3, got {n}", key="n")
+    b = mass_coefficient(n, ric0)
     if m0 < 0:
         raise ValidationError(f"m0 must be nonnegative, got {m0}")
     y0_sq = start_height(n) ** 2
     if m0 >= y0_sq:
         raise EmptyPathError(
             f"mass {m0:g} >= squared start height {y0_sq:g}; path is empty")
-    b = mass_coefficient(n, ric0)
     c = y0_sq - m0
     (x0,) = in_doubles(lambda: [(c / b) ** (n / 2.0)], [("path end x0", -n / 2)],
                        {"n": n, "ric0": ric0}, normal=True)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, in_doubles
+from .errors import DomainError, ValidationError, in_doubles
 from .warped import WarpedMetric, pointwise
 
 KINDS = ("first", "h_dot", "second")
@@ -102,14 +102,21 @@ def stencil_table(metric: WarpedMetric, t, h: float | None = None,
     observed order.
 
     Default step is 1e-3 t_max, balancing truncation against cancellation
-    at double precision.  A stencil that leaves the model, a step that is
-    not positive, or a step so small that a volume increment vanishes
-    raises DomainError, and a stencil whose spacing or residual overflows
-    raises NumericalError, each for the first such (t, step) in table order.
+    at double precision.  No t, or levels below 1, raises ValidationError.
+    A stencil that leaves the model, a step that is not positive, or a step
+    so small that a volume increment vanishes raises DomainError, and a
+    stencil whose spacing or residual overflows raises NumericalError, each
+    for the first such (t, step) in table order.
     """
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if not ts.size:
+        raise ValidationError("the stencils need at least one t", key="t")
+    if levels < 1:
+        raise ValidationError(f"levels must be at least 1, got {levels}", key="levels")
     if h is None:
         h = 1e-3 * metric.t_max
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    elif h <= 0:
+        raise DomainError(f"step h must be positive, got {h:g}", key="h")
     steps = np.array([h / 2.0 ** k for k in range(min(levels, _MAX_LEVELS))])
     lo, hi = ts[:, None] - steps, ts[:, None] + steps
     bad = (steps <= 0) | ~((metric.t_min < lo) & (hi < metric.t_max))

@@ -151,6 +151,13 @@ class _FootballWarp:
     radius: float
     kind: str = "football"
 
+    def __post_init__(self):
+        c, r = self.cone_factor, self.radius
+        if not 0.0 < c <= 1.0:
+            raise ValidationError(f"cone factor must lie in (0, 1], got {c}", key="c")
+        if r <= 0:
+            raise ValidationError(f"radius must be positive, got {r}", key="radius")
+
     @property
     def t_max(self) -> float:
         return math.pi * self.radius
@@ -177,6 +184,13 @@ class _CylinderWarp:
     length: float
 
     kind = "cylinder"
+
+    def __post_init__(self):
+        r, length = self.radius, self.length
+        if r <= 0:
+            raise ValidationError(f"radius must be positive, got {r}", key="radius")
+        if length <= 0:
+            raise ValidationError(f"length must be positive, got {length}", key="length")
 
     @property
     def t_max(self) -> float:
@@ -207,13 +221,15 @@ class _TabulatedWarp:
         ts = np.asarray(t_samples, dtype=float)
         fs = np.asarray(f_samples, dtype=float)
         if ts.ndim != 1 or ts.shape != fs.shape or ts.size < 4:
-            raise ValidationError("tabulated warp needs >= 4 matching samples")
-        if not np.all(np.diff(ts) > 0):
-            raise ValidationError("tabulated warp grid must be strictly increasing")
-        if ts[0] <= 0:
-            raise ValidationError("tabulated warp grid must be interior (t > 0)")
+            raise ValidationError(
+                f"a tabulated warp needs the same number of t and f samples, at least "
+                f"4; got {ts.size} and {fs.size}", key=("t_samples", "f_samples"))
+        if not (ts[0] > 0 and np.all(np.diff(ts) > 0)):
+            raise ValidationError("tabulated warp grid must be interior (t > 0) and "
+                                  "strictly increasing", key="t_samples")
         if not np.all(fs > 0):
-            raise ValidationError("tabulated warp samples must be strictly positive")
+            raise ValidationError("tabulated warp samples must be strictly positive",
+                                  key="f_samples")
         self.t_samples = ts
         self.f_samples = fs
         self._interp = MonotoneCubic(ts, fs)
@@ -263,12 +279,7 @@ class WarpedMetric:
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 3:
-            raise ValidationError(f"dimension n must be an integer >= 3, got {self.n!r}")
-        # every t-grid and default step of the model is a fraction of t_max;
-        # a finite nonzero float needs no range check (pi radius may overflow)
-        t_max = self.t_max
-        if not (isinstance(t_max, float) and math.isfinite(t_max) and t_max):
-            in_doubles(lambda: [t_max], [("length t_max", 1)], self.size_keys)
+            raise ValidationError(f"n must be an integer >= 3, got {self.n!r}", key="n")
 
     @property
     def size_keys(self) -> dict:
@@ -281,7 +292,12 @@ class WarpedMetric:
 
     @property
     def t_max(self) -> float:
-        return self.warp.t_max
+        """The warp's length, checked as it is read, after a caller's own
+        range checks: every t-grid and default step is a fraction of it."""
+        t_max = self.warp.t_max  # pi radius may overflow; a finite nonzero float cannot
+        if not (isinstance(t_max, float) and math.isfinite(t_max) and t_max):
+            in_doubles(lambda: [t_max], [("length t_max", 1)], self.size_keys)
+        return t_max
 
     @property
     def t_min(self) -> float:
@@ -289,22 +305,14 @@ class WarpedMetric:
 
 
 def round_sphere(n: int = 3, radius: float = 1.0) -> WarpedMetric:
-    if radius <= 0:
-        raise ValidationError(f"radius must be positive, got {radius}")
     return WarpedMetric(n, _FootballWarp(1.0, radius, kind="sphere"))
 
 
 def football(cone_factor: float, n: int = 3, radius: float = 1.0) -> WarpedMetric:
-    if not 0.0 < cone_factor <= 1.0:
-        raise ValidationError(f"cone factor must lie in (0, 1], got {cone_factor}")
-    if radius <= 0:
-        raise ValidationError(f"radius must be positive, got {radius}")
     return WarpedMetric(n, _FootballWarp(cone_factor, radius))
 
 
 def cylinder(radius: float, length: float, n: int = 3) -> WarpedMetric:
-    if radius <= 0 or length <= 0:
-        raise ValidationError("cylinder radius and length must be positive")
     return WarpedMetric(n, _CylinderWarp(radius, length))
 
 
@@ -388,7 +396,9 @@ def curvature_bounds(metric: WarpedMetric) -> CurvatureBounds:
     and of the football, anywhere on the cylinder), and are the curvatures
     there: Ric_min = (n-1)/r^2 on the sphere and the football;
     scalar_min = n(n-1)/r^2 on the sphere, 2(n-1)/r^2 + (n-1)(n-2)/(c^2 r^2)
-    on the football and (n-1)(n-2)/a^2 on the cylinder.
+    on the football and (n-1)(n-2)/a^2 on the cylinder.  Only for these
+    three is the midpoint's value the infimum; any other warp (tabulated
+    ones are refused) gets its curvature at t_max / 2, which bounds nothing.
     """
     if metric.warp.kind == "tabulated":
         raise ValidationError("curvature bounds need a closed or cylinder model")
@@ -434,10 +444,11 @@ def cylinder_growth(lengths, radius: float = 1.0) -> CylinderGrowth:
     cannot bound volume.
     """
     lengths = list(lengths)
-    if any(l <= 0 for l in lengths):
-        raise ValidationError("cylinder lengths must be positive")
-    if any(b <= a for a, b in zip(lengths, lengths[1:])):
-        raise ValidationError("cylinder lengths must be increasing")
+    if not lengths:
+        raise ValidationError("cylinder growth needs at least one length", key="lengths")
+    if any(l <= 0 for l in lengths) or any(b <= a for a, b in zip(lengths, lengths[1:])):
+        raise ValidationError("cylinder lengths must be positive and increasing",
+                              key="lengths")
     # one cylinder: its volume, linear in t, is every length's in one array
     # product, and its curvatures, constant, are those of every length
     metric = cylinder(radius, 1.0)
@@ -499,9 +510,9 @@ def candidate_profile(metric: WarpedMetric, grid_size: int = 257) -> Profile:
     other model.  Requires a closed model or a cylinder.
     """
     if grid_size < 16:
-        raise ValidationError(f"grid_size must be >= 16, got {grid_size}")
+        raise ValidationError(f"grid_size must be >= 16, got {grid_size}", key="grid_size")
     if metric.warp.kind == "tabulated":
-        raise ValidationError("candidate profiles need a closed or cylinder model")
+        raise ValidationError("a profile needs a closed or cylinder model", key="model")
 
     n = metric.n
     ts = np.linspace(0.0, metric.t_max, grid_size)

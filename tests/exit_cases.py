@@ -42,9 +42,12 @@ _ALPHA = ("for 'football-alpha'; its flags: --config, --out, --format, --eps-gri
           "--epsilon")
 _BOTH = "{}: eps_grid and {}: epsilon: football-alpha takes eps_grid or epsilon, not both"
 _SIZE = "above maximum {}, got 100000000000"
-_PROFILE_MODEL = "model: expected one of sphere, football, cylinder; got 'tabulated'"
-_SAMPLES = ("line 3: t_samples and line 4: f_samples: need the same number of "
-            "samples, at least 4; got {} and {}")
+_PROFILE_MODEL = "model: a profile needs a closed or cylinder model"
+_SAMPLES = ("line 3: t_samples and line 4: f_samples: a tabulated warp needs the same "
+            "number of t and f samples, at least 4; got {} and {}")
+_T_SAMPLES = "tabulated warp grid must be interior (t > 0) and strictly increasing"
+_RHO = ("the rho grid from rho_min={} to rho_max={} in rho_n=64 points is not "
+        "positive and increasing")
 _STALLED = ("volume samples are not strictly increasing: V stops increasing at "
             "t=3.12779 (n=8, grid_size=2049), where a grid cell is below the "
             "volume's resolution")
@@ -102,17 +105,12 @@ ROWS = [
 
     # --- config keys: each error names its key and line
     Row("unknown-key", "bishop-bound", "n = 3\nfuzz = 1\nric0 = 2\n", 2, "line 3: "
-        "unknown key 'fuzz' for command 'bishop-bound'"),
+        "fuzz: unknown key for command 'bishop-bound'"),
     Row("malformed-number", "bishop-bound", "ric0 = two\nn = 3\n", 2, "line 2: ric0: "
         "malformed number 'two'"),
-    Row("small-dimension", "bishop-bound", "n = 2\nric0 = 2\n", 2, "line 2: n: below "
-        "minimum 3, got 2"),
-    # no step level would leave the stencil unchecked and the table empty
-    Row("no-levels", "variation-check", "model = sphere\nt = 1.0\nlevels = 0\n", 2,
-        "line 4: levels: value must be positive, got 0"),
     # the z-scan of alpha is a library constant, not a run option
     Row("coarse-key", "football-alpha", "epsilon = 0.1\ncoarse = 33\n", 2, "line 3: "
-        "unknown key 'coarse' for command 'football-alpha'"),
+        "coarse: unknown key for command 'football-alpha'"),
     Row("nonfinite-radius", "cylinder-growth", "lengths = 1, 2\nradius = inf\n", 2,
         "line 3: radius: number must be finite, got 'inf'"),
     # a flag overrides its own key in the file, never the other one
@@ -135,55 +133,105 @@ ROWS = [
         2, "line 4: rho_n: " + _SIZE.format(2796202)),
     # a key of another model or case, or a missing key of this one
     Row("other-model", "profile", "model = sphere\nc = 0.3\nlength = 7\n"
-        "t_samples = 1,2\n", 2, "line 3: key 'c' does not apply to model 'sphere'"),
-    Row("sphere-c", "profile", "model = sphere\nc = 0.3\n", 2, "line 3: key 'c' does "
-        "not apply to model 'sphere'"),
+        "t_samples = 1,2\n", 2, "line 3: c: does not apply to model 'sphere'"),
+    Row("sphere-c", "profile", "model = sphere\nc = 0.3\n", 2, "line 3: c: does not "
+        "apply to model 'sphere'"),
     Row("tabulated-radius", "variation-check", "t = 1\nradius = 2\nmodel = tabulated\n"
-        "t_samples = 1,2,3,4\nf_samples = 1,2,2,1\n", 2, "line 3: key 'radius' does "
-        "not apply to model 'tabulated'"),
+        "t_samples = 1,2,3,4\nf_samples = 1,2,2,1\n", 2, "line 3: radius: does not "
+        "apply to model 'tabulated'"),
     Row("other-case", "monotonicity", "case = circle\nlambda = 1\nsphere_dim = 3\n", 2,
-        "line 4: key 'sphere_dim' does not apply to case 'circle'"),
+        "line 4: sphere_dim: does not apply to case 'circle'"),
     Row("cylinder-length", "mass", "model = cylinder\nric0 = 1\n", 2, "missing "
         "required key(s) for model 'cylinder': length"),
     Row("tabulated-samples", "variation-check", "model = tabulated\n"
         "t_samples = 1,2,3,4\nt = 1\n", 2, "missing required key(s) for model "
         "'tabulated': f_samples"),
-    # the library's rules on a model or case, checked as their keys are read
+    # --- the library's range of a value: its error names the key, and the
+    # run puts the key's line, or "command line", in front
+    Row("small-dimension", "bishop-bound", "n = 2\nric0 = 2\n", 2, "line 2: n: n "
+        "must be >= 3, got 2"),
+    Row("model-dimension", "profile", "model = sphere\nn = 2\n", 2, "line 3: n: n "
+        "must be an integer >= 3, got 2"),
+    Row("sphere-radius", "profile", "model = sphere\nradius = -1\n", 2, "line 3: "
+        "radius: radius must be positive, got -1.0"),
+    Row("cylinder-radius", "profile", "model = cylinder\nradius = 0\nlength = 1\n", 2,
+        "line 3: radius: radius must be positive, got 0.0"),
+    Row("cylinder-length-zero", "mass", "model = cylinder\nric0 = 1\nlength = 0\n", 2,
+        "line 4: length: length must be positive, got 0.0"),
+    Row("grid_size-floor", "profile", "model = sphere\ngrid_size = 8\n", 2, "line 3: "
+        "grid_size: grid_size must be >= 16, got 8"),
+    Row("mass-ric0", "mass", "model = sphere\nric0 = 0\n", 2, "line 3: ric0: ric0 "
+        "must be positive, got 0.0"),
+    Row("bishop-ric0", "bishop-bound", "n = 3\nric0 = -2\n", 2, "line 3: "
+        "ric0: ric0 must be positive, got -2.0"),
+    # no step level would leave the stencil unchecked and the table empty
+    Row("no-levels", "variation-check", "model = sphere\nt = 1.0\nlevels = 0\n", 2,
+        "line 4: levels: levels must be at least 1, got 0"),
+    Row("step-h", "variation-check", "model = sphere\nt = 1.0\nh = -0.5\n", 2,
+        "line 4: h: step h must be positive, got -0.5"),
+    # a required list that is empty is an error, not a table of no rows
+    Row("t-empty", "variation-check", "model = sphere\nt = ,\n", 2, "line 3: t: the "
+        "stencils need at least one t"),
+    Row("lengths-empty", "cylinder-growth", "lengths = ,\n", 2, "line 2: lengths: "
+        "cylinder growth needs at least one length"),
+    Row("epsilon-file", "football-alpha", "epsilon = 1.5\n", 2, "line 2: epsilon: "
+        "epsilon must lie in (0, 1], got 1.5"),
+    Row("epsilon-flag", "football-alpha --epsilon 0", None, 2, "command line: epsilon: "
+        "epsilon must lie in (0, 1], got 0.0"),
+    Row("tol-negative", "epsilon0", "tol = -1\n", 2, "line 2: tol: tol must be "
+        "positive, got -1.0"),
+    Row("rho_n-one", "monotonicity", "case = circle\nlambda = 1\nrho_n = 1\n", 2,
+        "line 4: rho_n: rho grid must be 1-d with >= 2 samples"),
+    # a count below 0 is no count at all, and no grid can be spread from it
+    Row("rho_n-negative", "monotonicity", "case = circle\nlambda = 1\nrho_n = -1\n", 2,
+        "line 4: rho_n: expected a count, got -1"),
     Row("profile-tabulated", "profile", "model = tabulated\nt_samples = 1,2,3,4\n"
         "f_samples = 1,2,2,1\n", 2, "line 2: " + _PROFILE_MODEL),
     Row("mass-tabulated", "mass", "model = tabulated\nt_samples = 0.5, 1.0, 1.5, 2.0\n"
         "f_samples = 1, 1, 1, 1\nric0 = 2\n", 2, "line 2: " + _PROFILE_MODEL),
-    Row("football-c", "profile", "model = football\nc = 2\n", 2, "line 3: c: value "
-        "must lie in (0, 1], got 2"),
+    Row("football-c", "profile", "model = football\nc = 2\n", 2, "line 3: c: cone "
+        "factor must lie in (0, 1], got 2.0"),
     Row("tabulated-three", "variation-check", "model = tabulated\nt_samples = 1,2,3\n"
         "f_samples = 1,2,1\nt = 2\n", 2, _SAMPLES.format(3, 3)),
     Row("tabulated-lengths", "variation-check", "model = tabulated\n"
         "t_samples = 1,2,3,4\nf_samples = 1,2,2,1,1\nt = 2\n", 2, _SAMPLES.format(4, 5)),
     Row("tabulated-pole", "variation-check", "model = tabulated\nt_samples = 0,1,2,3\n"
-        "f_samples = 1,2,2,1\nt = 2\n", 2, "line 3: t_samples: values must be "
-        "positive, got '0,1,2,3'"),
+        "f_samples = 1,2,2,1\nt = 2\n", 2, "line 3: t_samples: " + _T_SAMPLES),
     Row("tabulated-order", "variation-check", "model = tabulated\nt_samples = 1,3,2,4\n"
-        "f_samples = 1,2,2,1\nt = 2\n", 2, "line 3: t_samples: values must be "
-        "increasing, got '1,3,2,4'"),
+        "f_samples = 1,2,2,1\nt = 2\n", 2, "line 3: t_samples: " + _T_SAMPLES),
     Row("tabulated-zero", "variation-check", "model = tabulated\nt_samples = 1,2,3,4\n"
-        "f_samples = 1,0,2,1\nt = 2\n", 2, "line 4: f_samples: values must be "
-        "positive, got '1,0,2,1'"),
+        "f_samples = 1,0,2,1\nt = 2\n", 2, "line 4: f_samples: tabulated warp samples "
+        "must be strictly positive"),
     Row("lengths-order", "cylinder-growth", "lengths = 2, 1\n", 2, "line 2: lengths: "
-        "values must be increasing, got '2, 1'"),
+        "cylinder lengths must be positive and increasing"),
     Row("lengths-negative", "cylinder-growth", "lengths = -1, 1\n", 2, "line 2: "
-        "lengths: values must be positive, got '-1, 1'"),
+        "lengths: cylinder lengths must be positive and increasing"),
     Row("sphere_dim-zero", "monotonicity", "case = sphere\nlambda = 1\nsphere_dim = 0\n",
-        2, "line 4: sphere_dim: below minimum 1, got 0"),
+        2, "line 4: sphere_dim: sphere_dim must be >= 1, got 0"),
     Row("cone-angle", "monotonicity", "case = cone\nlambda = 1\nangle = 2\n", 2, "line "
-        "4: angle: value must lie in (0, pi/2), got 2"),
+        "4: angle: angle must lie in (0, pi/2), got 2.0"),
 
     # --- exit 2 from the run: keys that disagree, named together
     Row("rho_min", "monotonicity", "case = circle\nlambda = 1\nrho_min = 1e100\n", 2,
-        "the rho grid from rho_min=1e+100 to rho_max=2.0 in rho_n=64 points is not "
-        "increasing"),
+        "line 4: rho_min, rho_max and rho_n: " + _RHO.format("1e+100", "2.0")),
     Row("rho_n", "monotonicity", "case = circle\nlambda = 1\nrho_min = 1\n"
-        "rho_max = 1.0000000000000002\n", 2, "the rho grid from rho_min=1.0 to "
-        "rho_max=1.0000000000000002 in rho_n=64 points is not increasing"),
+        "rho_max = 1.0000000000000002\n", 2, "line 4: rho_min, line 5: rho_max and "
+        "rho_n: " + _RHO.format("1.0", "1.0000000000000002")),
+    # ends of opposite signs overflow the grid's spacing: its first point is
+    # nan, and no warning is raised on the way to the grid's own check
+    Row("rho-overflow", "monotonicity", "case = circle\nlambda = 1\n"
+        "rho_min = -1e308\nrho_max = 1e308\n", 2, "line 4: rho_min, line 5: rho_max "
+        "and rho_n: " + _RHO.format("nan", "1e+308")),
+    # the model's t_max overflows (exit 3) only after the run's own ranges
+    Row("grid_size-before-t_max", "profile", "model = sphere\nradius = 1e308\n"
+        "grid_size = 8\n", 2, "line 4: grid_size: grid_size must be >= 16, got 8"),
+    Row("levels-before-t_max", "variation-check", "model = sphere\nradius = 1e308\n"
+        "t = 1\nlevels = 0\n", 2, "line 5: levels: levels must be at least 1, got 0"),
+    Row("h-before-t_max", "variation-check", "model = sphere\nradius = 1e308\n"
+        "t = 1\nh = -1\n", 2, "line 5: h: step h must be positive, got -1"),
+    # and the profile's volume (exit 3) after ric0's
+    Row("ric0-before-volume", "mass", "model = sphere\nradius = 1e200\nric0 = -1\n",
+        2, "line 4: ric0: ric0 must be positive, got -1.0"),
     # the default step carries the stencil out of the model
     Row("stencil", "variation-check", "model = cylinder\nradius = 1e-300\nlength = 1\n"
         "t = 1e-300\n", 2, "at t=1e-300, h=0.001, the stencil [-0.001, 0.001] leaves "

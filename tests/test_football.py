@@ -336,6 +336,12 @@ def test_epsilon0_ends_at_adjacent_doubles():
         assert len(bracket.evaluations) <= 64
         assert bracket.hi == np.nextafter(bracket.lo, 1.0)
         assert max(bracket.lo - EPS0, EPS0 - bracket.hi) <= 1e-10
+    # a tol that is not positive is an error of its key, not a bisection to
+    # adjacent doubles
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValidationError) as info:
+            epsilon0(tol=tol)
+        assert info.value.key == "tol"
 
 
 def test_cylinder_growth_values():
@@ -362,10 +368,10 @@ def test_cylinder_growth_is_each_cylinder_alone():
 
 
 def test_cylinder_growth_of_no_lengths():
-    # no rows, and the infima that every length shares
-    growth = cylinder_growth([])
-    assert growth.lengths.shape == growth.volumes.shape == (0,)
-    assert (growth.ric_inf, growth.scalar_inf) == cylinder_growth([1.0])[2:]
+    # a table of no rows is an error of the config key lengths
+    with pytest.raises(ValidationError) as info:
+        cylinder_growth([])
+    assert info.value.key == "lengths"
 
 
 def test_cylinder_growth_validation():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocompare import cli, warped
-from isocompare.errors import DomainError, NumericalError
+from isocompare.errors import DomainError, NumericalError, ValidationError
 from isocompare.variation import KINDS, stencil_table
 from isocompare.warped import (WarpedMetric, cylinder, football, pointwise,
                                round_sphere, sphere_area, tabulated)
@@ -359,9 +359,13 @@ def test_stencil_table_errors_in_table_order():
         stencil_table(SPHERE, [1.0], 1e-3, levels=10 ** 9)
 
 
-def test_stencil_table_of_no_t_is_empty():
-    table = stencil_table(SPHERE, [], 1e-3, 3)
-    assert table.rows().shape == (0, 6)
+def test_stencil_table_needs_a_t_and_a_level():
+    # no t, or no step level, would be a table of no rows: each is an error
+    # of its config key
+    for t, levels, key in (([], 3, "t"), ([1.0], 0, "levels")):
+        with pytest.raises(ValidationError) as info:
+            stencil_table(SPHERE, t, 1e-3, levels)
+        assert info.value.key == key
 
 
 class _JumpWarp:
