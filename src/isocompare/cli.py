@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import COMMANDS, RunConfig, place, read_pairs, validate
+from .config import COMMANDS, RunConfig, read_pairs, validate
 from .errors import ConfigError, NumericalError, ValidationError
 from .football import alpha_oracle, epsilon0
 from .gmt import (RadiusFamily, cone_over_circle, cutoff_budget,
@@ -251,12 +251,12 @@ def render(config: RunConfig, columns, rows, summary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _file_error(key: str, action: str, path: str, exc: Exception) -> ConfigError:
-    """The config error of a file the run cannot use, naming its key; an
-    OSError's text without the path, which the message already names."""
+def _file_error(action: str, path: str, exc: Exception) -> str:
+    """Why the run cannot use the file at path; an OSError's text without
+    the path, which the message already names."""
     if getattr(exc, "filename", None) is not None:
         exc = OSError(exc.errno, exc.strerror)
-    return ConfigError(f"{key}: cannot {action} {path!r}: {exc}")
+    return f"cannot {action} {path!r}: {exc}"
 
 
 def run(config: RunConfig) -> None:
@@ -274,7 +274,7 @@ def run(config: RunConfig) -> None:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
                      0o666)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise _file_error("output", "open", path, exc) from None
+        raise ConfigError(_file_error("open", path, exc), key="output") from None
     try:
         try:
             data = memoryview(text.encode("utf-8"))
@@ -289,7 +289,7 @@ def run(config: RunConfig) -> None:
             finally:
                 os.close(fd)
     except OSError as exc:
-        raise _file_error("output", "write", path, exc) from None
+        raise ConfigError(_file_error("write", path, exc), key="output") from None
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +455,18 @@ def _command_line(argv):
     return command, pairs
 
 
+def place(key, pairs: dict[str, tuple[str, int]]) -> str:
+    """How an error message about key begins: "line N: key: ", "command line:
+    key: " for a flag's value, or "key: " where the key is not set; for a
+    tuple of keys, each so, joined as "a, b and c: "; "" for key None."""
+    if key is None:
+        return ""
+    *rest, last = [k if k not in pairs else
+                   f"line {pairs[k][1]}: {k}" if pairs[k][1] > 0 else f"command line: {k}"
+                   for k in ((key,) if isinstance(key, str) else key)]
+    return f"{', '.join(rest)} and {last}: " if rest else f"{last}: "
+
+
 def main(argv=None) -> int:
     """Run one command line; returns the exit status, raising no SystemExit."""
     pairs = {}
@@ -471,13 +483,12 @@ def main(argv=None) -> int:
                     text = fh.read()
             # ValueError: a NUL byte in the path, or text not UTF-8
             except (OSError, ValueError) as exc:
-                raise _file_error("config", "read", path, exc) from None
+                raise ConfigError(_file_error("read", path, exc), key="config") from None
             pairs = read_pairs(text)
-        file_command, lineno = pairs.pop("command", (command, 0))
-        if file_command != command:
-            raise ConfigError(
-                f"line {lineno}: command: config file names {file_command!r} "
-                f"but {command!r} was invoked")
+        if pairs.get("command", (command,))[0] != command:
+            raise ConfigError(f"config file names {pairs['command'][0]!r} but "
+                              f"{command!r} was invoked", key="command")
+        pairs.pop("command", None)
         pairs.update(flag_pairs)
         run(validate(command, pairs))
     except (OSError, ValidationError) as exc:

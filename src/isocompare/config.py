@@ -5,10 +5,10 @@ A configuration is plain text, one ``key = value`` per line, ``#`` comments.
 keys and its flags; ``_VARIANTS`` holds the keys each model or case reads.
 A parser checks what only a config can know: the syntax and type of a value,
 the size caps that keep a run in memory and the ends of ``eps_grid``.  The
-range of a value is the library's: its ``ValidationError`` carries the key,
-and ``place`` puts the key's line in front, as it does for the parsers'
-errors.  Unknown keys, and keys of another model or case, are rejected by
-name; every error message about a key that is set carries its line number,
+range of a value is the library's.  Unknown keys, and keys of another model
+or case, are rejected by name.  An error about a key, here or in the
+library, is a ``ValidationError`` whose ``key`` names it; the message does
+not say where the key is set.  ``cli.main`` puts the key's line in front,
 or "command line" for the value of a flag, which is checked as its key.
 """
 
@@ -195,32 +195,17 @@ def read_pairs(text: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-def place(key, pairs: dict[str, tuple[str, int]]) -> str:
-    """How an error message about key begins: "line N: key: ", "command line:
-    key: " for a flag's value, or "key: " where the key is not set; for a
-    tuple of keys, each so, joined as "a, b and c: "; "" for key None."""
-    if key is None:
-        return ""
-    *rest, last = [k if k not in pairs else
-                   f"line {pairs[k][1]}: {k}" if pairs[k][1] > 0 else f"command line: {k}"
-                   for k in ((key,) if isinstance(key, str) else key)]
-    return f"{', '.join(rest)} and {last}: " if rest else f"{last}: "
-
-
 def validate(command: str, pairs: dict[str, tuple[str, int]]) -> RunConfig:
-    """Type-check raw pairs against the command's keys in ``COMMANDS``."""
-    if command not in COMMANDS:
-        raise ConfigError(
-            f"unknown command {command!r}; valid commands: {', '.join(COMMANDS)}")
+    """Type-check raw pairs against the keys of command in ``COMMANDS``."""
     keys, required, _ = COMMANDS[command]
     options = {}
     for key, (value, _) in pairs.items():
         if key not in keys:
-            raise ConfigError(f"{place(key, pairs)}unknown key for command {command!r}")
+            raise ConfigError(f"unknown key for command {command!r}", key=key)
         try:
             options[key] = keys[key](value)
         except ConfigError as exc:
-            raise ConfigError(f"{place(key, pairs)}{exc}") from None
+            raise ConfigError(str(exc), key=key) from None
     missing = sorted(required - options.keys())
     if missing:
         raise ConfigError(
@@ -232,7 +217,7 @@ def validate(command: str, pairs: dict[str, tuple[str, int]]) -> RunConfig:
         own, needed = variants[options[selector]]
         for key in options:
             if key in _VARIANT_KEYS[selector] and key not in own:
-                raise ConfigError(f"{place(key, pairs)}does not apply to {variant}")
+                raise ConfigError(f"does not apply to {variant}", key=key)
         if not needed <= options.keys():
             raise ConfigError(f"missing required key(s) for {variant}: "
                               f"{', '.join(sorted(needed - options.keys()))}")
@@ -242,6 +227,6 @@ def validate(command: str, pairs: dict[str, tuple[str, int]]) -> RunConfig:
         if "eps_grid" not in options and "epsilon" not in options:
             raise ConfigError("football-alpha needs eps_grid or epsilon")
         if "eps_grid" in options and "epsilon" in options:
-            raise ConfigError(f"{place(('eps_grid', 'epsilon'), pairs)}football-alpha "
-                              "takes eps_grid or epsilon, not both")
+            raise ConfigError("football-alpha takes eps_grid or epsilon, not both",
+                              key=("eps_grid", "epsilon"))
     return RunConfig(command, options, output, fmt)

@@ -18,7 +18,8 @@ class IsoCompareError(Exception):
 
 class ValidationError(IsoCompareError):
     """Invalid input: bad parameters, malformed data, violated preconditions.
-    key: the config key at fault (a tuple for a rule on several) or None."""
+    key: the config key at fault (a tuple for a rule on several) or None,
+    which ``cli.main`` puts, after its line, in front of the message."""
 
     def __init__(self, message: str = "", key: str | tuple | None = None):
         super().__init__(message)
@@ -44,7 +45,7 @@ class EmptyPathError(ValidationError):
 
 
 class ConfigError(ValidationError):
-    """Malformed run configuration; message carries the offending line."""
+    """Malformed run configuration; key names the offending config key."""
 
 
 class NumericalError(IsoCompareError):

@@ -58,7 +58,10 @@ def _check_grid(rho_grid) -> np.ndarray:
     if rho.ndim != 1 or rho.size < 2:
         raise ValidationError("rho grid must be 1-d with >= 2 samples", key="rho_n")
     if not (rho[0] > 0.0 and (np.diff(rho) > 0.0).all()):
+        bad = np.flatnonzero(~np.isfinite(rho))  # ends whose spacing overflows
         raise ValidationError(
+            f"the rho grid in rho_n={rho.size} points is not finite: point {bad[0]} "
+            f"is {float(rho[bad[0]])!r}" if bad.size else
             f"the rho grid from rho_min={float(rho[0])!r} to rho_max={float(rho[-1])!r} "
             f"in rho_n={rho.size} points is not positive and increasing",
             key=("rho_min", "rho_max", "rho_n"))

@@ -2,16 +2,18 @@
 
 A run exits 0, 2 (a usage, config or file error) or 3 (a numerical failure)
 and warns of nothing.  At 2 and 3 its stdout is empty and its stderr one
-line: ``iso-compare: `` and a message naming the key at fault with its
+line: ``iso-compare: `` and a message naming the key at fault after its
 config line, or "command line" for a flag's value; at 3 the message follows
-"numerical failure in <command>: ".  At 0 stderr is empty.
+"numerical failure in <command>: ".  A message about a key that the run sets
+never names it bare; only ``config:`` is, since a config file that cannot be
+read has no lines.  At 0 stderr is empty.
 
 ``python tests/exit_cases.py COMMAND...`` runs every row through COMMAND
 (``iso-compare``, or ``python -m isocompare.cli``) in a child process, with
 RuntimeWarning an error, prints the id, exit code and stderr of each row
 that fails and exits 1 if any did.  It imports only the standard library,
 so it runs on an install without the test extra; ``test_config_cli.py``
-runs the same rows in process.
+runs the same rows in process, each as ``test_exit_case[<row id>]``.
 """
 
 from __future__ import annotations
@@ -92,9 +94,9 @@ ROWS = [
         "'{dir}/run.cfg': 'utf-8' codec can't decode byte 0xff in position 29: invalid "
         "start byte"),
     Row("nul-output", "bishop-bound", "n = 3\nric0 = 2\noutput = a\x00b\n", 2,
-        "output: cannot open 'a\\x00b': embedded null byte"),
+        "line 4: output: cannot open 'a\\x00b': embedded null byte"),
     Row("directory-output", "bishop-bound", "n = 3\nric0 = 2\noutput = {dir}\n", 2,
-        "output: cannot open '{dir}': [Errno 21] Is a directory"),
+        "line 4: output: cannot open '{dir}': [Errno 21] Is a directory"),
     Row("command-mismatch", "bishop-bound", "command = mass\nmodel = sphere\nric0 = 2\n",
         2, "line 1: command: config file names 'mass' but 'bishop-bound' was invoked"),
     Row("other-command", "football-alpha", "command = epsilon0\n", 2, "line 1: command: "
@@ -218,10 +220,11 @@ ROWS = [
         "rho_max = 1.0000000000000002\n", 2, "line 4: rho_min, line 5: rho_max and "
         "rho_n: " + _RHO.format("1.0", "1.0000000000000002")),
     # ends of opposite signs overflow the grid's spacing: its first point is
-    # nan, and no warning is raised on the way to the grid's own check
+    # nan, named as a point, and no warning is raised on the way to the
+    # grid's own check
     Row("rho-overflow", "monotonicity", "case = circle\nlambda = 1\n"
         "rho_min = -1e308\nrho_max = 1e308\n", 2, "line 4: rho_min, line 5: rho_max "
-        "and rho_n: " + _RHO.format("nan", "1e+308")),
+        "and rho_n: the rho grid in rho_n=64 points is not finite: point 0 is nan"),
     # the model's t_max overflows (exit 3) only after the run's own ranges
     Row("grid_size-before-t_max", "profile", "model = sphere\nradius = 1e308\n"
         "grid_size = 8\n", 2, "line 4: grid_size: grid_size must be >= 16, got 8"),

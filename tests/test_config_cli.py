@@ -40,11 +40,6 @@ def test_parse_valid_bishop_config():
     assert cfg == RunConfig("bishop-bound", {"n": 3, "ric0": 2.0})
 
 
-def test_parse_unknown_command_names_valid_ones():
-    with pytest.raises(ConfigError, match="bishop-bound"):
-        validate("flya", {})
-
-
 def test_parse_missing_required_key():
     with pytest.raises(ConfigError, match="missing required key"):
         validate("bishop-bound", read_pairs("n = 3\n"))
@@ -80,9 +75,11 @@ def test_football_alpha_needs_epsilon():
 _ROWS = {row.id: row for row in exit_cases.ROWS}
 
 
-def _check_row(row, tmp_path, capsys):
-    """The row's run through main, with every warning an error, checked as
-    the cold runner checks it."""
+@pytest.mark.parametrize("row", exit_cases.ROWS, ids=lambda row: row.id)
+def test_exit_case(tmp_path, capsys, row):
+    # the row's run through main, with every warning an error, checked as
+    # the cold runner checks it; CI runs the same rows through the
+    # installed console script
     argv = exit_cases.prepare(row, str(tmp_path))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -91,83 +88,22 @@ def _check_row(row, tmp_path, capsys):
         exit_cases.expected(row, str(tmp_path))
 
 
-# The cases that were test functions of their own before the table keep
-# those functions' test ids, so that a run's results compare with earlier
-# runs: test name -> {parameter id: row id}, or the row ids of a test
-# without parameters.  Every other row is a case of test_exit_case.
-_LEGACY_IDS = {
-    "test_cli_stalled_volume_names_its_inputs": {
-        "profile-model = sphere\n": "stalled-profile",
-        "mass-model = sphere\nric0 = 7\n": "stalled-mass",
-        "profile-model = football\nc = 0.0439\n": "stalled-football"},
-    "test_cli_underflowed_volume_names_its_inputs": {
-        "profile-model = football\nc = 1e-300\n-(radius=1, c=1e-300, n=3)":
-            "underflow-profile",
-        "mass-model = sphere\nradius = 1e-200\nric0 = 2\n-(radius=1e-200, n=3)":
-            "underflow-mass",
-        "cylinder-growth-lengths = 1, 2\nradius = 1e-200\n-(radius=1e-200, n=3)":
-            "underflow-cylinder-growth",
-        "variation-check-model = sphere\nradius = 1e-200\nt = 1e-200\n"
-        "-(radius=1e-200, n=3)": "underflow-variation-check",
-        "profile-area": "underflow-profile-area", "mass-area": "underflow-mass-area"},
-    "test_cli_overflowed_volume_names_its_inputs": {
-        "profile-sphere": "overflow-profile-sphere", "mass-sphere":
-        "overflow-mass-sphere", "mass-football": "overflow-mass-football",
-        "profile-cylinder": "overflow-profile-cylinder", "variation-check-cylinder":
-        "overflow-variation-check-cylinder", "variation-check-sphere":
-        "overflow-variation-check-sphere", "cylinder-growth": "overflow-cylinder-growth",
-        "profile-cylinder-area": "overflow-cylinder-area", "profile-t_max":
-        "overflow-profile-t_max", "mass-t_max": "overflow-mass-t_max",
-        "variation-check-t_max": "overflow-variation-check-t_max"},
-    "test_cli_overflow_past_the_radius_power_exits_3": {
-        "profile": "past-power-profile", "variation-check": "past-power-variation-check",
-        "variation-check-tabulated": "past-power-tabulated"},
-    "test_cli_mass_phase_overflow_exits_3": ["mass-phase"],
-    "test_cli_cylinder_overflow_exits_3": ["cylinder-growth-length"],
-    "test_cli_overflow_exits_3": {
-        "n": "budget-n", "delta": "budget-delta", "negative-n": "budget-negative-n",
-        "zero-radius": "budget-zero-radius", "power-sum": "budget-power-sum",
-        "sphere_dim": "monotonicity-sphere_dim", "lambda": "monotonicity-lambda"},
-    "test_cli_monotonicity_cell_out_of_range_exits_3": {
-        "nan": "cell-nan", "zero": "cell-zero", "subnormal": "cell-subnormal",
-        "inf": "cell-inf"},
-    "test_cli_unreadable_config_or_output_path_exits_2": {
-        "not-utf-8": "not-utf-8", "nul-output": "nul-output",
-        "missing-config": "missing-config", "directory-output": "directory-output"},
-    "test_cli_nonfinite_number_is_named": {
-        "cutoff-budget": "budget-c", "monotonicity": "nonfinite-lambda-flag",
-        "cylinder-growth": "nonfinite-radius"},
-    "test_cli_oversized_size_key_is_named": {
-        "eps_grid": "eps_grid-size", "profile-grid_size": "profile-grid_size",
-        "mass-grid_size": "mass-grid_size", "rho_n": "rho_n-size"},
-    "test_cli_subnormal_bishop_bound_exits_3": ["subnormal-bishop-bound"],
-}
-
-
-def _legacy_test(name, rows):
-    """The test name of _LEGACY_IDS, over its rows."""
-    if isinstance(rows, dict):
-        @pytest.mark.parametrize("row", [_ROWS[r] for r in rows.values()], ids=list(rows))
-        def test(tmp_path, capsys, row):
-            _check_row(row, tmp_path, capsys)
-    else:
-        def test(tmp_path, capsys):
-            for row in rows:
-                _check_row(_ROWS[row], tmp_path, capsys)
-    test.__name__ = test.__qualname__ = name
-    return test
-
-
-globals().update({name: _legacy_test(name, rows) for name, rows in _LEGACY_IDS.items()})
-_LEGACY_ROWS = {row for rows in _LEGACY_IDS.values()
-                for row in (rows.values() if isinstance(rows, dict) else rows)}
-
-
-@pytest.mark.parametrize("row", [row for row in exit_cases.ROWS
-                                 if row.id not in _LEGACY_ROWS], ids=lambda row: row.id)
-def test_exit_case(tmp_path, capsys, row):
-    # CI runs the same rows through the installed console script
-    _check_row(row, tmp_path, capsys)
+def test_exit_messages_name_no_set_key_bare():
+    # an exit-2 message about a key that the row sets, in its config or by
+    # a flag, puts the key's line or "command line" in front of it; only a
+    # config file that cannot be read has no line to name
+    bare = []
+    for row in exit_cases.ROWS:
+        command, *tokens = row.argv.split() or [""]
+        if row.code != 2 or command not in COMMANDS:
+            continue
+        flags = {**cli._FLAGS, **COMMANDS[command][2]}
+        keys = {flags[flag] for flag in (token.split("=")[0] for token in tokens)
+                if flag in flags} - {"config"}
+        if row.config is not None:
+            keys |= {"command"} | read_pairs(row.config).keys()
+        bare += [f"{row.id}: {key}" for key in keys if row.message.startswith(f"{key}: ")]
+    assert bare == []
 
 
 def test_exit_case_ids_are_unique():
@@ -206,23 +142,34 @@ def _error_classes(cls):
 
 
 def test_library_error_keys_are_config_keys():
-    # the run puts a library error's key= after the line of that config key:
-    # a key renamed in COMMANDS but not where it is raised would lose its
-    # line, so each is a literal (a string, or a tuple for a rule on several)
-    # and each names a key of some command
+    # main puts an error's key= after the line of that config key: a key
+    # renamed in COMMANDS but not where it is raised would lose its line, so
+    # each is a literal (a string, or a tuple for a rule on several) and
+    # each names a key of some command.  config.py and cli.py may also name
+    # the pair at fault by its own key (key=key), the config file's command
+    # line, and the config file itself
     names = {cls.__name__ for cls in _error_classes(ValidationError)}
     config_keys = {key for keys, _, _ in COMMANDS.values() for key in keys}
-    raised = {}
+    raised, wrong = set(), []
     for path in sorted(Path(isocompare.__file__).parent.glob("*.py")):
+        front = path.name in ("config.py", "cli.py")
+        allowed = config_keys | ({"command", "config"} if front else set())
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in names:
-                for keyword in node.keywords:
-                    if keyword.arg == "key":
-                        key = ast.literal_eval(keyword.value)
-                        for k in (key,) if isinstance(key, str) else key:
-                            raised.setdefault(k, []).append(f"{path.name}:{node.lineno}")
-    assert {"c", "t_samples", "rho_n", "epsilon", "tol", "levels"} <= raised.keys()
-    assert {k: at for k, at in raised.items() if k not in config_keys} == {}
+                for value in (k.value for k in node.keywords if k.arg == "key"):
+                    at = f"{path.name}:{node.lineno}"
+                    if front and isinstance(value, ast.Name) and value.id == "key":
+                        continue
+                    try:
+                        key = ast.literal_eval(value)
+                    except ValueError:
+                        wrong.append(f"{at}: key={ast.unparse(value)}")
+                        continue
+                    keys = (key,) if isinstance(key, str) else key
+                    raised.update(keys)
+                    wrong += [f"{at}: {k}" for k in keys if k not in allowed]
+    assert wrong == []
+    assert {"c", "t_samples", "rho_n", "epsilon", "tol", "levels"} <= raised
 
 
 def test_cli_nul_byte_in_config_path_exits_2(capsys):
@@ -486,8 +433,9 @@ def test_size_keys_stop_at_their_bound(key, top, command, template):
     # run allocates anything near it
     options = validate(command, read_pairs(template.format(top))).options
     assert (options[key][2] if key == "eps_grid" else options[key]) == top
-    with pytest.raises(ConfigError, match=f"line [0-9]+: {key}: .*above maximum {top}"):
+    with pytest.raises(ConfigError, match=f"above maximum {top}") as exc:
         validate(command, read_pairs(template.format(top + 1)))
+    assert exc.value.key == key
 
 
 @pytest.mark.parametrize("command, top, cells, template", [
@@ -766,7 +714,8 @@ def test_cli_output_write_failing_part_way_leaves_no_old_tail(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, "profile", "--config",
                            str(cfg), "--out", str(out)], env=_child_env(),
                           capture_output=True, text=True)
-    message = f"output: cannot write {str(out)!r}: [Errno 27] File too large"
+    message = (f"command line: output: cannot write {str(out)!r}: [Errno 27] File too "
+               "large")
     assert (proc.returncode, proc.stderr) == (2, f"iso-compare: {message}\n")
     assert out.read_bytes() == full.read_bytes()[:16384]
 
