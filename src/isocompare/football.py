@@ -102,6 +102,7 @@ _ROUND_HALF_VOLUME = math.pi ** 2      # the half volume at z = 4 pi
 _CLUSTER = np.array([0.90, 0.92, 0.94, 0.96, 0.98, 0.99, 1.01, 1.03])
 _GRADED = np.sort(np.append(_CLUSTER, (1.0, 2.0)))
 _STEPS = 2          # safeguarded steps on dV/dz, the last one unevaluated
+_PAST = np.array([[1], [0], [2]])   # p1, p2, p3 as offsets from the first change
 
 # 1 - eps below which eps is taken as 1: the oracle returns the round
 # sphere, the supremum for every eps above eps0 ~ 0.1347 (within 8e-15 of 1,
@@ -236,10 +237,10 @@ def _half_volume_at(eps):
     top = z_lo * root_lo
     near_top, slope_lo, denominator = top / 8.0, eps * 2.0 * z_lo, two_gap * top
     b = 9.0 * eps
-    # the ricci leg is at most 36 pi scale, a double while b > 1.5e-204
-    scale, _ = in_doubles(lambda: [(s := 3.0 / b ** 1.5), _Y0_SQ * s],
-                          [("ricci leg's scale 3 / (9 eps)^(3/2)", 0)] * 2, {},
-                          at={"epsilon": eps})
+    cube = b ** 1.5     # the ricci leg, <= 36 pi scale, is a double for cube > 1.9e-306
+    scale = 3.0 / cube if np.greater(cube, 1e-305).all() else in_doubles(
+        lambda: [(s := 3.0 / cube), _Y0_SQ * s],
+        [("ricci leg's scale 3 / (9 eps)^(3/2)", 0)] * 2, {}, at={"epsilon": eps})[0]
     root_b = np.sqrt(b)
     # theta / u_sw at z = 4 pi, and factors of the slope's terms
     ratio_top, four_eps = root_b / math.sqrt(_Y0_SQ), 4.0 * eps
@@ -279,9 +280,9 @@ def _half_volume_at(eps):
         slope = ((ratio * excess * (3.0 / root_b) - 9.0 * over_y) / four_eps
                  - z_lo / (6.0 * _Z_MAX) * y_sw) / root
         k = x_sw * nine_gap                  # K = 18 (1 - eps) x_sw
-        scalar_leg, scalar_slope = _scalar_leg_integral(root, length, k, excess)
-        volume = np.where(z == _Z_MAX, _ROUND_HALF_VOLUME, ricci_leg + scalar_leg)
-        return volume, slope + scalar_slope
+        legs = _scalar_leg_integral(root, length, k, excess) + (ricci_leg, slope)
+        np.copyto(legs[0, ...], _ROUND_HALF_VOLUME, where=z == _Z_MAX)
+        return legs                          # V and dV/dz, one (2, ...) array
 
     return half_volume
 
@@ -334,60 +335,59 @@ def _supremum(eps):
     call takes V and dV/dz at the 12 z per eps of ``_scan``.  The first + to
     - change of dV/dz brackets the peak (without one, as above eps ~ 0.252
     or below ~ 1.4e-8, where the graded points lie within ulps of z_lo, the
-    bracket is the point 4 pi).  From its ends and the point past it,
-    gathered once, _STEPS steps of Chandrupatla's (1997) method on dV/dz in
-    t = sqrt(z - z_lo), where dV/dz ~ a - b t is smooth, run on 1-D arrays:
-    inverse quadratic interpolation where his test admits it, else
-    bisection.  The last step's point is not evaluated: where it is an
-    inverse quadratic step it is the argmax, elsewhere the end with the
-    smaller |dV/dz| is.  The maximum is V at that end: after one step from
-    a bracket 1-2% of the seed wide its z is within 3e-10 relative of the
-    root, where V is flat.  The one evaluated step is one array call over
-    every eps; a batch with no change makes none.
+    bracket is the point 4 pi).  In one (z, t, V, dV/dz) x point x eps array
+    with the scan's best, its ends and the point past it take _STEPS steps
+    of Chandrupatla's (1997) method on dV/dz in t = sqrt(z - z_lo), where
+    dV/dz ~ a - b t is smooth: inverse quadratic interpolation where his
+    test admits it, else bisection, updated in place.  The last step's point
+    is not evaluated: where it is an inverse quadratic step it is the argmax,
+    elsewhere the end with the smaller |dV/dz| is.  The maximum is V at that
+    end: after one step from a bracket 1-2% of the seed wide its z is within
+    3e-10 relative of the root, where V is flat.  The one evaluated step is
+    one array call over every eps; a batch with no change makes none.
     """
     z = _scan(eps)
-    origin, rows, last = z[:, 0], np.arange(eps.size), z.shape[1] - 1
-    half_volume = _half_volume_at(eps[:, None])
-    v, f = half_volume(z)               # V and dV/dz
-    k = v.argmax(axis=-1)
+    origin, last, half_volume = z[:, 0], z.shape[1] - 1, _half_volume_at(eps[:, None])
+    v, f = scan = half_volume(z)        # V and dV/dz
     change = (f[:, :-1] > 0.0) & (f[:, 1:] <= 0.0)
     lo = np.where(change.any(axis=-1), change.argmax(axis=-1), last)
-    hi = np.minimum(lo + 1, last)
-    # Chandrupatla's points (z, dV/dz, V, t): p1 = (x1, f1, v1, t1) the newest,
-    # p2 the bracket's other end, p3 the point last dropped, on p1's side
-    columns = hi, lo, np.minimum(hi + 1, last)
-    (x1, x2, x3), (f1, f2, f3) = ([a[rows, c] for c in columns] for a in (z, f))
-    t1, t2, t3 = (np.sqrt(x - origin) for x in (x1, x2, x3))
-    v1, v2, z_scan, f_scan = v[rows, hi], v[rows, lo], z[rows, k], v[rows, k]
+    # p1 the newest, p2 the bracket's other end, p3 last dropped, the scan's best
+    index = np.concatenate((np.minimum(lo + _PAST, last), v.argmax(axis=-1)[None]))
+    index += np.arange(0, z.size, last + 1)
+    points = np.empty((4, 4, eps.size))
+    z.take(index, out=points[0])
+    scan.reshape(2, -1).take(index, axis=1, out=points[2:])
+    np.sqrt(points[0] - origin, out=points[1])
+    x1, x2, z_scan, v_scan = points[0, 0], points[0, 1], points[0, 3], points[2, 3]
+    (t1, t2, t3), (f1, f2, f3) = points[1, :3], points[3, :3]
     steps = _STEPS if change.any() else 0
     for step in range(steps):
         with np.errstate(divide="ignore", invalid="ignore"):
-            xi, phi = (t1 - t2) / (t3 - t2), (f1 - f2) / (f3 - f2)
+            xi, phi = (t1 - t2) / (t3 - t2), (f1 - f2) / (df := f3 - f2)
             t = (f1 / (f2 - f1) * f3 / (f2 - f3)
-                 + (t3 - t1) / (t2 - t1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+                 + (t3 - t1) / (dt := t2 - t1) * f1 / (f3 - f1) * f2 / df)
         quadratic = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-        t = t1 + (t2 - t1) * np.where(quadratic, t, 0.5)
+        t = t1 + dt * np.where(quadratic, t, 0.5)
         x = np.minimum(np.maximum(origin + t * t, np.minimum(x1, x2)), np.maximum(x1, x2))
         if step == steps - 1:
             break               # the last point is the argmax, not evaluated
-        value, fx = (a[:, 0] for a in half_volume(x[:, None]))
-        keep = (fx > 0.0) == (f1 > 0.0)
-        f3, t3 = np.where(keep, f1, f2), np.where(keep, t1, t2)
-        x2, f2, v2, t2 = (np.where(keep, p2, p1) for p1, p2 in
-                          zip((x1, f1, v1, t1), (x2, f2, v2, t2)))
-        x1, f1, v1, t1 = x, fx, value, np.sqrt(x - origin)
-    near = np.abs(f1) <= np.abs(f2)
-    z_best, f_best = np.where(near, x1, x2), np.where(near, v1, v2)
+        new = half_volume(x[:, None])[..., 0]
+        keep = (new[1] > 0.0) == (f1 > 0.0)
+        # p3, p2 = p1, p2 where dV/dz keeps p1's sign, else p2, p1
+        points[:, 2:0:-1] = np.where(keep, points[:, :2], points[:, 1::-1])
+        points[0, 0], points[2:, 0] = x, new
+        np.sqrt(x - origin, out=t1)
+    z_best, v_best = np.where(np.abs(f1) <= np.abs(f2), points[::2, 0], points[::2, 1])
     if steps:
         z_best = np.where(quadratic, x, z_best)
     # a gain within roundoff of the scan's 4 pi is no gain (as eps -> 1, z an
     # ulp off 4 pi amplifies the switch point by 1 / (1 - eps)); elsewhere the
     # refined point wins unless it is below the scan's best beyond roundoff,
     # as below eps ~ 1e-7, where the peak is within a few ulps of z_lo
-    roundoff = 4.0 * np.finfo(float).eps
-    stay = np.where(z_scan == _Z_MAX, f_best <= f_scan * (1.0 + roundoff),
-                    f_best < f_scan * (1.0 - roundoff))
-    return np.where(stay, f_scan, f_best), np.where(stay, z_scan, z_best)
+    roundoff = 4.0 * 2.0 ** -52         # 4 ulps of 1
+    stay = np.where(z_scan == _Z_MAX, v_best <= v_scan * (1.0 + roundoff),
+                    v_best < v_scan * (1.0 - roundoff))
+    return np.where(stay, v_scan, v_best), np.where(stay, z_scan, z_best)
 
 
 def alpha_oracle(epsilon) -> AlphaResult:

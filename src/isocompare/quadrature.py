@@ -18,11 +18,10 @@ the substitution x = -w^2 turns it into 2 int_0^sqrt(L) g(-w^2) dw, a
 smooth integral in w, which one fixed rule integrates to double precision.
 Each call integrates two such g on the same abscissae: alpha's half volume
 and its z-derivative, whose integrand is the leg's differentiated under the
-integral in w.  NODES is
-the smallest count at which the scalar leg of alpha reaches its roundoff
-floor: worst relative error against 30-digit mpmath over ten z in the
-bracket (graded toward z_lo, plus the maximizer) at each eps in
-{5e-3, 0.05, 0.1345, 0.9}, same double inputs:
+integral in w.  NODES is the smallest count at which the scalar leg of
+alpha reaches its roundoff floor: worst relative error against 30-digit
+mpmath over ten z in the bracket (graded toward z_lo, plus the maximizer)
+at each eps in {5e-3, 0.05, 0.1345, 0.9}, same double inputs:
 
     nodes            4        8        12       16       20
     relative error   1e-5     7.7e-10  6.1e-13  7.6e-16  3.1e-16
@@ -61,7 +60,8 @@ AVX-512 loops disabled.
 
 ``sin_power``: int_0^theta sin^m, theta clipped to [0, pi].  m = 2 is the
 closed form (x - sin x) / 4 at x = 2 theta, with the odd Taylor series of
-x - sin x below x = 1, where the difference cancels.  Any other m is one rule in theta on
+x - sin x where 0 < x < 1, where the difference cancels, and at -0.0, whose
+sign the closed form would lose.  Any other m is one rule in theta on
 [0, phi], phi = min(theta, pi - theta), reflected about pi/2 as
 2 half - part, where half = int_0^(pi/2) sin^m is the Wallis integral, which
 is also the value at pi/2 exactly.  The integrand peaks at pi/2 with width
@@ -165,9 +165,9 @@ def sqrt_endpoint(g, length):
     t, weights = gauss_legendre(NODES)
     scratch = np.empty((4, NODES) + shape)
     x, spare, out = scratch[0], scratch[1], scratch[2:]
-    np.copyto(x, t.reshape((NODES,) + (1,) * len(shape)))
-    x *= 0.5 * width
-    x += 0.5 * width
+    mid = 0.5 * width
+    np.multiply(t.reshape((NODES,) + (1,) * len(shape)), mid, out=x)
+    x += mid
     x *= x
     np.subtract(0.0, x, out=x)              # x = -w^2, and +0 at w = 0
     result = np.empty((2,) + shape)
@@ -178,7 +178,7 @@ def sqrt_endpoint(g, length):
         n = NODES
         while n > 1:
             half = n // 2
-            out[:, :half] += out[:, n - half:n]
+            np.add(out[:, :half], out[:, n - half:n], out[:, :half])
             n -= half
         np.multiply(out[:, 0], width, out=result)
     if not np.isfinite(result).all():
@@ -210,15 +210,15 @@ def _half_sin_power(m: int) -> float:
 
 def sin_power(m: int, theta):
     """int_0^theta sin^m, elementwise, theta clipped to [0, pi]: the closed
-    form at m = 2, its series taken only where 2 theta < 1, else the rule
-    with the node count the module docstring's table gives m (64 above m =
-    512), and the Wallis integral where theta is pi/2 exactly, with no rule
-    built for an input that is pi/2 throughout."""
-    theta = np.clip(np.asarray(theta, dtype=float), 0.0, math.pi)
+    form at m = 2, its series taken where 0 < 2 theta < 1 and at -0.0, else
+    the rule with the node count the module docstring's table gives m (64
+    above m = 512), and the Wallis integral where theta is pi/2 exactly,
+    with no rule built for an input that is pi/2 throughout."""
+    theta = np.asarray(theta, dtype=float).clip(0.0, math.pi)
     if m == 2:
         x = 2.0 * theta
         value = np.subtract(x, np.sin(x), out=np.empty(x.shape))  # also at 0-d
-        small = x < 1.0
+        small = (x < 1.0) & ((x > 0.0) | np.signbit(x))
         if small.any():
             x = x[small]
             y = x * x

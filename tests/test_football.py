@@ -789,9 +789,16 @@ def test_supremum_is_two_array_calls_for_any_batch(monkeypatch):
 def test_cli_alpha_at_one_eps_validates_once(monkeypatch, capsys):
     # one --epsilon run, in process: eps is validated once, by alpha_oracle,
     # not again for the as-written bound; one half-volume set-up, and the
-    # scan and the one evaluated root step
-    counts = dict.fromkeys(("_batch", "_half_volume_at", "half_volume"), 0)
+    # scan and the one evaluated root step.  The ricci leg's scale takes the
+    # range check only where it may leave the doubles: not at 0.05, once at
+    # 1e-206, whose 36 pi multiple overflows (exit 3)
+    counts = dict.fromkeys(("_batch", "_half_volume_at", "half_volume", "in_doubles"), 0)
     batch, half_volume_at = football_module._batch, football_module._half_volume_at
+    in_doubles = football_module.in_doubles
+
+    def counted_in_doubles(*args, **kwargs):
+        counts["in_doubles"] += 1
+        return in_doubles(*args, **kwargs)
 
     def counted_batch(epsilon):
         counts["_batch"] += 1
@@ -808,10 +815,15 @@ def test_cli_alpha_at_one_eps_validates_once(monkeypatch, capsys):
 
     monkeypatch.setattr(football_module, "_batch", counted_batch)
     monkeypatch.setattr(football_module, "_half_volume_at", counted_half_volume_at)
+    monkeypatch.setattr(football_module, "in_doubles", counted_in_doubles)
     assert main(["football-alpha", "--epsilon", "0.05"]) == 0
     assert "# as_written = " in capsys.readouterr().out
     assert counts["_batch"] == counts["_half_volume_at"] == 1
     assert counts["half_volume"] <= 2
+    assert counts["in_doubles"] == 0
+    assert main(["football-alpha", "--epsilon", "1e-206"]) == 3
+    assert "ricci leg's scale" in capsys.readouterr().err
+    assert counts["in_doubles"] == 1
 
 
 def _supremum_evaluating_every_step(eps):
@@ -848,6 +860,78 @@ def _supremum_evaluating_every_step(eps):
                     f_best <= f_scan * (1.0 + roundoff),
                     f_best < f_scan * (1.0 - roundoff))
     return np.where(stay, f_scan, f_best), np.where(stay, z_scan, z_best)
+
+
+def _supremum_one_array_per_point(eps):
+    """``football._supremum`` as it was before its root step held the points
+    stacked: one array per quantity of each point, gathered by fancy index,
+    and six np.where per update.  The same scan, bracket, steps and
+    operations, so the same bits."""
+    z = football_module._scan(eps)
+    origin, rows, last = z[:, 0], np.arange(eps.size), z.shape[1] - 1
+    half_volume = football_module._half_volume_at(eps[:, None])
+    v, f = half_volume(z)
+    k = v.argmax(axis=-1)
+    change = (f[:, :-1] > 0.0) & (f[:, 1:] <= 0.0)
+    lo = np.where(change.any(axis=-1), change.argmax(axis=-1), last)
+    hi = np.minimum(lo + 1, last)
+    columns = hi, lo, np.minimum(hi + 1, last)
+    (x1, x2, x3), (f1, f2, f3) = ([a[rows, c] for c in columns] for a in (z, f))
+    t1, t2, t3 = (np.sqrt(x - origin) for x in (x1, x2, x3))
+    v1, v2, z_scan, f_scan = v[rows, hi], v[rows, lo], z[rows, k], v[rows, k]
+    steps = football_module._STEPS if change.any() else 0
+    for step in range(steps):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = (t1 - t2) / (t3 - t2), (f1 - f2) / (f3 - f2)
+            t = (f1 / (f2 - f1) * f3 / (f2 - f3)
+                 + (t3 - t1) / (t2 - t1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+        quadratic = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+        t = t1 + (t2 - t1) * np.where(quadratic, t, 0.5)
+        x = np.minimum(np.maximum(origin + t * t, np.minimum(x1, x2)), np.maximum(x1, x2))
+        if step == steps - 1:
+            break
+        value, fx = (a[:, 0] for a in half_volume(x[:, None]))
+        keep = (fx > 0.0) == (f1 > 0.0)
+        f3, t3 = np.where(keep, f1, f2), np.where(keep, t1, t2)
+        x2, f2, v2, t2 = (np.where(keep, p2, p1) for p1, p2 in
+                          zip((x1, f1, v1, t1), (x2, f2, v2, t2)))
+        x1, f1, v1, t1 = x, fx, value, np.sqrt(x - origin)
+    near = np.abs(f1) <= np.abs(f2)
+    z_best, f_best = np.where(near, x1, x2), np.where(near, v1, v2)
+    if steps:
+        z_best = np.where(quadratic, x, z_best)
+    roundoff = 4.0 * np.finfo(float).eps
+    stay = np.where(z_scan == football_module._Z_MAX, f_best <= f_scan * (1.0 + roundoff),
+                    f_best < f_scan * (1.0 - roundoff))
+    return np.where(stay, f_scan, f_best), np.where(stay, z_scan, z_best)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(
+        lambda x: min(max(10.0 ** x, lo), hi))
+
+
+def _bits(arrays):
+    return [np.asarray(a, dtype=float).view(np.int64).tolist() for a in arrays]
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.one_of(_log_uniform(1e-12, 1.0 - 1e-16),
+                                 st.floats(1e-12, 1.0, exclude_max=True),
+                                 st.floats(0.1339, 0.1348)),
+                       min_size=1, max_size=66))
+@example(values=[3.361476855473515e-08])    # the argmax moves by an ulp
+@example(values=[1.4e-8, 0.2517])           # the ends of the sign-change range
+@example(values=[float(np.nextafter(EPS0, 0.0)), EPS0, float(np.nextafter(EPS0, 1.0))])
+@example(values=[0.31, 0.6, 1.0 - 1e-11])   # no change: the scan alone
+def test_stacked_root_step_keeps_the_bits(values):
+    # the supremum with its points in one (quantity, point, eps) array gives
+    # the bits, alpha and argmax, of the one-array-per-point form, over the
+    # batch and for each eps alone
+    eps = np.array(values)
+    for batch in [eps] + [eps[i:i + 1] for i in range(min(eps.size, 8))]:
+        want = _supremum_one_array_per_point(batch)
+        assert _bits(football_module._supremum(batch)) == _bits(want)
 
 
 def _printed(result):
@@ -974,7 +1058,7 @@ def _dense_scan(eps, num=600):
     z_lo, z_hi = football_module._z_bracket(eps)
     z = z_lo[:, None] + (z_hi - z_lo)[:, None] * s
     z[:, -1] = z_hi
-    return (seed, s) + football_module._half_volume_at(eps[:, None])(z)
+    return (seed, s, *football_module._half_volume_at(eps[:, None])(z))
 
 
 def _first_scan_change(values):
@@ -986,11 +1070,6 @@ def _first_scan_change(values):
     change = (slope[:, :-1] > 0.0) & (slope[:, 1:] <= 0.0)
     assert change.any(axis=-1).all()
     return z, np.argmax(change, axis=-1)
-
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(
-        lambda x: min(max(10.0 ** x, lo), hi))
 
 
 @settings(max_examples=30, deadline=None)

@@ -133,12 +133,14 @@ def test_sin_power_batch_is_one_theta_at_a_time(m):
 
 
 def test_sin_power_2_is_elementwise_to_the_bit():
-    # the series of x - sin x runs only on the elements with x = 2 theta < 1;
-    # each theta, on either side of 0.5, keeps the bits of the whole-batch
-    # closed form, of a call on it alone, of a 0-d array and of any shape
+    # the series of x - sin x runs only on the elements with 0 < x = 2 theta
+    # < 1 and at -0.0, whose sign it keeps; +0.0 takes the closed form, the
+    # series' +0.0.  Each theta, on either side of 0.5 and down to the
+    # subnormals, keeps the bits of the whole-batch series-below-1 form, of
+    # a call on it alone, of a 0-d array and of any shape
     rng = np.random.default_rng(2)
     theta = np.concatenate((
-        rng.uniform(0.0, np.pi, 60), 0.5 + rng.uniform(-1e-3, 1e-3, 40),
+        rng.uniform(0.0, np.pi, 58), [5e-324, 1e-300], 0.5 + rng.uniform(-1e-3, 1e-3, 40),
         np.nextafter(0.5, [0.0, 1.0]), [0.0, -0.0, 1e-9, 0.5, 0.5 * np.pi, np.pi]))
     batch = sin_power(2, theta)
     x = 2.0 * np.clip(theta, 0.0, np.pi)
