@@ -85,7 +85,8 @@ def build_metric(options: dict) -> WarpedMetric:
 def _run_profile(opts):
     metric = build_metric(opts)
     prof = candidate_profile(metric, opts.get("grid_size", 257))
-    rows = np.column_stack((prof.t_grid, prof.v_grid, prof.a_values))
+    rows = np.empty((prof.t_grid.size, 3))
+    rows[:, 0], rows[:, 1], rows[:, 2] = prof.t_grid, prof.v_grid, prof.a_values
     return ["t", "V", "A"], rows, {"total_volume": prof.total_volume}
 
 
@@ -103,8 +104,9 @@ def _run_mass(opts):
     mass_coefficient(metric.n, opts["ric0"])
     prof = candidate_profile(metric, opts.get("grid_size", 257))
     curve = phase_curve(prof)
-    rows = np.column_stack((prof.v_grid, prof.a_values, curve.x, curve.y,
-                            ricci_mass(curve, opts["ric0"])))
+    rows = np.empty((prof.v_grid.size, 5))
+    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4] = (
+        prof.v_grid, prof.a_values, curve.x, curve.y, ricci_mass(curve, opts["ric0"]))
     return ["V", "A", "F", "F_prime", "m"], rows, {}
 
 
@@ -154,7 +156,8 @@ def _run_monotonicity(opts):
     else:
         case = cone_over_circle(opts.get("angle", math.pi / 4), lam, rho)
     profile = monotonicity_profile(case)
-    rows = np.column_stack((rho, profile.values))
+    rows = np.empty((rho.size, 2))
+    rows[:, 0], rows[:, 1] = rho, profile.values
     return ["rho", "profile"], rows, {"clamped": int(profile.clamped.sum())}
 
 

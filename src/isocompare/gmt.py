@@ -49,7 +49,7 @@ class MonotonicityCase:
             return math.pi * math.sin(self.angle) * rho * rho
         # spherical cap cut by a chord-radius rho ball about a surface point;
         # the chord 2 sin(theta/2) resolves small caps, unlike cos theta
-        theta = np.array([2.0 * math.asin(min(r / 2.0, 1.0)) for r in rho.tolist()])
+        theta = 2.0 * np.array(list(map(math.asin, np.minimum(rho / 2.0, 1.0).tolist())))
         return sphere_area(self.m - 1) * sin_power(self.m - 1, theta)
 
 
@@ -57,7 +57,7 @@ def _check_grid(rho_grid) -> np.ndarray:
     rho = np.asarray(rho_grid, dtype=float)
     if rho.ndim != 1 or rho.size < 2:
         raise ValidationError("rho grid must be 1-d with >= 2 samples", key="rho_n")
-    if not (rho[0] > 0.0 and (np.diff(rho) > 0.0).all()):
+    if not (rho[0] > 0.0 and (rho[1:] > rho[:-1]).all()):
         bad = np.flatnonzero(~np.isfinite(rho))  # ends whose spacing overflows
         raise ValidationError(
             f"the rho grid in rho_n={rho.size} points is not finite: point {bad[0]} "
@@ -102,17 +102,21 @@ class MonotonicityProfile:
 def monotonicity_profile(case: MonotonicityCase) -> MonotonicityProfile:
     """Samples of e^(lambda rho) rho^(-m) mass(E_rho); radii beyond the
     diameter are clamped to it and flagged.  exp, the power and the cap's
-    arcsin are taken per radius with ``math``: numpy's array versions are an
-    ulp off on some inputs, enough to move a printed digit.  The profile is
-    positive at every radius, so each sample must be a normal double."""
+    arcsin are libm's, taken per radius with ``math``: numpy's array versions
+    are an ulp off on some inputs, enough to move a printed digit.  arcsin
+    is mapped over the list of clipped radii, about a third of the time of a
+    loop that clips each radius with ``min``; exp and the power share one
+    comprehension, faster than two mapped lists made into two arrays.  The
+    profile is positive at every radius, so each sample must be a normal
+    double."""
     rho = case.rho_grid
     keys = {"lambda": case.lambda_, "rho_min": rho[0], "rho_max": rho[-1]}
     if case.kind != "circle":
         keys.update({"sphere_dim": case.m} if case.kind == "sphere"
                     else {"angle": case.angle})
+    lam, power = case.lambda_, -case.m
     (values,) = in_doubles(
-        lambda: [np.array([math.exp(case.lambda_ * r) * r ** (-case.m)
-                           for r in rho.tolist()])
+        lambda: [np.array([math.exp(lam * r) * r ** power for r in rho.tolist()])
                  * case.ball_mass(np.minimum(rho, case.diameter))],
         [("profile", 0)], keys, at={"rho": rho}, normal=True)
     return MonotonicityProfile(values=values, clamped=rho > case.diameter)

@@ -18,11 +18,14 @@ three points t - h, t, t + h of each stencil, it makes one
 ``warped.pointwise`` call on the (T, L, 3) array of points, forms the three
 checks of every (t, step) as array expressions, and fits the observed order
 of every (t, check) column with a single ``np.polyfit`` whose right-hand
-side is 2-D.  ``variation-check`` reads it once for all its t.
+side is 2-D.  ``variation-check`` reads it once for all its t.  The points,
+the checks and the rows are each written into one preallocated contiguous
+array, with the operands and order of the elementwise expressions kept.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -69,10 +72,10 @@ class StencilTable(NamedTuple):
 
     def rows(self) -> np.ndarray:
         """(t, h, first, h_dot, second, order) rows, t-major."""
-        count, levels = self.residual.shape[:2]
-        return np.column_stack((np.repeat(self.t, levels), np.tile(self.h, count),
-                                self.residual.reshape(count * levels, 3),
-                                np.repeat(self.order, levels)))
+        rows = np.empty(self.residual.shape[:2] + (6,))
+        rows[..., 0], rows[..., 1] = self.t[:, None], self.h
+        rows[..., 2:5], rows[..., 5] = self.residual, self.order[:, None]
+        return rows.reshape(-1, 6)
 
 
 def _first(mask, ts, steps) -> tuple[float, float]:
@@ -105,50 +108,60 @@ def stencil_table(metric: WarpedMetric, t, h: float | None = None,
     at double precision.  No t, or levels below 1, raises ValidationError.
     A stencil that leaves the model, a step that is not positive, or a step
     so small that a volume increment vanishes raises DomainError, and a
-    stencil whose spacing or residual overflows raises NumericalError, each
-    for the first such (t, step) in table order.
+    stencil whose spacing or residual overflows, or whose spacing is below
+    the normal doubles (a thin model), raises NumericalError, each for the
+    first such (t, step) in table order.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if not ts.size:
         raise ValidationError("the stencils need at least one t", key="t")
     if levels < 1:
         raise ValidationError(f"levels must be at least 1, got {levels}", key="levels")
-    if h is None:
-        h = 1e-3 * metric.t_max
-    elif h <= 0:
+    if h is not None and h <= 0:
         raise DomainError(f"step h must be positive, got {h:g}", key="h")
+    t_min, t_max = metric.t_min, metric.t_max
+    h = 1e-3 * t_max if h is None else h
     steps = np.array([h / 2.0 ** k for k in range(min(levels, _MAX_LEVELS))])
-    lo, hi = ts[:, None] - steps, ts[:, None] + steps
-    bad = (steps <= 0) | ~((metric.t_min < lo) & (hi < metric.t_max))
+    points = np.empty((ts.size, steps.size, 3))
+    lo = np.subtract(ts[:, None], steps, out=points[..., 0])
+    hi = np.add(ts[:, None], steps, out=points[..., 2])
+    points[..., 1] = ts[:, None]
+    bad = (steps <= 0) | ~((t_min < lo) & (hi < t_max))
     if bad.any():
         at, step = _first(bad, ts, steps)
         raise DomainError(
             f"step h must be positive, got {step:g}" if step <= 0 else
             f"at t={at:g}, h={step:g}, the stencil [{at - step:g}, {at + step:g}] "
-            f"leaves ({metric.t_min:g}, {metric.t_max:g})")
-    p = pointwise(metric, np.stack((lo, np.broadcast_to(ts[:, None], lo.shape), hi),
-                                   axis=-1))
+            f"leaves ({t_min:g}, {t_max:g})")
+    p = pointwise(metric, points)
 
     def table():
         area, volume, mean = p.area, p.volume, p.mean_curvature
         d_lo = volume[..., 1] - volume[..., 0]
         d_hi = volume[..., 2] - volume[..., 1]
-        spacing = d_lo * d_hi * (d_lo + d_hi)
-        if (spacing == 0.0).any():
-            at, step = _first(spacing == 0.0, ts, steps)
-            raise DomainError(
-                f"step {step:g} is below the volume's resolution at t={at:g}")
-        mid_area = area[..., 1]
-        h_dot = -p.second_fundamental_norm_sq[..., 1] - p.ric_radial[..., 1]
-        second = 2.0 * (area[..., 0] * d_hi - mid_area * (d_lo + d_hi)
-                        + area[..., 2] * d_lo) / spacing
-        fd = np.stack(((area[..., 2] - area[..., 0]) / (2.0 * steps),
-                       (mean[..., 2] - mean[..., 0]) / (2.0 * steps), second), axis=-1)
-        exact = np.stack((mean[..., 1] * mid_area, h_dot, h_dot / mid_area), axis=-1)
-        floor = np.zeros_like(fd)
-        floor[..., 0] = mid_area / metric.t_max
-        scale = np.maximum(np.maximum(np.abs(fd), np.abs(exact)), floor)
-        residual = np.divide(np.abs(fd - exact), scale, out=np.zeros_like(scale),
+        spacing = d_lo * d_hi * (total := d_lo + d_hi)
+        if (small := np.abs(spacing) < sys.float_info.min).any():
+            at, step = _first(small, ts, steps)
+            if d_lo[small][0] == 0.0 or d_hi[small][0] == 0.0:
+                raise DomainError(
+                    f"step {step:g} is below the volume's resolution at t={at:g}")
+            # increments of a thin model whose product is not a normal double
+            in_doubles(lambda: [spacing], [("stencil's volume spacing", 3 * metric.n)],
+                       metric.size_keys, at={"t": ts[:, None], "h": steps}, normal=True)
+        mid_area, width = area[..., 1], 2.0 * steps
+        fd, exact = np.empty((2,) + spacing.shape + (3,))
+        np.divide(area[..., 2] - area[..., 0], width, out=fd[..., 0])
+        np.divide(mean[..., 2] - mean[..., 0], width, out=fd[..., 1])
+        np.divide(2.0 * (area[..., 0] * d_hi - mid_area * total + area[..., 2] * d_lo),
+                  spacing, out=fd[..., 2])
+        np.multiply(mean[..., 1], mid_area, out=exact[..., 0])
+        h_dot = np.subtract(-p.second_fundamental_norm_sq[..., 1], p.ric_radial[..., 1],
+                            out=exact[..., 1])
+        np.divide(h_dot, mid_area, out=exact[..., 2])
+        scale = np.maximum(np.abs(fd), np.abs(exact))
+        # the first check's floor: the area per unit length
+        np.maximum(scale[..., 0], mid_area / t_max, out=scale[..., 0])
+        residual = np.divide(np.abs(fd - exact), scale, out=np.zeros(scale.shape),
                              where=scale != 0.0)
         # a residual is nan where fd or exact is not finite: spacing + residual
         # leaves the doubles wherever any of the four does, and alone is checked

@@ -113,7 +113,10 @@ class MonotoneCubic:
             d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
         t = (d[:-1] + d[1:] - 2.0 * m) / h
         self.x = x
-        self.c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+        self.c = np.empty((4, h.size))
+        np.divide(t, h, out=self.c[0])
+        np.subtract((m - d[:-1]) / h, t, out=self.c[1])
+        self.c[2], self.c[3] = d[:-1], y[:-1]
 
     @staticmethod
     def _end_slope(h0, h1, m0, m1) -> float:
@@ -197,7 +200,7 @@ class _CylinderWarp:
         return self.length
 
     def evaluate(self, t):
-        z = np.zeros_like(np.asarray(t, dtype=float))
+        z = np.zeros(np.shape(t))
         return z + self.radius, z, z, z + 1.0
 
     def power_integral(self, t, m: int):
@@ -486,7 +489,7 @@ class Profile:
                 a.shape != self.v_grid.shape
                 for a in (self.a_values, self.t_grid, self.warp_slope)):
             raise ValidationError("profile grids must be matching 1-d arrays")
-        stalled = ~(np.diff(self.v_grid) > 0)
+        stalled = ~(self.v_grid[1:] > self.v_grid[:-1])
         if stalled.any():
             raise ValidationError(
                 f"volume samples are not strictly increasing: V stops increasing at "

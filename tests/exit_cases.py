@@ -312,6 +312,19 @@ ROWS = [
         "t_samples = 0.3,1.2,2.1,3.0\nf_samples = 1e102,2e102,1e102,3e102\nt = 1\n", 3,
         "at t=1, h=0.003, the variation stencil overflows a double (f_samples=3e+102, "
         "n=3); lower f_samples"),
+    # a thin model's volume increments (about 1e-122 here) are doubles, but
+    # the second check's spacing d_lo d_hi (d_lo + d_hi) is not a normal
+    # double: 0 for the first two, subnormal at radius 1e-35, where the
+    # table printed an order of -3.26; an increment that is 0 stays exit 2
+    Row("thin-sphere-spacing", "variation-check", "model = sphere\nradius = 1e-40\n"
+        "t = 5e-41\n", 3, "at t=5e-41, h=3.14159e-43, the stencil's volume spacing is "
+        "below the normal doubles (radius=1e-40, n=3); raise radius"),
+    Row("thin-cylinder-spacing", "variation-check", "model = cylinder\n"
+        "radius = 1e-60\nlength = 1\nt = 0.5\n", 3, "at t=0.5, h=0.001, the stencil's "
+        "volume spacing is below the normal doubles (radius=1e-60, n=3); raise radius"),
+    Row("subnormal-sphere-spacing", "variation-check", "model = sphere\n"
+        "radius = 1e-35\nt = 1e-35\n", 3, "at t=1e-35, h=3.14159e-38, the stencil's "
+        "volume spacing is below the normal doubles (radius=1e-35, n=3); raise radius"),
     # A = 4 pi radius^2 sin^2 is a double, F = A^(3/2) is not
     Row("mass-phase", "mass", "model = sphere\nn = 3\nradius = 2e102\nric0 = 2\n", 3,
         "at V=2.28301e+307, the phase coordinate F = A^(n/(n-1)) overflows a double "

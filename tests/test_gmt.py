@@ -5,12 +5,14 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isocompare.errors import NumericalError
 from isocompare.gmt import (RadiusFamily, cone_over_circle, cutoff_budget,
                             monotonicity_profile, unit_circle, unit_sphere)
+from isocompare.quadrature import sin_power
+from isocompare.warped import sphere_area
 
 PI = math.pi
 RHO = np.linspace(0.05, 2.0, 64)
@@ -118,6 +120,61 @@ def test_ball_mass_is_per_radius():
         masses = case.ball_mass(rho)
         assert masses.shape == rho.shape
         assert [float(case.ball_mass(r)[0]) for r in rho] == masses.tolist()
+
+
+def _profile_by_comprehension(case):
+    """monotonicity_profile(case).values as the profile was first written,
+    with one Python comprehension over the radii for exp and the power and
+    one for the cap's arcsin, which clips each radius with ``min``; None
+    where math.exp or the power raises OverflowError.  The reference that
+    the profile must match bit for bit."""
+    rho = case.rho_grid
+    try:
+        weight = np.array([math.exp(case.lambda_ * r) * r ** (-case.m)
+                           for r in rho.tolist()])
+    except OverflowError:
+        return None
+    radii = np.minimum(rho, case.diameter)
+    with np.errstate(all="ignore"):
+        if case.kind == "cone":
+            mass = math.pi * math.sin(case.angle) * radii * radii
+        else:
+            theta = np.array([2.0 * math.asin(min(r / 2.0, 1.0))
+                              for r in radii.tolist()])
+            mass = sphere_area(case.m - 1) * sin_power(case.m - 1, theta)
+        return weight * mass
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["circle", "sphere", "cone"]), dim=st.integers(1, 6),
+       angle=st.floats(0.05, 1.5),
+       lambda_=st.one_of(st.floats(-5.0, 5.0), st.floats(300.0, 1000.0)),
+       rho_min=st.floats(0.005, 1.0), rho_max=st.floats(1.5, 6.0),
+       rho_n=st.integers(2, 512))
+@example(kind="sphere", dim=3, angle=0.5, lambda_=800.0, rho_min=0.5, rho_max=3.0,
+         rho_n=64)   # math.exp raises OverflowError from rho = 0.89
+@example(kind="circle", dim=1, angle=0.5, lambda_=1.0, rho_min=0.01, rho_max=6.0,
+         rho_n=512)  # three quarters of the radii past the diameter
+def test_profile_keeps_the_bits_of_one_comprehension(kind, dim, angle, lambda_,
+                                                     rho_min, rho_max, rho_n):
+    # the arcsin mapped over the clipped radii's list, and numpy's clip and
+    # products, give the bits of the per-radius comprehensions; where those
+    # raise OverflowError, or leave the positive normal doubles, the
+    # profile is a NumericalError
+    rho = np.linspace(rho_min, rho_max, rho_n)
+    case = (unit_circle(lambda_, rho) if kind == "circle" else
+            unit_sphere(lambda_, rho, dim=dim) if kind == "sphere" else
+            cone_over_circle(angle, lambda_, rho))
+    want = _profile_by_comprehension(case)
+    try:
+        got = monotonicity_profile(case).values
+    except NumericalError as err:
+        assert want is None or not np.all(
+            (want >= sys.float_info.min) & (want <= sys.float_info.max))
+        assert want is not None or "the profile overflows a double" in str(err)
+        return
+    assert want is not None
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 100, 300, 440, 450, 700])

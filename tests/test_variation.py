@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocompare import cli, warped
+from isocompare import cli, variation, warped
 from isocompare.errors import DomainError, NumericalError, ValidationError
 from isocompare.variation import KINDS, stencil_table
 from isocompare.warped import (WarpedMetric, cylinder, football, pointwise,
@@ -278,6 +278,64 @@ def test_variation_check_rows_are_the_table():
     assert table.rows().shape == (9, 6)
 
 
+def _table_stacked(metric, t, h, levels):
+    """(fd, exact, rows) of stencil_table(metric, t, h, levels) as the table
+    first wrote them, each array built by np.stack, np.broadcast_to,
+    np.zeros_like, np.repeat, np.tile or np.column_stack: the reference
+    that the preallocated arrays must match bit for bit."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    h = 1e-3 * metric.t_max if h is None else h
+    steps = np.array([h / 2.0 ** k for k in range(levels)])
+    lo, hi = ts[:, None] - steps, ts[:, None] + steps
+    p = pointwise(metric, np.stack((lo, np.broadcast_to(ts[:, None], lo.shape), hi),
+                                   axis=-1))
+    area, volume, mean = p.area, p.volume, p.mean_curvature
+    with np.errstate(all="ignore"):
+        d_lo = volume[..., 1] - volume[..., 0]
+        d_hi = volume[..., 2] - volume[..., 1]
+        spacing = d_lo * d_hi * (d_lo + d_hi)
+        mid_area = area[..., 1]
+        h_dot = -p.second_fundamental_norm_sq[..., 1] - p.ric_radial[..., 1]
+        second = 2.0 * (area[..., 0] * d_hi - mid_area * (d_lo + d_hi)
+                        + area[..., 2] * d_lo) / spacing
+        fd = np.stack(((area[..., 2] - area[..., 0]) / (2.0 * steps),
+                       (mean[..., 2] - mean[..., 0]) / (2.0 * steps), second), axis=-1)
+        exact = np.stack((mean[..., 1] * mid_area, h_dot, h_dot / mid_area), axis=-1)
+        floor = np.zeros_like(fd)
+        floor[..., 0] = mid_area / metric.t_max
+        scale = np.maximum(np.maximum(np.abs(fd), np.abs(exact)), floor)
+        residual = np.divide(np.abs(fd - exact), scale, out=np.zeros_like(scale),
+                             where=scale != 0.0)
+    orders = variation._orders(steps, residual)
+    worst = np.where(np.isnan(orders), np.inf, orders).min(axis=1)
+    order = np.where(np.isinf(worst), np.nan, worst)
+    count = ts.size
+    return fd, exact, np.column_stack((
+        np.repeat(ts, levels), np.tile(steps, count),
+        residual.reshape(count * levels, 3), np.repeat(order, levels)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["sphere", "football", "cylinder", "tabulated"]),
+       n=st.integers(3, 8), shape=st.floats(0.05, 1.0),
+       fractions=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=6),
+       levels=st.integers(1, 5),
+       h_fraction=st.one_of(st.none(), st.floats(1e-4, 2e-2)))
+def test_preallocated_table_keeps_the_stacked_bits(kind, n, shape, fractions, levels,
+                                                   h_fraction):
+    # the points, checks and rows written in place are the bits of the
+    # stacked expressions, NaN payloads and signed zeros included
+    metric = _model(kind, n, shape)
+    width = metric.t_max - metric.t_min
+    ts = [metric.t_min + u * width for u in fractions]
+    h = None if h_fraction is None else h_fraction * width
+    table = stencil_table(metric, ts, h, levels)
+    fd, exact, rows = _table_stacked(metric, ts, h, levels)
+    assert _same_bits(table.fd, fd) and _same_bits(table.exact, exact)
+    assert table.rows().shape == rows.shape
+    assert _same_bits(table.rows(), rows)
+
+
 @pytest.mark.parametrize("model", [
     {"model": "sphere", "n": "5", "radius": "1.3"},
     {"model": "football", "n": "4", "c": "0.7"},
@@ -318,8 +376,14 @@ def _count_array_calls(monkeypatch, warp_class):
         count(warp_class, name)
     count(warped, "_curvatures")
     count(warped, "sin_power")
-    count(np, "polyfit")
+    for name in ("polyfit", *_SCAFFOLDING):
+        count(np, name)
     return calls
+
+
+# numpy's Python-level array builders, each a few microseconds on a table
+# this small: the stencil points, checks and rows are written in place
+_SCAFFOLDING = ("stack", "broadcast_to", "zeros_like", "repeat", "tile", "column_stack")
 
 
 @pytest.mark.parametrize("model, warp_class", [
@@ -343,6 +407,7 @@ def test_array_calls_per_command_do_not_grow_with_t(monkeypatch, tmp_path, model
     assert counts[0] == counts[1]
     assert counts[0]["polyfit"] == 1 and counts[0]["power_integral"] == 1
     assert counts[0]["evaluate"] == 1
+    assert not any(counts[0].get(name) for name in _SCAFFOLDING), counts[0]
 
 
 def test_stencil_table_errors_in_table_order():
