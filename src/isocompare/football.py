@@ -52,7 +52,8 @@ clustered about the narrow interior peak's predicted place near z_lo, then
 two safeguarded root steps on dV/dz in one bracket per eps.  The
 scan and the first step are one array call each over every eps and the
 second step's point is taken unevaluated, so a sweep costs as many calls as
-a single eps: two.
+a single eps: two, and none where every eps is at least 0.14, 5.3e-3 above
+eps0, which is the round sphere without a call.
 
 The supremum is usually displayed in a closed form that cannot be evaluated
 as written: its switch point z^((4 pi - eps)/2) / (2 (1 - eps)) puts the
@@ -104,11 +105,14 @@ _GRADED = np.sort(np.append(_CLUSTER, (1.0, 2.0)))
 _STEPS = 2          # safeguarded steps on dV/dz, the last one unevaluated
 _PAST = np.array([[1], [0], [2]])   # p1, p2, p3 as offsets from the first change
 
-# 1 - eps below which eps is taken as 1: the oracle returns the round
-# sphere, the supremum for every eps above eps0 ~ 0.1347 (within 8e-15 of 1,
-# where the bracket is about 100 ulps of 4 pi wide, the scan returned a z an
-# ulp below 4 pi and a switch point amplified by 1 / (1 - eps)), and
-# ``as_written_bound`` inf, as the verbatim switch divides by 2 (1 - eps).
+# eps from which the oracle returns the round sphere with no half-volume
+# call, the supremum for every eps above eps0 ~ 0.13472776: 5.3e-3 above it,
+# where the interior local peak of V is 1.50e-2 below pi^2 (2.1e-4 below at
+# 0.1348, 8.2e-5 above at 0.1347), while the supremum's 4-ulp margin moves
+# eps0 by about 3e-16, as G = peak / pi^2 - 1 has slope -2.94 there
+_ROUND_FROM = 0.14
+# 1 - eps below which ``as_written_bound`` is inf, as the verbatim switch
+# divides by 2 (1 - eps); the oracle needs no such cut
 _NEAR_ONE = 1e-12
 _ROUND_SPHERE = np.array([[1.0], [_Z_MAX], [0.0]])  # alpha, z_argmax, switch_x
 
@@ -327,7 +331,7 @@ def _scan(eps):
 
 def _supremum(eps):
     """Maximum of the half volume over z for each eps < 1 of a 1-D array:
-    (maximum, argmax).
+    (maximum, argmax).  ``alpha_oracle`` calls it only below ``_ROUND_FROM``.
 
     dV/dz is pi / (4 sqrt(eps)) > 0 at z_lo.  Up to eps0 it turns negative
     past the interior peak, which from eps ~ 1e-7 on lies between two of the
@@ -398,9 +402,9 @@ def alpha_oracle(epsilon) -> AlphaResult:
     share each array call.
     """
     eps, single = _batch(epsilon)
-    # eps within _NEAR_ONE of 1 is the round sphere, as eps = 1
+    # eps from _ROUND_FROM on is the round sphere
     alpha, z_arg, x_sw = _ROUND_SPHERE.repeat(eps.size, axis=1)
-    inner = 1.0 - eps >= _NEAR_ONE
+    inner = eps < _ROUND_FROM
     if inner.any():
         e = eps[inner]
         best, z_arg[inner] = _supremum(e)
@@ -463,8 +467,9 @@ def epsilon0(tol: float = 5e-4) -> Epsilon0Bracket:
     """Bracket the threshold eps0 by bisection on alpha(eps) - 1.
 
     The search interval, ``_EPS0_SEARCH``, starts below the known football
-    excess region and at the proven upper bound 1/2.  The bracket narrows
-    to tol or to adjacent doubles; tol must be positive.
+    excess region and at the proven upper bound 1/2, whose alpha, as every
+    query's from ``_ROUND_FROM`` on, takes no half-volume call.  The bracket
+    narrows to tol or to adjacent doubles; tol must be positive.
     """
     if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol}", key="tol")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EmptyPathError, ValidationError, in_doubles
 from .quadrature import sin_power
-from .warped import Profile, log_sphere_area, sphere_area
+from .warped import Profile, check_dimension, log_sphere_area, sphere_area
 
 __all__ = [
     "PhaseCurve", "PhasePath",
@@ -114,8 +114,7 @@ def extremal_path(n: int, ric0: float, m0: float) -> PhasePath:
     """Closed-form extremal path of constant mass m0:
     y(x)^2 = y0^2 - m0 - (n^2 ric0/(n-1)) x^(2/n), ending at x0 where y = 0.
     """
-    if n < 3:
-        raise ValidationError(f"n must be >= 3, got {n}", key="n")
+    check_dimension(n)
     b = mass_coefficient(n, ric0)
     if m0 < 0:
         raise ValidationError(f"m0 must be nonnegative, got {m0}")

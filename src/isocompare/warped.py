@@ -42,8 +42,15 @@ __all__ = [
     "MonotoneCubic", "round_sphere", "football", "cylinder", "tabulated",
     "sphere_area", "log_sphere_area", "Pointwise", "pointwise",
     "curvature_bounds", "total_volume", "candidate_profile",
-    "CylinderGrowth", "cylinder_growth",
+    "CylinderGrowth", "cylinder_growth", "check_dimension",
 ]
+
+
+def check_dimension(n) -> None:
+    """The one check of the dimension n of a model, a profile or a phase-plane
+    path: an integer >= 3, else an error of the key n."""
+    if not isinstance(n, int) or n < 3:
+        raise ValidationError(f"n must be an integer >= 3, got {n!r}", key="n")
 
 
 def sphere_area(dim: int) -> float:
@@ -281,8 +288,7 @@ class WarpedMetric:
     warp: object
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 3:
-            raise ValidationError(f"n must be an integer >= 3, got {self.n!r}", key="n")
+        check_dimension(self.n)
 
     @property
     def size_keys(self) -> dict:
@@ -497,8 +503,7 @@ class Profile:
                 f"{self.v_grid.size}), where a grid cell is below the volume's resolution")
         if np.any(self.a_values < 0):
             raise ValidationError("profile areas must be nonnegative")
-        if self.n < 3:
-            raise ValidationError(f"profile dimension must be >= 3, got {self.n}")
+        check_dimension(self.n)
 
     @property
     def total_volume(self) -> float:

@@ -151,7 +151,7 @@ ROWS = [
     # --- the library's range of a value: its error names the key, and the
     # run puts the key's line, or "command line", in front
     Row("small-dimension", "bishop-bound", "n = 2\nric0 = 2\n", 2, "line 2: n: n "
-        "must be >= 3, got 2"),
+        "must be an integer >= 3, got 2"),
     Row("model-dimension", "profile", "model = sphere\nn = 2\n", 2, "line 3: n: n "
         "must be an integer >= 3, got 2"),
     Row("sphere-radius", "profile", "model = sphere\nradius = -1\n", 2, "line 3: "

@@ -760,12 +760,13 @@ def test_round_sphere_leg_is_closed_form():
 
 
 def test_supremum_is_two_array_calls_for_any_batch(monkeypatch):
-    # one 12-point scan and _STEPS steps on one bracket per eps, whatever the
-    # batch and its eps, of which the last step's point is not evaluated; a
-    # batch in which dV/dz changes sign at no scan point (each eps above
-    # about 0.252, or below about 1.4e-8, where every graded point rounds to
-    # within a few ulps of z_lo) has only the point 4 pi to refine and makes
-    # the scan alone
+    # one 12-point scan and _STEPS steps on one bracket per eps below
+    # _ROUND_FROM, whatever the batch, of which the last step's point is not
+    # evaluated; the eps from _ROUND_FROM on are the round sphere and take no
+    # call.  A batch in which dV/dz changes sign at no scan point (each eps
+    # below about 1.4e-8, where every graded point rounds to within a few
+    # ulps of z_lo) has only the point 4 pi to refine and makes the scan
+    # alone, and a batch with no eps below _ROUND_FROM makes no call
     calls = []
 
     def counted(*args, **kwargs):
@@ -774,16 +775,22 @@ def test_supremum_is_two_array_calls_for_any_batch(monkeypatch):
 
     monkeypatch.setattr(football_module, "sqrt_endpoint", counted)
     assert football_module._STEPS == 2
+    assert football_module._ROUND_FROM == 0.14
     scan = football_module._scan(np.array([0.1])).shape[1]
     assert scan == 12
-    for eps in (0.05, 3e-5, [0.01, 0.1], [1e-7, 0.5], np.linspace(0.005, 0.9, 66)):
+    for eps in (0.05, 3e-5, 0.1348, [0.01, 0.1], [1e-7, 0.5],
+                np.linspace(0.005, 0.9, 66)):
+        inner = np.count_nonzero(np.asarray(eps) < football_module._ROUND_FROM)
         calls.clear()
         alpha_oracle(eps)
-        assert calls == [(np.size(eps), scan)] + [(np.size(eps), 1)]
-    for eps in (0.5, [0.4, 0.9], [0.31, 1.0 - 1e-11, 0.6], [1e-9, 0.5]):
+        assert calls == [(inner, scan), (inner, 1)]
+    calls.clear()
+    alpha_oracle([1e-9, 0.5])
+    assert calls == [(1, scan)]
+    for eps in (0.5, [0.4, 0.9], [0.31, 1.0 - 1e-11, 0.6], [0.14, 0.2517]):
         calls.clear()
         alpha_oracle(eps)
-        assert calls == [(np.size(eps), scan)]
+        assert calls == []
 
 
 def test_cli_alpha_at_one_eps_validates_once(monkeypatch, capsys):
@@ -824,6 +831,12 @@ def test_cli_alpha_at_one_eps_validates_once(monkeypatch, capsys):
     assert main(["football-alpha", "--epsilon", "1e-206"]) == 3
     assert "ricci leg's scale" in capsys.readouterr().err
     assert counts["in_doubles"] == 1
+    # above eps0 the round sphere: validated once, no half-volume set-up
+    counts.update(dict.fromkeys(counts, 0))
+    assert main(["football-alpha", "--epsilon", "0.5"]) == 0
+    assert "# as_written = " in capsys.readouterr().out
+    assert counts == {"_batch": 1, "_half_volume_at": 0, "half_volume": 0,
+                      "in_doubles": 0}
 
 
 def _supremum_evaluating_every_step(eps):
@@ -934,6 +947,40 @@ def test_stacked_root_step_keeps_the_bits(values):
         assert _bits(football_module._supremum(batch)) == _bits(want)
 
 
+def _alpha_oracle_through_the_supremum(epsilon):
+    """``football.alpha_oracle`` as it was before the round sphere took
+    every eps from _ROUND_FROM on: only eps within _NEAR_ONE of 1 is the
+    round sphere, every other eps goes through ``_supremum``, alpha its
+    maximum over pi^2 and the switch point ``_switch_x`` at its argmax."""
+    eps, single = football_module._batch(epsilon)
+    alpha, z_arg, x_sw = football_module._ROUND_SPHERE.repeat(eps.size, axis=1)
+    inner = 1.0 - eps >= football_module._NEAR_ONE
+    if inner.any():
+        e = eps[inner]
+        best, z_arg[inner] = football_module._supremum(e)
+        alpha[inner] = best / math.pi ** 2
+        x_sw[inner] = football_module._switch_x(z_arg[inner], e)
+    result = (eps, alpha, z_arg, x_sw)
+    return tuple(float(a[0]) for a in result) if single else result
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(0.14, 1.0), _log_uniform(0.14, 1.0),
+                                 st.floats(1.0 - 1e-12, 1.0)),
+                       min_size=1, max_size=66))
+@example(values=[0.14, float(np.nextafter(0.14, 0.0)), 0.2517, 1.0 - 1e-12, 1.0])
+def test_round_sphere_from_0_14_keeps_the_bits_of_the_supremum(values):
+    # every eps from _ROUND_FROM on gets, with no half-volume call, the bits
+    # of alpha, argmax and switch point that the supremum gave it, over the
+    # batch and in single calls
+    assert football_module._ROUND_FROM == 0.14
+    want = _alpha_oracle_through_the_supremum(values)
+    assert _bits(alpha_oracle(values)) == _bits(want)
+    for value in values[:8]:
+        want = _alpha_oracle_through_the_supremum(value)
+        assert _bits(alpha_oracle(value)) == _bits(want)
+
+
 def _printed(result):
     return [tuple(map(format_number, row))
             for row in zip(*(a.tolist() for a in result[1:]))]
@@ -1037,6 +1084,24 @@ def test_epsilon0_lies_above_cone_crossing():
     bracket = epsilon0(tol=1e-7)
     assert _CONE_CROSSING < bracket.lo < EPS0 < bracket.hi
     assert alpha_oracle(0.5 * (_CONE_CROSSING + bracket.lo)).alpha_oracle > 1.0
+
+
+def test_round_sphere_cut_lies_clear_of_eps0():
+    # the round sphere from _ROUND_FROM on: the bisection's eps0 lies more
+    # than 5e-3 below the cut, and at the cut the interior local peak of V,
+    # an interior maximum over the cluster about the seed (25 digits), is
+    # more than 1% below the round sphere's pi^2 (measured: 1.50e-2)
+    cut = football_module._ROUND_FROM
+    assert epsilon0(tol=1e-10).hi < cut - 5e-3
+    seed = 0.14 * cut * cut * (1.0 + 5.0 * cut)
+    with mp.workdps(25):
+        e = mp.mpf(cut)
+        span = 4 * mp.pi - 4 * mp.pi / (3 - 2 * e)
+        v = [_mp_half_volume(e, (1 - mp.mpf(s * seed)) * span)
+             for s in football_module._CLUSTER]
+        peak = max(v)
+        assert v[0] < peak and v[-1] < peak
+        assert peak <= 0.99 * mp.pi ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -1192,7 +1257,7 @@ _EPS_REGIONS = st.one_of(
 @example(ends=[1e-6, 1.0], num=40)
 @example(ends=[0.1339, 0.1348], num=13)
 @example(ends=[1.0 - 1e-12, 1.0], num=5)
-@example(ends=[0.26, 0.99], num=9)        # no step call: the scan alone
+@example(ends=[0.26, 0.99], num=9)        # no call: the round sphere
 @example(ends=[1e-9, 1e-8], num=4)        # nor here, below about 1.4e-8
 @example(ends=[3e-6], num=2)
 @example(ends=[0.999999999999999], num=2)

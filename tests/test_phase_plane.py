@@ -50,6 +50,20 @@ def test_phase_curve_sphere_values():
     assert curve.y[0] == pytest.approx(10.6347, abs=1e-4)
 
 
+def test_dimension_below_three_is_one_error_of_n():
+    # a model, a profile and a phase-plane path check n by one rule, with
+    # one message, and name the key n
+    src = candidate_profile(round_sphere(3, 1.0), 16)
+    fields = dict(v_grid=src.v_grid, a_values=src.a_values, t_grid=src.t_grid,
+                  warp_slope=src.warp_slope)
+    for build in (lambda: round_sphere(2, 1.0), lambda: Profile(n=2, **fields),
+                  lambda: extremal_path(2, 2.0, 0.0), lambda: bishop_bound(2, 2.0)):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == "n must be an integer >= 3, got 2"
+        assert info.value.key == "n"
+
+
 def test_phase_curve_positivity_validation():
     v = np.linspace(0.0, 1.0, 8)
     a = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0])
